@@ -17,13 +17,24 @@ switching mixer over a sweep of *scaled* disparities, verifies the linear
 growth of the speed-up, and extrapolates the fitted line to the paper's
 disparity — reproducing the shape of the claim rather than the absolute CPU
 seconds of the 2002 testbed.
+
+Every run writes its measurements to ``BENCH_speedup_vs_shooting.json`` at
+the repository root: per disparity the MPDE and shooting wall times and the
+shooting Newton iterations, then the linear fit, the break-even disparity,
+the extrapolated speed-up and the host it ran on.  Run it with
+``PYTHONPATH=src python -m pytest benchmarks/bench_speedup_vs_shooting.py -s``.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import platform
 import time
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from paper_targets import (
     ComparisonRow,
@@ -44,6 +55,8 @@ LO_FREQUENCY = 2.0e6
 DISPARITIES = (10, 20, 40, 80, 160)
 MPDE_GRID = (32, 21)
 SHOOTING_STEPS_PER_LO_CYCLE = 20
+PAPER_DISPARITY = 30000
+OUTPUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_speedup_vs_shooting.json"
 
 
 def _make_case(disparity: int):
@@ -74,18 +87,30 @@ def _run_shooting(mixer, mna, disparity):
     elapsed = time.perf_counter() - start
     fd = mixer.scales.difference_frequency
     amplitude = 2 * abs(fourier_coefficient(result.waveform("out"), fd))
-    return elapsed, amplitude, steps
+    return elapsed, amplitude, steps, result.stats
 
 
 def test_speedup_vs_shooting(benchmark):
     rows = []
     speedups = []
+    records = []
     for disparity in DISPARITIES:
         mixer, mna, fd = _make_case(disparity)
         t_mpde, a_mpde, mpde_result = _run_mpde(mixer, mna)
-        t_shoot, a_shoot, steps = _run_shooting(mixer, mna, disparity)
+        t_shoot, a_shoot, steps, shooting_stats = _run_shooting(mixer, mna, disparity)
         speedup = t_shoot / t_mpde
         speedups.append(speedup)
+        records.append(
+            {
+                "disparity": disparity,
+                "mpde_s": t_mpde,
+                "shooting_s": t_shoot,
+                "speedup": speedup,
+                "shooting_steps": steps,
+                "shooting_iterations": shooting_stats.shooting_iterations,
+                "shooting_newton_iterations": shooting_stats.newton_iterations,
+            }
+        )
         agreement = abs(a_mpde - a_shoot) / max(a_shoot, 1e-15)
         rows.append(
             [
@@ -112,19 +137,47 @@ def test_speedup_vs_shooting(benchmark):
     slope, intercept = np.polyfit(disparities, speedup_arr, 1)
     correlation = np.corrcoef(disparities, speedup_arr)[0, 1]
     break_even = (1.0 - intercept) / slope if slope > 0 else float("inf")
-    extrapolated = slope * 30000 + intercept
+    extrapolated = slope * PAPER_DISPARITY + intercept
+    OUTPUT_PATH.write_text(
+        json.dumps(
+            {
+                "bench": "speedup_vs_shooting",
+                "host": {
+                    "cpu_count": os.cpu_count(),
+                    "machine": platform.machine(),
+                    "python": platform.python_version(),
+                    "numpy": np.__version__,
+                    "scipy": scipy.__version__,
+                },
+                "lo_frequency_hz": LO_FREQUENCY,
+                "mpde_grid": list(MPDE_GRID),
+                "shooting_steps_per_lo_cycle": SHOOTING_STEPS_PER_LO_CYCLE,
+                "disparities": records,
+                "fit": {
+                    "slope_per_unit_disparity": slope,
+                    "intercept": intercept,
+                    "r": correlation,
+                },
+                "break_even_disparity": break_even if np.isfinite(break_even) else None,
+                "paper_disparity": PAPER_DISPARITY,
+                "extrapolated_speedup": extrapolated,
+            },
+            indent=2,
+        )
+        + "\n"
+    )
 
     paper_rows = [
         ComparisonRow(
             "multi-time unknowns vs shooting time steps (450 MHz / 15 kHz)",
             f"{PAPER_GRID_POINTS} grid points vs >= {PAPER_SHOOTING_TIME_STEPS} steps",
-            f"{PAPER_GRID_POINTS} vs {SHOOTING_STEPS_PER_LO_CYCLE * 30000} "
-            f"(ratio {SHOOTING_STEPS_PER_LO_CYCLE * 30000 / PAPER_GRID_POINTS:.0f}x)",
+            f"{PAPER_GRID_POINTS} vs {SHOOTING_STEPS_PER_LO_CYCLE * PAPER_DISPARITY} "
+            f"(ratio {SHOOTING_STEPS_PER_LO_CYCLE * PAPER_DISPARITY / PAPER_GRID_POINTS:.0f}x)",
         ),
         ComparisonRow(
             "equation-system size ratio",
             f"> {PAPER_SYSTEM_SIZE_RATIO}x",
-            f"{SHOOTING_STEPS_PER_LO_CYCLE * 30000 / PAPER_GRID_POINTS:.0f}x",
+            f"{SHOOTING_STEPS_PER_LO_CYCLE * PAPER_DISPARITY / PAPER_GRID_POINTS:.0f}x",
         ),
         ComparisonRow(
             "speed-up grows ~linearly with disparity",

@@ -27,6 +27,7 @@ from ..resilience.diagnostics import attach_diagnostics, build_failure_diagnosti
 from ..utils.exceptions import ConvergenceError, SingularMatrixError
 from ..utils.logging import get_logger
 from ..utils.options import ContinuationOptions, NewtonOptions
+from .sweep import StateSweep
 
 __all__ = ["DCSolution", "dc_operating_point"]
 
@@ -66,25 +67,42 @@ class DCSolution:
         return float(mna.voltage(self.x, node))
 
 
-def _with_gmin_diagonal(jacobian: np.ndarray, gmin_diag: np.ndarray) -> np.ndarray:
-    """Add the (sparse) gmin diagonal onto a dense conductance Jacobian."""
+def _with_gmin_diagonal(conductance: np.ndarray, gmin_diag: np.ndarray) -> np.ndarray:
+    """A dense conductance Jacobian plus the (sparse) gmin diagonal.
+
+    Returns a new array: ``conductance`` belongs to a shared
+    :class:`~repro.analysis.sweep.StateSweep` evaluation and stays untouched.
+    """
+    jacobian = conductance.copy()
     idx = np.arange(jacobian.shape[0])
     jacobian[idx, idx] += gmin_diag
     return jacobian
 
 
+def _dc_residual(
+    sweeps: StateSweep, x: np.ndarray, b: np.ndarray, gmin_diag: np.ndarray
+) -> np.ndarray:
+    # Newton asks for the Jacobian at the iterate whose residual it just
+    # computed, so this sweep fetches G along with f.
+    return sweeps.at(x, jacobian=True).f[0] + b + gmin_diag * x
+
+
+def _dc_jacobian(sweeps: StateSweep, x: np.ndarray, gmin_diag: np.ndarray) -> np.ndarray:
+    return _with_gmin_diagonal(sweeps.at(x, jacobian=True).conductance[0], gmin_diag)
+
+
 def _plain_newton(
-    mna: MNASystem, x0: np.ndarray, b0: np.ndarray, options: NewtonOptions
+    sweeps: StateSweep, x0: np.ndarray, b0: np.ndarray, options: NewtonOptions
 ) -> NewtonResult:
     # ``gmin_matrix`` is a sparse diagonal; only its diagonal vector is needed
     # here, so neither the residual nor the Jacobian ever densifies it.
-    gmin_diag = mna.gmin_matrix(_GMIN_FINAL).diagonal()
+    gmin_diag = sweeps.mna.gmin_matrix(_GMIN_FINAL).diagonal()
 
     def residual(x: np.ndarray) -> np.ndarray:
-        return mna.f(x) + b0 + gmin_diag * x
+        return _dc_residual(sweeps, x, b0, gmin_diag)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        return _with_gmin_diagonal(mna.conductance_matrix(x), gmin_diag)
+        return _dc_jacobian(sweeps, x, gmin_diag)
 
     try:
         return newton_solve(residual, jacobian, x0, options, raise_on_failure=False)
@@ -103,7 +121,7 @@ def _plain_newton(
 
 
 def _gmin_stepping(
-    mna: MNASystem,
+    sweeps: StateSweep,
     x0: np.ndarray,
     b0: np.ndarray,
     newton_options: NewtonOptions,
@@ -113,16 +131,16 @@ def _gmin_stepping(
     """Sweep gmin from _GMIN_START down to _GMIN_FINAL (log-spaced embedding)."""
     log_start = np.log10(_GMIN_START)
     log_final = np.log10(_GMIN_FINAL)
-    unit_diag = mna.gmin_matrix(1.0).diagonal()
+    unit_diag = sweeps.mna.gmin_matrix(1.0).diagonal()
 
     def gmin_of(lam: float) -> float:
         return 10.0 ** (log_start + lam * (log_final - log_start))
 
     def residual(x: np.ndarray, lam: float) -> np.ndarray:
-        return mna.f(x) + b0 + (gmin_of(lam) * unit_diag) * x
+        return _dc_residual(sweeps, x, b0, gmin_of(lam) * unit_diag)
 
     def jacobian(x: np.ndarray, lam: float) -> np.ndarray:
-        return _with_gmin_diagonal(mna.conductance_matrix(x), gmin_of(lam) * unit_diag)
+        return _dc_jacobian(sweeps, x, gmin_of(lam) * unit_diag)
 
     return continuation_solve(
         residual, jacobian, x0, newton_options, continuation_options, deadline=deadline
@@ -130,7 +148,7 @@ def _gmin_stepping(
 
 
 def _source_stepping(
-    mna: MNASystem,
+    sweeps: StateSweep,
     x0: np.ndarray,
     b0: np.ndarray,
     newton_options: NewtonOptions,
@@ -138,14 +156,14 @@ def _source_stepping(
     deadline: Deadline | None = None,
 ):
     """Ramp the full excitation vector from zero up to its nominal value."""
-    gmin_diag = mna.gmin_matrix(_GMIN_FINAL).diagonal()
+    gmin_diag = sweeps.mna.gmin_matrix(_GMIN_FINAL).diagonal()
 
     def residual(x: np.ndarray, lam: float) -> np.ndarray:
-        return mna.f(x) + lam * b0 + gmin_diag * x
+        return _dc_residual(sweeps, x, lam * b0, gmin_diag)
 
     def jacobian(x: np.ndarray, lam: float) -> np.ndarray:
         del lam
-        return _with_gmin_diagonal(mna.conductance_matrix(x), gmin_diag)
+        return _dc_jacobian(sweeps, x, gmin_diag)
 
     return continuation_solve(
         residual, jacobian, x0, newton_options, continuation_options, deadline=deadline
@@ -194,8 +212,9 @@ def dc_operating_point(
     deadline = Deadline(deadline_s)
     x_start = mna.zero_state() if x0 is None else np.asarray(x0, dtype=float).copy()
     b0 = mna.source(time)
+    sweeps = StateSweep(mna)
 
-    result = _plain_newton(mna, x_start, b0, nopts)
+    result = _plain_newton(sweeps, x_start, b0, nopts)
     if result.converged:
         return DCSolution(
             x=result.x,
@@ -209,8 +228,8 @@ def dc_operating_point(
     # Continuation embeddings can fail by divergence *or* by hitting a
     # singular embedded Jacobian; both mean "try the next strategy".
     try:
-        cont = _gmin_stepping(mna, x_start, b0, nopts, copts, deadline)
-        residual_norm = float(np.max(np.abs(mna.f(cont.x) + b0)))
+        cont = _gmin_stepping(sweeps, x_start, b0, nopts, copts, deadline)
+        residual_norm = float(np.max(np.abs(sweeps.at(cont.x).f[0] + b0)))
         return DCSolution(
             x=cont.x,
             strategy="gmin-stepping",
@@ -222,8 +241,8 @@ def dc_operating_point(
     deadline.check("dc source stepping")
 
     try:
-        cont = _source_stepping(mna, x_start, b0, nopts, copts, deadline)
-        residual_norm = float(np.max(np.abs(mna.f(cont.x) + b0)))
+        cont = _source_stepping(sweeps, x_start, b0, nopts, copts, deadline)
+        residual_norm = float(np.max(np.abs(sweeps.at(cont.x).f[0] + b0)))
         return DCSolution(
             x=cont.x,
             strategy="source-stepping",

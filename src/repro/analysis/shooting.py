@@ -33,6 +33,7 @@ from ..utils.logging import get_logger
 from ..utils.options import NewtonOptions, ShootingOptions
 from .dc import dc_operating_point
 from .integration import StepContext, make_integration_rule
+from .sweep import StateSweep
 from .transient import ChordJacobianCache, solve_implicit_step
 
 __all__ = ["ShootingStats", "ShootingResult", "shooting_periodic_steady_state"]
@@ -116,9 +117,11 @@ def _transition_map(
     times = [t]
     states = [x.copy()]
 
-    q_prev = mna.q(x)
-    qdot_prev = -(mna.f(x) + mna.source(t))
-    context = StepContext(q_prev=q_prev, qdot_prev=qdot_prev)
+    # The monodromy reads C and G at both ends of every step; one sweep per
+    # state serves it, the step residuals and the charge history.
+    sweeps = StateSweep(mna)
+    evaluation = sweeps.at(x, jacobian=want_monodromy)
+    context = StepContext(q_prev=evaluation.q[0], qdot_prev=-(evaluation.f[0] + mna.source(t)))
 
     # The very first step always uses backward Euler.  For the trapezoidal
     # rule, the one-step map of a DAE depends on the *algebraic* part of the
@@ -133,10 +136,13 @@ def _transition_map(
         t_new = t + h
         b_new = mna.source(t_new)
         x_new, iterations = solve_implicit_step(
-            mna, x, t_new, h, context, step_rule, newton_options, cache=cache, b_new=b_new
+            mna, x, t_new, h, context, step_rule, newton_options,
+            cache=cache, b_new=b_new, sweeps=sweeps,
         )
         stats.newton_iterations += iterations
         stats.total_time_steps += 1
+        eval_old = evaluation
+        evaluation = sweeps.at(x_new, jacobian=want_monodromy)
 
         if want_monodromy:
             alpha, _r = step_rule.derivative_coefficients(h, context)
@@ -144,9 +150,7 @@ def _transition_map(
             #   alpha * q(x_{k+1}) + r(x_k) + f(x_{k+1}) + b_{k+1} = 0
             # the chain rule gives
             #   (alpha*C_{k+1} + G_{k+1}) dx_{k+1}/dx_k = -dr/dx_k.
-            eval_new = mna.evaluate(x_new.reshape(1, -1))
-            jac_new = alpha * eval_new.capacitance[0] + eval_new.conductance[0]
-            eval_old = mna.evaluate(x.reshape(1, -1))
+            jac_new = alpha * evaluation.capacitance[0] + evaluation.conductance[0]
             if step_rule.name == "trapezoidal":
                 # r = -2 q(x_k)/h - qdot_k with qdot_k = -(f(x_k) + b_k)
                 dr_dxk = -(2.0 / h) * eval_old.capacitance[0] + eval_old.conductance[0]
@@ -160,9 +164,12 @@ def _transition_map(
             step_sensitivity = np.linalg.solve(jac_new, -dr_dxk)
             monodromy = step_sensitivity @ monodromy
 
-        q_new = mna.q(x_new)
-        qdot_new = -(mna.f(x_new) + b_new)
-        context = StepContext(q_prev=q_new, qdot_prev=qdot_new, q_prev2=context.q_prev, h_prev=h)
+        context = StepContext(
+            q_prev=evaluation.q[0],
+            qdot_prev=-(evaluation.f[0] + b_new),
+            q_prev2=context.q_prev,
+            h_prev=h,
+        )
         x = x_new
         t = t_new
         times.append(t)
