@@ -29,31 +29,10 @@ every analysis funnels through, on the paper's balanced mixer at the paper's
    >= 2x faster on the full evaluation (the PR-3 acceptance floor).  The two
    backends are timed interleaved so CPU frequency drift cancels out of the
    ratio.
-6. **Parallel execution layer** (PR 5) — sharded vs serial ``evaluate_sparse``
-   wall time at a large synthetic grid (80 x 60, P = 4800 — where
-   ``P * n_group`` kernel work dominates the pool dispatch overhead), eager
-   vs lazy per-harmonic LU build wall time for the partially-averaged
-   preconditioner, and the ``MPDEStats`` wall-time breakdown of every solver
-   mode.  The sharded path must be >= 1.5x faster than serial with 4 workers
-   — a floor that is *asserted only where it is physically meaningful*: on a
-   single-CPU or fork-less runner the section records the resolution's
-   fallback reason and the floor is skipped (the same graceful degradation
-   the library itself performs).  ``--workers N`` (shared with the whole
-   benchmark suite via ``benchmarks/conftest.py``) overrides the worker
-   count.
-7. **Worker-resident factor service** (PR 7) — the full matrix-free
-   ``block_circulant_fast`` solve at the large 80 x 60 grid with
-   ``factor_backend="resident"`` versus the serial in-process path.  The
-   resident service parallelises the per-harmonic back-substitutions of
-   every preconditioner apply (the dominant ``gmres_time_s`` term at large
-   ``n_slow``), so ``gmres_time_s`` must drop by >= 1.3x — again asserted
-   only where the host can actually shard, with the skip reason recorded
-   otherwise.  The solves are gated on bit-for-bit equal states first: a
-   fast wrong answer is not a speedup.
-8. **Scenario enumeration** (PR 9) — wall time of one smoke solve per
+6. **Scenario enumeration** (PR 9) — wall time of one smoke solve per
    registered scenario, mirroring the ``tier1-scenarios`` pre-flight.
    Trend tracking only, no floor (the scenario set is expected to grow).
-9. **Service throughput** (PR 10) — repeated identical smoke requests
+7. **Service throughput** (PR 10) — repeated identical smoke requests
    through the simulation service (``repro.service``), cold
    (``memoize_results=False``, every request really solves on the shared
    compiled-circuit cache) versus warm (memoised results).  The warm pass
@@ -64,9 +43,7 @@ Results are written to ``BENCH_perf_assembly.json`` at the repository root so
 the perf trajectory is tracked from this PR onward.  ``--check`` exits
 non-zero when any performance floor (assembly speedup >= 3x, block-circulant
 iteration cut >= 3x, partially-averaged cut >= 1.5x, batched engine >= 2x,
-service warm-cache throughput >= 2x cold, plus sharded evaluation >= 1.5x
-and resident-apply ``gmres_time_s`` cut >= 1.3x where applicable) is
-violated, for CI use.
+service warm-cache throughput >= 2x cold) is violated, for CI use.
 """
 
 from __future__ import annotations
@@ -75,23 +52,16 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from conftest import add_workers_argument
 from repro.core import solve_mpde
 from repro.core.mpde import MPDEProblem
-from repro.parallel import WorkerPool, detect_capabilities, resolve_execution
 from repro.rf import balanced_lo_doubling_mixer, unbalanced_switching_mixer
 from repro.utils import MPDEOptions
 
 PAPER_GRID = (40, 30)
-#: Large synthetic grid for the sharded-evaluation wall-time floor: P = 4800
-#: points is where kernel FLOPs clearly dominate the per-call pool dispatch
-#: (see the cost model in docs/parallel.md).
-LARGE_GRID = (80, 60)
 #: Spectral (fourier x fourier) grid for the preconditioner-mode comparison.
 #: Large enough that the averaged-ILU mode visibly degrades on stale caches;
 #: small enough to keep the bench (and the tier-1 convergence harness, which
@@ -354,203 +324,6 @@ def bench_preconditioners(mixer, mna) -> dict:
     }
 
 
-def bench_parallel(mixer, mna, workers: int | None) -> dict:
-    """Sharded vs serial evaluation and eager vs lazy harmonic builds.
-
-    The section always runs (recording the environment and the eager/lazy
-    build comparison); the sharded-vs-serial wall-time comparison runs only
-    where the execution layer actually shards, mirroring the library's own
-    graceful degradation.  ``speedup_floor_applicable`` tells ``--check``
-    whether the >= 1.5x floor is physically meaningful here (sharding can
-    only beat serial with a second core).
-    """
-    caps = detect_capabilities()
-    resolution = resolve_execution("sharded", workers)
-    record: dict = {
-        "cpu_count": caps.cpu_count,
-        "fork_available": caps.fork_available,
-        "requested_workers": workers,
-        "resolved_backend": resolution.backend,
-        "n_workers": resolution.n_workers,
-        "fallback_reason": resolution.fallback_reason,
-        "large_grid": list(LARGE_GRID),
-        # The >= 1.5x floor is documented (and modelled) at 4 workers; with
-        # only 2 the cost model itself predicts ~1.4x (docs/parallel.md), so
-        # asserting there would fail deterministically without any
-        # regression.  Require a host that can actually run >= 3 workers.
-        "speedup_floor_applicable": bool(
-            resolution.sharded
-            and caps.serial_only_reason is None
-            and resolution.n_workers >= 3
-        ),
-    }
-
-    rng = np.random.default_rng(23)
-    n_points = LARGE_GRID[0] * LARGE_GRID[1]
-    states = rng.normal(scale=0.3, size=(n_points, mna.n_unknowns))
-    if resolution.sharded:
-        n_workers = resolution.n_workers
-
-        def sharded_eval():
-            return mna.evaluate_sparse(
-                states, kernel_backend="sharded", n_workers=n_workers
-            )
-
-        # Correctness gate: the wall-time ratio is only meaningful for
-        # bit-for-bit identical results.
-        serial_result = mna.evaluate_sparse(states)
-        sharded_result = sharded_eval()
-        for name in ("q", "f", "g_data", "c_data"):
-            if not np.array_equal(
-                getattr(serial_result, name), getattr(sharded_result, name)
-            ):
-                raise RuntimeError(f"sharded/serial mismatch in {name}")
-        t_serial, t_sharded = _time_interleaved(
-            [lambda: mna.evaluate_sparse(states), sharded_eval],
-            repeats=40,
-            warmup=5,
-        )
-        record.update(
-            {
-                "serial_eval_sparse_ms": t_serial * 1e3,
-                "sharded_eval_sparse_ms": t_sharded * 1e3,
-                "sharded_speedup": t_serial / t_sharded,
-            }
-        )
-
-    # Eager vs lazy per-harmonic LU build wall time: one build + one apply
-    # covers all n_slow // 2 + 1 distinct factorisations on either path
-    # (lazy pays them inside the first apply, eager at construction).
-    problem = MPDEProblem(
-        mna,
-        mixer.scales,
-        MPDEOptions(
-            n_fast=SPECTRAL_GRID[0],
-            n_slow=SPECTRAL_GRID[1],
-            fast_method="fourier",
-            slow_method="fourier",
-        ),
-    )
-    x = rng.normal(scale=0.2, size=problem.n_total_unknowns)
-    evaluation = mna.evaluate_sparse(problem.reshape_states(x))
-    vector = rng.normal(size=problem.n_total_unknowns)
-    factor_pool = WorkerPool(resolution.n_workers) if resolution.sharded else None
-
-    def lazy_build_and_apply():
-        built = problem.build_preconditioner(
-            "block_circulant_fast",
-            c_data=evaluation.c_data,
-            g_data=evaluation.g_data,
-        )
-        built.solve(vector)
-
-    def eager_build_and_apply():
-        built = problem.build_preconditioner(
-            "block_circulant_fast",
-            c_data=evaluation.c_data,
-            g_data=evaluation.g_data,
-            eager=True,
-            factor_pool=factor_pool,
-        )
-        built.solve(vector)
-
-    t_lazy, t_eager = _time_interleaved(
-        [lazy_build_and_apply, eager_build_and_apply], repeats=10, warmup=2
-    )
-    if factor_pool is not None:
-        factor_pool.close()
-    record.update(
-        {
-            "harmonic_build_grid": list(SPECTRAL_GRID),
-            "lazy_build_apply_ms": t_lazy * 1e3,
-            "eager_build_apply_ms": t_eager * 1e3,
-            "eager_over_lazy": t_lazy / t_eager,
-        }
-    )
-    return record
-
-
-def bench_resident_apply(mixer, mna, workers: int | None) -> dict:
-    """Worker-resident factor service vs the in-process apply path.
-
-    Both solves run the matrix-free ``block_circulant_fast`` mode at the
-    large 80 x 60 grid with identical parallel evaluation, so the *only*
-    difference between them is ``factor_backend``: ``"threads"`` applies the
-    ``n_slow // 2 + 1`` per-harmonic back-substitutions in-process, while
-    ``"resident"`` dispatches them to the worker-resident factor service.
-    The ``gmres_time_s`` bucket isolates exactly the work the service
-    parallelises, and the >= 1.3x floor on it is asserted only where the
-    host can shard (``speedup_floor_applicable``) — a single-CPU or
-    fork-less runner records the resolution's fallback reason instead.
-    """
-    caps = detect_capabilities()
-    resolution = resolve_execution("sharded", workers)
-    record: dict = {
-        "cpu_count": caps.cpu_count,
-        "fork_available": caps.fork_available,
-        "requested_workers": workers,
-        "resolved_backend": resolution.backend,
-        "n_workers": resolution.n_workers,
-        "fallback_reason": resolution.fallback_reason,
-        "grid": list(LARGE_GRID),
-        # With even 2 real cores the service halves the per-apply
-        # back-substitution critical path (the harmonics shard evenly), so
-        # unlike the evaluation floor the 1.3x gmres_time_s cut is already
-        # meaningful at n_workers == 2.
-        "speedup_floor_applicable": bool(
-            resolution.sharded
-            and caps.serial_only_reason is None
-            and resolution.n_workers >= 2
-        ),
-    }
-    if not resolution.sharded:
-        record["skip_reason"] = (
-            resolution.fallback_reason or "execution layer resolved to serial"
-        )
-        return record
-
-    base = MPDEOptions(
-        n_fast=LARGE_GRID[0],
-        n_slow=LARGE_GRID[1],
-        matrix_free=True,
-        preconditioner="block_circulant_fast",
-        parallel=True,
-        n_workers=resolution.n_workers,
-    )
-    in_process = solve_mpde(mna, mixer.scales, replace(base, factor_backend="threads"))
-    resident = solve_mpde(mna, mixer.scales, replace(base, factor_backend="resident"))
-
-    # Correctness gate: the resident service is bit-for-bit equal to the
-    # in-process path by contract; a fast wrong answer is not a speedup.
-    if not np.array_equal(in_process.states, resident.states):
-        raise RuntimeError("resident/in-process solve states differ")
-    if resident.stats.parallel_fallback_reason:
-        # The service fell back mid-solve (worker death / hang): the states
-        # are still correct, but the timing no longer measures the service.
-        record["resident_fallback_reason"] = resident.stats.parallel_fallback_reason
-        record["speedup_floor_applicable"] = False
-
-    record.update(
-        {
-            "n_harmonic_factors": LARGE_GRID[1] // 2 + 1,
-            "in_process_gmres_time_s": float(in_process.stats.gmres_time_s),
-            "resident_gmres_time_s": float(resident.stats.gmres_time_s),
-            "gmres_speedup": float(
-                in_process.stats.gmres_time_s / resident.stats.gmres_time_s
-            ),
-            "resident_dispatch_time_s": float(
-                resident.stats.gmres_apply_dispatch_time_s
-            ),
-            "resident_backsub_time_s": float(resident.stats.gmres_backsub_time_s),
-            "in_process_backsub_time_s": float(in_process.stats.gmres_backsub_time_s),
-            "in_process_wall_time_s": float(in_process.stats.wall_time_seconds),
-            "resident_wall_time_s": float(resident.stats.wall_time_seconds),
-            "linear_iterations": int(resident.stats.linear_iterations),
-        }
-    )
-    return record
-
-
 def bench_scenario_enumeration() -> dict:
     """Wall time of one smoke solve per registered scenario (first case only).
 
@@ -629,7 +402,7 @@ def bench_service_throughput(n_requests: int = 8) -> dict:
     }
 
 
-def main(check: bool = False, workers: int | None = None) -> dict:
+def main(check: bool = False) -> dict:
     mixer = balanced_lo_doubling_mixer()
     mna = mixer.compile()
     problem = MPDEProblem(
@@ -641,9 +414,6 @@ def main(check: bool = False, workers: int | None = None) -> dict:
     assembly = bench_assembly(problem)
     solves = bench_mpde_solves(mixer, mna)
     preconditioners = bench_preconditioners(mixer, mna)
-    parallel = bench_parallel(mixer, mna, workers)
-    resident_apply = bench_resident_apply(mixer, mna, workers)
-    mna.close()
     scenario_enumeration = bench_scenario_enumeration()
     service_throughput = bench_service_throughput()
 
@@ -655,8 +425,6 @@ def main(check: bool = False, workers: int | None = None) -> dict:
         "assembly": assembly,
         "mpde_solves": solves,
         "preconditioners": preconditioners,
-        "parallel": parallel,
-        "resident_apply": resident_apply,
         "scenario_enumeration": scenario_enumeration,
         "service_throughput": service_throughput,
     }
@@ -744,45 +512,6 @@ def main(check: bool = False, workers: int | None = None) -> dict:
                 100.0 * timing["accounted_fraction"],
             )
         )
-    print(
-        "== parallel layer (%d CPUs, backend %s, %d workers) =="
-        % (parallel["cpu_count"], parallel["resolved_backend"], parallel["n_workers"])
-    )
-    if "sharded_speedup" in parallel:
-        print(
-            "  sharded evaluate_sparse at %dx%d: serial %.2f ms   sharded %.2f ms   speedup %.2fx"
-            % (
-                *LARGE_GRID,
-                parallel["serial_eval_sparse_ms"],
-                parallel["sharded_eval_sparse_ms"],
-                parallel["sharded_speedup"],
-            )
-        )
-    else:
-        print("  sharded evaluation skipped: %s" % parallel["fallback_reason"])
-    print(
-        "  harmonic LU builds (build + first apply): lazy %.2f ms   eager %.2f ms"
-        % (parallel["lazy_build_apply_ms"], parallel["eager_build_apply_ms"])
-    )
-    print("== worker-resident factor service (matrix-free %dx%d) ==" % LARGE_GRID)
-    if "gmres_speedup" in resident_apply:
-        print(
-            "  gmres_time_s: in-process %.3f s   resident %.3f s   speedup %.2fx"
-            % (
-                resident_apply["in_process_gmres_time_s"],
-                resident_apply["resident_gmres_time_s"],
-                resident_apply["gmres_speedup"],
-            )
-        )
-        print(
-            "  resident apply split: dispatch %.3f s   back-substitution %.3f s"
-            % (
-                resident_apply["resident_dispatch_time_s"],
-                resident_apply["resident_backsub_time_s"],
-            )
-        )
-    else:
-        print("  resident-apply comparison skipped: %s" % resident_apply["skip_reason"])
     print("== scenario enumeration (smoke config, first case) ==")
     for name, entry in scenario_enumeration.items():
         print(
@@ -835,41 +564,6 @@ def main(check: bool = False, workers: int | None = None) -> dict:
             service_throughput["warm_speedup"] >= 2.0,
         ),
     ]
-    if parallel["speedup_floor_applicable"]:
-        floors.append(
-            (
-                "sharded evaluate_sparse >= 1.5x vs serial at %dx%d" % LARGE_GRID,
-                parallel["sharded_speedup"],
-                parallel["sharded_speedup"] >= 1.5,
-            )
-        )
-    else:
-        print(
-            "  [SKIP] sharded-evaluation floor not applicable here (%s)"
-            % (
-                parallel["fallback_reason"]
-                or "fewer than 3 workers available — the floor is modelled at 4"
-            )
-        )
-    if resident_apply["speedup_floor_applicable"]:
-        floors.append(
-            (
-                "resident factor service gmres_time_s cut >= 1.3x at %dx%d"
-                % LARGE_GRID,
-                resident_apply["gmres_speedup"],
-                resident_apply["gmres_speedup"] >= 1.3,
-            )
-        )
-    else:
-        print(
-            "  [SKIP] resident-apply floor not applicable here (%s)"
-            % (
-                resident_apply.get("resident_fallback_reason")
-                or resident_apply.get("skip_reason")
-                or resident_apply["fallback_reason"]
-                or "host cannot shard"
-            )
-        )
     failed = [name for name, _value, ok in floors if not ok]
     for name, value, ok in floors:
         print(f"  [{'PASS' if ok else 'FAIL'}] {name} (measured {value:.2f}x)")
@@ -893,6 +587,5 @@ if __name__ == "__main__":
         action="store_true",
         help="exit non-zero when a performance floor is violated (CI gate)",
     )
-    add_workers_argument(parser)
     arguments = parser.parse_args()
-    main(check=arguments.check, workers=arguments.workers)
+    main(check=arguments.check)

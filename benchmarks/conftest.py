@@ -1,25 +1,8 @@
-"""Shared fixtures and CLI flags for the benchmark harness.
+"""Shared fixtures for the benchmark harness.
 
 The Figs. 3-6 benches and the conversion-gain bench all post-process the same
 balanced-mixer MPDE solution; solving it once per session keeps the benchmark
 suite fast while still exercising the full pipeline.
-
-Worker-count flag
------------------
-Every benchmark shares one ``--workers N`` knob for the parallel execution
-layer (:mod:`repro.parallel`):
-
-* pytest-style benches (``pytest benchmarks/``) get it as a pytest option,
-  consumed here by the session fixtures (the shared MPDE solves then run
-  with ``MPDEOptions(parallel=True, n_workers=N)``);
-* script-style benches (``python benchmarks/bench_jacobian_assembly.py``)
-  import :func:`add_workers_argument` / :func:`resolve_workers` from this
-  module so the flag spelling and semantics cannot drift.
-
-``N >= 2`` forces real worker pools (even on one CPU — useful to measure the
-dispatch overhead), ``1`` pins the serial path, and omitting the flag lets
-the environment auto-resolve (serial on single-CPU runners, with the reason
-recorded).
 """
 
 from __future__ import annotations
@@ -27,10 +10,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-try:  # script-style benches import this module for the shared flag helpers
-    import pytest
-except ImportError:  # pragma: no cover - perf-floor CI installs no pytest
-    pytest = None
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -44,61 +24,23 @@ BENCH_GRID_FAST = 32
 BENCH_GRID_SLOW = 24
 
 
-def add_workers_argument(parser) -> None:
-    """Attach the shared ``--workers`` flag to an ``argparse`` parser."""
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker count for the parallel execution layer: >= 2 forces "
-            "worker pools, 1 pins the serial path, omit to auto-resolve "
-            "from the environment"
-        ),
-    )
+@pytest.fixture(scope="session")
+def bench_options() -> MPDEOptions:
+    """Base options of the shared benchmark solves."""
+    return MPDEOptions(n_fast=BENCH_GRID_FAST, n_slow=BENCH_GRID_SLOW)
 
 
-def resolve_workers(workers: int | None) -> MPDEOptions:
-    """Base :class:`MPDEOptions` honouring a ``--workers`` value."""
-    if workers is None:
-        return MPDEOptions()
-    return MPDEOptions(parallel=workers != 1, n_workers=workers)
+@pytest.fixture(scope="session")
+def balanced_mixer_bitstream_solution(bench_options):
+    """MPDE solution of the paper's mixer with the bit-stream RF drive (Figs. 3-6)."""
+    mixer = balanced_lo_doubling_mixer()
+    result = solve_mpde(mixer.compile(), mixer.scales, bench_options)
+    return mixer, result
 
 
-def pytest_addoption(parser) -> None:
-    parser.addoption(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker count for the parallel execution layer (see benchmarks/conftest.py)",
-    )
-
-
-if pytest is not None:
-
-    @pytest.fixture(scope="session")
-    def bench_workers(request) -> int | None:
-        """The ``--workers`` value (None when the flag was omitted)."""
-        return request.config.getoption("--workers")
-
-    @pytest.fixture(scope="session")
-    def bench_options(bench_workers) -> MPDEOptions:
-        """Base options of the shared benchmark solves, honouring ``--workers``."""
-        return resolve_workers(bench_workers).with_grid(
-            BENCH_GRID_FAST, BENCH_GRID_SLOW
-        )
-
-    @pytest.fixture(scope="session")
-    def balanced_mixer_bitstream_solution(bench_options):
-        """MPDE solution of the paper's mixer with the bit-stream RF drive (Figs. 3-6)."""
-        mixer = balanced_lo_doubling_mixer()
-        result = solve_mpde(mixer.compile(), mixer.scales, bench_options)
-        return mixer, result
-
-    @pytest.fixture(scope="session")
-    def balanced_mixer_puretone_solution(bench_options):
-        """MPDE solution of the paper's mixer with a pure-tone RF drive (gain/distortion)."""
-        mixer = balanced_lo_doubling_mixer(use_bit_stream=False)
-        result = solve_mpde(mixer.compile(), mixer.scales, bench_options)
-        return mixer, result
+@pytest.fixture(scope="session")
+def balanced_mixer_puretone_solution(bench_options):
+    """MPDE solution of the paper's mixer with a pure-tone RF drive (gain/distortion)."""
+    mixer = balanced_lo_doubling_mixer(use_bit_stream=False)
+    result = solve_mpde(mixer.compile(), mixer.scales, bench_options)
+    return mixer, result

@@ -40,9 +40,6 @@ from ..linalg.sparse import (
     periodic_central_difference,
     periodic_fourier_differentiation,
 )
-from ..parallel.backends import resolve_execution
-from ..parallel.factor_service import ResidentFactorPool
-from ..parallel.pool import WorkerPool
 from ..resilience.checkpoint import SolveCheckpoint, solve_fingerprint
 from ..resilience.deadline import Deadline
 from ..resilience.diagnostics import attach_diagnostics, build_failure_diagnostics
@@ -53,7 +50,7 @@ from ..utils.exceptions import (
     DeadlineExceededError,
 )
 from ..utils.logging import get_logger
-from ..utils.options import FACTOR_BACKENDS, NewtonOptions
+from ..utils.options import NewtonOptions
 from .dc import dc_operating_point
 
 __all__ = ["CollocationPSSResult", "collocation_periodic_steady_state"]
@@ -91,9 +88,6 @@ class CollocationPSSResult:
     #: True when any preconditioner build degraded to a weaker fallback
     #: (e.g. an ILU factorisation failing over to Jacobi scaling).
     preconditioner_degraded: bool = False
-    #: Why a requested ``parallel=True`` run fell back to the serial paths
-    #: ("" when parallel was not requested or ran as requested).
-    parallel_fallback_reason: str = ""
 
     def _closed(self, values: np.ndarray, name: str) -> Waveform:
         """Build a waveform spanning one full period (periodic endpoint repeated)."""
@@ -146,10 +140,6 @@ def collocation_periodic_steady_state(
     matrix_free: bool = False,
     preconditioner: str = "block_circulant",
     gmres_tol: float = 1e-10,
-    parallel: bool = False,
-    n_workers: int | None = None,
-    factor_backend: str = "threads",
-    worker_timeout_s: float | None = 120.0,
     deadline_s: float | None = None,
     resume_from: SolveCheckpoint | str | os.PathLike | None = None,
     checkpoint_path: str | os.PathLike | None = None,
@@ -192,23 +182,6 @@ def collocation_periodic_steady_state(
         ``"ilu"``, ``"jacobi"`` or ``"none"``.
     gmres_tol:
         Relative tolerance of the inner GMRES solves (matrix-free only).
-    parallel, n_workers:
-        Route the solve through the parallel execution layer
-        (:mod:`repro.parallel`): device evaluations over the ``N``
-        collocation points run on the sharded kernel backend, and the
-        ``"block_circulant_fast"`` preconditioner batch-factors eagerly on
-        a worker pool.  Degrades to the serial paths with the reason
-        recorded on ``result.parallel_fallback_reason``.
-    factor_backend, worker_timeout_s:
-        With ``parallel=True`` and the ``"block_circulant_fast"``
-        preconditioner, ``factor_backend="resident"`` routes the
-        per-harmonic factorisations *and* the preconditioner applies
-        through a worker-resident factor service
-        (:class:`~repro.parallel.factor_service.ResidentFactorPool`) —
-        bit-for-bit equal to the in-process path — with
-        ``worker_timeout_s`` as the per-broadcast reply watchdog; the
-        default ``"threads"`` keeps the PR-5 in-process eager batch
-        factorisation.
     deadline_s:
         Optional cooperative wall-clock budget for the whole analysis,
         enforced at Newton iteration boundaries (including the
@@ -240,11 +213,6 @@ def collocation_periodic_steady_state(
         raise AnalysisError(
             f"unknown preconditioner {preconditioner!r}; available: "
             f"{list(PRECONDITIONER_KINDS)}"
-        )
-    if factor_backend not in FACTOR_BACKENDS:
-        raise AnalysisError(
-            f"unknown factor_backend {factor_backend!r}; available: "
-            f"{list(FACTOR_BACKENDS)}"
         )
     nopts = newton_options or NewtonOptions(max_iterations=100)
     deadline = Deadline(deadline_s)
@@ -289,203 +257,172 @@ def collocation_periodic_steady_state(
         del iteration, x, residual_norm
         _checked_deadline("collocation newton")
 
-    # Parallel execution layer: one resolution + one factor pool for the
-    # whole solve (the pools are reused across every Newton iteration).
-    resolution = resolve_execution("sharded", n_workers) if parallel else None
-    eval_kwargs: dict = (
-        {"kernel_backend": "sharded", "n_workers": n_workers} if parallel else {}
+    n = mna.n_unknowns
+    times = t0 + np.arange(n_samples) * (period / n_samples)
+    diff = _DIFFERENTIATION[method](n_samples, period)
+    diff_sparse = sp.csr_matrix(diff)
+    # Symbolic-once assembly of the collocation Jacobian (same structure as
+    # the MPDE core: (D kron I_n) blockdiag(C) + blockdiag(G)).
+    assembler = CollocationJacobianAssembler(
+        diff_sparse, mna.dynamic_pattern, mna.static_pattern, n
     )
-    sharded = resolution is not None and resolution.sharded
-    use_resident = sharded and factor_backend == "resident"
-    factor_service = (
-        ResidentFactorPool(resolution.n_workers, reply_timeout_s=worker_timeout_s)
-        if use_resident
-        else None
-    )
-    factor_pool = WorkerPool(resolution.n_workers) if sharded and not use_resident else None
 
-    # The resident service forks worker processes; guarantee they are
-    # stopped (and the shared blocks unlinked) on every exit path.
-    try:
-        n = mna.n_unknowns
-        times = t0 + np.arange(n_samples) * (period / n_samples)
-        diff = _DIFFERENTIATION[method](n_samples, period)
-        diff_sparse = sp.csr_matrix(diff)
-        # Symbolic-once assembly of the collocation Jacobian (same structure as
-        # the MPDE core: (D kron I_n) blockdiag(C) + blockdiag(G)).
-        assembler = CollocationJacobianAssembler(
-            diff_sparse, mna.dynamic_pattern, mna.static_pattern, n
-        )
+    b_samples = mna.source(times)  # (N, n)
 
-        b_samples = mna.source(times)  # (N, n)
-
-        if resume_from is not None:
-            if isinstance(resume_from, (str, os.PathLike)):
-                resume_from = SolveCheckpoint.load(resume_from)
-            resume_from.validate(fingerprint)
-            if x0 is None:
-                x0 = np.array(resume_from.iterate, copy=True).reshape(n_samples, n)
-
+    if resume_from is not None:
+        if isinstance(resume_from, (str, os.PathLike)):
+            resume_from = SolveCheckpoint.load(resume_from)
+        resume_from.validate(fingerprint)
         if x0 is None:
-            x_dc = dc_operating_point(mna).x
-            x_init = np.tile(x_dc, (n_samples, 1))
+            x0 = np.array(resume_from.iterate, copy=True).reshape(n_samples, n)
+
+    if x0 is None:
+        x_dc = dc_operating_point(mna).x
+        x_init = np.tile(x_dc, (n_samples, 1))
+    else:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape == (n,):
+            x_init = np.tile(x0, (n_samples, 1))
+        elif x0.shape == (n_samples, n):
+            x_init = x0.copy()
         else:
-            x0 = np.asarray(x0, dtype=float)
-            if x0.shape == (n,):
-                x_init = np.tile(x0, (n_samples, 1))
-            elif x0.shape == (n_samples, n):
-                x_init = x0.copy()
-            else:
-                raise AnalysisError(
-                    f"x0 must have shape ({n},) or ({n_samples}, {n}), got {x0.shape}"
-                )
-
-        b_mean = b_samples.mean(axis=0, keepdims=True)
-
-        def embedded_source(lam: float) -> np.ndarray:
-            """Source grid with the time-varying part scaled by ``lam`` (source stepping)."""
-            return b_mean + lam * (b_samples - b_mean)
-
-        def residual_for(b_grid: np.ndarray):
-            def _residual(x_flat: np.ndarray) -> np.ndarray:
-                states = x_flat.reshape(n_samples, n)
-                evaluation = mna.evaluate(states, need_jacobian=False, **eval_kwargs)
-                dq = diff_sparse @ evaluation.q
-                return (dq + evaluation.f + b_grid).ravel()
-
-            return _residual
-
-        linear_iterations = [0]
-        degraded = [False]
-        if matrix_free:
-            c_structure = BlockDiagStructure(mna.dynamic_pattern, n_samples)
-            g_structure = BlockDiagStructure(mna.static_pattern, n_samples)
-            d_kron = kron_identity(diff_sparse, n)
-            eigenvalues = circulant_eigenvalues(diff_sparse)
-
-            def _build_preconditioner(evaluation):
-                return build_averaged_preconditioner(
-                    preconditioner,
-                    size=n_samples * n,
-                    dynamic_pattern=mna.dynamic_pattern,
-                    static_pattern=mna.static_pattern,
-                    c_data=evaluation.c_data,
-                    g_data=evaluation.g_data,
-                    eigenvalues_fast=eigenvalues,
-                    assemble=assembler.assemble,
-                    # 1-D collocation is the degenerate (n_slow = 1) case of the
-                    # partially-averaged mode: slow-averaging is a no-op and the
-                    # single per-harmonic system is the unaveraged Jacobian.
-                    fast_operator=diff_sparse,
-                    grid_shape=(n_samples, 1),
-                    eager=factor_pool is not None,
-                    factor_pool=factor_pool,
-                    factor_service=factor_service,
-                )
-
-            # The same caching / adaptive-refresh / retry-once discipline the
-            # MPDE solver uses, via the shared manager.
-            krylov = CachedPreconditionedGMRES(_build_preconditioner)
-
-            def jacobian(x_flat: np.ndarray):
-                states = x_flat.reshape(n_samples, n)
-                evaluation = mna.evaluate_sparse(states, **eval_kwargs)
-                c_blk = c_structure.matrix(evaluation.c_data)
-                g_blk = g_structure.matrix(evaluation.g_data)
-                operator = spla.LinearOperator(
-                    (n_samples * n, n_samples * n),
-                    matvec=lambda v: d_kron @ (c_blk @ v) + g_blk @ v,
-                    dtype=float,
-                )
-
-                def solve(rhs: np.ndarray) -> np.ndarray:
-                    # raise_on_failure=False: a best-effort step on a hard solve
-                    # lets the damped Newton loop (and ultimately the
-                    # source-stepping fallback below) recover, matching the
-                    # robustness of the direct path.
-                    dx, reports = krylov.solve(
-                        operator,
-                        rhs,
-                        context=evaluation,
-                        tol=gmres_tol,
-                        raise_on_failure=False,
-                    )
-                    for report in reports:
-                        linear_iterations[0] += report.iterations
-                        degraded[0] |= report.preconditioner_degraded
-                    return dx
-
-                return FactoredJacobian(solve)
-
-        else:
-
-            def jacobian(x_flat: np.ndarray):
-                states = x_flat.reshape(n_samples, n)
-                evaluation = mna.evaluate_sparse(states, **eval_kwargs)
-                return assembler.assemble(evaluation.c_data, evaluation.g_data)
-
-        total_iterations = 0
-        result = newton_solve(
-            residual_for(b_samples),
-            jacobian,
-            x_init.ravel(),
-            nopts,
-            raise_on_failure=False,
-            callback=_deadline_callback,
-        )
-        total_iterations += result.iterations
-        if not result.converged:
-            # Source-stepping continuation: ramp the time-varying excitation from
-            # its average (an easy, DC-like problem) up to the full drive.  This
-            # is the same fallback the MPDE core and SPICE DC solvers use for
-            # hard nonlinear problems.
-            _LOG.info(
-                "collocation Newton failed (residual %.3e); falling back to source stepping",
-                result.residual_norm,
+            raise AnalysisError(
+                f"x0 must have shape ({n},) or ({n_samples}, {n}), got {x0.shape}"
             )
-            x_current = x_init.ravel()
-            lam = 0.0
+
+    b_mean = b_samples.mean(axis=0, keepdims=True)
+
+    def embedded_source(lam: float) -> np.ndarray:
+        """Source grid with the time-varying part scaled by ``lam`` (source stepping)."""
+        return b_mean + lam * (b_samples - b_mean)
+
+    def residual_for(b_grid: np.ndarray):
+        def _residual(x_flat: np.ndarray) -> np.ndarray:
+            states = x_flat.reshape(n_samples, n)
+            evaluation = mna.evaluate(states, need_jacobian=False)
+            dq = diff_sparse @ evaluation.q
+            return (dq + evaluation.f + b_grid).ravel()
+
+        return _residual
+
+    linear_iterations = [0]
+    degraded = [False]
+    if matrix_free:
+        c_structure = BlockDiagStructure(mna.dynamic_pattern, n_samples)
+        g_structure = BlockDiagStructure(mna.static_pattern, n_samples)
+        d_kron = kron_identity(diff_sparse, n)
+        eigenvalues = circulant_eigenvalues(diff_sparse)
+
+        def _build_preconditioner(evaluation):
+            return build_averaged_preconditioner(
+                preconditioner,
+                size=n_samples * n,
+                dynamic_pattern=mna.dynamic_pattern,
+                static_pattern=mna.static_pattern,
+                c_data=evaluation.c_data,
+                g_data=evaluation.g_data,
+                eigenvalues_fast=eigenvalues,
+                assemble=assembler.assemble,
+                # 1-D collocation is the degenerate (n_slow = 1) case of the
+                # partially-averaged mode: slow-averaging is a no-op and the
+                # single per-harmonic system is the unaveraged Jacobian.
+                fast_operator=diff_sparse,
+                grid_shape=(n_samples, 1),
+            )
+
+        # The same caching / adaptive-refresh / retry-once discipline the
+        # MPDE solver uses, via the shared manager.
+        krylov = CachedPreconditionedGMRES(_build_preconditioner)
+
+        def jacobian(x_flat: np.ndarray):
+            states = x_flat.reshape(n_samples, n)
+            evaluation = mna.evaluate_sparse(states)
+            c_blk = c_structure.matrix(evaluation.c_data)
+            g_blk = g_structure.matrix(evaluation.g_data)
+            operator = spla.LinearOperator(
+                (n_samples * n, n_samples * n),
+                matvec=lambda v: d_kron @ (c_blk @ v) + g_blk @ v,
+                dtype=float,
+            )
+
+            def solve(rhs: np.ndarray) -> np.ndarray:
+                # raise_on_failure=False: a best-effort step on a hard solve
+                # lets the damped Newton loop (and ultimately the
+                # source-stepping fallback below) recover, matching the
+                # robustness of the direct path.
+                dx, reports = krylov.solve(
+                    operator,
+                    rhs,
+                    context=evaluation,
+                    tol=gmres_tol,
+                    raise_on_failure=False,
+                )
+                for report in reports:
+                    linear_iterations[0] += report.iterations
+                    degraded[0] |= report.preconditioner_degraded
+                return dx
+
+            return FactoredJacobian(solve)
+
+    else:
+
+        def jacobian(x_flat: np.ndarray):
+            states = x_flat.reshape(n_samples, n)
+            evaluation = mna.evaluate_sparse(states)
+            return assembler.assemble(evaluation.c_data, evaluation.g_data)
+
+    total_iterations = 0
+    result = newton_solve(
+        residual_for(b_samples),
+        jacobian,
+        x_init.ravel(),
+        nopts,
+        raise_on_failure=False,
+        callback=_deadline_callback,
+    )
+    total_iterations += result.iterations
+    if not result.converged:
+        # Source-stepping continuation: ramp the time-varying excitation from
+        # its average (an easy, DC-like problem) up to the full drive.  This
+        # is the same fallback the MPDE core and SPICE DC solvers use for
+        # hard nonlinear problems.
+        _LOG.info(
+            "collocation Newton failed (residual %.3e); falling back to source stepping",
+            result.residual_norm,
+        )
+        x_current = x_init.ravel()
+        lam = 0.0
+        try:
+            for lam in np.linspace(0.0, 1.0, 11):
+                _checked_deadline("collocation source stepping")
+                step = newton_solve(
+                    residual_for(embedded_source(lam)),
+                    jacobian,
+                    x_current,
+                    nopts,
+                    callback=_stage_callback,
+                )
+                total_iterations += step.iterations
+                x_current = step.x
+        except ConvergenceError as exc:
+            # Terminal failure: localise it before re-raising.
             try:
-                for lam in np.linspace(0.0, 1.0, 11):
-                    _checked_deadline("collocation source stepping")
-                    step = newton_solve(
-                        residual_for(embedded_source(lam)),
-                        jacobian,
-                        x_current,
-                        nopts,
-                        callback=_stage_callback,
-                    )
-                    total_iterations += step.iterations
-                    x_current = step.x
-            except ConvergenceError as exc:
-                # Terminal failure: localise it before re-raising.
-                try:
-                    residual = residual_for(embedded_source(lam))(x_current)
-                except Exception:
-                    residual = None
-                raise attach_diagnostics(
-                    exc, build_failure_diagnostics(mna, x_current, residual, "divergence")
-                )
-            result = step
-
-        states = result.x.reshape(n_samples, n)
-        fallback_reason = ""
-        if parallel:
-            service_reason = factor_service.fallback_reason if factor_service else ""
-            fallback_reason = (
-                mna.parallel_fallback_reason or service_reason or resolution.fallback_reason
+                residual = residual_for(embedded_source(lam))(x_current)
+            except Exception:
+                residual = None
+            raise attach_diagnostics(
+                exc, build_failure_diagnostics(mna, x_current, residual, "divergence")
             )
-        return CollocationPSSResult(
-            times=times,
-            states=states,
-            period=period,
-            mna=mna,
-            newton_iterations=total_iterations,
-            n_unknowns_total=n_samples * n,
-            linear_iterations=linear_iterations[0],
-            preconditioner_degraded=degraded[0],
-            parallel_fallback_reason=fallback_reason,
-        )
-    finally:
-        if factor_service is not None:
-            factor_service.close()
+        result = step
+
+    states = result.x.reshape(n_samples, n)
+    return CollocationPSSResult(
+        times=times,
+        states=states,
+        period=period,
+        mna=mna,
+        newton_iterations=total_iterations,
+        n_unknowns_total=n_samples * n,
+        linear_iterations=linear_iterations[0],
+        preconditioner_degraded=degraded[0],
+    )

@@ -46,17 +46,6 @@ into the very same buffers, so arbitrary (user-defined) devices keep working
 inside the batched backend; every spec is validated against the device's
 recorded stamp patterns at compile time, so a kernel that disagrees with the
 loop stamps fails loudly.
-
-The flat gather/compute/scatter structure is deliberately backend-agnostic,
-and the parallel execution layer (PR 5) exploits exactly that: under
-``EvaluationOptions(kernel_backend="sharded")`` a pool of forked workers
-(:class:`~repro.parallel.pool.ShardedKernelPool`) — each holding an
-inherited copy of this engine — runs :meth:`BatchedEvaluationEngine.evaluate`
-over contiguous shards of the ``P`` axis and scatters the results through
-shared memory.  Every operation here is elementwise along ``P`` (the gather
-reads rows per point, the kernels are ufuncs over the point axis, the
-accumulation folds per point), which is the structural fact that makes the
-sharded path bit-for-bit equal to the serial one.
 """
 
 from __future__ import annotations

@@ -53,25 +53,6 @@ per-device Python dispatch.  The per-device loop is retained as the
 at :meth:`Circuit.compile`, or the per-call ``backend=`` override); the two
 are property-tested bit-for-bit equal, so the choice trades speed only.  See
 ``docs/evaluation_engine.md``.
-
-Kernel sharding (parallel execution layer)
-------------------------------------------
-On the batched backend the class kernels can additionally run *sharded*:
-``EvaluationOptions(kernel_backend="sharded", n_workers=...)`` splits the
-``P`` grid-point axis across a pool of forked worker processes that
-inherited the compiled engine (:mod:`repro.parallel`), with state and
-results crossing the process boundary through shared memory.  Every engine
-operation is elementwise along ``P``, so the sharded path is bit-for-bit
-equal to the serial one.  The pool is built lazily on first use and reused
-for the lifetime of the compiled system.  Environment constraints (no
-``fork``, a single usable CPU with auto worker count) fall back serially up
-front; worker *failures* are handed to a
-:class:`~repro.resilience.supervisor.PoolSupervisor`, which restarts the
-pool with exponential backoff and a bit-for-bit parity health-probe, and
-only disables sharding permanently once the
-:class:`~repro.utils.options.RestartPolicy` budget is exhausted.  The
-reason for whichever serial fallback happened last is recorded on
-:attr:`MNASystem.parallel_fallback_reason`.
 """
 
 from __future__ import annotations
@@ -83,12 +64,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..linalg.sparse import StampPattern
-from ..parallel.backends import KERNEL_BACKENDS, resolve_execution
-from ..parallel.pool import ShardedKernelPool, WorkerPoolError
 from ..resilience.faultinject import fault_site
-from ..resilience.supervisor import PoolSupervisor
 from ..utils.exceptions import CircuitError, DeviceError, NodeError
-from ..utils.logging import get_logger
 from ..utils.options import EVALUATION_BACKENDS
 from .devices.base import Device, NullStamps, PatternRecorder, PatternValueFiller
 from .engine import BatchedEvaluationEngine
@@ -99,7 +76,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 __all__ = ["MNAEvaluation", "MNASparseEvaluation", "MNASystem"]
 
 _NULL_STAMPS = NullStamps()
-_LOG = get_logger("circuits.mna")
 
 
 @dataclass(frozen=True)
@@ -182,10 +158,6 @@ class MNASystem:
         unknown_names: Sequence[str],
         n_unknowns: int,
         evaluation_backend: str = "batched",
-        kernel_backend: str = "serial",
-        n_workers: int | None = None,
-        worker_timeout_s: float | None = 120.0,
-        restart_policy=None,
     ) -> None:
         self.circuit = circuit
         self._node_index = dict(node_index)
@@ -196,33 +168,12 @@ class MNASystem:
                 "internal error: unknown_names length does not match n_unknowns"
             )
         self._validate_backend(evaluation_backend)
-        self._validate_kernel_backend(kernel_backend)
         self.evaluation_backend = evaluation_backend
-        self.kernel_backend = kernel_backend
-        self.n_workers = n_workers
-        #: Per-reply watchdog budget of the sharded worker pool; ``None``
-        #: disables the watchdog (see ``EvaluationOptions.worker_timeout_s``).
-        self.worker_timeout_s = worker_timeout_s
         self._devices: tuple[Device, ...] = circuit.devices
         self._branch_index = self._build_branch_index()
         self._static_pattern, self._dynamic_pattern = self._compile_stamp_patterns()
         self._row_owners: tuple[tuple[str, ...], ...] | None = None
         self._engine: BatchedEvaluationEngine | None = None
-        #: One sharded pool per compiled system, reused across evaluations.
-        #: A per-call ``n_workers`` override that differs from the pool's
-        #: worker count *replaces* it (close + re-fork) — correct, but not
-        #: free, so alternating override values per call is an anti-pattern.
-        self._kernel_pool: ShardedKernelPool | None = None
-        self._kernel_pool_workers = 0
-        #: Supervised healing of the sharded pool: worker failures restart
-        #: the pool (with backoff and a parity probe) instead of disabling
-        #: it; only an exhausted restart budget goes sticky-serial.
-        self.supervisor = PoolSupervisor("kernel_shard", restart_policy)
-        #: Sticky disable, set only once the supervisor's restart budget is
-        #: exhausted (or for unsupervisable failures); every later sharded
-        #: request then runs serially.
-        self._sharding_disabled_reason: str | None = None
-        self._parallel_fallback_reason = ""
 
     def _build_branch_index(self) -> dict[str, int]:
         index: dict[str, int] = {}
@@ -378,165 +329,16 @@ class MNASystem:
                 f"unknown evaluation backend {backend!r}; use one of {EVALUATION_BACKENDS}"
             )
 
-    @staticmethod
-    def _validate_kernel_backend(kernel_backend: str) -> None:
-        if kernel_backend not in KERNEL_BACKENDS:
-            raise CircuitError(
-                f"unknown kernel backend {kernel_backend!r}; use one of {KERNEL_BACKENDS}"
-            )
-
     def _resolve_backend(self, backend: str | None) -> str:
         if backend is None:
             return self.evaluation_backend
         self._validate_backend(backend)
         return backend
 
-    # -- kernel sharding (parallel execution layer) ------------------------
-    @property
-    def parallel_fallback_reason(self) -> str:
-        """Why the last sharded-evaluation request ran serially ("" if it didn't).
-
-        Set whenever sharding was *requested* but the serial path ran
-        instead — environment constraints (single CPU with auto worker
-        count, no ``fork``), an explicit ``n_workers=1``, or a worker
-        failure whose supervised healing exhausted the restart budget.
-
-        Reason lifecycle
-        ----------------
-        This property has *last-request* semantics: a later sharded success
-        clears a reason left by an earlier call (and a later fallback
-        overwrites it).  It deliberately does **not** remember history — for
-        that, a per-solve view with *first-reason-wins* semantics is
-        snapshotted onto ``MPDEStats.parallel_fallback_reason`` (reset at
-        the start of every solve, frozen at its end), and the full healing
-        history lives on ``MPDEStats.supervisor_trace`` /
-        :attr:`MNASystem.supervisor` ``.trace``.
-        """
-        return self._parallel_fallback_reason
-
-    @property
-    def sharding_disabled_reason(self) -> str:
-        """The sticky reason sharding is disabled for this system ("" if live).
-
-        Non-empty only once the supervisor's restart budget is exhausted
-        (``"disabled (budget exhausted): ..."``) — transient healed
-        failures never set it.
-        """
-        return self._sharding_disabled_reason or ""
-
-    def _disable_sharding(self, reason: str) -> None:
-        self._sharding_disabled_reason = reason
-        self._parallel_fallback_reason = reason
-        self.close()
-        _LOG.warning("%s; falling back to serial kernel evaluation", reason)
-
-    def _probe_sharded_parity(self, pool: ShardedKernelPool) -> bool:
-        """Health-probe a restarted pool: a tiny sharded evaluation must
-        match the in-process serial engine bit-for-bit (the sharded path's
-        core contract) before the pool is re-admitted to the solve path."""
-        X = np.full((2, self.n_unknowns), 0.1)
-        sharded = pool.evaluate(X, need_static_jacobian=True, need_dynamic_jacobian=True)
-        serial = self.engine.evaluate(X, need_static_jacobian=True, need_dynamic_jacobian=True)
-        for got, want in zip(sharded, serial):
-            if (got is None) != (want is None):
-                return False
-            if got is not None and not np.array_equal(got, want):
-                return False
-        return True
-
-    def _kernel_pool_for(self, n_workers: int) -> ShardedKernelPool:
-        if self._kernel_pool is None or self._kernel_pool_workers != n_workers:
-            self.close()
-            self._kernel_pool = ShardedKernelPool(
-                self.engine,
-                n_unknowns=self.n_unknowns,
-                nnz_dynamic=self._dynamic_pattern.nnz,
-                nnz_static=self._static_pattern.nnz,
-                n_workers=n_workers,
-                reply_timeout_s=self.worker_timeout_s,
-            )
-            self._kernel_pool_workers = n_workers
-        return self._kernel_pool
-
-    def close(self) -> None:
-        """Release the sharded worker pool, if any (idempotent).
-
-        Pools also shut down at garbage collection / interpreter exit, so
-        calling this is only needed when tearing down many compiled systems
-        eagerly.
-        """
-        if self._kernel_pool is not None:
-            self._kernel_pool.close()
-            self._kernel_pool = None
-            self._kernel_pool_workers = 0
-
     def _engine_evaluate(
-        self,
-        X: np.ndarray,
-        *,
-        need_static_jacobian: bool,
-        need_dynamic_jacobian: bool,
-        kernel_backend: str | None,
-        n_workers: int | None,
+        self, X: np.ndarray, *, need_static_jacobian: bool, need_dynamic_jacobian: bool
     ):
-        """Engine evaluation on the resolved (serial or sharded) kernel path."""
-        requested = kernel_backend if kernel_backend is not None else self.kernel_backend
-        if kernel_backend is not None:
-            self._validate_kernel_backend(kernel_backend)
-        workers = n_workers if n_workers is not None else self.n_workers
-        if requested == "sharded":
-            if self._sharding_disabled_reason is not None:
-                self._parallel_fallback_reason = self._sharding_disabled_reason
-            else:
-                resolved = resolve_execution(requested, workers)
-                if not resolved.sharded:
-                    self._parallel_fallback_reason = resolved.fallback_reason
-                elif X.shape[0] < 2:
-                    # A single evaluation point cannot be split; not recorded
-                    # as a fallback (the next grid-sized call still shards).
-                    pass
-                else:
-                    pool = self._kernel_pool_for(resolved.n_workers)
-                    while True:
-                        try:
-                            result = pool.evaluate(
-                                X,
-                                need_static_jacobian=need_static_jacobian,
-                                need_dynamic_jacobian=need_dynamic_jacobian,
-                            )
-                        except WorkerPoolError as exc:
-                            # The pool tore itself down on the failed
-                            # exchange; the supervisor restarts it (with
-                            # backoff and a parity probe) and we retry, or —
-                            # budget exhausted — sharding goes sticky-serial.
-                            self._kernel_pool = None
-                            self._kernel_pool_workers = 0
-                            healed_pool: list[ShardedKernelPool] = []
-
-                            def _restart() -> None:
-                                self.close()
-                                healed_pool.append(
-                                    self._kernel_pool_for(resolved.n_workers)
-                                )
-
-                            disabled = self.supervisor.handle_failure(
-                                f"sharded evaluation failed ({exc})",
-                                restart=_restart,
-                                probe=lambda: self._probe_sharded_parity(
-                                    healed_pool[-1]
-                                ),
-                            )
-                            if disabled is not None:
-                                self._disable_sharding(disabled)
-                                break
-                            pool = healed_pool[-1]
-                        else:
-                            # The property reflects the *last* sharded request:
-                            # a success clears a reason left by an earlier call
-                            # (e.g. a previous auto-resolved-serial solve).
-                            self._parallel_fallback_reason = ""
-                            fault_site("mna.evaluate", f=result[1])
-                            return result
+        """Batched-engine evaluation (the ``mna.evaluate`` fault site)."""
         result = self.engine.evaluate(
             X,
             need_static_jacobian=need_static_jacobian,
@@ -565,8 +367,6 @@ class MNASystem:
         need_jacobian: bool = True,
         which: str = "both",
         backend: str | None = None,
-        kernel_backend: str | None = None,
-        n_workers: int | None = None,
     ) -> MNAEvaluation:
         """Evaluate ``q``, ``f`` (and, optionally, dense Jacobians) at one or many points.
 
@@ -575,10 +375,7 @@ class MNASystem:
         counts.  ``which`` restricts a Jacobian evaluation to one block
         (``"conductance"`` or ``"capacitance"``): only the requested
         ``(P, n, n)`` stack is allocated and filled, the other is ``None``.
-        ``backend`` overrides the system's evaluation backend for this call;
-        ``kernel_backend`` / ``n_workers`` likewise override the kernel
-        execution mode of the batched engine (serial vs sharded — see the
-        module docstring).
+        ``backend`` overrides the system's evaluation backend for this call.
         """
         X, _ = self._as_points(x)
         n_points = X.shape[0]
@@ -592,8 +389,6 @@ class MNASystem:
                 X,
                 need_static_jacobian=need_g,
                 need_dynamic_jacobian=need_c,
-                kernel_backend=kernel_backend,
-                n_workers=n_workers,
             )
             G = C = None
             if need_g:
@@ -621,8 +416,6 @@ class MNASystem:
         *,
         need_jacobian: bool = True,
         backend: str | None = None,
-        kernel_backend: str | None = None,
-        n_workers: int | None = None,
     ) -> MNASparseEvaluation:
         """Evaluate ``q``, ``f`` and sparse-assembled Jacobian data.
 
@@ -632,9 +425,7 @@ class MNASystem:
         the compiled pattern buffers — zero per-device Python dispatch.  The
         ``"loop"`` backend is the per-device reference path; both produce
         bit-for-bit identical results.  No dense ``(P, n, n)`` intermediates
-        are ever formed.  ``kernel_backend`` / ``n_workers`` override the
-        kernel execution mode of the batched engine (serial vs sharded —
-        bit-for-bit equal as well; see the module docstring).
+        are ever formed.
         """
         X, _ = self._as_points(x)
         n_points = X.shape[0]
@@ -645,8 +436,6 @@ class MNASystem:
                 X,
                 need_static_jacobian=need_jacobian,
                 need_dynamic_jacobian=need_jacobian,
-                kernel_backend=kernel_backend,
-                n_workers=n_workers,
             )
             return MNASparseEvaluation(q=Q, f=F, c_data=c_data, g_data=g_data, system=self)
 

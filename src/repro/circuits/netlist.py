@@ -159,11 +159,7 @@ class Circuit:
         selects the device-evaluation backend of the compiled system:
         ``"batched"`` (default) routes all stamp evaluation through the
         compiled gather/compute/scatter engine, ``"loop"`` keeps the
-        per-device reference path.  ``kernel_backend="sharded"`` (plus
-        ``n_workers``) additionally shards the batched engine's kernels
-        across a pool of forked worker processes — one pool per compiled
-        system, reused across every evaluation (see
-        :mod:`repro.parallel`).
+        per-device reference path.
         """
         from ..utils.options import EvaluationOptions
         from .mna import MNASystem  # local import to avoid a cycle
@@ -201,8 +197,4 @@ class Circuit:
             unknown_names=tuple(unknown_names),
             n_unknowns=branch_cursor,
             evaluation_backend=options.evaluation_backend,
-            kernel_backend=options.kernel_backend,
-            n_workers=options.n_workers,
-            worker_timeout_s=options.worker_timeout_s,
-            restart_policy=options.restart,
         )

@@ -135,15 +135,6 @@ class MPDEProblem:
         self._operators = self._build_operators()
         self._source_grid = self._build_source_grid()
         self._axis_eigenvalues: tuple[np.ndarray, np.ndarray] | None = None
-        # Parallel execution layer (PR 5): with ``options.parallel`` every
-        # device evaluation requests the sharded kernel backend; the MNA
-        # layer resolves it against the environment and records any fallback
-        # (``MNASystem.parallel_fallback_reason`` -> MPDEStats).
-        self._eval_kwargs: dict = (
-            {"kernel_backend": "sharded", "n_workers": self.options.n_workers}
-            if self.options.parallel
-            else {}
-        )
 
     # -- assembly of constant pieces -------------------------------------------
     def _build_operators(self) -> _DiscreteOperators:
@@ -216,7 +207,7 @@ class MPDEProblem:
         is what makes line searches and continuation ramps cheap.
         """
         states = self.reshape_states(x_flat)
-        evaluation = self.mna.evaluate(states, need_jacobian=False, **self._eval_kwargs)
+        evaluation = self.mna.evaluate(states, need_jacobian=False)
         b_grid = self._source_grid if source_grid is None else source_grid
         dq = self._operators.derivative @ evaluation.q
         return (dq + evaluation.f + b_grid).ravel()
@@ -232,7 +223,7 @@ class MPDEProblem:
         :meth:`jacobian_operator` (matrix-free).
         """
         states = self.reshape_states(x_flat)
-        evaluation = self.mna.evaluate_sparse(states, **self._eval_kwargs)
+        evaluation = self.mna.evaluate_sparse(states)
         b_grid = self._source_grid if source_grid is None else source_grid
         dq = self._operators.derivative @ evaluation.q
         residual = (dq + evaluation.f + b_grid).ravel()
@@ -245,7 +236,7 @@ class MPDEProblem:
     def jacobian(self, x_flat: np.ndarray) -> sp.csc_matrix:
         """Sparse Jacobian of :meth:`residual` (independent of the source grid)."""
         states = self.reshape_states(x_flat)
-        evaluation = self.mna.evaluate_sparse(states, **self._eval_kwargs)
+        evaluation = self.mna.evaluate_sparse(states)
         return self.assemble_jacobian(evaluation.c_data, evaluation.g_data)
 
     def jacobian_dense_reference(self, x_flat: np.ndarray) -> sp.csc_matrix:
@@ -339,9 +330,6 @@ class MPDEProblem:
         c_data: np.ndarray | None = None,
         g_data: np.ndarray | None = None,
         matrix: sp.spmatrix | None = None,
-        eager: bool = False,
-        factor_pool=None,
-        factor_service=None,
     ) -> Preconditioner:
         """Build a preconditioner of the requested ``kind`` for this problem.
 
@@ -355,12 +343,6 @@ class MPDEProblem:
         of the two axis operators, and the partially-averaged
         ``block_circulant_fast`` mode from the slow-axis means of the
         per-point data plus the fast-axis differentiation matrix itself.
-        ``eager`` / ``factor_pool`` select that mode's eager (optionally
-        concurrent) batch factorisation of the per-slow-harmonic LUs, and
-        ``factor_service`` hands it a worker-resident
-        :class:`~repro.parallel.factor_service.ResidentFactorPool` that
-        factors *and applies* the harmonics in forked workers
-        (``factor_backend="resident"``); other kinds ignore them.
         """
         if kind not in PRECONDITIONER_KINDS:
             raise MPDEError(
@@ -394,9 +376,6 @@ class MPDEProblem:
             assemble=self.assemble_jacobian,
             fast_operator=self.grid.axis_matrix("fast", self.options.fast_method),
             grid_shape=(self.grid.n_fast, self.grid.n_slow),
-            eager=eager,
-            factor_pool=factor_pool,
-            factor_service=factor_service,
         )
 
     # -- continuation embedding -----------------------------------------------------

@@ -105,9 +105,6 @@ def two_tone_harmonic_balance(
     options: MPDEOptions | None = None,
     matrix_free: bool | None = None,
     preconditioner: str | None = None,
-    parallel: bool | None = None,
-    n_workers: int | None = None,
-    factor_backend: str | None = None,
     deadline_s: float | None = None,
     recovery: RecoveryPolicy | None = None,
     resume_from=None,
@@ -137,16 +134,6 @@ def two_tone_harmonic_balance(
         ``"block_circulant_fast"`` (slow-axis partially-averaged) for
         strongly LO-switched circuits, where it cuts total GMRES iterations
         by a further >= 1.5x.
-    parallel, n_workers, factor_backend:
-        Optional overrides of the parallel execution layer knobs (see
-        :class:`MPDEOptions` and ``docs/parallel.md``): sharded device
-        evaluation over the collocation grid plus eager concurrent
-        per-harmonic LU factorisation for ``"block_circulant_fast"`` —
-        or, with ``factor_backend="resident"``, worker-resident factors
-        whose batched back-substitutions parallelise the preconditioner
-        applies themselves.  The resulting
-        ``result.stats.parallel_fallback_reason`` records any degradation
-        to the serial paths.
     deadline_s, recovery:
         Optional overrides of the resilience knobs (see ``docs/resilience.md``):
         a cooperative wall-clock budget for the underlying MPDE solve and the
@@ -175,12 +162,6 @@ def two_tone_harmonic_balance(
         overrides["matrix_free"] = bool(matrix_free)
     if preconditioner is not None:
         overrides["preconditioner"] = preconditioner
-    if parallel is not None:
-        overrides["parallel"] = bool(parallel)
-    if n_workers is not None:
-        overrides["n_workers"] = int(n_workers)
-    if factor_backend is not None:
-        overrides["factor_backend"] = factor_backend
     if deadline_s is not None:
         overrides["deadline_s"] = float(deadline_s)
     if recovery is not None:

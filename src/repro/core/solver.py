@@ -38,9 +38,6 @@ from ..linalg.preconditioners import (
     AdaptiveRefreshPolicy,
     downgrade_preconditioner_kind,
 )
-from ..parallel.backends import resolve_execution
-from ..parallel.factor_service import ResidentFactorPool
-from ..parallel.pool import WorkerPool
 from ..resilience.checkpoint import SolveCheckpoint, solve_fingerprint
 from ..resilience.deadline import Deadline
 from ..resilience.diagnostics import attach_diagnostics, build_failure_diagnostics
@@ -122,43 +119,18 @@ class MPDEStats:
     #: Jacobian plus their back-substitutions (``linear_solver="direct"``
     #: only; 0.0 for the GMRES modes).
     factorization_time_s: float = 0.0
-    #: Preconditioner construction time across all (re)builds, including
-    #: eager per-harmonic batch factorisation when enabled (GMRES modes
-    #: only).  In the *lazy* partially-averaged mode the per-harmonic LUs
-    #: are factored inside the first GMRES apply instead, where they count
-    #: toward ``gmres_time_s`` — comparing the two placements is exactly
-    #: the eager-vs-lazy observable the bench reports.
+    #: Preconditioner construction time across all (re)builds (GMRES modes
+    #: only).  The partially-averaged mode factors its per-harmonic LUs
+    #: lazily inside the first GMRES apply, where they count toward
+    #: ``gmres_time_s``.
     preconditioner_build_time_s: float = 0.0
     #: Time inside the GMRES solves (matvecs, preconditioner applies,
     #: orthogonalisation; GMRES modes only).
     gmres_time_s: float = 0.0
-    #: Apply-dispatch overhead of the worker-resident factor service
-    #: (``factor_backend="resident"``): packing spectra into shared memory,
-    #: pipe commands, and gathering replies.  A *subdivision* of
-    #: ``gmres_time_s``, not an additional top-level bucket; 0.0 for
-    #: in-process applies.
-    gmres_apply_dispatch_time_s: float = 0.0
     #: Per-harmonic back-substitution time inside the preconditioner
-    #: applies — summed solver-call durations in-process, or the critical
-    #: path (slowest worker shard) per apply on the resident service.  Also
-    #: a subdivision of ``gmres_time_s``.
+    #: applies (summed solver-call durations).  A subdivision of
+    #: ``gmres_time_s``, not an additional top-level bucket.
     gmres_backsub_time_s: float = 0.0
-    #: Why a requested parallel execution fell back to (or degraded
-    #: through) the serial path ("" when parallel was not requested or ran
-    #: as requested): the environment constraint, ``n_workers=1``, a healed
-    #: worker failure (``"degraded (healing): ..."``) or an exhausted
-    #: restart budget (``"disabled (budget exhausted): ..."``).  Per-solve,
-    #: *first-reason-wins* semantics: reset at the start of every solve,
-    #: set to the chronologically first reason of that solve, frozen at its
-    #: end (the live ``MNASystem.parallel_fallback_reason`` property has
-    #: *last-request* semantics instead, and is cleared by later
-    #: successes).
-    parallel_fallback_reason: str = ""
-    #: Every :class:`~repro.resilience.supervisor.SupervisorEvent` recorded
-    #: by the pool supervisors (sharded evaluation pool and resident factor
-    #: service) during this solve, merged chronologically.  Empty when no
-    #: worker failed.
-    supervisor_trace: list = field(default_factory=list)
     # -- recovery ladder (resilience subsystem) ---------------------------
     #: Every recovery attempt made by the escalation ladder, in order: the
     #: failed baseline attempt first, then one
@@ -394,12 +366,7 @@ class MPDESolver:
     factorisation fails outright (an outright failure still rebuilds and
     retries once, as before).
 
-    With ``options.parallel`` the solve runs on the parallel execution
-    layer (:mod:`repro.parallel`): device evaluations use the sharded
-    kernel backend and the partially-averaged preconditioner batch-factors
-    its per-harmonic LUs eagerly on a worker pool owned by this solver
-    instance (one pool per solver, reused across solves and continuation
-    stages).  Every solve also populates the :class:`MPDEStats` wall-time
+    Every solve populates the :class:`MPDEStats` wall-time
     breakdown (``eval_time_s``, ``factorization_time_s``,
     ``preconditioner_build_time_s``, ``gmres_time_s``) so benchmarks can
     see where the remaining time goes in any mode.
@@ -408,38 +375,6 @@ class MPDESolver:
     def __init__(self, problem: MPDEProblem, options: MPDEOptions | None = None) -> None:
         self.problem = problem
         self.options = options or problem.options
-        # Parallel execution layer: resolve once per solver so the pool (and
-        # its startup cost) is shared by every solve this instance runs.
-        # The factor pool drives the eager per-harmonic batch factorisation
-        # of the partially-averaged preconditioner; sharded device
-        # evaluation is resolved independently inside the MNA layer.
-        self._parallel_resolution = (
-            resolve_execution("sharded", self.options.n_workers)
-            if self.options.parallel
-            else None
-        )
-        sharded = (
-            self._parallel_resolution is not None and self._parallel_resolution.sharded
-        )
-        # factor_backend picks how the per-harmonic LU work is fanned out:
-        # "threads" batch-factors eagerly on an in-process pool (applies
-        # stay serial); "resident" forks workers that own harmonic slices
-        # and serve the applies too (see parallel/factor_service.py).
-        use_resident = sharded and self.options.factor_backend == "resident"
-        self._factor_service = (
-            ResidentFactorPool(
-                self._parallel_resolution.n_workers,
-                reply_timeout_s=self.options.worker_timeout_s,
-                restart_policy=self.options.restart,
-            )
-            if use_resident
-            else None
-        )
-        self._factor_pool = (
-            WorkerPool(self._parallel_resolution.n_workers)
-            if sharded and not use_resident
-            else None
-        )
         self._krylov = CachedPreconditionedGMRES(
             self._build_preconditioner,
             growth_factor=self.options.precond_refresh_growth,
@@ -472,19 +407,6 @@ class MPDESolver:
         self._checkpoint: SolveCheckpoint | None = None
         self._solve_fingerprint = ""
         self._pending_chord_state: dict | None = None
-
-    def close(self) -> None:
-        """Release the solver's parallel resources (idempotent).
-
-        Stops the worker-resident factor service's processes and unlinks
-        their shared-memory blocks.  A solver is safe to keep using after
-        ``close()`` — a healthy service re-forks on the next build — but
-        callers that are done with the instance should close it rather than
-        rely on garbage collection (the solver participates in a reference
-        cycle with its Krylov manager, so finalizers may run late).
-        """
-        if self._factor_service is not None:
-            self._factor_service.close()
 
     @property
     def _matrix_free(self) -> bool:
@@ -547,9 +469,6 @@ class MPDESolver:
             c_data=c_data,
             g_data=g_data,
             matrix=matrix,
-            eager=self._factor_pool is not None,
-            factor_pool=self._factor_pool,
-            factor_service=self._factor_service,
         )
 
     def _chord_refactor(self, x: np.ndarray, stats: MPDEStats) -> None:
@@ -617,11 +536,16 @@ class MPDESolver:
             return dx
 
         fault_site("solver.gmres", preconditioner=self._active_preconditioner)
+        if not np.all(np.isfinite(rhs)):
+            # GMRES would grind through its whole iteration budget on a NaN
+            # right-hand side; fail the way the direct path does instead.
+            raise SingularMatrixError(
+                "non-finite MPDE residual; the GMRES linear solve cannot proceed"
+            )
         builds_before = self._krylov.builds
         harmonic_before = self._krylov.harmonic_builds
         build_time_before = self._krylov.build_time_s
         solve_time_before = self._krylov.solve_time_s
-        dispatch_before = self._krylov.apply_dispatch_time_s
         backsub_before = self._krylov.apply_backsub_time_s
         dx, reports = self._krylov.solve(
             jacobian,
@@ -638,9 +562,6 @@ class MPDESolver:
         )
         stats.preconditioner_build_time_s += self._krylov.build_time_s - build_time_before
         stats.gmres_time_s += self._krylov.solve_time_s - solve_time_before
-        stats.gmres_apply_dispatch_time_s += (
-            self._krylov.apply_dispatch_time_s - dispatch_before
-        )
         stats.gmres_backsub_time_s += self._krylov.apply_backsub_time_s - backsub_before
         stats.preconditioner_kind = self._active_preconditioner
         # Every build is used by the solve that follows it, so the per-report
@@ -935,11 +856,6 @@ class MPDESolver:
             n_grid_points=self.problem.n_grid_points,
             n_total_unknowns=self.problem.n_total_unknowns,
         )
-        if self._parallel_resolution is not None:
-            # Parallel was requested; record up front why it resolved to
-            # serial (if it did) — a supervised pool failure during the
-            # solve overrides this after the solve (first reason wins).
-            stats.parallel_fallback_reason = self._parallel_resolution.fallback_reason
         if self._chord is not None:
             self._chord.invalidate()
         self._deadline = Deadline(self.options.deadline_s)
@@ -956,12 +872,6 @@ class MPDESolver:
                 x0 = np.array(resume_from.iterate, copy=True)
             if resume_from.chord_state is not None and self._chord is not None:
                 self._pending_chord_state = dict(resume_from.chord_state)
-        # Per-solve supervisor episode: snapshot each pool supervisor's
-        # trace length now, slice the new events off afterwards.
-        supervisors = [self.problem.mna.supervisor]
-        if self._factor_service is not None:
-            supervisors.append(self._factor_service.supervisor)
-        trace_marks = [len(sup.trace) for sup in supervisors]
         start = time.perf_counter()
 
         if x0 is None:
@@ -993,8 +903,7 @@ class MPDESolver:
             # Exhausted-ladder / terminal failures carry the latest
             # iteration-boundary checkpoint too, so even a failed solve's
             # progress can seed a retry — and the partial stats, so work
-            # done (and pool heals absorbed) before the failure stays
-            # visible to retry layers above.
+            # done before the failure stays visible to retry layers above.
             if exc.checkpoint is None:
                 exc.checkpoint = self._checkpoint
             if getattr(exc, "partial_stats", None) is None:
@@ -1002,31 +911,6 @@ class MPDESolver:
             raise
         finally:
             stats.wall_time_seconds = time.perf_counter() - start
-            # Merge this solve's supervisor events chronologically and
-            # derive the per-solve fallback reason: the *first* reason any
-            # healing / disabling event implied wins; with no events, the
-            # sticky pool states (a budget exhausted in an earlier solve)
-            # override the upfront environment reason.
-            events = []
-            for sup, mark in zip(supervisors, trace_marks):
-                events.extend(sup.trace[mark:])
-            events.sort(key=lambda event: event.at_s)
-            stats.supervisor_trace = events
-            first_reason = next(
-                (event.reason for event in events if event.reason), ""
-            )
-            if first_reason:
-                stats.parallel_fallback_reason = first_reason
-            else:
-                if (
-                    self._factor_service is not None
-                    and self._factor_service.fallback_reason
-                ):
-                    stats.parallel_fallback_reason = self._factor_service.fallback_reason
-                if self.options.parallel and self.problem.mna.sharding_disabled_reason:
-                    stats.parallel_fallback_reason = (
-                        self.problem.mna.sharding_disabled_reason
-                    )
 
         stats.converged = True
         states = self.problem.reshape_states(x)
@@ -1365,12 +1249,4 @@ def solve_mpde(
             checkpoint_path=os.fspath(checkpoint_path),
         )
     problem = MPDEProblem(mna, scales, options)
-    solver = MPDESolver(problem, options)
-    try:
-        return solver.solve(x0=x0, resume_from=resume_from)
-    finally:
-        # The one-call driver abandons the solver on return, so release its
-        # worker-resident factor service deterministically instead of
-        # waiting for the garbage collector to break the solver/krylov
-        # reference cycle.
-        solver.close()
+    return MPDESolver(problem, options).solve(x0=x0, resume_from=resume_from)

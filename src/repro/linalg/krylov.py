@@ -242,10 +242,8 @@ class CachedPreconditionedGMRES:
         self.cached: Preconditioner | None = None
         self.builds = 0
         self._retired_harmonic_builds = 0
-        self._retired_apply_dispatch_s = 0.0
         self._retired_apply_backsub_s = 0.0
-        #: Cumulative wall time spent building preconditioners (including
-        #: any eager per-harmonic factorisation inside the build callback).
+        #: Cumulative wall time spent building preconditioners.
         self.build_time_s = 0.0
         #: Cumulative wall time spent inside the GMRES solves themselves
         #: (matvecs + preconditioner applies + orthogonalisation).
@@ -267,25 +265,11 @@ class CachedPreconditionedGMRES:
         return self._retired_harmonic_builds + int(current)
 
     @property
-    def apply_dispatch_time_s(self) -> float:
-        """Cumulative apply-dispatch wall time across all owned instances.
-
-        Preconditioners whose applies run on the worker-resident factor
-        service (:class:`~repro.parallel.factor_service.ResidentFactorPool`)
-        split each apply into back-substitution proper and everything else
-        (packing, pipe commands, gathering) — this is the latter.  Zero for
-        purely in-process applies.
-        """
-        current = getattr(self.cached, "apply_dispatch_time_s", 0.0)
-        return self._retired_apply_dispatch_s + float(current)
-
-    @property
     def apply_backsub_time_s(self) -> float:
         """Cumulative per-harmonic back-substitution wall time.
 
-        Summed over every instance this manager has owned.  For in-process
-        applies it is the summed solver-call durations; for resident-service
-        applies it is the critical path (slowest worker shard) per apply.
+        Summed solver-call durations over every instance this manager has
+        owned.
         """
         current = getattr(self.cached, "apply_backsub_time_s", 0.0)
         return self._retired_apply_backsub_s + float(current)
@@ -293,9 +277,6 @@ class CachedPreconditionedGMRES:
     def _rebuild(self, context) -> Preconditioner:
         self._retired_harmonic_builds += int(
             getattr(self.cached, "harmonic_factorizations", 0)
-        )
-        self._retired_apply_dispatch_s += float(
-            getattr(self.cached, "apply_dispatch_time_s", 0.0)
         )
         self._retired_apply_backsub_s += float(
             getattr(self.cached, "apply_backsub_time_s", 0.0)

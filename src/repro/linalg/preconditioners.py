@@ -50,11 +50,7 @@ protocol:
 
   which is LU-factored *lazily* on first use (and only for the first
   ``n_slow // 2 + 1`` harmonics — conjugate symmetry of real data supplies
-  the rest for free).  The PR-5 *eager* mode batch-factors the same
-  ``n_slow // 2 + 1`` independent systems at construction — optionally
-  fanned out over a :class:`~repro.parallel.pool.WorkerPool`, since the
-  factorisations share nothing — with applies and counts identical to the
-  lazy path.  Like the fully-averaged mode it is rebuilt fresh at
+  the rest for free).  Like the fully-averaged mode it is rebuilt fresh at
   every Newton iterate: a build is a handful of sparse LUs (a few GMRES
   iterations' worth of back-substitutions), while iterating against a stale
   instance costs far more — precisely *because* the mode is tailored to the
@@ -102,7 +98,6 @@ __all__ = [
     "averaged_matrix",
     "build_averaged_preconditioner",
     "circulant_eigenvalues",
-    "factor_harmonic_system",
     "slow_averaged_data",
 ]
 
@@ -322,48 +317,6 @@ def averaged_matrix(assemble, c_data: np.ndarray, g_data: np.ndarray) -> sp.spma
     return assemble(c_mean, g_mean)
 
 
-def factor_harmonic_system(
-    base: sp.spmatrix, c_blk: sp.spmatrix, lam: complex, *, harmonic: int = 0
-) -> tuple[Callable[[np.ndarray], np.ndarray], bool]:
-    """Factor one per-slow-harmonic system ``B_k = base + lam * c_blk``.
-
-    Returns ``(solve, degraded)``: a callable back-substituting 1-D or 2-D
-    (multi-column) right-hand sides, and whether the factorisation degraded
-    to a dense pseudo-inverse (singular harmonic system).  This is the *one*
-    definition of the factorisation recipe — the in-process
-    :class:`BlockCirculantFastPreconditioner` path and the worker-resident
-    factor service (:mod:`repro.parallel.factor_service`) both call it, so
-    their factors (and therefore their applies) cannot drift apart: given
-    bitwise-identical ``base`` / ``c_blk`` / ``lam`` inputs the SuperLU
-    factorisation and its back-substitutions are deterministic, which is
-    what makes resident applies bitwise equal to in-process ones.
-    """
-    matrix = (base + lam * c_blk).tocsc()
-    try:
-        return spla.splu(matrix).solve, False
-    except RuntimeError:
-        _LOG.warning(
-            "block-circulant-fast preconditioner: slow harmonic %d is "
-            "singular; using a dense pseudo-inverse (degraded "
-            "preconditioning)",
-            harmonic,
-        )
-        pinv = np.linalg.pinv(matrix.toarray())
-
-        def solve_degraded(rhs: np.ndarray, _pinv=pinv) -> np.ndarray:
-            # Column-wise on 2-D RHS so a batched apply stays bitwise
-            # equal to per-column applies (dense GEMM picks different
-            # kernels than GEMV; SuperLU back-substitution does not).
-            if rhs.ndim == 1:
-                return _pinv @ rhs
-            out = np.empty((_pinv.shape[0], rhs.shape[1]), dtype=complex)
-            for column in range(rhs.shape[1]):
-                out[:, column] = _pinv @ rhs[:, column]
-            return out
-
-        return solve_degraded, True
-
-
 def build_averaged_preconditioner(
     kind: str,
     *,
@@ -377,9 +330,6 @@ def build_averaged_preconditioner(
     assemble=None,
     fast_operator=None,
     grid_shape: tuple[int, int] | None = None,
-    eager: bool = False,
-    factor_pool=None,
-    factor_service=None,
 ) -> Preconditioner:
     """Kind dispatch over the grid-averaged-operator preconditioner family.
 
@@ -400,14 +350,6 @@ def build_averaged_preconditioner(
     * ``"ilu"`` — drop-tolerance ILU of the assembled averaged matrix,
       produced via :func:`averaged_matrix` and ``assemble`` (the front end's
       cached :class:`~repro.linalg.sparse.CollocationJacobianAssembler`).
-
-    ``eager`` / ``factor_pool`` select the partially-averaged mode's eager
-    batch factorisation (optionally fanned out over a
-    :class:`~repro.parallel.pool.WorkerPool`); ``factor_service`` hands that
-    mode a worker-resident factor service
-    (:class:`~repro.parallel.factor_service.ResidentFactorPool`) that
-    factors and applies the per-harmonic systems in forked workers instead.
-    All three are ignored by every other kind.
     """
     if kind == "none":
         return IdentityPreconditioner(size)
@@ -435,9 +377,6 @@ def build_averaged_preconditioner(
             static_pattern,
             fast_operator,
             eigenvalues_slow,
-            eager=eager,
-            factor_pool=factor_pool,
-            factor_service=factor_service,
         )
     if kind in ("block_circulant", "jacobi"):
         if eigenvalues_fast is None:
@@ -646,30 +585,6 @@ class BlockCirculantFastPreconditioner(_PreconditionerBase):
         ``n_slow``), ordered as :func:`numpy.fft.fft` output.  Omit (or pass
         a single zero) for one-dimensional collocation problems, where the
         single ``B_0`` equals the unaveraged Jacobian itself.
-    eager:
-        Batch-factor all distinct harmonics at construction instead of
-        lazily on first touch (see Notes).
-    factor_pool:
-        Optional :class:`~repro.parallel.pool.WorkerPool` the eager batch
-        factorisation fans out over.  The per-harmonic systems are
-        independent, so the ``n_slow // 2 + 1`` sparse LUs can run
-        concurrently; a *thread* pool is the right vehicle because SuperLU
-        factor objects are process-local (they cannot be pickled back from
-        a process pool).  Ignored in lazy mode.
-    factor_service:
-        Optional worker-resident factor service
-        (:class:`~repro.parallel.factor_service.ResidentFactorPool`).  When
-        given (and healthy) the per-harmonic systems are factored *inside
-        forked worker processes* from shared-memory copies of the base
-        matrices at construction, and every apply dispatches one batched
-        back-substitution broadcast to the workers — FFT in the parent,
-        per-harmonic solves in parallel in the workers, IFFT in the parent
-        — bitwise equal to the in-process path (both sides factor through
-        :func:`factor_harmonic_system`).  A worker failure or watchdog
-        timeout disables the service *stickily* (reason recorded on the
-        service) and the instance falls back to lazy in-process
-        factorisation mid-flight.
-
     Notes
     -----
     Factorisations are *lazy* by default: ``B_k`` is LU-factored on the
@@ -680,15 +595,8 @@ class BlockCirculantFastPreconditioner(_PreconditionerBase):
     vector splits into its real and imaginary parts, which share one FFT
     call and one sweep over the harmonic solvers (two-column RHS), bitwise
     equal to — and half the cost of — applying the preconditioner to each
-    part separately.  The
-    *eager* mode factors exactly the same ``n_slow // 2 + 1`` systems up
-    front (conjugate symmetry preserved) through the same factorisation
-    routine, so its applies — and its factorisation counts, since every
-    apply touches every distinct harmonic anyway — are identical to the
-    lazy path's; the only difference is *when* (and, given a pool, on how
-    many threads) the factorisations run.
-    :attr:`harmonic_factorizations` counts the sparse LU factorisations
-    performed so far (surfaced as
+    part separately.  :attr:`harmonic_factorizations` counts the sparse LU
+    factorisations performed so far (surfaced as
     ``MPDEStats.preconditioner_harmonic_builds``).
 
     ``cheap_rebuild`` is True — the solver rebuilds this mode from fresh
@@ -716,10 +624,6 @@ class BlockCirculantFastPreconditioner(_PreconditionerBase):
         static_pattern,
         fast_operator: sp.spmatrix | np.ndarray,
         eigenvalues_slow: np.ndarray | None = None,
-        *,
-        eager: bool = False,
-        factor_pool=None,
-        factor_service=None,
     ) -> None:
         c_bar_fast = np.asarray(c_bar_fast, dtype=float)
         g_bar_fast = np.asarray(g_bar_fast, dtype=float)
@@ -758,96 +662,57 @@ class BlockCirculantFastPreconditioner(_PreconditionerBase):
         self._lam_slow = lam_slow
         self._solvers: dict[int, Callable[[np.ndarray], np.ndarray]] = {}
         #: Sparse LU factorisations performed so far (conjugate-symmetric:
-        #: at most ``n_slow // 2 + 1``, whether factored lazily or eagerly).
+        #: at most ``n_slow // 2 + 1``).
         self.harmonic_factorizations = 0
         #: Harmonic back-substitutions dispatched so far: one per distinct
         #: harmonic per :meth:`solve` call — a complex apply shares a single
         #: sweep (it does not double-count against a real apply).
         self.harmonic_applies = 0
         #: Wall time spent inside the per-harmonic back-substitutions of
-        #: every apply: the solver calls themselves in-process, the
-        #: workers' critical-path (slowest shard) solve time when resident.
+        #: every apply.
         self.apply_backsub_time_s = 0.0
-        #: Wall time the resident factor service spends *around* the
-        #: back-substitutions of every apply — packing the spectrum into
-        #: shared memory, the command broadcast / reply gather, unpacking —
-        #: i.e. the dispatch overhead the parallel applies pay.  0.0 on the
-        #: in-process path.
-        self.apply_dispatch_time_s = 0.0
-        self._service = None
-        if factor_service is not None and factor_service.active:
-            try:
-                degraded = factor_service.configure(
-                    self._base, self._c_blk, self._lam_slow
-                )
-            except Exception as exc:  # worker died/hung: service disabled itself
-                _LOG.warning(
-                    "resident factor service unavailable (%s); falling back "
-                    "to in-process factorisation",
-                    exc,
-                )
-            else:
-                self._service = factor_service
-                # The workers factored every distinct harmonic of their
-                # ranges — the same ``n_slow // 2 + 1`` systems the lazy and
-                # eager in-process paths factor, so the counts agree.
-                self.harmonic_factorizations = self.n_slow // 2 + 1
-                self.degraded |= degraded
-        if eager and self._service is None:
-            self.factor_eagerly(pool=factor_pool)
 
     @property
     def n_harmonics(self) -> int:
         """Number of slow harmonics (distinct per-harmonic systems)."""
         return self.n_slow
 
-    def _factor_harmonic(
-        self, k: int
-    ) -> tuple[int, Callable[[np.ndarray], np.ndarray], bool]:
-        """Factor harmonic ``k``: returns ``(k, solver, degraded)``.
+    def _harmonic_solver(self, k: int) -> Callable[[np.ndarray], np.ndarray]:
+        """The solver for slow harmonic ``k``, LU-factored on first use.
 
-        Pure function of the (immutable after construction) base matrices —
-        safe to fan out over worker threads; all bookkeeping mutation stays
-        with the caller.
+        The returned callable back-substitutes 1-D or 2-D (multi-column)
+        right-hand sides.  A singular harmonic system falls back to a dense
+        pseudo-inverse and flags the instance ``degraded``.
         """
-        solver, degraded = factor_harmonic_system(
-            self._base, self._c_blk, self._lam_slow[k], harmonic=k
-        )
-        return k, solver, degraded
+        solver = self._solvers.get(k)
+        if solver is not None:
+            return solver
+        matrix = (self._base + self._lam_slow[k] * self._c_blk).tocsc()
+        try:
+            solver = spla.splu(matrix).solve
+        except RuntimeError:
+            _LOG.warning(
+                "block-circulant-fast preconditioner: slow harmonic %d is "
+                "singular; using a dense pseudo-inverse (degraded "
+                "preconditioning)",
+                k,
+            )
+            pinv = np.linalg.pinv(matrix.toarray())
 
-    def _store_factor(
-        self, k: int, solver: Callable[[np.ndarray], np.ndarray], degraded: bool
-    ) -> None:
+            def solver(rhs: np.ndarray, _pinv=pinv) -> np.ndarray:
+                # Column-wise on 2-D RHS so a batched apply stays bitwise
+                # equal to per-column applies (dense GEMM picks different
+                # kernels than GEMV; SuperLU back-substitution does not).
+                if rhs.ndim == 1:
+                    return _pinv @ rhs
+                out = np.empty((_pinv.shape[0], rhs.shape[1]), dtype=complex)
+                for column in range(rhs.shape[1]):
+                    out[:, column] = _pinv @ rhs[:, column]
+                return out
+
+            self.degraded = True
         self._solvers[k] = solver
         self.harmonic_factorizations += 1
-        self.degraded |= degraded
-
-    def factor_eagerly(self, pool=None) -> None:
-        """Batch-factor every distinct harmonic not yet factored.
-
-        Only the first ``n_slow // 2 + 1`` harmonics are ever factored
-        (conjugate symmetry supplies the rest — same as the lazy path), so
-        the counts and the applies are identical to lazy factorisation.
-        With a :class:`~repro.parallel.pool.WorkerPool` the independent
-        factorisations fan out over its threads; without one they run
-        sequentially, which still front-loads the build cost into a single
-        measurable phase (``MPDEStats.preconditioner_build_time_s``).
-        """
-        pending = [
-            k for k in range(self.n_slow // 2 + 1) if k not in self._solvers
-        ]
-        if not pending:
-            return
-        runner = pool.map if pool is not None else lambda fn, items: map(fn, items)
-        for k, solver, degraded in runner(self._factor_harmonic, pending):
-            self._store_factor(k, solver, degraded)
-
-    def _harmonic_solver(self, k: int) -> Callable[[np.ndarray], np.ndarray]:
-        """The (lazily factored) solver for slow harmonic ``k``."""
-        solver = self._solvers.get(k)
-        if solver is None:
-            self._store_factor(*self._factor_harmonic(k))
-            solver = self._solvers[k]
         return solver
 
     def solve(self, vector: np.ndarray) -> np.ndarray:
@@ -883,71 +748,24 @@ class BlockCirculantFastPreconditioner(_PreconditionerBase):
         # of the harmonics is solved by conjugating the lower half.
         half = self.n_slow // 2
         size = self.n_fast * self.n_unknowns
-        if not self._solve_harmonics_resident(spectrum, solved, m, half, size):
-            for k in range(half + 1):
-                solver = self._harmonic_solver(k)
-                self.harmonic_applies += 1
-                if m == 1:
-                    rhs = np.ascontiguousarray(spectrum[0, :, k, :]).ravel()
-                    start = time.perf_counter()
-                    solution = solver(rhs)
-                    self.apply_backsub_time_s += time.perf_counter() - start
-                    solved[0, :, k, :] = solution.reshape(
-                        self.n_fast, self.n_unknowns
-                    )
-                else:
-                    rhs = np.ascontiguousarray(
-                        spectrum[:, :, k, :].reshape(m, size).T
-                    )
-                    start = time.perf_counter()
-                    solution = solver(rhs)
-                    self.apply_backsub_time_s += time.perf_counter() - start
-                    solved[:, :, k, :] = solution.T.reshape(
-                        m, self.n_fast, self.n_unknowns
-                    )
+        for k in range(half + 1):
+            solver = self._harmonic_solver(k)
+            self.harmonic_applies += 1
+            if m == 1:
+                rhs = np.ascontiguousarray(spectrum[0, :, k, :]).ravel()
+                start = time.perf_counter()
+                solution = solver(rhs)
+                self.apply_backsub_time_s += time.perf_counter() - start
+                solved[0, :, k, :] = solution.reshape(self.n_fast, self.n_unknowns)
+            else:
+                rhs = np.ascontiguousarray(spectrum[:, :, k, :].reshape(m, size).T)
+                start = time.perf_counter()
+                solution = solver(rhs)
+                self.apply_backsub_time_s += time.perf_counter() - start
+                solved[:, :, k, :] = solution.T.reshape(m, self.n_fast, self.n_unknowns)
         for k in range(half + 1, self.n_slow):
             solved[:, :, k, :] = np.conj(solved[:, :, self.n_slow - k, :])
         return np.ascontiguousarray(np.fft.ifft(solved, axis=2).real)
-
-    def _solve_harmonics_resident(self, spectrum, solved, m, half, size) -> bool:
-        """Dispatch the distinct-harmonic solves to the resident service.
-
-        Fills ``solved[:, :, :half + 1, :]`` and returns True on success;
-        returns False when no (healthy) service is attached so the caller
-        runs the in-process loop instead.  Worker failures are healed
-        *inside* the service (supervised restart + parity probe, see
-        :class:`~repro.resilience.supervisor.PoolSupervisor`), so a raise
-        only reaches here once the restart budget is exhausted and the
-        service has disabled itself with the reason recorded; this instance
-        then detaches, and the apply — like every later one — completes on
-        lazily-factored in-process solvers.
-        """
-        service = self._service
-        if service is None or not service.active:
-            return False
-        start = time.perf_counter()
-        # One (half + 1, m, size) block: row k carries the m spectrum
-        # columns of harmonic k, exactly the values the in-process loop
-        # hands its solver for that harmonic (worker-side transposition
-        # restores the (size, m) column layout bitwise).
-        packed = np.ascontiguousarray(
-            np.moveaxis(spectrum[:, :, : half + 1, :], 2, 0).reshape(
-                half + 1, m, size
-            )
-        )
-        try:
-            solutions, backsub_s = service.solve(packed)
-        except Exception:  # service disabled itself with the reason recorded
-            self._service = None
-            return False
-        self.harmonic_applies += half + 1
-        solved[:, :, : half + 1, :] = np.moveaxis(
-            solutions.reshape(half + 1, m, self.n_fast, self.n_unknowns), 0, 2
-        )
-        elapsed = time.perf_counter() - start
-        self.apply_backsub_time_s += backsub_s
-        self.apply_dispatch_time_s += max(0.0, elapsed - backsub_s)
-        return True
 
 
 class AdaptiveRefreshPolicy:

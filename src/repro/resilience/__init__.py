@@ -2,7 +2,7 @@
 
 The solves in this package fail for many distinct reasons — Newton
 divergence on hard starts, singular or ill-conditioned Jacobians, GMRES
-stagnation, degraded preconditioners, forked-worker crashes and hangs.
+stagnation, degraded preconditioners, NaN device evaluations.
 This subpackage gives those failures a single structured treatment:
 
 * :mod:`~repro.resilience.taxonomy` — an enumerated failure model
@@ -22,16 +22,10 @@ This subpackage gives those failures a single structured treatment:
   attached to the raised exception's ``diagnostics`` attribute.
 * :mod:`~repro.resilience.faultinject` — a deterministic fault-injection
   registry (:func:`~repro.resilience.faultinject.inject_faults`) so every
-  recovery rung and watchdog is exercised by ``tests/test_resilience.py``
+  recovery rung is exercised by ``tests/test_resilience.py``
   instead of waiting for rare real failures, plus seeded random chaos
   schedules (:func:`~repro.resilience.faultinject.chaos_specs`) for the
   soak harness.
-* :mod:`~repro.resilience.supervisor` — supervised self-healing of the
-  forked worker pools (:class:`~repro.resilience.supervisor.PoolSupervisor`
-  driven by :class:`~repro.utils.options.RestartPolicy`): restart with
-  exponential backoff, parity health-probe, sticky-serial only once the
-  restart budget is exhausted, every step on
-  ``MPDEStats.supervisor_trace``.
 * :mod:`~repro.resilience.checkpoint` — crash-consistent
   checkpoint/resume
   (:class:`~repro.resilience.checkpoint.SolveCheckpoint`): iteration-
@@ -63,10 +57,7 @@ from .faultinject import (
     inject_faults,
     nan_evaluation,
     singular_jacobian,
-    worker_crash,
-    worker_hang,
 )
-from .supervisor import PoolSupervisor, RestartPolicy, SupervisorEvent
 from .taxonomy import (
     FAILURE_KINDS,
     RecoveryAttempt,
@@ -87,14 +78,9 @@ __all__ = [
     "inject_faults",
     "singular_jacobian",
     "gmres_stall",
-    "worker_crash",
-    "worker_hang",
     "nan_evaluation",
     "cache_build_fault",
     "dispatch_fault",
-    "PoolSupervisor",
-    "RestartPolicy",
-    "SupervisorEvent",
     "SolveCheckpoint",
     "solve_fingerprint",
     "FAILURE_KINDS",

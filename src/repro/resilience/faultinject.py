@@ -1,9 +1,8 @@
 """Deterministic fault injection for the solver stack.
 
-Real solver failures — singular Jacobians, stalled Krylov solves, crashed
-or hung forked workers, NaN device evaluations — are far too rare to
-exercise in CI, so the recovery paths that handle them would otherwise ship
-untested.  This module lets tests *schedule* those failures at named sites
+Real solver failures — singular Jacobians, stalled Krylov solves, NaN
+device evaluations — are far too rare to exercise in CI, so the recovery
+paths that handle them would otherwise ship untested.  This module lets tests *schedule* those failures at named sites
 in the production code:
 
 >>> from repro.resilience import inject_faults, singular_jacobian
@@ -16,14 +15,11 @@ Production code marks injection points with :func:`fault_site`::
 
 which is a no-op (one global read, no allocation) unless a plan is active,
 so the hooks cost nothing in normal operation.  The registry is a plain
-module global: forked worker processes inherit the active plan, which is
-what lets tests inject ``worker.eval`` faults into children without any
-IPC.  Injection is process-wide; the per-spec ``calls``/``fired`` counters
-are guarded by a lock because some sites are visited from concurrent
-threads (e.g. ``preconditioner.build`` under an eager
-:class:`~repro.parallel.WorkerPool` fan-out) — a fault scheduled to fire
-``count`` times fires exactly ``count`` times no matter how the visits
-interleave.
+module global, so injection is process-wide; the per-spec
+``calls``/``fired`` counters are guarded by a lock because sites are
+visited from concurrent threads (the simulation service runs jobs on a
+thread pool) — a fault scheduled to fire ``count`` times fires exactly
+``count`` times no matter how the visits interleave.
 
 Sites currently compiled into the stack:
 
@@ -35,7 +31,6 @@ site                       context keys
 ``newton.linear_solve``    ``iteration`` (dense Newton iterate, 0-based)
 ``krylov.solve``           ``raise_on_failure`` (caller wants exceptions?)
 ``preconditioner.build``   ``kind`` (preconditioner mode name)
-``worker.eval``            ``worker`` (shard index; runs in the child)
 ``mna.evaluate``           ``f`` (residual vector, mutable, poison in place)
 ``service.cache_build``    ``key`` (compiled-circuit cache key being built)
 ``service.job_dispatch``   ``job``, ``case``, ``attempt`` (1-based attempt)
@@ -44,9 +39,7 @@ site                       context keys
 
 from __future__ import annotations
 
-import os
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -71,8 +64,6 @@ __all__ = [
     "inject_faults",
     "singular_jacobian",
     "gmres_stall",
-    "worker_crash",
-    "worker_hang",
     "nan_evaluation",
 ]
 
@@ -107,15 +98,6 @@ class FaultSpec:
     predicate:
         Optional extra gate ``predicate(context) -> bool``; visits it
         rejects do not advance the call counter.
-    shared:
-        Keep the ``calls``/``fired`` counters in fork-shared memory
-        (``multiprocessing.Value``) instead of per-process ints.  Essential
-        for child-firing faults under *supervised healing*: a plain-int
-        ``count=1`` crash would re-fire in every freshly re-forked worker
-        generation (each child inherits the pre-crash counter state), so
-        "one crash" would mean "one crash per generation" and no pool could
-        ever heal.  With ``shared=True`` the firing is recorded where every
-        generation sees it, so ``count=1`` means one firing globally.
     """
 
     site: str
@@ -123,49 +105,22 @@ class FaultSpec:
     at_call: int | None = None
     count: int | None = 1
     predicate: Callable[[dict[str, Any]], bool] | None = None
-    shared: bool = False
     calls: int = field(default=0, init=False)
     fired: int = field(default=0, init=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
-    _shared_counters: Any = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.shared:
-            import multiprocessing
-
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - no fork on this platform
-                context = multiprocessing
-            # [calls, fired] in fork-shared memory; the Array's embedded
-            # lock makes the visit bookkeeping atomic across processes.
-            self._shared_counters = context.Array("q", [0, 0])
 
     def visit(self, context: dict[str, Any]) -> bool:
         """Record a matching visit; return True if the fault should fire.
 
-        The ``calls``/``fired`` bookkeeping is atomic under ``_lock`` (or
-        the shared Array's cross-process lock): sites visited from
-        concurrent threads (eager harmonic factorisation drives
-        ``preconditioner.build`` from a thread fan-out) advance the counters
-        without interleaving, so ``at_call``/``count`` schedules stay exact.
+        The ``calls``/``fired`` bookkeeping is atomic under ``_lock``: sites
+        visited from concurrent threads advance the counters without
+        interleaving, so ``at_call``/``count`` schedules stay exact.
         The predicate runs outside the lock — it only reads the context.
         """
         if self.predicate is not None and not self.predicate(context):
             return False
-        if self._shared_counters is not None:
-            with self._shared_counters.get_lock():
-                self._shared_counters[0] += 1
-                self.calls = int(self._shared_counters[0])
-                if self.at_call is not None and self.calls < self.at_call:
-                    return False
-                if self.count is not None and self._shared_counters[1] >= self.count:
-                    return False
-                self._shared_counters[1] += 1
-                self.fired = int(self._shared_counters[1])
-                return True
         with self._lock:
             self.calls += 1
             if self.at_call is not None and self.calls < self.at_call:
@@ -174,21 +129,6 @@ class FaultSpec:
                 return False
             self.fired += 1
             return True
-
-    def observed_calls(self) -> int:
-        """Visits observed across every process (for ``shared`` specs the
-        plain ``calls`` attribute only reflects *this* process's visits —
-        a crash that fired in a forked child never updates the parent's
-        mirror)."""
-        if self._shared_counters is not None:
-            return int(self._shared_counters[0])
-        return self.calls
-
-    def observed_fired(self) -> int:
-        """Firings observed across every process (see :meth:`observed_calls`)."""
-        if self._shared_counters is not None:
-            return int(self._shared_counters[1])
-        return self.fired
 
 
 class FaultPlan:
@@ -204,8 +144,8 @@ class FaultPlan:
 
 
 #: The active plan, or ``None``.  A module global (not a contextvar) so
-#: forked workers inherit it and ``fault_site`` stays one attribute read in
-#: the common case.
+#: service worker threads see it and ``fault_site`` stays one attribute
+#: read in the common case.
 _ACTIVE: FaultPlan | None = None
 
 
@@ -289,90 +229,6 @@ def gmres_stall(
         )
 
     return FaultSpec(site=site, action=_raise, at_call=at_call, count=count)
-
-
-def _worker_predicate(worker: int | None, role: str | None):
-    """Predicate matching ``worker.eval`` context by worker index and/or pool role.
-
-    ``role`` distinguishes the two worker families that visit the site:
-    shard evaluators pass ``role="shard"`` and resident factor workers pass
-    ``role="factor"``.
-    """
-    if worker is None and role is None:
-        return None
-
-    def _match(ctx: dict[str, Any]) -> bool:
-        if worker is not None and ctx.get("worker") != worker:
-            return False
-        if role is not None and ctx.get("role") != role:
-            return False
-        return True
-
-    return _match
-
-
-def worker_crash(
-    *,
-    worker: int | None = None,
-    role: str | None = None,
-    at_call: int | None = None,
-    count: int | None = 1,
-) -> FaultSpec:
-    """Kill a forked shard worker mid-evaluation (models a segfault/OOM kill).
-
-    Fires inside the child process (the plan is inherited across ``fork``);
-    ``os._exit`` skips all cleanup, exactly like a real crash, so the
-    parent sees the reply pipe close.  The spec's counters live in
-    fork-shared memory (``shared=True``): ``count=1`` means one crash
-    *globally*, so a supervised pool restart gets a healthy new generation
-    instead of one that inherits a not-yet-fired crash and dies again —
-    and ``at_call`` schedules against the global visit sequence.
-    ``role="shard"`` / ``role="factor"`` targets one worker family (shard
-    evaluators vs. resident factor workers) when both pools are live.
-    """
-
-    def _die(context: dict[str, Any]) -> None:
-        os._exit(17)
-
-    return FaultSpec(
-        site="worker.eval",
-        action=_die,
-        at_call=at_call,
-        count=count,
-        predicate=_worker_predicate(worker, role),
-        shared=True,
-    )
-
-
-def worker_hang(
-    *,
-    hang_s: float = 60.0,
-    worker: int | None = None,
-    role: str | None = None,
-    at_call: int | None = None,
-    count: int | None = 1,
-) -> FaultSpec:
-    """Make a forked shard worker sleep through its evaluation (models a hang).
-
-    The sleep must exceed the configured ``worker_timeout_s`` for the
-    watchdog to classify the worker as hung.  Counters are fork-shared
-    (``shared=True``) like :func:`worker_crash`, so one scheduled hang
-    fires once globally and a supervised restart can heal past it.
-    ``worker`` / ``role`` filter by worker index and pool family as in
-    :func:`worker_crash`.
-    """
-
-    def _sleep(context: dict[str, Any]) -> None:
-        time.sleep(hang_s)
-
-    return FaultSpec(
-        site="worker.eval",
-        action=_sleep,
-        at_call=at_call,
-        count=count,
-        predicate=_worker_predicate(worker, role),
-        shared=True,
-    )
 
 
 def nan_evaluation(
@@ -462,29 +318,20 @@ def chaos_specs(
     seed: int,
     *,
     n_faults: int | None = None,
-    include_hangs: bool = False,
     include_service: bool = False,
-    hang_s: float = 30.0,
 ) -> tuple[FaultSpec, ...]:
     """Build a seeded random fault schedule for chaos-soak runs.
 
     Draws ``n_faults`` (default: 1–3, seed-dependent) faults across the
-    registered sites — forked-worker crashes (``worker.eval``), solver-level
-    GMRES stalls (``solver.gmres``), singular Newton linear solves
-    (``solver.linear_solve``) and NaN-poisoned batched evaluations
-    (``mna.evaluate``) — each with a randomized ``at_call`` / iteration
-    offset and ``count=1``.  Every draw is *recoverable by design*: crashes
-    heal through the pool supervisor, stalls and singular solves through
-    the recovery ladder, NaN poison (gated to multi-point evaluations)
-    through the ladder's damping/retry rungs — so a suite run under a chaos
-    schedule must still pass, and a chaos-soak loop can assert the answers
-    against the fault-free solve.
-
-    Hangs are opt-in (``include_hangs=True``): a hang only manifests as a
-    fault when the consuming pool's ``worker_timeout_s`` sits *below*
-    ``hang_s``, and it costs real wall-clock time, so the CI-wide
-    ``chaos:<seed>`` profile leaves them out while the dedicated soak
-    harness (which pins short worker timeouts) opts in.
+    registered sites — solver-level GMRES stalls (``solver.gmres``),
+    singular Newton linear solves (``solver.linear_solve``) and
+    NaN-poisoned batched evaluations (``mna.evaluate``) — each with a
+    randomized ``at_call`` / iteration offset and ``count=1``.  Every draw
+    is *recoverable by design*: stalls and singular solves through the
+    recovery ladder, NaN poison (gated to multi-point evaluations) through
+    the ladder's damping/retry rungs — so a suite run under a chaos schedule
+    must still pass, and a chaos-soak loop can assert the answers against
+    the fault-free solve.
 
     Service-layer faults (cache builds, job dispatches — recovered by the
     job retry budget of :mod:`repro.service` rather than the solver ladder)
@@ -497,9 +344,7 @@ def chaos_specs(
     ``default_rng`` determinism), so a failing chaos run is replayable.
     """
     rng = np.random.default_rng(seed)
-    kinds = ["worker_crash", "gmres_stall", "singular_jacobian", "nan_evaluation"]
-    if include_hangs:
-        kinds.append("worker_hang")
+    kinds = ["gmres_stall", "singular_jacobian", "nan_evaluation"]
     if include_service:
         kinds.extend(["cache_build", "dispatch"])
     if n_faults is None:
@@ -510,11 +355,7 @@ def chaos_specs(
     for _ in range(n_faults):
         kind = kinds[int(rng.integers(len(kinds)))]
         at_call = int(rng.integers(1, 4))
-        if kind == "worker_crash":
-            specs.append(worker_crash(at_call=at_call, count=1))
-        elif kind == "worker_hang":
-            specs.append(worker_hang(hang_s=hang_s, at_call=at_call, count=1))
-        elif kind == "gmres_stall":
+        if kind == "gmres_stall":
             specs.append(gmres_stall(at_call=at_call, count=1, site="solver.gmres"))
         elif kind == "singular_jacobian":
             specs.append(
@@ -537,11 +378,6 @@ def chaos_specs(
 #: (comma-separated).  Each profile is *recoverable by design* — the suite
 #: must still pass with it armed, proving the recovery paths end-to-end.
 _PROFILES: dict[str, Callable[[], FaultSpec]] = {
-    # First sharded worker evaluation crashes; the pool supervisor must
-    # heal it (restart + parity probe) — or, once the restart budget is
-    # spent, fall back to the serial path — and the test must still see
-    # correct results either way.
-    "worker_crash": lambda: worker_crash(count=1),
     # First MPDE-solver GMRES solve stalls; the recovery ladder must absorb
     # it.  Scoped to the solver-level site so direct unit tests of the
     # Krylov layer (which have no recovery machinery above them) still pass.
@@ -549,11 +385,6 @@ _PROFILES: dict[str, Callable[[], FaultSpec]] = {
     # First Newton linear solve hits a singular Jacobian; the ladder or the
     # analysis-level stepping fallbacks must recover.
     "singular_jacobian": lambda: singular_jacobian(count=1),
-    # First worker evaluation hangs; the reply watchdog must time out (the
-    # consuming pool's ``worker_timeout_s`` has to sit below the sleep),
-    # tear the pool down without zombies or leaked shared memory, and fall
-    # back to the serial path.
-    "worker_hang": lambda: worker_hang(count=1),
     # First compiled-circuit cache build fails; the simulation service's
     # job retry budget must rebuild and complete the request.  Outside the
     # service layer the site is never visited, so the profile is inert for

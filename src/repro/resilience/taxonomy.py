@@ -18,8 +18,6 @@ kind                        raised as / meaning
                             not slow).
 ``"deadline"``              :class:`DeadlineExceededError` — the per-solve
                             deadline expired.  Terminal: never recovered.
-``"worker_pool"``           :class:`WorkerPoolError` — a forked shard
-                            worker crashed, hung, or mis-answered.
 ``"non_finite"``            NaN/Inf contaminated a residual or iterate.
 ``"service"``               :class:`ServiceError` — the simulation-service
                             layer failed around a solve (cache build,
@@ -49,7 +47,6 @@ FAILURE_KINDS = (
     "singular",
     "gmres_stagnation",
     "deadline",
-    "worker_pool",
     "non_finite",
     "service",
     "unknown",
@@ -64,10 +61,6 @@ def classify_failure(exc: BaseException) -> str:
     existing ``except SingularMatrixError`` handlers keep catching it, but
     it classifies as its own kind).
     """
-    # Imported lazily: repro.parallel imports repro.utils, and taxonomy
-    # must stay importable from anywhere in the stack.
-    from ..parallel.pool import WorkerPoolError
-
     if isinstance(exc, DeadlineExceededError):
         return "deadline"
     if isinstance(exc, ServiceError):
@@ -76,8 +69,6 @@ def classify_failure(exc: BaseException) -> str:
         return "gmres_stagnation"
     if isinstance(exc, SingularMatrixError):
         return "singular"
-    if isinstance(exc, WorkerPoolError):
-        return "worker_pool"
     if isinstance(exc, ConvergenceError):
         return "divergence"
     if isinstance(exc, (FloatingPointError, OverflowError)):

@@ -107,8 +107,7 @@ class MixerCircuit:
         """Shorthand for ``self.circuit.compile(options)``.
 
         ``options`` is an optional
-        :class:`~repro.utils.options.EvaluationOptions` (evaluation backend,
-        kernel sharding / worker count).
+        :class:`~repro.utils.options.EvaluationOptions` (evaluation backend).
         """
         return self.circuit.compile(options)
 

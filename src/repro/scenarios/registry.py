@@ -369,7 +369,7 @@ def solve_case(
     ``case.circuit`` fresh).  ``options`` is an :class:`MPDEOptions`
     template for the MPDE/HB analyses — the case's recommended grid always
     overrides ``n_fast``/``n_slow``, everything else (recovery policy,
-    linear solver, parallelism) is honored.  ``deadline_s``,
+    linear solver) is honored.  ``deadline_s``,
     ``checkpoint_path`` and ``resume_from`` plumb the resilience layer's
     per-solve deadline and checkpoint/resume through to whichever analysis
     the case declared, so registry workloads honor per-request budgets and

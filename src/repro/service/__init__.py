@@ -9,12 +9,10 @@ by construction.  Four pieces:
   of compiled :class:`~repro.circuits.mna.MNASystem` objects keyed by
   scenario fingerprint + case, with hit/miss/eviction counters and
   lease-based exclusive access (solves share scratch buffers, so a cached
-  system is handed to exactly one job at a time); evicted systems are
-  closed so their worker pools and shared memory are released.
+  system is handed to exactly one job at a time).
 * :mod:`~repro.service.jobs` — :class:`Job` / :class:`SweepRequest` /
   :class:`JobRetryPolicy`: per-job ``deadline_s`` (queue wait included),
-  a bounded retry budget with exponential backoff + deterministic jitter
-  (the :class:`~repro.utils.options.RestartPolicy` backoff shape),
+  a bounded retry budget with exponential backoff + deterministic jitter,
   terminal-vs-retryable classification via
   :func:`~repro.resilience.taxonomy.classify_failure`, and checkpoint-backed
   resume — a retried attempt continues from the failed attempt's
@@ -26,11 +24,10 @@ by construction.  Four pieces:
   :class:`~repro.utils.exceptions.ServiceOverloadedError`, never queues
   unboundedly), cancellation, an optional memoized result cache for
   repeated identical requests, and an idempotent graceful-drain
-  ``shutdown()`` that closes every cached system (no zombie pools, no
-  leaked shared memory — the PR-8 invariants at service scope).
+  ``shutdown()``.
 * :mod:`~repro.service.telemetry` — :class:`ServiceTelemetry`: per-job
   records aggregated into a service-level trajectory (throughput, p50/p95
-  latency, retries, sheds, supervised heals, cache hit rate).
+  latency, retries, sheds, cache hit rate).
 
 The service's failure sites (``service.cache_build``,
 ``service.job_dispatch``) are compiled into the

@@ -1,8 +1,8 @@
 """LRU cache of compiled circuits with lease-based concurrent access.
 
 Compiling a :class:`~repro.circuits.mna.MNASystem` is the per-request work
-the service amortises across identical requests: stamp-pattern compilation,
-batched-engine setup and (for sharded systems) forked worker pools.  The
+the service amortises across identical requests: stamp-pattern compilation
+and batched-engine setup.  The
 cache keys entries by whatever identity string the caller derives — the
 service uses ``scenario_fingerprint(scenario) + case label + compile
 options``, so two requests hit the same entry exactly when they solve the
@@ -17,9 +17,9 @@ lease is being acquired) are never evicted; when every resident entry is
 in use the cache temporarily overflows its capacity rather than closing a
 system under a running solve, and trims back on the next release.
 
-Eviction and :meth:`~CompiledCircuitCache.close` call ``close()`` on the
-cached system (idempotent by contract), releasing worker pools and shared
-memory — the no-zombie / no-leaked-shm invariant at service scope.
+Eviction and :meth:`~CompiledCircuitCache.close` call ``close()`` on a
+cached value that has one (idempotent by contract), so values holding
+external resources release them when they leave the cache.
 
 The build path is a :func:`~repro.resilience.faultinject.fault_site`
 (``service.cache_build``), fired *before* the build runs so an injected
@@ -164,7 +164,7 @@ class CompiledCircuitCache:
         """Pop LRU entries past capacity that nobody holds; return their systems.
 
         Caller must hold ``self._lock``; the returned systems are closed
-        *outside* it (closing may join worker processes).
+        *outside* it (a value's ``close()`` may block).
         """
         evicted: list[Any] = []
         while len(self._entries) > self._capacity:
@@ -220,7 +220,7 @@ class CompiledCircuitCache:
 
         Waits for in-flight leases: each entry's lease lock is acquired
         before its system is closed, so a solve running on a leased system
-        finishes before the system's pools are torn down.
+        finishes before the system is closed.
         """
         with self._lock:
             if self._closed:

@@ -10,10 +10,9 @@ overrides — the request vocabulary of :mod:`repro.scenarios` — and a
 Failure handling is the resilience taxonomy applied at service scope.
 Every solve attempt's exception is classified by
 :func:`~repro.resilience.taxonomy.classify_failure`; retryable kinds
-(divergence, singular, GMRES stagnation, worker-pool trouble, non-finite
-residuals, service-infrastructure faults) consume the job's bounded retry
-budget with exponential backoff + deterministic jitter (the
-:class:`~repro.utils.options.RestartPolicy` backoff shape), while terminal
+(divergence, singular, GMRES stagnation, non-finite residuals,
+service-infrastructure faults) consume the job's bounded retry budget with
+exponential backoff + deterministic jitter, while terminal
 kinds — an expired deadline, configuration/netlist errors, untrusted
 checkpoints, anything unclassified — fail the job immediately.  When a
 failed attempt carried a :class:`~repro.resilience.checkpoint.SolveCheckpoint`
@@ -54,8 +53,7 @@ from ..utils.exceptions import (
     ServiceError,
     ServiceOverloadedError,
 )
-from ..utils.options import MPDEOptions, RestartPolicy
-from .telemetry import result_stats, trace_counts
+from ..utils.options import MPDEOptions
 
 __all__ = [
     "JOB_STATES",
@@ -86,7 +84,6 @@ RETRYABLE_KINDS = frozenset(
         "divergence",
         "singular",
         "gmres_stagnation",
-        "worker_pool",
         "non_finite",
         "service",
     }
@@ -112,8 +109,8 @@ def is_retryable(exc: BaseException) -> bool:
 class JobRetryPolicy:
     """Bounded retry budget with exponential backoff + deterministic jitter.
 
-    The backoff shape is :meth:`RestartPolicy.backoff_s` — attempt ``k``
-    waits ``min(backoff_base_s * 2**(k-1), backoff_cap_s)`` — scaled by a
+    Retry ``k`` waits ``min(backoff_base_s * 2**(k-1), backoff_cap_s)``,
+    scaled by a
     jitter factor in ``[1, 1 + jitter_fraction]`` derived from a hash of
     the job/attempt token, so concurrent retries de-synchronise without
     wall-clock randomness (the schedule is reproducible).
@@ -138,12 +135,9 @@ class JobRetryPolicy:
 
     def backoff_s(self, attempt: int, token: str = "") -> float:
         """Backoff (seconds) before 1-based retry ``attempt`` of ``token``."""
-        shape = RestartPolicy(
-            max_restarts=max(self.max_retries, 1),
-            backoff_base_s=self.backoff_base_s,
-            backoff_cap_s=self.backoff_cap_s,
-        )
-        base = shape.backoff_s(attempt)
+        if attempt < 1:
+            raise ValueError(f"attempt must be >= 1, got {attempt}")
+        base = min(self.backoff_base_s * 2.0 ** (attempt - 1), self.backoff_cap_s)
         digest = hashlib.sha256(token.encode("utf-8")).digest()
         unit = int.from_bytes(digest[:8], "big") / float(2**64)
         return base * (1.0 + self.jitter_fraction * unit)
@@ -227,11 +221,6 @@ class JobAttempt:
     backoff_s: float = 0.0
     duration_s: float = 0.0
     resumed_from_checkpoint: bool = False
-    #: Worker-pool recoveries absorbed underneath this attempt's solve
-    #: (counted off the solve's supervisor trace; failed attempts report
-    #: them through the partial stats their exception carries).
-    heals: int = 0
-    restarts: int = 0
 
 
 class _JobCancelled(ServiceError):
@@ -282,16 +271,6 @@ class Job:
     def retries(self) -> int:
         """Attempts that ended in a retry (== backoff sleeps taken)."""
         return sum(1 for attempt in self.attempts if attempt.outcome == "retried")
-
-    @property
-    def heals(self) -> int:
-        """Worker-pool heals absorbed underneath this job's solve attempts."""
-        return sum(attempt.heals for attempt in self.attempts)
-
-    @property
-    def restarts(self) -> int:
-        """Worker-pool restart attempts underneath this job's solve attempts."""
-        return sum(attempt.restarts for attempt in self.attempts)
 
     @property
     def queue_wait_s(self) -> float:
@@ -433,7 +412,6 @@ class Job:
             except Exception as exc:
                 duration = self._clock() - started
                 kind = classify_failure(exc)
-                heals, restarts = trace_counts(getattr(exc, "partial_stats", None))
                 checkpoint = getattr(exc, "checkpoint", None)
                 if checkpoint is not None:
                     self.checkpoint = checkpoint
@@ -452,8 +430,6 @@ class Job:
                             detail=str(exc),
                             duration_s=duration,
                             resumed_from_checkpoint=resumed,
-                            heals=heals,
-                            restarts=restarts,
                         )
                     )
                     raise
@@ -470,8 +446,6 @@ class Job:
                         backoff_s=backoff,
                         duration_s=duration,
                         resumed_from_checkpoint=resumed,
-                        heals=heals,
-                        restarts=restarts,
                     )
                 )
                 if checkpoint is not None:
@@ -482,7 +456,6 @@ class Job:
                 self._sleep(min(backoff, max(self._deadline.remaining(), 0.0)))
                 self.status = "running"
             else:
-                heals, restarts = trace_counts(result_stats(result))
                 self.attempts.append(
                     JobAttempt(
                         index=attempt,
@@ -490,8 +463,6 @@ class Job:
                         outcome="succeeded",
                         duration_s=self._clock() - started,
                         resumed_from_checkpoint=resumed,
-                        heals=heals,
-                        restarts=restarts,
                     )
                 )
                 return result

@@ -21,8 +21,7 @@ and moves :class:`~repro.service.jobs.Job` objects through it:
   request must really solve (the chaos soak does).
 * **Shutdown.**  ``shutdown(drain=True)`` stops admissions, finishes (or
   cancels, for ``drain=False``) the queue, joins every worker and closes
-  the cache — which closes every compiled system and thereby its worker
-  pools and shared memory.  Idempotent: a second call is a no-op, and the
+  the cache.  Idempotent: a second call is a no-op, and the
   service is a context manager.
 """
 
@@ -248,8 +247,7 @@ class SimulationService:
         ``drain=True`` finishes every queued job first; ``drain=False``
         cancels the queue (running jobs still stop only at their next
         attempt boundary).  Either way every worker thread is joined and
-        the compiled-circuit cache is closed, closing every cached
-        system's pools and shared memory.
+        the compiled-circuit cache is closed.
         """
         timeout_s = timeout_s if timeout_s is not None else self.options.drain_timeout_s
         with self._queue_ready:

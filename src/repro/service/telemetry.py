@@ -1,10 +1,10 @@
 """Service-level telemetry: per-job records aggregated into a trajectory.
 
 Every solve already accounts for itself (``MPDEStats``: iteration counts,
-wall-time buckets, recovery and supervisor traces).  This module rolls
-those per-job facts up to the service level — the trajectory an operator
-watches: throughput, p50/p95 latency, retries spent, requests shed at
-admission, supervised pool heals, and the compiled-circuit cache hit rate.
+wall-time buckets, recovery traces).  This module rolls those per-job facts
+up to the service level — the trajectory an operator watches: throughput,
+p50/p95 latency, retries spent, requests shed at admission, and the
+compiled-circuit cache hit rate.
 
 The aggregation is deliberately write-cheap (one locked append per event)
 and read-on-demand: :meth:`ServiceTelemetry.snapshot` computes the derived
@@ -24,55 +24,7 @@ __all__ = [
     "JobRecord",
     "ServiceSnapshot",
     "ServiceTelemetry",
-    "result_stats",
-    "supervisor_counts",
-    "trace_counts",
 ]
-
-
-def result_stats(result):
-    """The solver stats a case result carries, or ``None``.
-
-    MPDE results expose ``stats`` directly, HB results through their
-    ``mpde`` sub-result; PSS results without stats yield ``None``.
-    """
-    stats = getattr(result, "stats", None)
-    if stats is None:
-        mpde = getattr(result, "mpde", None)
-        stats = getattr(mpde, "stats", None)
-    return stats
-
-
-def trace_counts(stats) -> tuple[int, int]:
-    """(heals, restarts) counted off one solve's supervisor trace.
-
-    These are the worker-pool recoveries that happened *underneath* a
-    solve, invisible to the job retry budget; failed solves report them
-    too, through the ``partial_stats`` their exception carries.
-    """
-    heals = 0
-    restarts = 0
-    trace = getattr(stats, "supervisor_trace", None) or ()
-    for event in trace:
-        action = getattr(event, "action", "")
-        if action == "healed":
-            heals += 1
-        elif action == "restarted":
-            restarts += 1
-    return heals, restarts
-
-
-def supervisor_counts(run) -> tuple[int, int]:
-    """(heals, restarts) summed over a ScenarioRun's solver supervisor traces."""
-    heals = 0
-    restarts = 0
-    if run is None:
-        return heals, restarts
-    for case_run in run.case_runs:
-        case_heals, case_restarts = trace_counts(result_stats(case_run.result))
-        heals += case_heals
-        restarts += case_restarts
-    return heals, restarts
 
 
 @dataclass(frozen=True)
@@ -85,8 +37,6 @@ class JobRecord:
     status: str
     attempts: int
     retries: int
-    heals: int
-    restarts: int
     queue_wait_s: float
     total_s: float
     from_result_cache: bool
@@ -112,8 +62,6 @@ class ServiceSnapshot:
     cancelled: int
     shed: int
     retries: int
-    heals: int
-    restarts: int
     result_cache_hits: int
     throughput_jobs_per_s: float
     latency_p50_s: float
@@ -160,10 +108,6 @@ class ServiceTelemetry:
 
     def record_finished(self, job) -> None:
         """Fold a terminal job into the trajectory (exactly once per job)."""
-        # Per-attempt counts: heals absorbed by attempts that later
-        # *failed* (and were retried) must still show up here.
-        heals = getattr(job, "heals", 0)
-        restarts = getattr(job, "restarts", 0)
         record = JobRecord(
             job_id=job.id,
             scenario=job.request.scenario,
@@ -171,8 +115,6 @@ class ServiceTelemetry:
             status=job.status,
             attempts=len(job.attempts),
             retries=job.retries,
-            heals=heals,
-            restarts=restarts,
             queue_wait_s=job.queue_wait_s,
             total_s=(
                 max(job.finished_at - job.submitted_at, 0.0)
@@ -212,8 +154,6 @@ class ServiceTelemetry:
             cancelled=by_status["cancelled"],
             shed=shed,
             retries=sum(record.retries for record in records),
-            heals=sum(record.heals for record in records),
-            restarts=sum(record.restarts for record in records),
             result_cache_hits=sum(1 for record in records if record.from_result_cache),
             throughput_jobs_per_s=throughput,
             latency_p50_s=_percentile(latencies, 0.50),

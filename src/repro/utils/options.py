@@ -24,14 +24,11 @@ __all__ = [
     "NewtonOptions",
     "ContinuationOptions",
     "RecoveryPolicy",
-    "RestartPolicy",
     "TransientOptions",
     "ShootingOptions",
     "HarmonicBalanceOptions",
     "MPDEOptions",
     "EVALUATION_BACKENDS",
-    "FACTOR_BACKENDS",
-    "KERNEL_BACKENDS",
     "PRECONDITIONER_KINDS",
     "RECOVERY_RUNGS",
 ]
@@ -47,28 +44,6 @@ PRECONDITIONER_KINDS = ("ilu", "block_circulant", "block_circulant_fast", "jacob
 #: engine (:mod:`repro.circuits.engine`), ``"loop"`` is the per-device
 #: reference path the engine is property-tested against.
 EVALUATION_BACKENDS = ("batched", "loop")
-
-#: Kernel execution backends of the batched engine (the parallel execution
-#: layer, :mod:`repro.parallel`): ``"serial"`` runs the class kernels in the
-#: calling process, ``"sharded"`` splits the ``P`` grid-point axis across a
-#: pool of forked worker processes (bit-for-bit equal to serial; falls back
-#: to serial with a recorded reason when the environment cannot shard).
-#: Defined here (the bottom of the import graph) so the option validation
-#: and :mod:`repro.parallel.backends` share one source of truth.
-KERNEL_BACKENDS = ("serial", "sharded")
-
-#: How ``parallel=True`` factors (and applies) the per-slow-harmonic LUs of
-#: the ``"block_circulant_fast"`` preconditioner: ``"threads"`` batch-factors
-#: eagerly on an in-process thread pool (the factors live in the parent and
-#: applies run serially there); ``"resident"`` keeps the factors *in forked
-#: worker processes* — each worker owns a contiguous slice of the harmonics,
-#: factors it from shared-memory copies of the base matrices, and serves
-#: batched back-substitutions so one preconditioner apply becomes one
-#: broadcast (FFT in the parent, per-harmonic solves in parallel in the
-#: workers, IFFT in the parent).  Bit-for-bit equal either way.  Defined here
-#: (the bottom of the import graph) so option validation and
-#: :mod:`repro.parallel.factor_service` share one source of truth.
-FACTOR_BACKENDS = ("threads", "resident")
 
 #: The canonical recovery-ladder rung names, in default escalation order.
 #: Defined here (the bottom of the import graph) so :class:`RecoveryPolicy`
@@ -101,63 +76,6 @@ def _require_in(name: str, value: Any, allowed: tuple[Any, ...]) -> None:
 
 
 @dataclass(frozen=True)
-class RestartPolicy:
-    """Controls for supervised self-healing of the forked worker pools.
-
-    Both worker pools — the sharded evaluation pool and the resident factor
-    service — hand their failure paths to a
-    :class:`~repro.resilience.supervisor.PoolSupervisor` driven by this
-    policy: on a crash/hang the pool is torn down, restarted after an
-    exponential backoff, health-probed for bit-for-bit parity, and only
-    disabled *stickily* (serial for the rest of the process) once the
-    restart budget is exhausted.  Every step lands on
-    ``MPDEStats.supervisor_trace``.
-
-    Attributes
-    ----------
-    max_restarts:
-        Restart budget per pool lifetime (not per solve — a flapping worker
-        must not grind a long solve into endless restart cycles).  ``0``
-        restores the pre-supervision behaviour: the first failure disables
-        the parallel path permanently.
-    backoff_base_s:
-        Backoff before the first restart attempt; attempt ``k`` sleeps
-        ``min(backoff_base_s * 2**(k - 1), backoff_cap_s)``.
-    backoff_cap_s:
-        Ceiling on the exponential backoff.
-    health_probe:
-        Run the cheap parity probe before re-admitting a restarted pool to
-        the solve path.  Leave on: a restarted-but-broken pool that skipped
-        its probe could corrupt results silently.
-    """
-
-    max_restarts: int = 2
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    health_probe: bool = True
-
-    def __post_init__(self) -> None:
-        _require_nonnegative("max_restarts", self.max_restarts)
-        _require_nonnegative("backoff_base_s", self.backoff_base_s)
-        _require_nonnegative("backoff_cap_s", self.backoff_cap_s)
-        if self.backoff_cap_s < self.backoff_base_s:
-            raise ConfigurationError(
-                f"backoff_cap_s ({self.backoff_cap_s!r}) must be >= "
-                f"backoff_base_s ({self.backoff_base_s!r})"
-            )
-
-    def backoff_s(self, attempt: int) -> float:
-        """Backoff (seconds) before 1-based restart ``attempt``."""
-        if attempt < 1:
-            raise ValueError(f"attempt must be >= 1, got {attempt}")
-        return min(self.backoff_base_s * 2.0 ** (attempt - 1), self.backoff_cap_s)
-
-    def with_(self, **changes: Any) -> "RestartPolicy":
-        """Return a copy with ``changes`` applied."""
-        return replace(self, **changes)
-
-
-@dataclass(frozen=True)
 class EvaluationOptions:
     """Controls for circuit-equation evaluation (``Circuit.compile``).
 
@@ -170,56 +88,12 @@ class EvaluationOptions:
         ``"loop"`` is the per-device reference path; the two are bit-for-bit
         equal (property-tested) so the knob only trades speed, never
         results.
-    kernel_backend:
-        Execution backend of the batched engine's class kernels (the
-        parallel layer, :mod:`repro.parallel`): ``"serial"`` (default) runs
-        them in the calling process; ``"sharded"`` splits the ``P``
-        grid-point axis across a pool of forked worker processes sharing the
-        compiled engine, bit-for-bit equal to serial.  Sharding degrades
-        gracefully: on environments that cannot shard (single CPU with auto
-        worker count, no ``fork`` start method) or when a worker fails, the
-        system falls back to the serial path and records the reason
-        (``MNASystem.parallel_fallback_reason``).  Ignored by the ``"loop"``
-        evaluation backend.
-    n_workers:
-        Worker-process count for the sharded backend.  ``None`` (default)
-        auto-sizes from the usable CPU count — and resolves to serial on a
-        single-CPU machine; an explicit count >= 2 is honoured wherever
-        ``fork`` exists, ``1`` explicitly selects the serial path.
-    worker_timeout_s:
-        Watchdog deadline (seconds) on every reply read from a sharded
-        worker.  A worker that does not answer within the timeout is treated
-        as hung: the pool is torn down (``terminate()`` escalating to
-        ``kill()``), shared memory is released, and the evaluation retries
-        on the serial path with the reason recorded in
-        ``MNASystem.parallel_fallback_reason``.  ``None`` disables the
-        watchdog (blocking reads, pre-watchdog behaviour).
-    restart:
-        :class:`RestartPolicy` driving the supervised self-healing of the
-        sharded worker pool: a failed pool is restarted with exponential
-        backoff and parity-probed before re-admission; only an exhausted
-        restart budget disables sharding stickily.
-        ``RestartPolicy(max_restarts=0)`` restores the pre-supervision
-        first-failure-disables behaviour.
     """
 
     evaluation_backend: str = "batched"
-    kernel_backend: str = "serial"
-    n_workers: int | None = None
-    worker_timeout_s: float | None = 120.0
-    restart: RestartPolicy = field(default_factory=RestartPolicy)
 
     def __post_init__(self) -> None:
         _require_in("evaluation_backend", self.evaluation_backend, EVALUATION_BACKENDS)
-        _require_in("kernel_backend", self.kernel_backend, KERNEL_BACKENDS)
-        if self.n_workers is not None:
-            _require_positive("n_workers", self.n_workers)
-        if self.worker_timeout_s is not None:
-            _require_positive("worker_timeout_s", self.worker_timeout_s)
-        if not isinstance(self.restart, RestartPolicy):
-            raise ConfigurationError(
-                f"restart must be a RestartPolicy, got {type(self.restart).__name__}"
-            )
 
 
 @dataclass(frozen=True)
@@ -311,7 +185,7 @@ class RecoveryPolicy:
     """Controls for the solve-failure recovery escalation ladder.
 
     When an MPDE solve fails (Newton divergence, singular or stagnating
-    linear solves, preconditioner degradation, worker-pool trouble) the
+    linear solves, preconditioner degradation) the
     solver classifies the failure (:mod:`repro.resilience.taxonomy`) and
     walks the ``ladder`` of recovery rungs in order, retrying the solve
     under each rung's adjusted configuration until one succeeds or the
@@ -558,62 +432,6 @@ class MPDEOptions:
         iterations marks the cached preconditioner stale so it is rebuilt
         *before* the next solve (instead of only after an outright GMRES
         failure, which wasted a full failed solve).
-    parallel:
-        Route the solve through the parallel execution layer
-        (:mod:`repro.parallel`): device evaluations run on the *sharded*
-        kernel backend (the ``P`` grid-point axis split across forked
-        workers, bit-for-bit equal to serial), and the
-        ``"block_circulant_fast"`` preconditioner batch-factors its
-        independent per-slow-harmonic LUs *eagerly* on a shared worker pool
-        instead of lazily one by one.  Degrades gracefully: when the
-        environment cannot shard (or a worker fails mid-solve) everything
-        falls back to the serial paths and
-        ``MPDEStats.parallel_fallback_reason`` records why.  See
-        ``docs/parallel.md`` for the cost model — sharding pays only once
-        ``P * n_group`` kernel work dominates the per-evaluation dispatch
-        overhead.
-    n_workers:
-        Worker count for ``parallel=True``.  ``None`` auto-sizes from the
-        usable CPU count (and resolves to serial on one CPU); an explicit
-        count >= 2 forces real worker pools wherever ``fork`` exists.
-    factor_backend:
-        How ``parallel=True`` runs the ``"block_circulant_fast"``
-        per-harmonic factorisations and applies:
-
-        * ``"threads"`` (default) — eager batch factorisation on an
-          in-process thread pool; the SuperLU factors live in the parent
-          and every apply back-substitutes serially there.
-        * ``"resident"`` — a worker-resident factor service
-          (:class:`~repro.parallel.factor_service.ResidentFactorPool`):
-          each forked worker *owns* a contiguous slice of the
-          ``n_slow // 2 + 1`` distinct harmonics, factors it in-worker from
-          shared-memory copies of the base matrices (SuperLU objects never
-          cross the process boundary), and serves batched back-substitutions
-          so the per-harmonic solves of one preconditioner apply run
-          concurrently.  Bit-for-bit equal to ``"threads"``; falls back to
-          the in-process path (sticky, with the reason recorded in
-          ``MPDEStats.parallel_fallback_reason``) when a worker fails or
-          hangs.  Ignored by every other preconditioner mode and by
-          ``parallel=False``.
-    worker_timeout_s:
-        Watchdog deadline (seconds) on every reply the resident factor
-        service gathers from its workers.  A worker that does not answer in
-        time is treated as hung: the service tears its pool down (SIGTERM
-        escalating to SIGKILL, shared memory unlinked) and the solve
-        continues on the in-process factor path.  ``None`` disables the
-        watchdog.  The sharded *evaluation* pool has its own knob of the
-        same name on :class:`EvaluationOptions`.
-    restart:
-        :class:`RestartPolicy` driving supervised self-healing of the
-        resident factor service (and of any sharded evaluation pool the
-        solve routes through): a crashed/hung pool is restarted with
-        exponential backoff and parity-probed before re-admission, and only
-        an exhausted restart budget flips the solve to the sticky serial
-        path.  Heals and exhaustions land on
-        ``MPDEStats.supervisor_trace``, and
-        ``MPDEStats.parallel_fallback_reason`` distinguishes
-        ``"degraded (healing): ..."`` from
-        ``"disabled (budget exhausted): ..."``.
     recovery:
         The :class:`RecoveryPolicy` escalation ladder applied when a solve
         fails.  The default policy retries through Newton refresh, extra
@@ -660,11 +478,6 @@ class MPDEOptions:
     gmres_tol: float = 1e-9
     gmres_restart: int = 80
     initial_guess: str = "dc"
-    parallel: bool = False
-    n_workers: int | None = None
-    factor_backend: str = "threads"
-    worker_timeout_s: float | None = 120.0
-    restart: RestartPolicy = field(default_factory=RestartPolicy)
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     deadline_s: float | None = None
     checkpoint_path: str | None = None
@@ -689,15 +502,6 @@ class MPDEOptions:
         _require_nonnegative("precond_refresh_slack", self.precond_refresh_slack)
         _require_positive("gmres_tol", self.gmres_tol)
         _require_positive("gmres_restart", self.gmres_restart)
-        if self.n_workers is not None:
-            _require_positive("n_workers", self.n_workers)
-        _require_in("factor_backend", self.factor_backend, FACTOR_BACKENDS)
-        if self.worker_timeout_s is not None:
-            _require_positive("worker_timeout_s", self.worker_timeout_s)
-        if not isinstance(self.restart, RestartPolicy):
-            raise ConfigurationError(
-                f"restart must be a RestartPolicy, got {type(self.restart).__name__}"
-            )
         if not isinstance(self.recovery, RecoveryPolicy):
             raise ConfigurationError(
                 f"recovery must be a RecoveryPolicy, got {type(self.recovery).__name__}"

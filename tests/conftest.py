@@ -1,28 +1,5 @@
 """Shared fixtures: small reference circuits used across the test suite.
 
-Parallel tier-1 mode
---------------------
-Setting ``REPRO_TIER1_WORKERS=N`` (N >= 2) reroutes every ``Circuit.compile``
-call that does not pass explicit options through the *sharded* kernel backend
-with ``N`` worker processes — the whole tier-1 suite then runs on the
-parallel execution layer and must pass identically (sharding is bit-for-bit
-equal to serial by contract).  The CI workflow runs one such job; tests that
-pin their own ``EvaluationOptions`` are deliberately left untouched.
-
-Resident-factor tier-1 mode
----------------------------
-Setting ``REPRO_TIER1_FACTOR_BACKEND=resident`` reroutes every
-:class:`~repro.core.solver.MPDESolver` built with default execution options
-through the worker-resident factor service
-(``MPDEOptions(parallel=True, factor_backend="resident")``; worker count from
-``REPRO_TIER1_WORKERS`` when >= 2, else 2) — the whole tier-1 suite then runs
-its partially-averaged preconditioner applies in forked workers and must pass
-identically (the service is bit-for-bit equal to the in-process path by
-contract).  Only the factor path reroutes: device evaluation keeps whatever
-the test configured, and tests that pin their own ``parallel`` /
-``n_workers`` / ``factor_backend`` options are deliberately left untouched.
-The CI workflow runs one such job (``tier1-resident``).
-
 Fault-injected tier-1 mode
 --------------------------
 Setting ``REPRO_FAULT_PROFILE`` to a comma-separated list of named fault
@@ -63,66 +40,6 @@ from repro.circuits.devices import (
 )
 from repro.rf import ideal_multiplier_mixer, unbalanced_switching_mixer
 from repro.signals import DCStimulus, SinusoidStimulus, SumStimulus
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _tier1_parallel_workers():
-    """Honour ``REPRO_TIER1_WORKERS`` (see the module docstring)."""
-    workers = int(os.environ.get("REPRO_TIER1_WORKERS", "0") or 0)
-    if workers < 2:
-        yield
-        return
-    from repro.utils import EvaluationOptions
-
-    original = Circuit.compile
-
-    def compile_with_workers(self, options=None):
-        if options is None:
-            options = EvaluationOptions(kernel_backend="sharded", n_workers=workers)
-        return original(self, options)
-
-    Circuit.compile = compile_with_workers
-    try:
-        yield
-    finally:
-        Circuit.compile = original
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _tier1_factor_backend():
-    """Honour ``REPRO_TIER1_FACTOR_BACKEND`` (see the module docstring)."""
-    backend = os.environ.get("REPRO_TIER1_FACTOR_BACKEND", "").strip()
-    if backend != "resident":
-        yield
-        return
-    import dataclasses
-
-    from repro.core.solver import MPDESolver
-
-    workers = int(os.environ.get("REPRO_TIER1_WORKERS", "0") or 0)
-    workers = workers if workers >= 2 else 2
-    original = MPDESolver.__init__
-
-    def init_with_resident(self, problem, options=None):
-        effective = options or problem.options
-        if (
-            not effective.parallel
-            and effective.n_workers is None
-            and effective.factor_backend == "threads"
-        ):
-            # Default execution knobs: reroute the factor path only.  The
-            # problem (and its MNA evaluation options) stay untouched, so
-            # device evaluation keeps running however the test set it up.
-            options = dataclasses.replace(
-                effective, parallel=True, n_workers=workers, factor_backend="resident"
-            )
-        original(self, problem, options)
-
-    MPDESolver.__init__ = init_with_resident
-    try:
-        yield
-    finally:
-        MPDESolver.__init__ = original
 
 
 @pytest.fixture(scope="session", autouse=True)

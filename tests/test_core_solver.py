@@ -221,3 +221,64 @@ class TestResultAccessors:
         _, result = switching_result
         with pytest.raises(MPDEError):
             result.diagonal_waveform("out", t_start=1.0, t_stop=0.5)
+
+
+class TestMPDEStatsTimingBreakdown:
+    """Every solver mode populates the wall-time breakdown sensibly."""
+
+    @pytest.fixture(scope="class")
+    def mixer(self):
+        mixer = unbalanced_switching_mixer(lo_frequency=2e6, difference_frequency=50e3)
+        return mixer, mixer.compile()
+
+    def _stats(self, mixer, **kwargs):
+        mixer_obj, mna = mixer
+        options = MPDEOptions(n_fast=16, n_slow=8, **kwargs)
+        return solve_mpde(mna, mixer_obj.scales, options).stats
+
+    def _assert_bounded(self, stats):
+        total = (
+            stats.eval_time_s
+            + stats.factorization_time_s
+            + stats.preconditioner_build_time_s
+            + stats.gmres_time_s
+        )
+        assert 0.0 < total <= stats.wall_time_seconds
+
+    def test_direct_chord_mode(self, mixer):
+        stats = self._stats(mixer)
+        assert stats.eval_time_s > 0.0
+        assert stats.factorization_time_s > 0.0
+        assert stats.preconditioner_build_time_s == 0.0
+        assert stats.gmres_time_s == 0.0
+        self._assert_bounded(stats)
+
+    def test_direct_full_newton_mode(self, mixer):
+        stats = self._stats(mixer, chord_newton=False)
+        assert stats.eval_time_s > 0.0 and stats.factorization_time_s > 0.0
+        self._assert_bounded(stats)
+
+    def test_assembled_gmres_mode(self, mixer):
+        stats = self._stats(mixer, linear_solver="gmres")
+        assert stats.eval_time_s > 0.0
+        assert stats.factorization_time_s == 0.0
+        assert stats.preconditioner_build_time_s > 0.0
+        assert stats.gmres_time_s > 0.0
+        self._assert_bounded(stats)
+
+    @pytest.mark.parametrize(
+        "preconditioner", ["ilu", "block_circulant", "block_circulant_fast"]
+    )
+    def test_matrix_free_modes(self, mixer, preconditioner):
+        stats = self._stats(mixer, matrix_free=True, preconditioner=preconditioner)
+        assert stats.eval_time_s > 0.0
+        assert stats.preconditioner_build_time_s > 0.0
+        assert stats.gmres_time_s > 0.0
+        assert stats.factorization_time_s == 0.0
+        self._assert_bounded(stats)
+        # The per-harmonic back-substitutions are a subdivision of the
+        # GMRES bucket, filled only by the partially-averaged mode.
+        if preconditioner == "block_circulant_fast":
+            assert 0.0 < stats.gmres_backsub_time_s <= stats.gmres_time_s
+        else:
+            assert stats.gmres_backsub_time_s == 0.0

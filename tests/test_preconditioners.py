@@ -329,6 +329,27 @@ class TestBlockCirculantFastProperty:
         precond.solve(rng.normal(size=vector.size))
         assert precond.harmonic_factorizations == n_slow // 2 + 1
 
+    def test_lazy_harmonic_builds_on_mixer(self, scaled_switching_mixer, rng):
+        """Built through the MPDE problem, the mode factors each distinct
+        harmonic once, on the first apply, and repeated applies are exact
+        replays of the cached factorisations."""
+        mna = scaled_switching_mixer.compile()
+        options = MPDEOptions(n_fast=12, n_slow=8, fast_method="fourier", slow_method="fourier")
+        problem = MPDEProblem(mna, scaled_switching_mixer.scales, options)
+        x = rng.normal(scale=0.2, size=problem.n_total_unknowns)
+        evaluation = mna.evaluate_sparse(problem.reshape_states(x))
+        precond = problem.build_preconditioner(
+            "block_circulant_fast", c_data=evaluation.c_data, g_data=evaluation.g_data
+        )
+        distinct = options.n_slow // 2 + 1
+        assert precond.harmonic_factorizations == 0
+        vector = rng.normal(size=problem.n_total_unknowns)
+        first = precond.solve(vector)
+        assert precond.harmonic_factorizations == distinct
+        np.testing.assert_array_equal(precond.solve(vector), first)
+        precond.solve(rng.normal(size=problem.n_total_unknowns))
+        assert precond.harmonic_factorizations == distinct
+
     def test_one_dimensional_case_is_the_exact_jacobian(self, rng):
         """With ``n_slow = 1`` the averaging is a no-op and the single
         per-harmonic system equals the unaveraged collocation Jacobian."""

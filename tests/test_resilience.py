@@ -1,7 +1,7 @@
 """Tests for the solver resilience subsystem.
 
-Every recovery-ladder rung, both watchdogs (per-solve deadlines and the
-worker-pool reply timeout) and the structured failure diagnostics are
+Every recovery-ladder rung, per-solve deadlines and the structured
+failure diagnostics are
 exercised here through the deterministic fault-injection registry
 (:mod:`repro.resilience.faultinject`) — no reliance on rare real failures.
 
@@ -13,9 +13,6 @@ the first rung, and so on).
 
 from __future__ import annotations
 
-import os
-import time
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -26,7 +23,6 @@ from repro.circuits import Circuit
 from repro.circuits.devices import Capacitor, Resistor, VoltageSource
 from repro.core import ShearedTimeScales, solve_mpde
 from repro.linalg.krylov import gmres_solve
-from repro.parallel import ShardedKernelPool, WorkerPoolError, detect_capabilities
 from repro.resilience import (
     Deadline,
     FaultInjected,
@@ -39,8 +35,6 @@ from repro.resilience import (
     inject_faults,
     nan_evaluation,
     singular_jacobian,
-    worker_crash,
-    worker_hang,
 )
 from repro.rf import balanced_lo_doubling_mixer
 from repro.signals import ModulatedCarrierStimulus, SinusoidStimulus, SumStimulus
@@ -48,12 +42,10 @@ from repro.utils import (
     ConfigurationError,
     ConvergenceError,
     DeadlineExceededError,
-    EvaluationOptions,
     GMRESStagnationError,
     MPDEOptions,
     NewtonOptions,
     RecoveryPolicy,
-    RestartPolicy,
     SingularMatrixError,
 )
 
@@ -138,7 +130,6 @@ class TestClassifyFailure:
         assert classify_failure(SingularMatrixError("x")) == "singular"
         assert classify_failure(GMRESStagnationError("x")) == "gmres_stagnation"
         assert classify_failure(DeadlineExceededError("x")) == "deadline"
-        assert classify_failure(WorkerPoolError("x")) == "worker_pool"
         assert classify_failure(OverflowError("x")) == "non_finite"
         assert classify_failure(FaultInjected("x")) == "unknown"
         assert classify_failure(RuntimeError("x")) == "unknown"
@@ -205,34 +196,29 @@ class TestFaultInjection:
         assert outer.fired == 2 and inner.fired == 1
 
     def test_build_profile_specs_known_profiles(self):
-        specs = build_profile_specs("worker_crash, gmres_stall,singular_jacobian")
+        specs = build_profile_specs("cache_build, gmres_stall,singular_jacobian")
         assert [s.site for s in specs] == [
-            "worker.eval",
+            "service.cache_build",
             "solver.gmres",
             "solver.linear_solve",
         ]
         # Fresh objects with zeroed counters on every call.
-        again = build_profile_specs("worker_crash")
+        again = build_profile_specs("cache_build")
         assert again[0] is not specs[0]
         assert again[0].calls == 0 and again[0].fired == 0
 
     def test_build_profile_specs_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown fault profile"):
-            build_profile_specs("worker_crash,typo_profile")
+            build_profile_specs("gmres_stall,typo_profile")
         assert build_profile_specs("") == ()
-
-    def test_build_profile_specs_worker_hang(self):
-        (spec,) = build_profile_specs("worker_hang")
-        assert spec.site == "worker.eval"
-        assert spec.count == 1
 
     def test_threaded_visits_keep_counters_exact(self):
         """Regression: ``calls``/``fired`` raced under concurrent visits.
 
-        Eager harmonic factorisation drives the ``preconditioner.build``
-        site from concurrent ``WorkerPool`` threads; before the per-spec
-        lock, the unsynchronised ``+=`` bookkeeping could lose visits or
-        fire a ``count``-capped fault more than ``count`` times.
+        The simulation service visits fault sites from concurrent worker
+        threads; before the per-spec lock, the unsynchronised ``+=``
+        bookkeeping could lose visits or fire a ``count``-capped fault more
+        than ``count`` times.
         """
         import sys
         import threading
@@ -590,120 +576,29 @@ class TestFailureDiagnostics:
         assert "non-finite at" in diagnostics.summary()
         assert diagnostics.grid_shape == (64, 3)
 
+    def test_matrix_free_nan_residual_fails_like_direct(self):
+        # A NaN residual must not send GMRES through its whole iteration
+        # budget: the matrix-free solve fails at once, as the direct one
+        # does (the deadline only bounds the test if that regresses).
+        with pytest.raises(SingularMatrixError) as info:
+            _solve_rc(
+                spec=nan_evaluation(count=None),
+                initial_guess="zero",
+                recovery=RecoveryPolicy(ladder=()),
+                use_continuation=False,
+                matrix_free=True,
+                preconditioner="block_circulant_fast",
+                deadline_s=60.0,
+            )
+        assert "non-finite" in str(info.value)
+        assert info.value.diagnostics.non_finite_unknowns
+
     def test_residual_row_owners_names_stamping_devices(self):
         mna, _scales = _linear_rc()
         owners = mna.residual_row_owners()
         assert len(owners) == mna.n_unknowns
         out_row = mna.unknown_names.index("v(out)")
         assert {"r1", "c1"} <= set(owners[out_row])
-
-
-# ---------------------------------------------------------------------------
-# Worker-pool watchdogs (satellite)
-# ---------------------------------------------------------------------------
-
-_fork_only = pytest.mark.skipif(
-    not detect_capabilities().fork_available,
-    reason="process sharding requires the 'fork' start method",
-)
-
-
-@_fork_only
-class TestWorkerWatchdogs:
-    def _pool(self, mna, **kwargs):
-        return ShardedKernelPool(
-            mna.engine,
-            n_unknowns=mna.n_unknowns,
-            nnz_dynamic=mna.dynamic_pattern.nnz,
-            nnz_static=mna.static_pattern.nnz,
-            n_workers=2,
-            **kwargs,
-        )
-
-    def test_hung_worker_times_out_and_pool_tears_down(self, rng):
-        mna, _scales = _linear_rc()
-        X = rng.normal(size=(20, mna.n_unknowns))
-        start = time.monotonic()
-        # The plan must be armed before the pool forks: children inherit
-        # the module-global registry at fork time.
-        with inject_faults(worker_hang(hang_s=60.0, count=None)):
-            pool = self._pool(mna, reply_timeout_s=0.5)
-            processes = [process for process, _conn in pool._workers]
-            with pytest.raises(WorkerPoolError, match="timed out"):
-                pool.evaluate(X)
-        assert time.monotonic() - start < 30.0  # watchdog, not the 60 s hang
-        # Tear-down escalation must reap every child and release the
-        # shared-memory buffers: no zombies, no shm leaks.
-        assert not pool.alive
-        assert pool._workers == []
-        assert pool._buffers == {}
-        for process in processes:
-            try:
-                assert not process.is_alive()
-            except ValueError:
-                pass  # process object already closed: reaped, by definition
-
-    def test_crashed_worker_surfaces_as_pool_error(self, rng):
-        mna, _scales = _linear_rc()
-        with inject_faults(worker_crash(count=1)):
-            pool = self._pool(mna)
-            try:
-                with pytest.raises(WorkerPoolError):
-                    pool.evaluate(rng.normal(size=(20, mna.n_unknowns)))
-            finally:
-                pool.close()
-        assert pool._workers == [] and pool._buffers == {}
-
-    def test_worker_crash_falls_back_to_correct_serial_result(self, rng):
-        serial = _linear_rc()[0]
-        # max_restarts=0 pins the sticky serial degradation this test is
-        # about; with restart budget the crash would *heal* and clear the
-        # fallback reason (covered by test_selfhealing.py).
-        sharded = serial.circuit.compile(
-            EvaluationOptions(
-                kernel_backend="sharded",
-                n_workers=2,
-                restart=RestartPolicy(max_restarts=0),
-            )
-        )
-        try:
-            X = rng.normal(size=(20, serial.n_unknowns))
-            reference = serial.evaluate_sparse(X)
-            with inject_faults(worker_crash(count=1)):
-                result = sharded.evaluate_sparse(X)  # must not raise
-            np.testing.assert_array_equal(result.f, reference.f)
-            np.testing.assert_array_equal(result.q, reference.q)
-            assert sharded.parallel_fallback_reason != ""
-            # The degradation is sticky and stays correct.
-            again = sharded.evaluate_sparse(X)
-            np.testing.assert_array_equal(again.f, reference.f)
-        finally:
-            sharded.close()
-
-    def test_hung_worker_resolves_to_serial_result_within_timeout(self, rng):
-        serial = _linear_rc()[0]
-        sharded = serial.circuit.compile(
-            EvaluationOptions(
-                kernel_backend="sharded",
-                n_workers=2,
-                worker_timeout_s=0.5,
-                # Sticky watchdog fallback, without the supervised restarts
-                # re-hitting the infinite hang (count=None) first.
-                restart=RestartPolicy(max_restarts=0),
-            )
-        )
-        try:
-            X = rng.normal(size=(20, serial.n_unknowns))
-            reference = serial.evaluate_sparse(X)
-            start = time.monotonic()
-            with inject_faults(worker_hang(hang_s=60.0, count=None)):
-                result = sharded.evaluate_sparse(X)  # watchdog + serial retry
-            assert time.monotonic() - start < 30.0
-            np.testing.assert_array_equal(result.f, reference.f)
-            np.testing.assert_array_equal(result.q, reference.q)
-            assert "timed out" in sharded.parallel_fallback_reason
-        finally:
-            sharded.close()
 
 
 # ---------------------------------------------------------------------------

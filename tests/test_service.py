@@ -268,6 +268,12 @@ class TestJobRetryPolicy:
             value = policy.backoff_s(attempt, token=f"job-1:{attempt}")
             assert base <= value <= base * 1.2 + 1e-12
 
+    def test_backoff_doubles_and_caps(self):
+        policy = JobRetryPolicy(backoff_base_s=0.05, backoff_cap_s=0.4, jitter_fraction=0.0)
+        assert [policy.backoff_s(k) for k in range(1, 6)] == [0.05, 0.1, 0.2, 0.4, 0.4]
+        with pytest.raises(ValueError):
+            policy.backoff_s(0)
+
     def test_jitter_is_deterministic_per_token(self):
         policy = JobRetryPolicy(jitter_fraction=0.5)
         assert policy.backoff_s(1, token="x") == policy.backoff_s(1, token="x")
@@ -445,7 +451,7 @@ class TestRetries:
                 job = svc.submit(RC_SCENARIO)
                 run = job.result(timeout=120.0)
         assert run is not None
-        assert plan.specs[0].observed_fired() == 1
+        assert plan.specs[0].fired == 1
         assert job.retries == 1
         assert [a.outcome for a in job.attempts] == ["retried", "succeeded"]
         assert job.attempts[0].kind == "service"
@@ -455,7 +461,7 @@ class TestRetries:
             with _service(n_workers=1, memoize_results=False) as svc:
                 job = svc.submit(RC_SCENARIO)
                 job.result(timeout=120.0)
-        assert plan.specs[0].observed_fired() == 1
+        assert plan.specs[0].fired == 1
         assert job.status == "succeeded"
         assert job.retries == 1
 

@@ -3,8 +3,8 @@
 Satellite contract of the simulation service: a job that dies mid-solve
 with a checkpoint attached is retried *from the checkpoint* — and the
 resumed trajectory is bit-for-bit the trajectory of an uninterrupted run,
-including the case where the retry lands on a worker-pool generation that
-was crash-healed underneath the first attempt.
+whether the first attempt died on a singular direct-mode Jacobian or on a
+stalled matrix-free GMRES solve.
 
 Every comparison here is ``assert_array_equal`` (bitwise), so the module
 opts out of the ambient CI fault profiles; faults are injected explicitly
@@ -13,16 +13,15 @@ per test.
 
 from __future__ import annotations
 
-import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.parallel import detect_capabilities
-from repro.resilience import inject_faults, singular_jacobian, worker_crash
+from repro.resilience import gmres_stall, inject_faults, singular_jacobian
 from repro.scenarios import build_scenario_smoke, run_scenario, solve_case
 from repro.service import JobRetryPolicy, ServiceOptions, SimulationService, SweepRequest
-from repro.utils import EvaluationOptions, MPDEOptions, RecoveryPolicy, RestartPolicy
+from repro.utils import MPDEOptions, RecoveryPolicy
 
 from test_service import (
     RC_SCENARIO,
@@ -31,11 +30,6 @@ from test_service import (
 )
 
 pytestmark = pytest.mark.no_fault_injection
-
-_fork_only = pytest.mark.skipif(
-    not detect_capabilities().fork_available,
-    reason="needs the fork start method for shard worker pools",
-)
 
 #: Recovery disabled + no continuation: injected solver faults must escalate
 #: to the *job* retry layer instead of being absorbed by the in-solve ladder.
@@ -64,22 +58,13 @@ def _submit_and_wait(request):
     return job, run, snapshot
 
 
-def _serial_reference(compile_options=None):
-    """The uninterrupted run: same scenario, options and compiled backend."""
-    systems = []
-
-    def solve(case):
-        mna = case.circuit.compile(options=compile_options)
-        systems.append(mna)
-        return solve_case(case, mna=mna, options=_SOLVE_OPTIONS)
-
-    try:
-        return run_scenario(
-            build_scenario_smoke(RC_SCENARIO, nl=_NL), first_case_only=True, solve=solve
-        )
-    finally:
-        for mna in systems:
-            mna.close()
+def _serial_reference(options=_SOLVE_OPTIONS):
+    """The uninterrupted run: same scenario and options, no faults armed."""
+    return run_scenario(
+        build_scenario_smoke(RC_SCENARIO, nl=_NL),
+        first_case_only=True,
+        solve=lambda case: solve_case(case, options=options),
+    )
 
 
 class TestCheckpointRetry:
@@ -92,7 +77,7 @@ class TestCheckpointRetry:
         )
         with inject_faults(singular_jacobian(at_iteration=2, count=1)) as plan:
             job, run, _ = _submit_and_wait(request)
-        assert plan.specs[0].observed_fired() == 1
+        assert plan.specs[0].fired == 1
         assert job.status == "succeeded"
         assert [a.outcome for a in job.attempts] == ["retried", "succeeded"]
         assert job.attempts[0].kind == "singular"
@@ -123,46 +108,33 @@ class TestCheckpointRetry:
             run.case_runs[0].result.states, reference.case_runs[0].result.states
         )
 
-    @_fork_only
-    def test_retry_on_healed_pool_generation_is_bitwise(self):
-        # First attempt: a shard worker is killed (the supervisor heals the
-        # pool), then the Jacobian goes singular at iteration 2.  The retry
-        # resumes from the checkpoint on the *healed* pool generation and
-        # must land exactly where an undisturbed run lands.
-        compile_options = EvaluationOptions(
-            kernel_backend="sharded",
-            n_workers=2,
-            worker_timeout_s=30.0,
-            restart=RestartPolicy(max_restarts=10, backoff_base_s=0.001, backoff_cap_s=0.01),
+    def test_retry_after_gmres_stall_is_bitwise(self):
+        # Matrix-free solve: the third GMRES linear solve stalls, so the
+        # first attempt fails for real mid-solve.  The retry resumes from
+        # the checkpoint of the last accepted iterate and must land exactly
+        # where an undisturbed run lands (the partially-averaged
+        # preconditioner is rebuilt from each iterate, so the resumed
+        # trajectory carries no cached state).
+        options = replace(
+            _SOLVE_OPTIONS, matrix_free=True, preconditioner="block_circulant_fast"
         )
         request = SweepRequest(
             scenario=RC_SCENARIO,
             overrides={"nl": _NL},
-            solve_options=_SOLVE_OPTIONS,
-            compile_options=compile_options,
+            solve_options=options,
             retry=_RETRY,
         )
-        children_before = multiprocessing.active_children()
-        with inject_faults(
-            worker_crash(count=1, role="shard"),
-            singular_jacobian(at_iteration=2, count=1),
-        ) as plan:
+        with inject_faults(gmres_stall(at_call=3, count=1, site="solver.gmres")) as plan:
             job, run, snapshot = _submit_and_wait(request)
-        assert all(spec.observed_fired() >= 1 for spec in plan.specs)
+        assert plan.specs[0].fired == 1
         assert job.status == "succeeded"
-        assert job.retries == 1
+        assert [a.outcome for a in job.attempts] == ["retried", "succeeded"]
+        assert job.attempts[0].kind == "gmres_stagnation"
         assert job.attempts[1].resumed_from_checkpoint
-        assert snapshot.heals >= 1  # the pool recovery is visible in telemetry
+        assert snapshot.retries == 1
 
-        reference = _serial_reference(compile_options)
+        reference = _serial_reference(options)
         np.testing.assert_array_equal(
             run.case_runs[0].result.states, reference.case_runs[0].result.states
         )
-        # No stray shard workers: the service shutdown closed the cached
-        # system and its pools.
-        leaked = [
-            p for p in multiprocessing.active_children() if p not in children_before
-        ]
-        for proc in leaked:
-            proc.join(timeout=10.0)
-        assert not [p for p in leaked if p.is_alive()]
+        assert run.case_metrics == reference.case_metrics

@@ -1,8 +1,6 @@
-"""Idempotent teardown, end-to-end (a simulation-service satellite).
+"""Idempotent teardown of the simulation service, end-to-end.
 
-Every layer that owns operating-system resources — shared-memory blocks,
-forked worker pools, compiled systems, the solver's factor service, the
-service's compiled-circuit cache and thread pool — must treat a second
+The service's compiled-circuit cache and thread pool must treat a second
 ``close()`` / ``shutdown()`` as a no-op.  Teardown paths run from error
 handlers and ``finally`` blocks, where double invocation is routine; a
 teardown that only works once turns every error path into a new error.
@@ -12,15 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.mpde import MPDEProblem
-from repro.core.solver import MPDESolver
-from repro.parallel import detect_capabilities
-from repro.parallel.factor_service import ResidentFactorPool
-from repro.parallel.sharding import SharedArray
 from repro.service import CompiledCircuitCache, ServiceOptions, SimulationService
-from repro.utils import EvaluationOptions, MPDEOptions
 
-from test_chaos_soak import _repro_children, _shm_entries, _wait_for_no_children
 from test_resilience import _linear_rc
 from test_service import (
     RC_SCENARIO,
@@ -30,62 +21,12 @@ from test_service import (
 
 pytestmark = pytest.mark.no_fault_injection
 
-_fork_only = pytest.mark.skipif(
-    not detect_capabilities().fork_available,
-    reason="worker pools require the 'fork' start method",
-)
-
 
 @pytest.fixture(scope="module", autouse=True)
 def _scenarios():
     register_service_scenarios()
     yield
     unregister_service_scenarios()
-
-
-class TestSubstrateTeardown:
-    def test_shared_array_double_close(self):
-        shm_before = _shm_entries()
-        block = SharedArray((4, 4))
-        block.close()
-        block.close()
-        assert _shm_entries() - shm_before == set()
-
-    def test_serial_mna_double_close(self):
-        mna, _scales = _linear_rc()
-        mna.close()
-        mna.close()
-
-    @_fork_only
-    def test_sharded_mna_double_close_reaps_workers(self):
-        children_before = _repro_children()
-        shm_before = _shm_entries()
-        serial, _scales = _linear_rc()
-        mna = serial.circuit.compile(
-            EvaluationOptions(kernel_backend="sharded", n_workers=2)
-        )
-        # Force the lazy pool into existence before tearing it down.
-        import numpy as np
-
-        mna.evaluate(np.zeros((8, mna.n_unknowns)))
-        mna.close()
-        mna.close()
-        assert _wait_for_no_children(children_before) == []
-        assert _shm_entries() - shm_before == set()
-
-    def test_mpde_solver_double_close(self):
-        mna, scales = _linear_rc()
-        options = MPDEOptions(n_fast=8, n_slow=8)
-        solver = MPDESolver(MPDEProblem(mna, scales, options), options)
-        solver.close()
-        solver.close()
-        mna.close()
-
-    @_fork_only
-    def test_resident_factor_pool_double_close(self):
-        pool = ResidentFactorPool(1)
-        pool.close()
-        pool.close()  # and again, after it is already torn down
 
 
 class TestServiceTeardown:
@@ -109,23 +50,3 @@ class TestServiceTeardown:
             svc.submit(RC_SCENARIO).wait(timeout=120.0)
             svc.shutdown()
         # __exit__ called shutdown again — reaching here is the assertion.
-
-    @_fork_only
-    def test_service_double_shutdown_releases_sharded_resources(self):
-        from repro.service import SweepRequest
-
-        children_before = _repro_children()
-        shm_before = _shm_entries()
-        svc = SimulationService(ServiceOptions(n_workers=1, memoize_results=False))
-        svc.submit(
-            SweepRequest(
-                scenario=RC_SCENARIO,
-                compile_options=EvaluationOptions(
-                    kernel_backend="sharded", n_workers=2
-                ),
-            )
-        ).result(timeout=300.0)
-        svc.shutdown()
-        svc.shutdown()
-        assert _wait_for_no_children(children_before) == []
-        assert _shm_entries() - shm_before == set()
