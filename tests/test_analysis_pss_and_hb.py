@@ -139,3 +139,42 @@ class TestHarmonicBalance:
         result = harmonic_balance(mna, 1e3, options=HarmonicBalanceOptions(harmonics=3))
         with pytest.raises(AnalysisError):
             result.total_harmonic_distortion("mid")
+
+
+class TestCollocationConvergenceOrder:
+    """Observed order of each differentiation rule against the exact RC response.
+
+    The ``rc_lowpass`` fixture drives ``R = 1 kOhm``, ``C = 100 nF`` with a
+    1 kHz cosine, so the periodic steady state at ``out`` is exactly
+    ``Re(H exp(j w t))`` with ``H = 1 / (1 + j w R C)``.  This reference does
+    not move when the solver code moves.
+    """
+
+    freq = 1e3
+    rc = 1e3 * 100e-9
+
+    def _max_error(self, mna, n_samples, method):
+        result = collocation_periodic_steady_state(mna, 1.0 / self.freq, n_samples, method=method)
+        omega = 2 * np.pi * self.freq
+        transfer = 1.0 / (1.0 + 1j * omega * self.rc)
+        exact = np.real(transfer * np.exp(1j * omega * result.times))
+        return float(np.max(np.abs(mna.voltage(result.states, "out") - exact)))
+
+    @pytest.mark.parametrize(
+        "method, grids, order",
+        [
+            ("backward-euler", (32, 64, 128, 256), 1.0),
+            ("bdf2", (16, 32, 64, 128), 2.0),
+            ("central", (16, 32, 64, 128), 2.0),
+        ],
+    )
+    def test_observed_order_under_grid_doubling(self, rc_lowpass, method, grids, order):
+        mna = rc_lowpass.compile()
+        errors = [self._max_error(mna, n, method) for n in grids]
+        observed = np.log2(np.asarray(errors[:-1]) / np.asarray(errors[1:]))
+        assert np.all(observed >= order - 0.1), (method, observed)
+        assert np.all(observed <= order + 0.1), (method, observed)
+
+    def test_fourier_is_exact_to_rounding(self, rc_lowpass):
+        mna = rc_lowpass.compile()
+        assert self._max_error(mna, 8, "fourier") <= 1e-12
