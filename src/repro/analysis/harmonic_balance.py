@@ -8,8 +8,9 @@ collocation) form: the unknowns are the waveform samples at
 is applied with the exact Fourier differentiation matrix, and the harmonic
 coefficients are recovered by FFT.  This is algebraically equivalent to
 classical frequency-domain HB with ``K`` harmonics (the two formulations are
-related by the invertible DFT), while sharing its Newton infrastructure with
-the rest of the library.
+related by the invertible DFT).  It runs on collocation PSS, i.e. on the
+MPDE solver's one-axis problem, so it shares the Newton loop, recovery
+ladder and stats of the rest of the library.
 
 The paper's motivation section argues that HB struggles with the sharp,
 switching waveforms of integrated RF mixers because many Fourier terms are
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..circuits.mna import MNASystem
+from ..core.solver import MPDEStats
 from ..signals.waveform import Waveform
 from ..utils.exceptions import AnalysisError
 from ..utils.options import HarmonicBalanceOptions
@@ -64,6 +66,11 @@ class HarmonicBalanceResult:
     def newton_iterations(self) -> int:
         """Newton iterations spent on the HB system."""
         return self.collocation.newton_iterations
+
+    @property
+    def stats(self) -> MPDEStats:
+        """Solver statistics of the underlying one-axis MPDE solve."""
+        return self.collocation.stats
 
     def waveform(self, node: str) -> Waveform:
         """Time-domain waveform of a node voltage over one period."""

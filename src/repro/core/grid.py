@@ -8,7 +8,9 @@ artificial time axis:
   difference-frequency / baseband cycle),
 
 both with periodic boundary conditions, so the wrap-around points are not
-duplicated.  The paper's balanced-mixer example uses a 40 x 30 grid — 1200
+duplicated.  A grid with ``n_slow = 1`` is the one-axis (single-tone
+collocation) specialisation: the slow axis collapses to the single sample
+``t2 = 0``.  The paper's balanced-mixer example uses a 40 x 30 grid — 1200
 grid points in place of the >= 300 000 time steps single-time shooting needs.
 
 Grid points are flattened in row-major order: point ``p = i * n_slow + j``
@@ -34,9 +36,10 @@ from ..linalg.sparse import (
 from ..utils.exceptions import MPDEError
 from ..utils.validation import check_positive
 
-__all__ = ["MultiTimeGrid"]
+__all__ = ["DIFFERENTIATION", "MultiTimeGrid"]
 
-_DIFFERENTIATION = {
+#: Periodic differentiation rules by method name (shared with the 1-D PSS front end).
+DIFFERENTIATION = {
     "backward-euler": periodic_backward_difference,
     "bdf2": periodic_bdf2_difference,
     "central": periodic_central_difference,
@@ -53,7 +56,7 @@ class MultiTimeGrid:
     period_fast, period_slow:
         Axis periods ``T1`` and ``Td`` in seconds.
     n_fast, n_slow:
-        Number of samples per axis.
+        Number of samples per axis (``n_slow = 1`` for a one-axis grid).
     """
 
     period_fast: float
@@ -64,8 +67,10 @@ class MultiTimeGrid:
     def __post_init__(self) -> None:
         check_positive("period_fast", self.period_fast)
         check_positive("period_slow", self.period_slow)
-        if self.n_fast < 3 or self.n_slow < 3:
-            raise MPDEError("multi-time grids need at least 3 samples per axis")
+        if self.n_fast < 3 or (self.n_slow < 3 and self.n_slow != 1):
+            raise MPDEError(
+                "multi-time grids need at least 3 samples per axis (or n_slow = 1)"
+            )
 
     # -- geometry -------------------------------------------------------------
     @property
@@ -120,11 +125,11 @@ class MultiTimeGrid:
 
     # -- differentiation operators ---------------------------------------------
     def _axis_matrix(self, axis: str, method: str) -> sp.csr_matrix:
-        if method not in _DIFFERENTIATION:
+        if method not in DIFFERENTIATION:
             raise MPDEError(
-                f"unknown differentiation method {method!r}; available: {sorted(_DIFFERENTIATION)}"
+                f"unknown differentiation method {method!r}; available: {sorted(DIFFERENTIATION)}"
             )
-        builder = _DIFFERENTIATION[method]
+        builder = DIFFERENTIATION[method]
         if axis == "fast":
             return sp.csr_matrix(builder(self.n_fast, self.period_fast))
         if axis == "slow":

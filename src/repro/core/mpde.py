@@ -28,6 +28,8 @@ diagonal ``x(t) = x_hat(t, t)``.
 The ``"fourier"`` differentiation option on both axes turns the very same
 machinery into a two-tone harmonic-balance solver (spectral collocation in
 both artificial times), which the benchmarks use for the HB comparison.
+:meth:`MPDEProblem.periodic` builds the one-axis ``(n_samples, 1)`` problem
+that collocation PSS and single-tone HB solve with the same solver.
 
 Performance architecture (symbolic-once assembly)
 -------------------------------------------------
@@ -37,7 +39,8 @@ patterns; only the numeric values of the per-point blocks change between
 Newton iterations.  At construction the problem therefore precomputes
 
 * the merged CSC skeleton of ``J`` and the scatter map of every contribution
-  onto it (:class:`~repro.linalg.sparse.CollocationJacobianAssembler`), and
+  onto it (:class:`~repro.linalg.sparse.CollocationJacobianAssembler`), and,
+  on first use by the matrix-free operator,
 * block-diagonal CSR index structures for ``blockdiag(C_p)`` /
   ``blockdiag(G_p)`` (:class:`~repro.linalg.sparse.BlockDiagStructure`).
 
@@ -54,7 +57,8 @@ Telichevesky/Kundert/White (DAC 1995).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -91,15 +95,37 @@ __all__ = ["MPDEProblem"]
 _LOG = get_logger("core.mpde")
 
 
-@dataclass
 class _DiscreteOperators:
-    """Cached sparse operators and symbolic structures of the discretised MPDE."""
+    """Cached sparse operators and symbolic structures of the discretised MPDE.
 
-    derivative: sp.csr_matrix  # (P, P): D1 + D2 acting on grid-point index
-    derivative_kron: sp.csr_matrix  # (P*n, P*n): (D1 + D2) kron I_n
-    assembler: CollocationJacobianAssembler  # symbolic structure of the Jacobian
-    c_blocks: BlockDiagStructure  # blockdiag(C_p) CSR skeleton
-    g_blocks: BlockDiagStructure  # blockdiag(G_p) CSR skeleton
+    The derivative and the Jacobian assembler are built up front (every
+    residual and every direct-mode Newton step needs them); the ``kron``
+    product and the block-diagonal skeletons only serve the matrix-free
+    operator and the dense reference path, so they are built on first use.
+    """
+
+    def __init__(self, derivative: sp.csr_matrix, mna: MNASystem, n_points: int) -> None:
+        self.derivative = derivative  # (P, P) acting on the grid-point index
+        self._mna = mna
+        self._n_points = n_points
+        self.assembler = CollocationJacobianAssembler(
+            derivative, mna.dynamic_pattern, mna.static_pattern, mna.n_unknowns
+        )
+
+    @cached_property
+    def derivative_kron(self) -> sp.csr_matrix:
+        """``(P*n, P*n)``: the derivative ``kron I_n``."""
+        return kron_identity(self.derivative, self._mna.n_unknowns)
+
+    @cached_property
+    def c_blocks(self) -> BlockDiagStructure:
+        """``blockdiag(C_p)`` CSR skeleton."""
+        return BlockDiagStructure(self._mna.dynamic_pattern, self._n_points)
+
+    @cached_property
+    def g_blocks(self) -> BlockDiagStructure:
+        """``blockdiag(G_p)`` CSR skeleton."""
+        return BlockDiagStructure(self._mna.static_pattern, self._n_points)
 
 
 class MPDEProblem:
@@ -123,51 +149,79 @@ class MPDEProblem:
         scales: ShearedTimeScales | UnshearedTimeScales,
         options: MPDEOptions | None = None,
     ) -> None:
-        self.mna = mna
-        self.scales = scales
-        self.options = options or MPDEOptions()
-        self.grid = MultiTimeGrid(
+        options = options or MPDEOptions()
+        grid = MultiTimeGrid(
             period_fast=scales.fast_period,
             period_slow=scales.difference_period,
-            n_fast=self.options.n_fast,
-            n_slow=self.options.n_slow,
+            n_fast=options.n_fast,
+            n_slow=options.n_slow,
         )
-        self._operators = self._build_operators()
-        self._source_grid = self._build_source_grid()
-        self._axis_eigenvalues: tuple[np.ndarray, np.ndarray] | None = None
-
-    # -- assembly of constant pieces -------------------------------------------
-    def _build_operators(self) -> _DiscreteOperators:
-        derivative = self.grid.combined_derivative(
-            fast_method=self.options.fast_method,
-            slow_method=self.options.slow_method,
-        )
-        n = self.mna.n_unknowns
-        derivative_kron = kron_identity(derivative, n)
-        assembler = CollocationJacobianAssembler(
-            derivative, self.mna.dynamic_pattern, self.mna.static_pattern, n
-        )
-        c_blocks = BlockDiagStructure(self.mna.dynamic_pattern, self.grid.n_points)
-        g_blocks = BlockDiagStructure(self.mna.static_pattern, self.grid.n_points)
-        return _DiscreteOperators(
-            derivative=derivative,
-            derivative_kron=derivative_kron,
-            assembler=assembler,
-            c_blocks=c_blocks,
-            g_blocks=g_blocks,
+        t1, t2 = grid.mesh
+        self._setup(
+            mna,
+            scales,
+            options,
+            grid,
+            grid.combined_derivative(
+                fast_method=options.fast_method, slow_method=options.slow_method
+            ),
+            mna.source_bivariate(t1, t2, scales),
         )
 
-    def _build_source_grid(self) -> np.ndarray:
-        t1, t2 = self.grid.mesh
-        source = self.mna.source_bivariate(t1, t2, self.scales)
-        if source.shape != (self.grid.n_points, self.mna.n_unknowns):
+    @classmethod
+    def periodic(
+        cls,
+        mna: MNASystem,
+        period: float,
+        n_samples: int,
+        *,
+        method: str = "backward-euler",
+        t0: float = 0.0,
+        options: MPDEOptions | None = None,
+    ) -> "MPDEProblem":
+        """The one-axis problem: single-tone collocation periodic steady state.
+
+        The grid is ``(n_samples, 1)`` over one ``period``; the derivative is
+        the fast-axis differentiation matrix of ``method`` itself and the
+        source is the circuit excitation ``b(t0 + t)`` at the samples.  The
+        slow axis contributes the single circulant eigenvalue ``0``.  The
+        grid-resolution fields of ``options`` are not read.
+        """
+        options = replace(options or MPDEOptions(), fast_method=method)
+        grid = MultiTimeGrid(period_fast=period, period_slow=period, n_fast=n_samples, n_slow=1)
+        problem = cls.__new__(cls)
+        problem._setup(
+            mna,
+            None,
+            options,
+            grid,
+            grid.axis_matrix("fast", method),
+            mna.source(t0 + grid.fast_axis),
+            t0=t0,
+        )
+        problem._axis_eigenvalues = (
+            circulant_eigenvalues(problem._operators.derivative),
+            np.zeros(1),
+        )
+        return problem
+
+    def _setup(self, mna, scales, options, grid, derivative, source, *, t0: float = 0.0) -> None:
+        self.mna = mna
+        self.scales = scales
+        self.options = options
+        self.grid = grid
+        #: Phase reference of the excitation (non-zero only for one-axis problems).
+        self.t0 = float(t0)
+        self._operators = _DiscreteOperators(derivative, mna, grid.n_points)
+        if source.shape != (grid.n_points, mna.n_unknowns):
             raise MPDEError(
-                f"bivariate source grid has shape {source.shape}, expected "
-                f"({self.grid.n_points}, {self.mna.n_unknowns})"
+                f"source grid has shape {source.shape}, expected "
+                f"({grid.n_points}, {mna.n_unknowns})"
             )
         if not np.all(np.isfinite(source)):
-            raise MPDEError("bivariate excitation contains non-finite values")
-        return source
+            raise MPDEError("excitation contains non-finite values")
+        self._source_grid = source
+        self._axis_eigenvalues: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- sizes -------------------------------------------------------------------
     @property

@@ -6,11 +6,17 @@ assembled by :class:`~repro.core.mpde.MPDEProblem`, with
 * a sparse direct (LU) or ILU-preconditioned GMRES linear solver,
 * a backtracking line search (the same safeguards as the rest of the
   library), and
-* an optional source-stepping continuation fallback: when plain Newton fails
-  from the available initial guess, the time-varying part of the excitation
-  is ramped from zero (a DC-like problem) up to its full value — the
-  strategy the paper reports as "using continuation reliably obtained
+* a recovery ladder (:class:`~repro.utils.options.RecoveryPolicy`) whose
+  ``continuation`` rung is the source-stepping fallback: when plain Newton
+  fails from the available initial guess, the time-varying part of the
+  excitation is ramped from zero (a DC-like problem) up to its full value —
+  the strategy the paper reports as "using continuation reliably obtained
   solutions in 10-20m" for the hard starts.
+
+The same driver solves the one-axis problems of
+:meth:`~repro.core.mpde.MPDEProblem.periodic` (collocation PSS and
+single-tone HB), so every analysis shares one Newton loop, one ladder, one
+checkpoint format and one :class:`MPDEStats` record.
 
 The result object :class:`MPDEResult` exposes the post-processing the
 paper's figures need: bivariate surfaces (Figs. 3 and 5), the baseband
@@ -777,7 +783,7 @@ class MPDESolver:
             result = run_transient(
                 self.problem.mna,
                 t_stop=5.0 * period,
-                dt=period / max(20, self.options.n_fast),
+                dt=period / max(20, self.problem.grid.n_fast),
             )
             return self.problem.initial_guess_from_state(result.final_state())
         raise MPDEError(f"unknown initial_guess mode {mode!r}")
@@ -791,12 +797,13 @@ class MPDESolver:
             "mpde",
             circuit=self.problem.mna.circuit.name,
             unknowns=list(self.problem.mna.unknown_names),
-            n_fast=opts.n_fast,
-            n_slow=opts.n_slow,
+            n_fast=grid.n_fast,
+            n_slow=grid.n_slow,
+            t0=self.problem.t0,
             period_fast=grid.period_fast,
             period_slow=grid.period_slow,
-            fast_method=opts.fast_method,
-            slow_method=opts.slow_method,
+            fast_method=self.problem.options.fast_method,
+            slow_method=self.problem.options.slow_method,
             linear_solver=opts.linear_solver,
             matrix_free=opts.matrix_free,
             preconditioner=opts.preconditioner,
@@ -889,10 +896,7 @@ class MPDESolver:
                     )
 
         try:
-            if self.options.recovery.enabled:
-                x = self._solve_with_recovery(x_start, stats)
-            else:
-                x = self._solve_legacy(x_start, stats)
+            x = self._solve_with_recovery(x_start, stats)
         except DeadlineExceededError as exc:
             if exc.partial_stats is None:
                 exc.partial_stats = stats
@@ -911,34 +915,18 @@ class MPDESolver:
             raise
         finally:
             stats.wall_time_seconds = time.perf_counter() - start
+            # Release the factorisations now: no later solve reuses them, and
+            # the solver itself is freed only by the cycle collector (the
+            # Krylov manager holds a bound method of it), which would keep
+            # their native LU memory alive well past the solve.
+            self._krylov.cached = None
+            if self._chord is not None:
+                self._chord.invalidate()
 
         stats.converged = True
         states = self.problem.reshape_states(x)
         gridded = self.problem.grid.reshape_to_grid(states)
         return MPDEResult(states=gridded, problem=self.problem, stats=stats)
-
-    def _solve_legacy(self, x_start: np.ndarray, stats: MPDEStats) -> np.ndarray:
-        """Pre-resilience solve path (``recovery.enabled=False``)."""
-        x, converged = self._newton(x_start, stats)
-        if not converged and self.options.use_continuation:
-            _LOG.info(
-                "plain Newton failed on the MPDE system (residual %.3e); falling back to "
-                "source-stepping continuation",
-                stats.residual_norm,
-            )
-            x = self._continuation(x_start, stats)
-            converged = True
-        if not converged:
-            raise self._attach_terminal_diagnostics(
-                ConvergenceError(
-                    "MPDE Newton iteration did not converge and continuation is disabled "
-                    f"(residual norm {stats.residual_norm:.3e})",
-                    iterations=stats.newton_iterations,
-                    residual_norm=stats.residual_norm,
-                ),
-                "divergence",
-            )
-        return x
 
     # -- recovery escalation ladder ----------------------------------------------------
     def _solve_with_recovery(self, x_start: np.ndarray, stats: MPDEStats) -> np.ndarray:
@@ -1059,8 +1047,6 @@ class MPDESolver:
                 return False, f"no downgrade below {self._active_preconditioner!r}"
             return True, ""
         if rung == "continuation":
-            if not self.options.use_continuation:
-                return False, "use_continuation=False"
             return True, ""
         if rung == "guess_retry":
             modes = [

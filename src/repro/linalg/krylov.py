@@ -206,8 +206,8 @@ def gmres_solve(
 class CachedPreconditionedGMRES:
     """The cached-preconditioner discipline shared by the Krylov front ends.
 
-    Owns the one policy both the MPDE Newton solver and the matrix-free 1-D
-    collocation solver follow for every linear solve:
+    Owns the one policy the MPDE Newton solver (and with it two-tone HB and
+    collocation PSS) follows for every linear solve:
 
     * preconditioners whose build costs no more than a few matvecs
       (``cheap_rebuild``) are rebuilt from fresh Jacobian data every solve;

@@ -265,9 +265,8 @@ def averaged_dense_blocks(
     """Grid-averaged device Jacobians as dense ``(n, n)`` blocks.
 
     ``(C_bar, G_bar)`` are the per-harmonic building blocks of the
-    block-circulant preconditioner; both collocation front ends (the 2-D MPDE
-    grid and the 1-D periodic steady state) share this recipe so the averaged
-    operator cannot silently diverge between them.  The patterns are the
+    block-circulant preconditioner, on the 2-D MPDE grid and the one-axis
+    periodic steady state alike.  The patterns are the
     circuit's compiled :class:`~repro.linalg.sparse.StampPattern` objects and
     the data arrays come from ``MNASystem.evaluate_sparse``.
     """
@@ -333,9 +332,9 @@ def build_averaged_preconditioner(
 ) -> Preconditioner:
     """Kind dispatch over the grid-averaged-operator preconditioner family.
 
-    Both collocation front ends (the 2-D MPDE solver and the 1-D periodic
-    steady state) build their matrix-free preconditioners through this one
-    factory so the construction recipes cannot drift apart:
+    :meth:`~repro.core.mpde.MPDEProblem.build_preconditioner` builds every
+    matrix-free preconditioner through this factory, for the 2-D MPDE and
+    the one-axis periodic steady state (``grid_shape = (n, 1)``) alike:
 
     * ``"none"`` — :class:`IdentityPreconditioner` of ``size``.
     * ``"block_circulant"`` — per-harmonic blocks from the averaged dense

@@ -382,8 +382,9 @@ _PROFILES: dict[str, Callable[[], FaultSpec]] = {
     # it.  Scoped to the solver-level site so direct unit tests of the
     # Krylov layer (which have no recovery machinery above them) still pass.
     "gmres_stall": lambda: gmres_stall(count=1, site="solver.gmres"),
-    # First Newton linear solve hits a singular Jacobian; the ladder or the
-    # analysis-level stepping fallbacks must recover.
+    # First solver Newton linear solve hits a singular Jacobian; the ladder
+    # must recover (MPDE, HB and collocation PSS all run on the solver; only
+    # DC keeps its own gmin/source stepping).
     "singular_jacobian": lambda: singular_jacobian(count=1),
     # First compiled-circuit cache build fails; the simulation service's
     # job retry budget must rebuild and complete the request.  Outside the

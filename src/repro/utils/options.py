@@ -116,9 +116,6 @@ class NewtonOptions:
         If finite, Newton updates with a larger infinity norm are scaled
         back to this value (simple trust-region safeguard, useful for
         exponential device models).
-    check_every:
-        Residual/update convergence is evaluated every iteration; this knob
-        exists for compatibility with tests that want to slow down checking.
     """
 
     max_iterations: int = 60
@@ -127,7 +124,6 @@ class NewtonOptions:
     damping: float = 1.0
     min_damping: float = 1.0 / 1024.0
     max_step_norm: float = float("inf")
-    check_every: int = 1
 
     def __post_init__(self) -> None:
         _require_positive("max_iterations", self.max_iterations)
@@ -136,7 +132,6 @@ class NewtonOptions:
         _require_positive("damping", self.damping)
         _require_positive("min_damping", self.min_damping)
         _require_positive("max_step_norm", self.max_step_norm)
-        _require_positive("check_every", self.check_every)
         if self.damping > 1.0:
             raise ConfigurationError("damping must be <= 1.0")
         if self.min_damping > self.damping:
@@ -194,15 +189,13 @@ class RecoveryPolicy:
 
     Attributes
     ----------
-    enabled:
-        Master switch.  ``False`` restores the pre-resilience behaviour:
-        plain Newton, then (if ``MPDEOptions.use_continuation``) one
-        source-stepping fallback, then raise.
     ladder:
         Ordered tuple of rung names to try, drawn from
-        :data:`RECOVERY_RUNGS`.  Rungs that do not apply to a failure kind
-        or solver configuration (e.g. ``"preconditioner_downgrade"`` in
-        direct mode) are skipped and recorded as such.
+        :data:`RECOVERY_RUNGS`.  An empty ladder makes the first failure
+        terminal (plain Newton, then raise).  Rungs that do not apply to a
+        failure kind or solver configuration (e.g.
+        ``"preconditioner_downgrade"`` in direct mode) are skipped and
+        recorded as such.
     max_attempts:
         Hard cap on recovery attempts (ladder rungs actually executed) per
         solve, independent of ladder length.
@@ -217,7 +210,6 @@ class RecoveryPolicy:
         (skipping the one already in use).
     """
 
-    enabled: bool = True
     ladder: tuple[str, ...] = RECOVERY_RUNGS
     max_attempts: int = 8
     damping_factor: float = 0.25
@@ -329,18 +321,14 @@ class ShootingOptions:
 
 @dataclass(frozen=True)
 class HarmonicBalanceOptions:
-    """Controls for (multi-tone) harmonic balance."""
+    """Controls for single-tone harmonic balance (``K`` harmonics, box truncation)."""
 
     harmonics: int = 7
-    harmonics2: int = 0
-    truncation: str = "box"
     oversampling: int = 4
     newton: NewtonOptions = field(default_factory=NewtonOptions)
 
     def __post_init__(self) -> None:
         _require_positive("harmonics", self.harmonics)
-        _require_nonnegative("harmonics2", self.harmonics2)
-        _require_in("truncation", self.truncation, ("box", "diamond"))
         _require_positive("oversampling", self.oversampling)
         if self.oversampling < 2:
             raise ConfigurationError("oversampling must be >= 2")
@@ -361,9 +349,6 @@ class MPDEOptions:
         backward Euler ("backward-euler") is robust for the sharp switching
         waveforms targeted by the paper, "central" gives second order on
         smooth problems.
-    use_continuation:
-        Fall back to source-stepping continuation if plain Newton fails,
-        mirroring the paper's use of continuation for hard starts.
     linear_solver:
         "direct" (sparse LU on the assembled Jacobian) or "gmres"
         (ILU-preconditioned Krylov on the assembled Jacobian).
@@ -437,9 +422,9 @@ class MPDEOptions:
         fails.  The default policy retries through Newton refresh, extra
         damping, preconditioner downgrade, source-stepping continuation and
         an initial-guess change, recording every attempt in
-        ``MPDEStats.recovery_trace``.  ``RecoveryPolicy(enabled=False)``
-        restores the pre-resilience raise-on-first-failure behaviour
-        (modulo the legacy ``use_continuation`` fallback).
+        ``MPDEStats.recovery_trace``.  Its ``continuation`` rung is the
+        source-stepping fallback the paper uses for hard starts;
+        ``RecoveryPolicy(ladder=())`` raises on the first failure.
     deadline_s:
         Cooperative wall-clock budget (seconds) for one ``solve()`` call,
         recovery attempts included.  Checked at Newton/GMRES iteration
@@ -466,7 +451,6 @@ class MPDEOptions:
     fast_method: str = "bdf2"
     slow_method: str = "bdf2"
     newton: NewtonOptions = field(default_factory=lambda: NewtonOptions(max_iterations=80))
-    use_continuation: bool = True
     continuation: ContinuationOptions = field(default_factory=ContinuationOptions)
     linear_solver: str = "direct"
     chord_newton: bool = True

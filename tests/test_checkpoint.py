@@ -24,7 +24,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import repro.analysis.pss_fd as pss_fd_mod
 import repro.core.solver as solver_mod
 from repro.analysis.pss_fd import collocation_periodic_steady_state
 from repro.core import solve_mpde
@@ -262,8 +261,7 @@ class TestMPDEResume:
         mna, scales = _gilbert()
         options = replace(
             _OPTIONS,
-            recovery=RecoveryPolicy(enabled=False),
-            use_continuation=False,
+            recovery=RecoveryPolicy(ladder=()),
         )
         reference = solve_mpde(mna, scales, options)
         with inject_faults(singular_jacobian(at_iteration=3, count=None)):
@@ -283,14 +281,14 @@ class TestCollocationPSSResume:
     def test_deadline_split_pss_is_bitwise(self, diode_rectifier, monkeypatch):
         mna = diode_rectifier.compile()
         reference = self._solve(mna)
-        monkeypatch.setattr(pss_fd_mod, "Deadline", _CountingDeadline)
+        monkeypatch.setattr(solver_mod, "Deadline", _CountingDeadline)
         _CountingDeadline.budget = 2
         with pytest.raises(DeadlineExceededError) as info:
             self._solve(mna, deadline_s=60.0)
         monkeypatch.undo()
         checkpoint = info.value.checkpoint
         assert checkpoint is not None
-        assert checkpoint.stage == "collocation"
+        assert checkpoint.stage == "newton"
         resumed = self._solve(mna, resume_from=checkpoint)
         np.testing.assert_array_equal(resumed.states, reference.states)
 
@@ -300,7 +298,7 @@ class TestCollocationPSSResume:
         mna = diode_rectifier.compile()
         path = tmp_path / "pss.npz"
         reference = self._solve(mna)
-        monkeypatch.setattr(pss_fd_mod, "Deadline", _CountingDeadline)
+        monkeypatch.setattr(solver_mod, "Deadline", _CountingDeadline)
         _CountingDeadline.budget = 2
         with pytest.raises(DeadlineExceededError):
             self._solve(mna, deadline_s=60.0, checkpoint_path=path)
@@ -313,7 +311,7 @@ class TestCollocationPSSResume:
         mna = diode_rectifier.compile()
         foreign = SolveCheckpoint(
             fingerprint="0" * 64,
-            stage="collocation",
+            stage="newton",
             iterate=np.zeros(41 * mna.n_unknowns),
         )
         with pytest.raises(CheckpointError, match="fingerprint mismatch"):

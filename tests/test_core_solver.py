@@ -11,7 +11,14 @@ from repro.core import MPDEProblem, MPDESolver, ShearedTimeScales, solve_mpde
 from repro.rf import difference_tone_amplitude, ideal_multiplier_mixer, unbalanced_switching_mixer
 from repro.signals import ModulatedCarrierStimulus, SinusoidStimulus, SumStimulus, TonePair
 from repro.signals.spectrum import fourier_coefficient
-from repro.utils import ConvergenceError, MPDEError, MPDEOptions, NewtonOptions
+from repro.utils import (
+    RECOVERY_RUNGS,
+    ConvergenceError,
+    MPDEError,
+    MPDEOptions,
+    NewtonOptions,
+    RecoveryPolicy,
+)
 
 
 class TestLinearTwoToneRC:
@@ -155,7 +162,9 @@ class TestSolverControls:
         options = MPDEOptions(
             n_fast=16,
             n_slow=12,
-            use_continuation=False,
+            recovery=RecoveryPolicy(
+                ladder=tuple(rung for rung in RECOVERY_RUNGS if rung != "continuation")
+            ),
             initial_guess="zero",
             newton=NewtonOptions(max_iterations=1),
         )
@@ -168,7 +177,6 @@ class TestSolverControls:
         options = MPDEOptions(
             n_fast=16,
             n_slow=12,
-            use_continuation=True,
             initial_guess="dc",
             newton=NewtonOptions(max_iterations=6),
         )

@@ -18,9 +18,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.analysis import dc_operating_point
+from repro.analysis import collocation_periodic_steady_state, dc_operating_point
 from repro.circuits import Circuit
-from repro.circuits.devices import Capacitor, Resistor, VoltageSource
+from repro.circuits.devices import Capacitor, PolynomialConductance, Resistor, VoltageSource
 from repro.core import ShearedTimeScales, solve_mpde
 from repro.linalg.krylov import gmres_solve
 from repro.resilience import (
@@ -395,9 +395,10 @@ class TestRecoveryLadder:
             _solve_rc(count=2, recovery=RecoveryPolicy(max_attempts=1))
         assert "injected" in str(info.value)
 
-    def test_disabled_recovery_restores_legacy_behaviour(self):
-        with pytest.raises(SingularMatrixError, match="injected"):
-            _solve_rc(count=1, recovery=RecoveryPolicy(enabled=False))
+    def test_empty_ladder_raises_the_first_failure(self):
+        with pytest.raises(SingularMatrixError, match="injected") as info:
+            _solve_rc(count=1, recovery=RecoveryPolicy(ladder=()))
+        assert info.value.partial_stats.recovery_trace[0].rung == "baseline"
 
     def test_restricted_ladder_goes_straight_to_continuation(self):
         result = _solve_rc(count=1, recovery=RecoveryPolicy(ladder=("continuation",)))
@@ -405,12 +406,14 @@ class TestRecoveryLadder:
         assert _trace(result) == [("baseline", "failed"), ("continuation", "recovered")]
 
     def test_inapplicable_rung_is_recorded_as_skipped(self):
-        with pytest.raises(SingularMatrixError):
-            _solve_rc(
-                count=1,
-                use_continuation=False,
-                recovery=RecoveryPolicy(ladder=("continuation",)),
-            )
+        # The direct solver has no preconditioner to downgrade.
+        with pytest.raises(SingularMatrixError) as info:
+            _solve_rc(count=1, recovery=RecoveryPolicy(ladder=("preconditioner_downgrade",)))
+        trace = info.value.partial_stats.recovery_trace
+        assert [(a.rung, a.outcome) for a in trace] == [
+            ("baseline", "failed"),
+            ("preconditioner_downgrade", "skipped"),
+        ]
 
     def test_divergence_skips_refresh_and_uses_damping_budget(self):
         # A divergence failure (not singular) must skip newton_refresh: a
@@ -490,6 +493,41 @@ class TestBalancedMixerAcceptance:
         assert 0.0 < outp.values.min() and outp.values.max() < 3.0
 
 
+class TestCollocationPSSRecovery:
+    """Collocation PSS runs on the MPDE solver, so it walks the same ladder."""
+
+    def test_singular_jacobian_recovers_through_the_ladder(self, diode_rectifier):
+        mna = diode_rectifier.compile()
+        # A tight residual tolerance pins both solves to the same discrete
+        # solution, whichever rung (and damping) produced the recovered one.
+        newton = NewtonOptions(max_iterations=100, abstol=1e-12)
+        reference = collocation_periodic_steady_state(mna, 1e-3, 41, newton_options=newton)
+        with inject_faults(singular_jacobian(count=1)):
+            result = collocation_periodic_steady_state(mna, 1e-3, 41, newton_options=newton)
+        assert reference.stats.recovered_by == ""
+        assert result.stats.recovered_by != ""
+        assert result.stats.recovery_trace[0].rung == "baseline"
+        assert result.stats.recovery_trace[0].outcome == "failed"
+        np.testing.assert_allclose(result.states, reference.states, rtol=0.0, atol=1e-9)
+
+    def test_exhausted_newton_budget_recovers_through_the_ladder(self):
+        ckt = Circuit("cubic")
+        ckt.add(VoltageSource("vin", "a", ckt.GROUND, SinusoidStimulus(1.0, 1e3)))
+        ckt.add(PolynomialConductance("gnl", "a", "b", [1e-3, 0.0, 1e-3]))
+        ckt.add(Resistor("rload", "b", ckt.GROUND, 1.0))
+        mna = ckt.compile()
+        reference = collocation_periodic_steady_state(mna, 1e-3, 41)
+        assert reference.newton_iterations > 2
+        result = collocation_periodic_steady_state(
+            mna, 1e-3, 41, newton_options=NewtonOptions(max_iterations=2)
+        )
+        assert result.stats.converged
+        assert result.stats.recovered_by != ""
+        assert result.stats.recovery_trace[0].trigger == ""
+        assert result.stats.recovery_trace[1].trigger == "divergence"
+        np.testing.assert_allclose(result.states, reference.states, rtol=0.0, atol=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # Per-solve deadlines (integration)
 # ---------------------------------------------------------------------------
@@ -564,7 +602,6 @@ class TestFailureDiagnostics:
                 spec=nan_evaluation(count=None),
                 initial_guess="zero",  # keep the DC guess solve out of the blast radius
                 recovery=RecoveryPolicy(ladder=()),
-                use_continuation=False,
             )
         diagnostics = getattr(info.value, "diagnostics", None)
         assert diagnostics is not None
@@ -585,7 +622,6 @@ class TestFailureDiagnostics:
                 spec=nan_evaluation(count=None),
                 initial_guess="zero",
                 recovery=RecoveryPolicy(ladder=()),
-                use_continuation=False,
                 matrix_free=True,
                 preconditioner="block_circulant_fast",
                 deadline_s=60.0,

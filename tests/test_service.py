@@ -479,9 +479,7 @@ class TestRetries:
         assert [a.outcome for a in job.attempts] == ["retried", "failed"]
 
     def test_solver_failure_retries_resume_from_checkpoint(self):
-        solve_options = MPDEOptions(
-            recovery=RecoveryPolicy(enabled=False), use_continuation=False
-        )
+        solve_options = MPDEOptions(recovery=RecoveryPolicy(ladder=()))
         request = SweepRequest(
             scenario=RC_SCENARIO,
             overrides={"nl": 3e-3},  # several Newton iterations => a checkpoint exists

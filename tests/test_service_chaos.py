@@ -51,7 +51,7 @@ pytestmark = pytest.mark.no_fault_injection
 #: Recovery ladder off: every injected solver fault must escalate to the
 #: job retry layer (whose resumes are bitwise) instead of being absorbed
 #: by an in-solve ladder rung (whose re-runs are only tolerance-equal).
-_SOLVE = MPDEOptions(recovery=RecoveryPolicy(enabled=False), use_continuation=False)
+_SOLVE = MPDEOptions(recovery=RecoveryPolicy(ladder=()))
 
 _RETRY = JobRetryPolicy(max_retries=6, backoff_base_s=0.001, backoff_cap_s=0.01)
 

@@ -31,9 +31,9 @@ from test_service import (
 
 pytestmark = pytest.mark.no_fault_injection
 
-#: Recovery disabled + no continuation: injected solver faults must escalate
+#: Empty recovery ladder: injected solver faults must escalate
 #: to the *job* retry layer instead of being absorbed by the in-solve ladder.
-_SOLVE_OPTIONS = MPDEOptions(recovery=RecoveryPolicy(enabled=False), use_continuation=False)
+_SOLVE_OPTIONS = MPDEOptions(recovery=RecoveryPolicy(ladder=()))
 
 _RETRY = JobRetryPolicy(max_retries=3, backoff_base_s=0.001, backoff_cap_s=0.01)
 

@@ -123,10 +123,6 @@ class TestHarmonicBalanceOptions:
         with pytest.raises(ConfigurationError):
             HarmonicBalanceOptions(oversampling=1)
 
-    def test_invalid_truncation(self):
-        with pytest.raises(ConfigurationError):
-            HarmonicBalanceOptions(truncation="star")
-
 
 class TestMPDEOptions:
     def test_paper_grid_is_default(self):
