@@ -1,6 +1,6 @@
 """Scenario registry + library verification: golden-pinned cross-validation.
 
-Three layers, mirroring the contract of :mod:`repro.scenarios`:
+Four layers, mirroring the contract of :mod:`repro.scenarios`:
 
 1. **Registry semantics** — registration, lookup with near-miss hints,
    override validation, unregistration, and parameter round-trip identity
@@ -15,6 +15,9 @@ Three layers, mirroring the contract of :mod:`repro.scenarios`:
    ``tests/goldens/scenarios.json``.  Regenerate the goldens deliberately
    with ``PYTHONPATH=src python -m repro.scenarios.goldens --out
    tests/goldens/scenarios.json`` after an intentional physics change.
+4. **Cross-mode agreement** — every scenario's first MPDE/HB case, solved
+   matrix-free with the ``block_circulant_fast`` preconditioner, lands within
+   ``CROSS_MODE_ATOL`` of the default direct solution.
 
 The expensive part — solving all scenarios — happens once per module in the
 ``all_runs`` fixture; cross-validation, goldens and metric checks reuse the
@@ -47,6 +50,7 @@ from repro.scenarios import (
     solve_case,
     unregister_scenario,
 )
+from repro.utils import MPDEOptions
 from repro.utils.exceptions import ConfigurationError, DeadlineExceededError
 
 GOLDENS_PATH = Path(__file__).parent / "goldens" / "scenarios.json"
@@ -325,6 +329,50 @@ def test_cross_validation_plan_is_declared_by_every_scenario():
         scenario = build_scenario_smoke(name)
         assert isinstance(scenario.cross_validation, CrossValidationPlan)
         assert scenario.cross_validation.frequency > 0.0
+
+
+# -- cross-mode agreement ----------------------------------------------------
+
+#: Max-abs bound between the default direct solution and the matrix-free
+#: ``block_circulant_fast`` solution of the same case.  Both solves stop at
+#: the same Newton tolerance, so the bound checks that the Krylov path lands
+#: on the direct answer, not only on a small residual.
+CROSS_MODE_ATOL = 1e-6
+MATRIX_FREE = MPDEOptions(matrix_free=True, preconditioner="block_circulant_fast")
+#: Scenarios whose matrix-free smoke solve takes more than 5 s (6.7 s and
+#: 12 s on a 2-CPU host); their agreement check runs under ``-m slow``.
+SLOW_MATRIX_FREE = ("multi_lo_receiver", "prbs_balanced_mixer")
+
+
+def _first_two_tone_case(scenario):
+    """Label of the scenario's first MPDE or HB case (None if it has none)."""
+    for case in scenario.cases:
+        if case.analysis in ("mpde", "hb"):
+            return case.label
+    return None
+
+
+CROSS_MODE_NAMES = [
+    pytest.param(name, marks=pytest.mark.slow) if name in SLOW_MATRIX_FREE else name
+    for name in ALL_NAMES
+    if _first_two_tone_case(build_scenario_smoke(name)) is not None
+]
+
+
+def _two_tone_states(result):
+    return result.mpde.states if hasattr(result, "mpde") else result.states
+
+
+@pytest.mark.parametrize("name", CROSS_MODE_NAMES)
+def test_matrix_free_solution_matches_direct(name, all_runs):
+    scenario, run = all_runs[name]
+    label = _first_two_tone_case(scenario)
+    case_run = next(r for r in run.case_runs if r.case.label == label)
+    matrix_free = solve_case(case_run.case, options=MATRIX_FREE)
+    difference = np.max(
+        np.abs(_two_tone_states(matrix_free) - _two_tone_states(case_run.result))
+    )
+    assert difference <= CROSS_MODE_ATOL, f"{name}[{label}]: {difference:.3e}"
 
 
 # -- golden metrics ----------------------------------------------------------
