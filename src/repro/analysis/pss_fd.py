@@ -107,8 +107,9 @@ def collocation_periodic_steady_state(
     the DC operating point.  ``newton_options`` controls the full-Newton
     iteration (default ``NewtonOptions(max_iterations=100)``).
 
-    ``matrix_free=True`` solves the Newton systems with GMRES (relative
-    tolerance ``gmres_tol``) on ``v -> D (C_blk v) + G_blk v``,
+    ``matrix_free=True`` solves the Newton systems with GMRES (Eisenstat–Walker
+    forcing terms down to the tight tolerance ``gmres_tol``) on
+    ``v -> D (C_blk v) + G_blk v``,
     preconditioned by ``preconditioner`` (see
     :class:`~repro.utils.options.MPDEOptions`; with one time axis
     ``"block_circulant_fast"`` factors the exact Jacobian).

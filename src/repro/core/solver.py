@@ -3,7 +3,9 @@
 The solver is a damped Newton-Raphson iteration on the global system
 assembled by :class:`~repro.core.mpde.MPDEProblem`, with
 
-* a sparse direct (LU) or ILU-preconditioned GMRES linear solver,
+* a sparse direct (LU) or preconditioned GMRES linear solver, the GMRES
+  solves inexact (Eisenstat–Walker forcing terms, tight only when it
+  matters),
 * a backtracking line search (the same safeguards as the rest of the
   library), and
 * a recovery ladder (:class:`~repro.utils.options.RecoveryPolicy`) whose
@@ -89,6 +91,10 @@ class MPDEStats:
     #: trace the convergence test harness and the adaptive refresh policy
     #: assert on (empty for the direct solver).
     linear_iteration_history: list[int] = field(default_factory=list)
+    #: Relative GMRES tolerance of each GMRES solve, aligned with
+    #: ``linear_iteration_history``: the Eisenstat–Walker forcing term, or
+    #: ``options.gmres_tol`` for a tight solve (empty for the direct solver).
+    linear_tolerance_history: list[float] = field(default_factory=list)
     #: Number of preconditioner factorisations performed (the reuse policy
     #: keeps this far below ``linear_solves``).
     preconditioner_builds: int = 0
@@ -262,6 +268,107 @@ class MPDEResult:
         return self.states
 
 
+#: Newton made no real progress when the max-norm residual stays above this
+#: fraction of its earlier value (a cut of less than 1%): over one step, the
+#: next GMRES solve is tight; over ``_ChordLU.STALL_STEPS`` steps, a
+#: chord-Newton run ends.
+_STALL_RATIO = 0.99
+
+
+class _ForcingTerm:
+    """Eisenstat–Walker tolerances for the GMRES solves of one Newton run.
+
+    Choice 2 of Eisenstat and Walker (SIAM J. Sci. Comput. 17, 1996): the
+    relative tolerance of the k-th linear solve is
+
+        eta_k = min(ETA_MAX, GAMMA * (||F_k|| / ||F_{k-1}||) ** ALPHA)
+
+    in 2-norms, raised to ``GAMMA * eta_{k-1} ** ALPHA`` whenever that
+    safeguard exceeds ``SAFEGUARD`` (so eta cannot collapse while Newton is
+    still far from the solution), and never below ``floor`` (the options'
+    ``gmres_tol``).  A solve at the floor is *tight*.  Two guards keep the
+    loose early solves from costing Newton iterations:
+
+    * after a step that cut the max-norm residual by less than 1%, or whose
+      line search failed, the next solve is tight (without it, loose solves
+      repeat a useless direction: at ``ETA_MAX = 0.5`` the 40x30
+      paper-mixer ``block_circulant_fast`` solve crawled for 60 Newton
+      iterations at 2e-3, about one GMRES iteration each);
+    * the run may report convergence only after a tight step (without it,
+      the 16x8 switching-mixer ``block_circulant`` solve meets its residual
+      tolerance on a loose step and stops at a relative state error of
+      3.8e-8 against the direct solution).
+
+    A direct solve never asks for a tolerance and so always counts as tight,
+    and a damped run (``NewtonOptions.damping < 1``, as on the ladder's
+    damping rung) solves every correction tight: its steps converge
+    linearly, and with forcing terms a damped ILU run of the 16x8 switching
+    mixer stopped 1.9e-8 from the direct solution instead of 5.1e-10.
+    The constants were chosen on exact GMRES and Newton counts.  For the
+    20x15 balanced mixer, ``ETA_MAX`` from 0.1 to 0.9 keeps Newton within
+    one iteration of the exact-solve count.  Between 0.5 and 0.8, the
+    36x18 spectral ``block_circulant_fast`` solve meets extra stalls and
+    loses its 1.5x iteration lead over ``block_circulant``; 0.1 to 0.4 keep
+    it at 1.8x to 3x.
+    """
+
+    GAMMA = 0.9
+    ALPHA = 2.0
+    SAFEGUARD = 0.1
+    ETA_0 = 0.1
+    ETA_MAX = 0.4
+
+    def __init__(self, floor: float) -> None:
+        self.floor = float(floor)
+        #: 2-norm of the residual the previous solve was made at.
+        self.previous_norm: float | None = None
+        #: Tolerance of the previous solve.
+        self.eta: float | None = None
+        #: The next solve must be tight (stall guard or tight final step).
+        self.force_tight = False
+        #: The last step was solved at the floor (True before any step).
+        self.tight = True
+
+    def tolerance(self, norm: float) -> float:
+        """Relative tolerance of the next solve, made at residual 2-norm ``norm``."""
+        if self.force_tight:
+            eta = self.floor
+        elif self.eta is None or not self.previous_norm:
+            eta = self.ETA_0
+        else:
+            eta = self.GAMMA * (norm / self.previous_norm) ** self.ALPHA
+            safeguard = self.GAMMA * self.eta**self.ALPHA
+            if safeguard > self.SAFEGUARD:
+                eta = max(eta, safeguard)
+            eta = min(eta, self.ETA_MAX)
+        eta = max(eta, self.floor)
+        self.previous_norm = float(norm)
+        self.eta = float(eta)
+        return eta
+
+    def record_step(self, ratio: float, accepted: bool) -> None:
+        """Note one step's max-norm residual ratio and line-search outcome."""
+        self.tight = self.eta is None or self.eta <= self.floor
+        self.force_tight = not accepted or not ratio <= _STALL_RATIO
+
+    def capture_state(self) -> dict | None:
+        """Forcing state for a :class:`SolveCheckpoint` (None before any solve)."""
+        if self.eta is None:
+            return None
+        return {
+            "previous_norm": self.previous_norm,
+            "eta": self.eta,
+            "force_tight": self.force_tight,
+            "tight": self.tight,
+        }
+
+    def restore_state(self, state: dict) -> None:
+        self.previous_norm = float(state["previous_norm"])
+        self.eta = float(state["eta"])
+        self.force_tight = bool(state["force_tight"])
+        self.tight = bool(state["tight"])
+
+
 class _ChordLU:
     """Cached sparse LU of the MPDE Jacobian for direct-mode chord Newton.
 
@@ -288,10 +395,20 @@ class _ChordLU:
     #: the floor bounds the extra chord iterations a stale factorisation can
     #: cost before the solver refactors.
     MAX_RATIO = 0.25
+    #: A chord run ends when its last ``STALL_STEPS`` steps together cut the
+    #: residual by less than 1% (``_STALL_RATIO``): refactoring has not
+    #: helped either.  On the 16x8 switching mixer the chord iterates fall
+    #: into a two-cycle at 1.1e-4 and used to burn the whole 80-iteration
+    #: budget (47 LUs) before the full-Newton retry converged in 7.  A slow
+    #: but real crawl is left alone: the PRBS mixer's damped chord steps cut
+    #: the residual by at least 1.9% over any three.
+    STALL_STEPS = 3
 
     def __init__(self, growth_factor: float, slack: int) -> None:
         self._policy = AdaptiveRefreshPolicy(growth_factor=growth_factor, slack=slack)
         self.factor = None
+        #: Residual ratios of the last ``STALL_STEPS`` steps.
+        self.recent_ratios: list[float] = []
         #: Iterate the resident factorisation was produced at — part of a
         #: checkpoint's chord state, because refactoring the same matrix
         #: data is bitwise deterministic (that is what makes chord-mode
@@ -312,6 +429,13 @@ class _ChordLU:
     def invalidate(self) -> None:
         self.factor = None
 
+    @property
+    def stalled(self) -> bool:
+        return (
+            len(self.recent_ratios) == self.STALL_STEPS
+            and float(np.prod(self.recent_ratios)) > _STALL_RATIO
+        )
+
     def capture_state(self) -> dict | None:
         """Chord cache state for a :class:`SolveCheckpoint` (None when cold)."""
         if self.factor is None or self.factored_at is None:
@@ -322,6 +446,7 @@ class _ChordLU:
             "last": self._policy.last,
             "just_built": self.just_built,
             "stale": self._stale,
+            "recent_ratios": list(self.recent_ratios),
         }
 
     def restore_state(self, state: dict, refactor) -> None:
@@ -338,10 +463,20 @@ class _ChordLU:
             self._policy.record(int(state["last"]))
         self.just_built = bool(state.get("just_built", False))
         self._stale = bool(state.get("stale", False))
+        self.recent_ratios = [float(r) for r in state.get("recent_ratios", ())]
 
-    def record_step(self, ratio: float) -> None:
-        """Feed one accepted Newton step's residual-reduction ratio to the policy."""
-        self._policy.record(int(min(ratio, self.RATIO_CAP) * self.RATIO_SCALE))
+    def record_step(self, ratio: float, accepted: bool) -> None:
+        """Feed one Newton step's residual-reduction ratio to the policy.
+
+        A step whose line search failed drops the factorisation: the stale
+        matrix did not even give a descent direction.
+        """
+        capped = ratio if ratio <= self.RATIO_CAP else self.RATIO_CAP  # NaN -> cap
+        self.recent_ratios = [*self.recent_ratios, capped][-self.STALL_STEPS :]
+        if not accepted:
+            self.invalidate()
+            return
+        self._policy.record(int(capped * self.RATIO_SCALE))
         if self.just_built:
             # The first step after a rebuild is the reference full-Newton
             # step; it sets the trend baseline but must not mark its own
@@ -370,7 +505,9 @@ class MPDESolver:
     preconditioner is refreshed by an :class:`AdaptiveRefreshPolicy`: the
     per-solve GMRES iteration trend triggers a rebuild *before* the stale
     factorisation fails outright (an outright failure still rebuilds and
-    retries once, as before).
+    retries once, as before).  Each GMRES solve runs at the tolerance the
+    Eisenstat–Walker forcing term picks (see :class:`_ForcingTerm`), with
+    ``options.gmres_tol`` as floor and for every tight step.
 
     Every solve populates the :class:`MPDEStats` wall-time
     breakdown (``eval_time_s``, ``factorization_time_s``,
@@ -408,15 +545,22 @@ class MPDESolver:
         self._last_iterate: np.ndarray | None = None
         # Checkpoint state: the latest iteration-boundary snapshot (attached
         # to deadline / terminal failures), the fingerprint it is recorded
-        # under, and a chord state waiting to be restored by ``_newton``
-        # when resuming.
+        # under, and the chord and forcing states waiting to be restored by
+        # ``_newton`` when resuming.
         self._checkpoint: SolveCheckpoint | None = None
         self._solve_fingerprint = ""
         self._pending_chord_state: dict | None = None
+        self._pending_forcing_state: dict | None = None
+        # GMRES forcing terms of the running Newton run.
+        self._forcing: _ForcingTerm | None = None
 
     @property
     def _matrix_free(self) -> bool:
         return bool(self.options.matrix_free)
+
+    @property
+    def _gmres_mode(self) -> bool:
+        return self.options.linear_solver == "gmres" or self._matrix_free
 
     @property
     def _chord_active(self) -> bool:
@@ -520,10 +664,11 @@ class MPDESolver:
         return dx
 
     def _solve_linear(
-        self, jacobian, rhs: np.ndarray, stats: MPDEStats, data=None
+        self, jacobian, rhs: np.ndarray, stats: MPDEStats, data, tol: float | None
     ) -> np.ndarray:
+        """One Newton correction; ``tol`` is the GMRES tolerance (None for direct)."""
         stats.linear_solves += 1
-        if self.options.linear_solver == "direct" and not self._matrix_free:
+        if not self._gmres_mode:
             if self._chord_active:
                 return self._chord_solve(rhs, stats, data)
             stats.jacobian_factorizations += 1
@@ -557,7 +702,7 @@ class MPDESolver:
             jacobian,
             rhs,
             context=(jacobian, data),
-            tol=self.options.gmres_tol,
+            tol=tol,
             restart=self.options.gmres_restart,
             reuse=self.options.reuse_preconditioner,
             deadline=self._deadline,
@@ -575,6 +720,7 @@ class MPDESolver:
         for report in reports:
             stats.linear_iterations += report.iterations
             stats.linear_iteration_history.append(report.iterations)
+            stats.linear_tolerance_history.append(tol)
             stats.preconditioner_degraded |= report.preconditioner_degraded
         return dx
 
@@ -631,6 +777,13 @@ class MPDESolver:
                 # can burn a tight iteration budget before the refresh
                 # policy notices.
                 self._chord.invalidate()
+                self._chord.recent_ratios = []
+        # Direct solves are exact: they never ask for a tolerance, so their
+        # forcing state stays tight.
+        forcing = self._forcing = _ForcingTerm(self.options.gmres_tol)
+        if source_grid is None and self._pending_forcing_state is not None:
+            forcing.restore_state(self._pending_forcing_state)
+        self._pending_forcing_state = None
 
         residual, jacobian, data = self._timed_evaluate(x, source_grid, stats)
         res_norm = float(np.max(np.abs(residual)))
@@ -644,10 +797,20 @@ class MPDESolver:
         for _iteration in range(1, max_iter + 1):
             self._deadline.check("newton", partial_stats=stats)
             if res_norm <= opts.abstol:
-                stats.residual_norm = res_norm
-                return x, True
+                if forcing.tight:
+                    stats.residual_norm = res_norm
+                    return x, True
+                # Converged on a loosely solved step: take one tight step.
+                forcing.force_tight = True
+            tol = None
+            if self._gmres_mode and opts.damping < 1.0:
+                # Damped runs stop just inside the residual tolerance after
+                # linear convergence; see _ForcingTerm.
+                tol = self.options.gmres_tol
+            elif self._gmres_mode:
+                tol = forcing.tolerance(float(np.linalg.norm(residual)))
             fault_site("solver.linear_solve", iteration=_iteration - 1)
-            dx = self._solve_linear(jacobian, -residual, stats, data)
+            dx = self._solve_linear(jacobian, -residual, stats, data, tol)
             step_norm = float(np.max(np.abs(dx)))
             if np.isfinite(opts.max_step_norm) and step_norm > opts.max_step_norm:
                 dx *= opts.max_step_norm / step_norm
@@ -667,13 +830,10 @@ class MPDESolver:
                 residual_trial = self._timed_residual(x_trial, source_grid, stats)
                 trial_norm = float(np.max(np.abs(residual_trial)))
 
+            ratio = trial_norm / res_norm if res_norm > 0.0 else 1.0
             if self._chord_active:
-                if accepted and res_norm > 0.0:
-                    self._chord.record_step(trial_norm / res_norm)
-                elif not accepted:
-                    # The stale factorisation failed to produce a descent
-                    # direction; force a refactorisation for the next step.
-                    self._chord.invalidate()
+                self._chord.record_step(ratio, accepted)
+            forcing.record_step(ratio, accepted)
 
             update_norm = float(np.max(np.abs(x_trial - x)))
             x = x_trial
@@ -692,9 +852,15 @@ class MPDESolver:
             )
 
             x_scale = float(np.max(np.abs(x))) if x.size else 0.0
-            if res_norm <= opts.abstol and update_norm <= opts.reltol * x_scale + opts.abstol:
+            if (
+                res_norm <= opts.abstol
+                and update_norm <= opts.reltol * x_scale + opts.abstol
+                and forcing.tight
+            ):
                 stats.residual_norm = res_norm
                 return x, True
+            if self._chord_active and self._chord.stalled:
+                break
 
             # Re-evaluate residual and Jacobian at the accepted iterate.  In
             # chord mode the line search already evaluated the residual at
@@ -706,14 +872,15 @@ class MPDESolver:
             res_norm = float(np.max(np.abs(residual)))
 
         stats.residual_norm = res_norm
-        if res_norm <= opts.abstol:
+        if res_norm <= opts.abstol and forcing.tight:
             return x, True
         if self._chord_active:
-            # Part of the iteration budget went to stale-factorisation chord
-            # steps, which is not a fair convergence verdict.  Mirror the
-            # transient layer's chord fallback: retry the run with a fresh
-            # factorisation at every iterate before reporting failure, so
-            # robustness matches ``chord_newton=False`` exactly.
+            # The chord run stalled or spent its budget, partly on
+            # stale-factorisation steps, which is not a fair convergence
+            # verdict.  Mirror the transient layer's chord fallback: retry
+            # the run with a fresh factorisation at every iterate before
+            # reporting failure, so robustness matches
+            # ``chord_newton=False`` exactly.
             _LOG.debug(
                 "chord Newton run stalled (residual %.3e); retrying with per-iterate "
                 "factorisation",
@@ -827,6 +994,7 @@ class MPDESolver:
             newton_iterations=stats.newton_iterations,
             residual_norm=float(residual_norm),
             chord_state=chord_state,
+            forcing_state=self._forcing.capture_state(),
             recovery_trace=list(stats.recovery_trace),
             stats=dataclasses.asdict(stats),
         )
@@ -855,9 +1023,10 @@ class MPDESolver:
             by an interrupted solve of *this same problem*.  The checkpoint
             fingerprint is validated (:class:`CheckpointError` on mismatch),
             its iterate becomes the initial guess (unless an explicit ``x0``
-            overrides it) and, in chord-Newton mode, the chord cache state
-            is restored — so a deadline-split direct-mode solve converges
-            bit-for-bit to the uninterrupted answer.
+            overrides it) and the chord cache state (chord-Newton mode) or
+            the GMRES forcing state (GMRES modes) is restored — so a
+            deadline-split direct or cheap-rebuild-preconditioner solve
+            converges bit-for-bit to the uninterrupted answer.
         """
         stats = MPDEStats(
             n_grid_points=self.problem.n_grid_points,
@@ -871,6 +1040,7 @@ class MPDESolver:
         self._solve_fingerprint = self._fingerprint()
         self._checkpoint = None
         self._pending_chord_state = None
+        self._pending_forcing_state = None
         if resume_from is not None:
             if isinstance(resume_from, (str, os.PathLike)):
                 resume_from = SolveCheckpoint.load(resume_from)
@@ -879,6 +1049,8 @@ class MPDESolver:
                 x0 = np.array(resume_from.iterate, copy=True)
             if resume_from.chord_state is not None and self._chord is not None:
                 self._pending_chord_state = dict(resume_from.chord_state)
+            if resume_from.forcing_state is not None:
+                self._pending_forcing_state = dict(resume_from.forcing_state)
         start = time.perf_counter()
 
         if x0 is None:
@@ -1029,7 +1201,7 @@ class MPDESolver:
 
     def _rung_applicability(self, rung: str, kind: str) -> tuple[bool, str]:
         """Whether ``rung`` can address a failure of ``kind`` here."""
-        gmres_mode = self.options.linear_solver == "gmres" or self._matrix_free
+        gmres_mode = self._gmres_mode
         if rung == "newton_refresh":
             if kind not in ("singular", "gmres_stagnation"):
                 return False, f"not applicable to {kind} failures"

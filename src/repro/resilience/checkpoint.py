@@ -6,10 +6,10 @@ from zero.  This module makes solve progress durable instead:
 
 * :class:`SolveCheckpoint` snapshots the accepted Newton iterate, a
   fingerprint of the problem/options it belongs to, the chord-Newton cache
-  state needed for *bitwise* resume, the recovery trace and a JSON-able
-  partial-statistics snapshot — taken at iteration boundaries only, so a
-  checkpoint is always a consistent point on the Newton trajectory, never a
-  half-updated state.
+  state and the GMRES forcing-term state needed for *bitwise* resume, the
+  recovery trace and a JSON-able partial-statistics snapshot — taken at
+  iteration boundaries only, so a checkpoint is always a consistent point
+  on the Newton trajectory, never a half-updated state.
 * Checkpoints are always kept **in memory** (attached to the ``checkpoint``
   attribute of deadline / exhausted-ladder failures); with
   ``checkpoint_path=`` set they are additionally **persisted** as ``.npz``
@@ -20,10 +20,11 @@ from zero.  This module makes solve progress durable instead:
   :meth:`~SolveCheckpoint.validate` the fingerprint and continue from the
   stored iterate.  Because the Newton step is a pure function of the
   iterate in the direct and cheap-rebuild-preconditioner modes (and the
-  chord state travels with the checkpoint), a deadline-split solve lands
-  **bit-for-bit** on the uninterrupted solution there; the cached-ILU GMRES
-  mode resumes to the same answer within the Newton tolerance (its cache
-  history is intentionally not part of the solve's mathematical state).
+  chord and forcing states travel with the checkpoint), a deadline-split
+  solve lands **bit-for-bit** on the uninterrupted solution there; the
+  cached-ILU GMRES mode resumes to the same answer within the Newton
+  tolerance (its cache history is intentionally not part of the solve's
+  mathematical state).
 
 Like the rest of :mod:`repro.resilience`, this module is leaf-level
 (stdlib + numpy + ``repro.utils`` only).
@@ -106,9 +107,17 @@ class SolveCheckpoint:
         needed for bitwise resume: ``{"factored_at": ndarray`` (the iterate
         the resident LU was factored at), ``"baseline"``/``"last"``
         (adaptive-refresh iteration counters, ``None`` when unset),
-        ``"just_built"``/``"stale"`` (refresh flags)``}``.  Refactoring the
-        same matrix data is bitwise deterministic, so restoring this state
-        reproduces the uninterrupted trajectory exactly.
+        ``"just_built"``/``"stale"`` (refresh flags), ``"recent_ratios"``
+        (residual ratios of the last steps, for the stall rule)``}``.
+        Refactoring the same matrix data is bitwise deterministic, so
+        restoring this state reproduces the uninterrupted trajectory
+        exactly.
+    forcing_state:
+        ``None`` in direct mode and before the first GMRES solve; otherwise
+        the Eisenstat–Walker forcing state of the GMRES solves:
+        ``{"previous_norm"`` (residual 2-norm of the previous linear solve),
+        ``"eta"`` (its tolerance), ``"force_tight"`` (the next solve is
+        tight), ``"tight"`` (the last step was solved tight)``}``.
     recovery_trace:
         JSON-able copy of the recovery attempts recorded up to the
         snapshot (:class:`~repro.resilience.taxonomy.RecoveryAttempt`
@@ -124,6 +133,7 @@ class SolveCheckpoint:
     newton_iterations: int = 0
     residual_norm: float = float("inf")
     chord_state: dict | None = None
+    forcing_state: dict | None = None
     recovery_trace: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
@@ -161,7 +171,11 @@ class SolveCheckpoint:
                 "last": self.chord_state.get("last"),
                 "just_built": bool(self.chord_state.get("just_built", False)),
                 "stale": bool(self.chord_state.get("stale", False)),
+                "recent_ratios": [
+                    float(r) for r in self.chord_state.get("recent_ratios", ())
+                ],
             },
+            "forcing": _jsonable(self.forcing_state),
             "recovery_trace": _jsonable(self.recovery_trace),
             "stats": _jsonable(self.stats),
         }
@@ -200,7 +214,9 @@ class SolveCheckpoint:
                         "last": chord_meta.get("last"),
                         "just_built": bool(chord_meta.get("just_built", False)),
                         "stale": bool(chord_meta.get("stale", False)),
+                        "recent_ratios": list(chord_meta.get("recent_ratios", [])),
                     }
+                forcing_state = meta.get("forcing")
         except CheckpointError:
             raise
         except Exception as exc:  # noqa: BLE001 - every load defect maps to CheckpointError
@@ -216,6 +232,7 @@ class SolveCheckpoint:
             newton_iterations=int(meta["newton_iterations"]),
             residual_norm=float(meta["residual_norm"]),
             chord_state=chord_state,
+            forcing_state=forcing_state,
             recovery_trace=list(meta.get("recovery_trace", [])),
             stats=dict(meta.get("stats", {})),
         )

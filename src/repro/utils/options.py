@@ -293,8 +293,6 @@ class ShootingOptions:
     abstol: float = 1e-8
     reltol: float = 1e-6
     integration_method: str = "trapezoidal"
-    use_matrix_free: bool = False
-    gmres_tol: float = 1e-8
     newton: NewtonOptions = field(default_factory=NewtonOptions)
     #: Reuse the LU factorisation across the inner integration steps of every
     #: shooting sweep (chord Newton); the monodromy accumulation is
@@ -311,7 +309,6 @@ class ShootingOptions:
         _require_positive("max_shooting_iterations", self.max_shooting_iterations)
         _require_positive("abstol", self.abstol)
         _require_positive("reltol", self.reltol)
-        _require_positive("gmres_tol", self.gmres_tol)
         _require_in(
             "integration_method",
             self.integration_method,
@@ -417,6 +414,11 @@ class MPDEOptions:
         iterations marks the cached preconditioner stale so it is rebuilt
         *before* the next solve (instead of only after an outright GMRES
         failure, which wasted a full failed solve).
+    gmres_tol / gmres_restart:
+        Relative tolerance of a *tight* GMRES solve, and the restart length.
+        Newton runs inexact: each GMRES solve uses an Eisenstat–Walker
+        forcing term with ``gmres_tol`` as its floor, and a stalled step or
+        the final step before convergence is solved at ``gmres_tol`` itself.
     recovery:
         The :class:`RecoveryPolicy` escalation ladder applied when a solve
         fails.  The default policy retries through Newton refresh, extra

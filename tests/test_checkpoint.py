@@ -9,10 +9,11 @@ The contract under test (see ``src/repro/resilience/checkpoint.py``):
 * **Identity** — a checkpoint carries a fingerprint of the solve it
   belongs to; resuming into a different circuit/grid/discretisation is a
   :class:`CheckpointError`, never a silently wrong answer.
-* **Bitwise resume** — a deadline-interrupted direct-mode solve, resumed
-  via ``resume_from=`` (in memory or from a persisted ``.npz``), lands on
-  exactly the iterate trajectory of the uninterrupted solve: the final
-  states match **bit for bit** for MPDE, collocation PSS and two-tone HB.
+* **Bitwise resume** — a deadline-interrupted direct-mode or matrix-free
+  ``block_circulant_fast`` solve, resumed via ``resume_from=`` (in memory or
+  from a persisted ``.npz``), lands on exactly the iterate trajectory of the
+  uninterrupted solve: the final states match **bit for bit** for MPDE,
+  collocation PSS and two-tone HB.
 * **Failures carry progress** — deadline expiries *and* exhausted-ladder
   terminal failures expose the latest checkpoint on ``exc.checkpoint``.
 """
@@ -148,6 +149,13 @@ class TestPersistence:
                 "last": 5,
                 "just_built": False,
                 "stale": True,
+                "recent_ratios": [0.5, 0.25],
+            },
+            forcing_state={
+                "previous_norm": 3.5e-4,
+                "eta": 0.125,
+                "force_tight": True,
+                "tight": False,
             },
             recovery_trace=[{"rung": "baseline", "outcome": "failed"}],
             stats={"newton_iterations": 4},
@@ -168,15 +176,18 @@ class TestPersistence:
         np.testing.assert_array_equal(
             loaded.chord_state["factored_at"], original.chord_state["factored_at"]
         )
-        for key in ("baseline", "last", "just_built", "stale"):
+        for key in ("baseline", "last", "just_built", "stale", "recent_ratios"):
             assert loaded.chord_state[key] == original.chord_state[key]
+        assert loaded.forcing_state == original.forcing_state
         assert loaded.recovery_trace == original.recovery_trace
         assert loaded.stats == original.stats
 
     def test_roundtrip_without_chord_state(self, tmp_path):
         path = tmp_path / "solve.npz"
-        self._checkpoint(chord_state=None).save(path)
-        assert SolveCheckpoint.load(path).chord_state is None
+        self._checkpoint(chord_state=None, forcing_state=None).save(path)
+        loaded = SolveCheckpoint.load(path)
+        assert loaded.chord_state is None
+        assert loaded.forcing_state is None
 
     def test_save_leaves_no_temporary_behind(self, tmp_path):
         path = tmp_path / "solve.npz"
@@ -256,6 +267,31 @@ class TestMPDEResume:
         assert checkpoint.chord_state is None
         resumed = solve_mpde(mna, scales, options, resume_from=checkpoint)
         np.testing.assert_array_equal(resumed.states, reference.states)
+
+    def test_matrix_free_mode_resumes_bitwise(self, counting_deadline, tmp_path):
+        """The GMRES forcing state travels with the checkpoint.
+
+        Each solve's tolerance depends on the previous residual norm and
+        tolerance, so a resumed matrix-free solve replays the uninterrupted
+        Krylov trajectory only when that state is restored.
+        """
+        mna, scales = _gilbert()
+        path = tmp_path / "mpde.npz"
+        options = replace(
+            _OPTIONS, matrix_free=True, preconditioner="block_circulant_fast"
+        )
+        reference = solve_mpde(mna, scales, options)
+        checkpoint = _interrupt(
+            mna, scales, replace(options, checkpoint_path=str(path)), budget=12
+        )
+        assert 0 < checkpoint.newton_iterations < reference.stats.newton_iterations
+        assert checkpoint.chord_state is None
+        assert checkpoint.forcing_state["eta"] > options.gmres_tol
+        for resume_from in (checkpoint, str(path)):
+            resumed = solve_mpde(mna, scales, options, resume_from=resume_from)
+            np.testing.assert_array_equal(resumed.states, reference.states)
+            tail = resumed.stats.linear_tolerance_history
+            assert tail == reference.stats.linear_tolerance_history[-len(tail) :]
 
     def test_exhausted_ladder_failure_carries_checkpoint(self):
         mna, scales = _gilbert()

@@ -8,7 +8,13 @@ import pytest
 from repro.circuits import Circuit
 from repro.circuits.devices import Capacitor, Resistor, VoltageSource
 from repro.core import MPDEProblem, MPDESolver, ShearedTimeScales, solve_mpde
-from repro.rf import difference_tone_amplitude, ideal_multiplier_mixer, unbalanced_switching_mixer
+from repro.core.solver import _ForcingTerm
+from repro.rf import (
+    balanced_lo_doubling_mixer,
+    difference_tone_amplitude,
+    ideal_multiplier_mixer,
+    unbalanced_switching_mixer,
+)
 from repro.signals import ModulatedCarrierStimulus, SinusoidStimulus, SumStimulus, TonePair
 from repro.signals.spectrum import fourier_coefficient
 from repro.utils import (
@@ -290,3 +296,139 @@ class TestMPDEStatsTimingBreakdown:
             assert 0.0 < stats.gmres_backsub_time_s <= stats.gmres_time_s
         else:
             assert stats.gmres_backsub_time_s == 0.0
+
+
+class TestForcingTerm:
+    """Eisenstat–Walker choice-2 tolerances and their two guards."""
+
+    FLOOR = 1e-9
+
+    def _forcing(self):
+        return _ForcingTerm(self.FLOOR)
+
+    def test_first_solve_uses_eta_0(self):
+        assert self._forcing().tolerance(1.0) == _ForcingTerm.ETA_0
+
+    def test_choice_2_follows_the_residual_ratio(self):
+        forcing = self._forcing()
+        forcing.tolerance(1.0)
+        forcing.record_step(0.5, True)
+        eta = forcing.tolerance(0.1)
+        assert eta == pytest.approx(_ForcingTerm.GAMMA * 0.1**_ForcingTerm.ALPHA)
+
+    def test_eta_is_capped_at_eta_max(self):
+        forcing = self._forcing()
+        forcing.tolerance(1.0)
+        forcing.record_step(0.9, True)
+        assert forcing.tolerance(1.0) == _ForcingTerm.ETA_MAX
+
+    def test_safeguard_keeps_eta_from_collapsing(self):
+        forcing = self._forcing()
+        forcing.tolerance(1.0)
+        forcing.record_step(0.9, True)
+        previous = forcing.tolerance(1.0)
+        forcing.record_step(0.5, True)
+        safeguard = _ForcingTerm.GAMMA * previous**_ForcingTerm.ALPHA
+        assert safeguard > _ForcingTerm.SAFEGUARD
+        assert forcing.tolerance(1e-6) == pytest.approx(safeguard)
+
+    def test_eta_never_drops_below_the_floor(self):
+        forcing = self._forcing()
+        forcing.tolerance(1.0)
+        forcing.record_step(0.5, True)
+        assert forcing.tolerance(1e-12) == self.FLOOR
+
+    @pytest.mark.parametrize("ratio, accepted", [(0.995, True), (0.5, False)])
+    def test_stalled_step_makes_the_next_solve_tight(self, ratio, accepted):
+        forcing = self._forcing()
+        forcing.tolerance(1.0)
+        forcing.record_step(ratio, accepted)
+        assert not forcing.tight
+        assert forcing.tolerance(0.5) == self.FLOOR
+        forcing.record_step(0.5, True)
+        assert forcing.tight
+
+
+@pytest.mark.no_fault_injection
+class TestInexactNewton:
+    """Every GMRES solve runs at a forcing-term tolerance; direct solves are exact.
+
+    The assertions read one fault-free Newton trajectory, so an injected
+    fault (and the ladder rung that absorbs it) would break their premise.
+    """
+
+    @pytest.fixture(scope="class")
+    def mixer(self):
+        mixer = unbalanced_switching_mixer(lo_frequency=2e6, difference_frequency=50e3)
+        return mixer, mixer.compile()
+
+    def _solve(self, mixer, **kwargs):
+        mixer_obj, mna = mixer
+        return solve_mpde(mna, mixer_obj.scales, MPDEOptions(n_fast=16, n_slow=8, **kwargs))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"matrix_free": True, "preconditioner": "block_circulant_fast"},
+            {"matrix_free": True, "preconditioner": "ilu"},
+            {"linear_solver": "gmres"},
+        ],
+    )
+    def test_gmres_tolerances_are_loose_then_end_tight(self, mixer, kwargs):
+        result = self._solve(mixer, **kwargs)
+        stats = result.stats
+        floor = result.problem.options.gmres_tol
+        tolerances = stats.linear_tolerance_history
+        assert len(tolerances) == len(stats.linear_iteration_history) > 0
+        assert min(tolerances) >= floor
+        assert max(tolerances) > floor  # the forcing terms are in use
+        # The run reports convergence only after a tight step.
+        assert tolerances[-1] == floor
+
+    def test_stall_guard_makes_the_next_solve_tight(self):
+        # Each cheap-rebuild preconditioner solve has exactly one GMRES
+        # report, so the residual and tolerance histories line up: solve k
+        # starts from residual_history[k].
+        mixer = balanced_lo_doubling_mixer()
+        options = MPDEOptions(
+            n_fast=16,
+            n_slow=12,
+            fast_method="fourier",
+            slow_method="fourier",
+            matrix_free=True,
+            preconditioner="block_circulant_fast",
+        )
+        stats = solve_mpde(mixer.compile(), mixer.scales, options).stats
+        floor = options.gmres_tol
+        residuals = stats.residual_history
+        tolerances = stats.linear_tolerance_history
+        assert len(tolerances) == len(residuals) - 1
+        stalls = [
+            k for k in range(1, len(tolerances)) if residuals[k] > 0.99 * residuals[k - 1]
+        ]
+        assert stalls, "this spectral balanced-mixer solve has stalled steps"
+        for k in stalls:
+            assert tolerances[k] == floor
+
+    def test_damped_runs_solve_every_correction_tight(self, mixer):
+        result = self._solve(
+            mixer,
+            matrix_free=True,
+            preconditioner="block_circulant_fast",
+            newton=NewtonOptions(damping=0.5, max_iterations=200),
+        )
+        floor = result.problem.options.gmres_tol
+        assert set(result.stats.linear_tolerance_history) == {floor}
+
+    def test_direct_mode_has_no_tolerance_history(self, mixer):
+        assert self._solve(mixer).stats.linear_tolerance_history == []
+
+    def test_stalled_chord_run_hands_off_to_full_newton(self, mixer):
+        # The chord iterates of this solve fall into a two-cycle at 1.1e-4;
+        # the run ends there and the full-Newton retry from the initial
+        # guess returns exactly the chord_newton=False answer.
+        chord = self._solve(mixer)
+        full = self._solve(mixer, chord_newton=False)
+        assert chord.stats.newton_iterations <= 15
+        assert chord.stats.jacobian_factorizations <= 15
+        np.testing.assert_array_equal(chord.states, full.states)

@@ -339,9 +339,6 @@ def test_cross_validation_plan_is_declared_by_every_scenario():
 #: on the direct answer, not only on a small residual.
 CROSS_MODE_ATOL = 1e-6
 MATRIX_FREE = MPDEOptions(matrix_free=True, preconditioner="block_circulant_fast")
-#: Scenarios whose matrix-free smoke solve takes more than 5 s (6.7 s and
-#: 12 s on a 2-CPU host); their agreement check runs under ``-m slow``.
-SLOW_MATRIX_FREE = ("multi_lo_receiver", "prbs_balanced_mixer")
 
 
 def _first_two_tone_case(scenario):
@@ -353,9 +350,7 @@ def _first_two_tone_case(scenario):
 
 
 CROSS_MODE_NAMES = [
-    pytest.param(name, marks=pytest.mark.slow) if name in SLOW_MATRIX_FREE else name
-    for name in ALL_NAMES
-    if _first_two_tone_case(build_scenario_smoke(name)) is not None
+    name for name in ALL_NAMES if _first_two_tone_case(build_scenario_smoke(name)) is not None
 ]
 
 
@@ -363,6 +358,12 @@ def _two_tone_states(result):
     return result.mpde.states if hasattr(result, "mpde") else result.states
 
 
+# The bound is a property of the default solve paths, which both end on
+# quadratically converging steps.  An injected fault hands the matrix-free
+# solve to the ladder's damping rung, whose half steps converge linearly and
+# stop just inside the residual tolerance: on multi_lo_receiver that lands
+# 6.7e-5 from the fault-free solution.
+@pytest.mark.no_fault_injection
 @pytest.mark.parametrize("name", CROSS_MODE_NAMES)
 def test_matrix_free_solution_matches_direct(name, all_runs):
     scenario, run = all_runs[name]
