@@ -17,8 +17,7 @@ every analysis funnels through, on the paper's balanced mixer at the paper's
    Jacobian ILU and ``block_circulant_fast`` preconditioners), checking all
    hit the same residual tolerance and recording the solver statistics.
    The inexact-Newton floor: the ``block_circulant_fast`` solve needs at
-   most 150 GMRES iterations in total (302 when every correction was solved
-   to ``gmres_tol``).
+   most 150 GMRES iterations in total.
 4. **Preconditioner modes** — total GMRES inner-iteration counts per
    preconditioner on the spectral (``fourier``, two-tone HB equivalent)
    balanced-mixer solve, where the per-harmonic block-circulant mode must cut
