@@ -50,9 +50,9 @@ Per Newton iteration, ``residual_and_jacobian`` runs one sparse device sweep
 Residual-only calls (line search, continuation ramping) use the
 ``need_jacobian=False`` device fast path.  ``jacobian_operator`` exposes the
 same Jacobian *matrix-free* as ``v -> (D kron I)(C_blk v) + G_blk v`` for the
-Krylov solver, with ``averaged_jacobian`` providing the frequency-independent
-(grid-averaged) preconditioner matrix in the spirit of
-Telichevesky/Kundert/White (DAC 1995).
+Krylov solver, with ``build_preconditioner`` providing the grid-averaged
+block-circulant preconditioners in the spirit of Telichevesky/Kundert/White
+(DAC 1995).
 """
 
 from __future__ import annotations
@@ -68,12 +68,7 @@ import scipy.sparse.linalg as spla
 from ..circuits.mna import MNASystem
 from ..linalg.preconditioners import (
     PRECONDITIONER_KINDS,
-    ILUPreconditioner,
-    IdentityPreconditioner,
-    JacobiPreconditioner,
     Preconditioner,
-    averaged_dense_blocks,
-    averaged_matrix,
     build_averaged_preconditioner,
     circulant_eigenvalues,
 )
@@ -333,32 +328,7 @@ class MPDEProblem:
 
         return spla.LinearOperator((size, size), matvec=matvec, dtype=float)
 
-    def averaged_jacobian(self, c_data: np.ndarray, g_data: np.ndarray) -> sp.csc_matrix:
-        """Frequency-independent preconditioner matrix from grid-averaged blocks.
-
-        Replaces every per-point block by its grid average
-        ``C_bar = mean_p C_p`` / ``G_bar = mean_p G_p`` and assembles
-        ``(D kron I) blockdiag(C_bar) + blockdiag(G_bar)`` on the cached
-        symbolic structure.  Because the averages drift slowly between Newton
-        iterates, an ILU of this matrix can be reused across iterations.
-        """
-        return averaged_matrix(self.assemble_jacobian, c_data, g_data)
-
     # -- preconditioning ---------------------------------------------------------
-    def averaged_dense_blocks(
-        self, c_data: np.ndarray, g_data: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Grid-averaged device Jacobians as dense ``(n, n)`` blocks.
-
-        ``(C_bar, G_bar)`` are the per-harmonic building blocks of the
-        block-circulant preconditioner: in the Fourier basis the averaged
-        Jacobian decouples into ``(lambda1_m + lambda2_k) C_bar + G_bar``
-        per harmonic ``(m, k)``.
-        """
-        return averaged_dense_blocks(
-            self.mna.dynamic_pattern, self.mna.static_pattern, c_data, g_data
-        )
-
     def axis_eigenvalues(self) -> tuple[np.ndarray, np.ndarray]:
         """Circulant eigenvalues of the fast- and slow-axis derivative operators.
 
@@ -383,18 +353,13 @@ class MPDEProblem:
         *,
         c_data: np.ndarray | None = None,
         g_data: np.ndarray | None = None,
-        matrix: sp.spmatrix | None = None,
     ) -> Preconditioner:
         """Build a preconditioner of the requested ``kind`` for this problem.
 
-        ``kind`` is one of ``"ilu"``, ``"block_circulant"``,
-        ``"block_circulant_fast"``, ``"jacobi"`` or ``"none"`` (see
-        :class:`~repro.utils.options.MPDEOptions`).  The ILU/Jacobi modes
-        factor ``matrix`` when given (the assembled Jacobian in the
-        non-matrix-free GMRES mode) and otherwise the grid-averaged Jacobian
-        built from ``c_data``/``g_data``; the block-circulant mode always
-        works from the averaged dense blocks plus the circulant eigenvalues
-        of the two axis operators, and the partially-averaged
+        ``kind`` is ``"block_circulant"`` or ``"block_circulant_fast"`` (see
+        :class:`~repro.utils.options.MPDEOptions`).  The block-circulant mode
+        works from the grid-averaged dense blocks plus the circulant
+        eigenvalues of the two axis operators, the partially-averaged
         ``block_circulant_fast`` mode from the slow-axis means of the
         per-point data plus the fast-axis differentiation matrix itself.
         """
@@ -403,31 +368,20 @@ class MPDEProblem:
                 f"unknown preconditioner kind {kind!r}; use one of {PRECONDITIONER_KINDS}"
             )
         fault_site("preconditioner.build", kind=kind)
-        if kind == "none":
-            return IdentityPreconditioner(self.n_total_unknowns)
-        if kind in ("ilu", "jacobi") and matrix is not None:
-            return ILUPreconditioner(matrix) if kind == "ilu" else JacobiPreconditioner(matrix)
         if c_data is None or g_data is None:
-            if kind in ("block_circulant", "block_circulant_fast"):
-                raise MPDEError(
-                    f"the {kind.replace('_', '-')} preconditioner needs the per-point "
-                    "Jacobian data arrays (c_data/g_data)"
-                )
             raise MPDEError(
-                f"preconditioner kind {kind!r} needs either an assembled matrix or "
-                "the per-point Jacobian data arrays"
+                f"the {kind.replace('_', '-')} preconditioner needs the per-point "
+                "Jacobian data arrays (c_data/g_data)"
             )
         lam_fast, lam_slow = self.axis_eigenvalues()
         return build_averaged_preconditioner(
             kind,
-            size=self.n_total_unknowns,
             dynamic_pattern=self.mna.dynamic_pattern,
             static_pattern=self.mna.static_pattern,
             c_data=c_data,
             g_data=g_data,
             eigenvalues_fast=lam_fast,
             eigenvalues_slow=lam_slow,
-            assemble=self.assemble_jacobian,
             fast_operator=self.grid.axis_matrix("fast", self.options.fast_method),
             grid_shape=(self.grid.n_fast, self.grid.n_slow),
         )

@@ -133,7 +133,8 @@ def two_tone_harmonic_balance(
         ``matrix_free=True`` and ``preconditioner="block_circulant"`` — or
         ``"block_circulant_fast"`` (slow-axis partially-averaged) for
         strongly LO-switched circuits, where it cuts total GMRES iterations
-        by a further >= 1.5x.
+        by a further >= 1.5x (see ``docs/preconditioners.md`` for which one
+        is faster when).
     deadline_s, recovery:
         Optional overrides of the resilience knobs (see ``docs/resilience.md``):
         a cooperative wall-clock budget for the underlying MPDE solve and the

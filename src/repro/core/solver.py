@@ -3,9 +3,9 @@
 The solver is a damped Newton-Raphson iteration on the global system
 assembled by :class:`~repro.core.mpde.MPDEProblem`, with
 
-* a sparse direct (LU) or preconditioned GMRES linear solver, the GMRES
-  solves inexact (Eisenstat–Walker forcing terms, tight only when it
-  matters),
+* a sparse direct (LU) or matrix-free, block-circulant-preconditioned GMRES
+  linear solver, the GMRES solves inexact (Eisenstat–Walker forcing terms,
+  tight only when it matters),
 * a backtracking line search (the same safeguards as the rest of the
   library), and
 * a recovery ladder (:class:`~repro.utils.options.RecoveryPolicy`) whose
@@ -35,17 +35,13 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..analysis.dc import dc_operating_point
 from ..circuits.mna import MNASystem
 from ..linalg.continuation import continuation_sweep
 from ..linalg.krylov import CachedPreconditionedGMRES
-from ..linalg.preconditioners import (
-    AdaptiveRefreshPolicy,
-    downgrade_preconditioner_kind,
-)
+from ..linalg.preconditioners import AdaptiveRefreshPolicy
 from ..resilience.checkpoint import SolveCheckpoint, solve_fingerprint
 from ..resilience.deadline import Deadline
 from ..resilience.diagnostics import attach_diagnostics, build_failure_diagnostics
@@ -69,7 +65,7 @@ __all__ = ["MPDEStats", "MPDEResult", "MPDESolver", "solve_mpde"]
 _LOG = get_logger("core.solver")
 
 #: Marker distinguishing "rung never ran an attempt" from a real failure in
-#: the multi-attempt rungs (downgrade chain, guess retry).
+#: the multi-attempt guess-retry rung.
 _sentinel_failure = object()
 
 
@@ -81,33 +77,32 @@ class MPDEStats:
     linear_solves: int = 0
     #: Sparse LU factorisations of the full MPDE Jacobian (direct mode).
     #: Without chord Newton this equals ``linear_solves``; with it the
-    #: adaptive reuse policy keeps it well below (0 for the GMRES modes,
-    #: whose factorisation effort is ``preconditioner_builds``).
+    #: adaptive reuse policy keeps it well below (0 for the matrix-free
+    #: mode, whose factorisation effort is ``preconditioner_builds``).
     jacobian_factorizations: int = 0
     #: Total inner Krylov iterations across all GMRES linear solves (0 for
     #: the direct solver).
     linear_iterations: int = 0
     #: Inner Krylov iterations of each GMRES solve in order — the per-solve
-    #: trace the convergence test harness and the adaptive refresh policy
-    #: assert on (empty for the direct solver).
+    #: trace the convergence test harness asserts on (empty for the direct
+    #: solver).
     linear_iteration_history: list[int] = field(default_factory=list)
     #: Relative GMRES tolerance of each GMRES solve, aligned with
     #: ``linear_iteration_history``: the Eisenstat–Walker forcing term, or
     #: ``options.gmres_tol`` for a tight solve (empty for the direct solver).
     linear_tolerance_history: list[float] = field(default_factory=list)
-    #: Number of preconditioner factorisations performed (the reuse policy
-    #: keeps this far below ``linear_solves``).
+    #: Number of preconditioner builds performed (one per GMRES solve).
     preconditioner_builds: int = 0
     #: Lazy per-harmonic sparse LU factorisations performed by the
     #: partially-averaged ``"block_circulant_fast"`` preconditioner across
     #: the whole solve (all builds summed; conjugate symmetry keeps this at
-    #: ``n_slow // 2 + 1`` per build).  Zero for every other mode.
+    #: ``n_slow // 2 + 1`` per build).  Zero for ``"block_circulant"``.
     preconditioner_harmonic_builds: int = 0
     #: Preconditioner mode used for the GMRES solves ("" for the direct
     #: solver).
     preconditioner_kind: str = ""
     #: True when any preconditioner build degraded to a weaker fallback
-    #: (e.g. an ILU factorisation failing over to Jacobi scaling).
+    #: (a singular harmonic block replaced by its pseudo-inverse).
     preconditioner_degraded: bool = False
     continuation_steps: int = 0
     used_continuation: bool = False
@@ -124,20 +119,19 @@ class MPDEStats:
     #: Device evaluation + residual assembly time: every
     #: ``evaluate`` / ``evaluate_sparse`` sweep the Newton loop and its
     #: line searches issue, including the sparse Jacobian assembly of the
-    #: assembled-matrix modes (one fused evaluation call).  Non-zero in
-    #: every mode.
+    #: direct mode (one fused evaluation call).  Non-zero in every mode.
     eval_time_s: float = 0.0
     #: Sparse direct-solver time: LU factorisations of the full MPDE
-    #: Jacobian plus their back-substitutions (``linear_solver="direct"``
-    #: only; 0.0 for the GMRES modes).
+    #: Jacobian plus their back-substitutions (direct mode only; 0.0 for
+    #: the matrix-free mode).
     factorization_time_s: float = 0.0
-    #: Preconditioner construction time across all (re)builds (GMRES modes
-    #: only).  The partially-averaged mode factors its per-harmonic LUs
+    #: Preconditioner construction time across all builds (matrix-free
+    #: mode only).  The partially-averaged mode factors its per-harmonic LUs
     #: lazily inside the first GMRES apply, where they count toward
     #: ``gmres_time_s``.
     preconditioner_build_time_s: float = 0.0
     #: Time inside the GMRES solves (matvecs, preconditioner applies,
-    #: orthogonalisation; GMRES modes only).
+    #: orthogonalisation; matrix-free mode only).
     gmres_time_s: float = 0.0
     #: Per-harmonic back-substitution time inside the preconditioner
     #: applies (summed solver-call durations).  A subdivision of
@@ -302,8 +296,9 @@ class _ForcingTerm:
     A direct solve never asks for a tolerance and so always counts as tight,
     and a damped run (``NewtonOptions.damping < 1``, as on the ladder's
     damping rung) solves every correction tight: its steps converge
-    linearly, and with forcing terms a damped ILU run of the 16x8 switching
-    mixer stopped 1.9e-8 from the direct solution instead of 5.1e-10.
+    linearly, and with forcing terms a damped run of the 16x8 switching
+    mixer (preconditioned by the since-deleted averaged-Jacobian ILU)
+    stopped 1.9e-8 from the direct solution instead of 5.1e-10.
     The constants were chosen on exact GMRES and Newton counts.  For the
     20x15 balanced mixer, ``ETA_MAX`` from 0.1 to 0.9 keeps Newton within
     one iteration of the exact-solve count.  Between 0.5 and 0.8, the
@@ -372,14 +367,13 @@ class _ForcingTerm:
 class _ChordLU:
     """Cached sparse LU of the MPDE Jacobian for direct-mode chord Newton.
 
-    The refresh discipline mirrors the GMRES preconditioner cache
-    (:class:`~repro.linalg.krylov.CachedPreconditionedGMRES`): the first
-    Newton step after a factorisation records its observed
+    The first Newton step after a factorisation records its observed
     residual-reduction ratio as the
     :class:`~repro.linalg.preconditioners.AdaptiveRefreshPolicy` baseline;
-    once the trend degrades past the policy threshold — or a line search
-    fails outright against the stale factorisation — the next linear solve
-    refactors at the current iterate.
+    once the trend degrades past the policy threshold — ``baseline *
+    REFRESH_GROWTH + REFRESH_SLACK`` in ``RATIO_SCALE`` units — or a line
+    search fails outright against the stale factorisation, the next linear
+    solve refactors at the current iterate.
     """
 
     #: Scale turning a residual-reduction ratio into the integer trend
@@ -395,6 +389,11 @@ class _ChordLU:
     #: the floor bounds the extra chord iterations a stale factorisation can
     #: cost before the solver refactors.
     MAX_RATIO = 0.25
+    #: Refresh-policy threshold: a step whose scaled ratio exceeds
+    #: ``baseline * REFRESH_GROWTH + REFRESH_SLACK`` marks the factorisation
+    #: stale.
+    REFRESH_GROWTH = 1.6
+    REFRESH_SLACK = 8
     #: A chord run ends when its last ``STALL_STEPS`` steps together cut the
     #: residual by less than 1% (``_STALL_RATIO``): refactoring has not
     #: helped either.  On the 16x8 switching mixer the chord iterates fall
@@ -404,8 +403,10 @@ class _ChordLU:
     #: the residual by at least 1.9% over any three.
     STALL_STEPS = 3
 
-    def __init__(self, growth_factor: float, slack: int) -> None:
-        self._policy = AdaptiveRefreshPolicy(growth_factor=growth_factor, slack=slack)
+    def __init__(self) -> None:
+        self._policy = AdaptiveRefreshPolicy(
+            growth_factor=self.REFRESH_GROWTH, slack=self.REFRESH_SLACK
+        )
         self.factor = None
         #: Residual ratios of the last ``STALL_STEPS`` steps.
         self.recent_ratios: list[float] = []
@@ -489,25 +490,19 @@ class _ChordLU:
 class MPDESolver:
     """Damped Newton (+ continuation) solver for an :class:`MPDEProblem`.
 
-    Linear sub-solves come in three flavours, selected by the options:
+    Linear sub-solves come in two flavours, selected by the options:
 
-    * ``linear_solver="direct"`` — sparse LU on the assembled CSC Jacobian;
-    * ``linear_solver="gmres"`` — preconditioned GMRES on the assembled
-      Jacobian, with the preconditioner cached across Newton iterations;
+    * the default — sparse LU on the assembled CSC Jacobian, reused across
+      iterations by chord Newton (``options.chord_newton``);
     * ``matrix_free=True`` — GMRES on the matrix-free Jacobian-vector-product
-      operator, preconditioned from the grid-averaged
-      (frequency-independent) Jacobian.
+      operator, preconditioned by ``options.preconditioner``
+      (``"block_circulant_fast"`` or ``"block_circulant"``), built through
+      :meth:`MPDEProblem.build_preconditioner` from fresh Jacobian data for
+      every solve.
 
-    The GMRES preconditioner mode — averaged-Jacobian ILU (the default), the
-    per-harmonic block-circulant preconditioner for the spectral operators,
-    Jacobi, or none — is selected by ``options.preconditioner`` and built
-    through :meth:`MPDEProblem.build_preconditioner`.  A cached
-    preconditioner is refreshed by an :class:`AdaptiveRefreshPolicy`: the
-    per-solve GMRES iteration trend triggers a rebuild *before* the stale
-    factorisation fails outright (an outright failure still rebuilds and
-    retries once, as before).  Each GMRES solve runs at the tolerance the
-    Eisenstat–Walker forcing term picks (see :class:`_ForcingTerm`), with
-    ``options.gmres_tol`` as floor and for every tight step.
+    Each GMRES solve runs at the tolerance the Eisenstat–Walker forcing term
+    picks (see :class:`_ForcingTerm`), with ``options.gmres_tol`` as floor
+    and for every tight step.
 
     Every solve populates the :class:`MPDEStats` wall-time
     breakdown (``eval_time_s``, ``factorization_time_s``,
@@ -518,30 +513,15 @@ class MPDESolver:
     def __init__(self, problem: MPDEProblem, options: MPDEOptions | None = None) -> None:
         self.problem = problem
         self.options = options or problem.options
-        self._krylov = CachedPreconditionedGMRES(
-            self._build_preconditioner,
-            growth_factor=self.options.precond_refresh_growth,
-            slack=self.options.precond_refresh_slack,
-        )
-        use_chord = (
-            self.options.chord_newton
-            and self.options.linear_solver == "direct"
-            and not self.options.matrix_free
-        )
-        self._chord = (
-            _ChordLU(
-                growth_factor=self.options.precond_refresh_growth,
-                slack=self.options.precond_refresh_slack,
-            )
-            if use_chord
-            else None
-        )
+        self._krylov = CachedPreconditionedGMRES(self._build_preconditioner)
+        use_chord = self.options.chord_newton and not self.options.matrix_free
+        self._chord = _ChordLU() if use_chord else None
         self._chord_suspended = False
         # Resilience state: a no-op deadline until ``solve`` installs the
-        # real one, the recovery ladder's preconditioner downgrade override,
-        # and the last Newton iterate (for failure diagnostics).
+        # real one, the recovery ladder's switch of a matrix-free solve to
+        # direct LU, and the last Newton iterate (for failure diagnostics).
         self._deadline = Deadline(None)
-        self._preconditioner_override: str | None = None
+        self._direct_fallback = False
         self._last_iterate: np.ndarray | None = None
         # Checkpoint state: the latest iteration-boundary snapshot (attached
         # to deadline / terminal failures), the fingerprint it is recorded
@@ -556,31 +536,22 @@ class MPDESolver:
 
     @property
     def _matrix_free(self) -> bool:
-        return bool(self.options.matrix_free)
-
-    @property
-    def _gmres_mode(self) -> bool:
-        return self.options.linear_solver == "gmres" or self._matrix_free
+        """GMRES solves are in effect (matrix-free, not switched to LU)."""
+        return bool(self.options.matrix_free) and not self._direct_fallback
 
     @property
     def _chord_active(self) -> bool:
         return self._chord is not None and not self._chord_suspended
-
-    @property
-    def _active_preconditioner(self) -> str:
-        """Preconditioner mode in effect, honouring a ladder downgrade."""
-        return self._preconditioner_override or self.options.preconditioner
 
     # -- residual/Jacobian evaluation -------------------------------------------
     def _evaluate(self, x: np.ndarray, source_grid: np.ndarray | None):
         """Residual plus whatever the linear solver needs at ``x``.
 
         Returns ``(residual, jacobian_like, data)`` where ``jacobian_like``
-        is an assembled CSC matrix (direct / gmres modes) or a
-        ``LinearOperator`` (matrix-free), and ``data`` carries the per-point
-        Jacobian value arrays needed to build the averaged preconditioners in
-        the GMRES modes (``None`` in direct mode, where no preconditioner is
-        built).
+        is an assembled CSC matrix (direct mode) or a ``LinearOperator``
+        (matrix-free), and ``data`` carries the per-point Jacobian value
+        arrays the matrix-free preconditioners are built from (the chord
+        iterate in chord mode, ``None`` in full-Newton direct mode).
         """
         if self._matrix_free:
             residual, c_data, g_data = self.problem.residual_and_values(
@@ -588,12 +559,6 @@ class MPDESolver:
             )
             operator = self.problem.jacobian_operator(c_data, g_data)
             return residual, operator, (c_data, g_data)
-        if self.options.linear_solver == "gmres":
-            residual, c_data, g_data = self.problem.residual_and_values(
-                x, source_grid=source_grid
-            )
-            jacobian = self.problem.assemble_jacobian(c_data, g_data)
-            return residual, jacobian, (c_data, g_data)
         if self._chord_active:
             # Chord Newton: residual-only sweep; the (cached) factorisation
             # is produced lazily inside the linear solve, at the iterate
@@ -604,21 +569,11 @@ class MPDESolver:
         return residual, jacobian, None
 
     # -- linear sub-solves -------------------------------------------------------
-    def _build_preconditioner(self, context):
+    def _build_preconditioner(self, data):
         """Build callback for the :class:`CachedPreconditionedGMRES` manager."""
-        jacobian, data = context
-        c_data, g_data = data if data is not None else (None, None)
-        # ILU/Jacobi of the *assembled* Jacobian when one exists (it is a
-        # strictly better target than the grid average); the matrix-free mode
-        # has no assembled matrix, so those modes fall back to the averaged
-        # Jacobian there.  The block-circulant mode always works from the
-        # averaged blocks — that is its definition.
-        matrix = jacobian if sp.issparse(jacobian) else None
+        c_data, g_data = data
         return self.problem.build_preconditioner(
-            self._active_preconditioner,
-            c_data=c_data,
-            g_data=g_data,
-            matrix=matrix,
+            self.options.preconditioner, c_data=c_data, g_data=g_data
         )
 
     def _chord_refactor(self, x: np.ndarray, stats: MPDEStats) -> None:
@@ -668,7 +623,7 @@ class MPDESolver:
     ) -> np.ndarray:
         """One Newton correction; ``tol`` is the GMRES tolerance (None for direct)."""
         stats.linear_solves += 1
-        if not self._gmres_mode:
+        if not self._matrix_free:
             if self._chord_active:
                 return self._chord_solve(rhs, stats, data)
             stats.jacobian_factorizations += 1
@@ -686,7 +641,7 @@ class MPDESolver:
                 )
             return dx
 
-        fault_site("solver.gmres", preconditioner=self._active_preconditioner)
+        fault_site("solver.gmres", preconditioner=self.options.preconditioner)
         if not np.all(np.isfinite(rhs)):
             # GMRES would grind through its whole iteration budget on a NaN
             # right-hand side; fail the way the direct path does instead.
@@ -698,13 +653,12 @@ class MPDESolver:
         build_time_before = self._krylov.build_time_s
         solve_time_before = self._krylov.solve_time_s
         backsub_before = self._krylov.apply_backsub_time_s
-        dx, reports = self._krylov.solve(
+        dx, report = self._krylov.solve(
             jacobian,
             rhs,
-            context=(jacobian, data),
+            context=data,
             tol=tol,
             restart=self.options.gmres_restart,
-            reuse=self.options.reuse_preconditioner,
             deadline=self._deadline,
         )
         stats.preconditioner_builds += self._krylov.builds - builds_before
@@ -714,14 +668,11 @@ class MPDESolver:
         stats.preconditioner_build_time_s += self._krylov.build_time_s - build_time_before
         stats.gmres_time_s += self._krylov.solve_time_s - solve_time_before
         stats.gmres_backsub_time_s += self._krylov.apply_backsub_time_s - backsub_before
-        stats.preconditioner_kind = self._active_preconditioner
-        # Every build is used by the solve that follows it, so the per-report
-        # degraded flags below cover all builds.
-        for report in reports:
-            stats.linear_iterations += report.iterations
-            stats.linear_iteration_history.append(report.iterations)
-            stats.linear_tolerance_history.append(tol)
-            stats.preconditioner_degraded |= report.preconditioner_degraded
+        stats.preconditioner_kind = self.options.preconditioner
+        stats.linear_iterations += report.iterations
+        stats.linear_iteration_history.append(report.iterations)
+        stats.linear_tolerance_history.append(tol)
+        stats.preconditioner_degraded |= report.preconditioner_degraded
         return dx
 
     # -- timed evaluation wrappers -----------------------------------------------
@@ -754,7 +705,14 @@ class MPDESolver:
         source_grid: np.ndarray | None = None,
         max_iterations: int | None = None,
         newton_options: NewtonOptions | None = None,
+        polish: bool = False,
     ) -> tuple[np.ndarray, bool]:
+        """One Newton run from ``x0``; returns ``(x, converged)``.
+
+        ``polish`` finishes an already converged answer: every GMRES solve
+        is tight, and the run converges only through the post-step test,
+        so it takes at least one step and stops when the update is small.
+        """
         opts = newton_options if newton_options is not None else self.options.newton
         max_iter = max_iterations if max_iterations is not None else opts.max_iterations
         x = np.asarray(x0, dtype=float).copy()
@@ -796,18 +754,19 @@ class MPDESolver:
 
         for _iteration in range(1, max_iter + 1):
             self._deadline.check("newton", partial_stats=stats)
-            if res_norm <= opts.abstol:
+            if res_norm <= opts.abstol and not polish:
                 if forcing.tight:
                     stats.residual_norm = res_norm
                     return x, True
                 # Converged on a loosely solved step: take one tight step.
                 forcing.force_tight = True
             tol = None
-            if self._gmres_mode and opts.damping < 1.0:
+            if self._matrix_free and (polish or opts.damping < 1.0):
                 # Damped runs stop just inside the residual tolerance after
-                # linear convergence; see _ForcingTerm.
+                # linear convergence, and a polish is there for accuracy;
+                # see _ForcingTerm.
                 tol = self.options.gmres_tol
-            elif self._gmres_mode:
+            elif self._matrix_free:
                 tol = forcing.tolerance(float(np.linalg.norm(residual)))
             fault_site("solver.linear_solve", iteration=_iteration - 1)
             dx = self._solve_linear(jacobian, -residual, stats, data, tol)
@@ -872,7 +831,7 @@ class MPDESolver:
             res_norm = float(np.max(np.abs(residual)))
 
         stats.residual_norm = res_norm
-        if res_norm <= opts.abstol and forcing.tight:
+        if res_norm <= opts.abstol and forcing.tight and not polish:
             return x, True
         if self._chord_active:
             # The chord run stalled or spent its budget, partly on
@@ -894,6 +853,7 @@ class MPDESolver:
                     source_grid=source_grid,
                     max_iterations=max_iterations,
                     newton_options=newton_options,
+                    polish=polish,
                 )
             finally:
                 self._chord_suspended = False
@@ -971,7 +931,6 @@ class MPDESolver:
             period_slow=grid.period_slow,
             fast_method=self.problem.options.fast_method,
             slow_method=self.problem.options.slow_method,
-            linear_solver=opts.linear_solver,
             matrix_free=opts.matrix_free,
             preconditioner=opts.preconditioner,
             chord_newton=opts.chord_newton,
@@ -1024,9 +983,9 @@ class MPDESolver:
             fingerprint is validated (:class:`CheckpointError` on mismatch),
             its iterate becomes the initial guess (unless an explicit ``x0``
             overrides it) and the chord cache state (chord-Newton mode) or
-            the GMRES forcing state (GMRES modes) is restored — so a
-            deadline-split direct or cheap-rebuild-preconditioner solve
-            converges bit-for-bit to the uninterrupted answer.
+            the GMRES forcing state (matrix-free mode) is restored — so a
+            deadline-split solve converges bit-for-bit to the uninterrupted
+            answer.
         """
         stats = MPDEStats(
             n_grid_points=self.problem.n_grid_points,
@@ -1035,7 +994,7 @@ class MPDESolver:
         if self._chord is not None:
             self._chord.invalidate()
         self._deadline = Deadline(self.options.deadline_s)
-        self._preconditioner_override = None
+        self._direct_fallback = False
         self._last_iterate = None
         self._solve_fingerprint = self._fingerprint()
         self._checkpoint = None
@@ -1087,11 +1046,10 @@ class MPDESolver:
             raise
         finally:
             stats.wall_time_seconds = time.perf_counter() - start
-            # Release the factorisations now: no later solve reuses them, and
-            # the solver itself is freed only by the cycle collector (the
-            # Krylov manager holds a bound method of it), which would keep
-            # their native LU memory alive well past the solve.
-            self._krylov.cached = None
+            # Release the chord factorisation now: no later solve reuses it,
+            # and the solver itself is freed only by the cycle collector (the
+            # Krylov manager holds a bound method of it), which would keep its
+            # native LU memory alive well past the solve.
             if self._chord is not None:
                 self._chord.invalidate()
 
@@ -1201,11 +1159,10 @@ class MPDESolver:
 
     def _rung_applicability(self, rung: str, kind: str) -> tuple[bool, str]:
         """Whether ``rung`` can address a failure of ``kind`` here."""
-        gmres_mode = self._gmres_mode
         if rung == "newton_refresh":
             if kind not in ("singular", "gmres_stagnation"):
                 return False, f"not applicable to {kind} failures"
-            if self._chord is None and not gmres_mode:
+            if self._chord is None and not self._matrix_free:
                 return False, "no cached factorisation or preconditioner to refresh"
             return True, ""
         if rung == "damping":
@@ -1213,10 +1170,8 @@ class MPDESolver:
                 return True, ""
             return False, f"not applicable to {kind} failures"
         if rung == "preconditioner_downgrade":
-            if not gmres_mode:
+            if not self._matrix_free:
                 return False, "direct solver uses no preconditioner"
-            if downgrade_preconditioner_kind(self._active_preconditioner) is None:
-                return False, f"no downgrade below {self._active_preconditioner!r}"
             return True, ""
         if rung == "continuation":
             return True, ""
@@ -1236,12 +1191,10 @@ class MPDESolver:
             attempts += 1
 
             def run_refresh():
-                # Drop every cached factorisation and solve with full Newton
-                # (chord suspended → refactor at each iterate; GMRES cache
-                # cleared → fresh preconditioner at the current iterate).
+                # Drop the cached factorisation and solve with full Newton
+                # (chord suspended → refactor at each iterate).
                 if self._chord is not None:
                     self._chord.invalidate()
-                self._krylov.cached = None
                 suspended = self._chord_suspended
                 self._chord_suspended = True
                 try:
@@ -1269,12 +1222,25 @@ class MPDESolver:
                 min_damping=min(base.min_damping, damping / 1024.0),
                 max_iterations=base.max_iterations + policy.damping_extra_iterations,
             )
+
+            def run_damped():
+                x, converged = self._newton(x_start, stats, newton_options=damped)
+                if not converged:
+                    return x, False
+                # The damped steps converge linearly and stop as soon as the
+                # residual test passes, which can leave the state far from
+                # the solution (6.7e-5 on the matrix-free multi_lo_receiver
+                # smoke case); full steps from there converge quadratically.
+                return self._newton(
+                    x, stats, newton_options=base.with_(damping=1.0), polish=True
+                )
+
             return (
                 *self._ladder_attempt(
                     stats,
                     rung,
                     kind,
-                    lambda: self._newton(x_start, stats, newton_options=damped),
+                    run_damped,
                     detail=(
                         f"damping {base.damping:g} -> {damping:g}, "
                         f"max_iterations {base.max_iterations} -> {damped.max_iterations}"
@@ -1284,30 +1250,20 @@ class MPDESolver:
             )
 
         if rung == "preconditioner_downgrade":
-            # Walk the downgrade chain one step per attempt until the solve
-            # recovers, the chain bottoms out, or the attempt budget is spent.
-            x, failure = None, _sentinel_failure
-            while attempts < policy.max_attempts:
-                current = self._active_preconditioner
-                weaker = downgrade_preconditioner_kind(current)
-                if weaker is None:
-                    break
-                attempts += 1
-                self._preconditioner_override = weaker
-                self._krylov.cached = None
-                x, failure = self._ladder_attempt(
+            # Re-solve with sparse direct LU at every iterate; the later
+            # rungs keep the direct solver.
+            attempts += 1
+            self._direct_fallback = True
+            return (
+                *self._ladder_attempt(
                     stats,
                     rung,
                     kind,
                     lambda: self._newton(x_start, stats),
-                    detail=f"preconditioner {current} -> {weaker}",
-                )
-                if failure is None:
-                    return x, None, attempts
-                kind = classify_failure(failure)
-            if failure is _sentinel_failure:  # chain already exhausted
-                return None, ConvergenceError("preconditioner downgrade chain exhausted"), attempts
-            return x, failure, attempts
+                    detail=f"preconditioner {self.options.preconditioner} -> direct LU",
+                ),
+                attempts,
+            )
 
         if rung == "continuation":
             attempts += 1

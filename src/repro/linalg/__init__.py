@@ -5,16 +5,12 @@ from .krylov import (
     CachedPreconditionedGMRES,
     GMRESReport,
     gmres_solve,
-    make_ilu_preconditioner,
 )
 from .newton import FactoredJacobian, NewtonResult, newton_solve, solve_linear_system
 from .preconditioners import (
     AdaptiveRefreshPolicy,
     BlockCirculantFastPreconditioner,
     BlockCirculantPreconditioner,
-    ILUPreconditioner,
-    IdentityPreconditioner,
-    JacobiPreconditioner,
     Preconditioner,
     circulant_eigenvalues,
     slow_averaged_data,
@@ -45,13 +41,9 @@ __all__ = [
     "CachedPreconditionedGMRES",
     "GMRESReport",
     "gmres_solve",
-    "make_ilu_preconditioner",
     "Preconditioner",
-    "ILUPreconditioner",
-    "JacobiPreconditioner",
     "BlockCirculantPreconditioner",
     "BlockCirculantFastPreconditioner",
-    "IdentityPreconditioner",
     "AdaptiveRefreshPolicy",
     "circulant_eigenvalues",
     "slow_averaged_data",

@@ -5,12 +5,11 @@ unknowns is small enough for a direct sparse factorisation, but the paper
 (and its reference [10], Telichevesky/Kundert/White DAC 1995) emphasises
 matrix-free Krylov solution for larger problems.  This module wraps SciPy's
 GMRES with an iteration counter and per-solve residual history so benchmarks
-and the adaptive preconditioner-refresh policy can observe linear-solver
-effort.  Preconditioners are supplied either as plain
-:class:`scipy.sparse.linalg.LinearOperator` objects or as implementations of
-the :class:`~repro.linalg.preconditioners.Preconditioner` protocol (whose
-``degraded`` flag — e.g. an ILU that silently fell back to Jacobi — is
-surfaced on the :class:`GMRESReport`).
+and tests can observe linear-solver effort.  Preconditioners are supplied
+either as plain :class:`scipy.sparse.linalg.LinearOperator` objects or as
+implementations of the :class:`~repro.linalg.preconditioners.Preconditioner`
+protocol (whose ``degraded`` flag — a singular harmonic block replaced by its
+pseudo-inverse — is surfaced on the :class:`GMRESReport`).
 """
 
 from __future__ import annotations
@@ -25,13 +24,12 @@ import scipy.sparse.linalg as spla
 from ..resilience.deadline import Deadline
 from ..resilience.faultinject import fault_site
 from ..utils.exceptions import GMRESStagnationError, SingularMatrixError
-from .preconditioners import AdaptiveRefreshPolicy, ILUPreconditioner, Preconditioner
+from .preconditioners import Preconditioner
 
 __all__ = [
     "CachedPreconditionedGMRES",
     "GMRESReport",
     "gmres_solve",
-    "make_ilu_preconditioner",
 ]
 
 
@@ -57,19 +55,19 @@ class GMRESReport:
     residual_history:
         Preconditioned relative residual norm after every inner iteration —
         the per-solve convergence trace used by the solver-convergence test
-        harness and the adaptive refresh policy.
+        harness.
     preconditioner_degraded:
         True when the preconditioner reported that a fallback weakened it
-        (e.g. :func:`make_ilu_preconditioner` degrading to Jacobi after a
-        failed ILU factorisation), so degraded preconditioning is detectable
-        from the solve report instead of only from iteration counts.
+        (a singular harmonic block replaced by its pseudo-inverse), so
+        degraded preconditioning is detectable from the solve report instead
+        of only from iteration counts.
     stagnated:
         True when a non-converged solve made essentially no progress over
         its last full restart cycle (relative residual improvement below
         the stagnation threshold) — a *stuck* solve, as opposed to one that
         was merely *slow* (ran out of ``maxiter`` while still converging).
         The recovery ladder treats the two differently: stagnation wants a
-        preconditioner refresh/downgrade, slowness wants a larger budget.
+        refresh or a direct-LU re-solve, slowness wants a larger budget.
     """
 
     iterations: int
@@ -79,21 +77,6 @@ class GMRESReport:
     residual_history: list[float] = field(default_factory=list)
     preconditioner_degraded: bool = False
     stagnated: bool = False
-
-
-def make_ilu_preconditioner(
-    matrix: sp.spmatrix, *, drop_tol: float = 1e-5, fill_factor: float = 20.0
-) -> ILUPreconditioner:
-    """Build an incomplete-LU preconditioner for ``matrix``.
-
-    Falls back to a Jacobi (diagonal) preconditioner if the ILU factorisation
-    fails, which can happen for badly scaled or nearly singular systems.  The
-    fallback is no longer silent: a warning is logged and the returned
-    :class:`~repro.linalg.preconditioners.ILUPreconditioner` carries
-    ``degraded=True`` (propagated into
-    :attr:`GMRESReport.preconditioner_degraded` by :func:`gmres_solve`).
-    """
-    return ILUPreconditioner(matrix, drop_tol=drop_tol, fill_factor=fill_factor)
 
 
 def _as_operator(
@@ -122,8 +105,8 @@ def gmres_solve(
 ) -> tuple[np.ndarray, GMRESReport]:
     """Solve ``matrix @ x = rhs`` with restarted, preconditioned GMRES.
 
-    ``preconditioner`` may be ``None`` (a default ILU is built for sparse
-    matrices), a raw :class:`~scipy.sparse.linalg.LinearOperator`, or any
+    ``preconditioner`` may be ``None`` (unpreconditioned GMRES), a raw
+    :class:`~scipy.sparse.linalg.LinearOperator`, or any
     implementation of the :class:`~repro.linalg.preconditioners.Preconditioner`
     protocol.  Returns the solution and a :class:`GMRESReport`.  When
     ``raise_on_failure`` is True a non-converged solve raises
@@ -138,8 +121,6 @@ def gmres_solve(
     """
     fault_site("krylov.solve", raise_on_failure=raise_on_failure)
     counter = _IterationCounter(deadline=deadline)
-    if preconditioner is None and sp.issparse(matrix):
-        preconditioner = make_ilu_preconditioner(matrix)
 
     x, info = spla.gmres(
         matrix,
@@ -204,96 +185,35 @@ def gmres_solve(
 
 
 class CachedPreconditionedGMRES:
-    """The cached-preconditioner discipline shared by the Krylov front ends.
-
-    Owns the one policy the MPDE Newton solver (and with it two-tone HB and
-    collocation PSS) follows for every linear solve:
-
-    * preconditioners whose build costs no more than a few matvecs
-      (``cheap_rebuild``) are rebuilt from fresh Jacobian data every solve;
-      expensive factorisations (ILU) are cached across solves,
-    * a cached factorisation is refreshed when the
-      :class:`~repro.linalg.preconditioners.AdaptiveRefreshPolicy` flags the
-      GMRES iteration trend as degraded — *before* the stale cache fails,
-    * a solve that still fails against a cached factorisation rebuilds and
-      retries once (a failure against a *fresh* build would only repeat
-      itself, so it is reported or raised immediately).
+    """Build a preconditioner, then run GMRES: the Krylov front ends' linear solve.
 
     ``build(context)`` produces a fresh
     :class:`~repro.linalg.preconditioners.Preconditioner` from whatever
     per-iterate state the front end carries (the MPDE solver passes its
-    Jacobian data arrays, the collocation solver its device evaluation).
-    :meth:`solve` returns ``(solution, reports)`` — one
-    :class:`GMRESReport` per GMRES attempt — so callers account iterations
-    and degraded-preconditioner flags from the reports (every build is used
-    by the solve that follows it, so the per-report flags cover all builds);
-    the ``builds`` counter aggregates build effort.
+    per-point Jacobian data arrays).  Every :meth:`solve` builds one, from
+    the current data, and uses it for exactly that solve: both
+    block-circulant kinds cost less to rebuild than a stale instance costs
+    in GMRES iterations.  The counters accumulate over every solve:
+    ``builds``, ``build_time_s``, ``solve_time_s``, ``harmonic_builds``
+    (lazy per-harmonic LUs) and ``apply_backsub_time_s`` (per-harmonic
+    back-substitution time, a subdivision of ``solve_time_s``).
     """
 
-    def __init__(
-        self,
-        build,
-        *,
-        growth_factor: float = 1.6,
-        slack: int = 8,
-    ) -> None:
+    def __init__(self, build) -> None:
         self._build = build
-        self._policy = AdaptiveRefreshPolicy(growth_factor=growth_factor, slack=slack)
-        self.cached: Preconditioner | None = None
+        #: Preconditioners built so far (one per solve).
         self.builds = 0
-        self._retired_harmonic_builds = 0
-        self._retired_apply_backsub_s = 0.0
+        #: Lazy per-harmonic LU factorisations of the preconditioners built
+        #: so far (:class:`~repro.linalg.preconditioners.BlockCirculantFastPreconditioner`
+        #: only; zero for the other kind).
+        self.harmonic_builds = 0
+        #: Cumulative per-harmonic back-substitution wall time.
+        self.apply_backsub_time_s = 0.0
         #: Cumulative wall time spent building preconditioners.
         self.build_time_s = 0.0
         #: Cumulative wall time spent inside the GMRES solves themselves
         #: (matvecs + preconditioner applies + orthogonalisation).
         self.solve_time_s = 0.0
-
-    @property
-    def harmonic_builds(self) -> int:
-        """Total lazy per-harmonic factorisations across all builds so far.
-
-        Preconditioners that factor per-harmonic systems lazily
-        (:class:`~repro.linalg.preconditioners.BlockCirculantFastPreconditioner`)
-        expose a ``harmonic_factorizations`` counter; this property sums it
-        over every instance this manager has owned, including replaced ones,
-        so front ends can report the factorisation effort
-        (``MPDEStats.preconditioner_harmonic_builds``).  Zero for modes
-        without lazy per-harmonic factorisation.
-        """
-        current = getattr(self.cached, "harmonic_factorizations", 0)
-        return self._retired_harmonic_builds + int(current)
-
-    @property
-    def apply_backsub_time_s(self) -> float:
-        """Cumulative per-harmonic back-substitution wall time.
-
-        Summed solver-call durations over every instance this manager has
-        owned.
-        """
-        current = getattr(self.cached, "apply_backsub_time_s", 0.0)
-        return self._retired_apply_backsub_s + float(current)
-
-    def _rebuild(self, context) -> Preconditioner:
-        self._retired_harmonic_builds += int(
-            getattr(self.cached, "harmonic_factorizations", 0)
-        )
-        self._retired_apply_backsub_s += float(
-            getattr(self.cached, "apply_backsub_time_s", 0.0)
-        )
-        start = time.perf_counter()
-        self.cached = self._build(context)
-        self.build_time_s += time.perf_counter() - start
-        self.builds += 1
-        self._policy.note_build()
-        return self.cached
-
-    def _timed_gmres(self, *args, **kwargs):
-        start = time.perf_counter()
-        try:
-            return gmres_solve(*args, **kwargs)
-        finally:
-            self.solve_time_s += time.perf_counter() - start
 
     def solve(
         self,
@@ -303,59 +223,35 @@ class CachedPreconditionedGMRES:
         context,
         tol: float = 1e-9,
         restart: int = 80,
-        reuse: bool = True,
-        raise_on_failure: bool = True,
         deadline: Deadline | None = None,
-    ) -> tuple[np.ndarray, list[GMRESReport]]:
-        """One preconditioned linear solve under the caching discipline.
+    ) -> tuple[np.ndarray, GMRESReport]:
+        """One preconditioned linear solve with a freshly built preconditioner.
 
-        With ``raise_on_failure=False`` a solve that stays non-converged even
-        after the rebuild-and-retry step returns the best-effort iterate with
-        ``reports[-1].converged`` False instead of raising, so outer Newton /
-        continuation fallbacks can recover.  ``deadline`` is forwarded to
-        every GMRES attempt (checked per inner iteration).
+        A non-converged solve raises (see :func:`gmres_solve`); ``deadline``
+        is checked at every inner iteration.
         """
-        fresh = (
-            self.cached is None
-            or not reuse
-            or self.cached.cheap_rebuild
-            or self._policy.should_rebuild()
-        )
-        if fresh:
-            self._rebuild(context)
-        solution, report = self._timed_gmres(
-            matrix,
-            rhs,
-            preconditioner=self.cached,
-            tol=tol,
-            restart=restart,
-            raise_on_failure=raise_on_failure and fresh,
-            deadline=deadline,
-        )
-        if report.converged:
-            # A failed solve's (maxiter-capped) count must not seed the
-            # refresh baseline — it would raise the staleness threshold past
-            # anything a later solve can reach, disabling proactive refresh.
-            self._policy.record(report.iterations)
-        reports = [report]
-        if not report.converged and not fresh:
-            # The cached (stale) factorisation was not good enough even for
-            # the refresh policy to catch in time: rebuild from the current
-            # data and retry once before giving up.
-            self._rebuild(context)
-            solution, report = self._timed_gmres(
+        start = time.perf_counter()
+        preconditioner = self._build(context)
+        self.build_time_s += time.perf_counter() - start
+        self.builds += 1
+        start = time.perf_counter()
+        try:
+            return gmres_solve(
                 matrix,
                 rhs,
-                preconditioner=self.cached,
+                preconditioner=preconditioner,
                 tol=tol,
                 restart=restart,
-                raise_on_failure=raise_on_failure,
                 deadline=deadline,
             )
-            if report.converged:
-                self._policy.record(report.iterations)
-            reports.append(report)
-        return solution, reports
+        finally:
+            self.solve_time_s += time.perf_counter() - start
+            self.harmonic_builds += int(
+                getattr(preconditioner, "harmonic_factorizations", 0)
+            )
+            self.apply_backsub_time_s += float(
+                getattr(preconditioner, "apply_backsub_time_s", 0.0)
+            )
 
 
 class _IterationCounter:

@@ -8,10 +8,6 @@ so GMRES convergence is entirely determined by the preconditioner.  This
 module collects the available choices behind one small :class:`Preconditioner`
 protocol:
 
-* :class:`ILUPreconditioner` — drop-tolerance incomplete LU of an assembled
-  (typically grid-averaged) matrix; the general-purpose default.  When the
-  factorisation fails it degrades to Jacobi, emits a warning and flags itself
-  as ``degraded`` so callers can surface the weakened preconditioning.
 * :class:`BlockCirculantPreconditioner` — the structure-exploiting choice for
   the periodic (circulant) differentiation operators.  Replacing every
   per-point device block by its grid average turns the Jacobian into
@@ -26,10 +22,8 @@ protocol:
 
   per harmonic (mixing product) ``(m, k)`` — the frequency-domain
   preconditioner classically used for harmonic balance.  Applying the
-  preconditioner is two FFTs plus ``P`` tiny back-substitutions, and unlike
-  an ILU it solves the averaged operator *exactly*, which is what makes it
-  effective for the spectral (``fourier``) MPDE operators where the averaged
-  matrix is dense-ish and drop-tolerance ILU degrades badly.
+  preconditioner is two FFTs plus ``P`` tiny back-substitutions, and it
+  solves the averaged operator *exactly*; a build costs a few matvecs.
 * :class:`BlockCirculantFastPreconditioner` — the *partially-averaged*
   refinement of the block-circulant mode.  Averaging over both grid axes is a
   poor model for strongly LO-switched circuits, where the device operating
@@ -50,24 +44,15 @@ protocol:
 
   which is LU-factored *lazily* on first use (and only for the first
   ``n_slow // 2 + 1`` harmonics — conjugate symmetry of real data supplies
-  the rest for free).  Like the fully-averaged mode it is rebuilt fresh at
-  every Newton iterate: a build is a handful of sparse LUs (a few GMRES
-  iterations' worth of back-substitutions), while iterating against a stale
-  instance costs far more — precisely *because* the mode is tailored to the
-  per-fast-point operating points, one Newton step can invalidate it
-  entirely (measured on the 36x18 LO-switched balanced mixer: 2578 total
-  GMRES iterations cached under the refresh policy vs 362 rebuilt fresh).
-  The factorisation effort stays observable through
+  the rest for free).  The factorisation effort stays observable through
   :attr:`BlockCirculantFastPreconditioner.harmonic_factorizations` and
   ``MPDEStats.preconditioner_harmonic_builds``.
-* :class:`JacobiPreconditioner` — diagonal scaling; the cheap fallback.
-* :class:`IdentityPreconditioner` — no preconditioning (``"none"`` mode).
 
-:class:`AdaptiveRefreshPolicy` implements the staleness heuristic used by the
-MPDE solver to decide *when* to rebuild a cached preconditioner: instead of
-waiting for an outright GMRES failure, it tracks the per-solve inner
-iteration counts and requests a rebuild as soon as the trend degrades past a
-threshold relative to the first solve after the last build.
+Both kinds are rebuilt from fresh Jacobian data at every Newton iterate.
+
+:class:`AdaptiveRefreshPolicy` implements the iteration-trend staleness
+heuristic the direct solver's chord-Newton LU cache uses to decide *when* to
+refactor.
 """
 
 from __future__ import annotations
@@ -85,17 +70,11 @@ from .sparse import BlockDiagStructure, kron_identity
 
 __all__ = [
     "PRECONDITIONER_KINDS",
-    "PRECONDITIONER_DOWNGRADES",
-    "downgrade_preconditioner_kind",
     "Preconditioner",
-    "ILUPreconditioner",
-    "JacobiPreconditioner",
     "BlockCirculantPreconditioner",
     "BlockCirculantFastPreconditioner",
-    "IdentityPreconditioner",
     "AdaptiveRefreshPolicy",
     "averaged_dense_blocks",
-    "averaged_matrix",
     "build_averaged_preconditioner",
     "circulant_eigenvalues",
     "slow_averaged_data",
@@ -103,32 +82,14 @@ __all__ = [
 
 _LOG = get_logger("linalg.preconditioners")
 
-#: The recovery ladder's preconditioner downgrade chain: each mode maps to
-#: the *more robust but slower* mode the ``"preconditioner_downgrade"``
-#: rung retries with.  The partially-averaged mode falls back to the fully
-#: averaged one (less aggressive approximation), which falls back to ILU
-#: (no structural assumptions at all).  Modes absent from the map have no
-#: meaningful downgrade.
-PRECONDITIONER_DOWNGRADES = {
-    "block_circulant_fast": "block_circulant",
-    "block_circulant": "ilu",
-    "jacobi": "ilu",
-}
-
-
-def downgrade_preconditioner_kind(kind: str) -> str | None:
-    """Next rung of the downgrade chain for ``kind``, or ``None`` at the end."""
-    return PRECONDITIONER_DOWNGRADES.get(kind)
-
-
 @runtime_checkable
 class Preconditioner(Protocol):
     """What the Krylov layer expects from a preconditioner.
 
     A preconditioner approximates ``A^{-1}`` for the system matrix ``A``:
     :meth:`solve` applies that approximation to a vector.  ``degraded`` is
-    True when a fallback weakened the approximation (e.g. an ILU that failed
-    to factor and fell back to Jacobi), so solvers and tests can detect
+    True when a fallback weakened the approximation (a singular harmonic
+    block replaced by its pseudo-inverse), so solvers and tests can detect
     silently-degraded preconditioning through
     :attr:`~repro.linalg.krylov.GMRESReport.preconditioner_degraded`.
     """
@@ -136,7 +97,6 @@ class Preconditioner(Protocol):
     kind: str
     shape: tuple[int, int]
     degraded: bool
-    cheap_rebuild: bool
 
     def solve(self, vector: np.ndarray) -> np.ndarray:
         """Apply the approximate inverse to ``vector``."""
@@ -151,12 +111,6 @@ class _PreconditionerBase:
     """Shared plumbing: shape bookkeeping and the ``LinearOperator`` view."""
 
     kind: str = "base"
-    #: Whether rebuilding from fresh Jacobian data costs no more than a few
-    #: operator applications.  Caching a preconditioner across Newton
-    #: iterations trades accuracy (stale data) for factorisation time, so the
-    #: solver only caches when the build is expensive (``False``, e.g. ILU);
-    #: cheap preconditioners are rebuilt fresh at every Newton iterate.
-    cheap_rebuild: bool = True
 
     def __init__(self, size: int) -> None:
         self.shape = (int(size), int(size))
@@ -164,12 +118,6 @@ class _PreconditionerBase:
 
     def solve(self, vector: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    # ``matvec`` mirrors ``LinearOperator`` so existing call sites (and tests)
-    # that treated the ILU preconditioner as an operator keep working.
-    def matvec(self, vector: np.ndarray) -> np.ndarray:
-        """Alias of :meth:`solve` (operator-style spelling)."""
-        return self.solve(vector)
 
     def as_operator(self) -> spla.LinearOperator:
         # The explicit dtype matters: without it LinearOperator probes the
@@ -180,83 +128,6 @@ class _PreconditionerBase:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         flag = ", degraded" if self.degraded else ""
         return f"{type(self).__name__}(size={self.shape[0]}{flag})"
-
-
-class JacobiPreconditioner(_PreconditionerBase):
-    """Diagonal (Jacobi) scaling ``v -> v / diag(A)``.
-
-    Zero (or denormal) diagonal entries are replaced by 1 so the
-    preconditioner stays finite on structurally singular rows; those rows are
-    then simply left unscaled.
-    """
-
-    kind = "jacobi"
-
-    def __init__(self, matrix_or_diagonal: sp.spmatrix | np.ndarray) -> None:
-        if sp.issparse(matrix_or_diagonal):
-            diagonal = matrix_or_diagonal.diagonal()
-        else:
-            arr = np.asarray(matrix_or_diagonal, dtype=float)
-            diagonal = np.diag(arr) if arr.ndim == 2 else arr
-        super().__init__(diagonal.size)
-        safe = np.where(np.abs(diagonal) > 1e-300, diagonal, 1.0)
-        self._inverse_diagonal = 1.0 / safe
-
-    def solve(self, vector: np.ndarray) -> np.ndarray:
-        return self._inverse_diagonal * vector
-
-
-class IdentityPreconditioner(_PreconditionerBase):
-    """No preconditioning (the ``"none"`` mode); :meth:`solve` is a copy."""
-
-    kind = "none"
-
-    def solve(self, vector: np.ndarray) -> np.ndarray:
-        return np.array(vector, copy=True)
-
-
-class ILUPreconditioner(_PreconditionerBase):
-    """Drop-tolerance incomplete LU of an assembled sparse matrix.
-
-    When ``spilu`` fails (structurally singular or badly scaled matrix), the
-    preconditioner degrades to Jacobi scaling of the same matrix: a warning
-    is logged, :attr:`degraded` is set, and :attr:`fallback` names the
-    replacement, so the weakened preconditioning is visible to callers (the
-    Krylov layer copies the flag into its solve report).
-    """
-
-    kind = "ilu"
-    cheap_rebuild = False
-
-    def __init__(
-        self,
-        matrix: sp.spmatrix,
-        *,
-        drop_tol: float = 1e-5,
-        fill_factor: float = 20.0,
-    ) -> None:
-        csc = sp.csc_matrix(matrix)
-        super().__init__(csc.shape[0])
-        self.fallback: str | None = None
-        self._jacobi: JacobiPreconditioner | None = None
-        try:
-            self._ilu = spla.spilu(csc, drop_tol=drop_tol, fill_factor=fill_factor)
-        except RuntimeError as exc:
-            _LOG.warning(
-                "ILU factorisation failed (%s); degrading to a Jacobi (diagonal) "
-                "preconditioner — expect higher GMRES iteration counts",
-                exc,
-            )
-            self._ilu = None
-            self._jacobi = JacobiPreconditioner(csc)
-            self.fallback = self._jacobi.kind
-            self.degraded = True
-
-    def solve(self, vector: np.ndarray) -> np.ndarray:
-        if self._ilu is not None:
-            return self._ilu.solve(vector)
-        assert self._jacobi is not None
-        return self._jacobi.solve(vector)
 
 
 def averaged_dense_blocks(
@@ -299,59 +170,31 @@ def slow_averaged_data(
     return data.reshape(n_fast, n_slow, -1).mean(axis=1)
 
 
-def averaged_matrix(assemble, c_data: np.ndarray, g_data: np.ndarray) -> sp.spmatrix:
-    """Assemble the grid-averaged operator from per-point Jacobian data.
-
-    Broadcasts the grid-mean device blocks back over every point and hands
-    them to the front end's cached symbolic assembler (``assemble(c_mean,
-    g_mean)``), producing ``D kron C_bar + I kron G_bar`` without any
-    symbolic work.  This is the single definition of the averaged-operator
-    recipe shared by :meth:`MPDEProblem.averaged_jacobian` and the
-    ILU branch of :func:`build_averaged_preconditioner`.
-    """
-    c_data = np.asarray(c_data, dtype=float)
-    g_data = np.asarray(g_data, dtype=float)
-    c_mean = np.broadcast_to(c_data.mean(axis=0), c_data.shape)
-    g_mean = np.broadcast_to(g_data.mean(axis=0), g_data.shape)
-    return assemble(c_mean, g_mean)
-
-
 def build_averaged_preconditioner(
     kind: str,
     *,
-    size: int,
     dynamic_pattern,
     static_pattern,
     c_data: np.ndarray,
     g_data: np.ndarray,
     eigenvalues_fast: np.ndarray | None = None,
     eigenvalues_slow: np.ndarray | None = None,
-    assemble=None,
     fast_operator=None,
     grid_shape: tuple[int, int] | None = None,
 ) -> Preconditioner:
-    """Kind dispatch over the grid-averaged-operator preconditioner family.
+    """Kind dispatch over the two grid-averaged-operator preconditioners.
 
     :meth:`~repro.core.mpde.MPDEProblem.build_preconditioner` builds every
     matrix-free preconditioner through this factory, for the 2-D MPDE and
     the one-axis periodic steady state (``grid_shape = (n, 1)``) alike:
 
-    * ``"none"`` — :class:`IdentityPreconditioner` of ``size``.
     * ``"block_circulant"`` — per-harmonic blocks from the averaged dense
       device Jacobians and the supplied circulant axis ``eigenvalues_*``.
     * ``"block_circulant_fast"`` — slow-axis partially-averaged blocks from
       :func:`slow_averaged_data` (``grid_shape`` supplies the
       ``(n_fast, n_slow)`` split), the fast-axis differentiation matrix
       ``fast_operator`` and the slow-axis ``eigenvalues_slow``.
-    * ``"jacobi"`` — the averaged operator's diagonal, computed in
-      ``O(size)`` from the averaged blocks (a circulant operator has a
-      constant diagonal, the mean of its eigenvalues) — no matrix assembly.
-    * ``"ilu"`` — drop-tolerance ILU of the assembled averaged matrix,
-      produced via :func:`averaged_matrix` and ``assemble`` (the front end's
-      cached :class:`~repro.linalg.sparse.CollocationJacobianAssembler`).
     """
-    if kind == "none":
-        return IdentityPreconditioner(size)
     if kind == "block_circulant_fast":
         if fast_operator is None or grid_shape is None:
             raise ValueError(
@@ -377,34 +220,16 @@ def build_averaged_preconditioner(
             fast_operator,
             eigenvalues_slow,
         )
-    if kind in ("block_circulant", "jacobi"):
+    if kind == "block_circulant":
         if eigenvalues_fast is None:
             raise ValueError(
-                f"preconditioner kind {kind!r} needs the circulant eigenvalues "
-                "of the (fast) axis differentiation operator"
+                "preconditioner kind 'block_circulant' needs the circulant "
+                "eigenvalues of the (fast) axis differentiation operator"
             )
         c_bar, g_bar = averaged_dense_blocks(
             dynamic_pattern, static_pattern, c_data, g_data
         )
-        if kind == "block_circulant":
-            return BlockCirculantPreconditioner(
-                c_bar, g_bar, eigenvalues_fast, eigenvalues_slow
-            )
-        # diag(D kron C_bar + I kron G_bar): every circulant factor of D has
-        # the constant diagonal mean(eigenvalues), so the full diagonal is
-        # one (n,) block tiled over the grid — no sparse assembly needed.
-        d_diagonal = float(np.mean(eigenvalues_fast).real)
-        if eigenvalues_slow is not None:
-            d_diagonal += float(np.mean(eigenvalues_slow).real)
-        block_diagonal = d_diagonal * np.diag(c_bar) + np.diag(g_bar)
-        return JacobiPreconditioner(np.tile(block_diagonal, size // c_bar.shape[0]))
-    if kind == "ilu":
-        if assemble is None:
-            raise ValueError(
-                "preconditioner kind 'ilu' needs an `assemble` callable for the "
-                "averaged matrix"
-            )
-        return ILUPreconditioner(averaged_matrix(assemble, c_data, g_data))
+        return BlockCirculantPreconditioner(c_bar, g_bar, eigenvalues_fast, eigenvalues_slow)
     raise ValueError(
         f"unknown preconditioner kind {kind!r}; use one of {PRECONDITIONER_KINDS}"
     )
@@ -598,22 +423,19 @@ class BlockCirculantFastPreconditioner(_PreconditionerBase):
     factorisations performed so far (surfaced as
     ``MPDEStats.preconditioner_harmonic_builds``).
 
-    ``cheap_rebuild`` is True — the solver rebuilds this mode from fresh
-    Jacobian data at every Newton iterate rather than caching it under the
-    :class:`AdaptiveRefreshPolicy`.  That is a measured trade, not an
-    oversight: a build is ~``n_slow // 2`` sparse LUs, i.e. a few GMRES
-    iterations' worth of back-substitutions, while a stale instance is
-    invalidated by a single Newton step precisely because it tracks the
-    per-fast-point operating points (on the 36x18 LO-switched balanced mixer
-    the cached discipline cost 2578 total GMRES iterations against 362 for
-    fresh rebuilds — the first post-build Newton step left the policy's
-    baseline at 1 iteration while the stale solve burned 1918).  Singular
-    harmonic systems fall back to a dense pseudo-inverse and flag the
-    instance ``degraded``.
+    The solver rebuilds this mode from fresh Jacobian data at every Newton
+    iterate.  That is a measured trade: a build is ~``n_slow // 2`` sparse
+    LUs, i.e. a few GMRES iterations' worth of back-substitutions, while a
+    stale instance is invalidated by a single Newton step precisely because
+    it tracks the per-fast-point operating points (on the 36x18 LO-switched
+    balanced mixer a cached instance under an iteration-trend refresh policy
+    cost 2578 total GMRES iterations against 362 for fresh rebuilds — the
+    first post-build Newton step set the policy's baseline at 1 iteration
+    while the stale solve burned 1918).  Singular harmonic systems fall back
+    to a dense pseudo-inverse and flag the instance ``degraded``.
     """
 
     kind = "block_circulant_fast"
-    cheap_rebuild = True
 
     def __init__(
         self,
@@ -768,21 +590,21 @@ class BlockCirculantFastPreconditioner(_PreconditionerBase):
 
 
 class AdaptiveRefreshPolicy:
-    """Iteration-trend staleness heuristic for cached preconditioners.
+    """Trend-based staleness heuristic for a cached factorisation.
 
-    The first GMRES solve after a (re)build establishes a baseline iteration
-    count.  As the Newton iterate drifts, the cached preconditioner degrades
-    and the per-solve iteration counts creep up; once a solve exceeds
+    The first measurement after a (re)build establishes a baseline (an
+    iteration count, or the direct solver's scaled chord-step residual
+    ratio).  As the Newton iterate drifts, the cached factorisation degrades
+    and the measurements creep up; once one exceeds
     ``baseline * growth_factor + slack`` the policy reports the
-    preconditioner as stale so the solver can rebuild *before* GMRES fails
-    outright (the old rebuild-on-failure-only heuristic paid for a full
-    failed solve — ``maxiter`` wasted iterations — before reacting).
+    factorisation as stale so the solver can rebuild *before* the solve
+    fails outright.
 
     Usage::
 
         policy.note_build()            # after every (re)factorisation
         ...
-        policy.record(report.iterations)   # after every GMRES solve
+        policy.record(measurement)     # after every solve
         if policy.should_rebuild():
             ...                        # rebuild before the *next* solve
     """
@@ -813,7 +635,7 @@ class AdaptiveRefreshPolicy:
         self._last = None
 
     def record(self, iterations: int) -> None:
-        """Record the inner-iteration count of a completed GMRES solve."""
+        """Record the measurement (an integer) of a completed solve."""
         iterations = int(iterations)
         if self._baseline is None:
             self._baseline = iterations

@@ -19,12 +19,10 @@ from zero.  This module makes solve progress durable instead:
 * ``solve_mpde(resume_from=...)`` (and the PSS / two-tone-HB front ends)
   :meth:`~SolveCheckpoint.validate` the fingerprint and continue from the
   stored iterate.  Because the Newton step is a pure function of the
-  iterate in the direct and cheap-rebuild-preconditioner modes (and the
-  chord and forcing states travel with the checkpoint), a deadline-split
-  solve lands **bit-for-bit** on the uninterrupted solution there; the
-  cached-ILU GMRES mode resumes to the same answer within the Newton
-  tolerance (its cache history is intentionally not part of the solve's
-  mathematical state).
+  iterate in the direct and matrix-free modes (the preconditioner is
+  rebuilt from the iterate at every solve, and the chord and forcing states
+  travel with the checkpoint), a deadline-split solve lands
+  **bit-for-bit** on the uninterrupted solution.
 
 Like the rest of :mod:`repro.resilience`, this module is leaf-level
 (stdlib + numpy + ``repro.utils`` only).

@@ -99,7 +99,7 @@ class RecoveryAttempt:
         not apply to this failure kind / solver configuration).
     detail:
         Human-readable specifics: the failure message, what the rung
-        changed (``"preconditioner block_circulant_fast -> block_circulant"``),
+        changed (``"preconditioner block_circulant_fast -> direct LU"``),
         or why it was skipped.
     duration_s:
         Wall time this attempt consumed (0.0 for skipped rungs).

@@ -108,8 +108,8 @@ class GMRESStagnationError(SingularMatrixError):
     would not help) from a merely *slow* one that ran out of ``maxiter``
     while still converging.  Subclasses :class:`SingularMatrixError` so
     existing failure handling keeps working; the recovery ladder classifies
-    the two differently (a stagnated solve wants a preconditioner downgrade
-    or refresh, a slow one wants a larger budget).
+    the two differently (a stagnated solve wants a refresh or a direct-LU
+    re-solve, a slow one wants a larger budget).
     """
 
 

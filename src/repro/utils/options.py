@@ -37,7 +37,7 @@ __all__ = [
 #: import graph) so the option validation, the
 #: :mod:`repro.linalg.preconditioners` factory and the analysis front ends
 #: all share one source of truth.
-PRECONDITIONER_KINDS = ("ilu", "block_circulant", "block_circulant_fast", "jacobi", "none")
+PRECONDITIONER_KINDS = ("block_circulant", "block_circulant_fast")
 
 #: Device-evaluation backends of :class:`~repro.circuits.mna.MNASystem`:
 #: ``"batched"`` routes stamps through the compiled gather/compute/scatter
@@ -201,7 +201,9 @@ class RecoveryPolicy:
         solve, independent of ladder length.
     damping_factor:
         The ``"damping"`` rung multiplies the Newton damping by this factor
-        (and relaxes ``min_damping`` accordingly) before retrying.
+        (and relaxes ``min_damping`` accordingly) before retrying, then
+        finishes from the damped answer with full, tight Newton steps until
+        the update test passes.
     damping_extra_iterations:
         Extra Newton iterations granted by the ``"damping"`` rung, since a
         heavily damped iteration makes less progress per step.
@@ -346,74 +348,46 @@ class MPDEOptions:
         backward Euler ("backward-euler") is robust for the sharp switching
         waveforms targeted by the paper, "central" gives second order on
         smooth problems.
-    linear_solver:
-        "direct" (sparse LU on the assembled Jacobian) or "gmres"
-        (ILU-preconditioned Krylov on the assembled Jacobian).
     chord_newton:
         Direct mode only: reuse the sparse LU factorisation across Newton
-        iterations (chord Newton) instead of refactoring every iterate,
-        refreshing it under the same
+        iterations (chord Newton) instead of refactoring every iterate.  The
+        observed residual-reduction trend after a rebuild sets an
         :class:`~repro.linalg.preconditioners.AdaptiveRefreshPolicy`
-        discipline the GMRES preconditioner cache uses — the observed
-        residual-reduction trend after a rebuild sets the baseline, and a
-        degraded trend (or a failed line search) triggers a refactorisation
-        at the current iterate.  Chord iterations cost one residual-only
-        device sweep plus a back-substitution, so trading a few of them for
-        a skipped ``P*n`` factorisation wins for every realistic grid; the
-        factorisation count is surfaced as
-        ``MPDEStats.jacobian_factorizations``.  Ignored by the GMRES /
-        matrix-free modes (their analogue is ``reuse_preconditioner``).
+        baseline, and a degraded trend (or a failed line search) triggers a
+        refactorisation at the current iterate.  Chord iterations cost one
+        residual-only device sweep plus a back-substitution, so trading a
+        few of them for a skipped ``P*n`` factorisation wins for every
+        realistic grid; the factorisation count is surfaced as
+        ``MPDEStats.jacobian_factorizations``.  Ignored by the matrix-free
+        mode.
     matrix_free:
         Solve the Newton linear systems with GMRES on a matrix-free
         Jacobian-vector-product operator (the Jacobian is never assembled),
-        preconditioned per the ``preconditioner`` mode.  Overrides
-        ``linear_solver``.
+        preconditioned per the ``preconditioner`` mode.  Without it every
+        correction is a sparse direct (LU) solve.
     preconditioner:
-        Preconditioner mode for the GMRES solves (both the assembled
-        ``linear_solver="gmres"`` mode and the matrix-free mode):
+        Preconditioner of the matrix-free GMRES solves, rebuilt from fresh
+        Jacobian data at every Newton iterate:
 
-        * ``"ilu"`` — drop-tolerance incomplete LU; of the assembled Jacobian
-          in ``gmres`` mode, of the grid-averaged (frequency-independent)
-          Jacobian in matrix-free mode.  The robust general-purpose default.
+        * ``"block_circulant_fast"`` (default) — the *partially-averaged*
+          preconditioner: the device blocks are averaged only along the
+          slow axis, keeping the per-fast-point (LO-phase) variation that
+          carries the physics of strongly switched circuits.  Only the slow
+          axis is FFT-diagonalised; one sparse ``(n_fast * n, n_fast * n)``
+          complex system is LU-factored per slow harmonic, lazily on first
+          use (only ``n_slow // 2 + 1`` of them — conjugate symmetry
+          supplies the rest; ``MPDEStats.preconditioner_harmonic_builds``
+          counts the factorisations).  About 10x faster than
+          ``"block_circulant"`` on the strongly switched
+          ``multi_lo_receiver`` scenario.
         * ``"block_circulant"`` — per-harmonic (frequency-domain)
           preconditioner: the grid-averaged Jacobian is FFT-diagonalised
           along both periodic axes and one small complex ``(n, n)`` block is
-          factored per harmonic.  The right choice for the spectral
-          (``"fourier"``) operators, where it cuts GMRES iteration counts by
-          well over 3x versus the averaged ILU (see
-          ``tests/test_preconditioners.py`` and ``BENCH_perf_assembly.json``).
-        * ``"block_circulant_fast"`` — the *partially-averaged* variant: the
-          device blocks are averaged only along the slow axis, keeping the
-          per-fast-point (LO-phase) variation that carries the physics of
-          strongly switched circuits.  Only the slow axis is
-          FFT-diagonalised; one sparse ``(n_fast * n, n_fast * n)`` complex
-          system is LU-factored per slow harmonic, lazily on first use (only
-          ``n_slow // 2 + 1`` of them — conjugate symmetry supplies the
-          rest; ``MPDEStats.preconditioner_harmonic_builds`` counts the
-          factorisations).  Rebuilt fresh every Newton iterate like
-          ``"block_circulant"`` — a stale instance is invalidated by one
-          Newton step exactly because it tracks the fast-axis operating
-          points.  Cuts total GMRES iterations by a further >= 1.5x versus
-          ``"block_circulant"`` on the LO-switched balanced mixer.
-        * ``"jacobi"`` — diagonal scaling; cheap but weak.
-        * ``"none"`` — unpreconditioned GMRES (diagnostics only).
-    reuse_preconditioner:
-        Keep *expensive* preconditioner factorisations (ILU) across Newton
-        iterations, rebuilding when the adaptive refresh policy flags the
-        cache stale (see below) or when GMRES fails to converge with the
-        stale factorisation.  Modes whose rebuild is cheap relative to the
-        iterations a stale build costs (``"block_circulant"``,
-        ``"block_circulant_fast"``, ``"jacobi"``, ``"none"``) are rebuilt
-        from fresh Jacobian data at every Newton iterate regardless —
-        caching them would trade accuracy for a negligible (or, for the
-        partially-averaged mode, measured-negative) saving.
-    precond_refresh_growth / precond_refresh_slack:
-        Adaptive refresh policy: the first GMRES solve after a rebuild sets a
-        baseline inner-iteration count; a later solve exceeding
-        ``baseline * precond_refresh_growth + precond_refresh_slack``
-        iterations marks the cached preconditioner stale so it is rebuilt
-        *before* the next solve (instead of only after an outright GMRES
-        failure, which wasted a full failed solve).
+          inverted per harmonic.  Its builds cost a few matvecs, so it is
+          1.7-3.2x faster in wall time when the fast axis is spectral
+          (``"fourier"``), despite taking about twice the GMRES iterations.
+
+        See ``docs/preconditioners.md`` for the measurements.
     gmres_tol / gmres_restart:
         Relative tolerance of a *tight* GMRES solve, and the restart length.
         Newton runs inexact: each GMRES solve uses an Eisenstat–Walker
@@ -422,7 +396,8 @@ class MPDEOptions:
     recovery:
         The :class:`RecoveryPolicy` escalation ladder applied when a solve
         fails.  The default policy retries through Newton refresh, extra
-        damping, preconditioner downgrade, source-stepping continuation and
+        damping, a direct-LU re-solve of a matrix-free solve
+        (``"preconditioner_downgrade"``), source-stepping continuation and
         an initial-guess change, recording every attempt in
         ``MPDEStats.recovery_trace``.  Its ``continuation`` rung is the
         source-stepping fallback the paper uses for hard starts;
@@ -454,13 +429,9 @@ class MPDEOptions:
     slow_method: str = "bdf2"
     newton: NewtonOptions = field(default_factory=lambda: NewtonOptions(max_iterations=80))
     continuation: ContinuationOptions = field(default_factory=ContinuationOptions)
-    linear_solver: str = "direct"
     chord_newton: bool = True
     matrix_free: bool = False
-    preconditioner: str = "ilu"
-    reuse_preconditioner: bool = True
-    precond_refresh_growth: float = 1.6
-    precond_refresh_slack: int = 8
+    preconditioner: str = "block_circulant_fast"
     gmres_tol: float = 1e-9
     gmres_restart: int = 80
     initial_guess: str = "dc"
@@ -478,14 +449,8 @@ class MPDEOptions:
             raise ConfigurationError("MPDE grids need at least 3 points per axis")
         _require_in("fast_method", self.fast_method, self._ALLOWED_FD)
         _require_in("slow_method", self.slow_method, self._ALLOWED_FD)
-        _require_in("linear_solver", self.linear_solver, ("direct", "gmres"))
         _require_in("preconditioner", self.preconditioner, self._ALLOWED_PRECONDITIONERS)
         _require_in("initial_guess", self.initial_guess, ("dc", "zero", "transient"))
-        if self.precond_refresh_growth <= 1.0:
-            raise ConfigurationError(
-                f"precond_refresh_growth must be > 1.0, got {self.precond_refresh_growth!r}"
-            )
-        _require_nonnegative("precond_refresh_slack", self.precond_refresh_slack)
         _require_positive("gmres_tol", self.gmres_tol)
         _require_positive("gmres_restart", self.gmres_restart)
         if not isinstance(self.recovery, RecoveryPolicy):

@@ -10,7 +10,7 @@ The contract under test (see ``src/repro/resilience/checkpoint.py``):
   belongs to; resuming into a different circuit/grid/discretisation is a
   :class:`CheckpointError`, never a silently wrong answer.
 * **Bitwise resume** — a deadline-interrupted direct-mode or matrix-free
-  ``block_circulant_fast`` solve, resumed via ``resume_from=`` (in memory or
+  solve (either preconditioner kind), resumed via ``resume_from=`` (in memory or
   from a persisted ``.npz``), lands on exactly the iterate trajectory of the
   uninterrupted solve: the final states match **bit for bit** for MPDE,
   collocation PSS and two-tone HB.
@@ -273,25 +273,26 @@ class TestMPDEResume:
 
         Each solve's tolerance depends on the previous residual norm and
         tolerance, so a resumed matrix-free solve replays the uninterrupted
-        Krylov trajectory only when that state is restored.
+        Krylov trajectory only when that state is restored.  Both
+        preconditioner kinds are rebuilt from the iterate at every solve, so
+        both resume bit for bit.
         """
         mna, scales = _gilbert()
-        path = tmp_path / "mpde.npz"
-        options = replace(
-            _OPTIONS, matrix_free=True, preconditioner="block_circulant_fast"
-        )
-        reference = solve_mpde(mna, scales, options)
-        checkpoint = _interrupt(
-            mna, scales, replace(options, checkpoint_path=str(path)), budget=12
-        )
-        assert 0 < checkpoint.newton_iterations < reference.stats.newton_iterations
-        assert checkpoint.chord_state is None
-        assert checkpoint.forcing_state["eta"] > options.gmres_tol
-        for resume_from in (checkpoint, str(path)):
-            resumed = solve_mpde(mna, scales, options, resume_from=resume_from)
-            np.testing.assert_array_equal(resumed.states, reference.states)
-            tail = resumed.stats.linear_tolerance_history
-            assert tail == reference.stats.linear_tolerance_history[-len(tail) :]
+        for kind in ("block_circulant_fast", "block_circulant"):
+            path = tmp_path / f"{kind}.npz"
+            options = replace(_OPTIONS, matrix_free=True, preconditioner=kind)
+            reference = solve_mpde(mna, scales, options)
+            checkpoint = _interrupt(
+                mna, scales, replace(options, checkpoint_path=str(path)), budget=12
+            )
+            assert 0 < checkpoint.newton_iterations < reference.stats.newton_iterations
+            assert checkpoint.chord_state is None
+            assert checkpoint.forcing_state["eta"] > options.gmres_tol
+            for resume_from in (checkpoint, str(path)):
+                resumed = solve_mpde(mna, scales, options, resume_from=resume_from)
+                np.testing.assert_array_equal(resumed.states, reference.states, err_msg=kind)
+                tail = resumed.stats.linear_tolerance_history
+                assert tail == reference.stats.linear_tolerance_history[-len(tail) :]
 
     def test_exhausted_ladder_failure_carries_checkpoint(self):
         mna, scales = _gilbert()

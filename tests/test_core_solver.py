@@ -159,9 +159,11 @@ class TestSolverControls:
 
     def test_gmres_linear_solver(self, scaled_ideal_mixer):
         mix = scaled_ideal_mixer
-        options = MPDEOptions(n_fast=12, n_slow=12, linear_solver="gmres")
+        options = MPDEOptions(n_fast=12, n_slow=12, matrix_free=True)
         result = solve_mpde(mix.compile(), mix.scales, options)
         assert result.stats.converged
+        # The default preconditioner of the matrix-free GMRES solves.
+        assert result.stats.preconditioner_kind == "block_circulant_fast"
 
     def test_failure_without_continuation_raises(self, scaled_switching_mixer):
         mix = scaled_switching_mixer
@@ -272,17 +274,7 @@ class TestMPDEStatsTimingBreakdown:
         assert stats.eval_time_s > 0.0 and stats.factorization_time_s > 0.0
         self._assert_bounded(stats)
 
-    def test_assembled_gmres_mode(self, mixer):
-        stats = self._stats(mixer, linear_solver="gmres")
-        assert stats.eval_time_s > 0.0
-        assert stats.factorization_time_s == 0.0
-        assert stats.preconditioner_build_time_s > 0.0
-        assert stats.gmres_time_s > 0.0
-        self._assert_bounded(stats)
-
-    @pytest.mark.parametrize(
-        "preconditioner", ["ilu", "block_circulant", "block_circulant_fast"]
-    )
+    @pytest.mark.parametrize("preconditioner", ["block_circulant", "block_circulant_fast"])
     def test_matrix_free_modes(self, mixer, preconditioner):
         stats = self._stats(mixer, matrix_free=True, preconditioner=preconditioner)
         assert stats.eval_time_s > 0.0
@@ -370,8 +362,9 @@ class TestInexactNewton:
         "kwargs",
         [
             {"matrix_free": True, "preconditioner": "block_circulant_fast"},
-            {"matrix_free": True, "preconditioner": "ilu"},
-            {"linear_solver": "gmres"},
+            {"matrix_free": True, "preconditioner": "block_circulant"},
+            # A spectral fast axis, where block_circulant is the faster kind.
+            {"matrix_free": True, "preconditioner": "block_circulant", "fast_method": "fourier"},
         ],
     )
     def test_gmres_tolerances_are_loose_then_end_tight(self, mixer, kwargs):

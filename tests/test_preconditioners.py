@@ -4,11 +4,12 @@ The matrix-free MPDE/HB Newton mode lives or dies by its preconditioner, so
 this module tests the :mod:`repro.linalg.preconditioners` subsystem the way a
 flow-level verification stage would: algebraic property tests (the FFT
 per-harmonic solve must equal a dense solve of the explicitly assembled
-block-circulant matrix), regression tests for the adaptive refresh policy,
-and end-to-end convergence assertions on the paper's balanced mixer — the
-headline being that the block-circulant mode cuts total GMRES inner
-iterations by >= 3x versus the averaged-Jacobian ILU on the spectral
-(``fourier``) operators while reaching the same solution as the direct path.
+block-circulant matrix), regression tests for the adaptive refresh policy
+the chord-Newton LU cache uses, and end-to-end convergence assertions on the
+paper's balanced mixer — the headline being that the partially-averaged
+``block_circulant_fast`` mode cuts total GMRES inner iterations by >= 1.5x
+versus ``block_circulant`` on the spectral (``fourier``) operators, while
+both reach the same solution as the direct path.
 
 The full paper-grid (40 x 30 spectral) check is marked ``slow`` and excluded
 from the default (tier-1) run; run it with ``pytest -m slow``.
@@ -21,19 +22,17 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.analysis.pss_fd import collocation_periodic_steady_state
 from repro.core.mpde import MPDEProblem
 from repro.core.multitone_hb import two_tone_harmonic_balance
 from repro.core.solver import solve_mpde
-from repro.linalg import gmres_solve, make_ilu_preconditioner
+from repro.linalg import gmres_solve
 from repro.linalg.preconditioners import (
     AdaptiveRefreshPolicy,
     BlockCirculantFastPreconditioner,
     BlockCirculantPreconditioner,
-    ILUPreconditioner,
-    IdentityPreconditioner,
-    JacobiPreconditioner,
     Preconditioner,
     circulant_eigenvalues,
     slow_averaged_data,
@@ -47,12 +46,15 @@ from repro.rf import balanced_lo_doubling_mixer, unbalanced_switching_mixer
 from repro.utils import MPDEError, MPDEOptions
 
 # The spectral (two-tone HB equivalent) configuration of the paper's balanced
-# mixer.  SMALL is cheap enough to afford a direct-solve reference; MEDIUM is
-# where the averaged-ILU mode visibly burns iterations (the >= 3x headline
-# assertion); the paper's 40 x 30 grid is exercised by the slow-marked test.
+# mixer.  SMALL is cheap enough to afford a direct-solve reference; MEDIUM
+# carries the iteration floor and cap; the paper's 40 x 30 grid is exercised
+# by the slow-marked test.
 SMALL_GRID = (20, 10)
 MEDIUM_GRID = (36, 18)
 PAPER_GRID = (40, 30)
+#: Most GMRES iterations the MEDIUM spectral ``block_circulant`` solve may use
+#: in total (123 measured; the same cap as the bench ``--check`` gate).
+MAX_MEDIUM_BLOCK_CIRCULANT_GMRES_ITERATIONS = 250
 
 
 def _spectral_options(grid: tuple[int, int], **overrides) -> MPDEOptions:
@@ -105,7 +107,7 @@ def spectral_medium(balanced_mixer):
     """Matrix-free solves at the MEDIUM grid, one per preconditioner mode."""
     mixer, mna = balanced_mixer
     results = {}
-    for mode in ("ilu", "block_circulant", "block_circulant_fast"):
+    for mode in ("block_circulant", "block_circulant_fast"):
         results[mode] = solve_mpde(
             mna,
             mixer.scales,
@@ -485,7 +487,6 @@ class TestBlockCirculantFastProperty:
         c_data = rng.normal(size=(n_fast * n_slow, pattern.nnz))
         g_data = rng.normal(size=(n_fast * n_slow, pattern.nnz))
         kwargs = dict(
-            size=n_fast * n_slow * n,
             dynamic_pattern=pattern,
             static_pattern=pattern,
             c_data=c_data,
@@ -530,7 +531,7 @@ class TestAdaptiveRefreshPolicy:
             AdaptiveRefreshPolicy(slack=-1)
 
     def test_drifting_jacobian_triggers_rebuild_before_failure(self, rng):
-        """A cached preconditioner on a drifting operator must be flagged stale
+        """A cached factorisation on a drifting operator must be flagged stale
         by the iteration trend *before* GMRES ever fails outright."""
         n = 120
         main = 2.0 + rng.uniform(0.5, 1.5, size=n)
@@ -542,7 +543,8 @@ class TestAdaptiveRefreshPolicy:
         rhs = rng.normal(size=n)
 
         policy = AdaptiveRefreshPolicy(growth_factor=1.5, slack=2)
-        preconditioner = make_ilu_preconditioner(base, drop_tol=0.0)  # exact at t=0
+        lu = spla.splu(base)  # exact at t=0
+        preconditioner = spla.LinearOperator(base.shape, matvec=lu.solve, dtype=float)
         policy.note_build()
 
         triggered_at = None
@@ -568,24 +570,17 @@ class TestAdaptiveRefreshPolicy:
         )
         assert triggered_at > 0  # the fresh build itself must not be flagged
 
-    @pytest.mark.no_fault_injection  # asserts one history entry per solve
+    @pytest.mark.no_fault_injection  # asserts the fault-free factorisation count
     def test_mpde_stats_reflect_policy_rebuilds(self, balanced_mixer):
-        """End to end: the stale-ILU rebuilds show up in the solver stats."""
+        """End to end: the chord LU's policy refreshes show up in the stats."""
         mixer, mna = balanced_mixer
-        result = solve_mpde(
-            mna,
-            mixer.scales,
-            _spectral_options(SMALL_GRID, matrix_free=True, preconditioner="ilu"),
-        )
-        stats = result.stats
-        assert stats.preconditioner_kind == "ilu"
+        stats = solve_mpde(mna, mixer.scales, _spectral_options(SMALL_GRID)).stats
         # The Newton iterate moves far from the DC guess, so the policy must
-        # have rebuilt the cached ILU at least once beyond the initial build —
-        # and without a single GMRES failure (every solve converged, so the
-        # history has exactly one entry per linear solve).
-        assert stats.preconditioner_builds >= 2
-        assert len(stats.linear_iteration_history) == stats.linear_solves
-        assert sum(stats.linear_iteration_history) == stats.linear_iterations
+        # have refactored the cached LU at least once beyond the initial
+        # factorisation, while still reusing it for some steps.
+        assert stats.preconditioner_kind == ""
+        assert 2 <= stats.jacobian_factorizations < stats.linear_solves
+        assert stats.linear_iteration_history == []
 
 
 # -- tentpole: the solver-convergence harness ---------------------------------------
@@ -598,30 +593,19 @@ class TestSpectralConvergence:
         assert direct.stats.converged and block.stats.converged
         assert _relative_state_error(block.states, direct.states) < 1e-8
 
-    def test_block_circulant_cuts_gmres_iterations_3x(self, spectral_medium):
-        ilu = spectral_medium["ilu"].stats
+    def test_block_circulant_gmres_iteration_cap(self, spectral_medium):
         block = spectral_medium["block_circulant"].stats
-        assert ilu.converged and block.converged
-        assert block.linear_iterations > 0
-        ratio = ilu.linear_iterations / block.linear_iterations
-        assert ratio >= 3.0, (
-            "block-circulant preconditioning should cut total GMRES inner "
-            f"iterations by >= 3x vs the averaged ILU, got {ratio:.2f}x "
-            f"({ilu.linear_iterations} vs {block.linear_iterations})"
-        )
-        # Both matrix-free modes must land on the same solution.
-        assert (
-            _relative_state_error(
-                spectral_medium["block_circulant"].states,
-                spectral_medium["ilu"].states,
-            )
-            < 1e-8
+        assert block.converged
+        assert 0 < block.linear_iterations <= MAX_MEDIUM_BLOCK_CIRCULANT_GMRES_ITERATIONS, (
+            "the spectral block-circulant solve should need at most "
+            f"{MAX_MEDIUM_BLOCK_CIRCULANT_GMRES_ITERATIONS} GMRES iterations in total, "
+            f"got {block.linear_iterations}"
         )
 
     def test_block_circulant_is_rebuilt_fresh_each_newton_iterate(self, spectral_medium):
         stats = spectral_medium["block_circulant"].stats
         assert stats.preconditioner_kind == "block_circulant"
-        # cheap_rebuild preconditioners are never cached: one build per solve.
+        # Preconditioners are never cached: one build per solve.
         assert stats.preconditioner_builds == stats.linear_solves
 
     def test_block_circulant_fast_cuts_iterations_1_5x_further(self, spectral_medium):
@@ -659,16 +643,15 @@ class TestSpectralConvergence:
         # (conjugate symmetry supplies the mirrored half).
         per_build = MEDIUM_GRID[1] // 2 + 1
         assert stats.preconditioner_harmonic_builds == stats.preconditioner_builds * per_build
-        # The other modes report zero harmonic factorisations.
+        # The fully-averaged mode reports zero harmonic factorisations.
         assert spectral_medium["block_circulant"].stats.preconditioner_harmonic_builds == 0
-        assert spectral_medium["ilu"].stats.preconditioner_harmonic_builds == 0
 
     def test_all_modes_reach_the_direct_solution(self):
         mixer = unbalanced_switching_mixer(lo_frequency=2e6, difference_frequency=50e3)
         mna = mixer.compile()
         base = dict(n_fast=16, n_slow=8, fast_method="bdf2", slow_method="bdf2")
         direct = solve_mpde(mna, mixer.scales, MPDEOptions(**base))
-        for mode in ("ilu", "block_circulant", "block_circulant_fast", "jacobi", "none"):
+        for mode in ("block_circulant", "block_circulant_fast"):
             result = solve_mpde(
                 mna,
                 mixer.scales,
@@ -685,11 +668,6 @@ class TestSpectralConvergence:
         direct = solve_mpde(
             mna, mixer.scales, _spectral_options(PAPER_GRID, chord_newton=False)
         )
-        ilu = solve_mpde(
-            mna,
-            mixer.scales,
-            _spectral_options(PAPER_GRID, matrix_free=True, preconditioner="ilu"),
-        )
         block = solve_mpde(
             mna,
             mixer.scales,
@@ -705,10 +683,7 @@ class TestSpectralConvergence:
             ),
         )
         assert _relative_state_error(block.states, direct.states) < 1e-8
-        assert _relative_state_error(ilu.states, direct.states) < 1e-8
         assert _relative_state_error(fast.states, direct.states) < 1e-8
-        ratio = ilu.stats.linear_iterations / block.stats.linear_iterations
-        assert ratio >= 3.0, f"paper-grid iteration ratio regressed: {ratio:.2f}x"
         fast_ratio = block.stats.linear_iterations / fast.stats.linear_iterations
         assert fast_ratio >= 1.5, (
             f"paper-grid partially-averaged iteration cut regressed: {fast_ratio:.2f}x"
@@ -765,7 +740,7 @@ class TestAnalysisWiring:
         mna = diode_rectifier.compile()
         period = 1e-3
         direct = collocation_periodic_steady_state(mna, period, 32, method="bdf2")
-        for mode in ("block_circulant", "block_circulant_fast", "ilu", "jacobi"):
+        for mode in ("block_circulant", "block_circulant_fast"):
             krylov = collocation_periodic_steady_state(
                 mna,
                 period,
@@ -792,14 +767,15 @@ class TestAnalysisWiring:
 
 
 class TestPreconditionerProtocol:
-    def test_implementations_satisfy_protocol(self):
-        matrix = sp.identity(4, format="csc") * 2.0
+    def test_implementations_satisfy_protocol(self, rng):
+        pattern = _random_pattern(rng, 1)
+        data = rng.normal(size=(4, pattern.nnz)) + 4.0
         instances = [
-            ILUPreconditioner(matrix),
-            JacobiPreconditioner(matrix),
-            IdentityPreconditioner(4),
             BlockCirculantPreconditioner(
                 np.zeros((2, 2)), np.eye(2), np.zeros(2, dtype=complex)
+            ),
+            BlockCirculantFastPreconditioner(
+                data, data, pattern, pattern, periodic_bdf2_difference(4, 1.0)
             ),
         ]
         for instance in instances:
@@ -809,39 +785,14 @@ class TestPreconditionerProtocol:
             vector = np.arange(4.0)
             np.testing.assert_allclose(operator.matvec(vector), instance.solve(vector))
 
-    def test_ilu_is_the_only_expensive_rebuild(self):
-        matrix = sp.identity(3, format="csc")
-        assert ILUPreconditioner(matrix).cheap_rebuild is False
-        assert JacobiPreconditioner(matrix).cheap_rebuild is True
-        assert IdentityPreconditioner(3).cheap_rebuild is True
-        assert (
-            BlockCirculantPreconditioner(
-                np.zeros((1, 1)), np.eye(1), np.zeros(3, dtype=complex)
-            ).cheap_rebuild
-            is True
-        )
-        # The partially-averaged mode is rebuilt fresh too: one Newton step
-        # invalidates a factorisation tailored to the fast-axis operating
-        # points, so caching it is measured-negative (see the class docstring).
-        assert BlockCirculantFastPreconditioner.cheap_rebuild is True
-
-    def test_jacobi_guards_zero_diagonal(self):
-        precond = JacobiPreconditioner(np.array([2.0, 0.0, 4.0]))
-        np.testing.assert_allclose(
-            precond.solve(np.array([2.0, 3.0, 4.0])), [1.0, 3.0, 1.0]
-        )
-
     def test_factory_builds_every_kind(self, balanced_mixer, rng):
         mixer, mna = balanced_mixer
         problem = MPDEProblem(mna, mixer.scales, _spectral_options(SMALL_GRID))
         x = problem.initial_guess_zero()
         _, c_data, g_data = problem.residual_and_values(x)
         for kind, expected in [
-            ("ilu", ILUPreconditioner),
             ("block_circulant", BlockCirculantPreconditioner),
             ("block_circulant_fast", BlockCirculantFastPreconditioner),
-            ("jacobi", JacobiPreconditioner),
-            ("none", IdentityPreconditioner),
         ]:
             built = problem.build_preconditioner(kind, c_data=c_data, g_data=g_data)
             assert isinstance(built, expected)
@@ -850,10 +801,9 @@ class TestPreconditionerProtocol:
     def test_factory_rejects_unknown_kind_and_missing_data(self, balanced_mixer):
         mixer, mna = balanced_mixer
         problem = MPDEProblem(mna, mixer.scales, _spectral_options(SMALL_GRID))
-        with pytest.raises(MPDEError, match="unknown preconditioner"):
-            problem.build_preconditioner(
-                "cholesky", matrix=sp.identity(problem.n_total_unknowns, format="csc")
-            )
+        for kind in ("cholesky", "ilu"):
+            with pytest.raises(MPDEError, match="unknown preconditioner"):
+                problem.build_preconditioner(kind)
         with pytest.raises(MPDEError, match="block-circulant"):
             problem.build_preconditioner("block_circulant")
         with pytest.raises(MPDEError, match="block-circulant-fast"):

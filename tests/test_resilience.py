@@ -442,7 +442,7 @@ class TestRecoveryLadderGMRES:
     def test_injected_stall_recovers_via_refresh(self):
         result = _solve_rc(
             spec=gmres_stall(site="solver.gmres", count=1),
-            linear_solver="gmres",
+            matrix_free=True,
         )
         assert result.stats.converged
         assert result.stats.recovered_by == "newton_refresh"
@@ -466,9 +466,16 @@ class TestRecoveryLadderGMRES:
             recovery=RecoveryPolicy(ladder=("preconditioner_downgrade",)),
         )
         assert result.stats.recovered_by == "preconditioner_downgrade"
-        assert result.stats.preconditioner_kind == "block_circulant"
+        # One step: the rung re-solves with sparse direct LU.
+        assert _trace(result) == [
+            ("baseline", "failed"),
+            ("preconditioner_downgrade", "recovered"),
+        ]
+        assert result.stats.jacobian_factorizations > 0
         detail = result.stats.recovery_trace[-1].detail
-        assert "block_circulant_fast -> block_circulant" in detail
+        assert "block_circulant_fast -> direct LU" in detail
+        direct = _solve_rc()
+        np.testing.assert_allclose(result.states, direct.states, rtol=0.0, atol=1e-9)
 
 
 class TestBalancedMixerAcceptance:

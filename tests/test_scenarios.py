@@ -358,12 +358,10 @@ def _two_tone_states(result):
     return result.mpde.states if hasattr(result, "mpde") else result.states
 
 
-# The bound is a property of the default solve paths, which both end on
-# quadratically converging steps.  An injected fault hands the matrix-free
-# solve to the ladder's damping rung, whose half steps converge linearly and
-# stop just inside the residual tolerance: on multi_lo_receiver that lands
-# 6.7e-5 from the fault-free solution.
-@pytest.mark.no_fault_injection
+# The bound holds for ladder-recovered solves too: under an injected fault
+# profile the matrix-free solve may be recovered by the damping rung, which
+# ends on full Newton steps (its damped steps alone stopped 6.7e-5 from the
+# fault-free multi_lo_receiver solution).
 @pytest.mark.parametrize("name", CROSS_MODE_NAMES)
 def test_matrix_free_solution_matches_direct(name, all_runs):
     scenario, run = all_runs[name]

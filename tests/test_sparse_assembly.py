@@ -227,13 +227,6 @@ class TestMPDEJacobianAssembly:
         # The residual from the fused call matches the standalone one.
         np.testing.assert_array_equal(residual, problem.residual(x))
 
-    def test_averaged_jacobian_has_same_structure(self, rng):
-        problem = _mixer_problem()
-        x = rng.normal(scale=0.3, size=problem.n_total_unknowns)
-        _, c_data, g_data = problem.residual_and_values(x)
-        averaged = problem.averaged_jacobian(c_data, g_data)
-        assert averaged.shape == (problem.n_total_unknowns,) * 2
-
     def test_matrix_free_solve_matches_direct(self):
         from repro.rf import unbalanced_switching_mixer
 

@@ -140,7 +140,7 @@ class TestMPDEOptions:
             {"n_slow": 1},
             {"fast_method": "rk4"},
             {"slow_method": "nope"},
-            {"linear_solver": "cholesky"},
+            {"preconditioner": "ilu"},
             {"initial_guess": "random"},
             {"gmres_tol": 0.0},
         ],
@@ -164,3 +164,16 @@ class TestOptionsFromMapping:
     def test_unknown_key_raises(self):
         with pytest.raises(ConfigurationError, match="unknown option"):
             options_from_mapping(NewtonOptions, {"max_iters": 10})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("linear_solver", "gmres"),
+            ("reuse_preconditioner", True),
+            ("precond_refresh_growth", 1.6),
+            ("precond_refresh_slack", 8),
+        ],
+    )
+    def test_removed_mpde_options_are_unknown(self, key, value):
+        with pytest.raises(ConfigurationError, match="unknown option"):
+            options_from_mapping(MPDEOptions, {key: value})
