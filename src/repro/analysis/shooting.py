@@ -34,7 +34,7 @@ from ..utils.options import NewtonOptions, ShootingOptions
 from .dc import dc_operating_point
 from .integration import StepContext, make_integration_rule
 from .sweep import StateSweep
-from .transient import ChordJacobianCache, solve_implicit_step
+from .transient import solve_implicit_step
 
 __all__ = ["ShootingStats", "ShootingResult", "shooting_periodic_steady_state"]
 
@@ -98,15 +98,10 @@ def _transition_map(
     *,
     want_monodromy: bool,
     stats: ShootingStats,
-    cache: ChordJacobianCache | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
     """Integrate one period and (optionally) accumulate the monodromy matrix.
 
-    Returns ``(x_final, monodromy, times, states)``.  The optional chord
-    cache is shared across all inner implicit steps (and, via the caller,
-    across shooting sweeps): the step Jacobian is refactored only when the
-    integration coefficient changes or convergence degrades, instead of once
-    per Newton iteration of every time step.
+    Returns ``(x_final, monodromy, times, states)``.
     """
     n = mna.n_unknowns
     h = period / n_steps
@@ -137,7 +132,7 @@ def _transition_map(
         b_new = mna.source(t_new)
         x_new, iterations = solve_implicit_step(
             mna, x, t_new, h, context, step_rule, newton_options,
-            cache=cache, b_new=b_new, sweeps=sweeps,
+            b_new=b_new, sweeps=sweeps,
         )
         stats.newton_iterations += iterations
         stats.total_time_steps += 1
@@ -215,7 +210,6 @@ def shooting_periodic_steady_state(
         raise AnalysisError("period must be positive")
     rule = make_integration_rule(opts.integration_method)
     stats = ShootingStats()
-    cache = ChordJacobianCache(mna) if opts.chord_newton else None
 
     x_guess = dc_operating_point(mna).x if x0 is None else np.asarray(x0, dtype=float).copy()
 
@@ -230,7 +224,6 @@ def shooting_periodic_steady_state(
             opts.newton,
             want_monodromy=True,
             stats=stats,
-            cache=cache,
         )
         stats.shooting_iterations = iteration
         residual = x_final - x_guess

@@ -9,24 +9,16 @@ behind the shooting method's state-transition map.
 Fixed-step and adaptive (local-truncation-error controlled) stepping are
 provided, with backward Euler, trapezoidal or Gear-2 integration.
 
-With ``TransientOptions(chord_newton=True)`` the implicit steps run *chord
-Newton* against a cached LU factorisation of the step Jacobian
-(:class:`ChordJacobianCache`): the factorisation is reused across iterations
-and accepted steps and rebuilt only when the step size changes or convergence
-degrades, with a transparent fall-back to full Newton (plus a cooldown that
-keeps the cache dormant on hard-switching stretches).  The shooting method
-shares the same cache across its inner integrations.
-
-Every state is swept once (:class:`~repro.analysis.sweep.StateSweep`), so a
-full-Newton iteration costs one device sweep with Jacobians plus a dense
-solve, and a chord iteration one residual-only sweep plus a
-back-substitution.  Chord needs more of its linearly converging iterations,
-so the mode is opt-in: it pays only where the factorisation dominates an
-iteration (many unknowns).  Measured on the switching mixer at disparity 5
-(6 unknowns, 100 trapezoidal steps, median of 21 interleaved runs on a
-2-CPU Xeon): full Newton takes 345 iterations, 354 sweeps and 78 ms; chord
-takes 477 iterations, 512 sweeps (16 of them refactorisations) and 107 ms,
-1.4x slower.
+Every implicit step is one full-Newton solve
+(:func:`~repro.linalg.newton.newton_solve`) on the dense step Jacobian
+``alpha*C + G``.  Every state is swept once
+(:class:`~repro.analysis.sweep.StateSweep`), so an iteration costs one device
+sweep with Jacobians plus a dense solve.  Reusing one LU factorisation across
+iterations and steps (chord Newton) was measured slower at this library's
+circuit sizes, because chord needs more of its linearly converging
+iterations: on a 2-CPU host, 1.4x on the switching mixer at disparity 5 and
+up to 1.8x on the 15-unknown ``multi_lo_receiver`` cross-validation
+transient.
 """
 
 from __future__ import annotations
@@ -34,13 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..circuits.mna import MNASystem
-from ..linalg.newton import FactoredJacobian, newton_solve
+from ..linalg.newton import newton_solve
 from ..signals.waveform import Waveform
-from ..utils.exceptions import AnalysisError, ConvergenceError, SingularMatrixError
+from ..utils.exceptions import AnalysisError, ConvergenceError
 from ..utils.logging import get_logger
 from ..utils.options import NewtonOptions, TransientOptions
 from .dc import dc_operating_point
@@ -48,7 +38,6 @@ from .integration import StepContext, make_integration_rule
 from .sweep import StateSweep
 
 __all__ = [
-    "ChordJacobianCache",
     "TransientResult",
     "TransientStepStats",
     "run_transient",
@@ -66,123 +55,6 @@ class TransientStepStats:
     rejected_steps: int = 0
     newton_iterations: int = 0
     linear_solves: int = 0
-    #: LU factorisations of the step Jacobian (chord Newton keeps this far
-    #: below ``newton_iterations``; the legacy path factors every iteration).
-    jacobian_refactorisations: int = 0
-
-
-class ChordJacobianCache:
-    """Cached LU factorisation of the implicit-step Jacobian ``alpha*C + G``.
-
-    Chord (modified) Newton reuses one factorisation across iterations *and*
-    across accepted time steps: for smooth stretches of a waveform the
-    Jacobian barely changes, so refactoring every Newton iteration — the
-    dominant cost of the legacy path — is wasted work.  The cache refactors
-    when the integration coefficient ``alpha`` changes (step-size or rule
-    change) or when the caller observes degraded convergence; a failed chord
-    solve falls back to full Newton in :func:`solve_implicit_step`, so
-    robustness is unchanged.
-
-    The factorisation is built from the sparse-assembled per-point Jacobians
-    (``MNASystem.evaluate_sparse``), never from dense ``(n, n)`` stacks.
-    """
-
-    def __init__(
-        self,
-        mna: MNASystem,
-        *,
-        max_chord_iterations: int = 12,
-        slow_iteration_threshold: int = 5,
-        failure_cooldown: int = 8,
-    ) -> None:
-        self.mna = mna
-        self.max_chord_iterations = int(max_chord_iterations)
-        self.slow_iteration_threshold = int(slow_iteration_threshold)
-        self.failure_cooldown = int(failure_cooldown)
-        self._lu = None
-        self._alpha: float | None = None
-        self._cooldown = 0
-        self._consecutive_slow = 0
-        self.refactorisations = 0
-
-    @property
-    def is_usable(self) -> bool:
-        """Whether a factorisation is available."""
-        return self._lu is not None
-
-    def step_allows_chord(self) -> bool:
-        """Whether the next step should attempt the chord iteration at all.
-
-        After a chord failure the circuit is typically in a fast-switching
-        regime where the Jacobian changes too much per step for reuse to pay
-        off; attempting (and abandoning) the chord iteration every step would
-        burn its whole budget each time.  A short cooldown keeps the cache
-        dormant for a few steps before re-engaging, which makes the scheme
-        self-disabling on hard-switching stretches and self-enabling on
-        smooth ones.
-        """
-        if self._cooldown > 0:
-            self._cooldown -= 1
-            return False
-        return True
-
-    def note_failure(self) -> None:
-        """Record a chord failure: drop the factorisation, start the cooldown.
-
-        The stale factorisation is discarded rather than refreshed — it would
-        only sit unused through the cooldown and be stale again by the time
-        the chord re-engages (which refactors from scratch).
-        """
-        self.invalidate()
-        self._cooldown = self.failure_cooldown
-        self._consecutive_slow = 0
-
-    def note_step_iterations(self, iterations: int) -> bool:
-        """Record a converged chord step's iteration count.
-
-        Returns True when the factorisation should be refreshed (the step was
-        slow).  Three slow steps in a row mean even refreshed factorisations
-        go stale within one step — the waveform is switching faster than
-        reuse can follow — so the cooldown kicks in as if the chord had
-        failed (returning False: no refresh, the factorisation is dropped).
-        """
-        if iterations <= self.slow_iteration_threshold:
-            self._consecutive_slow = 0
-            return False
-        self._consecutive_slow += 1
-        if self._consecutive_slow >= 3:
-            self.note_failure()
-            return False
-        return True
-
-    def matches(self, alpha: float) -> bool:
-        """Whether the cached factorisation was built for this ``alpha``."""
-        return self._lu is not None and self._alpha == alpha
-
-    def refactor(self, x: np.ndarray, alpha: float) -> bool:
-        """Factor ``alpha*C(x) + G(x)``; returns False if the matrix is singular."""
-        evaluation = self.mna.evaluate_sparse(np.asarray(x, dtype=float).reshape(1, -1))
-        matrix = alpha * evaluation.capacitance_csr(0) + evaluation.conductance_csr(0)
-        try:
-            self._lu = spla.splu(sp.csc_matrix(matrix))
-        except RuntimeError:
-            self._lu = None
-            self._alpha = None
-            return False
-        self._alpha = float(alpha)
-        self.refactorisations += 1
-        return True
-
-    def invalidate(self) -> None:
-        """Drop the cached factorisation (forces a refactor on next use)."""
-        self._lu = None
-        self._alpha = None
-
-    def factored(self) -> FactoredJacobian:
-        """The cached factorisation wrapped for :func:`newton_solve`."""
-        if self._lu is None:
-            raise AnalysisError("chord Jacobian cache has no factorisation")
-        return FactoredJacobian(self._lu.solve)
 
 
 @dataclass
@@ -227,23 +99,16 @@ def solve_implicit_step(
     rule,
     newton_options: NewtonOptions,
     *,
-    cache: ChordJacobianCache | None = None,
     b_new: np.ndarray | None = None,
     sweeps: StateSweep | None = None,
 ) -> tuple[np.ndarray, int]:
     """Solve one implicit time step; returns the new state and Newton iterations.
 
-    With a :class:`ChordJacobianCache` the step first runs a chord-Newton
-    iteration against the cached LU factorisation (refactoring only when the
-    integration coefficient changed); if the chord iteration does not meet the
-    full convergence criteria within its budget — or the stale factorisation
-    turns out singular — the step falls back to the legacy full-Newton path
-    from the original guess, so the failure behaviour is identical to running
-    without a cache.  ``b_new`` lets callers that already evaluated the
-    excitation at ``t_new`` pass it in instead of evaluating it again.
-    ``sweeps`` is the caller's :class:`~repro.analysis.sweep.StateSweep`:
-    sharing it across steps makes the first residual of a step (at the
-    previous step's state) and the caller's reads at the accepted state free.
+    ``b_new`` lets callers that already evaluated the excitation at ``t_new``
+    pass it in instead of evaluating it again.  ``sweeps`` is the caller's
+    :class:`~repro.analysis.sweep.StateSweep`: sharing it across steps makes
+    the first residual of a step (at the previous step's state) and the
+    caller's reads at the accepted state free.
     """
     alpha, r = rule.derivative_coefficients(h, context)
     if b_new is None:
@@ -251,51 +116,15 @@ def solve_implicit_step(
     if sweeps is None:
         sweeps = StateSweep(mna)
 
-    def chord_residual(x: np.ndarray) -> np.ndarray:
-        evaluation = sweeps.at(x)
-        return alpha * evaluation.q[0] + r + evaluation.f[0] + b_new
-
     def residual(x: np.ndarray) -> np.ndarray:
-        # Full Newton asks for the Jacobian at the iterate whose residual it
-        # just computed, so this sweep fetches C and G along with q and f.
+        # Newton asks for the Jacobian at the iterate whose residual it just
+        # computed, so this sweep fetches C and G along with q and f.
         evaluation = sweeps.at(x, jacobian=True)
         return alpha * evaluation.q[0] + r + evaluation.f[0] + b_new
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         evaluation = sweeps.at(x, jacobian=True)
         return alpha * evaluation.capacitance[0] + evaluation.conductance[0]
-
-    if cache is not None and cache.step_allows_chord():
-        if not cache.matches(alpha):
-            cache.refactor(x_guess, alpha)
-        if cache.is_usable:
-            chord_options = newton_options.with_(
-                max_iterations=min(cache.max_chord_iterations, newton_options.max_iterations)
-            )
-            factored = cache.factored()
-            try:
-                result = newton_solve(
-                    chord_residual,
-                    lambda _x: factored,
-                    x_guess,
-                    chord_options,
-                    raise_on_failure=False,
-                )
-            except SingularMatrixError:
-                # The stale factorisation produced non-finite updates; treat
-                # it like any other chord failure and let full Newton (with a
-                # fresh Jacobian) decide whether the step is actually solvable.
-                result = None
-            if result is not None and result.converged:
-                if cache.note_step_iterations(result.iterations):
-                    # Converged, but slowly: the factorisation has gone stale.
-                    # Refresh it at the accepted state for the next step.
-                    cache.refactor(result.x, alpha)
-                return result.x, result.iterations
-            cache.note_failure()
-            chord_iterations = result.iterations if result is not None else 0
-            full = newton_solve(residual, jacobian, x_guess, newton_options)
-            return full.x, chord_iterations + full.iterations
 
     result = newton_solve(residual, jacobian, x_guess, newton_options)
     return result.x, result.iterations
@@ -363,15 +192,6 @@ def run_transient(
 
     rule = make_integration_rule(opts.method)
     stats = TransientStepStats()
-    cache = (
-        ChordJacobianCache(
-            mna,
-            max_chord_iterations=opts.chord_max_iterations,
-            slow_iteration_threshold=opts.chord_slow_iterations,
-        )
-        if opts.chord_newton
-        else None
-    )
 
     x = _initial_state(mna, x0, use_dc_initial, t_start)
     t = t_start
@@ -381,8 +201,8 @@ def run_transient(
     states = [x.copy()]
 
     sweeps = StateSweep(mna)
-    # Full Newton's first step needs C and G at x as well: fetch them now.
-    evaluation = sweeps.at(x, jacobian=cache is None)
+    # Newton's first step needs C and G at x as well: fetch them now.
+    evaluation = sweeps.at(x, jacobian=True)
     context = StepContext(q_prev=evaluation.q[0], qdot_prev=-(evaluation.f[0] + mna.source(t)))
     # Only the *differential* unknowns (those appearing in q, i.e. with a
     # capacitance column in the compiled stamp pattern) are LTE-controlled —
@@ -409,7 +229,7 @@ def run_transient(
             try:
                 x_new, iters = solve_implicit_step(
                     mna, x, t_new, h, context, rule, opts.newton,
-                    cache=cache, b_new=b_new, sweeps=sweeps,
+                    b_new=b_new, sweeps=sweeps,
                 )
                 stats.newton_iterations += iters
                 stats.linear_solves += iters
@@ -489,8 +309,6 @@ def run_transient(
         else:
             h = dt
 
-    if cache is not None:
-        stats.jacobian_refactorisations = cache.refactorisations
     return TransientResult(
         times=np.asarray(times), states=np.asarray(states), mna=mna, stats=stats
     )

@@ -41,7 +41,6 @@ from ..analysis.dc import dc_operating_point
 from ..circuits.mna import MNASystem
 from ..linalg.continuation import continuation_sweep
 from ..linalg.krylov import CachedPreconditionedGMRES
-from ..linalg.preconditioners import AdaptiveRefreshPolicy
 from ..resilience.checkpoint import SolveCheckpoint, solve_fingerprint
 from ..resilience.deadline import Deadline
 from ..resilience.diagnostics import attach_diagnostics, build_failure_diagnostics
@@ -293,12 +292,13 @@ class _ForcingTerm:
       tolerance on a loose step and stops at a relative state error of
       3.8e-8 against the direct solution).
 
-    A direct solve never asks for a tolerance and so always counts as tight,
-    and a damped run (``NewtonOptions.damping < 1``, as on the ladder's
-    damping rung) solves every correction tight: its steps converge
-    linearly, and with forcing terms a damped run of the 16x8 switching
-    mixer (preconditioned by the since-deleted averaged-Jacobian ILU)
-    stopped 1.9e-8 from the direct solution instead of 5.1e-10.
+    A direct solve never asks for a tolerance and so always counts as tight.
+    A damped run (``NewtonOptions.damping < 1``) uses the forcing terms as
+    well.  Its steps converge linearly and it stops just inside the residual
+    tolerance, so the ladder's damping rung follows it with polish steps:
+    full steps, every correction tight, until the update test passes.  The
+    polish supplies the accuracy; tight damped corrections would cost
+    hundreds of GMRES iterations each on the strongly switched scenarios.
     The constants were chosen on exact GMRES and Newton counts.  For the
     20x15 balanced mixer, ``ETA_MAX`` from 0.1 to 0.9 keeps Newton within
     one iteration of the exact-solve count.  Between 0.5 and 0.8, the
@@ -368,30 +368,28 @@ class _ChordLU:
     """Cached sparse LU of the MPDE Jacobian for direct-mode chord Newton.
 
     The first Newton step after a factorisation records its observed
-    residual-reduction ratio as the
-    :class:`~repro.linalg.preconditioners.AdaptiveRefreshPolicy` baseline;
-    once the trend degrades past the policy threshold — ``baseline *
-    REFRESH_GROWTH + REFRESH_SLACK`` in ``RATIO_SCALE`` units — or a line
-    search fails outright against the stale factorisation, the next linear
-    solve refactors at the current iterate.
+    residual-reduction ratio, in ``RATIO_SCALE`` units, as the trend
+    ``baseline``; once a later step's scaled ratio exceeds ``baseline *
+    REFRESH_GROWTH + REFRESH_SLACK``, or a line search fails outright
+    against the stale factorisation, the next linear solve refactors at the
+    current iterate.
     """
 
     #: Scale turning a residual-reduction ratio into the integer trend
-    #: metric the refresh policy expects (three decimal digits).
+    #: metric (three decimal digits).
     RATIO_SCALE = 1000.0
     #: Ratios at or above this mean the chord step made no progress; the
-    #: recorded metric saturates here (the policy then flags a rebuild).
+    #: recorded metric saturates here (the trend then asks for a rebuild).
     RATIO_CAP = 2.0
     #: Absolute progress floor: a chord step that does not cut the residual
     #: at least 4x marks the factorisation stale regardless of the trend.
-    #: The trend policy alone would accept an arbitrarily slow (but steady)
-    #: linear crawl whenever the first post-rebuild step was itself slow;
-    #: the floor bounds the extra chord iterations a stale factorisation can
-    #: cost before the solver refactors.
+    #: The trend alone would accept an arbitrarily slow (but steady) linear
+    #: crawl whenever the first post-rebuild step was itself slow; the floor
+    #: bounds the extra chord iterations a stale factorisation can cost
+    #: before the solver refactors.
     MAX_RATIO = 0.25
-    #: Refresh-policy threshold: a step whose scaled ratio exceeds
-    #: ``baseline * REFRESH_GROWTH + REFRESH_SLACK`` marks the factorisation
-    #: stale.
+    #: Trend threshold: a step whose scaled ratio exceeds ``baseline *
+    #: REFRESH_GROWTH + REFRESH_SLACK`` marks the factorisation stale.
     REFRESH_GROWTH = 1.6
     REFRESH_SLACK = 8
     #: A chord run ends when its last ``STALL_STEPS`` steps together cut the
@@ -404,10 +402,11 @@ class _ChordLU:
     STALL_STEPS = 3
 
     def __init__(self) -> None:
-        self._policy = AdaptiveRefreshPolicy(
-            growth_factor=self.REFRESH_GROWTH, slack=self.REFRESH_SLACK
-        )
         self.factor = None
+        #: Scaled ratio of the first step after the last build, and of the
+        #: latest step (None until a step is recorded).
+        self.baseline: int | None = None
+        self.last: int | None = None
         #: Residual ratios of the last ``STALL_STEPS`` steps.
         self.recent_ratios: list[float] = []
         #: Iterate the resident factorisation was produced at — part of a
@@ -418,14 +417,25 @@ class _ChordLU:
         self.just_built = False
         self._stale = False
 
+    def _record_trend(self, scaled: int) -> None:
+        if self.baseline is None:
+            self.baseline = scaled
+        self.last = scaled
+
+    def _trend_degraded(self) -> bool:
+        if self.baseline is None or self.last is None:
+            return False
+        return self.last > self.baseline * self.REFRESH_GROWTH + self.REFRESH_SLACK
+
     def needs_refresh(self) -> bool:
-        return self.factor is None or self._stale or self._policy.should_rebuild()
+        return self.factor is None or self._stale or self._trend_degraded()
 
     def store(self, factor) -> None:
         self.factor = factor
         self.just_built = True
         self._stale = False
-        self._policy.note_build()
+        self.baseline = None
+        self.last = None
 
     def invalidate(self) -> None:
         self.factor = None
@@ -443,8 +453,8 @@ class _ChordLU:
             return None
         return {
             "factored_at": np.array(self.factored_at, copy=True),
-            "baseline": self._policy.baseline,
-            "last": self._policy.last,
+            "baseline": self.baseline,
+            "last": self.last,
             "just_built": self.just_built,
             "stale": self._stale,
             "recent_ratios": list(self.recent_ratios),
@@ -454,20 +464,20 @@ class _ChordLU:
         """Rebuild the cached factorisation exactly as a checkpoint recorded it.
 
         ``refactor`` is a callable refactoring at a given iterate (the
-        solver's ``_chord_refactor``); the refresh-policy counters and
-        staleness flags are then replayed on top of the fresh build.
+        solver's ``_chord_refactor``); the trend and staleness flags are
+        then replayed on top of the fresh build.
         """
         refactor(np.asarray(state["factored_at"], dtype=float))
         if state.get("baseline") is not None:
-            self._policy.record(int(state["baseline"]))
+            self._record_trend(int(state["baseline"]))
         if state.get("last") is not None:
-            self._policy.record(int(state["last"]))
+            self._record_trend(int(state["last"]))
         self.just_built = bool(state.get("just_built", False))
         self._stale = bool(state.get("stale", False))
         self.recent_ratios = [float(r) for r in state.get("recent_ratios", ())]
 
     def record_step(self, ratio: float, accepted: bool) -> None:
-        """Feed one Newton step's residual-reduction ratio to the policy.
+        """Feed one Newton step's residual-reduction ratio to the trend.
 
         A step whose line search failed drops the factorisation: the stale
         matrix did not even give a descent direction.
@@ -477,7 +487,7 @@ class _ChordLU:
         if not accepted:
             self.invalidate()
             return
-        self._policy.record(int(capped * self.RATIO_SCALE))
+        self._record_trend(int(capped * self.RATIO_SCALE))
         if self.just_built:
             # The first step after a rebuild is the reference full-Newton
             # step; it sets the trend baseline but must not mark its own
@@ -761,10 +771,8 @@ class MPDESolver:
                 # Converged on a loosely solved step: take one tight step.
                 forcing.force_tight = True
             tol = None
-            if self._matrix_free and (polish or opts.damping < 1.0):
-                # Damped runs stop just inside the residual tolerance after
-                # linear convergence, and a polish is there for accuracy;
-                # see _ForcingTerm.
+            if self._matrix_free and polish:
+                # A polish is there for accuracy; see _ForcingTerm.
                 tol = self.options.gmres_tol
             elif self._matrix_free:
                 tol = forcing.tolerance(float(np.linalg.norm(residual)))
@@ -1192,7 +1200,9 @@ class MPDESolver:
 
             def run_refresh():
                 # Drop the cached factorisation and solve with full Newton
-                # (chord suspended → refactor at each iterate).
+                # (chord suspended → refactor at each iterate).  A
+                # matrix-free solve has nothing to drop: the run repeats the
+                # baseline, which absorbs a transient fault only.
                 if self._chord is not None:
                     self._chord.invalidate()
                 suspended = self._chord_suspended
@@ -1208,7 +1218,12 @@ class MPDESolver:
                     rung,
                     kind,
                     run_refresh,
-                    detail="caches dropped; full Newton refresh",
+                    detail=(
+                        "chord LU dropped; full Newton refresh"
+                        if self._chord is not None
+                        else "re-solved from the start point; the preconditioner is "
+                        "rebuilt at every GMRES solve"
+                    ),
                 ),
                 attempts,
             )

@@ -6,9 +6,8 @@ from .krylov import (
     GMRESReport,
     gmres_solve,
 )
-from .newton import FactoredJacobian, NewtonResult, newton_solve, solve_linear_system
+from .newton import NewtonResult, newton_solve, solve_linear_system
 from .preconditioners import (
-    AdaptiveRefreshPolicy,
     BlockCirculantFastPreconditioner,
     BlockCirculantPreconditioner,
     Preconditioner,
@@ -31,7 +30,6 @@ from .sparse import (
 )
 
 __all__ = [
-    "FactoredJacobian",
     "NewtonResult",
     "newton_solve",
     "solve_linear_system",
@@ -44,7 +42,6 @@ __all__ = [
     "Preconditioner",
     "BlockCirculantPreconditioner",
     "BlockCirculantFastPreconditioner",
-    "AdaptiveRefreshPolicy",
     "circulant_eigenvalues",
     "slow_averaged_data",
     "COOBuilder",

@@ -1,16 +1,16 @@
-"""Generic damped Newton-Raphson solver.
+"""Damped Newton-Raphson for small dense systems.
 
-Every nonlinear solve in the library — DC operating points, each implicit
-time step of transient analysis, the shooting update, harmonic balance, and
-the large coupled system produced by the discretised MPDE — funnels through
-:func:`newton_solve`.  Centralising the iteration gives all analyses the same
-damping/line-search behaviour, the same convergence criteria (SPICE-style
-combined absolute/relative tests) and the same diagnostics.
+:func:`newton_solve` drives every dense nonlinear solve of the time-domain
+and DC layer: DC operating points (plain Newton and the gmin/source-stepping
+continuation stages), each implicit step of transient analysis, and so the
+inner steps of shooting, whose own update solves its dense monodromy system
+with :func:`solve_linear_system`.  They share the same damping and line
+search and the same SPICE-style combined absolute/relative convergence test.
+The discretised MPDE and its one-axis problems (collocation PSS, harmonic
+balance) run their own Newton loop in :class:`~repro.core.solver.MPDESolver`.
 
-The residual and Jacobian are supplied as callables.  The Jacobian may be a
-dense :class:`numpy.ndarray`, any :mod:`scipy.sparse` matrix, or a
-:class:`scipy.sparse.linalg.LinearOperator` (in which case a Krylov solver is
-used for the linear sub-problems).
+The residual and Jacobian are supplied as callables; the Jacobian is a dense
+:class:`numpy.ndarray`.
 """
 
 from __future__ import annotations
@@ -19,37 +19,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..resilience.faultinject import fault_site
 from ..utils.exceptions import ConvergenceError, SingularMatrixError
 from ..utils.logging import get_logger
 from ..utils.options import NewtonOptions
 
-__all__ = ["FactoredJacobian", "NewtonResult", "newton_solve", "solve_linear_system"]
+__all__ = ["NewtonResult", "newton_solve", "solve_linear_system"]
 
 _LOG = get_logger("linalg.newton")
-
-
-class FactoredJacobian:
-    """A pre-factorised Jacobian usable wherever :func:`newton_solve` expects one.
-
-    Wraps a ``solve(rhs) -> dx`` callable (typically the ``solve`` method of a
-    cached LU factorisation).  Returning the *same* instance from the
-    ``jacobian`` callback on every iterate turns :func:`newton_solve` into a
-    chord-Newton iteration — the trick the transient and shooting analyses use
-    to reuse one factorisation across many implicit time steps.
-    """
-
-    __slots__ = ("_solve",)
-
-    def __init__(self, solve: Callable[[np.ndarray], np.ndarray]) -> None:
-        self._solve = solve
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Back-substitute ``rhs`` through the stored factorisation."""
-        return self._solve(rhs)
 
 
 @dataclass
@@ -82,8 +60,8 @@ class NewtonResult:
     residual_history: list[float] = field(default_factory=list)
 
 
-def solve_linear_system(jacobian, rhs: np.ndarray, *, gmres_tol: float = 1e-10) -> np.ndarray:
-    """Solve ``jacobian @ dx = rhs`` for dense, sparse or operator Jacobians.
+def solve_linear_system(jacobian: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the dense system ``jacobian @ dx = rhs``.
 
     Raises
     ------
@@ -91,29 +69,9 @@ def solve_linear_system(jacobian, rhs: np.ndarray, *, gmres_tol: float = 1e-10) 
         If the factorisation fails or the solution contains non-finite
         entries (the usual symptom of a structurally singular MNA matrix).
     """
-    if isinstance(jacobian, FactoredJacobian):
-        dx = np.asarray(jacobian.solve(rhs), dtype=float).reshape(rhs.shape)
-        if not np.all(np.isfinite(dx)):
-            raise SingularMatrixError(
-                "factored-Jacobian solve produced non-finite values (stale or singular "
-                "factorisation)"
-            )
-        return dx
-
-    if isinstance(jacobian, spla.LinearOperator) and not sp.issparse(jacobian):
-        dx, info = spla.gmres(jacobian, rhs, rtol=gmres_tol, atol=0.0)
-        if info != 0:
-            raise SingularMatrixError(
-                f"GMRES failed to solve the Newton linear system (info={info})"
-            )
-        return dx
-
     try:
-        if sp.issparse(jacobian):
-            dx = spla.spsolve(sp.csc_matrix(jacobian), rhs)
-        else:
-            dx = np.linalg.solve(np.asarray(jacobian, dtype=float), rhs)
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        dx = np.linalg.solve(np.asarray(jacobian, dtype=float), rhs)
+    except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"linear solve failed: {exc}") from exc
 
     dx = np.asarray(dx, dtype=float).reshape(rhs.shape)
@@ -130,12 +88,11 @@ def _norm(v: np.ndarray) -> float:
 
 def newton_solve(
     residual: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], object],
+    jacobian: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[float] | np.ndarray,
     options: NewtonOptions | None = None,
     *,
     raise_on_failure: bool = True,
-    callback: Callable[[int, np.ndarray, float], None] | None = None,
 ) -> NewtonResult:
     """Solve ``residual(x) = 0`` by damped Newton-Raphson.
 
@@ -144,8 +101,7 @@ def newton_solve(
     residual:
         Maps an iterate ``x`` to the residual vector ``F(x)``.
     jacobian:
-        Maps an iterate ``x`` to ``dF/dx`` (dense array, sparse matrix or
-        ``LinearOperator``).
+        Maps an iterate ``x`` to the dense ``dF/dx``.
     x0:
         Initial guess.
     options:
@@ -154,9 +110,6 @@ def newton_solve(
         When True (default) a :class:`ConvergenceError` is raised if the
         iteration budget is exhausted; when False the best iterate is
         returned with ``converged=False`` so continuation drivers can react.
-    callback:
-        Optional ``callback(iteration, x, residual_norm)`` hook, invoked after
-        every accepted iterate.
 
     Notes
     -----
@@ -229,8 +182,6 @@ def newton_solve(
         x, fx, res_norm = best_x, best_fx, best_norm
         history.append(res_norm)
 
-        if callback is not None:
-            callback(iteration, x, res_norm)
         _LOG.debug(
             "newton iter=%d residual=%.3e update=%.3e damping=%.3g",
             iteration,

@@ -49,10 +49,6 @@ protocol:
   ``MPDEStats.preconditioner_harmonic_builds``.
 
 Both kinds are rebuilt from fresh Jacobian data at every Newton iterate.
-
-:class:`AdaptiveRefreshPolicy` implements the iteration-trend staleness
-heuristic the direct solver's chord-Newton LU cache uses to decide *when* to
-refactor.
 """
 
 from __future__ import annotations
@@ -73,7 +69,6 @@ __all__ = [
     "Preconditioner",
     "BlockCirculantPreconditioner",
     "BlockCirculantFastPreconditioner",
-    "AdaptiveRefreshPolicy",
     "averaged_dense_blocks",
     "build_averaged_preconditioner",
     "circulant_eigenvalues",
@@ -587,68 +582,3 @@ class BlockCirculantFastPreconditioner(_PreconditionerBase):
         for k in range(half + 1, self.n_slow):
             solved[:, :, k, :] = np.conj(solved[:, :, self.n_slow - k, :])
         return np.ascontiguousarray(np.fft.ifft(solved, axis=2).real)
-
-
-class AdaptiveRefreshPolicy:
-    """Trend-based staleness heuristic for a cached factorisation.
-
-    The first measurement after a (re)build establishes a baseline (an
-    iteration count, or the direct solver's scaled chord-step residual
-    ratio).  As the Newton iterate drifts, the cached factorisation degrades
-    and the measurements creep up; once one exceeds
-    ``baseline * growth_factor + slack`` the policy reports the
-    factorisation as stale so the solver can rebuild *before* the solve
-    fails outright.
-
-    Usage::
-
-        policy.note_build()            # after every (re)factorisation
-        ...
-        policy.record(measurement)     # after every solve
-        if policy.should_rebuild():
-            ...                        # rebuild before the *next* solve
-    """
-
-    def __init__(self, growth_factor: float = 1.6, slack: int = 8) -> None:
-        if growth_factor <= 1.0:
-            raise ValueError(f"growth_factor must be > 1.0, got {growth_factor}")
-        if slack < 0:
-            raise ValueError(f"slack must be non-negative, got {slack}")
-        self.growth_factor = float(growth_factor)
-        self.slack = int(slack)
-        self._baseline: int | None = None
-        self._last: int | None = None
-
-    @property
-    def baseline(self) -> int | None:
-        """Iteration count of the first solve after the last build (or None)."""
-        return self._baseline
-
-    @property
-    def last(self) -> int | None:
-        """Iteration count of the most recent solve (or None)."""
-        return self._last
-
-    def note_build(self) -> None:
-        """Reset the trend: the next recorded solve sets a fresh baseline."""
-        self._baseline = None
-        self._last = None
-
-    def record(self, iterations: int) -> None:
-        """Record the measurement (an integer) of a completed solve."""
-        iterations = int(iterations)
-        if self._baseline is None:
-            self._baseline = iterations
-        self._last = iterations
-
-    def should_rebuild(self) -> bool:
-        """Whether the iteration trend has degraded past the threshold."""
-        if self._baseline is None or self._last is None:
-            return False
-        return self._last > self._baseline * self.growth_factor + self.slack
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"AdaptiveRefreshPolicy(growth_factor={self.growth_factor}, "
-            f"slack={self.slack}, baseline={self._baseline}, last={self._last})"
-        )

@@ -243,7 +243,11 @@ class RecoveryPolicy:
 
 @dataclass(frozen=True)
 class TransientOptions:
-    """Controls for SPICE-style time-stepping (transient) analysis."""
+    """Controls for SPICE-style time-stepping (transient) analysis.
+
+    Every implicit step is solved by full Newton under ``newton``, which
+    refactors the dense step Jacobian at every iteration.
+    """
 
     method: str = "trapezoidal"
     adaptive: bool = False
@@ -253,23 +257,6 @@ class TransientOptions:
     max_rejections: int = 20
     newton: NewtonOptions = field(default_factory=NewtonOptions)
     store_every: int = 1
-    #: Reuse the LU factorisation of the step Jacobian across accepted time
-    #: steps (chord Newton), refactoring only when the step size changes or
-    #: chord convergence degrades.  Falls back to full Newton per step when
-    #: the chord iteration fails, so robustness matches ``False``.  Off by
-    #: default: it pays only when factorisation dominates an iteration (many
-    #: unknowns).  A full-Newton iteration costs one device sweep with
-    #: Jacobians plus a dense solve, a chord iteration one residual-only
-    #: sweep plus a back-substitution, and chord needs more iterations.  On
-    #: the 6-unknown switching mixer (disparity 5, 100 trapezoidal steps)
-    #: chord takes 477 iterations and 107 ms against full Newton's 345 and
-    #: 78 ms (median of 21 interleaved runs, 2-CPU Xeon).
-    chord_newton: bool = False
-    #: Chord-iteration budget before the step falls back to full Newton.
-    chord_max_iterations: int = 12
-    #: Converged chord solves that needed more than this many iterations
-    #: trigger a refactorisation at the accepted state (for the next step).
-    chord_slow_iterations: int = 5
 
     _ALLOWED_METHODS = ("backward-euler", "trapezoidal", "gear2")
 
@@ -280,15 +267,17 @@ class TransientOptions:
         _require_positive("max_step", self.max_step)
         _require_positive("max_rejections", self.max_rejections)
         _require_positive("store_every", self.store_every)
-        _require_positive("chord_max_iterations", self.chord_max_iterations)
-        _require_positive("chord_slow_iterations", self.chord_slow_iterations)
         if self.min_step > self.max_step:
             raise ConfigurationError("min_step must be <= max_step")
 
 
 @dataclass(frozen=True)
 class ShootingOptions:
-    """Controls for single-tone periodic steady state via shooting."""
+    """Controls for single-tone periodic steady state via shooting.
+
+    The inner integration steps are solved like transient steps, by full
+    Newton under ``newton``.
+    """
 
     steps_per_period: int = 200
     max_shooting_iterations: int = 30
@@ -296,15 +285,6 @@ class ShootingOptions:
     reltol: float = 1e-6
     integration_method: str = "trapezoidal"
     newton: NewtonOptions = field(default_factory=NewtonOptions)
-    #: Reuse the LU factorisation across the inner integration steps of every
-    #: shooting sweep (chord Newton); the monodromy accumulation is
-    #: unaffected.  Opt-in for the same reason as
-    #: ``TransientOptions.chord_newton``: on the 6-unknown switching mixer
-    #: (disparity 5, 100 trapezoidal steps, two shooting iterations) chord
-    #: takes 960 Newton iterations, 1045 device sweeps and 173 ms against
-    #: full Newton's 688, 698 and 124 ms (median of 21 interleaved runs,
-    #: 2-CPU Xeon).
-    chord_newton: bool = False
 
     def __post_init__(self) -> None:
         _require_positive("steps_per_period", self.steps_per_period)
@@ -351,9 +331,9 @@ class MPDEOptions:
     chord_newton:
         Direct mode only: reuse the sparse LU factorisation across Newton
         iterations (chord Newton) instead of refactoring every iterate.  The
-        observed residual-reduction trend after a rebuild sets an
-        :class:`~repro.linalg.preconditioners.AdaptiveRefreshPolicy`
-        baseline, and a degraded trend (or a failed line search) triggers a
+        residual-reduction ratio of the first step after a rebuild sets a
+        baseline; a later step whose ratio exceeds ``1.6 * baseline + 0.008``
+        (or 0.25 outright, or whose line search fails) triggers a
         refactorisation at the current iterate.  Chord iterations cost one
         residual-only device sweep plus a back-substitution, so trading a
         few of them for a skipped ``P*n`` factorisation wins for every

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.linalg import newton_solve, solve_linear_system
 from repro.utils import ConvergenceError, NewtonOptions, SingularMatrixError
@@ -17,25 +15,9 @@ class TestSolveLinearSystem:
         x = solve_linear_system(a, np.array([2.0, 8.0]))
         np.testing.assert_allclose(x, [1.0, 2.0])
 
-    def test_sparse(self):
-        a = sp.diags([1.0, 2.0, 4.0]).tocsr()
-        x = solve_linear_system(a, np.array([1.0, 2.0, 4.0]))
-        np.testing.assert_allclose(x, [1.0, 1.0, 1.0])
-
-    def test_linear_operator_uses_gmres(self):
-        mat = np.diag([1.0, 2.0, 3.0])
-        op = spla.LinearOperator((3, 3), matvec=lambda v: mat @ v)
-        x = solve_linear_system(op, np.array([1.0, 4.0, 9.0]))
-        np.testing.assert_allclose(x, [1.0, 2.0, 3.0], rtol=1e-6)
-
     def test_singular_dense_raises(self):
         with pytest.raises(SingularMatrixError):
             solve_linear_system(np.zeros((2, 2)), np.ones(2))
-
-    def test_singular_sparse_raises(self):
-        singular = sp.csr_matrix((2, 2))
-        with pytest.raises(SingularMatrixError):
-            solve_linear_system(singular, np.ones(2))
 
 
 class TestNewtonScalarProblems:
@@ -102,28 +84,6 @@ class TestNewtonVectorProblems:
         result = newton_solve(residual, jacobian, np.array([1.0, 0.5]))
         assert result.converged
         np.testing.assert_allclose(result.x, [np.sqrt(2.0), np.sqrt(2.0)], rtol=1e-9)
-
-    def test_sparse_jacobian(self):
-        def residual(v):
-            return v**2 - np.arange(1.0, 6.0)
-
-        def jacobian(v):
-            return sp.diags(2.0 * v).tocsr()
-
-        result = newton_solve(residual, jacobian, np.ones(5))
-        assert result.converged
-        np.testing.assert_allclose(result.x, np.sqrt(np.arange(1.0, 6.0)), rtol=1e-9)
-
-    def test_callback_is_invoked(self):
-        calls = []
-        newton_solve(
-            lambda x: x - 3.0,
-            lambda x: np.eye(1),
-            np.array([0.0]),
-            callback=lambda it, x, r: calls.append((it, float(x[0]), r)),
-        )
-        assert len(calls) >= 1
-        assert calls[0][0] == 1
 
 
 class TestNewtonFailures:

@@ -22,15 +22,12 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.analysis.pss_fd import collocation_periodic_steady_state
 from repro.core.mpde import MPDEProblem
 from repro.core.multitone_hb import two_tone_harmonic_balance
-from repro.core.solver import solve_mpde
-from repro.linalg import gmres_solve
+from repro.core.solver import _ChordLU, solve_mpde
 from repro.linalg.preconditioners import (
-    AdaptiveRefreshPolicy,
     BlockCirculantFastPreconditioner,
     BlockCirculantPreconditioner,
     Preconditioner,
@@ -511,64 +508,20 @@ class TestBlockCirculantFastProperty:
 
 class TestAdaptiveRefreshPolicy:
     def test_trend_thresholds(self):
-        policy = AdaptiveRefreshPolicy(growth_factor=2.0, slack=4)
-        assert not policy.should_rebuild()  # nothing recorded yet
-        policy.record(10)
-        assert policy.baseline == 10
-        assert not policy.should_rebuild()
-        policy.record(24)  # 24 <= 10 * 2 + 4
-        assert not policy.should_rebuild()
-        policy.record(25)  # 25 > 24
-        assert policy.should_rebuild()
-        policy.note_build()
-        assert policy.baseline is None
-        assert not policy.should_rebuild()
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            AdaptiveRefreshPolicy(growth_factor=1.0)
-        with pytest.raises(ValueError):
-            AdaptiveRefreshPolicy(slack=-1)
-
-    def test_drifting_jacobian_triggers_rebuild_before_failure(self, rng):
-        """A cached factorisation on a drifting operator must be flagged stale
-        by the iteration trend *before* GMRES ever fails outright."""
-        n = 120
-        main = 2.0 + rng.uniform(0.5, 1.5, size=n)
-        off = -1.0 * np.ones(n - 1)
-        base = sp.diags([off, main, off], offsets=[-1, 0, 1]).tocsc()
-        drift = sp.diags(
-            [np.ones(n - 4), np.ones(n - 4)], offsets=[-4, 4], format="csc"
-        )
-        rhs = rng.normal(size=n)
-
-        policy = AdaptiveRefreshPolicy(growth_factor=1.5, slack=2)
-        lu = spla.splu(base)  # exact at t=0
-        preconditioner = spla.LinearOperator(base.shape, matvec=lu.solve, dtype=float)
-        policy.note_build()
-
-        triggered_at = None
-        for step, t in enumerate(np.linspace(0.0, 0.9, 16)):
-            matrix = (base + t * drift).tocsc()
-            _, report = gmres_solve(
-                matrix,
-                rhs,
-                preconditioner=preconditioner,
-                tol=1e-10,
-                raise_on_failure=False,
-            )
-            assert report.converged, (
-                "GMRES failed outright before the refresh policy reacted "
-                f"(drift step {step}) — the policy is supposed to fire first"
-            )
-            policy.record(report.iterations)
-            if policy.should_rebuild():
-                triggered_at = step
-                break
-        assert triggered_at is not None, (
-            "the drifting Jacobian never triggered the adaptive refresh policy"
-        )
-        assert triggered_at > 0  # the fresh build itself must not be flagged
+        chord = _ChordLU()
+        assert chord.needs_refresh()  # no factorisation yet
+        chord.store(object())
+        assert not chord.needs_refresh()  # nothing recorded yet
+        chord.record_step(0.010, accepted=True)  # first step after a build
+        assert chord.baseline == 10
+        assert not chord.needs_refresh()
+        chord.record_step(0.024, accepted=True)  # 24 <= 10 * 1.6 + 8
+        assert not chord.needs_refresh()
+        chord.record_step(0.025, accepted=True)  # 25 > 24
+        assert chord.needs_refresh()
+        chord.store(object())
+        assert chord.baseline is None
+        assert not chord.needs_refresh()
 
     @pytest.mark.no_fault_injection  # asserts the fault-free factorisation count
     def test_mpde_stats_reflect_policy_rebuilds(self, balanced_mixer):

@@ -449,6 +449,9 @@ class TestRecoveryLadderGMRES:
         trace = result.stats.recovery_trace
         assert trace[0].rung == "baseline"
         assert trace[-1].trigger == "gmres_stagnation"
+        # Matrix-free solves have no cached factorisation: the trace says
+        # the rung only re-solved.
+        assert trace[-1].detail.startswith("re-solved from the start point")
 
     def test_broken_preconditioner_downgrades_one_step(self):
         broken = FaultSpec(

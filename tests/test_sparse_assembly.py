@@ -41,7 +41,7 @@ from repro.core import ShearedTimeScales, solve_mpde
 from repro.core.mpde import MPDEProblem
 from repro.linalg import gmres_solve
 from repro.signals import SinusoidStimulus
-from repro.utils import MPDEOptions, TransientOptions
+from repro.utils import MPDEOptions
 
 
 def _all_device_circuit() -> Circuit:
@@ -242,45 +242,6 @@ class TestMPDEJacobianAssembly:
         abstol = MPDEOptions().newton.abstol
         assert free.stats.residual_norm <= abstol
         np.testing.assert_allclose(free.states, direct.states, rtol=1e-6, atol=1e-8)
-
-
-class TestChordNewtonTransient:
-    def test_linear_circuit_chord_matches_full(self):
-        from repro.analysis import run_transient
-
-        ckt = Circuit("rc")
-        ckt.add(VoltageSource("vin", "in", ckt.GROUND, SinusoidStimulus(1.0, 1e5)))
-        ckt.add(Resistor("r1", "in", "out", 1e3))
-        ckt.add(Capacitor("c1", "out", ckt.GROUND, 1e-9))
-        mna = ckt.compile()
-        t_stop, dt = 2e-5, 1e-7
-        chord = run_transient(mna, t_stop, dt, options=TransientOptions(chord_newton=True))
-        full = run_transient(mna, t_stop, dt, options=TransientOptions(chord_newton=False))
-        np.testing.assert_allclose(chord.states, full.states, rtol=1e-9, atol=1e-12)
-        # The whole linear run needs O(1) factorisations (one up front, at
-        # most one more if the final step is shortened to land on t_stop),
-        # versus one per Newton iteration on the legacy path.
-        assert chord.stats.jacobian_refactorisations <= 3
-        assert chord.stats.newton_iterations > 10 * chord.stats.jacobian_refactorisations
-
-    def test_nonlinear_circuit_chord_matches_full(self):
-        from repro.analysis import run_transient
-
-        ckt = Circuit("rectifier")
-        ckt.add(VoltageSource("vin", "in", ckt.GROUND, SinusoidStimulus(2.0, 1e5)))
-        ckt.add(Resistor("r1", "in", "d", 100.0))
-        ckt.add(Diode("d1", "d", "out"))
-        ckt.add(Resistor("rl", "out", ckt.GROUND, 1e3))
-        ckt.add(Capacitor("cl", "out", ckt.GROUND, 1e-8))
-        mna = ckt.compile()
-        t_stop, dt = 3e-5, 5e-8
-        chord = run_transient(mna, t_stop, dt, options=TransientOptions(chord_newton=True))
-        full = run_transient(mna, t_stop, dt, options=TransientOptions(chord_newton=False))
-        # Both runs satisfy the same Newton tolerances; near diode turn-off
-        # the residual tolerance translates to ~1e-7 V on the floating node,
-        # so agreement is asserted at that level rather than bit-for-bit.
-        np.testing.assert_allclose(chord.states, full.states, rtol=1e-4, atol=1e-6)
-        assert chord.stats.jacobian_refactorisations < full.stats.newton_iterations
 
 
 class TestGMRESReport:

@@ -166,14 +166,18 @@ class TestOptionsFromMapping:
             options_from_mapping(NewtonOptions, {"max_iters": 10})
 
     @pytest.mark.parametrize(
-        "key, value",
+        "key, value, cls",
         [
-            ("linear_solver", "gmres"),
-            ("reuse_preconditioner", True),
-            ("precond_refresh_growth", 1.6),
-            ("precond_refresh_slack", 8),
+            ("linear_solver", "gmres", MPDEOptions),
+            ("reuse_preconditioner", True, MPDEOptions),
+            ("precond_refresh_growth", 1.6, MPDEOptions),
+            ("precond_refresh_slack", 8, MPDEOptions),
+            ("chord_newton", True, TransientOptions),
+            ("chord_max_iterations", 12, TransientOptions),
+            ("chord_slow_iterations", 5, TransientOptions),
+            ("chord_newton", True, ShootingOptions),
         ],
     )
-    def test_removed_mpde_options_are_unknown(self, key, value):
+    def test_removed_mpde_options_are_unknown(self, key, value, cls):
         with pytest.raises(ConfigurationError, match="unknown option"):
-            options_from_mapping(MPDEOptions, {key: value})
+            options_from_mapping(cls, {key: value})
