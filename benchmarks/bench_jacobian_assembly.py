@@ -24,7 +24,11 @@ every analysis funnels through, on the paper's balanced mixer at the paper's
    may use at most 250 GMRES iterations in total and the slow-axis
    partially-averaged ``block_circulant_fast`` mode must cut them by >= 1.5x
    versus ``block_circulant`` (the PR-4 floor), plus both modes on a small
-   ``bdf2`` switching-mixer case.
+   ``bdf2`` switching-mixer case.  On that case's Newton systems
+   ``block_circulant_fast`` must cut the iterations of unpreconditioned GMRES
+   by >= 5x.  Per layer, ``block_circulant_fast`` build and apply times are
+   recorded at 20 x 15 and 40 x 30, and every build must make exactly one
+   ``splu`` call (one LU of the block-diagonal harmonic systems).
 5. **Batched evaluation engine** — full and residual-only ``evaluate_sparse``
    at the paper grid on the batched (gather/compute/scatter) backend versus
    the per-device ``backend="loop"`` reference; the batched engine must be
@@ -46,8 +50,10 @@ together with the host (CPU count and model, Python/numpy/scipy versions).
 ``--check`` exits non-zero when any performance floor (assembly speedup
 >= 3x, spectral ``block_circulant`` solve <= 250 GMRES iterations,
 partially-averaged cut >= 1.5x, paper-grid ``block_circulant_fast`` solve
-<= 150 GMRES iterations, batched engine >= 2x, service warm-cache throughput
->= 2x cold) is violated, for CI use.
+<= 150 GMRES iterations, ``block_circulant_fast`` cut >= 5x vs
+unpreconditioned GMRES, one ``splu`` call per ``block_circulant_fast``
+build, batched engine >= 2x, service warm-cache throughput >= 2x cold) is
+violated, for CI use.
 """
 
 from __future__ import annotations
@@ -62,9 +68,12 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+import scipy.sparse.linalg as spla
 
 from repro.core import solve_mpde
 from repro.core.mpde import MPDEProblem
+from repro.core.solver import MPDESolver
+from repro.linalg.krylov import gmres_solve
 from repro.rf import balanced_lo_doubling_mixer, unbalanced_switching_mixer
 from repro.utils import MPDEOptions
 
@@ -81,6 +90,13 @@ MAX_PAPER_GRID_GMRES_ITERATIONS = 150
 #: Most GMRES iterations the spectral ``block_circulant`` solve may use in
 #: total (an exact count; 123 when the cap was set).
 MAX_SPECTRAL_BLOCK_CIRCULANT_GMRES_ITERATIONS = 250
+#: Least factor by which ``block_circulant_fast`` must cut the GMRES
+#: iterations of unpreconditioned GMRES over the Newton systems of the 16x8
+#: switching-mixer solve (an exact count; 542 vs 49, 11.1x, when set).
+MIN_UNPRECONDITIONED_ITERATION_RATIO = 5.0
+#: Grids of the balanced mixer whose ``block_circulant_fast`` build and
+#: apply times are recorded per layer.
+FAST_LAYER_GRIDS = ((20, 15), PAPER_GRID)
 
 
 def host_info() -> dict:
@@ -350,7 +366,136 @@ def bench_preconditioners(mixer, mna) -> dict:
         "spectral_balanced_mixer": spectral,
         "spectral_iteration_ratio_block_circulant_over_fast": fast_ratio,
         "switching_mixer_16x8_bdf2": small,
+        "switching_mixer_16x8_unpreconditioned": bench_unpreconditioned_gmres(),
+        "block_circulant_fast_layers": bench_block_circulant_fast_layers(mixer, mna),
     }
+
+
+class _CountingSplu:
+    """Stands in for ``scipy.sparse.linalg.splu`` and counts its calls."""
+
+    def __init__(self) -> None:
+        self.original = spla.splu
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.original(*args, **kwargs)
+
+    def __enter__(self) -> "_CountingSplu":
+        spla.splu = self
+        return self
+
+    def __exit__(self, *exc) -> None:
+        spla.splu = self.original
+
+
+def _newton_systems(mna, scales, options: MPDEOptions):
+    """Solve matrix-free; also return every Newton system, ``(residual, c, g)``.
+
+    The systems are recorded at ``MPDEProblem.residual_and_values``, which
+    the matrix-free Newton loop calls once per iterate (line searches call
+    the residual-only path).
+    """
+    problem = MPDEProblem(mna, scales, options)
+    systems = []
+    evaluate = problem.residual_and_values
+
+    def recording(x, **kwargs):
+        values = evaluate(x, **kwargs)
+        systems.append(values)
+        return values
+
+    problem.residual_and_values = recording
+    result = MPDESolver(problem, options).solve()
+    if not result.stats.converged:
+        raise RuntimeError(f"{options.preconditioner!r} preconditioner solve did not converge")
+    return problem, result, systems
+
+
+def bench_unpreconditioned_gmres() -> dict:
+    """``block_circulant_fast`` against plain GMRES on the same Newton systems.
+
+    Every Newton system of the 16x8 switching-mixer matrix-free solve is
+    solved twice at the tight ``gmres_tol``: by unpreconditioned GMRES
+    (``gmres_solve(preconditioner=None)``) and with a fresh
+    ``block_circulant_fast`` preconditioner.
+    """
+    switching = unbalanced_switching_mixer(lo_frequency=2e6, difference_frequency=50e3)
+    options = MPDEOptions(
+        n_fast=16, n_slow=8, matrix_free=True, preconditioner="block_circulant_fast"
+    )
+    problem, _result, systems = _newton_systems(switching.compile(), switching.scales, options)
+    totals = {"unpreconditioned": 0, "block_circulant_fast": 0}
+    for residual, c_data, g_data in systems:
+        operator = problem.jacobian_operator(c_data, g_data)
+        preconditioners = {
+            "unpreconditioned": None,
+            "block_circulant_fast": problem.build_preconditioner(
+                "block_circulant_fast", c_data=c_data, g_data=g_data
+            ),
+        }
+        for name, preconditioner in preconditioners.items():
+            _dx, report = gmres_solve(
+                operator,
+                -residual,
+                preconditioner=preconditioner,
+                tol=options.gmres_tol,
+                restart=options.gmres_restart,
+            )
+            totals[name] += report.iterations
+    return {
+        "newton_systems": len(systems),
+        "gmres_tol": options.gmres_tol,
+        "unpreconditioned_gmres_iterations": totals["unpreconditioned"],
+        "block_circulant_fast_gmres_iterations": totals["block_circulant_fast"],
+        "iteration_ratio": totals["unpreconditioned"] / totals["block_circulant_fast"],
+    }
+
+
+def bench_block_circulant_fast_layers(mixer, mna, *, applies: int = 5) -> dict:
+    """Build and apply time of ``block_circulant_fast``, and LU calls per build.
+
+    The matrix-free solve counts the ``splu`` calls of its builds.  Each of
+    its Newton systems is then rebuilt and applied ``applies + 1`` times:
+    ``apply_ms`` is the best of the later applies, and ``build_ms`` the
+    construction (the problem's symbolic structure is already cached) plus
+    what the first apply costs beyond ``apply_ms`` — the lazy factorisation.
+    Both are medians over the Newton systems.
+    """
+    record = {}
+    rng = np.random.default_rng(0)
+    for grid in FAST_LAYER_GRIDS:
+        options = MPDEOptions(
+            n_fast=grid[0], n_slow=grid[1], matrix_free=True, preconditioner="block_circulant_fast"
+        )
+        with _CountingSplu() as counting:
+            problem, result, systems = _newton_systems(mna, mixer.scales, options)
+        builds = int(result.stats.preconditioner_builds)
+        vector = rng.normal(size=problem.n_total_unknowns)
+        build_s, apply_s = [], []
+        for _residual, c_data, g_data in systems:
+            start = time.perf_counter()
+            preconditioner = problem.build_preconditioner(
+                "block_circulant_fast", c_data=c_data, g_data=g_data
+            )
+            preconditioner.solve(vector)
+            first = time.perf_counter() - start
+            best = float("inf")
+            for _ in range(applies):
+                start = time.perf_counter()
+                preconditioner.solve(vector)
+                best = min(best, time.perf_counter() - start)
+            build_s.append(first - best)
+            apply_s.append(best)
+        record["%dx%d" % grid] = {
+            "preconditioner_builds": builds,
+            "lu_calls": counting.calls,
+            "lu_calls_per_build": counting.calls / builds,
+            "build_ms": 1e3 * float(np.median(build_s)),
+            "apply_ms": 1e3 * float(np.median(apply_s)),
+        }
+    return record
 
 
 def bench_scenario_enumeration() -> dict:
@@ -531,6 +676,23 @@ def main(check: bool = False) -> dict:
         "  partially-averaged cut vs block_circulant: %.2fx (floor 1.5x)"
         % preconditioners["spectral_iteration_ratio_block_circulant_over_fast"]
     )
+    unpreconditioned = preconditioners["switching_mixer_16x8_unpreconditioned"]
+    print(
+        "  16x8 switching mixer, %d Newton systems: unpreconditioned %d vs "
+        "block_circulant_fast %d GMRES iterations (%.1fx, floor %.1fx)"
+        % (
+            unpreconditioned["newton_systems"],
+            unpreconditioned["unpreconditioned_gmres_iterations"],
+            unpreconditioned["block_circulant_fast_gmres_iterations"],
+            unpreconditioned["iteration_ratio"],
+            MIN_UNPRECONDITIONED_ITERATION_RATIO,
+        )
+    )
+    for grid, layer in preconditioners["block_circulant_fast_layers"].items():
+        print(
+            "  block_circulant_fast %-6s build %.2f ms  apply %.3f ms  LU calls per build %.2f"
+            % (grid, layer["build_ms"], layer["apply_ms"], layer["lu_calls_per_build"])
+        )
     print("== wall-time breakdown (paper-grid solves) ==")
     for mode in SOLVE_MODES:
         timing = solves[mode]["timing"]
@@ -596,6 +758,20 @@ def main(check: bool = False) -> dict:
             % MAX_PAPER_GRID_GMRES_ITERATIONS,
             f"{paper_gmres} iterations",
             paper_gmres <= MAX_PAPER_GRID_GMRES_ITERATIONS,
+        ),
+        (
+            "block_circulant_fast cut >= %gx vs unpreconditioned GMRES iterations "
+            "(16x8 switching mixer)" % MIN_UNPRECONDITIONED_ITERATION_RATIO,
+            f"{unpreconditioned['iteration_ratio']:.2f}x",
+            unpreconditioned["iteration_ratio"] >= MIN_UNPRECONDITIONED_ITERATION_RATIO,
+        ),
+        *(
+            (
+                f"block_circulant_fast {grid}: exactly one splu call per build",
+                f"{layer['lu_calls']} calls / {layer['preconditioner_builds']} builds",
+                layer["lu_calls"] == layer["preconditioner_builds"],
+            )
+            for grid, layer in preconditioners["block_circulant_fast_layers"].items()
         ),
         (
             "batched engine >= 2x vs per-device loop (full evaluate_sparse)",

@@ -68,6 +68,7 @@ import scipy.sparse.linalg as spla
 from ..circuits.mna import MNASystem
 from ..linalg.preconditioners import (
     PRECONDITIONER_KINDS,
+    BlockCirculantFastStructure,
     Preconditioner,
     build_averaged_preconditioner,
     circulant_eigenvalues,
@@ -95,14 +96,19 @@ class _DiscreteOperators:
 
     The derivative and the Jacobian assembler are built up front (every
     residual and every direct-mode Newton step needs them); the ``kron``
-    product and the block-diagonal skeletons only serve the matrix-free
-    operator and the dense reference path, so they are built on first use.
+    product, the block-diagonal skeletons and the ``block_circulant_fast``
+    structure only serve the matrix-free operator, its preconditioner and
+    the dense reference path, so they are built on first use.
     """
 
-    def __init__(self, derivative: sp.csr_matrix, mna: MNASystem, n_points: int) -> None:
+    def __init__(
+        self, derivative: sp.csr_matrix, mna: MNASystem, grid: MultiTimeGrid, fast_method: str
+    ) -> None:
         self.derivative = derivative  # (P, P) acting on the grid-point index
         self._mna = mna
-        self._n_points = n_points
+        self._grid = grid
+        self._fast_method = fast_method
+        self._n_points = grid.n_points
         self.assembler = CollocationJacobianAssembler(
             derivative, mna.dynamic_pattern, mna.static_pattern, mna.n_unknowns
         )
@@ -121,6 +127,16 @@ class _DiscreteOperators:
     def g_blocks(self) -> BlockDiagStructure:
         """``blockdiag(G_p)`` CSR skeleton."""
         return BlockDiagStructure(self._mna.static_pattern, self._n_points)
+
+    @cached_property
+    def fast_structure(self) -> BlockCirculantFastStructure:
+        """Symbolic structure of the ``block_circulant_fast`` harmonic systems."""
+        return BlockCirculantFastStructure(
+            self._mna.dynamic_pattern,
+            self._mna.static_pattern,
+            self._grid.axis_matrix("fast", self._fast_method),
+            self._grid.n_slow,
+        )
 
 
 class MPDEProblem:
@@ -207,7 +223,7 @@ class MPDEProblem:
         self.grid = grid
         #: Phase reference of the excitation (non-zero only for one-axis problems).
         self.t0 = float(t0)
-        self._operators = _DiscreteOperators(derivative, mna, grid.n_points)
+        self._operators = _DiscreteOperators(derivative, mna, grid, options.fast_method)
         if source.shape != (grid.n_points, mna.n_unknowns):
             raise MPDEError(
                 f"source grid has shape {source.shape}, expected "
@@ -361,7 +377,9 @@ class MPDEProblem:
         works from the grid-averaged dense blocks plus the circulant
         eigenvalues of the two axis operators, the partially-averaged
         ``block_circulant_fast`` mode from the slow-axis means of the
-        per-point data plus the fast-axis differentiation matrix itself.
+        per-point data plus the problem's cached
+        :class:`~repro.linalg.preconditioners.BlockCirculantFastStructure`
+        (built from the fast-axis differentiation matrix on first use).
         """
         if kind not in PRECONDITIONER_KINDS:
             raise MPDEError(
@@ -382,8 +400,10 @@ class MPDEProblem:
             g_data=g_data,
             eigenvalues_fast=lam_fast,
             eigenvalues_slow=lam_slow,
-            fast_operator=self.grid.axis_matrix("fast", self.options.fast_method),
             grid_shape=(self.grid.n_fast, self.grid.n_slow),
+            structure=(
+                self._operators.fast_structure if kind == "block_circulant_fast" else None
+            ),
         )
 
     # -- continuation embedding -----------------------------------------------------

@@ -92,10 +92,10 @@ class MPDEStats:
     linear_tolerance_history: list[float] = field(default_factory=list)
     #: Number of preconditioner builds performed (one per GMRES solve).
     preconditioner_builds: int = 0
-    #: Lazy per-harmonic sparse LU factorisations performed by the
-    #: partially-averaged ``"block_circulant_fast"`` preconditioner across
-    #: the whole solve (all builds summed; conjugate symmetry keeps this at
-    #: ``n_slow // 2 + 1`` per build).  Zero for ``"block_circulant"``.
+    #: Harmonic systems factored by the partially-averaged
+    #: ``"block_circulant_fast"`` preconditioner across the whole solve (all
+    #: builds summed; one lazy LU per build covers the ``n_slow // 2 + 1``
+    #: distinct harmonics).  Zero for ``"block_circulant"``.
     preconditioner_harmonic_builds: int = 0
     #: Preconditioner mode used for the GMRES solves ("" for the direct
     #: solver).
@@ -125,16 +125,16 @@ class MPDEStats:
     #: the matrix-free mode).
     factorization_time_s: float = 0.0
     #: Preconditioner construction time across all builds (matrix-free
-    #: mode only).  The partially-averaged mode factors its per-harmonic LUs
-    #: lazily inside the first GMRES apply, where they count toward
+    #: mode only).  The partially-averaged mode factors its block-diagonal
+    #: LU lazily inside the first GMRES apply, where it counts toward
     #: ``gmres_time_s``.
     preconditioner_build_time_s: float = 0.0
     #: Time inside the GMRES solves (matvecs, preconditioner applies,
     #: orthogonalisation; matrix-free mode only).
     gmres_time_s: float = 0.0
-    #: Per-harmonic back-substitution time inside the preconditioner
-    #: applies (summed solver-call durations).  A subdivision of
-    #: ``gmres_time_s``, not an additional top-level bucket.
+    #: Back-substitution time inside the preconditioner applies (summed
+    #: solver-call durations).  A subdivision of ``gmres_time_s``, not an
+    #: additional top-level bucket.
     gmres_backsub_time_s: float = 0.0
     # -- recovery ladder (resilience subsystem) ---------------------------
     #: Every recovery attempt made by the escalation ladder, in order: the
@@ -999,6 +999,10 @@ class MPDESolver:
             n_grid_points=self.problem.n_grid_points,
             n_total_unknowns=self.problem.n_total_unknowns,
         )
+        if self.options.matrix_free:
+            # A chord LU here was made by an earlier solve's
+            # preconditioner_downgrade rung.
+            self._chord = None
         if self._chord is not None:
             self._chord.invalidate()
         self._deadline = Deadline(self.options.deadline_s)
@@ -1265,10 +1269,13 @@ class MPDESolver:
             )
 
         if rung == "preconditioner_downgrade":
-            # Re-solve with sparse direct LU at every iterate; the later
-            # rungs keep the direct solver.
+            # Re-solve with sparse direct LU, by chord Newton when the
+            # options ask for it, as a direct solve would; the later rungs
+            # keep the direct solver.  The next ``solve`` drops the chord.
             attempts += 1
             self._direct_fallback = True
+            if self.options.chord_newton:
+                self._chord = _ChordLU()
             return (
                 *self._ladder_attempt(
                     stats,

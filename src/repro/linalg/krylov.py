@@ -195,19 +195,20 @@ class CachedPreconditionedGMRES:
     block-circulant kinds cost less to rebuild than a stale instance costs
     in GMRES iterations.  The counters accumulate over every solve:
     ``builds``, ``build_time_s``, ``solve_time_s``, ``harmonic_builds``
-    (lazy per-harmonic LUs) and ``apply_backsub_time_s`` (per-harmonic
-    back-substitution time, a subdivision of ``solve_time_s``).
+    (harmonic systems factored by the lazy block-diagonal LUs) and
+    ``apply_backsub_time_s`` (back-substitution time, a subdivision of
+    ``solve_time_s``).
     """
 
     def __init__(self, build) -> None:
         self._build = build
         #: Preconditioners built so far (one per solve).
         self.builds = 0
-        #: Lazy per-harmonic LU factorisations of the preconditioners built
-        #: so far (:class:`~repro.linalg.preconditioners.BlockCirculantFastPreconditioner`
+        #: Harmonic systems factored by the preconditioners built so far
+        #: (:class:`~repro.linalg.preconditioners.BlockCirculantFastPreconditioner`
         #: only; zero for the other kind).
         self.harmonic_builds = 0
-        #: Cumulative per-harmonic back-substitution wall time.
+        #: Cumulative back-substitution wall time of the applies.
         self.apply_backsub_time_s = 0.0
         #: Cumulative wall time spent building preconditioners.
         self.build_time_s = 0.0

@@ -42,9 +42,14 @@ protocol:
 
       B_k = (D1 kron I_n) blkdiag(C_i) + mu_k blkdiag(C_i) + blkdiag(G_i)
 
-  which is LU-factored *lazily* on first use (and only for the first
-  ``n_slow // 2 + 1`` harmonics — conjugate symmetry of real data supplies
-  the rest for free).  The factorisation effort stays observable through
+  The ``K + 1 = n_slow // 2 + 1`` distinct systems (conjugate symmetry of
+  real data supplies the rest) are factored together, as one sparse complex
+  LU of ``blkdiag(B_0 .. B_K)``, *lazily* on the first apply; an apply is
+  one ``rfft`` along the slow axis, one back-substitution and one
+  ``irfft``.  The symbolic part — the union pattern of the ``B_k``, the
+  scatter maps of the averaged data onto it and the stacked block-diagonal
+  index arrays — is a :class:`BlockCirculantFastStructure`, built once per
+  problem.  The factorisation effort stays observable through
   :attr:`BlockCirculantFastPreconditioner.harmonic_factorizations` and
   ``MPDEStats.preconditioner_harmonic_builds``.
 
@@ -62,13 +67,13 @@ import scipy.sparse.linalg as spla
 
 from ..utils.logging import get_logger
 from ..utils.options import PRECONDITIONER_KINDS
-from .sparse import BlockDiagStructure, kron_identity
 
 __all__ = [
     "PRECONDITIONER_KINDS",
     "Preconditioner",
     "BlockCirculantPreconditioner",
     "BlockCirculantFastPreconditioner",
+    "BlockCirculantFastStructure",
     "averaged_dense_blocks",
     "build_averaged_preconditioner",
     "circulant_eigenvalues",
@@ -176,6 +181,7 @@ def build_averaged_preconditioner(
     eigenvalues_slow: np.ndarray | None = None,
     fast_operator=None,
     grid_shape: tuple[int, int] | None = None,
+    structure: BlockCirculantFastStructure | None = None,
 ) -> Preconditioner:
     """Kind dispatch over the two grid-averaged-operator preconditioners.
 
@@ -187,15 +193,17 @@ def build_averaged_preconditioner(
       device Jacobians and the supplied circulant axis ``eigenvalues_*``.
     * ``"block_circulant_fast"`` — slow-axis partially-averaged blocks from
       :func:`slow_averaged_data` (``grid_shape`` supplies the
-      ``(n_fast, n_slow)`` split), the fast-axis differentiation matrix
-      ``fast_operator`` and the slow-axis ``eigenvalues_slow``.
+      ``(n_fast, n_slow)`` split), the slow-axis ``eigenvalues_slow`` and
+      either the problem's cached :class:`BlockCirculantFastStructure`
+      (``structure``) or the fast-axis differentiation matrix
+      ``fast_operator`` to build one from.
     """
     if kind == "block_circulant_fast":
-        if fast_operator is None or grid_shape is None:
+        if (fast_operator is None and structure is None) or grid_shape is None:
             raise ValueError(
                 "preconditioner kind 'block_circulant_fast' needs the fast-axis "
-                "differentiation matrix (fast_operator) and the (n_fast, n_slow) "
-                "grid shape"
+                "differentiation matrix (fast_operator) or its structure, and the "
+                "(n_fast, n_slow) grid shape"
             )
         n_fast, n_slow = grid_shape
         # Catch an omitted / mismatched slow-eigenvalue array here, where the
@@ -214,6 +222,7 @@ def build_averaged_preconditioner(
             static_pattern,
             fast_operator,
             eigenvalues_slow,
+            structure=structure,
         )
     if kind == "block_circulant":
         if eigenvalues_fast is None:
@@ -365,6 +374,114 @@ class BlockCirculantPreconditioner(_PreconditionerBase):
         return np.ascontiguousarray(result.real).reshape(np.shape(vector))
 
 
+class BlockCirculantFastStructure:
+    """Symbolic part of the ``block_circulant_fast`` preconditioner.
+
+    Everything about the harmonic systems
+
+        B_k = ((D1 kron I_n) + mu_k I) blkdiag(C_i) + blkdiag(G_i),
+        k = 0 .. K,  K = n_slow // 2,
+
+    that does not depend on the Jacobian values is fixed by the stamp
+    patterns, the fast-axis differentiation matrix ``D1`` and ``n_slow``, so
+    it is computed here once per problem (``MPDEProblem`` caches one
+    instance for all its Newton iterates):
+
+    * the union CSC pattern shared by every ``B_k`` (the pattern of
+      ``(D1 kron I_n) blkdiag(C_i)``, ``blkdiag(C_i)`` and
+      ``blkdiag(G_i)`` merged);
+    * two scatter maps from the slow-averaged data ``(c_bar, g_bar)`` onto
+      that pattern: one for the real base ``(D1 kron I_n) blkdiag(C_i) +
+      blkdiag(G_i)`` and one for ``blkdiag(C_i)``;
+    * the CSC ``indices``/``indptr`` of the stacked block-diagonal matrix
+      ``blkdiag(B_0 .. B_K)``.
+
+    :meth:`stacked_data` then reduces a build to two ``bincount`` scatters
+    and one broadcast ``base + mu_k * c`` over all harmonics.
+    """
+
+    def __init__(
+        self,
+        dynamic_pattern,
+        static_pattern,
+        fast_operator: sp.spmatrix | np.ndarray,
+        n_slow: int,
+    ) -> None:
+        coo = sp.coo_matrix(sp.csr_matrix(fast_operator))
+        if coo.shape[0] != coo.shape[1]:
+            raise ValueError(f"fast operator must be square, got shape {coo.shape}")
+        if n_slow < 1:
+            raise ValueError(f"n_slow must be positive, got {n_slow}")
+        self.n_unknowns = int(dynamic_pattern.n)
+        self.n_fast = int(coo.shape[0])
+        self.n_slow = int(n_slow)
+        #: Distinct harmonic systems ``B_0 .. B_K`` (conjugate symmetry of
+        #: real data supplies the rest).
+        self.n_blocks = self.n_slow // 2 + 1
+        #: Size ``n_fast * n`` of one harmonic system.
+        self.block_size = self.n_fast * self.n_unknowns
+        self._d_cols = coo.col.astype(np.int64)
+        self._d_vals = coo.data.astype(float)
+
+        n = np.int64(self.n_unknowns)
+        size = np.int64(self.block_size)
+        point = np.arange(self.n_fast, dtype=np.int64)[:, None] * n
+        # (D1 kron I_n) blkdiag(C_i): D1 entry (a, i) scales C_i into block
+        # position (a, i); blkdiag(G_i) and blkdiag(C_i) sit on the diagonal.
+        dc_rows = (coo.row.astype(np.int64)[:, None] * n + dynamic_pattern.rows).ravel()
+        dc_cols = (self._d_cols[:, None] * n + dynamic_pattern.cols).ravel()
+        g_rows = (point + static_pattern.rows).ravel()
+        g_cols = (point + static_pattern.cols).ravel()
+        c_rows = (point + dynamic_pattern.rows).ravel()
+        c_cols = (point + dynamic_pattern.cols).ravel()
+        # Column-major keys put the merged entries directly into CSC order.
+        keys = np.concatenate(
+            [dc_cols * size + dc_rows, g_cols * size + g_rows, c_cols * size + c_rows]
+        )
+        unique_keys, slot = np.unique(keys, return_inverse=True)
+        n_base = dc_rows.size + g_rows.size
+        self._base_slot = slot[:n_base].astype(np.int64)
+        self._c_slot = slot[n_base:].astype(np.int64)
+        #: Structural nonzeros of one harmonic system.
+        self.nnz = int(unique_keys.size)
+
+        rows = unique_keys % size
+        counts = np.bincount(unique_keys // size, minlength=self.block_size)
+        block = np.arange(self.n_blocks, dtype=np.int64)[:, None]
+        self.indices = (rows[None, :] + block * size).ravel().astype(np.int32)
+        self.indptr = np.concatenate(
+            [[0], (np.cumsum(counts)[None, :] + block * self.nnz).ravel()]
+        ).astype(np.int32)
+
+    def stacked_data(
+        self, c_bar: np.ndarray, g_bar: np.ndarray, mu: np.ndarray
+    ) -> np.ndarray:
+        """CSC data of ``blkdiag(B_0 .. B_K)`` for slow eigenvalues ``mu``.
+
+        ``c_bar``/``g_bar`` are the ``(n_fast, nnz)`` slow-averaged data rows
+        and ``mu`` holds ``mu_0 .. mu_K``.
+        """
+        contributions = (self._d_vals[:, None] * c_bar[self._d_cols, :]).ravel()
+        base = np.bincount(
+            self._base_slot,
+            weights=np.concatenate([contributions, g_bar.ravel()]),
+            minlength=self.nnz,
+        )
+        c_on = np.bincount(self._c_slot, weights=c_bar.ravel(), minlength=self.nnz)
+        return (base[None, :] + mu[:, None] * c_on[None, :]).ravel()
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        """``blkdiag(B_0 .. B_K)`` from :meth:`stacked_data` output."""
+        size = self.n_blocks * self.block_size
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(size, size))
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"BlockCirculantFastStructure(n_fast={self.n_fast}, n_slow={self.n_slow}, "
+            f"n={self.n_unknowns}, nnz={self.nnz})"
+        )
+
+
 class BlockCirculantFastPreconditioner(_PreconditionerBase):
     """Slow-axis partially-averaged per-harmonic preconditioner.
 
@@ -398,36 +515,42 @@ class BlockCirculantFastPreconditioner(_PreconditionerBase):
         objects.
     fast_operator:
         The fast-axis differentiation matrix ``D1``, shape
-        ``(n_fast, n_fast)``.
+        ``(n_fast, n_fast)``.  Not read when ``structure`` is given.
     eigenvalues_slow:
         Circulant eigenvalues ``mu_k`` of the slow-axis operator (length
         ``n_slow``), ordered as :func:`numpy.fft.fft` output.  Omit (or pass
         a single zero) for one-dimensional collocation problems, where the
         single ``B_0`` equals the unaveraged Jacobian itself.
+    structure:
+        The problem's :class:`BlockCirculantFastStructure`; built here from
+        the patterns and ``fast_operator`` when omitted.
+
     Notes
     -----
-    Factorisations are *lazy* by default: ``B_k`` is LU-factored on the
-    first solve that touches harmonic ``k``, and only the first
-    ``n_slow // 2 + 1`` harmonics are ever factored — conjugate symmetry
-    (``B_{n-k} = conj(B_k)``, real-input spectra obey ``v_{n-k} =
-    conj(v_k)``) supplies the mirrored solutions by conjugation.  A complex
-    vector splits into its real and imaginary parts, which share one FFT
-    call and one sweep over the harmonic solvers (two-column RHS), bitwise
-    equal to — and half the cost of — applying the preconditioner to each
-    part separately.  :attr:`harmonic_factorizations` counts the sparse LU
-    factorisations performed so far (surfaced as
-    ``MPDEStats.preconditioner_harmonic_builds``).
+    Only the ``K + 1 = n_slow // 2 + 1`` distinct harmonics are solved —
+    conjugate symmetry (``B_{n-k} = conj(B_k)``, real-input spectra obey
+    ``v_{n-k} = conj(v_k)``) supplies the rest, so an apply is one ``rfft``
+    along the slow axis, one back-substitution with the sparse complex LU of
+    ``blkdiag(B_0 .. B_K)`` and one ``irfft``.  That one LU is factored
+    *lazily*, on the first apply; :attr:`harmonic_factorizations` then counts
+    the ``K + 1`` harmonic systems it covers (surfaced as
+    ``MPDEStats.preconditioner_harmonic_builds``).  A complex vector splits
+    into its real and imaginary parts, which share one FFT call and one
+    two-column back-substitution, bitwise equal to — and half the cost of —
+    applying the preconditioner to each part separately.
 
     The solver rebuilds this mode from fresh Jacobian data at every Newton
-    iterate.  That is a measured trade: a build is ~``n_slow // 2`` sparse
-    LUs, i.e. a few GMRES iterations' worth of back-substitutions, while a
-    stale instance is invalidated by a single Newton step precisely because
-    it tracks the per-fast-point operating points (on the 36x18 LO-switched
-    balanced mixer a cached instance under an iteration-trend refresh policy
-    cost 2578 total GMRES iterations against 362 for fresh rebuilds — the
-    first post-build Newton step set the policy's baseline at 1 iteration
-    while the stale solve burned 1918).  Singular harmonic systems fall back
-    to a dense pseudo-inverse and flag the instance ``degraded``.
+    iterate.  That is a measured trade: a build is one sparse LU of the
+    ``K + 1`` harmonic systems, i.e. a few GMRES iterations' worth of
+    back-substitutions, while a stale instance is invalidated by a single
+    Newton step precisely because it tracks the per-fast-point operating
+    points (on the 36x18 LO-switched balanced mixer a cached instance under
+    an iteration-trend refresh policy cost 2578 total GMRES iterations
+    against 362 for fresh rebuilds — the first post-build Newton step set the
+    policy's baseline at 1 iteration while the stale solve burned 1918).  If
+    the block-diagonal LU finds the system singular, every harmonic block
+    falls back to a dense pseudo-inverse and the instance is flagged
+    ``degraded``.
     """
 
     kind = "block_circulant_fast"
@@ -438,8 +561,10 @@ class BlockCirculantFastPreconditioner(_PreconditionerBase):
         g_bar_fast: np.ndarray,
         dynamic_pattern,
         static_pattern,
-        fast_operator: sp.spmatrix | np.ndarray,
+        fast_operator: sp.spmatrix | np.ndarray | None,
         eigenvalues_slow: np.ndarray | None = None,
+        *,
+        structure: BlockCirculantFastStructure | None = None,
     ) -> None:
         c_bar_fast = np.asarray(c_bar_fast, dtype=float)
         g_bar_fast = np.asarray(g_bar_fast, dtype=float)
@@ -450,12 +575,6 @@ class BlockCirculantFastPreconditioner(_PreconditionerBase):
                 f"c/g slow-averaged data disagree on n_fast: "
                 f"{c_bar_fast.shape[0]} vs {g_bar_fast.shape[0]}"
             )
-        fast = sp.csr_matrix(fast_operator)
-        if fast.shape != (c_bar_fast.shape[0],) * 2:
-            raise ValueError(
-                f"fast operator shape {fast.shape} does not match n_fast = "
-                f"{c_bar_fast.shape[0]}"
-            )
         lam_slow = (
             np.zeros(1, dtype=complex)
             if eigenvalues_slow is None
@@ -463,29 +582,38 @@ class BlockCirculantFastPreconditioner(_PreconditionerBase):
         )
         if lam_slow.size == 0:
             raise ValueError("eigenvalue arrays must be non-empty")
-        self.n_unknowns = int(dynamic_pattern.n)
-        self.n_fast = int(c_bar_fast.shape[0])
-        self.n_slow = int(lam_slow.size)
+        if structure is None:
+            structure = BlockCirculantFastStructure(
+                dynamic_pattern, static_pattern, fast_operator, lam_slow.size
+            )
+        if structure.n_fast != c_bar_fast.shape[0]:
+            raise ValueError(
+                f"fast operator shape {(structure.n_fast,) * 2} does not match "
+                f"n_fast = {c_bar_fast.shape[0]}"
+            )
+        if structure.n_slow != lam_slow.size:
+            raise ValueError(
+                f"structure built for n_slow = {structure.n_slow} got "
+                f"{lam_slow.size} slow-axis eigenvalue(s)"
+            )
+        self.structure = structure
+        self.n_unknowns = structure.n_unknowns
+        self.n_fast = structure.n_fast
+        self.n_slow = structure.n_slow
         super().__init__(self.n_fast * self.n_slow * self.n_unknowns)
 
-        c_blk = BlockDiagStructure(dynamic_pattern, self.n_fast).matrix(c_bar_fast)
-        g_blk = BlockDiagStructure(static_pattern, self.n_fast).matrix(g_bar_fast)
-        d_kron = kron_identity(fast, self.n_unknowns)
-        # B_k = base + mu_k * C_blk; both factors are real, so the complex
-        # per-harmonic systems are assembled by one scalar-times-sparse add.
-        self._base = (d_kron @ c_blk + g_blk).tocsc()
-        self._c_blk = c_blk.tocsc()
-        self._lam_slow = lam_slow
-        self._solvers: dict[int, Callable[[np.ndarray], np.ndarray]] = {}
-        #: Sparse LU factorisations performed so far (conjugate-symmetric:
-        #: at most ``n_slow // 2 + 1``).
+        self._data = structure.stacked_data(
+            c_bar_fast, g_bar_fast, lam_slow[: structure.n_blocks]
+        )
+        self._backsolve: Callable[[np.ndarray], np.ndarray] | None = None
+        #: Harmonic systems factored so far: 0 until the first apply, then
+        #: ``n_slow // 2 + 1`` (all of them, in one sparse LU).
         self.harmonic_factorizations = 0
-        #: Harmonic back-substitutions dispatched so far: one per distinct
-        #: harmonic per :meth:`solve` call — a complex apply shares a single
-        #: sweep (it does not double-count against a real apply).
+        #: Harmonic back-substitutions dispatched so far: ``n_slow // 2 + 1``
+        #: per :meth:`solve` call — a complex apply shares a single
+        #: back-substitution (it does not double-count against a real apply).
         self.harmonic_applies = 0
-        #: Wall time spent inside the per-harmonic back-substitutions of
-        #: every apply.
+        #: Wall time spent inside the back-substitutions of every apply.
         self.apply_backsub_time_s = 0.0
 
     @property
@@ -493,54 +621,53 @@ class BlockCirculantFastPreconditioner(_PreconditionerBase):
         """Number of slow harmonics (distinct per-harmonic systems)."""
         return self.n_slow
 
-    def _harmonic_solver(self, k: int) -> Callable[[np.ndarray], np.ndarray]:
-        """The solver for slow harmonic ``k``, LU-factored on first use.
+    def _factor(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Factor ``blkdiag(B_0 .. B_K)`` once; returns its back-substitution.
 
-        The returned callable back-substitutes 1-D or 2-D (multi-column)
-        right-hand sides.  A singular harmonic system falls back to a dense
-        pseudo-inverse and flags the instance ``degraded``.
+        The callable solves a ``(rows, m)`` right-hand side.  A singular
+        system falls back to one dense pseudo-inverse per harmonic block and
+        flags the instance ``degraded``.
         """
-        solver = self._solvers.get(k)
-        if solver is not None:
-            return solver
-        matrix = (self._base + self._lam_slow[k] * self._c_blk).tocsc()
+        structure = self.structure
+        matrix = structure.matrix(self._data)
+        self._data = None
         try:
-            solver = spla.splu(matrix).solve
+            backsolve = spla.splu(matrix).solve
         except RuntimeError:
             _LOG.warning(
-                "block-circulant-fast preconditioner: slow harmonic %d is "
-                "singular; using a dense pseudo-inverse (degraded "
-                "preconditioning)",
-                k,
+                "block-circulant-fast preconditioner: the harmonic systems are "
+                "singular; using dense pseudo-inverses (degraded preconditioning)"
             )
-            pinv = np.linalg.pinv(matrix.toarray())
+            size, n_blocks = structure.block_size, structure.n_blocks
+            pinvs = np.stack(
+                [
+                    np.linalg.pinv(
+                        matrix[k * size : (k + 1) * size, k * size : (k + 1) * size].toarray()
+                    )
+                    for k in range(n_blocks)
+                ]
+            )
 
-            def solver(rhs: np.ndarray, _pinv=pinv) -> np.ndarray:
-                # Column-wise on 2-D RHS so a batched apply stays bitwise
-                # equal to per-column applies (dense GEMM picks different
-                # kernels than GEMV; SuperLU back-substitution does not).
-                if rhs.ndim == 1:
-                    return _pinv @ rhs
-                out = np.empty((_pinv.shape[0], rhs.shape[1]), dtype=complex)
-                for column in range(rhs.shape[1]):
-                    out[:, column] = _pinv @ rhs[:, column]
-                return out
+            def backsolve(rhs: np.ndarray) -> np.ndarray:
+                # Column by column, so a two-column (complex) apply stays
+                # bitwise equal to two real applies, as SuperLU's does: a
+                # matrix-matrix product may use other kernels.
+                blocks = rhs.reshape(n_blocks, size, -1)
+                columns = [pinvs @ blocks[:, :, j : j + 1] for j in range(blocks.shape[2])]
+                return np.concatenate(columns, axis=2).reshape(rhs.shape)
 
             self.degraded = True
-        self._solvers[k] = solver
-        self.harmonic_factorizations += 1
-        return solver
+        self.harmonic_factorizations = structure.n_blocks
+        return backsolve
 
     def solve(self, vector: np.ndarray) -> np.ndarray:
         values = np.asarray(vector)
         if np.iscomplexobj(values):
             # The apply is linear, so a complex vector splits exactly into
-            # real and imaginary applies — but those share one FFT call and
-            # one sweep over the harmonic solvers (two-column RHS; SuperLU
-            # back-substitutes columns independently), so the result is
-            # bitwise what the former two-pass
-            # ``solve(real) + 1j * solve(imag)`` recursion produced at half
-            # the FFT and solver-sweep cost.
+            # real and imaginary applies, which share one FFT call and one
+            # two-column back-substitution (SuperLU back-substitutes columns
+            # independently): bitwise what ``solve(real) + 1j * solve(imag)``
+            # gives at half the cost.
             grids = np.stack([values.real, values.imag]).reshape(
                 2, self.n_fast, self.n_slow, self.n_unknowns
             )
@@ -552,33 +679,22 @@ class BlockCirculantFastPreconditioner(_PreconditionerBase):
     def _solve_real_grids(self, grids: np.ndarray) -> np.ndarray:
         """Apply the preconditioner to ``m`` stacked real grids at once.
 
-        ``grids`` has shape ``(m, n_fast, n_slow, n_unknowns)``; the slow
-        axis of every grid is FFT-transformed in one call and each distinct
-        harmonic system is solved once with an ``m``-column RHS.
+        ``grids`` has shape ``(m, n_fast, n_slow, n_unknowns)``.  Real input
+        makes the slow-axis spectrum conjugate-symmetric, and ``B_{n-k} =
+        conj(B_k)``, so only harmonics ``0 .. K`` are solved: one ``rfft``,
+        one ``m``-column back-substitution ordered as ``blkdiag(B_0 ..
+        B_K)``, one ``irfft``.
         """
+        if self._backsolve is None:
+            self._backsolve = self._factor()
         m = grids.shape[0]
-        spectrum = np.fft.fft(grids, axis=2)
-        solved = np.empty_like(spectrum)
-        # Real input: the slow-axis spectrum is conjugate-symmetric and the
-        # per-harmonic systems satisfy B_{n-k} = conj(B_k), so the upper half
-        # of the harmonics is solved by conjugating the lower half.
-        half = self.n_slow // 2
-        size = self.n_fast * self.n_unknowns
-        for k in range(half + 1):
-            solver = self._harmonic_solver(k)
-            self.harmonic_applies += 1
-            if m == 1:
-                rhs = np.ascontiguousarray(spectrum[0, :, k, :]).ravel()
-                start = time.perf_counter()
-                solution = solver(rhs)
-                self.apply_backsub_time_s += time.perf_counter() - start
-                solved[0, :, k, :] = solution.reshape(self.n_fast, self.n_unknowns)
-            else:
-                rhs = np.ascontiguousarray(spectrum[:, :, k, :].reshape(m, size).T)
-                start = time.perf_counter()
-                solution = solver(rhs)
-                self.apply_backsub_time_s += time.perf_counter() - start
-                solved[:, :, k, :] = solution.T.reshape(m, self.n_fast, self.n_unknowns)
-        for k in range(half + 1, self.n_slow):
-            solved[:, :, k, :] = np.conj(solved[:, :, self.n_slow - k, :])
-        return np.ascontiguousarray(np.fft.ifft(solved, axis=2).real)
+        spectrum = np.fft.rfft(grids, axis=2)
+        # Column j stacks harmonic blocks k = 0..K of grid j, each ordered
+        # (fast point, unknown); the transposed copy is Fortran-ordered.
+        rhs = spectrum.transpose(0, 2, 1, 3).reshape(m, -1).T
+        start = time.perf_counter()
+        solution = self._backsolve(rhs)
+        self.apply_backsub_time_s += time.perf_counter() - start
+        self.harmonic_applies += self.structure.n_blocks
+        solved = solution.T.reshape(m, -1, self.n_fast, self.n_unknowns)
+        return np.fft.irfft(solved.transpose(0, 2, 1, 3), n=self.n_slow, axis=2)

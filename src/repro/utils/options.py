@@ -353,12 +353,12 @@ class MPDEOptions:
           preconditioner: the device blocks are averaged only along the
           slow axis, keeping the per-fast-point (LO-phase) variation that
           carries the physics of strongly switched circuits.  Only the slow
-          axis is FFT-diagonalised; one sparse ``(n_fast * n, n_fast * n)``
-          complex system is LU-factored per slow harmonic, lazily on first
-          use (only ``n_slow // 2 + 1`` of them — conjugate symmetry
-          supplies the rest; ``MPDEStats.preconditioner_harmonic_builds``
-          counts the factorisations).  About 10x faster than
-          ``"block_circulant"`` on the strongly switched
+          axis is FFT-diagonalised, leaving one sparse ``(n_fast * n,
+          n_fast * n)`` complex system per slow harmonic.  The
+          ``n_slow // 2 + 1`` distinct ones (conjugate symmetry supplies the
+          rest) are factored by one block-diagonal LU on the first apply;
+          ``MPDEStats.preconditioner_harmonic_builds`` counts them.  About
+          10x faster than ``"block_circulant"`` on the strongly switched
           ``multi_lo_receiver`` scenario.
         * ``"block_circulant"`` — per-harmonic (frequency-domain)
           preconditioner: the grid-averaged Jacobian is FFT-diagonalised

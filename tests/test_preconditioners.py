@@ -17,16 +17,19 @@ from the default (tier-1) run; run it with ``pytest -m slow``.
 
 from __future__ import annotations
 
+import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.analysis.pss_fd import collocation_periodic_steady_state
 from repro.core.mpde import MPDEProblem
 from repro.core.multitone_hb import two_tone_harmonic_balance
-from repro.core.solver import _ChordLU, solve_mpde
+from repro.core.solver import MPDESolver, _ChordLU, solve_mpde
 from repro.linalg.preconditioners import (
     BlockCirculantFastPreconditioner,
     BlockCirculantPreconditioner,
@@ -36,6 +39,7 @@ from repro.linalg.preconditioners import (
 )
 from repro.linalg.sparse import (
     StampPattern,
+    periodic_backward_difference,
     periodic_bdf2_difference,
     periodic_fourier_differentiation,
 )
@@ -299,7 +303,8 @@ class TestBlockCirculantFastProperty:
         )
 
     def test_lazy_conjugate_symmetric_factorization_count(self, rng):
-        """Only ``n_slow // 2 + 1`` LUs are ever built for real vectors, lazily."""
+        """Only ``n_slow // 2 + 1`` harmonic systems are ever factored for
+        real vectors, lazily."""
         n, n_fast, n_slow = 2, 6, 8
         d_fast = np.asarray(
             sp.csr_matrix(periodic_bdf2_difference(n_fast, 1.0)).todense()
@@ -459,6 +464,108 @@ class TestBlockCirculantFastProperty:
         # A real apply still dispatches one sweep.
         precond.solve(vector.real)
         assert precond.harmonic_applies == 2 * distinct
+
+    @pytest.mark.parametrize(
+        "n_fast, n_slow", [(6, 7), (6, 8), (9, 1)], ids=["odd", "even", "one-axis"]
+    )
+    def test_one_splu_call_per_build(self, rng, monkeypatch, n_fast, n_slow):
+        """Every distinct harmonic is factored by one sparse LU of the
+        block-diagonal system, on the first apply and never again."""
+        calls = []
+        original = spla.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        n = 3
+        pattern = _random_pattern(rng, n)
+        d_fast = sp.csr_matrix(periodic_bdf2_difference(n_fast, 1.0))
+        lam_slow = (
+            None
+            if n_slow == 1
+            else circulant_eigenvalues(periodic_bdf2_difference(n_slow, 3.0))
+        )
+        c_bar = rng.normal(size=(n_fast, pattern.nnz)) * 1e-3
+        g_bar = rng.normal(size=(n_fast, pattern.nnz))
+        g_bar[:, np.nonzero(pattern.rows == pattern.cols)[0]] += 4.0
+        precond = BlockCirculantFastPreconditioner(
+            c_bar, g_bar, pattern, pattern, d_fast, lam_slow
+        )
+        assert calls == []
+        precond.solve(rng.normal(size=n_fast * n_slow * n))
+        precond.solve(rng.normal(size=n_fast * n_slow * n) * (1 + 1j))
+        distinct = n_slow // 2 + 1
+        assert calls == [(distinct * n_fast * n,) * 2]
+        assert precond.harmonic_factorizations == distinct
+
+    def test_build_preconditioner_reuses_one_structure(
+        self, scaled_switching_mixer, monkeypatch
+    ):
+        """Every Newton build of one problem shares the problem's symbolic
+        structure, and the structure is freed with the problem."""
+        mna = scaled_switching_mixer.compile()
+        options = MPDEOptions(
+            n_fast=12, n_slow=8, matrix_free=True, preconditioner="block_circulant_fast"
+        )
+        problem = MPDEProblem(mna, scaled_switching_mixer.scales, options)
+        structures = []
+        original = BlockCirculantFastPreconditioner.__init__
+
+        def recording_init(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            structures.append(self.structure)
+
+        monkeypatch.setattr(BlockCirculantFastPreconditioner, "__init__", recording_init)
+        result = MPDESolver(problem, options).solve()
+        assert result.stats.converged
+        assert len(structures) >= 2
+        assert all(structure is structures[0] for structure in structures)
+        assert problem.build_preconditioner(
+            "block_circulant_fast",
+            c_data=np.zeros((problem.n_grid_points, mna.dynamic_pattern.nnz)),
+            g_data=np.zeros((problem.n_grid_points, mna.static_pattern.nnz)),
+        ).structure is structures[0]
+
+        alive = weakref.ref(structures[0])
+        del structures, problem, result
+        gc.collect()
+        assert alive() is None
+
+    def test_only_dc_harmonic_singular_degrades_the_rest_stays_exact(self, rng, caplog):
+        """With ``G = 0``, an invertible ``C`` and a circulant ``D1`` only
+        ``B_0 = (D1 kron I) blkdiag(C_i)`` is singular.  The one LU then
+        fails, every harmonic block falls back to its pseudo-inverse, and the
+        ``k != 0`` harmonics of the result still equal their dense solves."""
+        n, n_fast, n_slow = 2, 4, 6
+        pattern = StampPattern(np.arange(n), np.arange(n), n)
+        c_bar = np.tile([1.0, 2.0], (n_fast, 1))
+        g_bar = np.zeros((n_fast, pattern.nnz))
+        # Unit steps make D1 = I - shift exactly, so B_0's LU meets an exact
+        # zero pivot.
+        d_fast = periodic_backward_difference(n_fast, float(n_fast)).toarray()
+        lam_slow = circulant_eigenvalues(periodic_backward_difference(n_slow, float(n_slow)))
+        with caplog.at_level(logging.WARNING, logger="repro.linalg.preconditioners"):
+            precond = BlockCirculantFastPreconditioner(
+                c_bar, g_bar, pattern, pattern, d_fast, lam_slow
+            )
+            vector = rng.normal(size=n_fast * n_slow * n)
+            result = precond.solve(vector)
+        assert precond.degraded
+        assert any("singular" in record.message for record in caplog.records)
+
+        c_blk = np.kron(np.eye(n_fast), np.diag(c_bar[0]))
+        spectrum = np.fft.fft(vector.reshape(n_fast, n_slow, n), axis=1)
+        solved = np.fft.fft(result.reshape(n_fast, n_slow, n), axis=1)
+        for k in range(1, n_slow):
+            block = (np.kron(d_fast, np.eye(n)) + lam_slow[k] * np.eye(n_fast * n)) @ c_blk
+            np.testing.assert_allclose(
+                solved[:, k, :].ravel(),
+                np.linalg.solve(block, spectrum[:, k, :].ravel()),
+                rtol=1e-10,
+                atol=1e-12,
+            )
 
     def test_shape_validation(self, rng):
         pattern = _random_pattern(rng, 2, density=1.0)
