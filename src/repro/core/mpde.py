@@ -59,7 +59,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -420,15 +419,6 @@ class MPDEProblem:
             raise MPDEError(f"embedding parameter must be in [0, 1], got {lam}")
         mean = self._source_grid.mean(axis=0, keepdims=True)
         return mean + lam * (self._source_grid - mean)
-
-    def residual_for_embedding(self, lam: float) -> Callable[[np.ndarray], np.ndarray]:
-        """Return a residual callable for the embedded problem at ``lam``."""
-        b_grid = self.embedded_source_grid(lam)
-
-        def _residual(x_flat: np.ndarray) -> np.ndarray:
-            return self.residual(x_flat, source_grid=b_grid)
-
-        return _residual
 
     # -- initial guesses ---------------------------------------------------------------
     def initial_guess_from_state(self, x0: np.ndarray) -> np.ndarray:

@@ -17,13 +17,13 @@ choice (see the MOT-HB benchmark).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..circuits.mna import MNASystem
 from ..utils.exceptions import AnalysisError
-from ..utils.options import MPDEOptions, RecoveryPolicy
+from ..utils.options import MPDEOptions
 from .solver import MPDEResult, solve_mpde
 from .timescales import ShearedTimeScales
 
@@ -103,10 +103,7 @@ def two_tone_harmonic_balance(
     n_harmonics_slow: int = 7,
     oversampling: int = 2,
     options: MPDEOptions | None = None,
-    matrix_free: bool | None = None,
-    preconditioner: str | None = None,
     deadline_s: float | None = None,
-    recovery: RecoveryPolicy | None = None,
     resume_from=None,
     checkpoint_path: str | None = None,
 ) -> TwoToneHBResult:
@@ -126,20 +123,17 @@ def two_tone_harmonic_balance(
     options:
         Base :class:`MPDEOptions`; the grid size and differentiation methods
         are overridden to the spectral settings implied by the truncation.
-    matrix_free, preconditioner:
-        Optional overrides of the corresponding :class:`MPDEOptions` fields.
         The spectral operators used here are exactly where the per-harmonic
         preconditioners shine, so large truncations are best run with
-        ``matrix_free=True`` and ``preconditioner="block_circulant"`` — or
-        ``"block_circulant_fast"`` (slow-axis partially-averaged) for
+        ``MPDEOptions(matrix_free=True, preconditioner="block_circulant")``
+        — or ``"block_circulant_fast"`` (slow-axis partially-averaged) for
         strongly LO-switched circuits, where it cuts total GMRES iterations
         by a further >= 1.5x (see ``docs/preconditioners.md`` for which one
         is faster when).
-    deadline_s, recovery:
-        Optional overrides of the resilience knobs (see ``docs/resilience.md``):
-        a cooperative wall-clock budget for the underlying MPDE solve and the
-        :class:`~repro.utils.options.RecoveryPolicy` driving its failure
-        escalation ladder.
+    deadline_s:
+        Optional override of ``MPDEOptions.deadline_s``: a cooperative
+        wall-clock budget for the underlying MPDE solve (see
+        ``docs/resilience.md``).
     resume_from, checkpoint_path:
         Crash-consistent checkpointing of the underlying MPDE solve (see
         :func:`~repro.core.solver.solve_mpde`): ``checkpoint_path``
@@ -156,24 +150,13 @@ def two_tone_harmonic_balance(
     base = options or MPDEOptions()
     n_fast = max(4, oversampling * (2 * n_harmonics_fast + 1))
     n_slow = max(4, oversampling * (2 * n_harmonics_slow + 1))
-    import dataclasses
-
-    overrides: dict = {}
-    if matrix_free is not None:
-        overrides["matrix_free"] = bool(matrix_free)
-    if preconditioner is not None:
-        overrides["preconditioner"] = preconditioner
-    if deadline_s is not None:
-        overrides["deadline_s"] = float(deadline_s)
-    if recovery is not None:
-        overrides["recovery"] = recovery
-    spectral_options = dataclasses.replace(
+    spectral_options = replace(
         base,
         n_fast=n_fast,
         n_slow=n_slow,
         fast_method="fourier",
         slow_method="fourier",
-        **overrides,
+        deadline_s=base.deadline_s if deadline_s is None else float(deadline_s),
     )
     result = solve_mpde(
         mna,

@@ -8,7 +8,7 @@ assembled by :class:`~repro.core.mpde.MPDEProblem`, with
   tight only when it matters),
 * a backtracking line search (the same safeguards as the rest of the
   library), and
-* a recovery ladder (:class:`~repro.utils.options.RecoveryPolicy`) whose
+* a fixed recovery ladder (:data:`RECOVERY_LADDER`) whose
   ``continuation`` rung is the source-stepping fallback: when plain Newton
   fails from the available initial guess, the time-varying part of the
   excitation is ramped from zero (a DC-like problem) up to its full value —
@@ -55,17 +55,24 @@ from ..utils.exceptions import (
     SingularMatrixError,
 )
 from ..utils.logging import get_logger
-from ..utils.options import MPDEOptions, NewtonOptions
+from ..utils.options import ContinuationOptions, MPDEOptions, NewtonOptions
 from .mpde import MPDEProblem
 from .timescales import ShearedTimeScales, UnshearedTimeScales
 
-__all__ = ["MPDEStats", "MPDEResult", "MPDESolver", "solve_mpde"]
+__all__ = ["MPDEStats", "MPDEResult", "MPDESolver", "RECOVERY_LADDER", "solve_mpde"]
 
 _LOG = get_logger("core.solver")
 
-#: Marker distinguishing "rung never ran an attempt" from a real failure in
-#: the multi-attempt guess-retry rung.
-_sentinel_failure = object()
+#: The recovery ladder: the rungs a failed solve escalates through, in
+#: order (see ``docs/resilience.md``).  Each name maps to the
+#: ``MPDESolver._rung_<name>`` method that runs it.
+RECOVERY_LADDER = (
+    "newton_refresh",
+    "damping",
+    "preconditioner_downgrade",
+    "continuation",
+    "guess_retry",
+)
 
 
 @dataclass
@@ -255,10 +262,6 @@ class MPDEResult:
         else:
             surface = self.bivariate_differential(node, node_neg)
         return surface.diagonal(times, name=surface.name)
-
-    def state_grid(self) -> np.ndarray:
-        """Raw solution array of shape ``(n_fast, n_slow, n_unknowns)``."""
-        return self.states
 
 
 #: Newton made no real progress when the max-norm residual stays above this
@@ -519,6 +522,16 @@ class MPDESolver:
     ``preconditioner_build_time_s``, ``gmres_time_s``) so benchmarks can
     see where the remaining time goes in any mode.
     """
+
+    #: The ``damping`` rung multiplies the Newton damping by this factor and
+    #: grants this many extra Newton iterations (damped steps make less
+    #: progress each).
+    DAMPING_FACTOR = 0.25
+    DAMPING_EXTRA_ITERATIONS = 40
+    #: Initial-guess modes the ``guess_retry`` rung tries, minus the one in use.
+    GUESS_MODES = ("zero", "dc")
+    #: Source-stepping schedule of the ``continuation`` rung.
+    CONTINUATION = ContinuationOptions()
 
     def __init__(self, problem: MPDEProblem, options: MPDEOptions | None = None) -> None:
         self.problem = problem
@@ -894,7 +907,7 @@ class MPDESolver:
         result = continuation_sweep(
             solve_at,
             np.asarray(x0, dtype=float).copy(),
-            self.options.continuation,
+            self.CONTINUATION,
             deadline=self._deadline,
         )
         stats.continuation_steps += result.steps
@@ -1072,47 +1085,30 @@ class MPDESolver:
 
     # -- recovery escalation ladder ----------------------------------------------------
     def _solve_with_recovery(self, x_start: np.ndarray, stats: MPDEStats) -> np.ndarray:
-        """Baseline Newton attempt plus the configured escalation ladder.
+        """Baseline Newton attempt plus the :data:`RECOVERY_LADDER` rungs.
 
         Every failed attempt is classified
         (:func:`~repro.resilience.taxonomy.classify_failure`) and the ladder
-        rungs are tried in policy order, each recorded in
-        ``stats.recovery_trace``.  A rung that does not apply to the current
-        failure kind (or the solver configuration) is recorded as skipped.
+        rungs are tried in order, each recorded in ``stats.recovery_trace``.
+        A rung that does not apply to the current failure kind (or the
+        solver configuration) is recorded as skipped.
         :class:`DeadlineExceededError` is terminal and never recovered.
         """
-        policy = self.options.recovery
         x, failure = self._ladder_attempt(
             stats, "baseline", "", lambda: self._newton(x_start, stats)
         )
-        if failure is None:
-            return x
-        attempts = 0
-        for rung in policy.ladder:
+        for rung in RECOVERY_LADDER:
             if failure is None:
-                break
-            if attempts >= policy.max_attempts:
-                _LOG.info(
-                    "recovery ladder stopping: max_attempts=%d reached", policy.max_attempts
-                )
                 break
             self._deadline.check("recovery", partial_stats=stats)
             kind = classify_failure(failure)
-            applicable, why = self._rung_applicability(rung, kind)
-            if not applicable:
+            outcome = getattr(self, f"_rung_{rung}")(kind, x_start, stats)
+            if isinstance(outcome, str):
                 stats.recovery_trace.append(
-                    RecoveryAttempt(rung=rung, trigger=kind, outcome="skipped", detail=why)
+                    RecoveryAttempt(rung=rung, trigger=kind, outcome="skipped", detail=outcome)
                 )
-                continue
-            _LOG.info(
-                "recovery ladder: %s failure (%s); escalating to rung %r",
-                kind,
-                failure,
-                rung,
-            )
-            x, failure, attempts = self._execute_rung(
-                rung, kind, x_start, stats, attempts, policy
-            )
+            else:
+                x, failure = outcome
         if failure is not None:
             raise self._attach_terminal_diagnostics(failure, classify_failure(failure))
         return x
@@ -1127,6 +1123,8 @@ class MPDESolver:
         non-raising non-converged Newton run is wrapped in a
         :class:`ConvergenceError` so every failure has one representation).
         """
+        if rung != "baseline":
+            _LOG.info("recovery ladder: %s failure; trying rung %r", trigger, rung)
         started = time.perf_counter()
         failure = None
         x = None
@@ -1169,175 +1167,131 @@ class MPDESolver:
             _LOG.info("recovery ladder: rung %r recovered the solve", rung)
         return x, None
 
-    def _rung_applicability(self, rung: str, kind: str) -> tuple[bool, str]:
-        """Whether ``rung`` can address a failure of ``kind`` here."""
-        if rung == "newton_refresh":
-            if kind not in ("singular", "gmres_stagnation"):
-                return False, f"not applicable to {kind} failures"
-            if self._chord is None and not self._matrix_free:
-                return False, "no cached factorisation or preconditioner to refresh"
-            return True, ""
-        if rung == "damping":
-            if kind in ("divergence", "singular", "gmres_stagnation", "non_finite"):
-                return True, ""
-            return False, f"not applicable to {kind} failures"
-        if rung == "preconditioner_downgrade":
-            if not self._matrix_free:
-                return False, "direct solver uses no preconditioner"
-            return True, ""
-        if rung == "continuation":
-            return True, ""
-        if rung == "guess_retry":
-            modes = [
-                m for m in self.options.recovery.guess_modes
-                if m != self.options.initial_guess
-            ]
-            if not modes:
-                return False, "no alternative initial-guess modes configured"
-            return True, ""
-        return False, f"unknown rung {rung!r}"  # unreachable: policy validates
+    # Each rung below gets the failure ``kind`` and returns either the reason
+    # it does not apply (recorded as skipped) or the ``(x, failure)`` of its
+    # attempt from ``x_start``.
+    def _rung_newton_refresh(self, kind, x_start, stats):
+        if kind not in ("singular", "gmres_stagnation"):
+            return f"not applicable to {kind} failures"
+        if self._chord is None and not self._matrix_free:
+            return "no cached factorisation or preconditioner to refresh"
 
-    def _execute_rung(self, rung, kind, x_start, stats, attempts, policy):
-        """Run one ladder rung; returns ``(x, failure, attempts)``."""
-        if rung == "newton_refresh":
-            attempts += 1
+        def run_refresh():
+            # Drop the cached factorisation and solve with full Newton
+            # (chord suspended → refactor at each iterate).  A matrix-free
+            # solve has nothing to drop: the run repeats the baseline, which
+            # absorbs a transient fault only.
+            if self._chord is not None:
+                self._chord.invalidate()
+            suspended = self._chord_suspended
+            self._chord_suspended = True
+            try:
+                return self._newton(x_start, stats)
+            finally:
+                self._chord_suspended = suspended
 
-            def run_refresh():
-                # Drop the cached factorisation and solve with full Newton
-                # (chord suspended → refactor at each iterate).  A
-                # matrix-free solve has nothing to drop: the run repeats the
-                # baseline, which absorbs a transient fault only.
-                if self._chord is not None:
-                    self._chord.invalidate()
-                suspended = self._chord_suspended
-                self._chord_suspended = True
-                try:
-                    return self._newton(x_start, stats)
-                finally:
-                    self._chord_suspended = suspended
+        return self._ladder_attempt(
+            stats,
+            "newton_refresh",
+            kind,
+            run_refresh,
+            detail=(
+                "chord LU dropped; full Newton refresh"
+                if self._chord is not None
+                else "re-solved from the start point; the preconditioner is "
+                "rebuilt at every GMRES solve"
+            ),
+        )
 
-            return (
-                *self._ladder_attempt(
-                    stats,
-                    rung,
-                    kind,
-                    run_refresh,
-                    detail=(
-                        "chord LU dropped; full Newton refresh"
-                        if self._chord is not None
-                        else "re-solved from the start point; the preconditioner is "
-                        "rebuilt at every GMRES solve"
-                    ),
-                ),
-                attempts,
+    def _rung_damping(self, kind, x_start, stats):
+        if kind not in ("divergence", "singular", "gmres_stagnation"):
+            return f"not applicable to {kind} failures"
+        base = self.options.newton
+        damping = base.damping * self.DAMPING_FACTOR
+        damped = base.with_(
+            damping=damping,
+            min_damping=min(base.min_damping, damping / 1024.0),
+            max_iterations=base.max_iterations + self.DAMPING_EXTRA_ITERATIONS,
+        )
+
+        def run_damped():
+            x, converged = self._newton(x_start, stats, newton_options=damped)
+            if not converged:
+                return x, False
+            # The damped steps converge linearly and stop as soon as the
+            # residual test passes, which can leave the state far from the
+            # solution (6.7e-5 on the matrix-free multi_lo_receiver smoke
+            # case); full steps from there converge quadratically.
+            return self._newton(
+                x, stats, newton_options=base.with_(damping=1.0), polish=True
             )
 
-        if rung == "damping":
-            attempts += 1
-            base = self.options.newton
-            damping = base.damping * policy.damping_factor
-            damped = base.with_(
-                damping=damping,
-                min_damping=min(base.min_damping, damping / 1024.0),
-                max_iterations=base.max_iterations + policy.damping_extra_iterations,
-            )
+        return self._ladder_attempt(
+            stats,
+            "damping",
+            kind,
+            run_damped,
+            detail=(
+                f"damping {base.damping:g} -> {damping:g}, "
+                f"max_iterations {base.max_iterations} -> {damped.max_iterations}"
+            ),
+        )
 
-            def run_damped():
-                x, converged = self._newton(x_start, stats, newton_options=damped)
-                if not converged:
-                    return x, False
-                # The damped steps converge linearly and stop as soon as the
-                # residual test passes, which can leave the state far from
-                # the solution (6.7e-5 on the matrix-free multi_lo_receiver
-                # smoke case); full steps from there converge quadratically.
-                return self._newton(
-                    x, stats, newton_options=base.with_(damping=1.0), polish=True
-                )
+    def _rung_preconditioner_downgrade(self, kind, x_start, stats):
+        if not self._matrix_free:
+            return "direct solver uses no preconditioner"
+        # Re-solve with sparse direct LU, by chord Newton when the options
+        # ask for it, as a direct solve would; the later rungs keep the
+        # direct solver.  The next ``solve`` drops the chord.
+        self._direct_fallback = True
+        if self.options.chord_newton:
+            self._chord = _ChordLU()
+        return self._ladder_attempt(
+            stats,
+            "preconditioner_downgrade",
+            kind,
+            lambda: self._newton(x_start, stats),
+            detail=f"preconditioner {self.options.preconditioner} -> direct LU",
+        )
 
-            return (
-                *self._ladder_attempt(
-                    stats,
-                    rung,
-                    kind,
-                    run_damped,
-                    detail=(
-                        f"damping {base.damping:g} -> {damping:g}, "
-                        f"max_iterations {base.max_iterations} -> {damped.max_iterations}"
-                    ),
-                ),
-                attempts,
-            )
+    def _rung_continuation(self, kind, x_start, stats):
+        return self._ladder_attempt(
+            stats,
+            "continuation",
+            kind,
+            lambda: (self._continuation(x_start, stats), True),
+            detail="source-stepping continuation",
+        )
 
-        if rung == "preconditioner_downgrade":
-            # Re-solve with sparse direct LU, by chord Newton when the
-            # options ask for it, as a direct solve would; the later rungs
-            # keep the direct solver.  The next ``solve`` drops the chord.
-            attempts += 1
-            self._direct_fallback = True
-            if self.options.chord_newton:
-                self._chord = _ChordLU()
-            return (
-                *self._ladder_attempt(
-                    stats,
-                    rung,
-                    kind,
-                    lambda: self._newton(x_start, stats),
-                    detail=f"preconditioner {self.options.preconditioner} -> direct LU",
-                ),
-                attempts,
-            )
-
-        if rung == "continuation":
-            attempts += 1
-
-            def run_continuation():
-                return self._continuation(x_start, stats), True
-
-            return (
-                *self._ladder_attempt(
-                    stats, rung, kind, run_continuation, detail="source-stepping continuation"
-                ),
-                attempts,
-            )
-
-        if rung == "guess_retry":
-            modes = [
-                m for m in self.options.recovery.guess_modes
-                if m != self.options.initial_guess
-            ]
-            x, failure = None, _sentinel_failure
-            for mode in modes:
-                if attempts >= policy.max_attempts:
-                    break
-                attempts += 1
-                try:
-                    x_retry = self._initial_guess(mode)
-                except AnalysisError as exc:
-                    stats.recovery_trace.append(
-                        RecoveryAttempt(
-                            rung=rung,
-                            trigger=kind,
-                            outcome="failed",
-                            detail=f"initial guess {mode!r} failed: {exc}",
-                        )
+    def _rung_guess_retry(self, kind, x_start, stats):
+        failure = None
+        for mode in self.GUESS_MODES:
+            if mode == self.options.initial_guess:
+                continue
+            try:
+                x_retry = self._initial_guess(mode)
+            except AnalysisError as exc:
+                stats.recovery_trace.append(
+                    RecoveryAttempt(
+                        rung="guess_retry",
+                        trigger=kind,
+                        outcome="failed",
+                        detail=f"initial guess {mode!r} failed: {exc}",
                     )
-                    failure = exc
-                    continue
-                x, failure = self._ladder_attempt(
-                    stats,
-                    rung,
-                    kind,
-                    lambda: self._newton(x_retry, stats),
-                    detail=f"retry from {mode!r} initial guess",
                 )
-                if failure is None:
-                    return x, None, attempts
-                kind = classify_failure(failure)
-            if failure is _sentinel_failure:
-                return None, ConvergenceError("no alternative initial guesses left"), attempts
-            return x, failure, attempts
-
-        raise MPDEError(f"unknown recovery rung {rung!r}")  # pragma: no cover
+                failure = exc
+                continue
+            x, failure = self._ladder_attempt(
+                stats,
+                "guess_retry",
+                kind,
+                lambda: self._newton(x_retry, stats),
+                detail=f"retry from {mode!r} initial guess",
+            )
+            if failure is None:
+                return x, None
+            kind = classify_failure(failure)
+        return None, failure
 
     def _attach_terminal_diagnostics(self, exc, kind: str):
         """Best-effort failure localisation attached to the terminal error."""

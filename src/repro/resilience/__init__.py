@@ -8,8 +8,8 @@ This subpackage gives those failures a single structured treatment:
 * :mod:`~repro.resilience.taxonomy` — an enumerated failure model
   (:func:`~repro.resilience.taxonomy.classify_failure`) and the
   :class:`~repro.resilience.taxonomy.RecoveryAttempt` records that make up
-  ``MPDEStats.recovery_trace``.  The escalation ladder itself is driven by
-  :class:`~repro.utils.options.RecoveryPolicy` inside
+  ``MPDEStats.recovery_trace``.  The escalation ladder itself is the fixed
+  :data:`~repro.core.solver.RECOVERY_LADDER` walked by
   :class:`~repro.core.solver.MPDESolver`.
 * :mod:`~repro.resilience.deadline` — cooperative per-solve deadlines
   (:class:`~repro.resilience.deadline.Deadline`), checked at iteration

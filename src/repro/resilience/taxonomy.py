@@ -88,8 +88,8 @@ class RecoveryAttempt:
     Attributes
     ----------
     rung:
-        ``"baseline"`` or a :data:`~repro.utils.options.RECOVERY_RUNGS`
-        name.
+        ``"baseline"`` or a :data:`~repro.core.solver.RECOVERY_LADDER`
+        rung name.
     trigger:
         Failure kind (:data:`FAILURE_KINDS`) that caused this attempt —
         i.e. the classification of the *previous* attempt's failure.

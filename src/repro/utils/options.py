@@ -23,14 +23,12 @@ __all__ = [
     "EvaluationOptions",
     "NewtonOptions",
     "ContinuationOptions",
-    "RecoveryPolicy",
     "TransientOptions",
     "ShootingOptions",
     "HarmonicBalanceOptions",
     "MPDEOptions",
     "EVALUATION_BACKENDS",
     "PRECONDITIONER_KINDS",
-    "RECOVERY_RUNGS",
 ]
 
 #: The canonical preconditioner mode names.  Defined here (the bottom of the
@@ -44,18 +42,6 @@ PRECONDITIONER_KINDS = ("block_circulant", "block_circulant_fast")
 #: engine (:mod:`repro.circuits.engine`), ``"loop"`` is the per-device
 #: reference path the engine is property-tested against.
 EVALUATION_BACKENDS = ("batched", "loop")
-
-#: The canonical recovery-ladder rung names, in default escalation order.
-#: Defined here (the bottom of the import graph) so :class:`RecoveryPolicy`
-#: validation and the ladder driver in :mod:`repro.core.solver` share one
-#: source of truth.  See ``docs/resilience.md`` for what each rung does.
-RECOVERY_RUNGS = (
-    "newton_refresh",
-    "damping",
-    "preconditioner_downgrade",
-    "continuation",
-    "guess_retry",
-)
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -173,72 +159,6 @@ class ContinuationOptions:
         if not 0.0 < self.shrink < 1.0:
             raise ConfigurationError("shrink must be in (0, 1)")
         _require_positive("max_steps", self.max_steps)
-
-
-@dataclass(frozen=True)
-class RecoveryPolicy:
-    """Controls for the solve-failure recovery escalation ladder.
-
-    When an MPDE solve fails (Newton divergence, singular or stagnating
-    linear solves, preconditioner degradation) the
-    solver classifies the failure (:mod:`repro.resilience.taxonomy`) and
-    walks the ``ladder`` of recovery rungs in order, retrying the solve
-    under each rung's adjusted configuration until one succeeds or the
-    ladder is exhausted.  Every attempt — including the failed baseline —
-    is recorded in ``MPDEStats.recovery_trace``.
-
-    Attributes
-    ----------
-    ladder:
-        Ordered tuple of rung names to try, drawn from
-        :data:`RECOVERY_RUNGS`.  An empty ladder makes the first failure
-        terminal (plain Newton, then raise).  Rungs that do not apply to a
-        failure kind or solver configuration (e.g.
-        ``"preconditioner_downgrade"`` in direct mode) are skipped and
-        recorded as such.
-    max_attempts:
-        Hard cap on recovery attempts (ladder rungs actually executed) per
-        solve, independent of ladder length.
-    damping_factor:
-        The ``"damping"`` rung multiplies the Newton damping by this factor
-        (and relaxes ``min_damping`` accordingly) before retrying, then
-        finishes from the damped answer with full, tight Newton steps until
-        the update test passes.
-    damping_extra_iterations:
-        Extra Newton iterations granted by the ``"damping"`` rung, since a
-        heavily damped iteration makes less progress per step.
-    guess_modes:
-        Initial-guess modes the ``"guess_retry"`` rung cycles through
-        (skipping the one already in use).
-    """
-
-    ladder: tuple[str, ...] = RECOVERY_RUNGS
-    max_attempts: int = 8
-    damping_factor: float = 0.25
-    damping_extra_iterations: int = 40
-    guess_modes: tuple[str, ...] = ("zero", "dc")
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.ladder, tuple):
-            object.__setattr__(self, "ladder", tuple(self.ladder))
-        for rung in self.ladder:
-            _require_in("ladder entry", rung, RECOVERY_RUNGS)
-        if len(set(self.ladder)) != len(self.ladder):
-            raise ConfigurationError(f"ladder has duplicate rungs: {self.ladder!r}")
-        _require_positive("max_attempts", self.max_attempts)
-        if not 0.0 < self.damping_factor < 1.0:
-            raise ConfigurationError(
-                f"damping_factor must be in (0, 1), got {self.damping_factor!r}"
-            )
-        _require_nonnegative("damping_extra_iterations", self.damping_extra_iterations)
-        if not isinstance(self.guess_modes, tuple):
-            object.__setattr__(self, "guess_modes", tuple(self.guess_modes))
-        for mode in self.guess_modes:
-            _require_in("guess_modes entry", mode, ("dc", "zero", "transient"))
-
-    def with_(self, **changes: Any) -> "RecoveryPolicy":
-        """Return a copy with ``changes`` applied."""
-        return replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -373,15 +293,6 @@ class MPDEOptions:
         Newton runs inexact: each GMRES solve uses an Eisenstat–Walker
         forcing term with ``gmres_tol`` as its floor, and a stalled step or
         the final step before convergence is solved at ``gmres_tol`` itself.
-    recovery:
-        The :class:`RecoveryPolicy` escalation ladder applied when a solve
-        fails.  The default policy retries through Newton refresh, extra
-        damping, a direct-LU re-solve of a matrix-free solve
-        (``"preconditioner_downgrade"``), source-stepping continuation and
-        an initial-guess change, recording every attempt in
-        ``MPDEStats.recovery_trace``.  Its ``continuation`` rung is the
-        source-stepping fallback the paper uses for hard starts;
-        ``RecoveryPolicy(ladder=())`` raises on the first failure.
     deadline_s:
         Cooperative wall-clock budget (seconds) for one ``solve()`` call,
         recovery attempts included.  Checked at Newton/GMRES iteration
@@ -408,14 +319,12 @@ class MPDEOptions:
     fast_method: str = "bdf2"
     slow_method: str = "bdf2"
     newton: NewtonOptions = field(default_factory=lambda: NewtonOptions(max_iterations=80))
-    continuation: ContinuationOptions = field(default_factory=ContinuationOptions)
     chord_newton: bool = True
     matrix_free: bool = False
     preconditioner: str = "block_circulant_fast"
     gmres_tol: float = 1e-9
     gmres_restart: int = 80
     initial_guess: str = "dc"
-    recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     deadline_s: float | None = None
     checkpoint_path: str | None = None
 
@@ -433,10 +342,6 @@ class MPDEOptions:
         _require_in("initial_guess", self.initial_guess, ("dc", "zero", "transient"))
         _require_positive("gmres_tol", self.gmres_tol)
         _require_positive("gmres_restart", self.gmres_restart)
-        if not isinstance(self.recovery, RecoveryPolicy):
-            raise ConfigurationError(
-                f"recovery must be a RecoveryPolicy, got {type(self.recovery).__name__}"
-            )
         if self.deadline_s is not None:
             _require_positive("deadline_s", self.deadline_s)
         if self.checkpoint_path is not None and not str(self.checkpoint_path):

@@ -87,6 +87,26 @@ def _fault_profile(request):
 
 
 @pytest.fixture
+def recovery_ladder(monkeypatch):
+    """Restrict the MPDE recovery ladder for one test.
+
+    Call the fixture with the rung names to keep (they run in ladder
+    order); with none, the first solve failure is terminal.  The patch is
+    process-wide, so a service test must apply it before the service starts
+    its workers.
+    """
+    from repro.core import solver
+
+    def restrict(*rungs: str) -> None:
+        unknown = set(rungs) - set(solver.RECOVERY_LADDER)
+        assert not unknown, f"unknown recovery rungs {sorted(unknown)}"
+        kept = tuple(rung for rung in solver.RECOVERY_LADDER if rung in rungs)
+        monkeypatch.setattr(solver, "RECOVERY_LADDER", kept)
+
+    return restrict
+
+
+@pytest.fixture
 def voltage_divider():
     """A 10 V source driving two equal resistors: v(mid) = 5 V."""
     ckt = Circuit("divider")

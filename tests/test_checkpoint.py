@@ -35,7 +35,6 @@ from repro.utils import (
     CheckpointError,
     DeadlineExceededError,
     MPDEOptions,
-    RecoveryPolicy,
     SingularMatrixError,
 )
 
@@ -294,20 +293,17 @@ class TestMPDEResume:
                 tail = resumed.stats.linear_tolerance_history
                 assert tail == reference.stats.linear_tolerance_history[-len(tail) :]
 
-    def test_exhausted_ladder_failure_carries_checkpoint(self):
+    def test_exhausted_ladder_failure_carries_checkpoint(self, recovery_ladder):
+        recovery_ladder()
         mna, scales = _gilbert()
-        options = replace(
-            _OPTIONS,
-            recovery=RecoveryPolicy(ladder=()),
-        )
-        reference = solve_mpde(mna, scales, options)
+        reference = solve_mpde(mna, scales, _OPTIONS)
         with inject_faults(singular_jacobian(at_iteration=3, count=None)):
             with pytest.raises(SingularMatrixError) as info:
-                solve_mpde(mna, scales, options)
+                solve_mpde(mna, scales, _OPTIONS)
         checkpoint = info.value.checkpoint
         assert checkpoint is not None
         assert checkpoint.newton_iterations > 0
-        resumed = solve_mpde(mna, scales, options, resume_from=checkpoint)
+        resumed = solve_mpde(mna, scales, _OPTIONS, resume_from=checkpoint)
         np.testing.assert_array_equal(resumed.states, reference.states)
 
 

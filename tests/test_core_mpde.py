@@ -149,11 +149,3 @@ class TestEmbeddedSource:
         problem = MPDEProblem(mna, scales, MPDEOptions(n_fast=8, n_slow=8))
         with pytest.raises(MPDEError):
             problem.embedded_source_grid(1.5)
-
-    def test_residual_for_embedding_matches_manual(self, rng):
-        mna, scales = _two_tone_rc()
-        problem = MPDEProblem(mna, scales, MPDEOptions(n_fast=5, n_slow=5))
-        x = rng.normal(scale=0.05, size=problem.n_total_unknowns)
-        lam = 0.3
-        manual = problem.residual(x, source_grid=problem.embedded_source_grid(lam))
-        np.testing.assert_allclose(problem.residual_for_embedding(lam)(x), manual)

@@ -17,14 +17,7 @@ from repro.rf import (
 )
 from repro.signals import ModulatedCarrierStimulus, SinusoidStimulus, SumStimulus, TonePair
 from repro.signals.spectrum import fourier_coefficient
-from repro.utils import (
-    RECOVERY_RUNGS,
-    ConvergenceError,
-    MPDEError,
-    MPDEOptions,
-    NewtonOptions,
-    RecoveryPolicy,
-)
+from repro.utils import ConvergenceError, MPDEError, MPDEOptions, NewtonOptions
 
 
 class TestLinearTwoToneRC:
@@ -165,14 +158,12 @@ class TestSolverControls:
         # The default preconditioner of the matrix-free GMRES solves.
         assert result.stats.preconditioner_kind == "block_circulant_fast"
 
-    def test_failure_without_continuation_raises(self, scaled_switching_mixer):
+    def test_failure_without_continuation_raises(self, scaled_switching_mixer, recovery_ladder):
+        recovery_ladder("newton_refresh", "damping", "preconditioner_downgrade", "guess_retry")
         mix = scaled_switching_mixer
         options = MPDEOptions(
             n_fast=16,
             n_slow=12,
-            recovery=RecoveryPolicy(
-                ladder=tuple(rung for rung in RECOVERY_RUNGS if rung != "continuation")
-            ),
             initial_guess="zero",
             newton=NewtonOptions(max_iterations=1),
         )
@@ -203,7 +194,7 @@ class TestResultAccessors:
     def test_state_grid_shape(self, switching_result):
         mix, result = switching_result
         n = mix.compile().n_unknowns
-        assert result.state_grid().shape == (24, 16, n)
+        assert result.states.shape == (24, 16, n)
 
     def test_bivariate_surface_periods(self, switching_result):
         mix, result = switching_result

@@ -764,8 +764,7 @@ class TestAnalysisWiring:
             scaled_ideal_mixer.scales,
             n_harmonics_fast=2,
             n_harmonics_slow=2,
-            matrix_free=True,
-            preconditioner="block_circulant",
+            options=MPDEOptions(matrix_free=True, preconditioner="block_circulant"),
         )
         assert matrix_free.stats.preconditioner_kind == "block_circulant"
         assert matrix_free.stats.linear_iterations > 0
@@ -783,8 +782,7 @@ class TestAnalysisWiring:
             scaled_ideal_mixer.scales,
             n_harmonics_fast=2,
             n_harmonics_slow=2,
-            matrix_free=True,
-            preconditioner="block_circulant_fast",
+            options=MPDEOptions(matrix_free=True, preconditioner="block_circulant_fast"),
         )
         assert matrix_free.stats.preconditioner_kind == "block_circulant_fast"
         assert matrix_free.stats.linear_iterations > 0

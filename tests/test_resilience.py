@@ -45,7 +45,6 @@ from repro.utils import (
     GMRESStagnationError,
     MPDEOptions,
     NewtonOptions,
-    RecoveryPolicy,
     SingularMatrixError,
 )
 
@@ -388,27 +387,23 @@ class TestRecoveryLadder:
         assert diagnostics.failure_kind == "singular"
         assert diagnostics.dominant_unknowns  # localised to named unknowns
 
-    def test_max_attempts_caps_the_ladder(self):
-        # count=2 needs two executed rungs to recover; a budget of one
-        # attempt must therefore fail even though the ladder could succeed.
-        with pytest.raises(SingularMatrixError) as info:
-            _solve_rc(count=2, recovery=RecoveryPolicy(max_attempts=1))
-        assert "injected" in str(info.value)
-
-    def test_empty_ladder_raises_the_first_failure(self):
+    def test_empty_ladder_raises_the_first_failure(self, recovery_ladder):
+        recovery_ladder()
         with pytest.raises(SingularMatrixError, match="injected") as info:
-            _solve_rc(count=1, recovery=RecoveryPolicy(ladder=()))
+            _solve_rc(count=1)
         assert info.value.partial_stats.recovery_trace[0].rung == "baseline"
 
-    def test_restricted_ladder_goes_straight_to_continuation(self):
-        result = _solve_rc(count=1, recovery=RecoveryPolicy(ladder=("continuation",)))
+    def test_restricted_ladder_goes_straight_to_continuation(self, recovery_ladder):
+        recovery_ladder("continuation")
+        result = _solve_rc(count=1)
         assert result.stats.recovered_by == "continuation"
         assert _trace(result) == [("baseline", "failed"), ("continuation", "recovered")]
 
-    def test_inapplicable_rung_is_recorded_as_skipped(self):
+    def test_inapplicable_rung_is_recorded_as_skipped(self, recovery_ladder):
         # The direct solver has no preconditioner to downgrade.
+        recovery_ladder("preconditioner_downgrade")
         with pytest.raises(SingularMatrixError) as info:
-            _solve_rc(count=1, recovery=RecoveryPolicy(ladder=("preconditioner_downgrade",)))
+            _solve_rc(count=1)
         trace = info.value.partial_stats.recovery_trace
         assert [(a.rung, a.outcome) for a in trace] == [
             ("baseline", "failed"),
@@ -425,10 +420,7 @@ class TestRecoveryLadder:
             ),
             count=1,
         )
-        result = _solve_rc(
-            spec=diverge,
-            recovery=RecoveryPolicy(ladder=("newton_refresh", "damping")),
-        )
+        result = _solve_rc(spec=diverge)
         assert result.stats.recovered_by == "damping"
         assert _trace(result) == [
             ("baseline", "failed"),
@@ -453,7 +445,7 @@ class TestRecoveryLadderGMRES:
         # the rung only re-solved.
         assert trace[-1].detail.startswith("re-solved from the start point")
 
-    def test_broken_preconditioner_downgrades_one_step(self):
+    def test_broken_preconditioner_downgrades_one_step(self, recovery_ladder):
         broken = FaultSpec(
             site="preconditioner.build",
             action=lambda ctx: (_ for _ in ()).throw(
@@ -462,11 +454,11 @@ class TestRecoveryLadderGMRES:
             predicate=lambda ctx: ctx.get("kind") == "block_circulant_fast",
             count=None,  # this mode is broken for the whole solve
         )
+        recovery_ladder("preconditioner_downgrade")
         result = _solve_rc(
             spec=broken,
             matrix_free=True,
             preconditioner="block_circulant_fast",
-            recovery=RecoveryPolicy(ladder=("preconditioner_downgrade",)),
         )
         assert result.stats.recovered_by == "preconditioner_downgrade"
         # One step: the rung re-solves with sparse direct LU.
@@ -604,14 +596,14 @@ class TestDCRecovery:
 
 
 class TestFailureDiagnostics:
-    def test_nan_poisoning_is_localised_to_named_unknowns(self):
+    def test_nan_poisoning_is_localised_to_named_unknowns(self, recovery_ladder):
         # Empty ladder: the poisoned baseline failure is terminal, and the
         # post-mortem re-evaluation sees the same NaN.
+        recovery_ladder()
         with pytest.raises(SingularMatrixError) as info:
             _solve_rc(
                 spec=nan_evaluation(count=None),
                 initial_guess="zero",  # keep the DC guess solve out of the blast radius
-                recovery=RecoveryPolicy(ladder=()),
             )
         diagnostics = getattr(info.value, "diagnostics", None)
         assert diagnostics is not None
@@ -623,15 +615,15 @@ class TestFailureDiagnostics:
         assert "non-finite at" in diagnostics.summary()
         assert diagnostics.grid_shape == (64, 3)
 
-    def test_matrix_free_nan_residual_fails_like_direct(self):
+    def test_matrix_free_nan_residual_fails_like_direct(self, recovery_ladder):
         # A NaN residual must not send GMRES through its whole iteration
         # budget: the matrix-free solve fails at once, as the direct one
         # does (the deadline only bounds the test if that regresses).
+        recovery_ladder()
         with pytest.raises(SingularMatrixError) as info:
             _solve_rc(
                 spec=nan_evaluation(count=None),
                 initial_guess="zero",
-                recovery=RecoveryPolicy(ladder=()),
                 matrix_free=True,
                 preconditioner="block_circulant_fast",
                 deadline_s=60.0,
@@ -645,35 +637,3 @@ class TestFailureDiagnostics:
         assert len(owners) == mna.n_unknowns
         out_row = mna.unknown_names.index("v(out)")
         assert {"r1", "c1"} <= set(owners[out_row])
-
-
-# ---------------------------------------------------------------------------
-# Policy plumbing
-# ---------------------------------------------------------------------------
-
-
-class TestRecoveryPolicyOptions:
-    def test_ladder_entries_are_validated(self):
-        with pytest.raises(ConfigurationError):
-            RecoveryPolicy(ladder=("not_a_rung",))
-        with pytest.raises(ConfigurationError):
-            RecoveryPolicy(ladder=("damping", "damping"))
-
-    def test_numeric_knobs_are_validated(self):
-        with pytest.raises(ConfigurationError):
-            RecoveryPolicy(damping_factor=1.0)
-        with pytest.raises(ConfigurationError):
-            RecoveryPolicy(max_attempts=0)
-        with pytest.raises(ConfigurationError):
-            RecoveryPolicy(guess_modes=("warp",))
-
-    def test_with_returns_modified_copy(self):
-        policy = RecoveryPolicy()
-        tightened = policy.with_(max_attempts=2, ladder=("damping",))
-        assert tightened.max_attempts == 2
-        assert tightened.ladder == ("damping",)
-        assert policy.max_attempts == 8  # original untouched
-
-    def test_mpde_options_reject_non_policy(self):
-        with pytest.raises(ConfigurationError):
-            MPDEOptions(recovery="always")

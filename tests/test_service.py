@@ -60,7 +60,6 @@ from repro.utils import (
     ConfigurationError,
     DeadlineExceededError,
     MPDEOptions,
-    RecoveryPolicy,
 )
 from repro.utils.exceptions import (
     ServiceError,
@@ -478,8 +477,9 @@ class TestRetries:
         assert job.status == "failed"
         assert [a.outcome for a in job.attempts] == ["retried", "failed"]
 
-    def test_solver_failure_retries_resume_from_checkpoint(self):
-        solve_options = MPDEOptions(recovery=RecoveryPolicy(ladder=()))
+    def test_solver_failure_retries_resume_from_checkpoint(self, recovery_ladder):
+        recovery_ladder()  # the injected fault must reach the job retry layer
+        solve_options = MPDEOptions()
         request = SweepRequest(
             scenario=RC_SCENARIO,
             overrides={"nl": 3e-3},  # several Newton iterations => a checkpoint exists

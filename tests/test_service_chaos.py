@@ -35,7 +35,7 @@ from repro.resilience import (
 )
 from repro.scenarios import build_scenario, build_scenario_smoke, run_scenario, solve_case
 from repro.service import JobRetryPolicy, ServiceOptions, SimulationService, SweepRequest
-from repro.utils import MPDEOptions, RecoveryPolicy
+from repro.utils import MPDEOptions
 from repro.utils.exceptions import ServiceOverloadedError
 
 from test_service import (
@@ -48,10 +48,7 @@ from test_service import (
 
 pytestmark = pytest.mark.no_fault_injection
 
-#: Recovery ladder off: every injected solver fault must escalate to the
-#: job retry layer (whose resumes are bitwise) instead of being absorbed
-#: by an in-solve ladder rung (whose re-runs are only tolerance-equal).
-_SOLVE = MPDEOptions(recovery=RecoveryPolicy(ladder=()))
+_SOLVE = MPDEOptions()
 
 _RETRY = JobRetryPolicy(max_retries=6, backoff_base_s=0.001, backoff_cap_s=0.01)
 
@@ -68,6 +65,14 @@ def _scenarios():
     register_service_scenarios()
     yield
     unregister_service_scenarios()
+
+
+@pytest.fixture(autouse=True)
+def _no_recovery_ladder(recovery_ladder):
+    """Recovery ladder off: every injected solver fault must escalate to the
+    job retry layer (whose resumes are bitwise) instead of being absorbed
+    by an in-solve ladder rung (whose re-runs are only tolerance-equal)."""
+    recovery_ladder()
 
 
 def _requests():

@@ -21,7 +21,7 @@ import pytest
 from repro.resilience import gmres_stall, inject_faults, singular_jacobian
 from repro.scenarios import build_scenario_smoke, run_scenario, solve_case
 from repro.service import JobRetryPolicy, ServiceOptions, SimulationService, SweepRequest
-from repro.utils import MPDEOptions, RecoveryPolicy
+from repro.utils import MPDEOptions
 
 from test_service import (
     RC_SCENARIO,
@@ -31,9 +31,7 @@ from test_service import (
 
 pytestmark = pytest.mark.no_fault_injection
 
-#: Empty recovery ladder: injected solver faults must escalate
-#: to the *job* retry layer instead of being absorbed by the in-solve ladder.
-_SOLVE_OPTIONS = MPDEOptions(recovery=RecoveryPolicy(ladder=()))
+_SOLVE_OPTIONS = MPDEOptions()
 
 _RETRY = JobRetryPolicy(max_retries=3, backoff_base_s=0.001, backoff_cap_s=0.01)
 
@@ -46,6 +44,13 @@ def _scenarios():
     register_service_scenarios()
     yield
     unregister_service_scenarios()
+
+
+@pytest.fixture(autouse=True)
+def _no_recovery_ladder(recovery_ladder):
+    """Empty recovery ladder: injected solver faults must escalate to the
+    *job* retry layer instead of being absorbed by the in-solve ladder."""
+    recovery_ladder()
 
 
 def _submit_and_wait(request):

@@ -176,6 +176,8 @@ class TestOptionsFromMapping:
             ("chord_max_iterations", 12, TransientOptions),
             ("chord_slow_iterations", 5, TransientOptions),
             ("chord_newton", True, ShootingOptions),
+            ("recovery", {"ladder": ()}, MPDEOptions),
+            ("continuation", {"max_steps": 10}, MPDEOptions),
         ],
     )
     def test_removed_mpde_options_are_unknown(self, key, value, cls):
