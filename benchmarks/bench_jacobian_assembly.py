@@ -28,7 +28,10 @@ every analysis funnels through, on the paper's balanced mixer at the paper's
    ``block_circulant_fast`` must cut the iterations of unpreconditioned GMRES
    by >= 5x.  Per layer, ``block_circulant_fast`` build and apply times are
    recorded at 20 x 15 and 40 x 30, and every build must make exactly one
-   ``splu`` call (one LU of the block-diagonal harmonic systems).
+   ``splu`` call (one LU of the block-diagonal harmonic systems).  Each
+   problem computes its sparse-LU column ordering once: the 20 x 15 chord
+   solve and its ``block_circulant_fast`` solve each make exactly one
+   ``splu`` call that is not ``permc_spec="NATURAL"``.
 5. **Batched evaluation engine** — full and residual-only ``evaluate_sparse``
    at the paper grid on the batched (gather/compute/scatter) backend versus
    the per-device ``backend="loop"`` reference; the batched engine must be
@@ -52,8 +55,8 @@ together with the host (CPU count and model, Python/numpy/scipy versions).
 partially-averaged cut >= 1.5x, paper-grid ``block_circulant_fast`` solve
 <= 150 GMRES iterations, ``block_circulant_fast`` cut >= 5x vs
 unpreconditioned GMRES, one ``splu`` call per ``block_circulant_fast``
-build, batched engine >= 2x, service warm-cache throughput >= 2x cold) is
-violated, for CI use.
+build, one COLAMD-ordered ``splu`` per problem, batched engine >= 2x,
+service warm-cache throughput >= 2x cold) is violated, for CI use.
 """
 
 from __future__ import annotations
@@ -97,6 +100,9 @@ MIN_UNPRECONDITIONED_ITERATION_RATIO = 5.0
 #: Grids of the balanced mixer whose ``block_circulant_fast`` build and
 #: apply times are recorded per layer.
 FAST_LAYER_GRIDS = ((20, 15), PAPER_GRID)
+#: Grid of the balanced-mixer solves whose column orderings are counted
+#: (the grid of the perfbench MPDE workloads).
+ORDERING_GRID = (20, 15)
 
 
 def host_info() -> dict:
@@ -372,15 +378,21 @@ def bench_preconditioners(mixer, mna) -> dict:
 
 
 class _CountingSplu:
-    """Stands in for ``scipy.sparse.linalg.splu`` and counts its calls."""
+    """Stands in for ``scipy.sparse.linalg.splu`` and counts its calls.
+
+    ``orderings`` counts the calls that compute a column ordering, i.e.
+    every call not made with ``permc_spec="NATURAL"``.
+    """
 
     def __init__(self) -> None:
         self.original = spla.splu
         self.calls = 0
+        self.orderings = 0
 
-    def __call__(self, *args, **kwargs):
+    def __call__(self, matrix, permc_spec=None, *args, **kwargs):
         self.calls += 1
-        return self.original(*args, **kwargs)
+        self.orderings += permc_spec != "NATURAL"
+        return self.original(matrix, permc_spec, *args, **kwargs)
 
     def __enter__(self) -> "_CountingSplu":
         spla.splu = self
@@ -498,6 +510,37 @@ def bench_block_circulant_fast_layers(mixer, mna, *, applies: int = 5) -> dict:
     return record
 
 
+def bench_lu_orderings(mixer, mna) -> dict:
+    """``splu`` calls, and those that compute a column ordering, per solve.
+
+    One direct (chord) and one matrix-free ``block_circulant_fast`` solve
+    of the balanced mixer at ``ORDERING_GRID``, each on its own
+    ``MPDEProblem``: the first factorisation of each problem orders its
+    columns, every later one reuses that order.
+    """
+    modes = {
+        "direct_chord": {},
+        "matrix_free_block_circulant_fast": {
+            "matrix_free": True,
+            "preconditioner": "block_circulant_fast",
+        },
+    }
+    record = {"grid": list(ORDERING_GRID)}
+    for mode, overrides in modes.items():
+        options = MPDEOptions(n_fast=ORDERING_GRID[0], n_slow=ORDERING_GRID[1], **overrides)
+        with _CountingSplu() as counting:
+            stats = solve_mpde(mna, mixer.scales, options).stats
+        if not stats.converged:
+            raise RuntimeError(f"{mode} ordering-count solve did not converge")
+        record[mode] = {
+            "jacobian_factorizations": int(stats.jacobian_factorizations),
+            "preconditioner_builds": int(stats.preconditioner_builds),
+            "lu_calls": counting.calls,
+            "ordering_lu_calls": counting.orderings,
+        }
+    return record
+
+
 def bench_scenario_enumeration() -> dict:
     """Wall time of one smoke solve per registered scenario (first case only).
 
@@ -588,6 +631,7 @@ def main(check: bool = False) -> dict:
     assembly = bench_assembly(problem)
     solves = bench_mpde_solves(mixer, mna)
     preconditioners = bench_preconditioners(mixer, mna)
+    lu_orderings = bench_lu_orderings(mixer, mna)
     scenario_enumeration = bench_scenario_enumeration()
     service_throughput = bench_service_throughput()
 
@@ -600,6 +644,7 @@ def main(check: bool = False) -> dict:
         "assembly": assembly,
         "mpde_solves": solves,
         "preconditioners": preconditioners,
+        "lu_orderings": lu_orderings,
         "scenario_enumeration": scenario_enumeration,
         "service_throughput": service_throughput,
     }
@@ -693,6 +738,13 @@ def main(check: bool = False) -> dict:
             "  block_circulant_fast %-6s build %.2f ms  apply %.3f ms  LU calls per build %.2f"
             % (grid, layer["build_ms"], layer["apply_ms"], layer["lu_calls_per_build"])
         )
+    print("== sparse-LU column orderings (%dx%d solves) ==" % ORDERING_GRID)
+    for mode in ("direct_chord", "matrix_free_block_circulant_fast"):
+        entry = lu_orderings[mode]
+        print(
+            "  %-34s splu calls %2d  ordering calls %d"
+            % (mode, entry["lu_calls"], entry["ordering_lu_calls"])
+        )
     print("== wall-time breakdown (paper-grid solves) ==")
     for mode in SOLVE_MODES:
         timing = solves[mode]["timing"]
@@ -772,6 +824,15 @@ def main(check: bool = False) -> dict:
                 layer["lu_calls"] == layer["preconditioner_builds"],
             )
             for grid, layer in preconditioners["block_circulant_fast_layers"].items()
+        ),
+        *(
+            (
+                f"{mode} %dx%d: exactly one COLAMD-ordered splu per problem" % ORDERING_GRID,
+                f"{lu_orderings[mode]['ordering_lu_calls']} of "
+                f"{lu_orderings[mode]['lu_calls']} splu calls",
+                lu_orderings[mode]["ordering_lu_calls"] == 1,
+            )
+            for mode in ("direct_chord", "matrix_free_block_circulant_fast")
         ),
         (
             "batched engine >= 2x vs per-device loop (full evaluate_sparse)",

@@ -44,8 +44,9 @@ Newton iterations.  At construction the problem therefore precomputes
 * block-diagonal CSR index structures for ``blockdiag(C_p)`` /
   ``blockdiag(G_p)`` (:class:`~repro.linalg.sparse.BlockDiagStructure`).
 
-Per Newton iteration, ``residual_and_jacobian`` runs one sparse device sweep
-(``MNASystem.evaluate_sparse``) and one vectorised scatter — no dense
+Per Newton iteration, ``residual_and_values`` runs one sparse device sweep
+(``MNASystem.evaluate_sparse``) and ``assemble_jacobian`` one vectorised
+scatter — no dense
 ``(P, n, n)`` stacks, no ``kron`` products, no COO->CSR conversions.
 Residual-only calls (line search, continuation ramping) use the
 ``need_jacobian=False`` device fast path.  ``jacobian_operator`` exposes the
@@ -297,11 +298,19 @@ class MPDEProblem:
         """Numeric-only CSC assembly of the Jacobian from per-point data."""
         return self._operators.assembler.assemble(c_data, g_data)
 
+    @property
+    def jacobian_assembler(self) -> CollocationJacobianAssembler:
+        """The Jacobian's symbolic structure, with its sparse-LU column order."""
+        return self._operators.assembler
+
+    def jacobian_values(self, x_flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The per-point Jacobian data ``(c_data, g_data)`` at ``x_flat``."""
+        evaluation = self.mna.evaluate_sparse(self.reshape_states(x_flat))
+        return evaluation.c_data, evaluation.g_data
+
     def jacobian(self, x_flat: np.ndarray) -> sp.csc_matrix:
         """Sparse Jacobian of :meth:`residual` (independent of the source grid)."""
-        states = self.reshape_states(x_flat)
-        evaluation = self.mna.evaluate_sparse(states)
-        return self.assemble_jacobian(evaluation.c_data, evaluation.g_data)
+        return self.assemble_jacobian(*self.jacobian_values(x_flat))
 
     def jacobian_dense_reference(self, x_flat: np.ndarray) -> sp.csc_matrix:
         """The seed's dense-stack Jacobian path, kept as a validation reference.

@@ -405,7 +405,8 @@ class _ChordLU:
     STALL_STEPS = 3
 
     def __init__(self) -> None:
-        self.factor = None
+        #: Back-substitution of the cached LU (None when there is none).
+        self.backsolve = None
         #: Scaled ratio of the first step after the last build, and of the
         #: latest step (None until a step is recorded).
         self.baseline: int | None = None
@@ -431,17 +432,17 @@ class _ChordLU:
         return self.last > self.baseline * self.REFRESH_GROWTH + self.REFRESH_SLACK
 
     def needs_refresh(self) -> bool:
-        return self.factor is None or self._stale or self._trend_degraded()
+        return self.backsolve is None or self._stale or self._trend_degraded()
 
-    def store(self, factor) -> None:
-        self.factor = factor
+    def store(self, backsolve) -> None:
+        self.backsolve = backsolve
         self.just_built = True
         self._stale = False
         self.baseline = None
         self.last = None
 
     def invalidate(self) -> None:
-        self.factor = None
+        self.backsolve = None
 
     @property
     def stalled(self) -> bool:
@@ -452,7 +453,7 @@ class _ChordLU:
 
     def capture_state(self) -> dict | None:
         """Chord cache state for a :class:`SolveCheckpoint` (None when cold)."""
-        if self.factor is None or self.factored_at is None:
+        if self.backsolve is None or self.factored_at is None:
             return None
         return {
             "factored_at": np.array(self.factored_at, copy=True),
@@ -570,26 +571,21 @@ class MPDESolver:
     def _evaluate(self, x: np.ndarray, source_grid: np.ndarray | None):
         """Residual plus whatever the linear solver needs at ``x``.
 
-        Returns ``(residual, jacobian_like, data)`` where ``jacobian_like``
-        is an assembled CSC matrix (direct mode) or a ``LinearOperator``
-        (matrix-free), and ``data`` carries the per-point Jacobian value
-        arrays the matrix-free preconditioners are built from (the chord
-        iterate in chord mode, ``None`` in full-Newton direct mode).
+        Returns ``(residual, operator, data)`` where ``operator`` is the
+        matrix-free Jacobian ``LinearOperator`` (``None`` in direct mode)
+        and ``data`` carries the per-point Jacobian value arrays the
+        preconditioners and the full-Newton LU are built from (the chord
+        iterate in chord mode).
         """
-        if self._matrix_free:
-            residual, c_data, g_data = self.problem.residual_and_values(
-                x, source_grid=source_grid
-            )
-            operator = self.problem.jacobian_operator(c_data, g_data)
-            return residual, operator, (c_data, g_data)
         if self._chord_active:
             # Chord Newton: residual-only sweep; the (cached) factorisation
             # is produced lazily inside the linear solve, at the iterate
             # carried through ``data``, only when the refresh policy asks.
             residual = self.problem.residual(x, source_grid=source_grid)
             return residual, None, x
-        residual, jacobian = self.problem.residual_and_jacobian(x, source_grid=source_grid)
-        return residual, jacobian, None
+        residual, c_data, g_data = self.problem.residual_and_values(x, source_grid=source_grid)
+        operator = self.problem.jacobian_operator(c_data, g_data) if self._matrix_free else None
+        return residual, operator, (c_data, g_data)
 
     # -- linear sub-solves -------------------------------------------------------
     def _build_preconditioner(self, data):
@@ -599,19 +595,48 @@ class MPDESolver:
             self.options.preconditioner, c_data=c_data, g_data=g_data
         )
 
-    def _chord_refactor(self, x: np.ndarray, stats: MPDEStats) -> None:
+    def _factor_jacobian(self, c_data: np.ndarray, g_data: np.ndarray, stats: MPDEStats):
+        """Sparse LU of the Jacobian with per-point data ``(c_data, g_data)``.
+
+        Returns the LU's back-substitution.  The problem's first
+        factorisation computes the COLAMD column order and records it on
+        the Jacobian assembler; every later one factors the Jacobian
+        assembled already in that order (``permc_spec="NATURAL"``, the same
+        LU bit for bit, see :class:`~repro.linalg.sparse.ColumnOrder`).
+        Assembly counts toward ``eval_time_s``, the LU toward
+        ``factorization_time_s``; a singular Jacobian raises
+        ``RuntimeError`` (from ``splu``).
+        """
         start = time.perf_counter()
-        jacobian = self.problem.jacobian(x)
+        assembler = self.problem.jacobian_assembler
+        order = assembler.column_order
+        ordered = order.perm_c is not None
+        if ordered:
+            jacobian = assembler.assemble_ordered(c_data, g_data)
+        else:
+            jacobian = self.problem.assemble_jacobian(c_data, g_data)
         factor_start = time.perf_counter()
         stats.eval_time_s += factor_start - start
         try:
+            if ordered:
+                factor = spla.splu(jacobian, permc_spec="NATURAL")
+                return lambda rhs: order.solve(factor, rhs)
             factor = spla.splu(jacobian)
-        except RuntimeError as exc:
-            raise SingularMatrixError(f"sparse LU failed on the MPDE Jacobian: {exc}") from exc
+            order.record(factor.perm_c)
+            return factor.solve
         finally:
             stats.factorization_time_s += time.perf_counter() - factor_start
+
+    def _chord_refactor(self, x: np.ndarray, stats: MPDEStats) -> None:
+        start = time.perf_counter()
+        c_data, g_data = self.problem.jacobian_values(x)
+        stats.eval_time_s += time.perf_counter() - start
+        try:
+            backsolve = self._factor_jacobian(c_data, g_data, stats)
+        except RuntimeError as exc:
+            raise SingularMatrixError(f"sparse LU failed on the MPDE Jacobian: {exc}") from exc
         stats.jacobian_factorizations += 1
-        self._chord.store(factor)
+        self._chord.store(backsolve)
         self._chord.factored_at = np.array(x, dtype=float, copy=True)
 
     def _chord_solve(self, rhs: np.ndarray, stats: MPDEStats, x: np.ndarray) -> np.ndarray:
@@ -619,7 +644,7 @@ class MPDESolver:
         if chord.needs_refresh():
             self._chord_refactor(x, stats)
         start = time.perf_counter()
-        dx = chord.factor.solve(rhs)
+        dx = chord.backsolve(rhs)
         stats.factorization_time_s += time.perf_counter() - start
         if not np.all(np.isfinite(dx)):
             if chord.just_built:
@@ -632,7 +657,7 @@ class MPDESolver:
             # once before declaring the Jacobian singular.
             self._chord_refactor(x, stats)
             start = time.perf_counter()
-            dx = chord.factor.solve(rhs)
+            dx = chord.backsolve(rhs)
             stats.factorization_time_s += time.perf_counter() - start
             if not np.all(np.isfinite(dx)):
                 raise SingularMatrixError(
@@ -642,7 +667,7 @@ class MPDESolver:
         return dx
 
     def _solve_linear(
-        self, jacobian, rhs: np.ndarray, stats: MPDEStats, data, tol: float | None
+        self, operator, rhs: np.ndarray, stats: MPDEStats, data, tol: float | None
     ) -> np.ndarray:
         """One Newton correction; ``tol`` is the GMRES tolerance (None for direct)."""
         stats.linear_solves += 1
@@ -650,14 +675,16 @@ class MPDESolver:
             if self._chord_active:
                 return self._chord_solve(rhs, stats, data)
             stats.jacobian_factorizations += 1
-            start = time.perf_counter()
             try:
-                dx = spla.spsolve(jacobian, rhs)
-            except RuntimeError as exc:
-                raise SingularMatrixError(f"sparse LU failed on the MPDE Jacobian: {exc}") from exc
-            finally:
+                backsolve = self._factor_jacobian(*data, stats)
+            except RuntimeError:
+                # Exactly singular: reported like a non-finite solution.
+                dx = None
+            else:
+                start = time.perf_counter()
+                dx = backsolve(rhs)
                 stats.factorization_time_s += time.perf_counter() - start
-            if not np.all(np.isfinite(dx)):
+            if dx is None or not np.all(np.isfinite(dx)):
                 raise SingularMatrixError(
                     "sparse LU produced non-finite values (singular MPDE Jacobian; check for "
                     "floating nodes or an all-capacitive cutset)"
@@ -677,7 +704,7 @@ class MPDESolver:
         solve_time_before = self._krylov.solve_time_s
         backsub_before = self._krylov.apply_backsub_time_s
         dx, report = self._krylov.solve(
-            jacobian,
+            operator,
             rhs,
             context=data,
             tol=tol,
@@ -766,7 +793,7 @@ class MPDESolver:
             forcing.restore_state(self._pending_forcing_state)
         self._pending_forcing_state = None
 
-        residual, jacobian, data = self._timed_evaluate(x, source_grid, stats)
+        residual, operator, data = self._timed_evaluate(x, source_grid, stats)
         res_norm = float(np.max(np.abs(residual)))
         stats.residual_history.append(res_norm)
         if source_grid is None:
@@ -790,7 +817,7 @@ class MPDESolver:
             elif self._matrix_free:
                 tol = forcing.tolerance(float(np.linalg.norm(residual)))
             fault_site("solver.linear_solve", iteration=_iteration - 1)
-            dx = self._solve_linear(jacobian, -residual, stats, data, tol)
+            dx = self._solve_linear(operator, -residual, stats, data, tol)
             step_norm = float(np.max(np.abs(dx)))
             if np.isfinite(opts.max_step_norm) and step_norm > opts.max_step_norm:
                 dx *= opts.max_step_norm / step_norm
@@ -846,9 +873,9 @@ class MPDESolver:
             # chord mode the line search already evaluated the residual at
             # the accepted iterate and no Jacobian data is needed up front.
             if self._chord_active:
-                residual, jacobian, data = residual_trial, None, x
+                residual, operator, data = residual_trial, None, x
             else:
-                residual, jacobian, data = self._timed_evaluate(x, source_grid, stats)
+                residual, operator, data = self._timed_evaluate(x, source_grid, stats)
             res_norm = float(np.max(np.abs(residual)))
 
         stats.residual_norm = res_norm

@@ -21,6 +21,8 @@ The compiled-assembly fast path lives here too:
   ``(D kron I_n) . blockdiag(C_p) + blockdiag(G_p)`` (the MPDE / collocation
   Jacobian), computed once per problem; per-iteration assembly is a single
   ``bincount`` scatter into a ready-made CSC skeleton.
+* :class:`ColumnOrder` — the fill-reducing column order of a fixed CSC
+  pattern, found by its first sparse LU and reused by every later one.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "StampPattern",
     "BlockDiagStructure",
     "CollocationJacobianAssembler",
+    "ColumnOrder",
     "block_diagonal",
     "block_diag_from_array",
     "kron_identity",
@@ -212,6 +215,78 @@ class BlockDiagStructure:
         )
 
 
+class ColumnOrder:
+    """Sparse-LU column order of one fixed CSC pattern, computed once.
+
+    SuperLU's default COLAMD ordering reads only the sparsity pattern, so
+    every ``splu`` of matrices sharing a pattern computes the same
+    ``perm_c``.  The owner of the pattern records the ``perm_c`` of its
+    first factorisation (:meth:`record`).  Every later factorisation is
+    ``splu(order.matrix(data), permc_spec="NATURAL")``, solved through
+    :meth:`solve`: the same ``L``, ``U`` and row pivots as ``splu(A)``, bit
+    for bit, without the ordering.
+
+    :meth:`matrix` is ``Pc^T A Pc``, not ``A Pc``: SuperLU breaks an exact
+    tie for the largest entry of a pivot column in favour of the diagonal
+    of ``Pc^T A Pc``, and with only the columns reordered it would favour
+    other entries (the ``L/h`` stamps of an inductor under backward Euler
+    tie this way).  Each column keeps its entries in their storage order in
+    ``A``, which is the order SuperLU's symbolic factorisation visits them.
+    """
+
+    def __init__(self, indices: np.ndarray, indptr: np.ndarray) -> None:
+        self._indices = indices
+        self._indptr = indptr
+        self.size = int(indptr.size - 1)
+        #: ``perm_c`` of the pattern's first ``splu`` (None before it):
+        #: row and column ``i`` of ``A`` are row and column ``perm_c[i]`` of
+        #: ``Pc^T A Pc``.
+        self.perm_c: np.ndarray | None = None
+        self._columns: np.ndarray | None = None
+        self._layout: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def record(self, perm_c: np.ndarray) -> None:
+        """Keep the column permutation of the pattern's first factorisation."""
+        self.perm_c = np.array(perm_c, dtype=np.int64, copy=True)
+        self._columns = np.argsort(self.perm_c)
+
+    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(source, indices, indptr)`` of ``Pc^T A Pc``.
+
+        Entry ``k`` of the reordered matrix is entry ``source[k]`` of ``A``.
+        Built on the first call, so a pattern factored only once never pays
+        for it.
+        """
+        if self.perm_c is None:
+            raise ValueError("no column order recorded yet")
+        if self._layout is None:
+            columns = self._columns  # column j of Pc^T A Pc is column columns[j] of A
+            counts = np.diff(self._indptr)[columns]
+            indptr = np.concatenate([[0], np.cumsum(counts)]).astype(self._indptr.dtype)
+            source = np.repeat(self._indptr[columns] - indptr[:-1], counts) + np.arange(
+                indptr[-1], dtype=np.int64
+            )
+            indices = self.perm_c[self._indices[source]].astype(self._indices.dtype)
+            self._layout = (source, indices, indptr)
+        return self._layout
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        """``Pc^T A Pc`` from data in :meth:`layout` order, for ``splu`` only.
+
+        Its row indices are not sorted within a column, and the matrix is
+        marked canonical so that ``splu`` keeps them in that order; other
+        sparse operations would misread it.
+        """
+        _, indices, indptr = self.layout()
+        matrix = sp.csc_matrix((data, indices, indptr), shape=(self.size, self.size))
+        matrix.has_canonical_format = True
+        return matrix
+
+    def solve(self, factor, rhs: np.ndarray) -> np.ndarray:
+        """``A^{-1} rhs`` by the LU ``factor`` of :meth:`matrix` (columns of a 2-D ``rhs``)."""
+        return factor.solve(rhs[self._columns])[self.perm_c]
+
+
 class CollocationJacobianAssembler:
     """Symbolic-once / numeric-per-iteration assembly of the collocation Jacobian.
 
@@ -227,6 +302,11 @@ class CollocationJacobianAssembler:
     arrays and the mapping of every contribution onto its CSC slot — is
     computed once here.  :meth:`assemble` then reduces each Newton iteration
     to one broadcast multiply plus one ``bincount`` scatter.
+
+    The pattern's sparse-LU column order is computed once per problem too:
+    the first factorisation records it in :attr:`column_order`, and
+    :meth:`assemble_ordered` scatters every later Jacobian straight into
+    that column order, for a ``permc_spec="NATURAL"`` factorisation.
     """
 
     def __init__(
@@ -267,14 +347,12 @@ class CollocationJacobianAssembler:
         col_of = (unique_keys // size64).astype(np.int64)
         counts = np.bincount(col_of, minlength=self.size)
         self._csc_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        #: Sparse-LU column order of ``J``, recorded by its first factorisation.
+        self.column_order = ColumnOrder(self._csc_rows, self._csc_indptr)
+        self._ordered_slot: np.ndarray | None = None
 
-    def assemble(self, c_data: np.ndarray, g_data: np.ndarray) -> sp.csc_matrix:
-        """Numeric assembly of ``J`` from per-point CSR data arrays.
-
-        ``c_data`` has shape ``(P, dynamic_pattern.nnz)`` and ``g_data``
-        ``(P, static_pattern.nnz)``, both aligned with the patterns given at
-        construction (the arrays produced by ``MNASystem.evaluate_sparse``).
-        """
+    def _contributions(self, c_data: np.ndarray, g_data: np.ndarray) -> np.ndarray:
+        """Every contribution to ``J``, aligned with the scatter map ``_slot``."""
         c_data = np.asarray(c_data, dtype=float)
         g_data = np.asarray(g_data, dtype=float)
         expected_c = (self.n_points, self.dynamic_pattern.nnz)
@@ -284,11 +362,37 @@ class CollocationJacobianAssembler:
         if g_data.shape != expected_g:
             raise ValueError(f"g_data must have shape {expected_g}, got {g_data.shape}")
         contrib_c = (self._d_vals[:, None] * c_data[self._d_cols, :]).ravel()
-        contributions = np.concatenate([contrib_c, g_data.ravel()])
+        return np.concatenate([contrib_c, g_data.ravel()])
+
+    def assemble(self, c_data: np.ndarray, g_data: np.ndarray) -> sp.csc_matrix:
+        """Numeric assembly of ``J`` from per-point CSR data arrays.
+
+        ``c_data`` has shape ``(P, dynamic_pattern.nnz)`` and ``g_data``
+        ``(P, static_pattern.nnz)``, both aligned with the patterns given at
+        construction (the arrays produced by ``MNASystem.evaluate_sparse``).
+        """
+        contributions = self._contributions(c_data, g_data)
         data = np.bincount(self._slot, weights=contributions, minlength=self.nnz)
         return sp.csc_matrix(
             (data, self._csc_rows, self._csc_indptr), shape=(self.size, self.size)
         )
+
+    def assemble_ordered(self, c_data: np.ndarray, g_data: np.ndarray) -> sp.csc_matrix:
+        """``J`` in :attr:`column_order`, for ``splu(..., permc_spec="NATURAL")`` only.
+
+        The contributions are scattered straight onto the reordered
+        skeleton (:meth:`ColumnOrder.matrix`), in the same order per entry
+        as :meth:`assemble`, so every entry is bitwise the same.  The
+        reordered scatter map is built on the first call.
+        """
+        source = self.column_order.layout()[0]
+        if self._ordered_slot is None:
+            position = np.empty_like(source)
+            position[source] = np.arange(source.size)
+            self._ordered_slot = position[self._slot]
+        contributions = self._contributions(c_data, g_data)
+        data = np.bincount(self._ordered_slot, weights=contributions, minlength=self.nnz)
+        return self.column_order.matrix(data)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

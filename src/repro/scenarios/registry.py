@@ -368,8 +368,8 @@ def solve_case(
     compiled-circuit cache hands warm systems in here; ``None`` compiles
     ``case.circuit`` fresh).  ``options`` is an :class:`MPDEOptions`
     template for the MPDE/HB analyses — the case's recommended grid always
-    overrides ``n_fast``/``n_slow``, everything else (recovery policy,
-    linear solver) is honored.  ``deadline_s``,
+    overrides ``n_fast``/``n_slow``, everything else (Newton settings,
+    direct or matrix-free solve, preconditioner) is honored.  ``deadline_s``,
     ``checkpoint_path`` and ``resume_from`` plumb the resilience layer's
     per-solve deadline and checkpoint/resume through to whichever analysis
     the case declared, so registry workloads honor per-request budgets and

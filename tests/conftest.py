@@ -91,19 +91,42 @@ def recovery_ladder(monkeypatch):
     """Restrict the MPDE recovery ladder for one test.
 
     Call the fixture with the rung names to keep (they run in ladder
-    order); with none, the first solve failure is terminal.  The patch is
-    process-wide, so a service test must apply it before the service starts
-    its workers.
+    order); with none, the first solve failure is terminal.  Each call
+    picks from the full ladder, so a later call can put rungs back.  The
+    patch is process-wide, so a service test must apply it before the
+    service starts its workers.
     """
     from repro.core import solver
 
+    ladder = solver.RECOVERY_LADDER
+
     def restrict(*rungs: str) -> None:
-        unknown = set(rungs) - set(solver.RECOVERY_LADDER)
+        unknown = set(rungs) - set(ladder)
         assert not unknown, f"unknown recovery rungs {sorted(unknown)}"
-        kept = tuple(rung for rung in solver.RECOVERY_LADDER if rung in rungs)
+        kept = tuple(rung for rung in ladder if rung in rungs)
         monkeypatch.setattr(solver, "RECOVERY_LADDER", kept)
 
     return restrict
+
+
+@pytest.fixture
+def splu_specs(monkeypatch):
+    """The ``permc_spec`` of every ``scipy.sparse.linalg.splu`` call in the test.
+
+    ``None`` is the default COLAMD ordering; any other value than
+    ``"NATURAL"`` computes a column ordering too.
+    """
+    import scipy.sparse.linalg as spla
+
+    specs: list = []
+    original = spla.splu
+
+    def spy(matrix, permc_spec=None, *args, **kwargs):
+        specs.append(permc_spec)
+        return original(matrix, permc_spec, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    return specs
 
 
 @pytest.fixture

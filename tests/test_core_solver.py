@@ -159,16 +159,26 @@ class TestSolverControls:
         assert result.stats.preconditioner_kind == "block_circulant_fast"
 
     def test_failure_without_continuation_raises(self, scaled_switching_mixer, recovery_ladder):
-        recovery_ladder("newton_refresh", "damping", "preconditioner_downgrade", "guess_retry")
+        """A start only the continuation rung rescues: without it the ladder fails.
+
+        From the DC guess with a 6-iteration budget, plain Newton and the
+        damping rung fail and ``preconditioner_downgrade`` does not apply.
+        (``guess_retry`` is left out too: from the zero guess, 6 iterations
+        are enough.)  The control solve puts ``continuation`` back.
+        """
         mix = scaled_switching_mixer
         options = MPDEOptions(
             n_fast=16,
             n_slow=12,
-            initial_guess="zero",
-            newton=NewtonOptions(max_iterations=1),
+            initial_guess="dc",
+            newton=NewtonOptions(max_iterations=6),
         )
+        recovery_ladder("newton_refresh", "damping", "preconditioner_downgrade")
         with pytest.raises(ConvergenceError):
             solve_mpde(mix.compile(), mix.scales, options)
+        recovery_ladder("newton_refresh", "damping", "preconditioner_downgrade", "continuation")
+        result = solve_mpde(mix.compile(), mix.scales, options)
+        assert result.stats.recovered_by == "continuation"
 
     def test_continuation_fallback_recovers(self, scaled_switching_mixer):
         """With a tiny Newton budget the solver falls back to source stepping and still converges."""

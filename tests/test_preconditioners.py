@@ -38,6 +38,7 @@ from repro.linalg.preconditioners import (
     slow_averaged_data,
 )
 from repro.linalg.sparse import (
+    ColumnOrder,
     StampPattern,
     periodic_backward_difference,
     periodic_bdf2_difference,
@@ -499,6 +500,57 @@ class TestBlockCirculantFastProperty:
         distinct = n_slow // 2 + 1
         assert calls == [(distinct * n_fast * n,) * 2]
         assert precond.harmonic_factorizations == distinct
+
+    @pytest.mark.no_fault_injection  # compares factorisations of fault-free data
+    def test_ordered_harmonic_factorisation_solves_bitwise(
+        self, balanced_mixer, rng, monkeypatch
+    ):
+        """Builds after the first factor ``blkdiag(B_0 .. B_K)`` in the
+        problem's recorded column order and solve a complex two-column
+        right-hand side bitwise as a plain ``splu`` does; the first build
+        only records the order."""
+        mixer, mna = balanced_mixer
+        problem = MPDEProblem(mna, mixer.scales, MPDEOptions(n_fast=20, n_slow=15))
+        lam_slow = problem.axis_eigenvalues()[1]
+        layouts = []
+        layout = ColumnOrder.layout
+        monkeypatch.setattr(
+            ColumnOrder, "layout", lambda self: layouts.append(self) or layout(self)
+        )
+        for build, scale in enumerate((0.3, 0.5, 0.2)):
+            x = rng.normal(scale=scale, size=problem.n_total_unknowns)
+            c_data, g_data = problem.jacobian_values(x)
+            precond = problem.build_preconditioner(
+                "block_circulant_fast", c_data=c_data, g_data=g_data
+            )
+            structure = precond.structure
+            plain = spla.splu(
+                structure.matrix(
+                    structure.stacked_data(
+                        slow_averaged_data(c_data, 20, 15),
+                        slow_averaged_data(g_data, 20, 15),
+                        lam_slow[: structure.n_blocks],
+                    )
+                )
+            )
+            rows = structure.n_blocks * structure.block_size
+            rhs = rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))
+            np.testing.assert_array_equal(precond._factor()(rhs), plain.solve(rhs))
+            assert structure.column_order.perm_c is not None
+            assert bool(layouts) == (build > 0)
+
+    @pytest.mark.no_fault_injection  # counts the fault-free builds
+    def test_one_ordering_per_problem_across_a_matrix_free_solve(
+        self, balanced_mixer, splu_specs
+    ):
+        mixer, mna = balanced_mixer
+        options = MPDEOptions(
+            n_fast=20, n_slow=15, matrix_free=True, preconditioner="block_circulant_fast"
+        )
+        result = MPDESolver(MPDEProblem(mna, mixer.scales, options), options).solve()
+        assert result.stats.converged
+        assert result.stats.preconditioner_builds == 13
+        assert splu_specs == [None] + ["NATURAL"] * 12
 
     def test_build_preconditioner_reuses_one_structure(
         self, scaled_switching_mixer, monkeypatch

@@ -275,6 +275,21 @@ def test_scenario_solves_with_finite_metrics(name, all_runs):
             assert math.isfinite(value), f"{name}: metric {key} = {value!r}"
 
 
+# ``all_runs`` is module-scoped, so pytest builds it before the
+# function-scoped ``_fault_profile`` fixture arms a plan: its solves run
+# fault-free in the fault and chaos lanes as well.
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_scenario_converges_without_recovery(name, all_runs):
+    """Every case converges under default options with no recovery rung."""
+    _, run = all_runs[name]
+    for case_run in run.case_runs:
+        stats = case_run.result.stats
+        label = f"{name}[{case_run.case.label}]"
+        assert stats.converged, f"{label} did not converge"
+        assert stats.recovered_by == "", f"{label} recovered by {stats.recovered_by}"
+        assert stats.recovery_trace == [], f"{label}: {stats.recovery_trace}"
+
+
 def test_aggregate_metrics_present_for_sweeps(all_runs):
     _, conversion = all_runs["swept_lo_conversion_gain"]
     assert conversion.aggregate_metrics["gain_flatness"] >= 1.0

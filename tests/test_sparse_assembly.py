@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.circuits import Circuit
 from repro.circuits.devices import (
@@ -39,7 +40,10 @@ from repro.circuits.devices import (
 )
 from repro.core import ShearedTimeScales, solve_mpde
 from repro.core.mpde import MPDEProblem
+from repro.core.solver import MPDESolver, MPDEStats
 from repro.linalg import gmres_solve
+from repro.linalg.sparse import ColumnOrder
+from repro.rf import balanced_lo_doubling_mixer
 from repro.signals import SinusoidStimulus
 from repro.utils import MPDEOptions
 
@@ -242,6 +246,110 @@ class TestMPDEJacobianAssembly:
         abstol = MPDEOptions().newton.abstol
         assert free.stats.residual_norm <= abstol
         np.testing.assert_allclose(free.states, direct.states, rtol=1e-6, atol=1e-8)
+
+
+def _paper_mixer_problem() -> MPDEProblem:
+    """The paper's balanced mixer on the 20x15 bdf2 grid."""
+    mixer = balanced_lo_doubling_mixer()
+    return MPDEProblem(mixer.compile(), mixer.scales, MPDEOptions(n_fast=20, n_slow=15))
+
+
+def _pss_problem() -> MPDEProblem:
+    """One-axis collocation PSS of the every-device circuit (1 MHz period).
+
+    Its inductor's backward-Euler ``L/h`` stamps tie with the diagonal for
+    the largest entry of their column, which SuperLU breaks in favour of the
+    diagonal of the reordered matrix (see ``ColumnOrder``).
+    """
+    return MPDEProblem.periodic(_all_device_circuit().compile(), 1e-6, 16)
+
+
+def _hb_problem() -> MPDEProblem:
+    """Two-tone HB: spectral collocation on both axes of the balanced mixer."""
+    mixer = balanced_lo_doubling_mixer()
+    return MPDEProblem(
+        mixer.compile(),
+        mixer.scales,
+        MPDEOptions(n_fast=9, n_slow=7, fast_method="fourier", slow_method="fourier"),
+    )
+
+
+# Compares factorisations of fault-free data and counts fault-free LUs.
+@pytest.mark.no_fault_injection
+class TestColumnOrder:
+    """The Jacobian's COLAMD column order is computed once per problem."""
+
+    @pytest.mark.parametrize(
+        "make_problem",
+        [_paper_mixer_problem, _pss_problem, _hb_problem],
+        ids=["paper-mixer-20x15", "pss-one-axis", "hb-fourier"],
+    )
+    def test_ordered_factorisation_solves_bitwise(self, make_problem, rng, splu_specs):
+        problem = make_problem()
+        solver = MPDESolver(problem)
+        rhs = rng.normal(size=problem.n_total_unknowns)
+        solutions = []
+        for scale in (0.3, 0.5, 0.2):
+            x = rng.normal(scale=scale, size=problem.n_total_unknowns)
+            c_data, g_data = problem.jacobian_values(x)
+            backsolve = solver._factor_jacobian(c_data, g_data, MPDEStats())
+            solutions.append(
+                (backsolve(rhs), spla.splu(problem.assemble_jacobian(c_data, g_data)).solve(rhs))
+            )
+        # Solver factorisations alternate with the plain reference ones.
+        assert splu_specs[0::2] == [None, "NATURAL", "NATURAL"]
+        for ordered, plain in solutions:
+            np.testing.assert_array_equal(ordered, plain)
+
+    def test_assemble_ordered_permutes_rows_and_columns(self, rng):
+        problem = _mixer_problem()
+        assembler = problem.jacobian_assembler
+        c_data, g_data = problem.jacobian_values(
+            rng.normal(scale=0.3, size=problem.n_total_unknowns)
+        )
+        natural = assembler.assemble(c_data, g_data)
+        assembler.column_order.record(spla.splu(natural).perm_c)
+        ordered = assembler.assemble_ordered(c_data, g_data)
+        columns = np.argsort(assembler.column_order.perm_c)
+        np.testing.assert_array_equal(
+            ordered.toarray(), natural.toarray()[columns][:, columns]
+        )
+
+    def test_single_factorisation_plans_nothing_more(self, rng, monkeypatch):
+        """A problem factored once only records its order; the reordered
+        layout and scatter map are built by the second factorisation."""
+        layouts = []
+        layout = ColumnOrder.layout
+        monkeypatch.setattr(
+            ColumnOrder, "layout", lambda self: layouts.append(self) or layout(self)
+        )
+        problem = _mixer_problem()
+        solver = MPDESolver(problem)
+        c_data, g_data = problem.jacobian_values(
+            rng.normal(scale=0.3, size=problem.n_total_unknowns)
+        )
+        order = problem.jacobian_assembler.column_order
+        solver._factor_jacobian(c_data, g_data, MPDEStats())
+        assert order.perm_c is not None
+        assert layouts == []
+        solver._factor_jacobian(c_data, g_data, MPDEStats())
+        assert layouts and all(built is order for built in layouts)
+
+    def test_one_ordering_per_problem_across_a_chord_solve(self, splu_specs):
+        result = MPDESolver(_paper_mixer_problem()).solve()
+        assert result.stats.converged
+        assert result.stats.jacobian_factorizations == 5
+        assert splu_specs == [None] + ["NATURAL"] * 4
+
+    def test_full_newton_factors_through_the_same_ordered_lu(self, splu_specs):
+        """Without chord Newton every iterate is one ordered ``splu`` too."""
+        problem = _mixer_problem()
+        options = MPDEOptions(n_fast=10, n_slow=7, chord_newton=False)
+        result = MPDESolver(problem, options).solve()
+        assert result.stats.converged
+        factorizations = result.stats.jacobian_factorizations
+        assert factorizations >= 2
+        assert splu_specs == [None] + ["NATURAL"] * (factorizations - 1)
 
 
 class TestGMRESReport:
