@@ -270,7 +270,6 @@ def _timing_breakdown(stats) -> dict:
 #: Option overrides of the paper-grid solves, by mode name.
 SOLVE_MODES = {
     "direct": {},
-    "direct_full_newton": {"chord_newton": False},
     "matrix_free_block_circulant": {
         "matrix_free": True,
         "preconditioner": "block_circulant",

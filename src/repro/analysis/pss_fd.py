@@ -137,7 +137,6 @@ def collocation_periodic_steady_state(
         )
     options = MPDEOptions(
         newton=newton_options or NewtonOptions(max_iterations=100),
-        chord_newton=False,
         matrix_free=matrix_free,
         preconditioner=preconditioner,
         gmres_tol=gmres_tol,

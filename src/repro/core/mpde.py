@@ -68,10 +68,13 @@ import scipy.sparse.linalg as spla
 from ..circuits.mna import MNASystem
 from ..linalg.preconditioners import (
     PRECONDITIONER_KINDS,
+    BlockCirculantFastPreconditioner,
     BlockCirculantFastStructure,
+    BlockCirculantPreconditioner,
     Preconditioner,
-    build_averaged_preconditioner,
+    averaged_dense_blocks,
     circulant_eigenvalues,
+    slow_averaged_data,
 )
 from ..linalg.sparse import (
     BlockDiagStructure,
@@ -400,19 +403,20 @@ class MPDEProblem:
                 "Jacobian data arrays (c_data/g_data)"
             )
         lam_fast, lam_slow = self.axis_eigenvalues()
-        return build_averaged_preconditioner(
-            kind,
-            dynamic_pattern=self.mna.dynamic_pattern,
-            static_pattern=self.mna.static_pattern,
-            c_data=c_data,
-            g_data=g_data,
-            eigenvalues_fast=lam_fast,
-            eigenvalues_slow=lam_slow,
-            grid_shape=(self.grid.n_fast, self.grid.n_slow),
-            structure=(
-                self._operators.fast_structure if kind == "block_circulant_fast" else None
-            ),
-        )
+        dynamic, static = self.mna.dynamic_pattern, self.mna.static_pattern
+        if kind == "block_circulant_fast":
+            n_fast, n_slow = self.grid.n_fast, self.grid.n_slow
+            return BlockCirculantFastPreconditioner(
+                slow_averaged_data(c_data, n_fast, n_slow),
+                slow_averaged_data(g_data, n_fast, n_slow),
+                dynamic,
+                static,
+                fast_operator=None,
+                eigenvalues_slow=lam_slow,
+                structure=self._operators.fast_structure,
+            )
+        c_bar, g_bar = averaged_dense_blocks(dynamic, static, c_data, g_data)
+        return BlockCirculantPreconditioner(c_bar, g_bar, lam_fast, lam_slow)
 
     # -- continuation embedding -----------------------------------------------------
     def embedded_source_grid(self, lam: float) -> np.ndarray:

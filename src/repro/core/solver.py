@@ -82,9 +82,10 @@ class MPDEStats:
     newton_iterations: int = 0
     linear_solves: int = 0
     #: Sparse LU factorisations of the full MPDE Jacobian (direct mode).
-    #: Without chord Newton this equals ``linear_solves``; with it the
-    #: adaptive reuse policy keeps it well below (0 for the matrix-free
-    #: mode, whose factorisation effort is ``preconditioner_builds``).
+    #: A one-axis problem refactors at every step, so this equals
+    #: ``linear_solves``; on a 2-D grid chord Newton's reuse policy keeps it
+    #: well below (0 for the matrix-free mode, whose factorisation effort is
+    #: ``preconditioner_builds``).
     jacobian_factorizations: int = 0
     #: Total inner Krylov iterations across all GMRES linear solves (0 for
     #: the direct solver).
@@ -270,6 +271,12 @@ class MPDEResult:
 #: chord-Newton run ends.
 _STALL_RATIO = 0.99
 
+#: What every failed direct correction raises, as a SingularMatrixError.
+_SINGULAR_LU = (
+    "sparse LU of the MPDE Jacobian failed or produced non-finite values (singular "
+    "Jacobian; check for floating nodes or an all-capacitive cutset)"
+)
+
 
 class _ForcingTerm:
     """Eisenstat–Walker tolerances for the GMRES solves of one Newton run.
@@ -368,14 +375,17 @@ class _ForcingTerm:
 
 
 class _ChordLU:
-    """Cached sparse LU of the MPDE Jacobian for direct-mode chord Newton.
+    """The sparse LU of the MPDE Jacobian: every direct-mode Newton correction.
 
-    The first Newton step after a factorisation records its observed
-    residual-reduction ratio, in ``RATIO_SCALE`` units, as the trend
-    ``baseline``; once a later step's scaled ratio exceeds ``baseline *
-    REFRESH_GROWTH + REFRESH_SLACK``, or a line search fails outright
-    against the stale factorisation, the next linear solve refactors at the
-    current iterate.
+    By default it is chord Newton's cached factorisation.  The first Newton
+    step after a factorisation records its observed residual-reduction
+    ratio, in ``RATIO_SCALE`` units, as the trend ``baseline``; once a later
+    step's scaled ratio exceeds ``baseline * REFRESH_GROWTH +
+    REFRESH_SLACK``, or a line search fails outright against the stale
+    factorisation, the next linear solve refactors at the current iterate.
+
+    With ``every_step`` set it refactors at every linear solve (full Newton)
+    and keeps no trend, stall or checkpoint state.
     """
 
     #: Scale turning a residual-reduction ratio into the integer trend
@@ -404,7 +414,9 @@ class _ChordLU:
     #: the residual by at least 1.9% over any three.
     STALL_STEPS = 3
 
-    def __init__(self) -> None:
+    def __init__(self, every_step: bool = False) -> None:
+        #: Refactor at every linear solve (full Newton).
+        self.every_step = every_step
         #: Back-substitution of the cached LU (None when there is none).
         self.backsolve = None
         #: Scaled ratio of the first step after the last build, and of the
@@ -432,7 +444,12 @@ class _ChordLU:
         return self.last > self.baseline * self.REFRESH_GROWTH + self.REFRESH_SLACK
 
     def needs_refresh(self) -> bool:
-        return self.backsolve is None or self._stale or self._trend_degraded()
+        return (
+            self.every_step
+            or self.backsolve is None
+            or self._stale
+            or self._trend_degraded()
+        )
 
     def store(self, backsolve) -> None:
         self.backsolve = backsolve
@@ -453,7 +470,7 @@ class _ChordLU:
 
     def capture_state(self) -> dict | None:
         """Chord cache state for a :class:`SolveCheckpoint` (None when cold)."""
-        if self.backsolve is None or self.factored_at is None:
+        if self.every_step or self.backsolve is None or self.factored_at is None:
             return None
         return {
             "factored_at": np.array(self.factored_at, copy=True),
@@ -486,6 +503,8 @@ class _ChordLU:
         A step whose line search failed drops the factorisation: the stale
         matrix did not even give a descent direction.
         """
+        if self.every_step:
+            return
         capped = ratio if ratio <= self.RATIO_CAP else self.RATIO_CAP  # NaN -> cap
         self.recent_ratios = [*self.recent_ratios, capped][-self.STALL_STEPS :]
         if not accepted:
@@ -506,8 +525,11 @@ class MPDESolver:
 
     Linear sub-solves come in two flavours, selected by the options:
 
-    * the default — sparse LU on the assembled CSC Jacobian, reused across
-      iterations by chord Newton (``options.chord_newton``);
+    * the default — sparse LU on the assembled CSC Jacobian, through one
+      :class:`_ChordLU`: on a 2-D grid it is reused across iterations (chord
+      Newton), on a one-axis grid (:meth:`MPDEProblem.periodic`) it is
+      refactored at every iterate (full Newton), and a chord run that
+      stalls, or the ``newton_refresh`` rung, switches to full Newton too;
     * ``matrix_free=True`` — GMRES on the matrix-free Jacobian-vector-product
       operator, preconditioned by ``options.preconditioner``
       (``"block_circulant_fast"`` or ``"block_circulant"``), built through
@@ -538,9 +560,13 @@ class MPDESolver:
         self.problem = problem
         self.options = options or problem.options
         self._krylov = CachedPreconditionedGMRES(self._build_preconditioner)
-        use_chord = self.options.chord_newton and not self.options.matrix_free
-        self._chord = _ChordLU() if use_chord else None
-        self._chord_suspended = False
+        # Full Newton only on one-axis problems.  Best-of-N on a 2-CPU host,
+        # chord Newton wins on the 2-D inputs (1.4 vs 1.9 ms on the 12x64
+        # qpsk_mixer, 156 vs 214 ms on the 32x64 bpsk_mixer) but loses on
+        # the frequency_doubler PSS: 3.7 vs 3.4 ms at 64 backward-Euler
+        # points (10 Newton steps and 5 LUs against 7 and 7), 4.5 vs 4.2 ms
+        # at 128 bdf2 points (14 and 4 against 7 and 7).
+        self._chord = _ChordLU(every_step=problem.grid.n_slow == 1)
         # Resilience state: a no-op deadline until ``solve`` installs the
         # real one, the recovery ladder's switch of a matrix-free solve to
         # direct LU, and the last Newton iterate (for failure diagnostics).
@@ -563,29 +589,20 @@ class MPDESolver:
         """GMRES solves are in effect (matrix-free, not switched to LU)."""
         return bool(self.options.matrix_free) and not self._direct_fallback
 
-    @property
-    def _chord_active(self) -> bool:
-        return self._chord is not None and not self._chord_suspended
-
     # -- residual/Jacobian evaluation -------------------------------------------
     def _evaluate(self, x: np.ndarray, source_grid: np.ndarray | None):
         """Residual plus whatever the linear solver needs at ``x``.
 
-        Returns ``(residual, operator, data)`` where ``operator`` is the
-        matrix-free Jacobian ``LinearOperator`` (``None`` in direct mode)
-        and ``data`` carries the per-point Jacobian value arrays the
-        preconditioners and the full-Newton LU are built from (the chord
-        iterate in chord mode).
+        Returns ``(residual, operator, data)``.  Matrix-free, ``operator``
+        is the Jacobian ``LinearOperator`` and ``data`` the per-point
+        Jacobian value arrays the preconditioner is built from.  Direct, the
+        sweep is residual-only, ``operator`` is ``None`` and ``data`` is
+        ``x``: the LU fetches the Jacobian data there when it refactors.
         """
-        if self._chord_active:
-            # Chord Newton: residual-only sweep; the (cached) factorisation
-            # is produced lazily inside the linear solve, at the iterate
-            # carried through ``data``, only when the refresh policy asks.
-            residual = self.problem.residual(x, source_grid=source_grid)
-            return residual, None, x
+        if not self._matrix_free:
+            return self.problem.residual(x, source_grid=source_grid), None, x
         residual, c_data, g_data = self.problem.residual_and_values(x, source_grid=source_grid)
-        operator = self.problem.jacobian_operator(c_data, g_data) if self._matrix_free else None
-        return residual, operator, (c_data, g_data)
+        return residual, self.problem.jacobian_operator(c_data, g_data), (c_data, g_data)
 
     # -- linear sub-solves -------------------------------------------------------
     def _build_preconditioner(self, data):
@@ -604,7 +621,7 @@ class MPDESolver:
         assembled already in that order (``permc_spec="NATURAL"``, the same
         LU bit for bit, see :class:`~repro.linalg.sparse.ColumnOrder`).
         Assembly counts toward ``eval_time_s``, the LU toward
-        ``factorization_time_s``; a singular Jacobian raises
+        ``factorization_time_s``; an exactly singular Jacobian raises
         ``RuntimeError`` (from ``splu``).
         """
         start = time.perf_counter()
@@ -634,36 +651,32 @@ class MPDESolver:
         try:
             backsolve = self._factor_jacobian(c_data, g_data, stats)
         except RuntimeError as exc:
-            raise SingularMatrixError(f"sparse LU failed on the MPDE Jacobian: {exc}") from exc
+            raise SingularMatrixError(_SINGULAR_LU) from exc
         stats.jacobian_factorizations += 1
         self._chord.store(backsolve)
         self._chord.factored_at = np.array(x, dtype=float, copy=True)
 
     def _chord_solve(self, rhs: np.ndarray, stats: MPDEStats, x: np.ndarray) -> np.ndarray:
+        """Direct correction at iterate ``x``, refactoring when the LU asks."""
         chord = self._chord
+
+        def back_substitute() -> np.ndarray:
+            start = time.perf_counter()
+            dx = chord.backsolve(rhs)
+            stats.factorization_time_s += time.perf_counter() - start
+            return dx
+
         if chord.needs_refresh():
             self._chord_refactor(x, stats)
-        start = time.perf_counter()
-        dx = chord.backsolve(rhs)
-        stats.factorization_time_s += time.perf_counter() - start
-        if not np.all(np.isfinite(dx)):
-            if chord.just_built:
-                raise SingularMatrixError(
-                    "sparse LU produced non-finite values (singular MPDE Jacobian; check for "
-                    "floating nodes or an all-capacitive cutset)"
-                )
+        dx = back_substitute()
+        if not np.all(np.isfinite(dx)) and not chord.just_built:
             # A stale factorisation can go numerically bad even though a
             # fresh one would not; rebuild at the current iterate and retry
             # once before declaring the Jacobian singular.
             self._chord_refactor(x, stats)
-            start = time.perf_counter()
-            dx = chord.backsolve(rhs)
-            stats.factorization_time_s += time.perf_counter() - start
-            if not np.all(np.isfinite(dx)):
-                raise SingularMatrixError(
-                    "sparse LU produced non-finite values (singular MPDE Jacobian; check for "
-                    "floating nodes or an all-capacitive cutset)"
-                )
+            dx = back_substitute()
+        if not np.all(np.isfinite(dx)):
+            raise SingularMatrixError(_SINGULAR_LU)
         return dx
 
     def _solve_linear(
@@ -672,24 +685,7 @@ class MPDESolver:
         """One Newton correction; ``tol`` is the GMRES tolerance (None for direct)."""
         stats.linear_solves += 1
         if not self._matrix_free:
-            if self._chord_active:
-                return self._chord_solve(rhs, stats, data)
-            stats.jacobian_factorizations += 1
-            try:
-                backsolve = self._factor_jacobian(*data, stats)
-            except RuntimeError:
-                # Exactly singular: reported like a non-finite solution.
-                dx = None
-            else:
-                start = time.perf_counter()
-                dx = backsolve(rhs)
-                stats.factorization_time_s += time.perf_counter() - start
-            if dx is None or not np.all(np.isfinite(dx)):
-                raise SingularMatrixError(
-                    "sparse LU produced non-finite values (singular MPDE Jacobian; check for "
-                    "floating nodes or an all-capacitive cutset)"
-                )
-            return dx
+            return self._chord_solve(rhs, stats, data)
 
         fault_site("solver.gmres", preconditioner=self.options.preconditioner)
         if not np.all(np.isfinite(rhs)):
@@ -698,11 +694,7 @@ class MPDESolver:
             raise SingularMatrixError(
                 "non-finite MPDE residual; the GMRES linear solve cannot proceed"
             )
-        builds_before = self._krylov.builds
-        harmonic_before = self._krylov.harmonic_builds
-        build_time_before = self._krylov.build_time_s
-        solve_time_before = self._krylov.solve_time_s
-        backsub_before = self._krylov.apply_backsub_time_s
+        start = time.perf_counter()
         dx, report = self._krylov.solve(
             operator,
             rhs,
@@ -711,13 +703,11 @@ class MPDESolver:
             restart=self.options.gmres_restart,
             deadline=self._deadline,
         )
-        stats.preconditioner_builds += self._krylov.builds - builds_before
-        stats.preconditioner_harmonic_builds += (
-            self._krylov.harmonic_builds - harmonic_before
-        )
-        stats.preconditioner_build_time_s += self._krylov.build_time_s - build_time_before
-        stats.gmres_time_s += self._krylov.solve_time_s - solve_time_before
-        stats.gmres_backsub_time_s += self._krylov.apply_backsub_time_s - backsub_before
+        stats.preconditioner_builds += 1
+        stats.preconditioner_harmonic_builds += report.harmonic_factorizations
+        stats.preconditioner_build_time_s += report.build_time_s
+        stats.gmres_time_s += time.perf_counter() - start - report.build_time_s
+        stats.gmres_backsub_time_s += report.backsub_time_s
         stats.preconditioner_kind = self.options.preconditioner
         stats.linear_iterations += report.iterations
         stats.linear_iteration_history.append(report.iterations)
@@ -767,16 +757,17 @@ class MPDESolver:
         max_iter = max_iterations if max_iterations is not None else opts.max_iterations
         x = np.asarray(x0, dtype=float).copy()
         self._last_iterate = x
+        direct = not self._matrix_free
+        chord = self._chord
 
-        if self._chord_active:
+        if direct:
             if source_grid is None and self._pending_chord_state is not None:
                 # Resuming from a checkpoint: rebuild the chord cache exactly
                 # as the interrupted solve left it, so the resumed trajectory
                 # is bitwise identical to the uninterrupted one.
-                state = self._pending_chord_state
-                self._pending_chord_state = None
-                self._chord.restore_state(
-                    state, lambda x_at: self._chord_refactor(x_at, stats)
+                chord.restore_state(
+                    self._pending_chord_state,
+                    lambda x_at: self._chord_refactor(x_at, stats),
                 )
             else:
                 # Every Newton run (the main solve, and each continuation
@@ -784,8 +775,9 @@ class MPDESolver:
                 # over from a different embedding is a poor chord matrix and
                 # can burn a tight iteration budget before the refresh
                 # policy notices.
-                self._chord.invalidate()
-                self._chord.recent_ratios = []
+                chord.invalidate()
+                chord.recent_ratios = []
+        self._pending_chord_state = None
         # Direct solves are exact: they never ask for a tolerance, so their
         # forcing state stays tight.
         forcing = self._forcing = _ForcingTerm(self.options.gmres_tol)
@@ -838,8 +830,8 @@ class MPDESolver:
                 trial_norm = float(np.max(np.abs(residual_trial)))
 
             ratio = trial_norm / res_norm if res_norm > 0.0 else 1.0
-            if self._chord_active:
-                self._chord.record_step(ratio, accepted)
+            if direct:
+                chord.record_step(ratio, accepted)
             forcing.record_step(ratio, accepted)
 
             update_norm = float(np.max(np.abs(x_trial - x)))
@@ -866,13 +858,13 @@ class MPDESolver:
             ):
                 stats.residual_norm = res_norm
                 return x, True
-            if self._chord_active and self._chord.stalled:
+            if direct and chord.stalled:
                 break
 
-            # Re-evaluate residual and Jacobian at the accepted iterate.  In
-            # chord mode the line search already evaluated the residual at
-            # the accepted iterate and no Jacobian data is needed up front.
-            if self._chord_active:
+            # Re-evaluate at the accepted iterate.  Direct mode needs no
+            # Jacobian data up front, and the line search already evaluated
+            # the residual there.
+            if direct:
                 residual, operator, data = residual_trial, None, x
             else:
                 residual, operator, data = self._timed_evaluate(x, source_grid, stats)
@@ -881,31 +873,34 @@ class MPDESolver:
         stats.residual_norm = res_norm
         if res_norm <= opts.abstol and forcing.tight and not polish:
             return x, True
-        if self._chord_active:
+        if direct and not chord.every_step:
             # The chord run stalled or spent its budget, partly on
             # stale-factorisation steps, which is not a fair convergence
-            # verdict.  Mirror the transient layer's chord fallback: retry
-            # the run with a fresh factorisation at every iterate before
-            # reporting failure, so robustness matches
-            # ``chord_newton=False`` exactly.
+            # verdict: retry the run with a fresh factorisation at every
+            # iterate before reporting failure.
             _LOG.debug(
                 "chord Newton run stalled (residual %.3e); retrying with per-iterate "
                 "factorisation",
                 res_norm,
             )
-            self._chord_suspended = True
-            try:
-                return self._newton(
-                    x0,
-                    stats,
-                    source_grid=source_grid,
-                    max_iterations=max_iterations,
-                    newton_options=newton_options,
-                    polish=polish,
-                )
-            finally:
-                self._chord_suspended = False
+            return self._full_newton(
+                x0,
+                stats,
+                source_grid=source_grid,
+                max_iterations=max_iterations,
+                newton_options=newton_options,
+                polish=polish,
+            )
         return x, False
+
+    def _full_newton(self, x0: np.ndarray, stats: MPDEStats, **newton_kwargs):
+        """:meth:`_newton` with the direct LU refactored at every iterate."""
+        chord = self._chord
+        every_step, chord.every_step = chord.every_step, True
+        try:
+            return self._newton(x0, stats, **newton_kwargs)
+        finally:
+            chord.every_step = every_step
 
     # -- continuation fallback -----------------------------------------------------------
     class _SweepStage:
@@ -945,23 +940,8 @@ class MPDESolver:
         mode = mode if mode is not None else self.options.initial_guess
         if mode == "zero":
             return self.problem.initial_guess_zero()
-        if mode == "dc":
-            x_dc = dc_operating_point(self.problem.mna).x
-            return self.problem.initial_guess_from_state(x_dc)
-        if mode == "transient":
-            # A short settling transient (a few fast periods) often lands much
-            # closer to the steady state than the DC point for switching
-            # circuits; the final state is tiled over the grid.
-            from ..analysis.transient import run_transient  # local import to avoid cycles
-
-            period = self.problem.grid.period_fast
-            result = run_transient(
-                self.problem.mna,
-                t_stop=5.0 * period,
-                dt=period / max(20, self.problem.grid.n_fast),
-            )
-            return self.problem.initial_guess_from_state(result.final_state())
-        raise MPDEError(f"unknown initial_guess mode {mode!r}")
+        x_dc = dc_operating_point(self.problem.mna).x
+        return self.problem.initial_guess_from_state(x_dc)
 
     # -- checkpoint/resume -------------------------------------------------------------------
     def _fingerprint(self) -> str:
@@ -981,7 +961,6 @@ class MPDESolver:
             slow_method=self.problem.options.slow_method,
             matrix_free=opts.matrix_free,
             preconditioner=opts.preconditioner,
-            chord_newton=opts.chord_newton,
         )
 
     def _record_checkpoint(
@@ -993,14 +972,13 @@ class MPDESolver:
         additionally persisted atomically when ``options.checkpoint_path``
         is set.
         """
-        chord_state = self._chord.capture_state() if self._chord_active else None
         self._checkpoint = SolveCheckpoint(
             fingerprint=self._solve_fingerprint,
             stage="newton",
             iterate=np.array(x, copy=True),
             newton_iterations=stats.newton_iterations,
             residual_norm=float(residual_norm),
-            chord_state=chord_state,
+            chord_state=self._chord.capture_state(),
             forcing_state=self._forcing.capture_state(),
             recovery_trace=list(stats.recovery_trace),
             stats=dataclasses.asdict(stats),
@@ -1039,12 +1017,6 @@ class MPDESolver:
             n_grid_points=self.problem.n_grid_points,
             n_total_unknowns=self.problem.n_total_unknowns,
         )
-        if self.options.matrix_free:
-            # A chord LU here was made by an earlier solve's
-            # preconditioner_downgrade rung.
-            self._chord = None
-        if self._chord is not None:
-            self._chord.invalidate()
         self._deadline = Deadline(self.options.deadline_s)
         self._direct_fallback = False
         self._last_iterate = None
@@ -1058,7 +1030,7 @@ class MPDESolver:
             resume_from.validate(self._solve_fingerprint)
             if x0 is None:
                 x0 = np.array(resume_from.iterate, copy=True)
-            if resume_from.chord_state is not None and self._chord is not None:
+            if resume_from.chord_state is not None:
                 self._pending_chord_state = dict(resume_from.chord_state)
             if resume_from.forcing_state is not None:
                 self._pending_forcing_state = dict(resume_from.forcing_state)
@@ -1102,8 +1074,7 @@ class MPDESolver:
             # and the solver itself is freed only by the cycle collector (the
             # Krylov manager holds a bound method of it), which would keep its
             # native LU memory alive well past the solve.
-            if self._chord is not None:
-                self._chord.invalidate()
+            self._chord.invalidate()
 
         stats.converged = True
         states = self.problem.reshape_states(x)
@@ -1200,31 +1171,20 @@ class MPDESolver:
     def _rung_newton_refresh(self, kind, x_start, stats):
         if kind not in ("singular", "gmres_stagnation"):
             return f"not applicable to {kind} failures"
-        if self._chord is None and not self._matrix_free:
+        direct = not self._matrix_free
+        if direct and self._chord.every_step:
             return "no cached factorisation or preconditioner to refresh"
-
-        def run_refresh():
-            # Drop the cached factorisation and solve with full Newton
-            # (chord suspended → refactor at each iterate).  A matrix-free
-            # solve has nothing to drop: the run repeats the baseline, which
-            # absorbs a transient fault only.
-            if self._chord is not None:
-                self._chord.invalidate()
-            suspended = self._chord_suspended
-            self._chord_suspended = True
-            try:
-                return self._newton(x_start, stats)
-            finally:
-                self._chord_suspended = suspended
-
+        # Direct, the run refactors at every iterate.  A matrix-free solve
+        # has nothing to drop: the run repeats the baseline, which absorbs a
+        # transient fault only.
         return self._ladder_attempt(
             stats,
             "newton_refresh",
             kind,
-            run_refresh,
+            lambda: self._full_newton(x_start, stats),
             detail=(
                 "chord LU dropped; full Newton refresh"
-                if self._chord is not None
+                if direct
                 else "re-solved from the start point; the preconditioner is "
                 "rebuilt at every GMRES solve"
             ),
@@ -1267,12 +1227,9 @@ class MPDESolver:
     def _rung_preconditioner_downgrade(self, kind, x_start, stats):
         if not self._matrix_free:
             return "direct solver uses no preconditioner"
-        # Re-solve with sparse direct LU, by chord Newton when the options
-        # ask for it, as a direct solve would; the later rungs keep the
-        # direct solver.  The next ``solve`` drops the chord.
+        # Re-solve with sparse direct LU, as a direct solve would; the later
+        # rungs keep the direct solver.
         self._direct_fallback = True
-        if self.options.chord_newton:
-            self._chord = _ChordLU()
         return self._ladder_attempt(
             stats,
             "preconditioner_downgrade",

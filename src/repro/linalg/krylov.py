@@ -68,6 +68,11 @@ class GMRESReport:
         was merely *slow* (ran out of ``maxiter`` while still converging).
         The recovery ladder treats the two differently: stagnation wants a
         refresh or a direct-LU re-solve, slowness wants a larger budget.
+    build_time_s, backsub_time_s, harmonic_factorizations:
+        Filled in by :meth:`CachedPreconditionedGMRES.solve`: the wall time
+        of the preconditioner build, the back-substitution time inside its
+        applies (a part of the GMRES time) and the harmonic systems its LU
+        factored (zero for ``block_circulant``).
     """
 
     iterations: int
@@ -77,6 +82,9 @@ class GMRESReport:
     residual_history: list[float] = field(default_factory=list)
     preconditioner_degraded: bool = False
     stagnated: bool = False
+    build_time_s: float = 0.0
+    backsub_time_s: float = 0.0
+    harmonic_factorizations: int = 0
 
 
 def _as_operator(
@@ -193,28 +201,12 @@ class CachedPreconditionedGMRES:
     per-point Jacobian data arrays).  Every :meth:`solve` builds one, from
     the current data, and uses it for exactly that solve: both
     block-circulant kinds cost less to rebuild than a stale instance costs
-    in GMRES iterations.  The counters accumulate over every solve:
-    ``builds``, ``build_time_s``, ``solve_time_s``, ``harmonic_builds``
-    (harmonic systems factored by the lazy block-diagonal LUs) and
-    ``apply_backsub_time_s`` (back-substitution time, a subdivision of
-    ``solve_time_s``).
+    in GMRES iterations.  Each solve's build cost is reported on the
+    :class:`GMRESReport` it returns.
     """
 
     def __init__(self, build) -> None:
         self._build = build
-        #: Preconditioners built so far (one per solve).
-        self.builds = 0
-        #: Harmonic systems factored by the preconditioners built so far
-        #: (:class:`~repro.linalg.preconditioners.BlockCirculantFastPreconditioner`
-        #: only; zero for the other kind).
-        self.harmonic_builds = 0
-        #: Cumulative back-substitution wall time of the applies.
-        self.apply_backsub_time_s = 0.0
-        #: Cumulative wall time spent building preconditioners.
-        self.build_time_s = 0.0
-        #: Cumulative wall time spent inside the GMRES solves themselves
-        #: (matvecs + preconditioner applies + orthogonalisation).
-        self.solve_time_s = 0.0
 
     def solve(
         self,
@@ -233,26 +225,19 @@ class CachedPreconditionedGMRES:
         """
         start = time.perf_counter()
         preconditioner = self._build(context)
-        self.build_time_s += time.perf_counter() - start
-        self.builds += 1
-        start = time.perf_counter()
-        try:
-            return gmres_solve(
-                matrix,
-                rhs,
-                preconditioner=preconditioner,
-                tol=tol,
-                restart=restart,
-                deadline=deadline,
-            )
-        finally:
-            self.solve_time_s += time.perf_counter() - start
-            self.harmonic_builds += int(
-                getattr(preconditioner, "harmonic_factorizations", 0)
-            )
-            self.apply_backsub_time_s += float(
-                getattr(preconditioner, "apply_backsub_time_s", 0.0)
-            )
+        build_time_s = time.perf_counter() - start
+        x, report = gmres_solve(
+            matrix,
+            rhs,
+            preconditioner=preconditioner,
+            tol=tol,
+            restart=restart,
+            deadline=deadline,
+        )
+        report.build_time_s = build_time_s
+        report.backsub_time_s = preconditioner.apply_backsub_time_s
+        report.harmonic_factorizations = preconditioner.harmonic_factorizations
+        return x, report
 
 
 class _IterationCounter:

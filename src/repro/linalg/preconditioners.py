@@ -76,7 +76,6 @@ __all__ = [
     "BlockCirculantFastPreconditioner",
     "BlockCirculantFastStructure",
     "averaged_dense_blocks",
-    "build_averaged_preconditioner",
     "circulant_eigenvalues",
     "slow_averaged_data",
 ]
@@ -112,6 +111,10 @@ class _PreconditionerBase:
     """Shared plumbing: shape bookkeeping and the ``LinearOperator`` view."""
 
     kind: str = "base"
+    #: Harmonic systems factored, and the back-substitution wall time of
+    #: the applies; only ``block_circulant_fast`` has either.
+    harmonic_factorizations = 0
+    apply_backsub_time_s = 0.0
 
     def __init__(self, size: int) -> None:
         self.shape = (int(size), int(size))
@@ -169,75 +172,6 @@ def slow_averaged_data(
             f"per-point data must have shape ({n_fast * n_slow}, nnz), got {data.shape}"
         )
     return data.reshape(n_fast, n_slow, -1).mean(axis=1)
-
-
-def build_averaged_preconditioner(
-    kind: str,
-    *,
-    dynamic_pattern,
-    static_pattern,
-    c_data: np.ndarray,
-    g_data: np.ndarray,
-    eigenvalues_fast: np.ndarray | None = None,
-    eigenvalues_slow: np.ndarray | None = None,
-    fast_operator=None,
-    grid_shape: tuple[int, int] | None = None,
-    structure: BlockCirculantFastStructure | None = None,
-) -> Preconditioner:
-    """Kind dispatch over the two grid-averaged-operator preconditioners.
-
-    :meth:`~repro.core.mpde.MPDEProblem.build_preconditioner` builds every
-    matrix-free preconditioner through this factory, for the 2-D MPDE and
-    the one-axis periodic steady state (``grid_shape = (n, 1)``) alike:
-
-    * ``"block_circulant"`` — per-harmonic blocks from the averaged dense
-      device Jacobians and the supplied circulant axis ``eigenvalues_*``.
-    * ``"block_circulant_fast"`` — slow-axis partially-averaged blocks from
-      :func:`slow_averaged_data` (``grid_shape`` supplies the
-      ``(n_fast, n_slow)`` split), the slow-axis ``eigenvalues_slow`` and
-      either the problem's cached :class:`BlockCirculantFastStructure`
-      (``structure``) or the fast-axis differentiation matrix
-      ``fast_operator`` to build one from.
-    """
-    if kind == "block_circulant_fast":
-        if (fast_operator is None and structure is None) or grid_shape is None:
-            raise ValueError(
-                "preconditioner kind 'block_circulant_fast' needs the fast-axis "
-                "differentiation matrix (fast_operator) or its structure, and the "
-                "(n_fast, n_slow) grid shape"
-            )
-        n_fast, n_slow = grid_shape
-        # Catch an omitted / mismatched slow-eigenvalue array here, where the
-        # grid split is known, instead of letting a wrong-size preconditioner
-        # fail with an opaque reshape error on its first application.
-        n_lam = 1 if eigenvalues_slow is None else np.asarray(eigenvalues_slow).size
-        if n_lam != n_slow:
-            raise ValueError(
-                f"preconditioner kind 'block_circulant_fast' got {n_lam} slow-axis "
-                f"eigenvalue(s) for a grid with n_slow = {n_slow}"
-            )
-        return BlockCirculantFastPreconditioner(
-            slow_averaged_data(c_data, n_fast, n_slow),
-            slow_averaged_data(g_data, n_fast, n_slow),
-            dynamic_pattern,
-            static_pattern,
-            fast_operator,
-            eigenvalues_slow,
-            structure=structure,
-        )
-    if kind == "block_circulant":
-        if eigenvalues_fast is None:
-            raise ValueError(
-                "preconditioner kind 'block_circulant' needs the circulant "
-                "eigenvalues of the (fast) axis differentiation operator"
-            )
-        c_bar, g_bar = averaged_dense_blocks(
-            dynamic_pattern, static_pattern, c_data, g_data
-        )
-        return BlockCirculantPreconditioner(c_bar, g_bar, eigenvalues_fast, eigenvalues_slow)
-    raise ValueError(
-        f"unknown preconditioner kind {kind!r}; use one of {PRECONDITIONER_KINDS}"
-    )
 
 
 def circulant_eigenvalues(

@@ -101,7 +101,8 @@ class SolveCheckpoint:
     residual_norm:
         Residual infinity-norm at the snapshot iterate.
     chord_state:
-        ``None`` outside chord-Newton mode; otherwise the chord cache state
+        ``None`` when no chord LU is cached (matrix-free solves, one-axis
+        problems and full-Newton runs); otherwise the chord cache state
         needed for bitwise resume: ``{"factored_at": ndarray`` (the iterate
         the resident LU was factored at), ``"baseline"``/``"last"``
         (adaptive-refresh iteration counters, ``None`` when unset),

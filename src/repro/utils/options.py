@@ -248,23 +248,14 @@ class MPDEOptions:
         backward Euler ("backward-euler") is robust for the sharp switching
         waveforms targeted by the paper, "central" gives second order on
         smooth problems.
-    chord_newton:
-        Direct mode only: reuse the sparse LU factorisation across Newton
-        iterations (chord Newton) instead of refactoring every iterate.  The
-        residual-reduction ratio of the first step after a rebuild sets a
-        baseline; a later step whose ratio exceeds ``1.6 * baseline + 0.008``
-        (or 0.25 outright, or whose line search fails) triggers a
-        refactorisation at the current iterate.  Chord iterations cost one
-        residual-only device sweep plus a back-substitution, so trading a
-        few of them for a skipped ``P*n`` factorisation wins for every
-        realistic grid; the factorisation count is surfaced as
-        ``MPDEStats.jacobian_factorizations``.  Ignored by the matrix-free
-        mode.
     matrix_free:
         Solve the Newton linear systems with GMRES on a matrix-free
         Jacobian-vector-product operator (the Jacobian is never assembled),
         preconditioned per the ``preconditioner`` mode.  Without it every
-        correction is a sparse direct (LU) solve.
+        correction is a sparse direct (LU) solve: by chord Newton on a 2-D
+        grid (the LU is reused across iterations and refactored when the
+        residual reduction degrades), by full Newton on a one-axis problem;
+        ``MPDEStats.jacobian_factorizations`` counts the LUs.
     preconditioner:
         Preconditioner of the matrix-free GMRES solves, rebuilt from fresh
         Jacobian data at every Newton iterate:
@@ -319,7 +310,6 @@ class MPDEOptions:
     fast_method: str = "bdf2"
     slow_method: str = "bdf2"
     newton: NewtonOptions = field(default_factory=lambda: NewtonOptions(max_iterations=80))
-    chord_newton: bool = True
     matrix_free: bool = False
     preconditioner: str = "block_circulant_fast"
     gmres_tol: float = 1e-9
@@ -339,7 +329,7 @@ class MPDEOptions:
         _require_in("fast_method", self.fast_method, self._ALLOWED_FD)
         _require_in("slow_method", self.slow_method, self._ALLOWED_FD)
         _require_in("preconditioner", self.preconditioner, self._ALLOWED_PRECONDITIONERS)
-        _require_in("initial_guess", self.initial_guess, ("dc", "zero", "transient"))
+        _require_in("initial_guess", self.initial_guess, ("dc", "zero"))
         _require_positive("gmres_tol", self.gmres_tol)
         _require_positive("gmres_restart", self.gmres_restart)
         if self.deadline_s is not None:

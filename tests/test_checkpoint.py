@@ -30,7 +30,7 @@ from repro.analysis.pss_fd import collocation_periodic_steady_state
 from repro.core import solve_mpde
 from repro.core.multitone_hb import two_tone_harmonic_balance
 from repro.resilience import SolveCheckpoint, inject_faults, singular_jacobian, solve_fingerprint
-from repro.rf import gilbert_cell_mixer, unbalanced_switching_mixer
+from repro.rf import gilbert_cell_mixer
 from repro.utils import (
     CheckpointError,
     DeadlineExceededError,
@@ -52,13 +52,6 @@ def _gilbert():
     budget-exhaustion chord fallback (whose retry stage is budget-relative
     and therefore not a bitwise-resumable trajectory)."""
     mix = gilbert_cell_mixer(lo_frequency=2e6, difference_frequency=50e3)
-    return mix.circuit.compile(), mix.scales
-
-
-def _switching():
-    """Strongly LO-switched two-tone problem; converges in ~7 iterations
-    under full Newton (``chord_newton=False``)."""
-    mix = unbalanced_switching_mixer(lo_frequency=2e6, difference_frequency=50e3)
     return mix.circuit.compile(), mix.scales
 
 
@@ -257,14 +250,22 @@ class TestMPDEResume:
                 mna, scales, _OPTIONS.with_grid(12, 8), resume_from=checkpoint
             )
 
-    def test_full_newton_mode_resumes_bitwise(self, counting_deadline):
-        """No chord cache in play: the iterate alone carries the state."""
-        mna, scales = _switching()
-        options = replace(_OPTIONS, chord_newton=False)
-        reference = solve_mpde(mna, scales, options)
-        checkpoint = _interrupt(mna, scales, options)
+    def test_full_newton_mode_resumes_bitwise(self, counting_deadline, diode_rectifier):
+        """A one-axis problem refactors every step, so it checkpoints no LU
+        state: the iterate alone carries the trajectory."""
+        mna = diode_rectifier.compile()
+
+        def solve(**kwargs):
+            return collocation_periodic_steady_state(mna, 1e-3, 64, **kwargs)
+
+        reference = solve()
+        counting_deadline.budget = 4
+        with pytest.raises(DeadlineExceededError) as info:
+            solve(deadline_s=60.0)
+        checkpoint = info.value.checkpoint
+        assert 0 < checkpoint.newton_iterations < reference.stats.newton_iterations
         assert checkpoint.chord_state is None
-        resumed = solve_mpde(mna, scales, options, resume_from=checkpoint)
+        resumed = solve(resume_from=checkpoint)
         np.testing.assert_array_equal(resumed.states, reference.states)
 
     def test_matrix_free_mode_resumes_bitwise(self, counting_deadline, tmp_path):

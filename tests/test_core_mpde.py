@@ -7,7 +7,7 @@ import pytest
 
 from repro.circuits import Circuit
 from repro.circuits.devices import Capacitor, Resistor, VoltageSource
-from repro.core import MPDEProblem, ShearedTimeScales
+from repro.core import MPDEProblem, ShearedTimeScales, solve_mpde
 from repro.signals import ModulatedCarrierStimulus, SinusoidStimulus, SumStimulus
 from repro.utils import MPDEError, MPDEOptions
 
@@ -149,3 +149,70 @@ class TestEmbeddedSource:
         problem = MPDEProblem(mna, scales, MPDEOptions(n_fast=8, n_slow=8))
         with pytest.raises(MPDEError):
             problem.embedded_source_grid(1.5)
+
+
+@pytest.mark.no_fault_injection
+class TestTwoAxisConvergenceOrder:
+    """Observed order of each rule on one refined axis against the exact answer.
+
+    An R-C low-pass with its corner at the carrier is driven by the sheared
+    carrier, one tone on the fast axis and one on the slow axis.  The
+    circuit is linear, so the exact bivariate solution is
+    ``Re(H(f) exp(2j pi phase))`` per tone, with the tone's phase on the
+    multi-time plane; it does not move when the solver code moves.  One
+    axis is refined with the rule under test while the other stays
+    ``fourier`` at 8 points, which resolves the single harmonic each tone
+    has there exactly.  The errors are the discretisation's, so the class
+    opts out of injected faults: a solve recovered by the damped ladder
+    rung stops at the Newton tolerance instead of the exact linear answer.
+    """
+
+    grids = (16, 32, 64, 128)
+
+    @pytest.fixture(scope="class")
+    def circuit(self):
+        scales = ShearedTimeScales.from_frequencies(F_FAST, F_FAST - F_DIFF)
+        carrier = scales.carrier_frequency
+        capacitance = 1.0 / (2.0 * np.pi * carrier * R)
+        tones = ((1.0, carrier, "sheared"), (0.5, F_FAST, "fast"), (0.25, F_DIFF, "slow"))
+        ckt = Circuit("carrier-corner rc")
+        drive = SumStimulus(
+            tuple(SinusoidStimulus(a, f, axis=axis) for a, f, axis in tones)
+        )
+        ckt.add(VoltageSource("vin", "in", ckt.GROUND, drive))
+        ckt.add(Resistor("r1", "in", "out", R))
+        ckt.add(Capacitor("c1", "out", ckt.GROUND, capacitance))
+        return ckt.compile(), scales, tones, capacitance
+
+    def _max_error(self, circuit, n_fast, n_slow, fast_method, slow_method):
+        mna, scales, tones, capacitance = circuit
+        options = MPDEOptions(
+            n_fast=n_fast, n_slow=n_slow, fast_method=fast_method, slow_method=slow_method
+        )
+        result = solve_mpde(mna, scales, options)
+        t1, t2 = result.grid.mesh
+        phases = {
+            "sheared": scales.carrier_phase(t1, t2),
+            "fast": scales.fast_phase(t1),
+            "slow": scales.slow_phase(t2),
+        }
+        transfer = {f: 1.0 / (1.0 + 2j * np.pi * f * R * capacitance) for _, f, _ in tones}
+        exact = sum(
+            np.real(a * transfer[f] * np.exp(2j * np.pi * phases[axis])) for a, f, axis in tones
+        )
+        return float(np.max(np.abs(result.bivariate("out").values.ravel() - exact)))
+
+    @pytest.mark.parametrize("axis", ["fast", "slow"])
+    @pytest.mark.parametrize(
+        "method, order", [("backward-euler", 1.0), ("bdf2", 2.0), ("central", 2.0)]
+    )
+    def test_observed_order_under_grid_doubling(self, circuit, axis, method, order):
+        if axis == "fast":
+            errors = [self._max_error(circuit, n, 8, method, "fourier") for n in self.grids]
+        else:
+            errors = [self._max_error(circuit, 8, n, "fourier", method) for n in self.grids]
+        observed = np.log2(np.asarray(errors[:-1]) / np.asarray(errors[1:]))
+        assert np.all(np.abs(observed - order) <= 0.1), (method, axis, observed)
+
+    def test_fourier_on_both_axes_is_exact_to_rounding(self, circuit):
+        assert self._max_error(circuit, 8, 8, "fourier", "fourier") <= 1e-12

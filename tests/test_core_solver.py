@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.pss_fd import collocation_periodic_steady_state
 from repro.circuits import Circuit
 from repro.circuits.devices import Capacitor, Resistor, VoltageSource
 from repro.core import MPDEProblem, MPDESolver, ShearedTimeScales, solve_mpde
@@ -17,7 +18,13 @@ from repro.rf import (
 )
 from repro.signals import ModulatedCarrierStimulus, SinusoidStimulus, SumStimulus, TonePair
 from repro.signals.spectrum import fourier_coefficient
-from repro.utils import ConvergenceError, MPDEError, MPDEOptions, NewtonOptions
+from repro.utils import (
+    ConfigurationError,
+    ConvergenceError,
+    MPDEError,
+    MPDEOptions,
+    NewtonOptions,
+)
 
 
 class TestLinearTwoToneRC:
@@ -143,12 +150,16 @@ class TestSolverControls:
         with pytest.raises(MPDEError):
             solve_mpde(mna, mix.scales, MPDEOptions(n_fast=12, n_slow=12), x0=np.zeros(17))
 
-    @pytest.mark.parametrize("guess", ["zero", "dc", "transient"])
+    @pytest.mark.parametrize("guess", ["zero", "dc"])
     def test_initial_guess_modes(self, scaled_ideal_mixer, guess):
         mix = scaled_ideal_mixer
         options = MPDEOptions(n_fast=12, n_slow=12, initial_guess=guess)
         result = solve_mpde(mix.compile(), mix.scales, options)
         assert result.stats.converged
+
+    def test_transient_initial_guess_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="initial_guess"):
+            MPDEOptions(initial_guess="transient")
 
     def test_gmres_linear_solver(self, scaled_ideal_mixer):
         mix = scaled_ideal_mixer
@@ -270,9 +281,13 @@ class TestMPDEStatsTimingBreakdown:
         assert stats.gmres_time_s == 0.0
         self._assert_bounded(stats)
 
-    def test_direct_full_newton_mode(self, mixer):
-        stats = self._stats(mixer, chord_newton=False)
+    def test_direct_full_newton_mode(self, diode_rectifier):
+        """The breakdown of a one-axis direct solve, which is full Newton."""
+        stats = collocation_periodic_steady_state(
+            diode_rectifier.compile(), 1e-3, 64
+        ).stats
         assert stats.eval_time_s > 0.0 and stats.factorization_time_s > 0.0
+        assert stats.preconditioner_build_time_s == 0.0 and stats.gmres_time_s == 0.0
         self._assert_bounded(stats)
 
     @pytest.mark.parametrize("preconditioner", ["block_circulant", "block_circulant_fast"])
@@ -421,12 +436,39 @@ class TestInexactNewton:
     def test_direct_mode_has_no_tolerance_history(self, mixer):
         assert self._solve(mixer).stats.linear_tolerance_history == []
 
-    def test_stalled_chord_run_hands_off_to_full_newton(self, mixer):
+    def test_stalled_chord_run_hands_off_to_full_newton(self, mixer, polished_reference):
         # The chord iterates of this solve fall into a two-cycle at 1.1e-4;
-        # the run ends there and the full-Newton retry from the initial
-        # guess returns exactly the chord_newton=False answer.
-        chord = self._solve(mixer)
-        full = self._solve(mixer, chord_newton=False)
-        assert chord.stats.newton_iterations <= 15
-        assert chord.stats.jacobian_factorizations <= 15
-        np.testing.assert_array_equal(chord.states, full.states)
+        # the run ends there and a full-Newton retry from the initial guess,
+        # one LU per step, converges.
+        mixer_obj, mna = mixer
+        solver = MPDESolver(
+            MPDEProblem(mna, mixer_obj.scales, MPDEOptions(n_fast=16, n_slow=8))
+        )
+        handoffs = []
+        full_newton = solver._full_newton
+
+        def spy(x0, stats, **kwargs):
+            before = (stats.linear_solves, stats.jacobian_factorizations)
+            outcome = full_newton(x0, stats, **kwargs)
+            handoffs.append(
+                (
+                    stats.linear_solves - before[0],
+                    stats.jacobian_factorizations - before[1],
+                )
+            )
+            return outcome
+
+        solver._full_newton = spy
+        result = solver.solve()
+        stats = result.stats
+        assert stats.converged and stats.recovery_trace == []
+        assert len(handoffs) == 1
+        steps, lus = handoffs[0]
+        assert 0 < steps == lus
+        # The chord run before the hand-off reused its LUs.
+        assert stats.jacobian_factorizations - lus < stats.linear_solves - steps
+        assert stats.newton_iterations <= 15
+        assert stats.jacobian_factorizations <= 15
+        reference = polished_reference(result)
+        error = np.max(np.abs(result.states - reference)) / np.max(np.abs(reference))
+        assert error < 1e-9

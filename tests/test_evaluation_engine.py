@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.pss_fd import collocation_periodic_steady_state
 from repro.circuits import Circuit
 from repro.circuits.devices import (
     BJT,
@@ -401,21 +402,27 @@ class TestChordNewtonMPDE:
     @pytest.mark.no_fault_injection
     def test_chord_reuses_factorizations(self, mixer):
         mix, mna = mixer
-        chord = solve_mpde(
-            mna, mix.scales, MPDEOptions(n_fast=16, n_slow=12, chord_newton=True)
-        )
+        chord = solve_mpde(mna, mix.scales, MPDEOptions(n_fast=16, n_slow=12))
         assert chord.stats.converged
         assert chord.stats.jacobian_factorizations >= 1
         assert chord.stats.jacobian_factorizations < chord.stats.linear_solves
 
-    def test_chord_matches_plain_newton_solution(self, mixer):
+    def test_chord_matches_plain_newton_solution(self, mixer, polished_reference):
         mix, mna = mixer
-        opts = dict(n_fast=16, n_slow=12)
-        chord = solve_mpde(mna, mix.scales, MPDEOptions(**opts, chord_newton=True))
-        plain = solve_mpde(mna, mix.scales, MPDEOptions(**opts, chord_newton=False))
-        # Plain direct mode factors once per linear solve.
-        assert plain.stats.jacobian_factorizations == plain.stats.linear_solves
-        np.testing.assert_allclose(chord.states, plain.states, rtol=1e-6, atol=1e-8)
+        chord = solve_mpde(mna, mix.scales, MPDEOptions(n_fast=16, n_slow=12))
+        np.testing.assert_allclose(
+            chord.states, polished_reference(chord), rtol=1e-6, atol=1e-8
+        )
+
+    @pytest.mark.no_fault_injection
+    def test_one_axis_refactors_every_step_two_axis_reuses(self, mixer, diode_rectifier):
+        """Direct mode: full Newton on one axis, chord Newton on two."""
+        one_axis = collocation_periodic_steady_state(diode_rectifier.compile(), 1e-3, 64)
+        assert one_axis.stats.linear_solves > 1
+        assert one_axis.stats.jacobian_factorizations == one_axis.stats.linear_solves
+        mix, mna = mixer
+        two_axis = solve_mpde(mna, mix.scales, MPDEOptions(n_fast=16, n_slow=12)).stats
+        assert two_axis.jacobian_factorizations < two_axis.linear_solves
 
     def test_gmres_modes_report_zero_factorizations(self, mixer):
         mix, mna = mixer

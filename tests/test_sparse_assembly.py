@@ -342,13 +342,12 @@ class TestColumnOrder:
         assert splu_specs == [None] + ["NATURAL"] * 4
 
     def test_full_newton_factors_through_the_same_ordered_lu(self, splu_specs):
-        """Without chord Newton every iterate is one ordered ``splu`` too."""
-        problem = _mixer_problem()
-        options = MPDEOptions(n_fast=10, n_slow=7, chord_newton=False)
-        result = MPDESolver(problem, options).solve()
+        """A one-axis problem refactors every iterate, each one ordered ``splu``."""
+        result = MPDESolver(_pss_problem()).solve()
         assert result.stats.converged
         factorizations = result.stats.jacobian_factorizations
         assert factorizations >= 2
+        assert factorizations == result.stats.linear_solves
         assert splu_specs == [None] + ["NATURAL"] * (factorizations - 1)
 
 

@@ -178,6 +178,7 @@ class TestOptionsFromMapping:
             ("chord_newton", True, ShootingOptions),
             ("recovery", {"ladder": ()}, MPDEOptions),
             ("continuation", {"max_steps": 10}, MPDEOptions),
+            ("chord_newton", False, MPDEOptions),
         ],
     )
     def test_removed_mpde_options_are_unknown(self, key, value, cls):
