@@ -47,6 +47,15 @@ every analysis funnels through, on the paper's balanced mixer at the paper's
    compiled-circuit cache) versus warm (memoised results).  The warm pass
    must be >= 2x the cold throughput — the value of warm infrastructure is
    the service's reason to exist.
+8. **Problem set-up** — the MPDE derivative ``d/dt1 + d/dt2`` that every
+   ``MPDEProblem`` builds, on the ``qpsk_mixer`` scenario's 12 x 64 bdf2
+   grid: ``MultiTimeGrid.combined_derivative`` (axis matrices from their
+   stencils, one sort-free Kronecker-sum layout) against the construction
+   it replaced, kept here as the reference: the axis matrices from
+   per-row Python loops of COO triplets, then ``kron(D_fast, I) +
+   kron(I, D_slow)``.  The two must agree bit for bit, and the stencil
+   build must be >= 3x faster.  The time of the ``kron`` chain alone, on
+   the stencil-built axis matrices, is recorded beside it.
 
 Results are written to ``BENCH_perf_assembly.json`` at the repository root,
 together with the host (CPU count and model, Python/numpy/scipy versions).
@@ -56,7 +65,8 @@ partially-averaged cut >= 1.5x, paper-grid ``block_circulant_fast`` solve
 <= 150 GMRES iterations, ``block_circulant_fast`` cut >= 5x vs
 unpreconditioned GMRES, one ``splu`` call per ``block_circulant_fast``
 build, one COLAMD-ordered ``splu`` per problem, batched engine >= 2x,
-service warm-cache throughput >= 2x cold) is violated, for CI use.
+service warm-cache throughput >= 2x cold, stencil-built derivative >= 3x)
+is violated, for CI use.
 """
 
 from __future__ import annotations
@@ -71,9 +81,10 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.core import solve_mpde
+from repro.core import MultiTimeGrid, solve_mpde
 from repro.core.mpde import MPDEProblem
 from repro.core.solver import MPDESolver
 from repro.linalg.krylov import gmres_solve
@@ -103,6 +114,16 @@ FAST_LAYER_GRIDS = ((20, 15), PAPER_GRID)
 #: Grid of the balanced-mixer solves whose column orderings are counted
 #: (the grid of the perfbench MPDE workloads).
 ORDERING_GRID = (20, 15)
+#: Least speedup of the stencil-built ``combined_derivative`` over the
+#: loop-and-``kron`` construction it replaced.
+MIN_SETUP_DERIVATIVE_SPEEDUP = 3.0
+#: ``(offset, weight)`` taps of the finite-difference rules for the loop
+#: reference: row ``k`` holds ``weight / h`` at column ``(k + offset) % n``.
+_REFERENCE_STENCILS = {
+    "backward-euler": ((0, 1.0), (-1, -1.0)),
+    "bdf2": ((0, 1.5), (-1, -2.0), (-2, 0.5)),
+    "central": ((1, 0.5), (-1, -0.5)),
+}
 
 
 def host_info() -> dict:
@@ -618,6 +639,79 @@ def bench_service_throughput(n_requests: int = 8) -> dict:
     }
 
 
+def _loop_axis_matrix(method: str, n: int, period: float) -> sp.csr_matrix:
+    """An axis matrix built the way the seed built it: COO triplets row by row."""
+    h = period / n
+    rows, cols, vals = [], [], []
+    for k in range(n):
+        for offset, weight in _REFERENCE_STENCILS[method]:
+            rows.append(k)
+            cols.append((k + offset) % n)
+            vals.append(weight / h)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _kron_derivative(d_fast: sp.csr_matrix, d_slow: sp.csr_matrix) -> sp.csr_matrix:
+    """``kron(D_fast, I) + kron(I, D_slow)`` by scipy's ``kron`` and ``+``."""
+    return (
+        sp.kron(d_fast, sp.identity(d_slow.shape[0], format="csr"), format="csr")
+        + sp.kron(sp.identity(d_fast.shape[0], format="csr"), d_slow, format="csr")
+    ).tocsr()
+
+
+def bench_problem_setup() -> dict:
+    """Stencil-built MPDE derivative vs the loop-and-``kron`` construction.
+
+    On the ``qpsk_mixer`` scenario's own grid and rules, timed interleaved
+    and best-of.  Raises on any bitwise difference in ``data``,
+    ``indices`` or ``indptr``.
+    """
+    from repro.scenarios import build_scenario
+
+    case = build_scenario("qpsk_mixer").cases[0]
+    options = MPDEOptions()
+    methods = (options.fast_method, options.slow_method)
+    grid = MultiTimeGrid(
+        case.scales.fast_period, case.scales.difference_period, *case.grid
+    )
+
+    def stencil_built():
+        return grid.combined_derivative(*methods)
+
+    def loop_and_kron():
+        return _kron_derivative(
+            _loop_axis_matrix(methods[0], grid.n_fast, grid.period_fast),
+            _loop_axis_matrix(methods[1], grid.n_slow, grid.period_slow),
+        )
+
+    def kron_only():
+        return _kron_derivative(
+            grid.axis_matrix("fast", methods[0]), grid.axis_matrix("slow", methods[1])
+        )
+
+    built = stencil_built()
+    for name, reference in (("loop-and-kron", loop_and_kron()), ("kron", kron_only())):
+        for part in ("data", "indices", "indptr"):
+            got, want = getattr(built, part), getattr(reference, part)
+            if got.dtype != want.dtype or got.tobytes() != want.tobytes():
+                raise RuntimeError(f"combined_derivative differs from the {name} build in {part}")
+
+    t_loop, t_kron, t_stencil = _time_interleaved(
+        [loop_and_kron, kron_only, stencil_built], repeats=300, warmup=20
+    )
+    return {
+        "scenario": "qpsk_mixer",
+        "grid": list(case.grid),
+        "methods": list(methods),
+        "derivative_nnz": int(built.nnz),
+        "loop_and_kron_ms": t_loop * 1e3,
+        "kron_on_stencil_axes_ms": t_kron * 1e3,
+        "stencil_built_ms": t_stencil * 1e3,
+        "derivative_speedup": t_loop / t_stencil,
+        "speedup_vs_kron_only": t_kron / t_stencil,
+    }
+
+
 def main(check: bool = False) -> dict:
     mixer = balanced_lo_doubling_mixer()
     mna = mixer.compile()
@@ -633,6 +727,7 @@ def main(check: bool = False) -> dict:
     lu_orderings = bench_lu_orderings(mixer, mna)
     scenario_enumeration = bench_scenario_enumeration()
     service_throughput = bench_service_throughput()
+    problem_setup = bench_problem_setup()
 
     payload = {
         "bench": "jacobian_assembly",
@@ -646,6 +741,7 @@ def main(check: bool = False) -> dict:
         "lu_orderings": lu_orderings,
         "scenario_enumeration": scenario_enumeration,
         "service_throughput": service_throughput,
+        "problem_setup": problem_setup,
     }
     OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -781,6 +877,23 @@ def main(check: bool = False) -> dict:
             100.0 * service_throughput["cold_compiled_cache_hit_rate"],
         )
     )
+    print(
+        "== problem set-up: MPDE derivative (%s %dx%d %s) =="
+        % (
+            problem_setup["scenario"],
+            *problem_setup["grid"],
+            "/".join(problem_setup["methods"]),
+        )
+    )
+    print(
+        "  loop-and-kron %.1f us   kron only %.1f us   stencil-built %.1f us   speedup %.1fx"
+        % (
+            1e3 * problem_setup["loop_and_kron_ms"],
+            1e3 * problem_setup["kron_on_stencil_axes_ms"],
+            1e3 * problem_setup["stencil_built_ms"],
+            problem_setup["derivative_speedup"],
+        )
+    )
     print(f"wrote {OUTPUT_PATH}")
 
     paper_gmres = solves["matrix_free_block_circulant_fast"]["linear_iterations"]
@@ -842,6 +955,12 @@ def main(check: bool = False) -> dict:
             "service warm-cache throughput >= 2x cold",
             f"{service_throughput['warm_speedup']:.2f}x",
             service_throughput["warm_speedup"] >= 2.0,
+        ),
+        (
+            "stencil-built MPDE derivative >= %gx vs loop-and-kron (qpsk_mixer)"
+            % MIN_SETUP_DERIVATIVE_SPEEDUP,
+            f"{problem_setup['derivative_speedup']:.2f}x",
+            problem_setup["derivative_speedup"] >= MIN_SETUP_DERIVATIVE_SPEEDUP,
         ),
     ]
     failed = [name for name, _value, ok in floors if not ok]

@@ -94,9 +94,7 @@ def _dc_jacobian(sweeps: StateSweep, x: np.ndarray, gmin_diag: np.ndarray) -> np
 def _plain_newton(
     sweeps: StateSweep, x0: np.ndarray, b0: np.ndarray, options: NewtonOptions
 ) -> NewtonResult:
-    # ``gmin_matrix`` is a sparse diagonal; only its diagonal vector is needed
-    # here, so neither the residual nor the Jacobian ever densifies it.
-    gmin_diag = sweeps.mna.gmin_matrix(_GMIN_FINAL).diagonal()
+    gmin_diag = sweeps.mna.gmin_diagonal(_GMIN_FINAL)
 
     def residual(x: np.ndarray) -> np.ndarray:
         return _dc_residual(sweeps, x, b0, gmin_diag)
@@ -131,7 +129,7 @@ def _gmin_stepping(
     """Sweep gmin from _GMIN_START down to _GMIN_FINAL (log-spaced embedding)."""
     log_start = np.log10(_GMIN_START)
     log_final = np.log10(_GMIN_FINAL)
-    unit_diag = sweeps.mna.gmin_matrix(1.0).diagonal()
+    unit_diag = sweeps.mna.gmin_diagonal(1.0)
 
     def gmin_of(lam: float) -> float:
         return 10.0 ** (log_start + lam * (log_final - log_start))
@@ -156,7 +154,7 @@ def _source_stepping(
     deadline: Deadline | None = None,
 ):
     """Ramp the full excitation vector from zero up to its nominal value."""
-    gmin_diag = sweeps.mna.gmin_matrix(_GMIN_FINAL).diagonal()
+    gmin_diag = sweeps.mna.gmin_diagonal(_GMIN_FINAL)
 
     def residual(x: np.ndarray, lam: float) -> np.ndarray:
         return _dc_residual(sweeps, x, lam * b0, gmin_diag)

@@ -569,19 +569,15 @@ class MNASystem:
         """DC Jacobian ``G(x)``."""
         return self.conductance_matrix(x)
 
-    def gmin_matrix(self, gmin: float) -> sp.csr_matrix:
-        """Sparse diagonal conductance ``gmin`` from every node to ground.
+    def gmin_diagonal(self, gmin: float) -> np.ndarray:
+        """Diagonal of a conductance ``gmin`` from every node to ground.
 
-        Used by gmin-stepping continuation and as a convergence aid; branch
-        rows are left untouched (their diagonal entries are structural
-        zeros).  Returned as CSR so it composes with both sparse and dense
-        Jacobians; callers that only need the diagonal can use
-        ``.diagonal()``.
+        Used by gmin-stepping continuation and as a convergence aid: ``gmin``
+        on node rows, ``0`` on branch rows.
         """
         diag = np.zeros(self.n_unknowns)
-        for idx in self._node_index.values():
-            diag[idx] = gmin
-        return sp.diags(diag, format="csr")
+        diag[list(self._node_index.values())] = gmin
+        return diag
 
     def zero_state(self) -> np.ndarray:
         """An all-zero unknown vector of the right size."""

@@ -17,6 +17,11 @@ Grid points are flattened in row-major order: point ``p = i * n_slow + j``
 corresponds to ``(t1_i, t2_j)``.  The differentiation matrices returned by
 :meth:`MultiTimeGrid.fast_derivative` / :meth:`MultiTimeGrid.slow_derivative`
 act on vectors of per-point samples in that ordering.
+
+Nothing is cached: every ``MPDEProblem`` builds its operators afresh, so
+:meth:`MultiTimeGrid.combined_derivative` lays out ``d/dt1 + d/dt2`` from the
+axis matrices' CSR arrays (:func:`~repro.linalg.sparse.kron_sum`), bit for
+bit ``kron(D_fast, I) + kron(I, D_slow)`` at a fraction of its cost.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..linalg.sparse import (
+    kron_sum,
     periodic_backward_difference,
     periodic_bdf2_difference,
     periodic_central_difference,
@@ -131,10 +137,12 @@ class MultiTimeGrid:
             )
         builder = DIFFERENTIATION[method]
         if axis == "fast":
-            return sp.csr_matrix(builder(self.n_fast, self.period_fast))
-        if axis == "slow":
-            return sp.csr_matrix(builder(self.n_slow, self.period_slow))
-        raise MPDEError(f"axis must be 'fast' or 'slow', got {axis!r}")
+            matrix = builder(self.n_fast, self.period_fast)
+        elif axis == "slow":
+            matrix = builder(self.n_slow, self.period_slow)
+        else:
+            raise MPDEError(f"axis must be 'fast' or 'slow', got {axis!r}")
+        return matrix if sp.issparse(matrix) else sp.csr_matrix(matrix)
 
     def axis_matrix(self, axis: str, method: str) -> sp.csr_matrix:
         """The 1-D periodic differentiation matrix of one axis.
@@ -160,7 +168,9 @@ class MultiTimeGrid:
         self, fast_method: str = "backward-euler", slow_method: str = "backward-euler"
     ) -> sp.csr_matrix:
         """The MPDE derivative operator ``d/dt1 + d/dt2`` on flattened data."""
-        return (self.fast_derivative(fast_method) + self.slow_derivative(slow_method)).tocsr()
+        return kron_sum(
+            self._axis_matrix("fast", fast_method), self._axis_matrix("slow", slow_method)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -154,6 +154,19 @@ class MPDEStats:
     #: the baseline attempt converged on its own).
     recovered_by: str = ""
 
+    def snapshot(self) -> dict:
+        """``dataclasses.asdict(self)`` without its deep recursion, for every checkpoint.
+
+        The fields are numbers, strings, lists of numbers and the trace's
+        flat dataclasses, so copying lists and converting the trace suffices.
+        """
+        snapshot = {}
+        for item in dataclasses.fields(self):
+            value = getattr(self, item.name)
+            snapshot[item.name] = list(value) if isinstance(value, list) else value
+        snapshot["recovery_trace"] = [dataclasses.asdict(entry) for entry in self.recovery_trace]
+        return snapshot
+
 
 @dataclass
 class MPDEResult:
@@ -981,7 +994,7 @@ class MPDESolver:
             chord_state=self._chord.capture_state(),
             forcing_state=self._forcing.capture_state(),
             recovery_trace=list(stats.recovery_trace),
-            stats=dataclasses.asdict(stats),
+            stats=stats.snapshot(),
         )
         if self.options.checkpoint_path:
             self._checkpoint.save(self.options.checkpoint_path)

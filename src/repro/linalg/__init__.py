@@ -16,13 +16,11 @@ from .preconditioners import (
 )
 from .sparse import (
     BlockDiagStructure,
-    COOBuilder,
     CollocationJacobianAssembler,
     StampPattern,
     block_diag_from_array,
-    block_diagonal,
-    identity_kron,
     kron_identity,
+    kron_sum,
     periodic_backward_difference,
     periodic_bdf2_difference,
     periodic_central_difference,
@@ -44,14 +42,12 @@ __all__ = [
     "BlockCirculantFastPreconditioner",
     "circulant_eigenvalues",
     "slow_averaged_data",
-    "COOBuilder",
     "StampPattern",
     "BlockDiagStructure",
     "CollocationJacobianAssembler",
-    "block_diagonal",
     "block_diag_from_array",
     "kron_identity",
-    "identity_kron",
+    "kron_sum",
     "periodic_backward_difference",
     "periodic_bdf2_difference",
     "periodic_central_difference",

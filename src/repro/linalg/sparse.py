@@ -1,11 +1,10 @@
 """Sparse-matrix assembly helpers.
 
 MNA matrices and the block-structured MPDE Jacobian are assembled from many
-small contributions ("stamps").  :class:`COOBuilder` accumulates triplets and
-converts them to CSR/CSC once; :func:`block_diagonal` and
-:func:`kron_identity` build the structured operators the MPDE discretisation
-needs (per-grid-point device Jacobians combined with differentiation matrices
-acting along the time axes).
+small contributions ("stamps").  The circulant periodic differentiation
+matrices are laid out from their stencils, and :func:`kron_sum` lays out the
+two-axis operator ``kron(A, I) + kron(I, B)`` from their CSR arrays (no
+triplet loop, no ``kron`` product).
 
 The compiled-assembly fast path lives here too:
 
@@ -19,88 +18,33 @@ The compiled-assembly fast path lives here too:
   block-diagonal matrix is a pure data-relabelling per Newton iteration.
 * :class:`CollocationJacobianAssembler` — the symbolic structure of
   ``(D kron I_n) . blockdiag(C_p) + blockdiag(G_p)`` (the MPDE / collocation
-  Jacobian), computed once per problem; per-iteration assembly is a single
-  ``bincount`` scatter into a ready-made CSC skeleton.
+  Jacobian), computed once per problem from the CSR arrays of ``D``;
+  per-iteration assembly is a single ``bincount`` scatter into a ready-made
+  CSC skeleton.
 * :class:`ColumnOrder` — the fill-reducing column order of a fixed CSC
   pattern, found by its first sparse LU and reused by every later one.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "COOBuilder",
     "StampPattern",
     "BlockDiagStructure",
     "CollocationJacobianAssembler",
     "ColumnOrder",
-    "block_diagonal",
     "block_diag_from_array",
     "kron_identity",
-    "identity_kron",
+    "kron_sum",
     "periodic_backward_difference",
     "periodic_bdf2_difference",
     "periodic_central_difference",
     "periodic_fourier_differentiation",
 ]
-
-
-class COOBuilder:
-    """Accumulates (row, col, value) triplets for a sparse matrix.
-
-    Device stamps call :meth:`add` with possibly repeated (row, col) pairs;
-    duplicate entries are summed when the matrix is materialised, exactly the
-    semantics MNA stamping needs.  Entries addressed to the "ground row/col"
-    (index < 0) are silently dropped, which lets device code stamp without
-    special-casing the ground node.
-    """
-
-    def __init__(self, n_rows: int, n_cols: int | None = None) -> None:
-        self.n_rows = int(n_rows)
-        self.n_cols = int(n_cols if n_cols is not None else n_rows)
-        self._rows: list[int] = []
-        self._cols: list[int] = []
-        self._vals: list[float] = []
-
-    def add(self, row: int, col: int, value: float) -> None:
-        """Add ``value`` at (row, col); ignored if either index is negative."""
-        if row < 0 or col < 0 or value == 0.0:
-            return
-        self._rows.append(row)
-        self._cols.append(col)
-        self._vals.append(float(value))
-
-    def add_block(self, rows: Sequence[int], cols: Sequence[int], block: np.ndarray) -> None:
-        """Add a dense ``block`` at the (rows x cols) positions."""
-        block = np.asarray(block, dtype=float)
-        for i, r in enumerate(rows):
-            if r < 0:
-                continue
-            for j, c in enumerate(cols):
-                if c < 0:
-                    continue
-                v = block[i, j]
-                if v != 0.0:
-                    self._rows.append(r)
-                    self._cols.append(c)
-                    self._vals.append(float(v))
-
-    def tocsr(self) -> sp.csr_matrix:
-        """Materialise the accumulated triplets as a CSR matrix."""
-        return sp.coo_matrix(
-            (self._vals, (self._rows, self._cols)), shape=(self.n_rows, self.n_cols)
-        ).tocsr()
-
-    def tocsc(self) -> sp.csc_matrix:
-        """Materialise the accumulated triplets as a CSC matrix."""
-        return self.tocsr().tocsc()
-
-    def __len__(self) -> int:
-        return len(self._vals)
 
 
 class StampPattern:
@@ -311,22 +255,21 @@ class CollocationJacobianAssembler:
 
     def __init__(
         self,
-        derivative: sp.spmatrix | np.ndarray,
+        derivative: sp.csr_matrix,
         dynamic_pattern: StampPattern,
         static_pattern: StampPattern,
         n: int,
     ) -> None:
-        coo = sp.coo_matrix(sp.csr_matrix(derivative))
-        if coo.shape[0] != coo.shape[1]:
+        if derivative.shape[0] != derivative.shape[1]:
             raise ValueError("derivative operator must be square")
         self.n = int(n)
-        self.n_points = int(coo.shape[0])
+        self.n_points = int(derivative.shape[0])
         self.size = self.n_points * self.n
         self.dynamic_pattern = dynamic_pattern
         self.static_pattern = static_pattern
-        self._d_rows = coo.row.astype(np.int64)
-        self._d_cols = coo.col.astype(np.int64)
-        self._d_vals = coo.data.astype(float).copy()
+        self._d_rows = np.repeat(np.arange(self.n_points), np.diff(derivative.indptr))
+        self._d_cols = derivative.indices.astype(np.int64)
+        self._d_vals = derivative.data.astype(float)
 
         n64 = np.int64(self.n)
         size64 = np.int64(self.size)
@@ -400,11 +343,6 @@ class CollocationJacobianAssembler:
         )
 
 
-def block_diagonal(blocks: Iterable[sp.spmatrix | np.ndarray]) -> sp.csr_matrix:
-    """Stack ``blocks`` on the diagonal of one sparse matrix."""
-    return sp.block_diag(list(blocks), format="csr")
-
-
 def block_diag_from_array(blocks: np.ndarray) -> sp.csr_matrix:
     """Block-diagonal sparse matrix from a 3-D array of equal-size blocks.
 
@@ -437,9 +375,71 @@ def kron_identity(matrix: sp.spmatrix | np.ndarray, n: int) -> sp.csr_matrix:
     return sp.kron(sp.csr_matrix(matrix), sp.identity(n, format="csr"), format="csr")
 
 
-def identity_kron(n: int, matrix: sp.spmatrix | np.ndarray) -> sp.csr_matrix:
-    """Return ``kron(I_n, matrix)`` in CSR format."""
-    return sp.kron(sp.identity(n, format="csr"), sp.csr_matrix(matrix), format="csr")
+def kron_sum(fast: sp.csr_matrix, slow: sp.csr_matrix) -> sp.csr_matrix:
+    """The Kronecker sum ``kron(fast, I_s) + kron(I_m, slow)`` of canonical CSR matrices.
+
+    Row ``i * s + j`` holds, in column order: ``fast`` row ``i`` left of its
+    diagonal (columns ``k * s + j``), ``slow`` row ``j`` (columns ``i * s + l``)
+    with ``fast[i, i]`` added onto its diagonal, then the rest of ``fast`` row
+    ``i``; so every position follows from the rows' counts, without a sort.
+    Sums of exactly zero are dropped, as scipy's ``+`` drops them: the CSR
+    arrays equal those of ``sp.kron(fast, I) + sp.kron(I, slow)`` bit for bit.
+    """
+    m, s = fast.shape[0], slow.shape[0]
+    f_rows, f_rank, f_left, f_diag = _row_positions(fast)
+    s_rows, s_rank, s_left, s_diag = _row_positions(slow)
+    s_counts = np.diff(slow.indptr)
+    both = f_diag[:, None] * s_diag[None, :]
+    counts = np.diff(fast.indptr)[:, None] + s_counts[None, :] - both
+    indptr = np.zeros(m * s + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    start = indptr[:-1].reshape(m, s)
+    # Right of a missing slow diagonal, the fast diagonal takes a slot first.
+    shifted = (slow.indices > s_rows) & (s_diag[s_rows] == 0)
+    s_pos = start[:, s_rows] + f_left[:, None] + s_rank + f_diag[:, None] * shifted
+    k = fast.indices
+    f_pos = (
+        start[f_rows]
+        + f_rank[:, None]
+        + (k == f_rows)[:, None] * s_left
+        + (k > f_rows)[:, None] * (s_counts - both[f_rows])
+    )
+    data = np.zeros(int(indptr[-1]))
+    indices = np.empty(data.size, dtype=np.int32)
+    data[s_pos] = slow.data
+    indices[s_pos] = np.arange(m, dtype=np.int32)[:, None] * s + slow.indices
+    data[f_pos] += fast.data[:, None]
+    indices[f_pos] = k[:, None] * s + np.arange(s, dtype=np.int32)
+    if not data.all():
+        keep = data != 0
+        rows = np.repeat(np.arange(m * s), counts.ravel())
+        np.cumsum(np.bincount(rows[keep], minlength=m * s), out=indptr[1:])
+        data, indices = data[keep], indices[keep]
+    return sp.csr_matrix((data, indices, indptr), shape=(m * s, m * s))
+
+
+def _row_positions(matrix: sp.csr_matrix):
+    """Each entry's row and rank in it; each row's count left of, and on, the diagonal."""
+    n = matrix.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(matrix.indptr))
+    rank = np.arange(rows.size) - matrix.indptr[rows]
+    left = np.bincount(rows[matrix.indices < rows], minlength=n)
+    diag = np.bincount(rows[matrix.indices == rows], minlength=n)
+    return rows, rank, left, diag
+
+
+def _periodic_stencil(
+    n: int, period: float, offsets: tuple[int, ...], weights: tuple[float, ...]
+) -> sp.csr_matrix:
+    """Canonical CSR circulant: ``D[k, (k + o) % n] = w / h`` per tap ``(o, w)``.
+
+    ``h = period / n``; the taps of a row must land on distinct columns.
+    """
+    cols = (np.arange(n, dtype=np.int32)[:, None] + np.array(offsets, dtype=np.int32)) % n
+    order = np.argsort(cols, axis=1)
+    values = (np.array(weights) / (period / n))[order].ravel()
+    indptr = np.arange(0, cols.size + 1, len(offsets), dtype=np.int32)
+    return sp.csr_matrix((values, np.take_along_axis(cols, order, 1).ravel(), indptr), (n, n))
 
 
 def periodic_backward_difference(n: int, period: float) -> sp.csr_matrix:
@@ -453,12 +453,7 @@ def periodic_backward_difference(n: int, period: float) -> sp.csr_matrix:
     """
     if n < 2:
         raise ValueError("periodic difference matrices need at least 2 points")
-    h = period / n
-    builder = COOBuilder(n, n)
-    for k in range(n):
-        builder.add(k, k, 1.0 / h)
-        builder.add(k, (k - 1) % n, -1.0 / h)
-    return builder.tocsr()
+    return _periodic_stencil(n, period, (0, -1), (1.0, -1.0))
 
 
 def periodic_bdf2_difference(n: int, period: float) -> sp.csr_matrix:
@@ -472,25 +467,14 @@ def periodic_bdf2_difference(n: int, period: float) -> sp.csr_matrix:
     """
     if n < 3:
         raise ValueError("BDF2 differences need at least 3 points")
-    h = period / n
-    builder = COOBuilder(n, n)
-    for k in range(n):
-        builder.add(k, k, 1.5 / h)
-        builder.add(k, (k - 1) % n, -2.0 / h)
-        builder.add(k, (k - 2) % n, 0.5 / h)
-    return builder.tocsr()
+    return _periodic_stencil(n, period, (0, -1, -2), (1.5, -2.0, 0.5))
 
 
 def periodic_central_difference(n: int, period: float) -> sp.csr_matrix:
     """Second-order central first-derivative matrix on a uniform periodic grid."""
     if n < 3:
         raise ValueError("central differences need at least 3 points")
-    h = period / n
-    builder = COOBuilder(n, n)
-    for k in range(n):
-        builder.add(k, (k + 1) % n, 0.5 / h)
-        builder.add(k, (k - 1) % n, -0.5 / h)
-    return builder.tocsr()
+    return _periodic_stencil(n, period, (1, -1), (0.5, -0.5))
 
 
 def periodic_fourier_differentiation(n: int, period: float) -> np.ndarray:

@@ -20,6 +20,8 @@ The contract under test (see ``src/repro/resilience/checkpoint.py``):
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -209,6 +211,32 @@ class TestPersistence:
         checkpoint.validate("f" * 64)  # matching fingerprint passes
         with pytest.raises(CheckpointError, match="fingerprint mismatch"):
             checkpoint.validate("0" * 64)
+
+
+class TestStatsSnapshot:
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    def test_snapshot_equals_asdict_and_stays_put(self, monkeypatch, matrix_free):
+        """Each checkpoint's ``stats`` is ``asdict(stats)`` at its iterate, and
+        the live stats lists growing afterwards leaves it unchanged."""
+        recorded = []
+        record = solver_mod.MPDESolver._record_checkpoint
+
+        def spy(self, x, stats, residual_norm):
+            record(self, x, stats, residual_norm)
+            assert self._checkpoint.stats == dataclasses.asdict(stats)
+            recorded.append((self._checkpoint.stats, copy.deepcopy(self._checkpoint.stats)))
+
+        monkeypatch.setattr(solver_mod.MPDESolver, "_record_checkpoint", spy)
+        mna, scales = _linear_rc()
+        with inject_faults(singular_jacobian(count=1)):
+            result = solve_mpde(mna, scales, replace(_OPTIONS, matrix_free=matrix_free))
+        assert result.stats.recovered_by
+        assert any(snapshot["recovery_trace"] for snapshot, _ in recorded)
+        assert len(recorded[-1][0]["residual_history"]) > len(recorded[0][0]["residual_history"])
+        result.stats.residual_history.append(0.0)
+        result.stats.recovery_trace.append(result.stats.recovery_trace[0])
+        for snapshot, at_record in recorded:
+            assert snapshot == at_record
 
 
 class TestMPDEResume:

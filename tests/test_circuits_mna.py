@@ -126,10 +126,12 @@ class TestAccessors:
         assert rc_mna.differential_voltage(x, "in", "out") == pytest.approx(2.0)
 
     def test_gmin_matrix_touches_only_node_rows(self, rc_mna):
-        gmin = rc_mna.gmin_matrix(1e-9)
-        assert gmin.shape == (rc_mna.n_unknowns,) * 2
-        assert gmin[rc_mna.node_index("in"), rc_mna.node_index("in")] == 1e-9
-        assert gmin[rc_mna.branch_index("vin"), rc_mna.branch_index("vin")] == 0.0
+        """``gmin_diagonal``: gmin on node rows, 0 on branch rows."""
+        gmin = rc_mna.gmin_diagonal(1e-9)
+        assert gmin.shape == (rc_mna.n_unknowns,)
+        assert gmin[rc_mna.node_index("in")] == 1e-9
+        assert gmin[rc_mna.node_index("out")] == 1e-9
+        assert gmin[rc_mna.branch_index("vin")] == 0.0
 
     def test_zero_state(self, rc_mna):
         assert rc_mna.zero_state().shape == (rc_mna.n_unknowns,)

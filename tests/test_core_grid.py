@@ -4,9 +4,62 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core import MultiTimeGrid
-from repro.utils import MPDEError
+from repro.core.mpde import MPDEProblem
+from repro.linalg import (
+    kron_sum,
+    periodic_backward_difference,
+    periodic_bdf2_difference,
+    periodic_central_difference,
+    periodic_fourier_differentiation,
+)
+from repro.utils import MPDEError, MPDEOptions
+
+METHODS = ("backward-euler", "bdf2", "central", "fourier")
+
+#: (offset, weight) taps of each finite-difference rule: row ``k`` holds
+#: ``weight / h`` at column ``(k + offset) % n``.
+STENCILS = {
+    "backward-euler": ((0, 1.0), (-1, -1.0)),
+    "bdf2": ((0, 1.5), (-1, -2.0), (-2, 0.5)),
+    "central": ((1, 0.5), (-1, -0.5)),
+}
+BUILDERS = {
+    "backward-euler": periodic_backward_difference,
+    "bdf2": periodic_bdf2_difference,
+    "central": periodic_central_difference,
+}
+
+
+def _dense_rule(method: str, n: int, period: float) -> np.ndarray:
+    """A rule's axis matrix written out entry by entry from its stencil."""
+    if method == "fourier":
+        return periodic_fourier_differentiation(n, period)
+    h = period / n
+    dense = np.zeros((n, n))
+    for k in range(n):
+        for offset, weight in STENCILS[method]:
+            dense[k, (k + offset) % n] = weight / h
+    return dense
+
+
+def _kron_reference(d_fast, d_slow) -> sp.csr_matrix:
+    """``kron(D_fast, I) + kron(I, D_slow)`` by scipy's ``kron`` and ``+``."""
+    d_fast, d_slow = sp.csr_matrix(d_fast), sp.csr_matrix(d_slow)
+    return (
+        sp.kron(d_fast, sp.identity(d_slow.shape[0], format="csr"), format="csr")
+        + sp.kron(sp.identity(d_fast.shape[0], format="csr"), d_slow, format="csr")
+    ).tocsr()
+
+
+def _assert_bitwise(actual: sp.csr_matrix, expected: sp.csr_matrix) -> None:
+    assert actual.shape == expected.shape
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 @pytest.fixture
@@ -129,3 +182,63 @@ class TestDifferentiationOperators:
     def test_operator_shapes(self, grid):
         assert grid.fast_derivative().shape == (48, 48)
         assert grid.slow_derivative().shape == (48, 48)
+
+
+class TestStencilBuiltOperators:
+    """The stencil-built operators equal scipy's ``kron`` construction bit for bit."""
+
+    @pytest.mark.parametrize(
+        "method, n",
+        [(method, n) for method in sorted(STENCILS) for n in (3, 4, 7, 64)]
+        + [("backward-euler", 2)],
+    )
+    def test_axis_matrix_matches_its_stencil(self, method, n):
+        matrix = BUILDERS[method](n, 3.7e-6)
+        _assert_bitwise(matrix, sp.csr_matrix(_dense_rule(method, n, 3.7e-6)))
+        assert matrix.has_canonical_format
+
+    @pytest.mark.parametrize("slow_method", METHODS)
+    @pytest.mark.parametrize("fast_method", METHODS)
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 5), (7, 6), (12, 64)])
+    def test_combined_derivative_matches_kron_sum_of_scipy(self, shape, fast_method, slow_method):
+        grid = MultiTimeGrid(1.3e-6, 7.1e-5, *shape)
+        expected = _kron_reference(
+            _dense_rule(fast_method, shape[0], grid.period_fast),
+            _dense_rule(slow_method, shape[1], grid.period_slow),
+        )
+        _assert_bitwise(grid.combined_derivative(fast_method, slow_method), expected)
+
+    def test_minimal_axes(self):
+        d2 = periodic_backward_difference(2, 1.0)
+        d3 = periodic_bdf2_difference(3, 5.0)
+        _assert_bitwise(kron_sum(d2, d2), _kron_reference(d2, d2))
+        _assert_bitwise(kron_sum(d2, d3), _kron_reference(d2, d3))
+        _assert_bitwise(kron_sum(d3, d2), _kron_reference(d3, d2))
+
+    def test_diagonal_summing_to_zero_is_dropped(self):
+        fast = sp.csr_matrix(np.array([[1.0, 2.0], [3.0, -4.0]]))
+        slow = sp.csr_matrix(np.array([[-1.0, 0.0, 5.0], [0.0, 4.0, 0.0], [6.0, 0.0, 0.0]]))
+        expected = _kron_reference(fast, slow)
+        assert expected.nnz == 12 + 8 - 4 - 2  # 4 shared diagonal slots, 2 of them cancel
+        _assert_bitwise(kron_sum(fast, slow), expected)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("n_samples", [6, 7])
+    def test_one_axis_periodic_derivative(self, rc_lowpass, method, n_samples):
+        problem = MPDEProblem.periodic(rc_lowpass.compile(), 1e-3, n_samples, method=method)
+        expected = _kron_reference(_dense_rule(method, n_samples, 1e-3), np.zeros((1, 1)))
+        _assert_bitwise(problem._operators.derivative, expected)
+
+    @pytest.mark.parametrize("fast_method, slow_method", [("bdf2", "bdf2"), ("fourier", "central")])
+    def test_jacobian_equals_dense_reference(self, fast_method, slow_method):
+        from repro.rf import unbalanced_switching_mixer
+
+        mixer = unbalanced_switching_mixer(lo_frequency=1e6, difference_frequency=5e4)
+        options = MPDEOptions(
+            n_fast=7, n_slow=6, fast_method=fast_method, slow_method=slow_method
+        )
+        problem = MPDEProblem(mixer.compile(), mixer.scales, options)
+        x = np.random.default_rng(5).normal(scale=0.3, size=problem.n_total_unknowns)
+        np.testing.assert_array_equal(
+            problem.jacobian(x).toarray(), problem.jacobian_dense_reference(x).toarray()
+        )

@@ -7,10 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.linalg import (
-    COOBuilder,
     block_diag_from_array,
-    block_diagonal,
-    identity_kron,
     kron_identity,
     periodic_backward_difference,
     periodic_bdf2_difference,
@@ -19,57 +16,7 @@ from repro.linalg import (
 )
 
 
-class TestCOOBuilder:
-    def test_accumulates_duplicates(self):
-        builder = COOBuilder(2)
-        builder.add(0, 0, 1.0)
-        builder.add(0, 0, 2.5)
-        mat = builder.tocsr()
-        assert mat[0, 0] == pytest.approx(3.5)
-
-    def test_negative_indices_are_dropped(self):
-        builder = COOBuilder(2)
-        builder.add(-1, 0, 5.0)
-        builder.add(0, -1, 5.0)
-        builder.add(1, 1, 2.0)
-        mat = builder.tocsr()
-        assert mat.nnz == 1
-        assert mat[1, 1] == pytest.approx(2.0)
-
-    def test_zero_values_are_skipped(self):
-        builder = COOBuilder(3)
-        builder.add(0, 0, 0.0)
-        assert len(builder) == 0
-
-    def test_add_block(self):
-        builder = COOBuilder(3)
-        builder.add_block([0, 2], [1, 2], np.array([[1.0, 2.0], [3.0, 4.0]]))
-        mat = builder.tocsr().toarray()
-        assert mat[0, 1] == 1.0
-        assert mat[0, 2] == 2.0
-        assert mat[2, 1] == 3.0
-        assert mat[2, 2] == 4.0
-
-    def test_add_block_skips_ground_rows(self):
-        builder = COOBuilder(3)
-        builder.add_block([-1, 1], [0, -1], np.ones((2, 2)))
-        mat = builder.tocsr().toarray()
-        assert mat.sum() == pytest.approx(1.0)
-        assert mat[1, 0] == pytest.approx(1.0)
-
-    def test_rectangular_shape(self):
-        builder = COOBuilder(2, 5)
-        builder.add(1, 4, 1.0)
-        assert builder.tocsr().shape == (2, 5)
-
-
 class TestBlockDiagonal:
-    def test_block_diagonal_matches_scipy(self):
-        blocks = [np.eye(2), 2 * np.eye(3)]
-        mat = block_diagonal(blocks)
-        expected = sp.block_diag(blocks).toarray()
-        np.testing.assert_allclose(mat.toarray(), expected)
-
     def test_block_diag_from_array(self):
         rng = np.random.default_rng(0)
         blocks = rng.normal(size=(4, 3, 3))
@@ -87,12 +34,6 @@ class TestKronHelpers:
         mat = np.array([[0.0, 1.0], [2.0, 0.0]])
         result = kron_identity(mat, 3).toarray()
         expected = np.kron(mat, np.eye(3))
-        np.testing.assert_allclose(result, expected)
-
-    def test_identity_kron(self):
-        mat = np.array([[0.0, 1.0], [2.0, 0.0]])
-        result = identity_kron(3, mat).toarray()
-        expected = np.kron(np.eye(3), mat)
         np.testing.assert_allclose(result, expected)
 
 

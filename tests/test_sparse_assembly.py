@@ -193,12 +193,12 @@ class TestDynamicMaskAndGmin:
         assert np.all(dense_mask <= structural)
 
     def test_gmin_matrix_is_sparse_diagonal(self):
+        """``gmin_diagonal`` is the diagonal vector: gmin on nodes, 0 on branches."""
         mna = _all_device_circuit().compile()
-        gmin = mna.gmin_matrix(1e-9)
-        assert sp.issparse(gmin)
-        dense = gmin.toarray()
-        assert np.count_nonzero(dense - np.diag(np.diag(dense))) == 0
-        assert np.count_nonzero(np.diag(dense)) == mna.n_nodes
+        gmin = mna.gmin_diagonal(1e-9)
+        assert gmin.shape == (mna.n_unknowns,)
+        assert np.count_nonzero(gmin) == mna.n_nodes
+        np.testing.assert_array_equal(gmin[gmin != 0.0], 1e-9)
 
 
 def _mixer_problem(n_fast: int = 10, n_slow: int = 7) -> MPDEProblem:
