@@ -22,7 +22,6 @@ import numpy as np
 from paper_targets import ComparisonRow, print_series, print_table
 from repro.analysis import collocation_periodic_steady_state
 from repro.rf import unbalanced_switching_mixer
-from repro.utils import NewtonOptions
 
 LO_FREQUENCY = 2.0e6
 REFERENCE_SAMPLES = 512
@@ -36,11 +35,7 @@ def _reference_waveform():
     )
     mna = mixer.compile()
     result = collocation_periodic_steady_state(
-        mna,
-        1.0 / LO_FREQUENCY,
-        REFERENCE_SAMPLES,
-        method="bdf2",
-        newton_options=NewtonOptions(max_iterations=100),
+        mna, 1.0 / LO_FREQUENCY, REFERENCE_SAMPLES, method="bdf2"
     )
     return result.waveform("out")
 

@@ -439,7 +439,7 @@ def _newton_systems(mna, scales, options: MPDEOptions):
         return values
 
     problem.residual_and_values = recording
-    result = MPDESolver(problem, options).solve()
+    result = MPDESolver(problem).solve()
     if not result.stats.converged:
         raise RuntimeError(f"{options.preconditioner!r} preconditioner solve did not converge")
     return problem, result, systems
@@ -449,7 +449,7 @@ def bench_unpreconditioned_gmres() -> dict:
     """``block_circulant_fast`` against plain GMRES on the same Newton systems.
 
     Every Newton system of the 16x8 switching-mixer matrix-free solve is
-    solved twice at the tight ``gmres_tol``: by unpreconditioned GMRES
+    solved twice at the tight ``MPDESolver.GMRES_TOL``: by unpreconditioned GMRES
     (``gmres_solve(preconditioner=None)``) and with a fresh
     ``block_circulant_fast`` preconditioner.
     """
@@ -472,13 +472,13 @@ def bench_unpreconditioned_gmres() -> dict:
                 operator,
                 -residual,
                 preconditioner=preconditioner,
-                tol=options.gmres_tol,
-                restart=options.gmres_restart,
+                tol=MPDESolver.GMRES_TOL,
+                restart=MPDESolver.GMRES_RESTART,
             )
             totals[name] += report.iterations
     return {
         "newton_systems": len(systems),
-        "gmres_tol": options.gmres_tol,
+        "gmres_tol": MPDESolver.GMRES_TOL,
         "unpreconditioned_gmres_iterations": totals["unpreconditioned"],
         "block_circulant_fast_gmres_iterations": totals["block_circulant_fast"],
         "iteration_ratio": totals["unpreconditioned"] / totals["block_circulant_fast"],

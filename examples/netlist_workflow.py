@@ -18,7 +18,7 @@ from repro.analysis import dc_operating_point, harmonic_balance, run_transient
 from repro.circuits import parse_netlist
 from repro.core import ShearedTimeScales, solve_mpde
 from repro.signals.spectrum import fourier_coefficient
-from repro.utils import HarmonicBalanceOptions, MPDEOptions, configure_logging
+from repro.utils import MPDEOptions, configure_logging
 
 F_LO = 2.0e6
 F_DIFF = 40.0e3
@@ -62,7 +62,7 @@ def main() -> None:
 
     # 3. Single-tone harmonic balance of the LO-driven stage (RF drive held at
     #    its bias): the output shows the LO harmonics generated by the switch.
-    hb = harmonic_balance(mna, F_LO, options=HarmonicBalanceOptions(harmonics=9))
+    hb = harmonic_balance(mna, F_LO, harmonics=9)
     print("\nLO-rate harmonics of v(out) from single-tone harmonic balance:")
     for k in range(4):
         print(f"  harmonic {k}: {hb.harmonic_amplitude('out', k):.4f} V")

@@ -20,7 +20,7 @@ low-order finite differences instead.
 
 Multi-tone (two-tone) harmonic balance is available through the MPDE core by
 selecting the ``"fourier"`` differentiation option on both artificial time
-axes — see :func:`repro.core.mpde.solve_mpde`.
+axes — see :func:`repro.core.multitone_hb.two_tone_harmonic_balance`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from ..circuits.mna import MNASystem
 from ..core.solver import MPDEStats
 from ..signals.waveform import Waveform
 from ..utils.exceptions import AnalysisError
-from ..utils.options import HarmonicBalanceOptions
+from ..utils.options import MPDEOptions
 from .pss_fd import CollocationPSSResult, collocation_periodic_steady_state
 
 __all__ = ["HarmonicBalanceResult", "harmonic_balance"]
@@ -110,7 +110,9 @@ def harmonic_balance(
     mna: MNASystem,
     fundamental: float,
     *,
-    options: HarmonicBalanceOptions | None = None,
+    harmonics: int = 7,
+    oversampling: int = 4,
+    options: MPDEOptions | None = None,
     x0: np.ndarray | None = None,
 ) -> HarmonicBalanceResult:
     """Run single-tone harmonic balance at the given fundamental frequency.
@@ -122,27 +124,31 @@ def harmonic_balance(
         ``1 / fundamental``.
     fundamental:
         Fundamental frequency in Hz.
+    harmonics:
+        The truncation ``K``.
+    oversampling:
+        Collocation samples per retained harmonic (>= 2).
     options:
-        :class:`~repro.utils.options.HarmonicBalanceOptions` — ``harmonics``
-        sets the truncation ``K`` and ``oversampling`` the number of
-        collocation samples per retained harmonic.
+        The solver numerics (:class:`~repro.utils.options.MPDEOptions`,
+        default ``MPDEOptions()``); the grid fields are not read.
     x0:
         Optional initial guess (see
         :func:`~repro.analysis.pss_fd.collocation_periodic_steady_state`).
     """
     if fundamental <= 0:
         raise AnalysisError("fundamental frequency must be positive")
-    opts = options or HarmonicBalanceOptions()
-    n_samples = opts.oversampling * (2 * opts.harmonics + 1)
-    period = 1.0 / fundamental
+    if harmonics < 1:
+        raise AnalysisError("harmonic truncation must be at least 1")
+    if oversampling < 2:
+        raise AnalysisError("oversampling must be at least 2")
     collocation = collocation_periodic_steady_state(
         mna,
-        period,
-        n_samples,
+        1.0 / fundamental,
+        oversampling * (2 * harmonics + 1),
         method="fourier",
         x0=x0,
-        newton_options=opts.newton,
+        options=options,
     )
     return HarmonicBalanceResult(
-        collocation=collocation, fundamental=fundamental, n_harmonics=opts.harmonics
+        collocation=collocation, fundamental=fundamental, n_harmonics=harmonics
     )

@@ -27,7 +27,7 @@ from ..core.solver import MPDEResult, MPDESolver, MPDEStats
 from ..resilience.checkpoint import SolveCheckpoint
 from ..signals.waveform import Waveform
 from ..utils.exceptions import AnalysisError
-from ..utils.options import PRECONDITIONER_KINDS, MPDEOptions, NewtonOptions
+from ..utils.options import MPDEOptions
 
 __all__ = ["CollocationPSSResult", "collocation_periodic_steady_state"]
 
@@ -90,13 +90,10 @@ def collocation_periodic_steady_state(
     method: str = "backward-euler",
     t0: float = 0.0,
     x0: np.ndarray | None = None,
-    newton_options: NewtonOptions | None = None,
-    matrix_free: bool = False,
-    preconditioner: str = "block_circulant",
-    gmres_tol: float = 1e-10,
+    options: MPDEOptions | None = None,
     deadline_s: float | None = None,
-    resume_from: SolveCheckpoint | str | os.PathLike | None = None,
     checkpoint_path: str | os.PathLike | None = None,
+    resume_from: SolveCheckpoint | str | os.PathLike | None = None,
 ) -> CollocationPSSResult:
     """Solve for the periodic steady state on ``n_samples`` collocation points.
 
@@ -104,18 +101,19 @@ def collocation_periodic_steady_state(
     ``"central"`` or the spectral ``"fourier"``); ``t0`` the phase reference
     of the excitation.  ``x0`` is an optional initial guess of shape
     ``(n_samples, n)`` or ``(n,)`` (broadcast to every sample), defaulting to
-    the DC operating point.  ``newton_options`` controls the full-Newton
-    iteration (default ``NewtonOptions(max_iterations=100)``).
+    the DC operating point.
 
-    ``matrix_free=True`` solves the Newton systems with GMRES (Eisenstat–Walker
-    forcing terms down to the tight tolerance ``gmres_tol``) on
-    ``v -> D (C_blk v) + G_blk v``,
-    preconditioned by ``preconditioner`` (see
-    :class:`~repro.utils.options.MPDEOptions`; with one time axis
-    ``"block_circulant_fast"`` factors the exact Jacobian).
+    ``options`` (default ``MPDEOptions()``) sets the numerics: the Newton
+    iteration, the initial guess and the linear solver.  Its grid fields are
+    not read; the grid is the ``n_samples`` points of ``method``.  With
+    ``matrix_free=True`` the Newton systems are solved by GMRES on
+    ``v -> D (C_blk v) + G_blk v``, preconditioned by ``preconditioner``
+    (with one time axis ``"block_circulant_fast"`` factors the exact
+    Jacobian).
 
-    ``deadline_s``, ``resume_from`` and ``checkpoint_path`` are the solver's
-    deadline and ``"newton"``-stage checkpoints; a deadline-split direct
+    ``deadline_s``, ``checkpoint_path`` and ``resume_from`` are the solver's
+    deadline and ``"newton"``-stage checkpoints
+    (:meth:`~repro.core.solver.MPDESolver.solve`); a deadline-split direct
     solve resumes bit-for-bit.
     """
     if period <= 0:
@@ -126,23 +124,16 @@ def collocation_periodic_steady_state(
         raise AnalysisError(
             f"unknown differentiation method {method!r}; available: {sorted(DIFFERENTIATION)}"
         )
-    if preconditioner not in PRECONDITIONER_KINDS:
-        raise AnalysisError(
-            f"unknown preconditioner {preconditioner!r}; available: {list(PRECONDITIONER_KINDS)}"
-        )
     n = mna.n_unknowns
     if x0 is not None and np.shape(x0) not in ((n,), (n_samples, n)):
         raise AnalysisError(
             f"x0 must have shape ({n},) or ({n_samples}, {n}), got {np.shape(x0)}"
         )
-    options = MPDEOptions(
-        newton=newton_options or NewtonOptions(max_iterations=100),
-        matrix_free=matrix_free,
-        preconditioner=preconditioner,
-        gmres_tol=gmres_tol,
-        deadline_s=deadline_s,
-        checkpoint_path=None if checkpoint_path is None else os.fspath(checkpoint_path),
-    )
     problem = MPDEProblem.periodic(mna, period, n_samples, method=method, t0=t0, options=options)
-    result = MPDESolver(problem).solve(x0=x0, resume_from=resume_from)
+    result = MPDESolver(problem).solve(
+        x0=x0,
+        deadline_s=deadline_s,
+        checkpoint_path=checkpoint_path,
+        resume_from=resume_from,
+    )
     return CollocationPSSResult(result)

@@ -135,13 +135,17 @@ class MultiTimeGrid:
             raise MPDEError(
                 f"unknown differentiation method {method!r}; available: {sorted(DIFFERENTIATION)}"
             )
-        builder = DIFFERENTIATION[method]
         if axis == "fast":
-            matrix = builder(self.n_fast, self.period_fast)
+            n, period = self.n_fast, self.period_fast
         elif axis == "slow":
-            matrix = builder(self.n_slow, self.period_slow)
+            n, period = self.n_slow, self.period_slow
         else:
             raise MPDEError(f"axis must be 'fast' or 'slow', got {axis!r}")
+        if n == 1:
+            # A one-point periodic axis carries no variation: its derivative
+            # is the 1x1 zero matrix (circulant eigenvalue 0).
+            return sp.csr_matrix((1, 1))
+        matrix = DIFFERENTIATION[method](n, period)
         return matrix if sp.issparse(matrix) else sp.csr_matrix(matrix)
 
     def axis_matrix(self, axis: str, method: str) -> sp.csr_matrix:
@@ -150,7 +154,9 @@ class MultiTimeGrid:
         ``axis`` is ``"fast"`` (shape ``(n_fast, n_fast)``) or ``"slow"``
         (``(n_slow, n_slow)``).  On a uniform periodic grid every supported
         rule produces a *circulant* matrix — the structure the per-harmonic
-        (block-circulant) preconditioner diagonalises by FFT.
+        (block-circulant) preconditioner diagonalises by FFT.  A one-point
+        axis (``n_slow = 1``) gets the ``1 x 1`` zero matrix under every
+        rule.
         """
         return self._axis_matrix(axis, method)
 

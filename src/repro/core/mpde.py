@@ -195,10 +195,10 @@ class MPDEProblem:
     ) -> "MPDEProblem":
         """The one-axis problem: single-tone collocation periodic steady state.
 
-        The grid is ``(n_samples, 1)`` over one ``period``; the derivative is
-        the fast-axis differentiation matrix of ``method`` itself and the
+        The grid is ``(n_samples, 1)`` over one ``period``, so the derivative
+        is the fast-axis differentiation matrix of ``method`` itself (the
+        one-point slow axis contributes the ``1 x 1`` zero operator) and the
         source is the circuit excitation ``b(t0 + t)`` at the samples.  The
-        slow axis contributes the single circulant eigenvalue ``0``.  The
         grid-resolution fields of ``options`` are not read.
         """
         options = replace(options or MPDEOptions(), fast_method=method)
@@ -209,13 +209,9 @@ class MPDEProblem:
             None,
             options,
             grid,
-            grid.axis_matrix("fast", method),
+            grid.combined_derivative(fast_method=method, slow_method=options.slow_method),
             mna.source(t0 + grid.fast_axis),
             t0=t0,
-        )
-        problem._axis_eigenvalues = (
-            circulant_eigenvalues(problem._operators.derivative),
-            np.zeros(1),
         )
         return problem
 

@@ -104,8 +104,8 @@ def two_tone_harmonic_balance(
     oversampling: int = 2,
     options: MPDEOptions | None = None,
     deadline_s: float | None = None,
-    resume_from=None,
     checkpoint_path: str | None = None,
+    resume_from=None,
 ) -> TwoToneHBResult:
     """Run two-tone (box-truncated) harmonic balance for a closely-spaced-tone circuit.
 
@@ -130,40 +130,30 @@ def two_tone_harmonic_balance(
         strongly LO-switched circuits, where it cuts total GMRES iterations
         by a further >= 1.5x (see ``docs/preconditioners.md`` for which one
         is faster when).
-    deadline_s:
-        Optional override of ``MPDEOptions.deadline_s``: a cooperative
-        wall-clock budget for the underlying MPDE solve (see
-        ``docs/resilience.md``).
-    resume_from, checkpoint_path:
-        Crash-consistent checkpointing of the underlying MPDE solve (see
-        :func:`~repro.core.solver.solve_mpde`): ``checkpoint_path``
-        persists iteration-boundary
-        :class:`~repro.resilience.checkpoint.SolveCheckpoint` snapshots,
-        ``resume_from`` continues an interrupted run (fingerprint
-        validated) — a deadline-split spectral HB solve resumes to the
-        uninterrupted answer.
+    deadline_s, checkpoint_path, resume_from:
+        The underlying MPDE solve's wall-clock budget and crash-consistent
+        checkpointing (see :func:`~repro.core.solver.solve_mpde` and
+        ``docs/resilience.md``) — a deadline-split spectral HB solve
+        resumes to the uninterrupted answer.
     """
     if n_harmonics_fast < 1 or n_harmonics_slow < 1:
         raise AnalysisError("harmonic truncations must be at least 1")
     if oversampling < 2:
         raise AnalysisError("oversampling must be at least 2")
-    base = options or MPDEOptions()
-    n_fast = max(4, oversampling * (2 * n_harmonics_fast + 1))
-    n_slow = max(4, oversampling * (2 * n_harmonics_slow + 1))
     spectral_options = replace(
-        base,
-        n_fast=n_fast,
-        n_slow=n_slow,
+        options or MPDEOptions(),
+        n_fast=max(4, oversampling * (2 * n_harmonics_fast + 1)),
+        n_slow=max(4, oversampling * (2 * n_harmonics_slow + 1)),
         fast_method="fourier",
         slow_method="fourier",
-        deadline_s=base.deadline_s if deadline_s is None else float(deadline_s),
     )
     result = solve_mpde(
         mna,
         scales,
         spectral_options,
-        resume_from=resume_from,
+        deadline_s=deadline_s,
         checkpoint_path=checkpoint_path,
+        resume_from=resume_from,
     )
     return TwoToneHBResult(
         mpde=result,

@@ -49,6 +49,7 @@ from ..resilience.taxonomy import RecoveryAttempt, classify_failure
 from ..signals.waveform import BivariateWaveform, Waveform
 from ..utils.exceptions import (
     AnalysisError,
+    ConfigurationError,
     ConvergenceError,
     DeadlineExceededError,
     MPDEError,
@@ -96,7 +97,7 @@ class MPDEStats:
     linear_iteration_history: list[int] = field(default_factory=list)
     #: Relative GMRES tolerance of each GMRES solve, aligned with
     #: ``linear_iteration_history``: the Eisenstat–Walker forcing term, or
-    #: ``options.gmres_tol`` for a tight solve (empty for the direct solver).
+    #: ``MPDESolver.GMRES_TOL`` for a tight solve (empty for the direct solver).
     linear_tolerance_history: list[float] = field(default_factory=list)
     #: Number of preconditioner builds performed (one per GMRES solve).
     preconditioner_builds: int = 0
@@ -301,9 +302,9 @@ class _ForcingTerm:
 
     in 2-norms, raised to ``GAMMA * eta_{k-1} ** ALPHA`` whenever that
     safeguard exceeds ``SAFEGUARD`` (so eta cannot collapse while Newton is
-    still far from the solution), and never below ``floor`` (the options'
-    ``gmres_tol``).  A solve at the floor is *tight*.  Two guards keep the
-    loose early solves from costing Newton iterations:
+    still far from the solution), and never below ``floor``
+    (``MPDESolver.GMRES_TOL``).  A solve at the floor is *tight*.  Two
+    guards keep the loose early solves from costing Newton iterations:
 
     * after a step that cut the max-norm residual by less than 1%, or whose
       line search failed, the next solve is tight (without it, loose solves
@@ -536,7 +537,8 @@ class _ChordLU:
 class MPDESolver:
     """Damped Newton (+ continuation) solver for an :class:`MPDEProblem`.
 
-    Linear sub-solves come in two flavours, selected by the options:
+    All settings come from ``problem.options``.  Linear sub-solves come in
+    two flavours, selected by them:
 
     * the default — sparse LU on the assembled CSC Jacobian, through one
       :class:`_ChordLU`: on a 2-D grid it is reused across iterations (chord
@@ -550,8 +552,9 @@ class MPDESolver:
       every solve.
 
     Each GMRES solve runs at the tolerance the Eisenstat–Walker forcing term
-    picks (see :class:`_ForcingTerm`), with ``options.gmres_tol`` as floor
-    and for every tight step.
+    picks (see :class:`_ForcingTerm`), with :attr:`GMRES_TOL` as floor
+    and for every tight step, restarted every :attr:`GMRES_RESTART`
+    iterations.
 
     Every solve populates the :class:`MPDEStats` wall-time
     breakdown (``eval_time_s``, ``factorization_time_s``,
@@ -568,10 +571,14 @@ class MPDESolver:
     GUESS_MODES = ("zero", "dc")
     #: Source-stepping schedule of the ``continuation`` rung.
     CONTINUATION = ContinuationOptions()
+    #: Relative tolerance of a tight GMRES solve (the forcing-term floor)
+    #: and the GMRES restart length of the matrix-free mode.
+    GMRES_TOL = 1e-9
+    GMRES_RESTART = 80
 
-    def __init__(self, problem: MPDEProblem, options: MPDEOptions | None = None) -> None:
+    def __init__(self, problem: MPDEProblem) -> None:
         self.problem = problem
-        self.options = options or problem.options
+        self.options = problem.options
         self._krylov = CachedPreconditionedGMRES(self._build_preconditioner)
         # Full Newton only on one-axis problems.  Best-of-N on a 2-CPU host,
         # chord Newton wins on the 2-D inputs (1.4 vs 1.9 ms on the 12x64
@@ -588,10 +595,11 @@ class MPDESolver:
         self._last_iterate: np.ndarray | None = None
         # Checkpoint state: the latest iteration-boundary snapshot (attached
         # to deadline / terminal failures), the fingerprint it is recorded
-        # under, and the chord and forcing states waiting to be restored by
-        # ``_newton`` when resuming.
+        # under, the file it is persisted to, and the chord and forcing
+        # states waiting to be restored by ``_newton`` when resuming.
         self._checkpoint: SolveCheckpoint | None = None
         self._solve_fingerprint = ""
+        self._checkpoint_path: str | None = None
         self._pending_chord_state: dict | None = None
         self._pending_forcing_state: dict | None = None
         # GMRES forcing terms of the running Newton run.
@@ -713,7 +721,7 @@ class MPDESolver:
             rhs,
             context=data,
             tol=tol,
-            restart=self.options.gmres_restart,
+            restart=self.GMRES_RESTART,
             deadline=self._deadline,
         )
         stats.preconditioner_builds += 1
@@ -793,7 +801,7 @@ class MPDESolver:
         self._pending_chord_state = None
         # Direct solves are exact: they never ask for a tolerance, so their
         # forcing state stays tight.
-        forcing = self._forcing = _ForcingTerm(self.options.gmres_tol)
+        forcing = self._forcing = _ForcingTerm(self.GMRES_TOL)
         if source_grid is None and self._pending_forcing_state is not None:
             forcing.restore_state(self._pending_forcing_state)
         self._pending_forcing_state = None
@@ -818,7 +826,7 @@ class MPDESolver:
             tol = None
             if self._matrix_free and polish:
                 # A polish is there for accuracy; see _ForcingTerm.
-                tol = self.options.gmres_tol
+                tol = self.GMRES_TOL
             elif self._matrix_free:
                 tol = forcing.tolerance(float(np.linalg.norm(residual)))
             fault_site("solver.linear_solve", iteration=_iteration - 1)
@@ -970,8 +978,8 @@ class MPDESolver:
             t0=self.problem.t0,
             period_fast=grid.period_fast,
             period_slow=grid.period_slow,
-            fast_method=self.problem.options.fast_method,
-            slow_method=self.problem.options.slow_method,
+            fast_method=opts.fast_method,
+            slow_method=opts.slow_method,
             matrix_free=opts.matrix_free,
             preconditioner=opts.preconditioner,
         )
@@ -982,8 +990,8 @@ class MPDESolver:
         """Snapshot the accepted iterate (iteration-boundary consistency).
 
         Always kept in memory (attached to deadline / terminal failures);
-        additionally persisted atomically when ``options.checkpoint_path``
-        is set.
+        additionally persisted atomically to the ``checkpoint_path`` of the
+        running :meth:`solve`, if any.
         """
         self._checkpoint = SolveCheckpoint(
             fingerprint=self._solve_fingerprint,
@@ -996,14 +1004,16 @@ class MPDESolver:
             recovery_trace=list(stats.recovery_trace),
             stats=stats.snapshot(),
         )
-        if self.options.checkpoint_path:
-            self._checkpoint.save(self.options.checkpoint_path)
+        if self._checkpoint_path is not None:
+            self._checkpoint.save(self._checkpoint_path)
 
     # -- public API -------------------------------------------------------------------------------
     def solve(
         self,
         x0: np.ndarray | None = None,
         *,
+        deadline_s: float | None = None,
+        checkpoint_path: str | os.PathLike | None = None,
         resume_from: "SolveCheckpoint | str | os.PathLike | None" = None,
     ) -> MPDEResult:
         """Solve the MPDE and return an :class:`MPDEResult`.
@@ -1015,9 +1025,23 @@ class MPDESolver:
             circuit state of length ``n``, which is tiled over the grid).
             When omitted, the guess selected by ``options.initial_guess`` is
             used.
+        deadline_s:
+            Cooperative wall-clock budget (seconds) for this call, recovery
+            attempts included.  Checked at Newton/GMRES iteration boundaries
+            and between recovery rungs — never mid-factorisation — and
+            enforced by raising
+            :class:`~repro.utils.exceptions.DeadlineExceededError` carrying
+            the partial :class:`MPDEStats`.  ``None`` (default) disables it.
+        checkpoint_path:
+            Optional file the iteration-boundary checkpoints are persisted
+            to (an ``.npz`` written to a temporary and atomically renamed,
+            so a killed process leaves the previous consistent checkpoint or
+            the new one, never a torn file).  Without it the latest one is
+            still kept in memory and attached to deadline and terminal
+            failures (``.checkpoint``).
         resume_from:
             A :class:`~repro.resilience.checkpoint.SolveCheckpoint` (or the
-            path of one persisted via ``options.checkpoint_path``) recorded
+            path of one persisted via ``checkpoint_path``) recorded
             by an interrupted solve of *this same problem*.  The checkpoint
             fingerprint is validated (:class:`CheckpointError` on mismatch),
             its iterate becomes the initial guess (unless an explicit ``x0``
@@ -1030,7 +1054,10 @@ class MPDESolver:
             n_grid_points=self.problem.n_grid_points,
             n_total_unknowns=self.problem.n_total_unknowns,
         )
-        self._deadline = Deadline(self.options.deadline_s)
+        if deadline_s is not None and not deadline_s > 0:
+            raise ConfigurationError(f"deadline_s must be positive, got {deadline_s!r}")
+        self._deadline = Deadline(deadline_s)
+        self._checkpoint_path = None if checkpoint_path is None else os.fspath(checkpoint_path)
         self._direct_fallback = False
         self._last_iterate = None
         self._solve_fingerprint = self._fingerprint()
@@ -1313,8 +1340,9 @@ def solve_mpde(
     options: MPDEOptions | None = None,
     *,
     x0: np.ndarray | None = None,
-    resume_from: "SolveCheckpoint | str | os.PathLike | None" = None,
+    deadline_s: float | None = None,
     checkpoint_path: str | os.PathLike | None = None,
+    resume_from: "SolveCheckpoint | str | os.PathLike | None" = None,
 ) -> MPDEResult:
     """One-call driver: discretise the MPDE and solve it.
 
@@ -1324,16 +1352,15 @@ def solve_mpde(
         result = solve_mpde(circuit.compile(), scales, MPDEOptions(n_fast=40, n_slow=30))
         baseband = result.baseband_envelope("outp", node_neg="outn")
 
-    ``checkpoint_path`` persists iteration-boundary
-    :class:`~repro.resilience.checkpoint.SolveCheckpoint` snapshots there
-    (atomic rename; shorthand for ``MPDEOptions.checkpoint_path``);
+    ``deadline_s`` bounds the solve's wall time, ``checkpoint_path``
+    persists its iteration-boundary
+    :class:`~repro.resilience.checkpoint.SolveCheckpoint` snapshots and
     ``resume_from`` continues an interrupted solve from a checkpoint object
     or persisted file — see :meth:`MPDESolver.solve`.
     """
-    if checkpoint_path is not None:
-        options = dataclasses.replace(
-            options if options is not None else MPDEOptions(),
-            checkpoint_path=os.fspath(checkpoint_path),
-        )
-    problem = MPDEProblem(mna, scales, options)
-    return MPDESolver(problem, options).solve(x0=x0, resume_from=resume_from)
+    return MPDESolver(MPDEProblem(mna, scales, options)).solve(
+        x0=x0,
+        deadline_s=deadline_s,
+        checkpoint_path=checkpoint_path,
+        resume_from=resume_from,
+    )

@@ -9,10 +9,11 @@ solvers fall back to.
 
 :func:`continuation_sweep` implements the adaptive-step embedding sweep
 itself: a family of problems ``F(x; lambda) = 0`` is solved for ``lambda``
-moving from ``lambda_start`` to 1, each solve warm-started from the previous
-solution.  The step in ``lambda`` grows after successes and shrinks after
-failures.  It is the *one* continuation driver in the library — the
-gmin/source-stepping fallbacks of :func:`repro.analysis.dc.dc_operating_point`
+moving from 0 to 1, each solve warm-started from the previous solution.  The
+step in ``lambda`` grows after successes (by :data:`STEP_GROWTH`) and shrinks
+after failures (by :data:`STEP_SHRINK`).  It is the *one* continuation
+driver in the library — the gmin/source-stepping fallbacks of
+:func:`repro.analysis.dc.dc_operating_point`
 (via :func:`continuation_solve`) and the MPDE solver's source-stepping
 recovery rung both run on it, so step control, failure classification and
 deadline behaviour cannot drift apart between the two.
@@ -38,6 +39,11 @@ from .newton import newton_solve
 __all__ = ["ContinuationResult", "continuation_solve", "continuation_sweep"]
 
 _LOG = get_logger("linalg.continuation")
+
+#: Factor the embedding step grows by after an accepted step (up to
+#: ``ContinuationOptions.max_step``) and shrinks by after a rejected one.
+STEP_GROWTH = 2.0
+STEP_SHRINK = 0.25
 
 
 @dataclass
@@ -85,7 +91,7 @@ def continuation_sweep(
     *,
     deadline: Deadline | None = None,
 ) -> ContinuationResult:
-    """Sweep the embedding parameter from ``lambda_start`` to 1.
+    """Sweep the embedding parameter from 0 to 1.
 
     This is the single continuation driver shared by the DC gmin/source
     stepping fallbacks and the MPDE solver's source-stepping recovery rung.
@@ -99,7 +105,7 @@ def continuation_sweep(
         ``converged=False`` so the sweep can shrink the step; genuinely
         unrecoverable errors may propagate).
     x0:
-        Initial guess for the first (easy) problem at ``lambda_start``.
+        Initial guess for the first (easy) problem at ``lambda = 0``.
     continuation_options:
         Step-control knobs.
     deadline:
@@ -109,13 +115,13 @@ def continuation_sweep(
     Raises
     ------
     ConvergenceError
-        If even the ``lambda_start`` problem fails ("initial problem"), the
+        If even the ``lambda = 0`` problem fails ("initial problem"), the
         sweep cannot reach ``lambda = 1`` within ``max_steps``, or the step
         size under-runs ``min_step``.
     """
     copts = continuation_options or ContinuationOptions()
 
-    lam = copts.lambda_start
+    lam = 0.0
     step = copts.initial_step
     x = np.array(x0, dtype=float).copy()
 
@@ -150,11 +156,11 @@ def continuation_sweep(
             x = np.asarray(trial.x, dtype=float)
             result.lambdas.append(lam)
             result.steps += 1
-            step = min(copts.max_step, step * copts.growth)
+            step = min(copts.max_step, step * STEP_GROWTH)
             _LOG.debug("continuation accepted lambda=%.4f (step=%.3g)", lam, step)
         else:
             result.rejected_steps += 1
-            step *= copts.shrink
+            step *= STEP_SHRINK
             _LOG.debug(
                 "continuation rejected lambda=%.4f, shrinking step to %.3g", lam_trial, step
             )
@@ -185,7 +191,7 @@ def continuation_solve(
     Parameters
     ----------
     residual, jacobian:
-        Callables taking ``(x, lam)``.  At ``lam = lambda_start`` the problem
+        Callables taking ``(x, lam)``.  At ``lam = 0`` the problem
         should be easy (typically linear: sources off, or a heavily
         gmin-loaded system); at ``lam = 1`` it is the original problem.
     x0:

@@ -59,6 +59,7 @@ __all__ = [
     "get_scenario",
     "scenario_names",
     "iter_scenarios",
+    "checked_scenario",
     "build_scenario",
     "build_scenario_smoke",
     "solve_case",
@@ -318,12 +319,13 @@ def iter_scenarios() -> tuple[ScenarioSpec, ...]:
 # -- building and running ----------------------------------------------------
 
 
-def build_scenario(name: str, **overrides: Any) -> BuiltScenario:
-    """Instantiate a scenario at its defaults, with keyword overrides.
+def checked_scenario(name: str, overrides: Mapping[str, Any]) -> ScenarioSpec:
+    """The registry entry of ``name``, once ``overrides`` are checked against it.
 
     Override keys must name declared parameters — the parameter dict is the
     scenario's public contract, and silently accepting a typo would quietly
-    run the default workload instead.
+    run the default workload instead.  Raises :class:`ConfigurationError`
+    for an unknown scenario or parameter.
     """
     spec = get_scenario(name)
     unknown = set(overrides) - set(spec.params)
@@ -332,6 +334,13 @@ def build_scenario(name: str, **overrides: Any) -> BuiltScenario:
             f"unknown parameter(s) {sorted(unknown)} for scenario {name!r}; "
             f"valid parameters: {sorted(spec.params)}"
         )
+    return spec
+
+
+def build_scenario(name: str, **overrides: Any) -> BuiltScenario:
+    """Instantiate a scenario at its defaults, with keyword overrides
+    (checked by :func:`checked_scenario`)."""
+    spec = checked_scenario(name, overrides)
     params = {**spec.params, **overrides}
     built = spec.factory(name, dict(params))
     if not isinstance(built, BuiltScenario):
@@ -367,9 +376,9 @@ def solve_case(
     ``mna`` supplies a pre-compiled system (the simulation service's
     compiled-circuit cache hands warm systems in here; ``None`` compiles
     ``case.circuit`` fresh).  ``options`` is an :class:`MPDEOptions`
-    template for the MPDE/HB analyses — the case's recommended grid always
-    overrides ``n_fast``/``n_slow``, everything else (Newton settings,
-    direct or matrix-free solve, preconditioner) is honored.  ``deadline_s``,
+    template for every analysis — the grid the case declares always
+    overrides the grid fields, everything else (Newton settings, direct or
+    matrix-free solve, preconditioner) is honored.  ``deadline_s``,
     ``checkpoint_path`` and ``resume_from`` plumb the resilience layer's
     per-solve deadline and checkpoint/resume through to whichever analysis
     the case declared, so registry workloads honor per-request budgets and
@@ -379,21 +388,12 @@ def solve_case(
     """
     if mna is None:
         mna = case.circuit.compile()
+    per_call = dict(
+        deadline_s=deadline_s, checkpoint_path=checkpoint_path, resume_from=resume_from
+    )
     if case.analysis == "mpde":
-        base = options if options is not None else MPDEOptions()
-        mpde_options = replace(
-            base,
-            n_fast=case.grid[0],
-            n_slow=case.grid[1],
-            deadline_s=deadline_s if deadline_s is not None else base.deadline_s,
-        )
-        return solve_mpde(
-            mna,
-            case.scales,
-            mpde_options,
-            resume_from=resume_from,
-            checkpoint_path=checkpoint_path,
-        )
+        on_grid = replace(options or MPDEOptions(), n_fast=case.grid[0], n_slow=case.grid[1])
+        return solve_mpde(mna, case.scales, on_grid, **per_call)
     if case.analysis == "hb":
         return two_tone_harmonic_balance(
             mna,
@@ -401,17 +401,10 @@ def solve_case(
             n_harmonics_fast=case.bandwidths.fast_harmonics,
             n_harmonics_slow=case.bandwidths.slow_harmonics,
             options=options,
-            deadline_s=deadline_s,
-            resume_from=resume_from,
-            checkpoint_path=checkpoint_path,
+            **per_call,
         )
     return collocation_periodic_steady_state(
-        mna,
-        case.period,
-        case.grid[0],
-        deadline_s=deadline_s,
-        resume_from=resume_from,
-        checkpoint_path=checkpoint_path,
+        mna, case.period, case.grid[0], options=options, **per_call
     )
 
 

@@ -4,9 +4,9 @@ Compiling a :class:`~repro.circuits.mna.MNASystem` is the per-request work
 the service amortises across identical requests: stamp-pattern compilation
 and batched-engine setup.  The
 cache keys entries by whatever identity string the caller derives — the
-service uses ``scenario_fingerprint(scenario) + case label + compile
-options``, so two requests hit the same entry exactly when they solve the
-same physical problem.
+service uses ``scenario_fingerprint(scenario) + case label``, so two
+requests hit the same entry exactly when they solve the same physical
+problem.
 
 Compiled systems are *not* thread-safe (solves share the engine's scratch
 buffers), so the cache never hands the same system to two jobs at once:

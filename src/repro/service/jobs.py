@@ -167,9 +167,6 @@ class SweepRequest:
     solve_options:
         :class:`MPDEOptions` template for the solves (the case grid still
         wins ``n_fast``/``n_slow`` — see :func:`solve_case`).
-    compile_options:
-        :class:`~repro.utils.options.EvaluationOptions` for compiling the
-        circuits (e.g. a sharded kernel backend); part of the cache key.
     checkpoint_path / resume_from:
         Forwarded to :func:`solve_case` — persist checkpoints, or start
         from a prior one.
@@ -184,7 +181,6 @@ class SweepRequest:
     deadline_s: float | None = None
     retry: JobRetryPolicy | None = None
     solve_options: MPDEOptions | None = None
-    compile_options: Any = None
     checkpoint_path: Any = None
     resume_from: Any = None
     label: str = ""
@@ -203,8 +199,7 @@ class SweepRequest:
         )
         return (
             f"{self.scenario}|smoke={self.smoke}|first={self.first_case_only}|"
-            f"overrides[{overrides}]|solve={self.solve_options!r}|"
-            f"compile={self.compile_options!r}"
+            f"overrides[{overrides}]|solve={self.solve_options!r}"
         )
 
 
@@ -370,20 +365,12 @@ class Job:
             return
         self._finish("succeeded", run=run)
 
-    def _compile(self, case: ScenarioCase):
-        if self.request.compile_options is not None:
-            return case.circuit.compile(options=self.request.compile_options)
-        return case.circuit.compile()
-
-    def _cache_key(self, case: ScenarioCase, fingerprint: str) -> str:
-        return f"{fingerprint}|{case.label}|compile={self.request.compile_options!r}"
-
     def _solve_with_retry(self, case: ScenarioCase, cache, fingerprint: str):
         """Solve one case under the job deadline, retrying per the policy."""
         policy = self._retry
         resume = self.request.resume_from
         attempt = 0
-        key = self._cache_key(case, fingerprint)
+        key = f"{fingerprint}|{case.label}"
         while True:
             attempt += 1
             if self._cancel.is_set():
@@ -398,7 +385,7 @@ class Job:
                 fault_site(
                     "service.job_dispatch", job=self.id, case=case.label, attempt=attempt
                 )
-                with cache.lease(key, lambda: self._compile(case)) as mna:
+                with cache.lease(key, case.circuit.compile) as mna:
                     remaining = self._deadline.remaining()
                     solver_deadline = None if remaining == float("inf") else remaining
                     result = solve_case(

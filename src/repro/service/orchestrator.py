@@ -33,12 +33,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
+from ..scenarios.registry import checked_scenario
 from ..utils.exceptions import ConfigurationError, ServiceError, ServiceOverloadedError
 from .cache import CompiledCircuitCache
 from .jobs import Job, JobRetryPolicy, SweepRequest
 from .telemetry import ServiceSnapshot, ServiceTelemetry
 
 __all__ = ["ServiceOptions", "SimulationService"]
+
+#: Default seconds :meth:`SimulationService.shutdown` waits to join each
+#: worker thread.
+DRAIN_TIMEOUT_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -62,9 +67,6 @@ class ServiceOptions:
         (``None``: unbounded).
     retry:
         Default :class:`JobRetryPolicy` for requests without their own.
-    drain_timeout_s:
-        How long :meth:`SimulationService.shutdown` waits for each worker
-        thread to finish before giving up on the join.
     """
 
     n_workers: int = 2
@@ -73,7 +75,6 @@ class ServiceOptions:
     memoize_results: bool = True
     default_deadline_s: float | None = None
     retry: JobRetryPolicy = field(default_factory=JobRetryPolicy)
-    drain_timeout_s: float = 60.0
 
     def __post_init__(self) -> None:
         for name in ("n_workers", "queue_capacity", "cache_capacity"):
@@ -82,10 +83,6 @@ class ServiceOptions:
                 raise ConfigurationError(
                     f"{name} must be a positive integer, got {value!r}"
                 )
-        if self.drain_timeout_s <= 0:
-            raise ConfigurationError(
-                f"drain_timeout_s must be positive, got {self.drain_timeout_s!r}"
-            )
 
 
 class SimulationService:
@@ -127,6 +124,8 @@ class SimulationService:
         """Accept a request (or ``submit("name", param=value, ...)`` shorthand).
 
         Returns the :class:`Job` immediately; raises
+        :class:`ConfigurationError` for an unknown scenario or an undeclared
+        parameter override (before any job or telemetry record exists),
         :class:`ServiceOverloadedError` when the queue is full and
         :class:`ServiceError` once the service is shutting down.
         """
@@ -136,6 +135,7 @@ class SimulationService:
             raise ConfigurationError(
                 "parameter overrides go inside the SweepRequest when one is passed"
             )
+        checked_scenario(request.scenario, request.overrides)
         memo_key = request.memo_key() if self.options.memoize_results else None
         with self._lock:
             if self._shutting_down:
@@ -247,9 +247,10 @@ class SimulationService:
         ``drain=True`` finishes every queued job first; ``drain=False``
         cancels the queue (running jobs still stop only at their next
         attempt boundary).  Either way every worker thread is joined and
-        the compiled-circuit cache is closed.
+        the compiled-circuit cache is closed; ``timeout_s`` bounds each
+        join (default :data:`DRAIN_TIMEOUT_S`).
         """
-        timeout_s = timeout_s if timeout_s is not None else self.options.drain_timeout_s
+        timeout_s = timeout_s if timeout_s is not None else DRAIN_TIMEOUT_S
         with self._queue_ready:
             if self._shutdown_done:
                 return

@@ -25,7 +25,6 @@ __all__ = [
     "ContinuationOptions",
     "TransientOptions",
     "ShootingOptions",
-    "HarmonicBalanceOptions",
     "MPDEOptions",
     "EVALUATION_BACKENDS",
     "PRECONDITIONER_KINDS",
@@ -47,11 +46,6 @@ EVALUATION_BACKENDS = ("batched", "loop")
 def _require_positive(name: str, value: float) -> None:
     if not value > 0:
         raise ConfigurationError(f"{name} must be positive, got {value!r}")
-
-
-def _require_nonnegative(name: str, value: float) -> None:
-    if value < 0:
-        raise ConfigurationError(f"{name} must be non-negative, got {value!r}")
 
 
 def _require_in(name: str, value: Any, allowed: tuple[Any, ...]) -> None:
@@ -132,32 +126,23 @@ class NewtonOptions:
 class ContinuationOptions:
     """Controls for source-stepping / gmin-stepping homotopy.
 
-    The continuation driver sweeps an embedding parameter ``lambda`` from
-    ``lambda_start`` to 1.0, solving a Newton problem at each value and using
-    the previous solution as the initial guess for the next.
+    The continuation driver sweeps an embedding parameter ``lambda`` from 0
+    to 1.0, solving a Newton problem at each value and using the previous
+    solution as the initial guess for the next.  The step grows and shrinks
+    by the fixed factors of :mod:`repro.linalg.continuation`.
     """
 
-    lambda_start: float = 0.0
     initial_step: float = 0.25
     min_step: float = 1e-5
     max_step: float = 0.5
-    growth: float = 2.0
-    shrink: float = 0.25
     max_steps: int = 200
 
     def __post_init__(self) -> None:
-        _require_nonnegative("lambda_start", self.lambda_start)
-        if self.lambda_start >= 1.0:
-            raise ConfigurationError("lambda_start must be < 1.0")
         _require_positive("initial_step", self.initial_step)
         _require_positive("min_step", self.min_step)
         _require_positive("max_step", self.max_step)
         if self.min_step > self.max_step:
             raise ConfigurationError("min_step must be <= max_step")
-        if self.growth <= 1.0:
-            raise ConfigurationError("growth must be > 1.0")
-        if not 0.0 < self.shrink < 1.0:
-            raise ConfigurationError("shrink must be in (0, 1)")
         _require_positive("max_steps", self.max_steps)
 
 
@@ -219,21 +204,6 @@ class ShootingOptions:
 
 
 @dataclass(frozen=True)
-class HarmonicBalanceOptions:
-    """Controls for single-tone harmonic balance (``K`` harmonics, box truncation)."""
-
-    harmonics: int = 7
-    oversampling: int = 4
-    newton: NewtonOptions = field(default_factory=NewtonOptions)
-
-    def __post_init__(self) -> None:
-        _require_positive("harmonics", self.harmonics)
-        _require_positive("oversampling", self.oversampling)
-        if self.oversampling < 2:
-            raise ConfigurationError("oversampling must be >= 2")
-
-
-@dataclass(frozen=True)
 class MPDEOptions:
     """Controls for the difference-time-scale MPDE solver (the paper's core).
 
@@ -279,30 +249,13 @@ class MPDEOptions:
           (``"fourier"``), despite taking about twice the GMRES iterations.
 
         See ``docs/preconditioners.md`` for the measurements.
-    gmres_tol / gmres_restart:
-        Relative tolerance of a *tight* GMRES solve, and the restart length.
-        Newton runs inexact: each GMRES solve uses an Eisenstat–Walker
-        forcing term with ``gmres_tol`` as its floor, and a stalled step or
-        the final step before convergence is solved at ``gmres_tol`` itself.
-    deadline_s:
-        Cooperative wall-clock budget (seconds) for one ``solve()`` call,
-        recovery attempts included.  Checked at Newton/GMRES iteration
-        boundaries and between recovery rungs — never mid-factorisation —
-        and enforced by raising
-        :class:`~repro.utils.exceptions.DeadlineExceededError` carrying the
-        partial :class:`~repro.core.solver.MPDEStats`.  ``None`` (default)
-        disables the deadline.
-    checkpoint_path:
-        Optional filesystem path for crash-consistent checkpoint
-        persistence.  The solver always keeps an in-memory
-        :class:`~repro.resilience.checkpoint.SolveCheckpoint` of the latest
-        accepted Newton iterate (surfaced on the ``.checkpoint`` attribute
-        of :class:`~repro.utils.exceptions.DeadlineExceededError` and of
-        exhausted-ladder terminal failures); with a path set, every
-        checkpoint is additionally written as an ``.npz`` file via
-        write-to-temporary + atomic rename, so a killed process leaves
-        either the previous consistent checkpoint or the new one — never a
-        torn file.  Resume with ``solve_mpde(..., resume_from=...)``.
+
+    Every steady-state analysis takes its numerics from one of these:
+    ``solve_mpde`` as given, two-tone HB with the grid fields set by its
+    truncation, collocation PSS and single-tone HB with the grid fields
+    replaced by their one sampled axis.  A solve's wall-clock budget and
+    checkpoint file are per-call arguments (``deadline_s=``,
+    ``checkpoint_path=``, ``resume_from=``) of those front ends.
     """
 
     n_fast: int = 40
@@ -312,11 +265,7 @@ class MPDEOptions:
     newton: NewtonOptions = field(default_factory=lambda: NewtonOptions(max_iterations=80))
     matrix_free: bool = False
     preconditioner: str = "block_circulant_fast"
-    gmres_tol: float = 1e-9
-    gmres_restart: int = 80
     initial_guess: str = "dc"
-    deadline_s: float | None = None
-    checkpoint_path: str | None = None
 
     _ALLOWED_FD = ("backward-euler", "bdf2", "central", "fourier")
     _ALLOWED_PRECONDITIONERS = PRECONDITIONER_KINDS
@@ -330,12 +279,6 @@ class MPDEOptions:
         _require_in("slow_method", self.slow_method, self._ALLOWED_FD)
         _require_in("preconditioner", self.preconditioner, self._ALLOWED_PRECONDITIONERS)
         _require_in("initial_guess", self.initial_guess, ("dc", "zero"))
-        _require_positive("gmres_tol", self.gmres_tol)
-        _require_positive("gmres_restart", self.gmres_restart)
-        if self.deadline_s is not None:
-            _require_positive("deadline_s", self.deadline_s)
-        if self.checkpoint_path is not None and not str(self.checkpoint_path):
-            raise ConfigurationError("checkpoint_path must be a non-empty path or None")
 
     def with_grid(self, n_fast: int, n_slow: int) -> "MPDEOptions":
         """Return a copy with a different multi-time grid resolution."""

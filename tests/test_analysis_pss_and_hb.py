@@ -20,7 +20,7 @@ from repro.circuits.devices import (
     VoltageSource,
 )
 from repro.signals import SinusoidStimulus, fourier_coefficient
-from repro.utils import AnalysisError, HarmonicBalanceOptions, ShootingOptions
+from repro.utils import AnalysisError, ShootingOptions
 
 
 class TestCollocationLinear:
@@ -89,7 +89,7 @@ class TestCollocationAgainstShooting:
 class TestHarmonicBalance:
     def test_linear_rc_transfer(self, rc_lowpass):
         mna = rc_lowpass.compile()
-        result = harmonic_balance(mna, 1e3, options=HarmonicBalanceOptions(harmonics=5))
+        result = harmonic_balance(mna, 1e3, harmonics=5)
         rc = 1e3 * 100e-9
         expected = 1.0 / np.sqrt(1.0 + (2 * np.pi * 1e3 * rc) ** 2)
         assert result.harmonic_amplitude("out", 1) == pytest.approx(expected, rel=1e-6)
@@ -109,16 +109,14 @@ class TestHarmonicBalance:
         ckt.add(PolynomialConductance("gnl", "a", "b", [1e-3, 0.0, 1e-3]))
         ckt.add(Resistor("rload", "b", ckt.GROUND, 1.0))
         mna = ckt.compile()
-        result = harmonic_balance(mna, 1e3, options=HarmonicBalanceOptions(harmonics=7))
+        result = harmonic_balance(mna, 1e3, harmonics=7)
         # v(b) ~ i * 1 Ohm; third harmonic of the current = g3 * A^3 / 4.
         third = result.harmonic_amplitude("b", 3)
         assert third == pytest.approx(1e-3 / 4.0, rel=0.02)
 
     def test_rectifier_thd_is_large(self, diode_rectifier):
         mna = diode_rectifier.compile()
-        result = harmonic_balance(
-            mna, 1e3, options=HarmonicBalanceOptions(harmonics=15, oversampling=4)
-        )
+        result = harmonic_balance(mna, 1e3, harmonics=15, oversampling=4)
         # The diode clips half of the waveform: the input node of the diode is
         # still sinusoidal but the output should show visible distortion in
         # its *ripple*; simply assert the analysis converged and the THD
@@ -130,9 +128,14 @@ class TestHarmonicBalance:
         with pytest.raises(AnalysisError):
             harmonic_balance(mna, 0.0)
 
+    @pytest.mark.parametrize("kwargs", [{"harmonics": 0}, {"oversampling": 1}])
+    def test_invalid_truncation_raises(self, rc_lowpass, kwargs):
+        with pytest.raises(AnalysisError):
+            harmonic_balance(rc_lowpass.compile(), 1e3, **kwargs)
+
     def test_harmonics_accessor_bounds(self, rc_lowpass):
         mna = rc_lowpass.compile()
-        result = harmonic_balance(mna, 1e3, options=HarmonicBalanceOptions(harmonics=3))
+        result = harmonic_balance(mna, 1e3, harmonics=3)
         coeffs = result.harmonics("out")
         assert coeffs.shape == (4,)
         assert result.stats is result.collocation.stats
@@ -141,7 +144,7 @@ class TestHarmonicBalance:
 
     def test_missing_fundamental_raises_in_thd(self, voltage_divider):
         mna = voltage_divider.compile()
-        result = harmonic_balance(mna, 1e3, options=HarmonicBalanceOptions(harmonics=3))
+        result = harmonic_balance(mna, 1e3, harmonics=3)
         with pytest.raises(AnalysisError):
             result.total_harmonic_distortion("mid")
 

@@ -29,7 +29,7 @@ import pytest
 
 import repro.core.solver as solver_mod
 from repro.analysis.pss_fd import collocation_periodic_steady_state
-from repro.core import solve_mpde
+from repro.core import MPDESolver, solve_mpde
 from repro.core.multitone_hb import two_tone_harmonic_balance
 from repro.resilience import SolveCheckpoint, inject_faults, singular_jacobian, solve_fingerprint
 from repro.rf import gilbert_cell_mixer
@@ -105,11 +105,11 @@ def counting_deadline(monkeypatch):
     monkeypatch.undo()
 
 
-def _interrupt(mna, scales, options, budget=3):
+def _interrupt(mna, scales, options, budget=3, checkpoint_path=None):
     """Run a solve to its injected deadline; return the carried checkpoint."""
     _CountingDeadline.budget = budget
     with pytest.raises(DeadlineExceededError) as info:
-        solve_mpde(mna, scales, replace(options, deadline_s=60.0))
+        solve_mpde(mna, scales, options, deadline_s=60.0, checkpoint_path=checkpoint_path)
     checkpoint = info.value.checkpoint
     assert checkpoint is not None
     assert checkpoint.stage == "newton"
@@ -252,9 +252,8 @@ class TestMPDEResume:
     def test_resume_from_persisted_path_is_bitwise(self, counting_deadline, tmp_path):
         mna, scales = _gilbert()
         path = tmp_path / "mpde.npz"
-        options = replace(_OPTIONS, checkpoint_path=str(path))
         reference = solve_mpde(mna, scales, _OPTIONS)
-        _interrupt(mna, scales, options)
+        _interrupt(mna, scales, _OPTIONS, checkpoint_path=str(path))
         assert path.exists()
         resumed = solve_mpde(mna, scales, _OPTIONS, resume_from=str(path))
         np.testing.assert_array_equal(resumed.states, reference.states)
@@ -310,12 +309,10 @@ class TestMPDEResume:
             path = tmp_path / f"{kind}.npz"
             options = replace(_OPTIONS, matrix_free=True, preconditioner=kind)
             reference = solve_mpde(mna, scales, options)
-            checkpoint = _interrupt(
-                mna, scales, replace(options, checkpoint_path=str(path)), budget=12
-            )
+            checkpoint = _interrupt(mna, scales, options, budget=12, checkpoint_path=path)
             assert 0 < checkpoint.newton_iterations < reference.stats.newton_iterations
             assert checkpoint.chord_state is None
-            assert checkpoint.forcing_state["eta"] > options.gmres_tol
+            assert checkpoint.forcing_state["eta"] > MPDESolver.GMRES_TOL
             for resume_from in (checkpoint, str(path)):
                 resumed = solve_mpde(mna, scales, options, resume_from=resume_from)
                 np.testing.assert_array_equal(resumed.states, reference.states, err_msg=kind)

@@ -229,6 +229,18 @@ class TestStencilBuiltOperators:
         expected = _kron_reference(_dense_rule(method, n_samples, 1e-3), np.zeros((1, 1)))
         _assert_bitwise(problem._operators.derivative, expected)
 
+    @pytest.mark.parametrize("slow_method", METHODS)
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("n", [7, 8, 64])
+    def test_one_point_axis_is_the_zero_operator(self, method, slow_method, n):
+        grid = MultiTimeGrid(1e-3, 1e-3, n, 1)
+        zero = grid.axis_matrix("slow", slow_method)
+        assert zero.shape == (1, 1) and zero.nnz == 0
+        assert grid.slow_derivative(slow_method).nnz == 0
+        _assert_bitwise(
+            grid.combined_derivative(method, slow_method), grid.axis_matrix("fast", method)
+        )
+
     @pytest.mark.parametrize("fast_method, slow_method", [("bdf2", "bdf2"), ("fourier", "central")])
     def test_jacobian_equals_dense_reference(self, fast_method, slow_method):
         from repro.rf import unbalanced_switching_mixer

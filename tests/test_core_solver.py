@@ -386,7 +386,7 @@ class TestInexactNewton:
     def test_gmres_tolerances_are_loose_then_end_tight(self, mixer, kwargs):
         result = self._solve(mixer, **kwargs)
         stats = result.stats
-        floor = result.problem.options.gmres_tol
+        floor = MPDESolver.GMRES_TOL
         tolerances = stats.linear_tolerance_history
         assert len(tolerances) == len(stats.linear_iteration_history) > 0
         assert min(tolerances) >= floor
@@ -408,7 +408,7 @@ class TestInexactNewton:
             preconditioner="block_circulant_fast",
         )
         stats = solve_mpde(mixer.compile(), mixer.scales, options).stats
-        floor = options.gmres_tol
+        floor = MPDESolver.GMRES_TOL
         residuals = stats.residual_history
         tolerances = stats.linear_tolerance_history
         assert len(tolerances) == len(residuals) - 1
@@ -426,7 +426,7 @@ class TestInexactNewton:
             preconditioner="block_circulant_fast",
             newton=NewtonOptions(damping=0.5, max_iterations=200),
         )
-        floor = result.problem.options.gmres_tol
+        floor = MPDESolver.GMRES_TOL
         tolerances = result.stats.linear_tolerance_history
         assert max(tolerances) > floor  # loose corrections
         assert tolerances[-1] == floor  # ends on a tight step

@@ -549,7 +549,7 @@ class TestBlockCirculantFastProperty:
         options = MPDEOptions(
             n_fast=20, n_slow=15, matrix_free=True, preconditioner="block_circulant_fast"
         )
-        result = MPDESolver(MPDEProblem(mna, mixer.scales, options), options).solve()
+        result = MPDESolver(MPDEProblem(mna, mixer.scales, options)).solve()
         assert result.stats.converged
         assert result.stats.preconditioner_builds == 13
         assert splu_specs == [None] + ["NATURAL"] * 12
@@ -572,7 +572,7 @@ class TestBlockCirculantFastProperty:
             structures.append(self.structure)
 
         monkeypatch.setattr(BlockCirculantFastPreconditioner, "__init__", recording_init)
-        result = MPDESolver(problem, options).solve()
+        result = MPDESolver(problem).solve()
         assert result.stats.converged
         assert len(structures) >= 2
         assert all(structure is structures[0] for structure in structures)
@@ -830,8 +830,7 @@ class TestAnalysisWiring:
                 period,
                 32,
                 method="bdf2",
-                matrix_free=True,
-                preconditioner=mode,
+                options=MPDEOptions(matrix_free=True, preconditioner=mode),
             )
             assert krylov.linear_iterations > 0, mode
             np.testing.assert_allclose(
@@ -843,7 +842,7 @@ class TestAnalysisWiring:
         mna = diode_rectifier.compile()
         with pytest.raises(Exception, match="preconditioner"):
             collocation_periodic_steady_state(
-                mna, 1e-3, 16, matrix_free=True, preconditioner="cholesky"
+                mna, 1e-3, 16, options=MPDEOptions(matrix_free=True, preconditioner="cholesky")
             )
 
 

@@ -22,6 +22,7 @@ from repro.analysis import collocation_periodic_steady_state, dc_operating_point
 from repro.circuits import Circuit
 from repro.circuits.devices import Capacitor, PolynomialConductance, Resistor, VoltageSource
 from repro.core import ShearedTimeScales, solve_mpde
+from repro.core.multitone_hb import two_tone_harmonic_balance
 from repro.linalg.krylov import gmres_solve
 from repro.resilience import (
     Deadline,
@@ -37,6 +38,7 @@ from repro.resilience import (
     singular_jacobian,
 )
 from repro.rf import balanced_lo_doubling_mixer
+from repro.scenarios import build_scenario_smoke, run_scenario, solve_case
 from repro.signals import ModulatedCarrierStimulus, SinusoidStimulus, SumStimulus
 from repro.utils import (
     ConfigurationError,
@@ -71,15 +73,15 @@ def _linear_rc():
     return ckt.compile(), scales
 
 
-def _solve_rc(count=None, spec=None, **option_overrides):
+def _solve_rc(count=None, spec=None, deadline_s=None, **option_overrides):
     mna, scales = _linear_rc()
     options = MPDEOptions(n_fast=8, n_slow=8, **option_overrides)
     if spec is None and count is not None:
         spec = singular_jacobian(count=count)
     if spec is not None:
         with inject_faults(spec):
-            return solve_mpde(mna, scales, options)
-    return solve_mpde(mna, scales, options)
+            return solve_mpde(mna, scales, options, deadline_s=deadline_s)
+    return solve_mpde(mna, scales, options, deadline_s=deadline_s)
 
 
 def _trace(result):
@@ -502,10 +504,10 @@ class TestCollocationPSSRecovery:
         mna = diode_rectifier.compile()
         # A tight residual tolerance pins both solves to the same discrete
         # solution, whichever rung (and damping) produced the recovered one.
-        newton = NewtonOptions(max_iterations=100, abstol=1e-12)
-        reference = collocation_periodic_steady_state(mna, 1e-3, 41, newton_options=newton)
+        options = MPDEOptions(newton=NewtonOptions(max_iterations=100, abstol=1e-12))
+        reference = collocation_periodic_steady_state(mna, 1e-3, 41, options=options)
         with inject_faults(singular_jacobian(count=1)):
-            result = collocation_periodic_steady_state(mna, 1e-3, 41, newton_options=newton)
+            result = collocation_periodic_steady_state(mna, 1e-3, 41, options=options)
         assert reference.stats.recovered_by == ""
         assert result.stats.recovered_by != ""
         assert result.stats.recovery_trace[0].rung == "baseline"
@@ -521,7 +523,7 @@ class TestCollocationPSSRecovery:
         reference = collocation_periodic_steady_state(mna, 1e-3, 41)
         assert reference.newton_iterations > 2
         result = collocation_periodic_steady_state(
-            mna, 1e-3, 41, newton_options=NewtonOptions(max_iterations=2)
+            mna, 1e-3, 41, options=MPDEOptions(newton=NewtonOptions(max_iterations=2))
         )
         assert result.stats.converged
         assert result.stats.recovered_by != ""
@@ -535,22 +537,51 @@ class TestCollocationPSSRecovery:
 # ---------------------------------------------------------------------------
 
 
+def _expired_solve(front_end: str, deadline_s: float):
+    """Solve with one steady-state front end; returns its grid point count."""
+    mna, scales = _linear_rc()
+    if front_end == "solve_mpde":
+        solve_mpde(mna, scales, MPDEOptions(n_fast=8, n_slow=8), deadline_s=deadline_s)
+    elif front_end == "two_tone_harmonic_balance":
+        two_tone_harmonic_balance(
+            mna, scales, n_harmonics_fast=1, n_harmonics_slow=1, deadline_s=deadline_s
+        )
+    elif front_end == "collocation_periodic_steady_state":
+        collocation_periodic_steady_state(mna, scales.fast_period, 16, deadline_s=deadline_s)
+    elif front_end == "solve_case":
+        solve_case(build_scenario_smoke("frequency_doubler").cases[0], deadline_s=deadline_s)
+    else:
+        run_scenario(
+            build_scenario_smoke("frequency_doubler"), first_case_only=True, deadline_s=deadline_s
+        )
+
+
+_FRONT_ENDS = (
+    "solve_mpde",
+    "two_tone_harmonic_balance",
+    "collocation_periodic_steady_state",
+    "solve_case",
+    "run_scenario",
+)
+
+
 class TestSolveDeadlines:
-    def test_mpde_deadline_carries_partial_stats(self):
-        mna, scales = _linear_rc()
+    @pytest.mark.parametrize("front_end", _FRONT_ENDS)
+    def test_expired_deadline_carries_partial_stats(self, front_end):
         with pytest.raises(DeadlineExceededError) as info:
-            solve_mpde(mna, scales, MPDEOptions(n_fast=8, n_slow=8, deadline_s=1e-9))
+            _expired_solve(front_end, 1e-9)
         exc = info.value
         assert exc.partial_stats is not None
-        assert exc.partial_stats.n_grid_points == 64
+        assert exc.partial_stats.n_grid_points > 0
         assert not exc.partial_stats.converged
         assert exc.stage  # names the loop that observed the expiry
+        assert exc.checkpoint is not None  # the state before the first step
 
-    def test_deadline_option_is_validated(self):
-        with pytest.raises(ConfigurationError):
-            MPDEOptions(deadline_s=0.0)
-        with pytest.raises(ConfigurationError):
-            MPDEOptions(deadline_s=-1.0)
+    @pytest.mark.parametrize("front_end", _FRONT_ENDS)
+    @pytest.mark.parametrize("deadline_s", [0.0, -1.0])
+    def test_non_positive_deadline_is_rejected(self, front_end, deadline_s):
+        with pytest.raises(ConfigurationError, match="deadline_s"):
+            _expired_solve(front_end, deadline_s)
 
     def test_dc_deadline_checked_between_strategies(self, nmos_amplifier):
         mna = nmos_amplifier.compile()

@@ -51,7 +51,7 @@ from repro.scenarios import (
     unregister_scenario,
 )
 from repro.utils import MPDEOptions
-from repro.utils.exceptions import ConfigurationError, DeadlineExceededError
+from repro.utils.exceptions import ConfigurationError
 
 GOLDENS_PATH = Path(__file__).parent / "goldens" / "scenarios.json"
 
@@ -431,18 +431,6 @@ def test_run_scenario_uses_the_injected_solve_hook():
     run = run_scenario(scenario, first_case_only=True, solve=counting_solve)
     assert calls == [scenario.cases[0].label]
     assert run.case_runs[0].metrics  # the hook's results still feed metrics
-
-
-def test_run_scenario_deadline_reaches_the_solver():
-    scenario = build_scenario_smoke("frequency_doubler")
-    with pytest.raises(DeadlineExceededError):
-        run_scenario(scenario, first_case_only=True, deadline_s=1e-9)
-
-
-def test_solve_case_deadline_reaches_the_solver():
-    case = build_scenario_smoke("frequency_doubler").cases[0]
-    with pytest.raises(DeadlineExceededError):
-        solve_case(case, deadline_s=1e-9)
 
 
 @pytest.mark.no_fault_injection

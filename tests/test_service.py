@@ -329,13 +329,22 @@ class TestServiceLifecycle:
             with pytest.raises(ConfigurationError, match="overrides"):
                 svc.submit(request, r=1e3)
 
-    def test_unknown_scenario_fails_terminally_without_retries(self):
+    def test_unknown_scenario_is_rejected_at_submit(self):
         with _service() as svc:
-            job = svc.submit("svc_no_such_scenario")
             with pytest.raises(ConfigurationError, match="unknown scenario"):
-                job.result(timeout=30.0)
-        assert job.status == "failed"
-        assert job.retries == 0
+                svc.submit("svc_no_such_scenario")
+            assert svc.telemetry().submitted == 0
+            # No job was created: the next accepted one is the first.
+            assert svc.submit(RC_SCENARIO).id == "job-0001"
+
+    def test_undeclared_override_is_rejected_at_submit(self):
+        with _service() as svc:
+            with pytest.raises(ConfigurationError, match="unknown parameter"):
+                svc.submit(RC_SCENARIO, no_such_param=1.0)
+            with pytest.raises(ConfigurationError, match="unknown parameter"):
+                svc.submit(SweepRequest(scenario=RC_SCENARIO, overrides={"no_such_param": 1.0}))
+            assert svc.telemetry().submitted == 0
+            assert svc.submit(RC_SCENARIO).id == "job-0001"
 
     def test_submit_after_shutdown_raises(self):
         svc = _service()
