@@ -199,9 +199,10 @@ class MPDEProblem:
         is the fast-axis differentiation matrix of ``method`` itself (the
         one-point slow axis contributes the ``1 x 1`` zero operator) and the
         source is the circuit excitation ``b(t0 + t)`` at the samples.  The
-        grid-resolution fields of ``options`` are not read.
+        grid-resolution fields of ``options`` are not read; both axis rules
+        become ``method``, so the solve fingerprint records only what is used.
         """
-        options = replace(options or MPDEOptions(), fast_method=method)
+        options = replace(options or MPDEOptions(), fast_method=method, slow_method=method)
         grid = MultiTimeGrid(period_fast=period, period_slow=period, n_fast=n_samples, n_slow=1)
         problem = cls.__new__(cls)
         problem._setup(
@@ -209,7 +210,7 @@ class MPDEProblem:
             None,
             options,
             grid,
-            grid.combined_derivative(fast_method=method, slow_method=options.slow_method),
+            grid.combined_derivative(fast_method=method, slow_method=method),
             mna.source(t0 + grid.fast_axis),
             t0=t0,
         )

@@ -387,6 +387,9 @@ class Job:
                 )
                 with cache.lease(key, case.circuit.compile) as mna:
                     remaining = self._deadline.remaining()
+                    if remaining <= 0:
+                        # A cache-miss compile spent the rest of the budget.
+                        self._deadline.check(stage=f"job:{case.label}")
                     solver_deadline = None if remaining == float("inf") else remaining
                     result = solve_case(
                         case,

@@ -351,6 +351,19 @@ class TestCollocationPSSResume:
         resumed = self._solve(mna, resume_from=checkpoint)
         np.testing.assert_array_equal(resumed.states, reference.states)
 
+    def test_pss_checkpoint_ignores_the_unread_slow_method(self, diode_rectifier, monkeypatch):
+        # A one-axis solve never reads the template's slow-axis rule, so a
+        # checkpoint resumes under a template that differs only there.
+        mna = diode_rectifier.compile()
+        reference = self._solve(mna)
+        monkeypatch.setattr(solver_mod, "Deadline", _CountingDeadline)
+        _CountingDeadline.budget = 2
+        with pytest.raises(DeadlineExceededError) as info:
+            self._solve(mna, options=MPDEOptions(slow_method="central"), deadline_s=60.0)
+        monkeypatch.undo()
+        resumed = self._solve(mna, resume_from=info.value.checkpoint)
+        np.testing.assert_array_equal(resumed.states, reference.states)
+
     def test_pss_checkpoint_persists_and_resumes_from_path(
         self, diode_rectifier, monkeypatch, tmp_path
     ):

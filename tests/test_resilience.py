@@ -537,23 +537,40 @@ class TestCollocationPSSRecovery:
 # ---------------------------------------------------------------------------
 
 
-def _expired_solve(front_end: str, deadline_s: float):
-    """Solve with one steady-state front end; returns its grid point count."""
+def _steady_state_front_end(front_end: str):
+    """One steady-state front end as ``(solve(deadline_s), grid point count)``."""
     mna, scales = _linear_rc()
     if front_end == "solve_mpde":
-        solve_mpde(mna, scales, MPDEOptions(n_fast=8, n_slow=8), deadline_s=deadline_s)
-    elif front_end == "two_tone_harmonic_balance":
-        two_tone_harmonic_balance(
-            mna, scales, n_harmonics_fast=1, n_harmonics_slow=1, deadline_s=deadline_s
+        return (
+            lambda deadline_s: solve_mpde(
+                mna, scales, MPDEOptions(n_fast=8, n_slow=8), deadline_s=deadline_s
+            ),
+            8 * 8,
         )
-    elif front_end == "collocation_periodic_steady_state":
-        collocation_periodic_steady_state(mna, scales.fast_period, 16, deadline_s=deadline_s)
-    elif front_end == "solve_case":
-        solve_case(build_scenario_smoke("frequency_doubler").cases[0], deadline_s=deadline_s)
-    else:
-        run_scenario(
-            build_scenario_smoke("frequency_doubler"), first_case_only=True, deadline_s=deadline_s
+    if front_end == "two_tone_harmonic_balance":
+        return (
+            lambda deadline_s: two_tone_harmonic_balance(
+                mna, scales, n_harmonics_fast=1, n_harmonics_slow=1, deadline_s=deadline_s
+            ),
+            # Default oversampling 2 times 2 * 1 + 1 harmonics on each axis.
+            (2 * 3) * (2 * 3),
         )
+    if front_end == "collocation_periodic_steady_state":
+        return (
+            lambda deadline_s: collocation_periodic_steady_state(
+                mna, scales.fast_period, 16, deadline_s=deadline_s
+            ),
+            16,
+        )
+    scenario = build_scenario_smoke("frequency_doubler")
+    case = scenario.cases[0]
+    assert case.analysis == "pss"  # one axis: the case's fast grid
+    if front_end == "solve_case":
+        return (lambda deadline_s: solve_case(case, deadline_s=deadline_s)), case.grid[0]
+    return (
+        lambda deadline_s: run_scenario(scenario, first_case_only=True, deadline_s=deadline_s),
+        case.grid[0],
+    )
 
 
 _FRONT_ENDS = (
@@ -568,11 +585,13 @@ _FRONT_ENDS = (
 class TestSolveDeadlines:
     @pytest.mark.parametrize("front_end", _FRONT_ENDS)
     def test_expired_deadline_carries_partial_stats(self, front_end):
+        solve, n_grid_points = _steady_state_front_end(front_end)
         with pytest.raises(DeadlineExceededError) as info:
-            _expired_solve(front_end, 1e-9)
+            solve(1e-9)
         exc = info.value
         assert exc.partial_stats is not None
-        assert exc.partial_stats.n_grid_points > 0
+        # The partial stats describe the problem that was actually set up.
+        assert exc.partial_stats.n_grid_points == n_grid_points
         assert not exc.partial_stats.converged
         assert exc.stage  # names the loop that observed the expiry
         assert exc.checkpoint is not None  # the state before the first step
@@ -580,8 +599,9 @@ class TestSolveDeadlines:
     @pytest.mark.parametrize("front_end", _FRONT_ENDS)
     @pytest.mark.parametrize("deadline_s", [0.0, -1.0])
     def test_non_positive_deadline_is_rejected(self, front_end, deadline_s):
+        solve, _ = _steady_state_front_end(front_end)
         with pytest.raises(ConfigurationError, match="deadline_s"):
-            _expired_solve(front_end, deadline_s)
+            solve(deadline_s)
 
     def test_dc_deadline_checked_between_strategies(self, nmos_amplifier):
         mna = nmos_amplifier.compile()

@@ -69,6 +69,10 @@ from repro.utils.exceptions import (
 
 RC_SCENARIO = "svc_rc_lowpass"
 GATED_SCENARIO = "svc_rc_gated"
+SLOW_COMPILE_SCENARIO = "svc_rc_slow_compile"
+
+#: Compile time of the slow-compile scenario's circuit.
+SLOW_COMPILE_S = 0.5
 
 #: Event the gated scenario's factory blocks on (cleared per use).
 GATE = threading.Event()
@@ -135,10 +139,27 @@ def register_service_scenarios() -> None:
             return _build_rc_scenario(name, params)
 
         register_scenario(GATED_SCENARIO, params=dict(r=1e3, c=50e-9, nl=0.0))(_gated)
+    if SLOW_COMPILE_SCENARIO not in scenario_names():
+
+        def _slow_compile(name, params):
+            scenario = _build_rc_scenario(name, params)
+            circuit = scenario.cases[0].circuit
+            compile_circuit = circuit.compile
+
+            def compile_slowly(*args, **kwargs):
+                time.sleep(SLOW_COMPILE_S)
+                return compile_circuit(*args, **kwargs)
+
+            circuit.compile = compile_slowly
+            return scenario
+
+        register_scenario(SLOW_COMPILE_SCENARIO, params=dict(r=1e3, c=50e-9, nl=0.0))(
+            _slow_compile
+        )
 
 
 def unregister_service_scenarios() -> None:
-    for name in (RC_SCENARIO, GATED_SCENARIO):
+    for name in (RC_SCENARIO, GATED_SCENARIO, SLOW_COMPILE_SCENARIO):
         if name in scenario_names():
             unregister_scenario(name)
 
@@ -432,6 +453,18 @@ class TestAdmissionAndCancellation:
         with _service() as svc:
             job = svc.submit(
                 SweepRequest(scenario=RC_SCENARIO, deadline_s=1e-9)
+            )
+            with pytest.raises(DeadlineExceededError):
+                job.result(timeout=30.0)
+        assert job.status == "timed_out"
+        assert svc.telemetry().timed_out == 1
+
+    def test_deadline_spent_compiling_times_the_job_out(self):
+        # The budget outlives the pre-dispatch check but not the cache-miss
+        # compile, so it runs out between the compile and the solve.
+        with _service() as svc:
+            job = svc.submit(
+                SweepRequest(scenario=SLOW_COMPILE_SCENARIO, deadline_s=SLOW_COMPILE_S / 2)
             )
             with pytest.raises(DeadlineExceededError):
                 job.result(timeout=30.0)
