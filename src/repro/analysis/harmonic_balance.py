@@ -4,7 +4,7 @@ Harmonic balance (HB) represents every waveform in the circuit by a truncated
 Fourier series and enforces the circuit equations on the harmonic
 coefficients.  The implementation here uses the *time-sample* (spectral
 collocation) form: the unknowns are the waveform samples at
-``N = oversampling * (2K + 1)`` uniformly spaced points, the time derivative
+``N = OVERSAMPLING * (2K + 1)`` uniformly spaced points, the time derivative
 is applied with the exact Fourier differentiation matrix, and the harmonic
 coefficients are recovered by FFT.  This is algebraically equivalent to
 classical frequency-domain HB with ``K`` harmonics (the two formulations are
@@ -37,6 +37,10 @@ from ..utils.options import MPDEOptions
 from .pss_fd import CollocationPSSResult, collocation_periodic_steady_state
 
 __all__ = ["HarmonicBalanceResult", "harmonic_balance"]
+
+#: Collocation samples per retained harmonic (at least 2 avoids aliasing the
+#: quadratic nonlinearities; 4 leaves margin for sharper ones).
+OVERSAMPLING = 4
 
 
 @dataclass
@@ -111,7 +115,6 @@ def harmonic_balance(
     fundamental: float,
     *,
     harmonics: int = 7,
-    oversampling: int = 4,
     options: MPDEOptions | None = None,
     x0: np.ndarray | None = None,
 ) -> HarmonicBalanceResult:
@@ -125,9 +128,8 @@ def harmonic_balance(
     fundamental:
         Fundamental frequency in Hz.
     harmonics:
-        The truncation ``K``.
-    oversampling:
-        Collocation samples per retained harmonic (>= 2).
+        The truncation ``K``; the collocation grid has
+        ``OVERSAMPLING * (2K + 1)`` samples.
     options:
         The solver numerics (:class:`~repro.utils.options.MPDEOptions`,
         default ``MPDEOptions()``); the grid fields are not read.
@@ -139,12 +141,10 @@ def harmonic_balance(
         raise AnalysisError("fundamental frequency must be positive")
     if harmonics < 1:
         raise AnalysisError("harmonic truncation must be at least 1")
-    if oversampling < 2:
-        raise AnalysisError("oversampling must be at least 2")
     collocation = collocation_periodic_steady_state(
         mna,
         1.0 / fundamental,
-        oversampling * (2 * harmonics + 1),
+        OVERSAMPLING * (2 * harmonics + 1),
         method="fourier",
         x0=x0,
         options=options,

@@ -51,9 +51,9 @@ scatter — no dense
 Residual-only calls (line search, continuation ramping) use the
 ``need_jacobian=False`` device fast path.  ``jacobian_operator`` exposes the
 same Jacobian *matrix-free* as ``v -> (D kron I)(C_blk v) + G_blk v`` for the
-Krylov solver, with ``build_preconditioner`` providing the grid-averaged
-block-circulant preconditioners in the spirit of Telichevesky/Kundert/White
-(DAC 1995).
+Krylov solver, with ``build_preconditioner`` providing the slow-axis
+averaged block-circulant preconditioner in the spirit of
+Telichevesky/Kundert/White (DAC 1995).
 """
 
 from __future__ import annotations
@@ -67,12 +67,8 @@ import scipy.sparse.linalg as spla
 
 from ..circuits.mna import MNASystem
 from ..linalg.preconditioners import (
-    PRECONDITIONER_KINDS,
     BlockCirculantFastPreconditioner,
     BlockCirculantFastStructure,
-    BlockCirculantPreconditioner,
-    Preconditioner,
-    averaged_dense_blocks,
     circulant_eigenvalues,
     slow_averaged_data,
 )
@@ -232,7 +228,6 @@ class MPDEProblem:
         if not np.all(np.isfinite(source)):
             raise MPDEError("excitation contains non-finite values")
         self._source_grid = source
-        self._axis_eigenvalues: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- sizes -------------------------------------------------------------------
     @property
@@ -353,67 +348,38 @@ class MPDEProblem:
         return spla.LinearOperator((size, size), matvec=matvec, dtype=float)
 
     # -- preconditioning ---------------------------------------------------------
-    def axis_eigenvalues(self) -> tuple[np.ndarray, np.ndarray]:
-        """Circulant eigenvalues of the fast- and slow-axis derivative operators.
+    @cached_property
+    def slow_axis_eigenvalues(self) -> np.ndarray:
+        """Circulant eigenvalues of the slow-axis derivative operator.
 
-        Both 1-D periodic differentiation matrices are circulant on the
-        uniform multi-time grid, so each is diagonalised by the DFT along its
-        axis; the eigenvalue arrays (ordered as :func:`numpy.fft.fft` output)
-        are cached after the first call.
+        The 1-D periodic differentiation matrix is circulant on the uniform
+        multi-time grid, so it is diagonalised by the DFT along the slow
+        axis; the eigenvalues are ordered as :func:`numpy.fft.fft` output
+        (a single zero on a one-axis problem).
         """
-        if self._axis_eigenvalues is None:
-            fast = circulant_eigenvalues(
-                self.grid.axis_matrix("fast", self.options.fast_method)
-            )
-            slow = circulant_eigenvalues(
-                self.grid.axis_matrix("slow", self.options.slow_method)
-            )
-            self._axis_eigenvalues = (fast, slow)
-        return self._axis_eigenvalues
+        return circulant_eigenvalues(self.grid.axis_matrix("slow", self.options.slow_method))
 
     def build_preconditioner(
-        self,
-        kind: str,
-        *,
-        c_data: np.ndarray | None = None,
-        g_data: np.ndarray | None = None,
-    ) -> Preconditioner:
-        """Build a preconditioner of the requested ``kind`` for this problem.
+        self, c_data: np.ndarray, g_data: np.ndarray
+    ) -> BlockCirculantFastPreconditioner:
+        """The matrix-free preconditioner at per-point Jacobian data ``(c_data, g_data)``.
 
-        ``kind`` is ``"block_circulant"`` or ``"block_circulant_fast"`` (see
-        :class:`~repro.utils.options.MPDEOptions`).  The block-circulant mode
-        works from the grid-averaged dense blocks plus the circulant
-        eigenvalues of the two axis operators, the partially-averaged
-        ``block_circulant_fast`` mode from the slow-axis means of the
-        per-point data plus the problem's cached
+        Built from the slow-axis means of the data, the slow-axis circulant
+        eigenvalues and the problem's cached
         :class:`~repro.linalg.preconditioners.BlockCirculantFastStructure`
         (built from the fast-axis differentiation matrix on first use).
         """
-        if kind not in PRECONDITIONER_KINDS:
-            raise MPDEError(
-                f"unknown preconditioner kind {kind!r}; use one of {PRECONDITIONER_KINDS}"
-            )
-        fault_site("preconditioner.build", kind=kind)
-        if c_data is None or g_data is None:
-            raise MPDEError(
-                f"the {kind.replace('_', '-')} preconditioner needs the per-point "
-                "Jacobian data arrays (c_data/g_data)"
-            )
-        lam_fast, lam_slow = self.axis_eigenvalues()
-        dynamic, static = self.mna.dynamic_pattern, self.mna.static_pattern
-        if kind == "block_circulant_fast":
-            n_fast, n_slow = self.grid.n_fast, self.grid.n_slow
-            return BlockCirculantFastPreconditioner(
-                slow_averaged_data(c_data, n_fast, n_slow),
-                slow_averaged_data(g_data, n_fast, n_slow),
-                dynamic,
-                static,
-                fast_operator=None,
-                eigenvalues_slow=lam_slow,
-                structure=self._operators.fast_structure,
-            )
-        c_bar, g_bar = averaged_dense_blocks(dynamic, static, c_data, g_data)
-        return BlockCirculantPreconditioner(c_bar, g_bar, lam_fast, lam_slow)
+        fault_site("preconditioner.build", kind=self.options.preconditioner)
+        n_fast, n_slow = self.grid.n_fast, self.grid.n_slow
+        return BlockCirculantFastPreconditioner(
+            slow_averaged_data(c_data, n_fast, n_slow),
+            slow_averaged_data(g_data, n_fast, n_slow),
+            self.mna.dynamic_pattern,
+            self.mna.static_pattern,
+            fast_operator=None,
+            eigenvalues_slow=self.slow_axis_eigenvalues,
+            structure=self._operators.fast_structure,
+        )
 
     # -- continuation embedding -----------------------------------------------------
     def embedded_source_grid(self, lam: float) -> np.ndarray:

@@ -101,16 +101,15 @@ class MPDEStats:
     linear_tolerance_history: list[float] = field(default_factory=list)
     #: Number of preconditioner builds performed (one per GMRES solve).
     preconditioner_builds: int = 0
-    #: Harmonic systems factored by the partially-averaged
-    #: ``"block_circulant_fast"`` preconditioner across the whole solve (all
-    #: builds summed; one lazy LU per build covers the ``n_slow // 2 + 1``
-    #: distinct harmonics).  Zero for ``"block_circulant"``.
+    #: Harmonic systems factored by the ``"block_circulant_fast"``
+    #: preconditioner across the whole solve (all builds summed; one lazy LU
+    #: per build covers the ``n_slow // 2 + 1`` distinct harmonics).
     preconditioner_harmonic_builds: int = 0
     #: Preconditioner mode used for the GMRES solves ("" for the direct
     #: solver).
     preconditioner_kind: str = ""
     #: True when any preconditioner build degraded to a weaker fallback
-    #: (a singular harmonic block replaced by its pseudo-inverse).
+    #: (singular harmonic systems replaced by their pseudo-inverses).
     preconditioner_degraded: bool = False
     continuation_steps: int = 0
     used_continuation: bool = False
@@ -312,9 +311,9 @@ class _ForcingTerm:
       paper-mixer ``block_circulant_fast`` solve crawled for 60 Newton
       iterations at 2e-3, about one GMRES iteration each);
     * the run may report convergence only after a tight step (without it,
-      the 16x8 switching-mixer ``block_circulant`` solve meets its residual
-      tolerance on a loose step and stops at a relative state error of
-      3.8e-8 against the direct solution).
+      a 16x8 switching-mixer solve under a grid-averaged preconditioner met
+      its residual tolerance on a loose step and stopped at a relative
+      state error of 3.8e-8 against the direct solution).
 
     A direct solve never asks for a tolerance and so always counts as tight.
     A damped run (``NewtonOptions.damping < 1``) uses the forcing terms as
@@ -326,9 +325,8 @@ class _ForcingTerm:
     The constants were chosen on exact GMRES and Newton counts.  For the
     20x15 balanced mixer, ``ETA_MAX`` from 0.1 to 0.9 keeps Newton within
     one iteration of the exact-solve count.  Between 0.5 and 0.8, the
-    36x18 spectral ``block_circulant_fast`` solve meets extra stalls and
-    loses its 1.5x iteration lead over ``block_circulant``; 0.1 to 0.4 keep
-    it at 1.8x to 3x.
+    36x18 spectral ``block_circulant_fast`` solve meets extra GMRES stalls;
+    0.1 to 0.4 avoid them.
     """
 
     GAMMA = 0.9
@@ -546,8 +544,8 @@ class MPDESolver:
       refactored at every iterate (full Newton), and a chord run that
       stalls, or the ``newton_refresh`` rung, switches to full Newton too;
     * ``matrix_free=True`` — GMRES on the matrix-free Jacobian-vector-product
-      operator, preconditioned by ``options.preconditioner``
-      (``"block_circulant_fast"`` or ``"block_circulant"``), built through
+      operator, preconditioned by the slow-axis averaged
+      ``"block_circulant_fast"`` preconditioner, built through
       :meth:`MPDEProblem.build_preconditioner` from fresh Jacobian data for
       every solve.
 
@@ -628,10 +626,7 @@ class MPDESolver:
     # -- linear sub-solves -------------------------------------------------------
     def _build_preconditioner(self, data):
         """Build callback for the :class:`CachedPreconditionedGMRES` manager."""
-        c_data, g_data = data
-        return self.problem.build_preconditioner(
-            self.options.preconditioner, c_data=c_data, g_data=g_data
-        )
+        return self.problem.build_preconditioner(*data)
 
     def _factor_jacobian(self, c_data: np.ndarray, g_data: np.ndarray, stats: MPDEStats):
         """Sparse LU of the Jacobian with per-point data ``(c_data, g_data)``.

@@ -9,7 +9,6 @@ from .krylov import (
 from .newton import NewtonResult, newton_solve, solve_linear_system
 from .preconditioners import (
     BlockCirculantFastPreconditioner,
-    BlockCirculantPreconditioner,
     Preconditioner,
     circulant_eigenvalues,
     slow_averaged_data,
@@ -38,7 +37,6 @@ __all__ = [
     "GMRESReport",
     "gmres_solve",
     "Preconditioner",
-    "BlockCirculantPreconditioner",
     "BlockCirculantFastPreconditioner",
     "circulant_eigenvalues",
     "slow_averaged_data",

@@ -8,8 +8,8 @@ GMRES with an iteration counter and per-solve residual history so benchmarks
 and tests can observe linear-solver effort.  Preconditioners are supplied
 either as plain :class:`scipy.sparse.linalg.LinearOperator` objects or as
 implementations of the :class:`~repro.linalg.preconditioners.Preconditioner`
-protocol (whose ``degraded`` flag — a singular harmonic block replaced by its
-pseudo-inverse — is surfaced on the :class:`GMRESReport`).
+protocol (whose ``degraded`` flag — singular harmonic systems replaced by
+their pseudo-inverses — is surfaced on the :class:`GMRESReport`).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class GMRESReport:
         harness.
     preconditioner_degraded:
         True when the preconditioner reported that a fallback weakened it
-        (a singular harmonic block replaced by its pseudo-inverse), so
+        (singular harmonic systems replaced by their pseudo-inverses), so
         degraded preconditioning is detectable from the solve report instead
         of only from iteration counts.
     stagnated:
@@ -72,7 +72,7 @@ class GMRESReport:
         Filled in by :meth:`CachedPreconditionedGMRES.solve`: the wall time
         of the preconditioner build, the back-substitution time inside its
         applies (a part of the GMRES time) and the harmonic systems its LU
-        factored (zero for ``block_circulant``).
+        factored.
     """
 
     iterations: int
@@ -199,9 +199,9 @@ class CachedPreconditionedGMRES:
     :class:`~repro.linalg.preconditioners.Preconditioner` from whatever
     per-iterate state the front end carries (the MPDE solver passes its
     per-point Jacobian data arrays).  Every :meth:`solve` builds one, from
-    the current data, and uses it for exactly that solve: both
-    block-circulant kinds cost less to rebuild than a stale instance costs
-    in GMRES iterations.  Each solve's build cost is reported on the
+    the current data, and uses it for exactly that solve: the
+    ``block_circulant_fast`` preconditioner costs less to rebuild than a
+    stale instance costs in GMRES iterations.  Each solve's build cost is reported on the
     :class:`GMRESReport` it returns.
     """
 

@@ -5,55 +5,39 @@ The matrix-free Newton mode never assembles the MPDE Jacobian
     J = (D kron I_n) . blockdiag(C_p) + blockdiag(G_p)
 
 so GMRES convergence is entirely determined by the preconditioner.  This
-module collects the available choices behind one small :class:`Preconditioner`
-protocol:
+module provides one, :class:`BlockCirculantFastPreconditioner`, behind the
+small :class:`Preconditioner` protocol the Krylov layer expects.
 
-* :class:`BlockCirculantPreconditioner` — the structure-exploiting choice for
-  the periodic (circulant) differentiation operators.  Replacing every
-  per-point device block by its grid average turns the Jacobian into
+Averaging the per-point device blocks over both grid axes is a poor model
+for strongly LO-switched circuits, where the device operating points (and
+hence the Jacobian blocks) swing hard within one fast (LO) cycle.  The
+preconditioner therefore averages the per-point blocks only along the
+*slow* axis, so the preconditioned operator
 
-      J_avg = D kron C_bar + I_P kron G_bar
+    J_pa = (D1 kron I_ns kron I_n) blkdiag(C_i) + (I_nf kron D2 kron I_n)
+           blkdiag(C_i) + blkdiag(G_i)
 
-  and because every periodic differentiation matrix on a uniform grid is
-  circulant, the multi-dimensional FFT diagonalises ``D`` exactly.  In the
-  Fourier basis ``J_avg`` falls apart into one small complex ``(n, n)`` block
+keeps one block ``(C_i, G_i)`` per fast point ``i``.  Only the slow axis is
+constant-coefficient (circulant), so only the slow axis is FFT-diagonalised;
+per slow harmonic ``k`` that leaves one sparse complex system of size
+``n_fast * n``
 
-      B_{mk} = (lambda1_m + lambda2_k) C_bar + G_bar
+    B_k = (D1 kron I_n) blkdiag(C_i) + mu_k blkdiag(C_i) + blkdiag(G_i)
 
-  per harmonic (mixing product) ``(m, k)`` — the frequency-domain
-  preconditioner classically used for harmonic balance.  Applying the
-  preconditioner is two FFTs plus ``P`` tiny back-substitutions, and it
-  solves the averaged operator *exactly*; a build costs a few matvecs.
-* :class:`BlockCirculantFastPreconditioner` — the *partially-averaged*
-  refinement of the block-circulant mode.  Averaging over both grid axes is a
-  poor model for strongly LO-switched circuits, where the device operating
-  points (and hence the Jacobian blocks) swing hard within one fast (LO)
-  cycle; the averaged-vs-true Jacobian distance, not preconditioner quality,
-  then limits GMRES.  This mode averages the per-point blocks only along the
-  *slow* axis, so the preconditioned operator
+The ``K + 1 = n_slow // 2 + 1`` distinct systems (conjugate symmetry of
+real data supplies the rest) are factored together, as one sparse complex
+LU of ``blkdiag(B_0 .. B_K)``, *lazily* on the first apply; an apply is
+one ``rfft`` along the slow axis, one back-substitution and one
+``irfft``.  The symbolic part — the union pattern of the ``B_k``, the
+scatter maps of the averaged data onto it and the stacked block-diagonal
+index arrays — is a :class:`BlockCirculantFastStructure`, built once per
+problem.  The factorisation effort stays observable through
+:attr:`BlockCirculantFastPreconditioner.harmonic_factorizations` and
+``MPDEStats.preconditioner_harmonic_builds``.  On a one-axis problem
+(``n_slow = 1``) the single ``B_0`` is the collocation Jacobian itself.
 
-      J_pa = (D1 kron I_ns kron I_n) blkdiag(C_i) + (I_nf kron D2 kron I_n)
-             blkdiag(C_i) + blkdiag(G_i)
-
-  keeps one block ``(C_i, G_i)`` per fast point ``i``.  Only the slow axis is
-  still constant-coefficient (circulant), so only the slow axis is
-  FFT-diagonalised; per slow harmonic ``k`` that leaves one sparse complex
-  system of size ``n_fast * n``
-
-      B_k = (D1 kron I_n) blkdiag(C_i) + mu_k blkdiag(C_i) + blkdiag(G_i)
-
-  The ``K + 1 = n_slow // 2 + 1`` distinct systems (conjugate symmetry of
-  real data supplies the rest) are factored together, as one sparse complex
-  LU of ``blkdiag(B_0 .. B_K)``, *lazily* on the first apply; an apply is
-  one ``rfft`` along the slow axis, one back-substitution and one
-  ``irfft``.  The symbolic part — the union pattern of the ``B_k``, the
-  scatter maps of the averaged data onto it and the stacked block-diagonal
-  index arrays — is a :class:`BlockCirculantFastStructure`, built once per
-  problem.  The factorisation effort stays observable through
-  :attr:`BlockCirculantFastPreconditioner.harmonic_factorizations` and
-  ``MPDEStats.preconditioner_harmonic_builds``.
-
-Both kinds are rebuilt from fresh Jacobian data at every Newton iterate.
+The preconditioner is rebuilt from fresh Jacobian data at every Newton
+iterate.
 """
 
 from __future__ import annotations
@@ -66,16 +50,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..utils.logging import get_logger
-from ..utils.options import PRECONDITIONER_KINDS
 from .sparse import ColumnOrder
 
 __all__ = [
-    "PRECONDITIONER_KINDS",
     "Preconditioner",
-    "BlockCirculantPreconditioner",
     "BlockCirculantFastPreconditioner",
     "BlockCirculantFastStructure",
-    "averaged_dense_blocks",
     "circulant_eigenvalues",
     "slow_averaged_data",
 ]
@@ -88,8 +68,8 @@ class Preconditioner(Protocol):
 
     A preconditioner approximates ``A^{-1}`` for the system matrix ``A``:
     :meth:`solve` applies that approximation to a vector.  ``degraded`` is
-    True when a fallback weakened the approximation (a singular harmonic
-    block replaced by its pseudo-inverse), so solvers and tests can detect
+    True when a fallback weakened the approximation (singular harmonic
+    systems replaced by their pseudo-inverses), so solvers and tests can detect
     silently-degraded preconditioning through
     :attr:`~repro.linalg.krylov.GMRESReport.preconditioner_degraded`.
     """
@@ -105,53 +85,6 @@ class Preconditioner(Protocol):
     def as_operator(self) -> spla.LinearOperator:
         """The preconditioner as a SciPy ``LinearOperator`` (for ``gmres``)."""
         ...
-
-
-class _PreconditionerBase:
-    """Shared plumbing: shape bookkeeping and the ``LinearOperator`` view."""
-
-    kind: str = "base"
-    #: Harmonic systems factored, and the back-substitution wall time of
-    #: the applies; only ``block_circulant_fast`` has either.
-    harmonic_factorizations = 0
-    apply_backsub_time_s = 0.0
-
-    def __init__(self, size: int) -> None:
-        self.shape = (int(size), int(size))
-        self.degraded = False
-
-    def solve(self, vector: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def as_operator(self) -> spla.LinearOperator:
-        # The explicit dtype matters: without it LinearOperator probes the
-        # matvec with a full-size zero vector to infer one, i.e. a wasted
-        # preconditioner application per GMRES solve.
-        return spla.LinearOperator(self.shape, matvec=self.solve, dtype=float)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        flag = ", degraded" if self.degraded else ""
-        return f"{type(self).__name__}(size={self.shape[0]}{flag})"
-
-
-def averaged_dense_blocks(
-    dynamic_pattern, static_pattern, c_data: np.ndarray, g_data: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grid-averaged device Jacobians as dense ``(n, n)`` blocks.
-
-    ``(C_bar, G_bar)`` are the per-harmonic building blocks of the
-    block-circulant preconditioner, on the 2-D MPDE grid and the one-axis
-    periodic steady state alike.  The patterns are the
-    circuit's compiled :class:`~repro.linalg.sparse.StampPattern` objects and
-    the data arrays come from ``MNASystem.evaluate_sparse``.
-    """
-    c_bar = dynamic_pattern.csr_from_data(
-        np.asarray(c_data, dtype=float).mean(axis=0)
-    ).toarray()
-    g_bar = static_pattern.csr_from_data(
-        np.asarray(g_data, dtype=float).mean(axis=0)
-    ).toarray()
-    return c_bar, g_bar
 
 
 def slow_averaged_data(
@@ -205,108 +138,6 @@ def circulant_eigenvalues(
                 "differentiation operator?)"
             )
     return np.fft.fft(first_column)
-
-
-class BlockCirculantPreconditioner(_PreconditionerBase):
-    """Per-harmonic (frequency-domain) preconditioner for circulant operators.
-
-    Solves the grid-averaged operator
-
-        J_avg = (D1 oplus D2) kron C_bar + I_P kron G_bar
-
-    *exactly* by FFT-diagonalising the periodic axes: for each harmonic pair
-    ``(m, k)`` the small complex block ``B_mk = (lambda1_m + lambda2_k) C_bar
-    + G_bar`` is inverted once at construction, and every application is two
-    FFTs plus a batched block multiply.
-
-    Parameters
-    ----------
-    c_bar, g_bar:
-        Grid-averaged dynamic / static device Jacobians, dense ``(n, n)``.
-    eigenvalues_fast:
-        Circulant eigenvalues of the fast-axis differentiation matrix
-        (length ``n_fast``), ordered as :func:`numpy.fft.fft` output.
-    eigenvalues_slow:
-        Circulant eigenvalues of the slow-axis operator (length ``n_slow``).
-        Pass the default (a single zero) for one-dimensional collocation
-        problems (single-tone periodic steady state).
-
-    Notes
-    -----
-    Harmonic blocks that are exactly singular (e.g. a singular ``G_bar`` at
-    the DC harmonic) are replaced by their pseudo-inverse; the instance is
-    then flagged ``degraded`` and a warning is logged.
-    """
-
-    kind = "block_circulant"
-
-    def __init__(
-        self,
-        c_bar: np.ndarray,
-        g_bar: np.ndarray,
-        eigenvalues_fast: np.ndarray,
-        eigenvalues_slow: np.ndarray | None = None,
-    ) -> None:
-        c_bar = np.asarray(c_bar, dtype=float)
-        g_bar = np.asarray(g_bar, dtype=float)
-        if c_bar.ndim != 2 or c_bar.shape[0] != c_bar.shape[1]:
-            raise ValueError(f"c_bar must be square, got shape {c_bar.shape}")
-        if g_bar.shape != c_bar.shape:
-            raise ValueError(
-                f"g_bar shape {g_bar.shape} does not match c_bar shape {c_bar.shape}"
-            )
-        lam_fast = np.asarray(eigenvalues_fast, dtype=complex).ravel()
-        lam_slow = (
-            np.zeros(1, dtype=complex)
-            if eigenvalues_slow is None
-            else np.asarray(eigenvalues_slow, dtype=complex).ravel()
-        )
-        if lam_fast.size == 0 or lam_slow.size == 0:
-            raise ValueError("eigenvalue arrays must be non-empty")
-        self.n_unknowns = c_bar.shape[0]
-        self.n_fast = lam_fast.size
-        self.n_slow = lam_slow.size
-        super().__init__(self.n_fast * self.n_slow * self.n_unknowns)
-
-        # One (n, n) complex block per harmonic (m, k).
-        lam = lam_fast[:, None] + lam_slow[None, :]
-        blocks = lam[:, :, None, None] * c_bar[None, None] + g_bar[None, None]
-        try:
-            self._inverse_blocks = np.linalg.inv(blocks)
-        except np.linalg.LinAlgError:
-            self._inverse_blocks = self._invert_with_fallback(blocks)
-
-    @property
-    def n_harmonics(self) -> int:
-        """Number of per-harmonic blocks (``n_fast * n_slow``)."""
-        return self.n_fast * self.n_slow
-
-    def _invert_with_fallback(self, blocks: np.ndarray) -> np.ndarray:
-        """Invert blocks one by one, pseudo-inverting the singular ones."""
-        flat = blocks.reshape(-1, self.n_unknowns, self.n_unknowns)
-        inverses = np.empty_like(flat)
-        singular = 0
-        for index, block in enumerate(flat):
-            try:
-                inverses[index] = np.linalg.inv(block)
-            except np.linalg.LinAlgError:
-                inverses[index] = np.linalg.pinv(block)
-                singular += 1
-        _LOG.warning(
-            "block-circulant preconditioner: %d of %d harmonic blocks are singular; "
-            "using pseudo-inverses (degraded preconditioning)",
-            singular,
-            flat.shape[0],
-        )
-        self.degraded = True
-        return inverses.reshape(blocks.shape)
-
-    def solve(self, vector: np.ndarray) -> np.ndarray:
-        grid = np.asarray(vector).reshape(self.n_fast, self.n_slow, self.n_unknowns)
-        spectrum = np.fft.fft2(grid, axes=(0, 1))
-        solved = np.einsum("fsij,fsj->fsi", self._inverse_blocks, spectrum)
-        result = np.fft.ifft2(solved, axes=(0, 1))
-        return np.ascontiguousarray(result.real).reshape(np.shape(vector))
 
 
 class BlockCirculantFastStructure:
@@ -434,7 +265,7 @@ class BlockCirculantFastStructure:
         )
 
 
-class BlockCirculantFastPreconditioner(_PreconditionerBase):
+class BlockCirculantFastPreconditioner:
     """Slow-axis partially-averaged per-harmonic preconditioner.
 
     Solves the *partially-averaged* operator
@@ -555,7 +386,9 @@ class BlockCirculantFastPreconditioner(_PreconditionerBase):
         self.n_unknowns = structure.n_unknowns
         self.n_fast = structure.n_fast
         self.n_slow = structure.n_slow
-        super().__init__(self.n_fast * self.n_slow * self.n_unknowns)
+        size = self.n_fast * self.n_slow * self.n_unknowns
+        self.shape = (size, size)
+        self.degraded = False
 
         self._data = structure.stacked_data(
             c_bar_fast, g_bar_fast, lam_slow[: structure.n_blocks]
@@ -575,6 +408,17 @@ class BlockCirculantFastPreconditioner(_PreconditionerBase):
     def n_harmonics(self) -> int:
         """Number of slow harmonics (distinct per-harmonic systems)."""
         return self.n_slow
+
+    def as_operator(self) -> spla.LinearOperator:
+        """The preconditioner as a SciPy ``LinearOperator`` (for ``gmres``)."""
+        # The explicit dtype matters: without it LinearOperator probes the
+        # matvec with a full-size zero vector to infer one, i.e. a wasted
+        # preconditioner application per GMRES solve.
+        return spla.LinearOperator(self.shape, matvec=self.solve, dtype=float)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        flag = ", degraded" if self.degraded else ""
+        return f"{type(self).__name__}(size={self.shape[0]}{flag})"
 
     def _factor(self) -> Callable[[np.ndarray], np.ndarray]:
         """Factor ``blkdiag(B_0 .. B_K)`` once; returns its back-substitution.

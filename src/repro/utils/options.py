@@ -30,11 +30,10 @@ __all__ = [
     "PRECONDITIONER_KINDS",
 ]
 
-#: The canonical preconditioner mode names.  Defined here (the bottom of the
-#: import graph) so the option validation, the
-#: :mod:`repro.linalg.preconditioners` factory and the analysis front ends
-#: all share one source of truth.
-PRECONDITIONER_KINDS = ("block_circulant", "block_circulant_fast")
+#: The preconditioner mode names ``MPDEOptions.preconditioner`` accepts:
+#: one, the slow-axis averaged ``"block_circulant_fast"``.  The name stays an
+#: option because solve checkpoints record it in their fingerprint.
+PRECONDITIONER_KINDS = ("block_circulant_fast",)
 
 #: Device-evaluation backends of :class:`~repro.circuits.mna.MNASystem`:
 #: ``"batched"`` routes stamps through the compiled gather/compute/scatter
@@ -228,26 +227,15 @@ class MPDEOptions:
         ``MPDEStats.jacobian_factorizations`` counts the LUs.
     preconditioner:
         Preconditioner of the matrix-free GMRES solves, rebuilt from fresh
-        Jacobian data at every Newton iterate:
-
-        * ``"block_circulant_fast"`` (default) — the *partially-averaged*
-          preconditioner: the device blocks are averaged only along the
-          slow axis, keeping the per-fast-point (LO-phase) variation that
-          carries the physics of strongly switched circuits.  Only the slow
-          axis is FFT-diagonalised, leaving one sparse ``(n_fast * n,
-          n_fast * n)`` complex system per slow harmonic.  The
-          ``n_slow // 2 + 1`` distinct ones (conjugate symmetry supplies the
-          rest) are factored by one block-diagonal LU on the first apply;
-          ``MPDEStats.preconditioner_harmonic_builds`` counts them.  About
-          10x faster than ``"block_circulant"`` on the strongly switched
-          ``multi_lo_receiver`` scenario.
-        * ``"block_circulant"`` — per-harmonic (frequency-domain)
-          preconditioner: the grid-averaged Jacobian is FFT-diagonalised
-          along both periodic axes and one small complex ``(n, n)`` block is
-          inverted per harmonic.  Its builds cost a few matvecs, so it is
-          1.7-3.2x faster in wall time when the fast axis is spectral
-          (``"fourier"``), despite taking about twice the GMRES iterations.
-
+        Jacobian data at every Newton iterate.  The one kind,
+        ``"block_circulant_fast"``, averages the device blocks only along
+        the slow axis, keeping the per-fast-point (LO-phase) variation that
+        carries the physics of strongly switched circuits.  Only the slow
+        axis is FFT-diagonalised, leaving one sparse ``(n_fast * n, n_fast
+        * n)`` complex system per slow harmonic.  The ``n_slow // 2 + 1``
+        distinct ones (conjugate symmetry supplies the rest) are factored by
+        one block-diagonal LU on the first apply;
+        ``MPDEStats.preconditioner_harmonic_builds`` counts them.
         See ``docs/preconditioners.md`` for the measurements.
 
     Every steady-state analysis takes its numerics from one of these:

@@ -62,13 +62,11 @@ class TestArgumentValidation:
         mix = ideal_multiplier_mixer(lo_frequency=1e6, difference_frequency=10e3)
         with pytest.raises(AnalysisError):
             two_tone_harmonic_balance(mix.compile(), mix.scales, n_harmonics_fast=0)
-        with pytest.raises(AnalysisError):
-            two_tone_harmonic_balance(mix.compile(), mix.scales, oversampling=1)
 
     def test_grid_follows_truncation(self):
         mix = ideal_multiplier_mixer(lo_frequency=1e6, difference_frequency=10e3)
         result = two_tone_harmonic_balance(
-            mix.compile(), mix.scales, n_harmonics_fast=2, n_harmonics_slow=4, oversampling=2
+            mix.compile(), mix.scales, n_harmonics_fast=2, n_harmonics_slow=4
         )
         assert result.mpde.grid.n_fast == 2 * (2 * 2 + 1)
         assert result.mpde.grid.n_slow == 2 * (2 * 4 + 1)

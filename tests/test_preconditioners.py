@@ -2,14 +2,13 @@
 
 The matrix-free MPDE/HB Newton mode lives or dies by its preconditioner, so
 this module tests the :mod:`repro.linalg.preconditioners` subsystem the way a
-flow-level verification stage would: algebraic property tests (the FFT
+flow-level verification stage would: algebraic property tests (the slow-FFT
 per-harmonic solve must equal a dense solve of the explicitly assembled
-block-circulant matrix), regression tests for the adaptive refresh policy
-the chord-Newton LU cache uses, and end-to-end convergence assertions on the
-paper's balanced mixer — the headline being that the partially-averaged
-``block_circulant_fast`` mode cuts total GMRES inner iterations by >= 1.5x
-versus ``block_circulant`` on the spectral (``fourier``) operators, while
-both reach the same solution as the direct path.
+partially-averaged operator), regression tests for the refresh trend of the
+chord-Newton LU (``_ChordLU``), and end-to-end convergence assertions on the
+paper's balanced mixer — the headline being that the ``block_circulant_fast``
+solve on the spectral (``fourier``) operators stays under its GMRES
+iteration cap and reaches the same solution as the direct path.
 
 The full paper-grid (40 x 30 spectral) check is marked ``slow`` and excluded
 from the default (tier-1) run; run it with ``pytest -m slow``.
@@ -32,7 +31,6 @@ from repro.core.multitone_hb import two_tone_harmonic_balance
 from repro.core.solver import MPDESolver, _ChordLU, solve_mpde
 from repro.linalg.preconditioners import (
     BlockCirculantFastPreconditioner,
-    BlockCirculantPreconditioner,
     Preconditioner,
     circulant_eigenvalues,
     slow_averaged_data,
@@ -46,7 +44,7 @@ from repro.linalg.sparse import (
 )
 from repro.resilience import active_fault_plan
 from repro.rf import balanced_lo_doubling_mixer, unbalanced_switching_mixer
-from repro.utils import MPDEError, MPDEOptions, NewtonOptions
+from repro.utils import MPDEOptions
 
 # The spectral (two-tone HB equivalent) configuration of the paper's balanced
 # mixer.  SMALL is cheap enough to afford a direct-solve reference; MEDIUM
@@ -55,9 +53,9 @@ from repro.utils import MPDEError, MPDEOptions, NewtonOptions
 SMALL_GRID = (20, 10)
 MEDIUM_GRID = (36, 18)
 PAPER_GRID = (40, 30)
-#: Most GMRES iterations the MEDIUM spectral ``block_circulant`` solve may use
-#: in total (123 measured; the same cap as the bench ``--check`` gate).
-MAX_MEDIUM_BLOCK_CIRCULANT_GMRES_ITERATIONS = 250
+#: Most GMRES iterations the MEDIUM spectral ``block_circulant_fast`` solve
+#: may use in total (59 measured; the same cap as the bench ``--check`` gate).
+MAX_MEDIUM_GMRES_ITERATIONS = 120
 
 
 def _spectral_options(grid: tuple[int, int], **overrides) -> MPDEOptions:
@@ -83,7 +81,7 @@ def balanced_mixer():
 
 @pytest.fixture(scope="module")
 def spectral_small(balanced_mixer, polished_reference):
-    """Direct and matrix-free block-circulant solves at the SMALL grid.
+    """Direct and matrix-free solves at the SMALL grid.
 
     The accuracy *reference* is the direct solve polished by full Newton
     steps (the ``polished_reference`` fixture): the chord solve satisfies
@@ -93,113 +91,34 @@ def spectral_small(balanced_mixer, polished_reference):
     """
     mixer, mna = balanced_mixer
     direct = solve_mpde(mna, mixer.scales, _spectral_options(SMALL_GRID))
-    block = solve_mpde(
-        mna,
-        mixer.scales,
-        _spectral_options(
-            SMALL_GRID, matrix_free=True, preconditioner="block_circulant"
-        ),
+    matrix_free = solve_mpde(
+        mna, mixer.scales, _spectral_options(SMALL_GRID, matrix_free=True)
     )
     return {
         "direct": direct,
         "reference": polished_reference(direct),
-        "block_circulant": block,
+        "matrix_free": matrix_free,
     }
 
 
 @pytest.fixture(scope="module")
 def spectral_medium(balanced_mixer):
-    """Matrix-free solves at the MEDIUM grid, one per preconditioner mode."""
+    """The matrix-free ``block_circulant_fast`` solve at the MEDIUM grid."""
     mixer, mna = balanced_mixer
-    results = {}
-    for mode in ("block_circulant", "block_circulant_fast"):
-        results[mode] = solve_mpde(
-            mna,
-            mixer.scales,
-            _spectral_options(MEDIUM_GRID, matrix_free=True, preconditioner=mode),
-        )
-    return results
+    return solve_mpde(
+        mna,
+        mixer.scales,
+        _spectral_options(
+            MEDIUM_GRID, matrix_free=True, preconditioner="block_circulant_fast"
+        ),
+    )
 
 
 # -- satellite: algebraic property tests ---------------------------------------------
 
 
-class TestBlockCirculantProperty:
-    """The FFT per-harmonic apply must equal a dense solve of the explicit matrix."""
-
-    @pytest.mark.parametrize(
-        "n_fast, n_slow",
-        [(8, 5), (9, 5), (8, 4), (9, 4)],
-        ids=["even-odd", "odd-odd", "even-even", "odd-even"],
-    )
-    @pytest.mark.parametrize("fast_rule", ["fourier", "bdf2"])
-    def test_apply_matches_dense_solve(self, rng, n_fast, n_slow, fast_rule):
-        n = 3
-        maker = (
-            periodic_fourier_differentiation
-            if fast_rule == "fourier"
-            else periodic_bdf2_difference
-        )
-        d_fast = np.asarray(sp.csr_matrix(maker(n_fast, 2.0e-6)).todense())
-        d_slow = np.asarray(sp.csr_matrix(maker(n_slow, 3.0e-5)).todense())
-        c_bar = rng.normal(size=(n, n)) * 1e-6
-        g_bar = rng.normal(size=(n, n)) + 4.0 * np.eye(n)
-
-        precond = BlockCirculantPreconditioner(
-            c_bar,
-            g_bar,
-            circulant_eigenvalues(d_fast),
-            circulant_eigenvalues(d_slow),
-        )
-        assert not precond.degraded
-        assert precond.n_harmonics == n_fast * n_slow
-
-        derivative = np.kron(d_fast, np.eye(n_slow)) + np.kron(np.eye(n_fast), d_slow)
-        explicit = np.kron(derivative, c_bar) + np.kron(np.eye(n_fast * n_slow), g_bar)
-        vector = rng.normal(size=n_fast * n_slow * n)
-        np.testing.assert_allclose(
-            precond.solve(vector),
-            np.linalg.solve(explicit, vector),
-            rtol=1e-9,
-            atol=1e-12 * np.abs(vector).max(),
-        )
-
-    @pytest.mark.parametrize("n_fast", [8, 9], ids=["even", "odd"])
-    def test_apply_matches_per_harmonic_complex_blocks(self, rng, n_fast):
-        """Harmonic-by-harmonic: each complex ``(n, n)`` block solves its own bin."""
-        n, n_slow = 2, 5
-        d_fast = np.asarray(
-            sp.csr_matrix(periodic_fourier_differentiation(n_fast, 1.0)).todense()
-        )
-        d_slow = np.asarray(sp.csr_matrix(periodic_bdf2_difference(n_slow, 7.0)).todense())
-        lam_fast = circulant_eigenvalues(d_fast)
-        lam_slow = circulant_eigenvalues(d_slow)
-        c_bar = rng.normal(size=(n, n))
-        g_bar = rng.normal(size=(n, n)) + 3.0 * np.eye(n)
-        precond = BlockCirculantPreconditioner(c_bar, g_bar, lam_fast, lam_slow)
-
-        vector = rng.normal(size=n_fast * n_slow * n)
-        spectrum = np.fft.fft2(vector.reshape(n_fast, n_slow, n), axes=(0, 1))
-        solved = np.empty_like(spectrum)
-        for m in range(n_fast):
-            for k in range(n_slow):
-                block = (lam_fast[m] + lam_slow[k]) * c_bar + g_bar
-                solved[m, k] = np.linalg.solve(block, spectrum[m, k])
-        expected = np.fft.ifft2(solved, axes=(0, 1)).real.ravel()
-        np.testing.assert_allclose(precond.solve(vector), expected, rtol=1e-10)
-
-    def test_one_dimensional_collocation_case(self, rng):
-        """Default slow axis (a single zero eigenvalue) covers 1-D collocation."""
-        n, n_samples = 3, 9
-        d = np.asarray(sp.csr_matrix(periodic_bdf2_difference(n_samples, 1e-3)).todense())
-        c_bar = rng.normal(size=(n, n)) * 1e-7
-        g_bar = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
-        precond = BlockCirculantPreconditioner(c_bar, g_bar, circulant_eigenvalues(d))
-        explicit = np.kron(d, c_bar) + np.kron(np.eye(n_samples), g_bar)
-        vector = rng.normal(size=n_samples * n)
-        np.testing.assert_allclose(
-            precond.solve(vector), np.linalg.solve(explicit, vector), rtol=1e-9
-        )
+class TestCirculantEigenvalues:
+    """The slow-axis eigenvalues the preconditioner diagonalises by FFT."""
 
     def test_non_circulant_operator_is_rejected(self, rng):
         matrix = rng.normal(size=(6, 6))
@@ -211,17 +130,6 @@ class TestBlockCirculantProperty:
         computed = np.sort_complex(circulant_eigenvalues(d))
         reference = np.sort_complex(np.linalg.eigvals(d.toarray()))
         np.testing.assert_allclose(computed, reference, rtol=1e-9, atol=1e-9)
-
-    def test_singular_harmonic_block_degrades_to_pseudoinverse(self, caplog):
-        # C = I, G = 0: the DC (lambda = 0) harmonic block is exactly singular.
-        d = periodic_fourier_differentiation(6, 1.0)
-        with caplog.at_level(logging.WARNING, logger="repro.linalg.preconditioners"):
-            precond = BlockCirculantPreconditioner(
-                np.eye(2), np.zeros((2, 2)), circulant_eigenvalues(d)
-            )
-        assert precond.degraded
-        assert any("singular" in record.message for record in caplog.records)
-        assert np.all(np.isfinite(precond.solve(np.ones(12))))
 
 
 def _random_pattern(rng, n: int, density: float = 0.7) -> StampPattern:
@@ -346,9 +254,7 @@ class TestBlockCirculantFastProperty:
         problem = MPDEProblem(mna, scaled_switching_mixer.scales, options)
         x = rng.normal(scale=0.2, size=problem.n_total_unknowns)
         evaluation = mna.evaluate_sparse(problem.reshape_states(x))
-        precond = problem.build_preconditioner(
-            "block_circulant_fast", c_data=evaluation.c_data, g_data=evaluation.g_data
-        )
+        precond = problem.build_preconditioner(evaluation.c_data, evaluation.g_data)
         distinct = options.n_slow // 2 + 1
         assert precond.harmonic_factorizations == 0
         vector = rng.normal(size=problem.n_total_unknowns)
@@ -514,7 +420,7 @@ class TestBlockCirculantFastProperty:
         only records the order."""
         mixer, mna = balanced_mixer
         problem = MPDEProblem(mna, mixer.scales, MPDEOptions(n_fast=20, n_slow=15))
-        lam_slow = problem.axis_eigenvalues()[1]
+        lam_slow = problem.slow_axis_eigenvalues
         layouts = []
         layout = ColumnOrder.layout
         monkeypatch.setattr(
@@ -523,9 +429,7 @@ class TestBlockCirculantFastProperty:
         for build, scale in enumerate((0.3, 0.5, 0.2)):
             x = rng.normal(scale=scale, size=problem.n_total_unknowns)
             c_data, g_data = problem.jacobian_values(x)
-            precond = problem.build_preconditioner(
-                "block_circulant_fast", c_data=c_data, g_data=g_data
-            )
+            precond = problem.build_preconditioner(c_data, g_data)
             structure = precond.structure
             plain = spla.splu(
                 structure.matrix(
@@ -578,9 +482,8 @@ class TestBlockCirculantFastProperty:
         assert len(structures) >= 2
         assert all(structure is structures[0] for structure in structures)
         assert problem.build_preconditioner(
-            "block_circulant_fast",
-            c_data=np.zeros((problem.n_grid_points, mna.dynamic_pattern.nnz)),
-            g_data=np.zeros((problem.n_grid_points, mna.static_pattern.nnz)),
+            np.zeros((problem.n_grid_points, mna.dynamic_pattern.nnz)),
+            np.zeros((problem.n_grid_points, mna.static_pattern.nnz)),
         ).structure is structures[0]
 
         alive = weakref.ref(structures[0])
@@ -637,10 +540,10 @@ class TestBlockCirculantFastProperty:
             slow_averaged_data(data, 3, 2)
 
 
-# -- satellite: adaptive refresh policy ----------------------------------------------
+# -- satellite: the chord LU's refresh trend ------------------------------------------
 
 
-class TestAdaptiveRefreshPolicy:
+class TestChordRefreshTrend:
     def test_trend_thresholds(self):
         chord = _ChordLU()
         assert chord.needs_refresh()  # no factorisation yet
@@ -674,78 +577,49 @@ class TestAdaptiveRefreshPolicy:
 
 
 class TestSpectralConvergence:
-    def test_block_circulant_matches_direct_solution(self, spectral_small):
+    def test_matrix_free_matches_direct_solution(self, spectral_small):
         direct = spectral_small["direct"]
-        block = spectral_small["block_circulant"]
-        assert direct.stats.converged and block.stats.converged
-        assert _relative_state_error(block.states, spectral_small["reference"]) < 1e-8
-
-    def test_block_circulant_gmres_iteration_cap(self, spectral_medium):
-        block = spectral_medium["block_circulant"].stats
-        assert block.converged
-        assert 0 < block.linear_iterations <= MAX_MEDIUM_BLOCK_CIRCULANT_GMRES_ITERATIONS, (
-            "the spectral block-circulant solve should need at most "
-            f"{MAX_MEDIUM_BLOCK_CIRCULANT_GMRES_ITERATIONS} GMRES iterations in total, "
-            f"got {block.linear_iterations}"
-        )
-
-    def test_block_circulant_is_rebuilt_fresh_each_newton_iterate(self, spectral_medium):
-        stats = spectral_medium["block_circulant"].stats
-        assert stats.preconditioner_kind == "block_circulant"
-        # Preconditioners are never cached: one build per solve.
-        assert stats.preconditioner_builds == stats.linear_solves
-
-    def test_block_circulant_fast_cuts_iterations_1_5x_further(self, spectral_medium):
-        """The PR-4 acceptance floor: slow-axis partial averaging must cut
-        total GMRES inner iterations by >= 1.5x versus the fully-averaged
-        block-circulant mode on the LO-switched balanced mixer."""
-        block = spectral_medium["block_circulant"].stats
-        fast = spectral_medium["block_circulant_fast"].stats
-        assert block.converged and fast.converged
-        assert fast.linear_iterations > 0
-        ratio = block.linear_iterations / fast.linear_iterations
-        assert ratio >= 1.5, (
-            "partially-averaged (block_circulant_fast) preconditioning should "
-            "cut total GMRES inner iterations by >= 1.5x vs the fully-averaged "
-            f"block-circulant mode, got {ratio:.2f}x "
-            f"({block.linear_iterations} vs {fast.linear_iterations})"
-        )
+        matrix_free = spectral_small["matrix_free"]
+        assert direct.stats.converged and matrix_free.stats.converged
+        assert matrix_free.stats.preconditioner_kind == "block_circulant_fast"
         assert (
-            _relative_state_error(
-                spectral_medium["block_circulant_fast"].states,
-                spectral_medium["block_circulant"].states,
-            )
-            < 1e-8
+            _relative_state_error(matrix_free.states, spectral_small["reference"]) < 1e-8
+        )
+
+    def test_block_circulant_fast_gmres_iteration_cap(self, spectral_medium):
+        stats = spectral_medium.stats
+        assert stats.converged
+        assert 0 < stats.linear_iterations <= MAX_MEDIUM_GMRES_ITERATIONS, (
+            "the spectral block_circulant_fast solve should need at most "
+            f"{MAX_MEDIUM_GMRES_ITERATIONS} GMRES iterations in total, "
+            f"got {stats.linear_iterations}"
         )
 
     def test_block_circulant_fast_stats_and_rebuild_discipline(self, spectral_medium):
         """Fresh rebuild each iterate; lazy factorisation counts surfaced."""
-        stats = spectral_medium["block_circulant_fast"].stats
+        stats = spectral_medium.stats
         assert stats.preconditioner_kind == "block_circulant_fast"
         # A stale partially-averaged factorisation costs far more iterations
-        # than its rebuild saves (see the class docstring), so the mode is
-        # rebuilt fresh at every Newton iterate like "block_circulant".
+        # than its rebuild saves (see the class docstring), so it is rebuilt
+        # fresh at every Newton iterate: one build per solve.
         assert stats.preconditioner_builds == stats.linear_solves
         # Each build lazily factors exactly n_slow // 2 + 1 harmonic systems
         # (conjugate symmetry supplies the mirrored half).
         per_build = MEDIUM_GRID[1] // 2 + 1
         assert stats.preconditioner_harmonic_builds == stats.preconditioner_builds * per_build
-        # The fully-averaged mode reports zero harmonic factorisations.
-        assert spectral_medium["block_circulant"].stats.preconditioner_harmonic_builds == 0
 
-    def test_all_modes_reach_the_direct_solution(self):
+    def test_matrix_free_reaches_the_direct_solution(self):
         mixer = unbalanced_switching_mixer(lo_frequency=2e6, difference_frequency=50e3)
         mna = mixer.compile()
         base = dict(n_fast=16, n_slow=8, fast_method="bdf2", slow_method="bdf2")
         direct = solve_mpde(mna, mixer.scales, MPDEOptions(**base))
-        for mode in ("block_circulant", "block_circulant_fast"):
-            result = solve_mpde(
-                mna,
-                mixer.scales,
-                MPDEOptions(**base, matrix_free=True, preconditioner=mode),
-            )
-            assert result.stats.converged, mode
-            assert _relative_state_error(result.states, direct.states) < 1e-8, mode
+        result = solve_mpde(
+            mna,
+            mixer.scales,
+            MPDEOptions(**base, matrix_free=True, preconditioner="block_circulant_fast"),
+        )
+        assert result.stats.converged
+        assert _relative_state_error(result.states, direct.states) < 1e-8
 
     @pytest.mark.slow
     def test_paper_grid_acceptance(self, balanced_mixer, polished_reference):
@@ -755,13 +629,6 @@ class TestSpectralConvergence:
         reference = polished_reference(
             solve_mpde(mna, mixer.scales, _spectral_options(PAPER_GRID))
         )
-        block = solve_mpde(
-            mna,
-            mixer.scales,
-            _spectral_options(
-                PAPER_GRID, matrix_free=True, preconditioner="block_circulant"
-            ),
-        )
         fast = solve_mpde(
             mna,
             mixer.scales,
@@ -769,36 +636,14 @@ class TestSpectralConvergence:
                 PAPER_GRID, matrix_free=True, preconditioner="block_circulant_fast"
             ),
         )
-        assert _relative_state_error(block.states, reference) < 1e-8
+        assert fast.stats.converged
         assert _relative_state_error(fast.states, reference) < 1e-8
-        fast_ratio = block.stats.linear_iterations / fast.stats.linear_iterations
-        assert fast_ratio >= 1.5, (
-            f"paper-grid partially-averaged iteration cut regressed: {fast_ratio:.2f}x"
-        )
 
 
 # -- wiring: HB and 1-D collocation front ends --------------------------------------
 
 
 class TestAnalysisWiring:
-    def test_two_tone_hb_with_block_circulant(self, scaled_ideal_mixer):
-        mna = scaled_ideal_mixer.compile()
-        reference = two_tone_harmonic_balance(
-            mna, scaled_ideal_mixer.scales, n_harmonics_fast=2, n_harmonics_slow=2
-        )
-        matrix_free = two_tone_harmonic_balance(
-            mna,
-            scaled_ideal_mixer.scales,
-            n_harmonics_fast=2,
-            n_harmonics_slow=2,
-            options=MPDEOptions(matrix_free=True, preconditioner="block_circulant"),
-        )
-        assert matrix_free.stats.preconditioner_kind == "block_circulant"
-        assert matrix_free.stats.linear_iterations > 0
-        ref = reference.mixing_product("out", 0, 1)
-        got = matrix_free.mixing_product("out", 0, 1)
-        np.testing.assert_allclose(got, ref, rtol=1e-6, atol=1e-12)
-
     def test_two_tone_hb_with_block_circulant_fast(self, scaled_ideal_mixer):
         mna = scaled_ideal_mixer.compile()
         reference = two_tone_harmonic_balance(
@@ -825,30 +670,21 @@ class TestAnalysisWiring:
         mna = diode_rectifier.compile()
         period = 1e-3
         direct = collocation_periodic_steady_state(mna, period, 32, method="bdf2")
-        for mode in ("block_circulant", "block_circulant_fast"):
-            # ``block_circulant`` is only approximate on one axis: this run
-            # needs 96 Newton steps, past the default budget of 80.
-            krylov = collocation_periodic_steady_state(
-                mna,
-                period,
-                32,
-                method="bdf2",
-                options=MPDEOptions(
-                    matrix_free=True,
-                    preconditioner=mode,
-                    newton=NewtonOptions(max_iterations=100),
-                ),
-            )
-            # A run rescued by the ladder (which may fall back to the direct
-            # LU) would not test the preconditioned GMRES path; only injected
-            # faults may send it there.
-            if active_fault_plan() is None:
-                assert krylov.stats.recovered_by == "", mode
-            assert krylov.stats.preconditioner_kind == mode
-            assert krylov.linear_iterations > 0, mode
-            np.testing.assert_allclose(
-                krylov.states, direct.states, rtol=1e-6, atol=1e-9
-            )
+        krylov = collocation_periodic_steady_state(
+            mna,
+            period,
+            32,
+            method="bdf2",
+            options=MPDEOptions(matrix_free=True, preconditioner="block_circulant_fast"),
+        )
+        # A run rescued by the ladder (which may fall back to the direct LU)
+        # would not test the preconditioned GMRES path; only injected faults
+        # may send it there.
+        if active_fault_plan() is None:
+            assert krylov.stats.recovered_by == ""
+        assert krylov.stats.preconditioner_kind == "block_circulant_fast"
+        assert krylov.linear_iterations > 0
+        np.testing.assert_allclose(krylov.states, direct.states, rtol=1e-6, atol=1e-9)
         assert direct.linear_iterations == 0
 
     def test_collocation_pss_rejects_unknown_preconditioner(self, diode_rectifier):
@@ -863,44 +699,24 @@ class TestAnalysisWiring:
 
 
 class TestPreconditionerProtocol:
-    def test_implementations_satisfy_protocol(self, rng):
+    def test_implementation_satisfies_protocol(self, rng):
         pattern = _random_pattern(rng, 1)
         data = rng.normal(size=(4, pattern.nnz)) + 4.0
-        instances = [
-            BlockCirculantPreconditioner(
-                np.zeros((2, 2)), np.eye(2), np.zeros(2, dtype=complex)
-            ),
-            BlockCirculantFastPreconditioner(
-                data, data, pattern, pattern, periodic_bdf2_difference(4, 1.0)
-            ),
-        ]
-        for instance in instances:
-            assert isinstance(instance, Preconditioner)
-            assert instance.shape == (4, 4)
-            operator = instance.as_operator()
-            vector = np.arange(4.0)
-            np.testing.assert_allclose(operator.matvec(vector), instance.solve(vector))
+        instance = BlockCirculantFastPreconditioner(
+            data, data, pattern, pattern, periodic_bdf2_difference(4, 1.0)
+        )
+        assert isinstance(instance, Preconditioner)
+        assert instance.shape == (4, 4)
+        operator = instance.as_operator()
+        vector = np.arange(4.0)
+        np.testing.assert_allclose(operator.matvec(vector), instance.solve(vector))
 
-    def test_factory_builds_every_kind(self, balanced_mixer, rng):
+    def test_factory_builds_the_preconditioner(self, balanced_mixer):
         mixer, mna = balanced_mixer
         problem = MPDEProblem(mna, mixer.scales, _spectral_options(SMALL_GRID))
         x = problem.initial_guess_zero()
         _, c_data, g_data = problem.residual_and_values(x)
-        for kind, expected in [
-            ("block_circulant", BlockCirculantPreconditioner),
-            ("block_circulant_fast", BlockCirculantFastPreconditioner),
-        ]:
-            built = problem.build_preconditioner(kind, c_data=c_data, g_data=g_data)
-            assert isinstance(built, expected)
-            assert built.shape == (problem.n_total_unknowns,) * 2
-
-    def test_factory_rejects_unknown_kind_and_missing_data(self, balanced_mixer):
-        mixer, mna = balanced_mixer
-        problem = MPDEProblem(mna, mixer.scales, _spectral_options(SMALL_GRID))
-        for kind in ("cholesky", "ilu"):
-            with pytest.raises(MPDEError, match="unknown preconditioner"):
-                problem.build_preconditioner(kind)
-        with pytest.raises(MPDEError, match="block-circulant"):
-            problem.build_preconditioner("block_circulant")
-        with pytest.raises(MPDEError, match="block-circulant-fast"):
-            problem.build_preconditioner("block_circulant_fast")
+        built = problem.build_preconditioner(c_data, g_data)
+        assert isinstance(built, BlockCirculantFastPreconditioner)
+        assert built.kind == "block_circulant_fast"
+        assert built.shape == (problem.n_total_unknowns,) * 2

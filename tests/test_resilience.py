@@ -552,7 +552,7 @@ def _steady_state_front_end(front_end: str):
             lambda deadline_s: two_tone_harmonic_balance(
                 mna, scales, n_harmonics_fast=1, n_harmonics_slow=1, deadline_s=deadline_s
             ),
-            # Default oversampling 2 times 2 * 1 + 1 harmonics on each axis.
+            # OVERSAMPLING (2) times 2 * 1 + 1 harmonics on each axis.
             (2 * 3) * (2 * 3),
         )
     if front_end == "collocation_periodic_steady_state":

@@ -53,8 +53,7 @@ _SOLVE = MPDEOptions()
 _RETRY = JobRetryPolicy(max_retries=6, backoff_base_s=0.001, backoff_cap_s=0.01)
 
 #: Matrix-free with the partially-averaged preconditioner: rebuilt from each
-#: iterate (as is the fully-averaged one), so a checkpoint resume replays the
-#: trajectory bitwise.
+#: iterate, so a checkpoint resume replays the trajectory bitwise.
 _MATRIX_FREE = replace(_SOLVE, matrix_free=True, preconditioner="block_circulant_fast")
 
 _NL = 3e-3
@@ -98,7 +97,7 @@ def _requests():
         SweepRequest(
             scenario=RC_SCENARIO,
             overrides={"r": 2.1e3, "nl": _NL},
-            solve_options=replace(_SOLVE, matrix_free=True, preconditioner="block_circulant"),
+            solve_options=_MATRIX_FREE,
             retry=_RETRY,
             label="matrix-free",
         ),

@@ -123,6 +123,7 @@ class TestMPDEOptions:
             {"fast_method": "rk4"},
             {"slow_method": "nope"},
             {"preconditioner": "ilu"},
+            {"preconditioner": "block_circulant"},
             {"initial_guess": "random"},
         ],
     )
