@@ -128,9 +128,10 @@ class TestHarmonicBalance:
         with pytest.raises(AnalysisError):
             harmonic_balance(mna, 0.0)
 
-    def test_invalid_truncation_raises(self, rc_lowpass):
+    @pytest.mark.parametrize("kwargs", [{"harmonics": 0}, {"harmonics": -2}])
+    def test_invalid_truncation_raises(self, rc_lowpass, kwargs):
         with pytest.raises(AnalysisError):
-            harmonic_balance(rc_lowpass.compile(), 1e3, harmonics=0)
+            harmonic_balance(rc_lowpass.compile(), 1e3, **kwargs)
 
     def test_harmonics_accessor_bounds(self, rc_lowpass):
         mna = rc_lowpass.compile()

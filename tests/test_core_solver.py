@@ -380,6 +380,12 @@ class TestInexactNewton:
                 "preconditioner": "block_circulant_fast",
                 "fast_method": "fourier",
             },
+            # A spectral slow axis: complex slow eigenvalues off the BDF2 circle.
+            {
+                "matrix_free": True,
+                "preconditioner": "block_circulant_fast",
+                "slow_method": "fourier",
+            },
         ],
     )
     def test_gmres_tolerances_are_loose_then_end_tight(self, mixer, kwargs):

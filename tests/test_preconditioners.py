@@ -31,6 +31,7 @@ from repro.core.multitone_hb import two_tone_harmonic_balance
 from repro.core.solver import MPDESolver, _ChordLU, solve_mpde
 from repro.linalg.preconditioners import (
     BlockCirculantFastPreconditioner,
+    BlockCirculantFastStructure,
     Preconditioner,
     circulant_eigenvalues,
     slow_averaged_data,
@@ -40,6 +41,7 @@ from repro.linalg.sparse import (
     StampPattern,
     periodic_backward_difference,
     periodic_bdf2_difference,
+    periodic_central_difference,
     periodic_fourier_differentiation,
 )
 from repro.resilience import active_fault_plan
@@ -132,6 +134,19 @@ class TestCirculantEigenvalues:
         np.testing.assert_allclose(computed, reference, rtol=1e-9, atol=1e-9)
 
 
+#: The periodic differentiation rules a grid axis can use.
+DIFFERENTIATION_RULES = {
+    "fourier": periodic_fourier_differentiation,
+    "bdf2": periodic_bdf2_difference,
+    "backward": periodic_backward_difference,
+    "central": periodic_central_difference,
+}
+
+
+def _dense_operator(rule: str, n: int, period: float) -> np.ndarray:
+    return np.asarray(sp.csr_matrix(DIFFERENTIATION_RULES[rule](n, period)).todense())
+
+
 def _random_pattern(rng, n: int, density: float = 0.7) -> StampPattern:
     """A random stamp pattern that always includes the full diagonal."""
     mask = rng.uniform(size=(n, n)) < density
@@ -169,18 +184,11 @@ class TestBlockCirculantFastProperty:
         [(8, 6), (8, 5), (7, 6), (7, 5)],
         ids=["even-even", "even-odd", "odd-even", "odd-odd"],
     )
-    @pytest.mark.parametrize("fast_rule", ["fourier", "bdf2"])
+    @pytest.mark.parametrize("fast_rule", ["fourier", "bdf2", "backward", "central"])
     def test_apply_matches_dense_solve(self, rng, n_fast, n_slow, fast_rule):
         n = 3
-        maker = (
-            periodic_fourier_differentiation
-            if fast_rule == "fourier"
-            else periodic_bdf2_difference
-        )
-        d_fast = np.asarray(sp.csr_matrix(maker(n_fast, 2.0e-6)).todense())
-        d_slow = np.asarray(
-            sp.csr_matrix(periodic_bdf2_difference(n_slow, 3.0e-5)).todense()
-        )
+        d_fast = _dense_operator(fast_rule, n_fast, 2.0e-6)
+        d_slow = _dense_operator("bdf2", n_slow, 3.0e-5)
         dynamic_pattern = _random_pattern(rng, n)
         static_pattern = _random_pattern(rng, n)
         c_data = rng.normal(size=(n_fast * n_slow, dynamic_pattern.nnz)) * 1e-6
@@ -214,10 +222,44 @@ class TestBlockCirculantFastProperty:
             atol=1e-12 * np.abs(vector).max(),
         )
 
-    def test_lazy_conjugate_symmetric_factorization_count(self, rng):
+    @pytest.mark.parametrize("n_slow", [8, 7], ids=["even", "odd"])
+    def test_apply_matches_per_harmonic_complex_blocks(self, rng, n_slow):
+        """Slow harmonic ``k`` of the result solves ``B_k``, for every ``k``:
+        the mirrored harmonics ``k > n_slow // 2``, which the apply never
+        factors, included."""
+        n, n_fast = 2, 5
+        d_fast = _dense_operator("fourier", n_fast, 1.0)
+        lam_slow = circulant_eigenvalues(periodic_fourier_differentiation(n_slow, 4.0))
+        pattern = _random_pattern(rng, n, density=1.0)
+        c_bar = rng.normal(size=(n_fast, pattern.nnz)) * 1e-2
+        g_bar = rng.normal(size=(n_fast, pattern.nnz))
+        g_bar[:, np.nonzero(pattern.rows == pattern.cols)[0]] += 4.0
+        precond = BlockCirculantFastPreconditioner(
+            c_bar, g_bar, pattern, pattern, d_fast, lam_slow
+        )
+        vector = rng.normal(size=n_fast * n_slow * n)
+        result = precond.solve(vector)
+
+        c_blk = sp.block_diag([pattern.csr_from_data(row) for row in c_bar]).toarray()
+        g_blk = sp.block_diag([pattern.csr_from_data(row) for row in g_bar]).toarray()
+        spectrum = np.fft.fft(vector.reshape(n_fast, n_slow, n), axis=1)
+        solved = np.fft.fft(result.reshape(n_fast, n_slow, n), axis=1)
+        for k in range(n_slow):
+            block = (
+                np.kron(d_fast, np.eye(n)) + lam_slow[k] * np.eye(n_fast * n)
+            ) @ c_blk + g_blk
+            np.testing.assert_allclose(
+                solved[:, k, :].ravel(),
+                np.linalg.solve(block, spectrum[:, k, :].ravel()),
+                rtol=1e-9,
+                atol=1e-12 * np.abs(spectrum).max(),
+            )
+
+    @pytest.mark.parametrize("n_slow", [8, 7], ids=["even", "odd"])
+    def test_lazy_conjugate_symmetric_factorization_count(self, rng, n_slow):
         """Only ``n_slow // 2 + 1`` harmonic systems are ever factored for
         real vectors, lazily."""
-        n, n_fast, n_slow = 2, 6, 8
+        n, n_fast = 2, 6
         d_fast = np.asarray(
             sp.csr_matrix(periodic_bdf2_difference(n_fast, 1.0)).todense()
         )
@@ -264,11 +306,12 @@ class TestBlockCirculantFastProperty:
         precond.solve(rng.normal(size=problem.n_total_unknowns))
         assert precond.harmonic_factorizations == distinct
 
-    def test_one_dimensional_case_is_the_exact_jacobian(self, rng):
+    @pytest.mark.parametrize("rule", ["bdf2", "backward", "fourier"])
+    def test_one_dimensional_case_is_the_exact_jacobian(self, rng, rule):
         """With ``n_slow = 1`` the averaging is a no-op and the single
         per-harmonic system equals the unaveraged collocation Jacobian."""
         n, n_samples = 3, 9
-        d = np.asarray(sp.csr_matrix(periodic_bdf2_difference(n_samples, 1e-3)).todense())
+        d = _dense_operator(rule, n_samples, 1e-3)
         pattern = _random_pattern(rng, n)
         c_data = rng.normal(size=(n_samples, pattern.nnz)) * 1e-7
         g_data = rng.normal(size=(n_samples, pattern.nnz))
@@ -538,6 +581,40 @@ class TestBlockCirculantFastProperty:
             )
         with pytest.raises(ValueError, match="shape"):
             slow_averaged_data(data, 3, 2)
+
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("one-dimensional data", "2-D"),
+            ("empty eigenvalues", "non-empty"),
+            ("non-square fast operator", "square"),
+            ("foreign structure", "structure built for n_slow"),
+            ("no slow points", "n_slow must be positive"),
+        ],
+    )
+    def test_invalid_inputs_are_rejected(self, rng, case, match):
+        pattern = _random_pattern(rng, 2, density=1.0)
+        data = rng.normal(size=(4, pattern.nnz))
+        d_fast = periodic_bdf2_difference(4, 1.0)
+        lam_slow = circulant_eigenvalues(periodic_bdf2_difference(6, 1.0))
+        with pytest.raises(ValueError, match=match):
+            if case == "one-dimensional data":
+                BlockCirculantFastPreconditioner(data[0], data[0], pattern, pattern, d_fast)
+            elif case == "empty eigenvalues":
+                BlockCirculantFastPreconditioner(
+                    data, data, pattern, pattern, d_fast, np.zeros(0)
+                )
+            elif case == "non-square fast operator":
+                BlockCirculantFastPreconditioner(
+                    data, data, pattern, pattern, np.ones((4, 3)), lam_slow
+                )
+            elif case == "foreign structure":
+                structure = BlockCirculantFastStructure(pattern, pattern, d_fast, 5)
+                BlockCirculantFastPreconditioner(
+                    data, data, pattern, pattern, None, lam_slow, structure=structure
+                )
+            else:
+                BlockCirculantFastStructure(pattern, pattern, d_fast, 0)
 
 
 # -- satellite: the chord LU's refresh trend ------------------------------------------
