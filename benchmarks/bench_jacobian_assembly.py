@@ -28,7 +28,10 @@ every analysis funnels through, on the paper's balanced mixer at the paper's
    ``splu`` call (one LU of the block-diagonal harmonic systems).  Each
    problem computes its sparse-LU column ordering once: the 20 x 15 chord
    solve and its ``block_circulant_fast`` solve each make exactly one
-   ``splu`` call that is not ``permc_spec="NATURAL"``.
+   ``splu`` call that is not ``permc_spec="NATURAL"``.  GMRES is
+   preconditioned from the right: every GMRES solve of the 20 x 15
+   ``block_circulant_fast`` solve applies the preconditioner exactly
+   once per inner iteration plus once per restart cycle.
 5. **Batched evaluation engine** — full and residual-only ``evaluate_sparse``
    at the paper grid on the batched (gather/compute/scatter) backend versus
    the per-device ``backend="loop"`` reference; the batched engine must be
@@ -61,7 +64,8 @@ together with the host (CPU count and model, Python/numpy/scipy versions).
 paper-grid ``block_circulant_fast`` solve <= 150 GMRES iterations,
 ``block_circulant_fast`` cut >= 5x vs unpreconditioned GMRES, one ``splu``
 call per ``block_circulant_fast`` build, one COLAMD-ordered ``splu`` per
-problem, batched engine >= 2x, service warm-cache throughput >= 2x cold,
+problem, preconditioner applies = GMRES iterations + restart cycles on every
+20 x 15 GMRES solve, batched engine >= 2x, service warm-cache throughput >= 2x cold,
 stencil-built derivative >= 3x) is violated, for CI use.
 """
 
@@ -83,7 +87,8 @@ import scipy.sparse.linalg as spla
 from repro.core import MultiTimeGrid, solve_mpde
 from repro.core.mpde import MPDEProblem
 from repro.core.solver import MPDESolver
-from repro.linalg.krylov import gmres_solve
+from repro.linalg import krylov
+from repro.linalg.preconditioners import BlockCirculantFastPreconditioner
 from repro.rf import balanced_lo_doubling_mixer, unbalanced_switching_mixer
 from repro.utils import MPDEOptions
 
@@ -107,8 +112,9 @@ MIN_UNPRECONDITIONED_ITERATION_RATIO = 5.0
 #: Grids of the balanced mixer whose ``block_circulant_fast`` build and
 #: apply times are recorded per layer.
 FAST_LAYER_GRIDS = ((20, 15), PAPER_GRID)
-#: Grid of the balanced-mixer solves whose column orderings are counted
-#: (the grid of the perfbench MPDE workloads).
+#: Grid of the balanced-mixer solves whose column orderings and
+#: preconditioner applies are counted (the grid of the perfbench MPDE
+#: workloads).
 ORDERING_GRID = (20, 15)
 #: Least speedup of the stencil-built ``combined_derivative`` over the
 #: loop-and-``kron`` construction it replaced.
@@ -446,7 +452,7 @@ def bench_unpreconditioned_gmres() -> dict:
             "block_circulant_fast": problem.build_preconditioner(c_data, g_data),
         }
         for name, preconditioner in preconditioners.items():
-            _dx, report = gmres_solve(
+            _dx, report = krylov.gmres_solve(
                 operator,
                 -residual,
                 preconditioner=preconditioner,
@@ -535,6 +541,71 @@ def bench_lu_orderings(mixer, mna) -> dict:
             "ordering_lu_calls": counting.orderings,
         }
     return record
+
+
+class _CountingGMRES:
+    """Counts, per ``gmres_solve`` call, the ``block_circulant_fast`` applies.
+
+    Wraps the module-level ``gmres_solve`` that
+    :class:`~repro.linalg.krylov.CachedPreconditionedGMRES` calls and the
+    preconditioner's ``solve``; ``solves`` holds one ``(applies, iterations,
+    restart_cycles)`` triple per GMRES solve.
+    """
+
+    def __init__(self) -> None:
+        self.original_gmres = krylov.gmres_solve
+        self.original_apply = BlockCirculantFastPreconditioner.solve
+        self.applies = 0
+        self.solves: list[tuple[int, int, int]] = []
+
+    def _gmres(self, *args, **kwargs):
+        before = self.applies
+        x, report = self.original_gmres(*args, **kwargs)
+        self.solves.append((self.applies - before, report.iterations, report.restart_cycles))
+        return x, report
+
+    def __enter__(self) -> "_CountingGMRES":
+        original_apply = self.original_apply
+
+        def counting_apply(preconditioner, vector):
+            self.applies += 1
+            return original_apply(preconditioner, vector)
+
+        krylov.gmres_solve = self._gmres
+        BlockCirculantFastPreconditioner.solve = counting_apply
+        return self
+
+    def __exit__(self, *exc) -> None:
+        krylov.gmres_solve = self.original_gmres
+        BlockCirculantFastPreconditioner.solve = self.original_apply
+
+
+def bench_preconditioner_applies(mixer, mna) -> dict:
+    """Preconditioner applies against GMRES effort, per GMRES solve.
+
+    The matrix-free ``block_circulant_fast`` solve of the balanced mixer at
+    ``ORDERING_GRID``: right-preconditioned GMRES applies the
+    preconditioner once per inner iteration and once per restart cycle, so
+    ``exact_solves`` must equal ``gmres_solves``.
+    """
+    options = MPDEOptions(
+        n_fast=ORDERING_GRID[0],
+        n_slow=ORDERING_GRID[1],
+        matrix_free=True,
+        preconditioner="block_circulant_fast",
+    )
+    with _CountingGMRES() as counting:
+        stats = solve_mpde(mna, mixer.scales, options).stats
+    if not stats.converged:
+        raise RuntimeError("preconditioner-apply count solve did not converge")
+    return {
+        "grid": list(ORDERING_GRID),
+        "gmres_solves": len(counting.solves),
+        "exact_solves": sum(a == i + c for a, i, c in counting.solves),
+        "preconditioner_applies": counting.applies,
+        "gmres_iterations": sum(i for _a, i, _c in counting.solves),
+        "restart_cycles": sum(c for _a, _i, c in counting.solves),
+    }
 
 
 def bench_scenario_enumeration() -> dict:
@@ -701,6 +772,7 @@ def main(check: bool = False) -> dict:
     solves = bench_mpde_solves(mixer, mna)
     preconditioners = bench_preconditioners(mixer, mna)
     lu_orderings = bench_lu_orderings(mixer, mna)
+    applies = bench_preconditioner_applies(mixer, mna)
     scenario_enumeration = bench_scenario_enumeration()
     service_throughput = bench_service_throughput()
     problem_setup = bench_problem_setup()
@@ -715,6 +787,7 @@ def main(check: bool = False) -> dict:
         "mpde_solves": solves,
         "preconditioners": preconditioners,
         "lu_orderings": lu_orderings,
+        "preconditioner_applies": applies,
         "scenario_enumeration": scenario_enumeration,
         "service_throughput": service_throughput,
         "problem_setup": problem_setup,
@@ -814,6 +887,17 @@ def main(check: bool = False) -> dict:
             "  %-34s splu calls %2d  ordering calls %d"
             % (mode, entry["lu_calls"], entry["ordering_lu_calls"])
         )
+    print(
+        "== block_circulant_fast applies (%dx%d solve): %d applies, %d GMRES iterations, "
+        "%d restart cycles, %d GMRES solves =="
+        % (
+            *ORDERING_GRID,
+            applies["preconditioner_applies"],
+            applies["gmres_iterations"],
+            applies["restart_cycles"],
+            applies["gmres_solves"],
+        )
+    )
     print("== wall-time breakdown (paper-grid solves) ==")
     for mode in SOLVE_MODES:
         timing = solves[mode]["timing"]
@@ -914,6 +998,13 @@ def main(check: bool = False) -> dict:
                 lu_orderings[mode]["ordering_lu_calls"] == 1,
             )
             for mode in ("direct_chord", "matrix_free_block_circulant_fast")
+        ),
+        (
+            "block_circulant_fast %dx%d: preconditioner applies = GMRES iterations + "
+            "restart cycles on every GMRES solve" % ORDERING_GRID,
+            f"{applies['exact_solves']} of {applies['gmres_solves']} solves, "
+            f"{applies['preconditioner_applies']} applies",
+            applies["gmres_solves"] > 0 and applies["exact_solves"] == applies["gmres_solves"],
         ),
         (
             "batched engine >= 2x vs per-device loop (full evaluate_sparse)",

@@ -570,7 +570,11 @@ class MPDESolver:
     #: Source-stepping schedule of the ``continuation`` rung.
     CONTINUATION = ContinuationOptions()
     #: Relative tolerance of a tight GMRES solve (the forcing-term floor)
-    #: and the GMRES restart length of the matrix-free mode.
+    #: and the GMRES restart length of the matrix-free mode.  Restart 80
+    #: against 30 (2-CPU host, best of 5 and 7): the same counts on the
+    #: paper mixer at 40x30 and 20x15, fewer GMRES iterations on the 40x32
+    #: multi_lo_receiver (200 vs 207) and prbs_balanced_mixer (272 vs 294),
+    #: whose walls split within 10% either way.
     GMRES_TOL = 1e-9
     GMRES_RESTART = 80
 

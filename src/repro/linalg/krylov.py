@@ -3,21 +3,29 @@
 The MPDE Jacobian for the paper's 40 x 30 grid and a handful of circuit
 unknowns is small enough for a direct sparse factorisation, but the paper
 (and its reference [10], Telichevesky/Kundert/White DAC 1995) emphasises
-matrix-free Krylov solution for larger problems.  This module wraps SciPy's
-GMRES with an iteration counter and per-solve residual history so benchmarks
-and tests can observe linear-solver effort.  Preconditioners are supplied
-either as plain :class:`scipy.sparse.linalg.LinearOperator` objects or as
-implementations of the :class:`~repro.linalg.preconditioners.Preconditioner`
-protocol (whose ``degraded`` flag — singular harmonic systems replaced by
-their pseudo-inverses — is surfaced on the :class:`GMRESReport`).
+matrix-free Krylov solution for larger problems.  :func:`gmres_solve` is a
+restarted GMRES preconditioned from the *right* (Saad & Schultz 1986; Saad,
+*Iterative Methods for Sparse Linear Systems*, section 9.3): it minimises
+the true residual ``||b - A x||``, so it stops on exactly the quantity the
+inexact-Newton forcing terms bound, and it applies the preconditioner once
+per inner iteration plus once per restart cycle (to map the cycle's Krylov
+combination back to a correction).  Its report carries the iteration
+counts and the per-iteration residual history so benchmarks and tests can
+observe linear-solver effort.  Preconditioners are supplied either as plain
+:class:`scipy.sparse.linalg.LinearOperator` objects or as implementations
+of the :class:`~repro.linalg.preconditioners.Preconditioner` protocol
+(whose ``degraded`` flag — singular harmonic systems replaced by their
+pseudo-inverses — is surfaced on the :class:`GMRESReport`).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -32,30 +40,33 @@ __all__ = [
     "gmres_solve",
 ]
 
+#: Relative size below which the next Arnoldi vector counts as zero: an
+#: exact breakdown, the solution lies in the Krylov space already built.
+_BREAKDOWN = np.finfo(float).eps
+
 
 @dataclass
 class GMRESReport:
-    """Diagnostics from one preconditioned GMRES solve.
+    """Diagnostics from one right-preconditioned GMRES solve.
 
     Attributes
     ----------
     iterations:
         Total *inner* Krylov iterations across all restart cycles.
     restart_cycles:
-        Number of restart cycles spanned by those iterations (derived from
-        the restart length; a solve that converges inside the first cycle
-        reports 1).
+        Number of restart cycles the solve ran (a solve that converges
+        inside the first cycle reports 1, a zero right-hand side 0).  The
+        preconditioner was applied ``iterations + restart_cycles`` times.
     converged:
-        Whether GMRES reached the requested tolerance.
+        Whether GMRES reached the requested tolerance on the true residual.
     residual_norm:
-        On converged solves, the solver's own final (preconditioned,
-        relative-scaled) residual norm estimate — no extra matvec is spent
-        re-verifying a converged solve.  On failed solves, the true residual
-        norm ``||b - A x||`` computed explicitly for diagnostics.
+        The true residual norm ``||b - A x||`` of the returned solution,
+        recomputed at the end of the last restart cycle, converged or not.
     residual_history:
-        Preconditioned relative residual norm after every inner iteration —
-        the per-solve convergence trace used by the solver-convergence test
-        harness.
+        True relative residual ``||b - A x|| / ||b||`` after every inner
+        iteration — read from the Arnoldi recurrence inside a cycle and
+        recomputed explicitly at each cycle end — the per-solve convergence
+        trace used by the solver-convergence test harness.
     preconditioner_degraded:
         True when the preconditioner reported that a fallback weakened it
         (singular harmonic systems replaced by their pseudo-inverses), so
@@ -87,18 +98,6 @@ class GMRESReport:
     harmonic_factorizations: int = 0
 
 
-def _as_operator(
-    preconditioner: Preconditioner | spla.LinearOperator | None,
-) -> spla.LinearOperator | None:
-    """Normalise a protocol implementation or raw operator for ``spla.gmres``."""
-    if preconditioner is None:
-        return None
-    as_operator = getattr(preconditioner, "as_operator", None)
-    if callable(as_operator):
-        return as_operator()
-    return preconditioner
-
-
 def gmres_solve(
     matrix: sp.spmatrix | spla.LinearOperator,
     rhs: np.ndarray,
@@ -111,76 +110,131 @@ def gmres_solve(
     stagnation_ratio: float = 0.99,
     deadline: Deadline | None = None,
 ) -> tuple[np.ndarray, GMRESReport]:
-    """Solve ``matrix @ x = rhs`` with restarted, preconditioned GMRES.
+    """Solve the real system ``matrix @ x = rhs`` with restarted GMRES.
 
-    ``preconditioner`` may be ``None`` (unpreconditioned GMRES), a raw
-    :class:`~scipy.sparse.linalg.LinearOperator`, or any
-    implementation of the :class:`~repro.linalg.preconditioners.Preconditioner`
-    protocol.  Returns the solution and a :class:`GMRESReport`.  When
-    ``raise_on_failure`` is True a non-converged solve raises
+    ``preconditioner`` (an approximation ``M^{-1}`` of the inverse) may be
+    ``None`` (unpreconditioned GMRES), a raw
+    :class:`~scipy.sparse.linalg.LinearOperator`, or any implementation of
+    the :class:`~repro.linalg.preconditioners.Preconditioner` protocol; it
+    is applied from the right, GMRES running on ``A M^{-1}``.  Each restart
+    cycle of at most ``restart`` inner iterations orthogonalises with
+    classical Gram-Schmidt and one re-orthogonalisation and reduces the
+    Hessenberg matrix with Givens rotations; ``maxiter`` bounds the number
+    of cycles.  The solve converges when the true residual
+    ``||rhs - matrix @ x||``, recomputed at the end of a cycle, is at most
+    ``tol * ||rhs||``.  Returns the solution and a :class:`GMRESReport`.
+
+    When ``raise_on_failure`` is True a non-converged solve raises
     :class:`SingularMatrixError` — or its subclass
-    :class:`GMRESStagnationError` when the solve *stagnated*: the
-    preconditioned residual improved by less than
-    ``1 - stagnation_ratio`` over the last full restart cycle, so more
-    iterations would not have helped.  ``deadline`` (a started
-    :class:`~repro.resilience.deadline.Deadline`) is checked after every
-    inner iteration and aborts the solve with
+    :class:`GMRESStagnationError` when the solve *stagnated*: the residual
+    improved by less than ``1 - stagnation_ratio`` over the last full
+    restart cycle, so more iterations would not have helped.  ``deadline``
+    (a started :class:`~repro.resilience.deadline.Deadline`) is checked
+    after every inner iteration and aborts the solve with
     :class:`~repro.utils.exceptions.DeadlineExceededError` on expiry.
     """
     fault_site("krylov.solve", raise_on_failure=raise_on_failure)
-    counter = _IterationCounter(deadline=deadline)
+    matvec = spla.aslinearoperator(matrix).matvec
+    if preconditioner is None:
+        apply = np.asarray
+    elif isinstance(preconditioner, spla.LinearOperator):
+        apply = preconditioner.matvec
+    else:
+        apply = preconditioner.solve
 
-    x, info = spla.gmres(
-        matrix,
-        rhs,
-        M=_as_operator(preconditioner),
-        rtol=tol,
-        atol=0.0,
-        restart=restart,
-        maxiter=maxiter,
-        callback=counter,
-        callback_type="pr_norm",
-    )
-    converged = info == 0
+    b = np.asarray(rhs, dtype=float)
+    b_norm = float(np.linalg.norm(b))
+    target = tol * b_norm
+    cycle = max(1, min(int(restart), b.size))
+    basis = np.empty((cycle + 1, b.size))
+    triangle = np.zeros((cycle, cycle))
+    x = np.zeros_like(b)
+    residual, residual_norm = b, b_norm
+    history: list[float] = []
+    iterations = restart_cycles = 0
+    converged = residual_norm <= target
+    breakdown = False
+    while not (converged or breakdown) and restart_cycles < maxiter:
+        restart_cycles += 1
+        basis[0] = residual / residual_norm
+        # ``g`` is the rotated right-hand side ``beta e_1``: its last entry
+        # is the residual norm of the cycle's least-squares solution.
+        g = [residual_norm]
+        cosines: list[float] = []
+        sines: list[float] = []
+        for j in range(cycle):
+            w = matvec(apply(basis[j]))
+            w_norm = float(np.linalg.norm(w))
+            known = basis[: j + 1]
+            h = known @ w
+            w = w - h @ known
+            correction = known @ w
+            w -= correction @ known
+            h += correction
+            h_next = float(np.linalg.norm(w))
+            breakdown = h_next <= _BREAKDOWN * w_norm
+            column = h.tolist()
+            for i, (c, s) in enumerate(zip(cosines, sines)):
+                column[i], column[i + 1] = (
+                    c * column[i] + s * column[i + 1],
+                    c * column[i + 1] - s * column[i],
+                )
+            magnitude = math.hypot(column[j], h_next)
+            c, s = (column[j] / magnitude, h_next / magnitude) if magnitude else (1.0, 0.0)
+            cosines.append(c)
+            sines.append(s)
+            column[j] = magnitude
+            triangle[: j + 1, j] = column
+            g.append(-s * g[j])
+            g[j] *= c
+            iterations += 1
+            history.append(abs(g[j + 1]) / b_norm)
+            if deadline is not None:
+                deadline.check("gmres")
+            if abs(g[j + 1]) <= target or breakdown:
+                break
+            basis[j + 1] = w / h_next
+        k = len(cosines)
+        if triangle[k - 1, k - 1] == 0.0:
+            # A singular operator on the Krylov space: the last direction
+            # cannot be used, solve with the ones before it.
+            k -= 1
+        y = sla.solve_triangular(triangle[:k, :k], g[:k])
+        x += apply(y @ basis[:k])
+        residual = b - matvec(x)
+        residual_norm = float(np.linalg.norm(residual))
+        history[-1] = residual_norm / b_norm
+        converged = residual_norm <= target
+        # An exact breakdown holds the cycle's best solution; when even
+        # that misses the tolerance, or the residual is no longer finite,
+        # another cycle cannot help.
+        breakdown = breakdown or not math.isfinite(residual_norm)
     # Read the degraded flag *after* the solve: lazily-factoring
     # preconditioners (block_circulant_fast) may only discover a singular
     # harmonic system during their first application.
     degraded = bool(getattr(preconditioner, "degraded", False))
-    if converged and counter.last_norm is not None:
-        # GMRES's recurrence already carries the final (preconditioned,
-        # relative) residual norm — reuse it instead of spending another full
-        # matvec just to re-verify a converged solve.
-        residual_norm = counter.last_norm * float(np.linalg.norm(rhs))
-    else:
-        residual = rhs - (
-            matrix @ x if not callable(getattr(matrix, "matvec", None)) else matrix.matvec(x)
-        )
-        residual_norm = float(np.linalg.norm(residual))
-    restart_cycles = -(-counter.count // max(1, int(restart))) if counter.count else 0
     stagnated = False
     if not converged:
-        # No-progress detector: compare the preconditioned residual across
-        # the last *full* restart cycle.  A solve that never completed a
-        # cycle is "slow", not "stuck" — only a whole cycle of no progress
-        # is evidence that more iterations would not help.
-        cycle = max(1, int(restart))
-        history = counter.history
+        # No-progress detector: compare the residual across the last *full*
+        # restart cycle.  A solve that never completed a cycle is "slow",
+        # not "stuck" — only a whole cycle of no progress is evidence that
+        # more iterations would not help.
         if len(history) > cycle:
             start_norm = history[-cycle - 1]
             end_norm = history[-1]
             stagnated = start_norm > 0.0 and end_norm > stagnation_ratio * start_norm
     report = GMRESReport(
-        iterations=counter.count,
+        iterations=iterations,
         restart_cycles=restart_cycles,
         converged=converged,
         residual_norm=residual_norm,
-        residual_history=counter.history,
+        residual_history=history,
         preconditioner_degraded=degraded,
         stagnated=stagnated,
     )
     if not converged and raise_on_failure:
         detail = (
-            f"(info={info}, residual={residual_norm:.3e}, "
+            f"(residual={residual_norm:.3e}, "
             f"{report.iterations} inner iterations over {report.restart_cycles} restart cycles)"
         )
         if stagnated:
@@ -239,34 +293,3 @@ class CachedPreconditionedGMRES:
         report.harmonic_factorizations = preconditioner.harmonic_factorizations
         return x, report
 
-
-class _IterationCounter:
-    """Counts GMRES inner iterations and records the residual-norm trace.
-
-    With ``callback_type="pr_norm"`` SciPy invokes the callback once per
-    *inner* Krylov iteration with the preconditioned relative residual norm,
-    so the count is the total inner-iteration effort (restart cycles are
-    derived from it by the caller), ``history`` is the full per-iteration
-    convergence trace and ``last_norm`` is the solver's own final convergence
-    measure.
-
-    The callback is also where the cooperative per-solve deadline is
-    enforced for GMRES: an expired :class:`Deadline` raises
-    :class:`~repro.utils.exceptions.DeadlineExceededError` from inside the
-    callback, which SciPy propagates out of ``spla.gmres`` — the iteration
-    boundary is the only safe interruption point of a Krylov solve.
-    """
-
-    def __init__(self, deadline: Deadline | None = None) -> None:
-        self.count = 0
-        self.history: list[float] = []
-        self.last_norm: float | None = None
-        self._deadline = deadline
-
-    def __call__(self, norm: float) -> None:
-        self.count += 1
-        norm = float(norm)
-        self.history.append(norm)
-        self.last_norm = norm
-        if self._deadline is not None:
-            self._deadline.check("gmres")

@@ -82,10 +82,6 @@ class Preconditioner(Protocol):
         """Apply the approximate inverse to ``vector``."""
         ...
 
-    def as_operator(self) -> spla.LinearOperator:
-        """The preconditioner as a SciPy ``LinearOperator`` (for ``gmres``)."""
-        ...
-
 
 def slow_averaged_data(
     data: np.ndarray, n_fast: int, n_slow: int
@@ -408,13 +404,6 @@ class BlockCirculantFastPreconditioner:
     def n_harmonics(self) -> int:
         """Number of slow harmonics (distinct per-harmonic systems)."""
         return self.n_slow
-
-    def as_operator(self) -> spla.LinearOperator:
-        """The preconditioner as a SciPy ``LinearOperator`` (for ``gmres``)."""
-        # The explicit dtype matters: without it LinearOperator probes the
-        # matvec with a full-size zero vector to infer one, i.e. a wasted
-        # preconditioner application per GMRES solve.
-        return spla.LinearOperator(self.shape, matvec=self.solve, dtype=float)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         flag = ", degraded" if self.degraded else ""

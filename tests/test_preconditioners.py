@@ -784,9 +784,6 @@ class TestPreconditionerProtocol:
         )
         assert isinstance(instance, Preconditioner)
         assert instance.shape == (4, 4)
-        operator = instance.as_operator()
-        vector = np.arange(4.0)
-        np.testing.assert_allclose(operator.matvec(vector), instance.solve(vector))
 
     def test_factory_builds_the_preconditioner(self, balanced_mixer):
         mixer, mna = balanced_mixer

@@ -363,7 +363,7 @@ class TestGMRESReport:
         assert report.iterations > 0
         assert report.restart_cycles >= 1
         assert report.restart_cycles == -(-report.iterations // 20)
-        # The reported norm comes from the solver's own recurrence; it must
-        # still certify convergence to the requested tolerance.
+        # The reported norm is the true residual; it must certify
+        # convergence to the requested tolerance.
         assert report.residual_norm <= 1e-9 * np.linalg.norm(b) * 10
         np.testing.assert_allclose(a @ x, b, rtol=1e-8, atol=1e-8)
