@@ -280,7 +280,7 @@ class MPDEResult:
 
 #: Newton made no real progress when the max-norm residual stays above this
 #: fraction of its earlier value (a cut of less than 1%): over one step, the
-#: next GMRES solve is tight; over ``_ChordLU.STALL_STEPS`` steps, a
+#: next GMRES solve is tight; over ``DirectLU.STALL_STEPS`` steps, a
 #: chord-Newton run ends.
 _STALL_RATIO = 0.99
 
@@ -315,7 +315,6 @@ class _ForcingTerm:
       its residual tolerance on a loose step and stopped at a relative
       state error of 3.8e-8 against the direct solution).
 
-    A direct solve never asks for a tolerance and so always counts as tight.
     A damped run (``NewtonOptions.damping < 1``) uses the forcing terms as
     well.  Its steps converge linearly and it stops just inside the residual
     tolerance, so the ladder's damping rung follows it with polish steps:
@@ -386,7 +385,18 @@ class _ForcingTerm:
         self.tight = bool(state["tight"])
 
 
-class _ChordLU:
+def _timed_residual(problem: MPDEProblem, x: np.ndarray, source_grid, stats: MPDEStats):
+    # The wall-time breakdown wants every device sweep accounted to
+    # ``eval_time_s`` whichever linear solve runs; timing here (rather than
+    # inside MPDEProblem) keeps the problem object free of stats plumbing.
+    start = time.perf_counter()
+    try:
+        return problem.residual(x, source_grid=source_grid)
+    finally:
+        stats.eval_time_s += time.perf_counter() - start
+
+
+class DirectLU:
     """The sparse LU of the MPDE Jacobian: every direct-mode Newton correction.
 
     By default it is chord Newton's cached factorisation.  The first Newton
@@ -395,9 +405,11 @@ class _ChordLU:
     step's scaled ratio exceeds ``baseline * REFRESH_GROWTH +
     REFRESH_SLACK``, or a line search fails outright against the stale
     factorisation, the next linear solve refactors at the current iterate.
+    A chord run that fails is retried by full Newton (:meth:`refresh`).
 
     With ``every_step`` set it refactors at every linear solve (full Newton)
-    and keeps no trend, stall or checkpoint state.
+    and keeps no trend, stall or checkpoint state.  It is set on one-axis
+    problems unless given.
     """
 
     #: Scale turning a residual-reduction ratio into the integer trend
@@ -425,8 +437,24 @@ class _ChordLU:
     #: but real crawl is left alone: the PRBS mixer's damped chord steps cut
     #: the residual by at least 1.9% over any three.
     STALL_STEPS = 3
+    #: The ``newton_refresh`` rung's trace detail.
+    REFRESH_DETAIL = "chord LU dropped; full Newton refresh"
+    #: Direct solves are exact.
+    tight = True
 
-    def __init__(self, every_step: bool = False) -> None:
+    def __init__(
+        self, problem: MPDEProblem, stats: MPDEStats, every_step: bool | None = None
+    ) -> None:
+        self.problem = problem
+        self.stats = stats
+        if every_step is None:
+            # Full Newton only on one-axis problems.  Best-of-N on a 2-CPU
+            # host, chord Newton wins on the 2-D inputs (1.4 vs 1.9 ms on the
+            # 12x64 qpsk_mixer, 156 vs 214 ms on the 32x64 bpsk_mixer) but
+            # loses on the frequency_doubler PSS: 3.7 vs 3.4 ms at 64
+            # backward-Euler points (10 Newton steps and 5 LUs against 7 and
+            # 7), 4.5 vs 4.2 ms at 128 bdf2 points (14 and 4 against 7 and 7).
+            every_step = problem.grid.n_slow == 1
         #: Refactor at every linear solve (full Newton).
         self.every_step = every_step
         #: Back-substitution of the cached LU (None when there is none).
@@ -470,9 +498,6 @@ class _ChordLU:
         self.baseline = None
         self.last = None
 
-    def invalidate(self) -> None:
-        self.backsolve = None
-
     @property
     def stalled(self) -> bool:
         return (
@@ -480,27 +505,37 @@ class _ChordLU:
             and float(np.prod(self.recent_ratios)) > _STALL_RATIO
         )
 
-    def capture_state(self) -> dict | None:
-        """Chord cache state for a :class:`SolveCheckpoint` (None when cold)."""
+    def capture_state(self) -> dict:
+        """The ``chord_state`` field of a :class:`SolveCheckpoint` (None when cold)."""
         if self.every_step or self.backsolve is None or self.factored_at is None:
-            return None
+            return {"chord_state": None}
         return {
-            "factored_at": np.array(self.factored_at, copy=True),
-            "baseline": self.baseline,
-            "last": self.last,
-            "just_built": self.just_built,
-            "stale": self._stale,
-            "recent_ratios": list(self.recent_ratios),
+            "chord_state": {
+                "factored_at": np.array(self.factored_at, copy=True),
+                "baseline": self.baseline,
+                "last": self.last,
+                "just_built": self.just_built,
+                "stale": self._stale,
+                "recent_ratios": list(self.recent_ratios),
+            }
         }
 
-    def restore_state(self, state: dict, refactor) -> None:
-        """Rebuild the cached factorisation exactly as a checkpoint recorded it.
+    def restore_state(self, checkpoint: SolveCheckpoint | None) -> None:
+        """Start a Newton run, rebuilding the cache exactly as ``checkpoint`` recorded it.
 
-        ``refactor`` is a callable refactoring at a given iterate (the
-        solver's ``_chord_refactor``); the trend and staleness flags are
-        then replayed on top of the fresh build.
+        The factorisation is redone at the recorded iterate; the trend and
+        staleness flags are then replayed on top of the fresh build.
         """
-        refactor(np.asarray(state["factored_at"], dtype=float))
+        state = None if checkpoint is None else checkpoint.chord_state
+        if state is None:
+            # Every Newton run (the main solve, and each continuation stage)
+            # starts from a fresh factorisation: a factor left over from a
+            # different embedding is a poor chord matrix and can burn a
+            # tight iteration budget before the refresh policy notices.
+            self.backsolve = None
+            self.recent_ratios = []
+            return
+        self.refactor(np.asarray(state["factored_at"], dtype=float))
         if state.get("baseline") is not None:
             self._record_trend(int(state["baseline"]))
         if state.get("last") is not None:
@@ -520,7 +555,7 @@ class _ChordLU:
         capped = ratio if ratio <= self.RATIO_CAP else self.RATIO_CAP  # NaN -> cap
         self.recent_ratios = [*self.recent_ratios, capped][-self.STALL_STEPS :]
         if not accepted:
-            self.invalidate()
+            self.backsolve = None
             return
         self._record_trend(int(capped * self.RATIO_SCALE))
         if self.just_built:
@@ -531,33 +566,216 @@ class _ChordLU:
         elif ratio > self.MAX_RATIO:
             self._stale = True
 
+    def evaluate(self, x: np.ndarray, source_grid, residual=None) -> np.ndarray:
+        """The residual at ``x``: the LU fetches the Jacobian data itself when it refactors."""
+        if residual is None:
+            residual = _timed_residual(self.problem, x, source_grid, self.stats)
+        return residual
+
+    def factor(self, c_data: np.ndarray, g_data: np.ndarray):
+        """Sparse LU of the Jacobian with per-point data ``(c_data, g_data)``.
+
+        Returns the LU's back-substitution.  The problem's first
+        factorisation computes the COLAMD column order and records it on
+        the Jacobian assembler; every later one factors the Jacobian
+        assembled already in that order (``permc_spec="NATURAL"``, the same
+        LU bit for bit, see :class:`~repro.linalg.sparse.ColumnOrder`).
+        Assembly counts toward ``eval_time_s``, the LU toward
+        ``factorization_time_s``; an exactly singular Jacobian raises
+        ``RuntimeError`` (from ``splu``).
+        """
+        stats = self.stats
+        start = time.perf_counter()
+        assembler = self.problem.jacobian_assembler
+        order = assembler.column_order
+        ordered = order.perm_c is not None
+        if ordered:
+            jacobian = assembler.assemble_ordered(c_data, g_data)
+        else:
+            jacobian = self.problem.assemble_jacobian(c_data, g_data)
+        factor_start = time.perf_counter()
+        stats.eval_time_s += factor_start - start
+        try:
+            if ordered:
+                factor = spla.splu(jacobian, permc_spec="NATURAL")
+                return lambda rhs: order.solve(factor, rhs)
+            factor = spla.splu(jacobian)
+            order.record(factor.perm_c)
+            return factor.solve
+        finally:
+            stats.factorization_time_s += time.perf_counter() - factor_start
+
+    def refactor(self, x: np.ndarray) -> None:
+        """Factor the Jacobian at iterate ``x`` and cache the LU."""
+        start = time.perf_counter()
+        c_data, g_data = self.problem.jacobian_values(x)
+        self.stats.eval_time_s += time.perf_counter() - start
+        try:
+            backsolve = self.factor(c_data, g_data)
+        except RuntimeError as exc:
+            raise SingularMatrixError(_SINGULAR_LU) from exc
+        self.stats.jacobian_factorizations += 1
+        self.store(backsolve)
+        self.factored_at = np.array(x, dtype=float, copy=True)
+
+    def correction(self, residual: np.ndarray, x: np.ndarray, tight: bool) -> np.ndarray:
+        """Direct correction at iterate ``x``, refactoring when the LU asks."""
+        rhs = -residual
+
+        def back_substitute() -> np.ndarray:
+            start = time.perf_counter()
+            dx = self.backsolve(rhs)
+            self.stats.factorization_time_s += time.perf_counter() - start
+            return dx
+
+        if self.needs_refresh():
+            self.refactor(x)
+        dx = back_substitute()
+        if not np.all(np.isfinite(dx)) and not self.just_built:
+            # A stale factorisation can go numerically bad even though a
+            # fresh one would not; rebuild at the current iterate and retry
+            # once before declaring the Jacobian singular.
+            self.refactor(x)
+            dx = back_substitute()
+        if not np.all(np.isfinite(dx)):
+            raise SingularMatrixError(_SINGULAR_LU)
+        return dx
+
+    def tighten(self) -> None:
+        """Nothing to do: every direct correction is tight."""
+
+    def refresh(self) -> "DirectLU | None":
+        """Full Newton for a chord LU (None when it refactors every step already)."""
+        return None if self.every_step else DirectLU(self.problem, self.stats, every_step=True)
+
+
+class KrylovSolve:
+    """Matrix-free GMRES on the Jacobian-vector-product operator.
+
+    Every solve is preconditioned by the slow-axis averaged
+    ``"block_circulant_fast"`` preconditioner, which
+    :class:`~repro.linalg.krylov.CachedPreconditionedGMRES` builds through
+    :meth:`MPDEProblem.build_preconditioner` from that iterate's Jacobian
+    data, and runs at the tolerance the Eisenstat–Walker forcing term picks
+    (:class:`_ForcingTerm`, floor ``tol``), restarted every ``restart``
+    iterations; ``deadline`` is checked at every inner iteration.
+    """
+
+    # Nothing is cached across iterates: the rung re-runs the baseline,
+    # which absorbs a transient fault only.
+    REFRESH_DETAIL = (
+        "re-solved from the start point; the preconditioner is rebuilt at every GMRES solve"
+    )
+    stalled = False
+
+    def __init__(
+        self, problem: MPDEProblem, stats: MPDEStats, deadline: Deadline, tol: float, restart: int
+    ) -> None:
+        self.problem = problem
+        self.stats = stats
+        self.deadline = deadline
+        self.tol = tol
+        self.restart = restart
+        self.gmres = CachedPreconditionedGMRES(lambda data: problem.build_preconditioner(*data))
+        #: GMRES forcing terms of the running Newton run.
+        self.forcing = _ForcingTerm(tol)
+        #: Jacobian operator and per-point data at the last evaluated iterate.
+        self._operator = None
+        self._data = None
+
+    @property
+    def tight(self) -> bool:
+        return self.forcing.tight
+
+    def restore_state(self, checkpoint: SolveCheckpoint | None) -> None:
+        """Start a Newton run with fresh forcing terms, or those ``checkpoint`` recorded."""
+        self.forcing = _ForcingTerm(self.tol)
+        if checkpoint is not None and checkpoint.forcing_state is not None:
+            self.forcing.restore_state(checkpoint.forcing_state)
+
+    def capture_state(self) -> dict:
+        """The ``forcing_state`` field of a :class:`SolveCheckpoint`."""
+        return {"forcing_state": self.forcing.capture_state()}
+
+    def evaluate(self, x: np.ndarray, source_grid, residual=None) -> np.ndarray:
+        """Residual, Jacobian operator and its data at ``x`` (a known ``residual`` lacks them)."""
+        start = time.perf_counter()
+        try:
+            residual, c_data, g_data = self.problem.residual_and_values(x, source_grid=source_grid)
+            self._operator = self.problem.jacobian_operator(c_data, g_data)
+            self._data = (c_data, g_data)
+            return residual
+        finally:
+            self.stats.eval_time_s += time.perf_counter() - start
+
+    def correction(self, residual: np.ndarray, x: np.ndarray, tight: bool) -> np.ndarray:
+        stats = self.stats
+        tol = self.tol if tight else self.forcing.tolerance(float(np.linalg.norm(residual)))
+        preconditioner = self.problem.options.preconditioner
+        fault_site("solver.gmres", preconditioner=preconditioner)
+        rhs = -residual
+        if not np.all(np.isfinite(rhs)):
+            # GMRES would grind through its whole iteration budget on a NaN
+            # right-hand side; fail the way the direct path does instead.
+            raise SingularMatrixError(
+                "non-finite MPDE residual; the GMRES linear solve cannot proceed"
+            )
+        start = time.perf_counter()
+        dx, report = self.gmres.solve(
+            self._operator,
+            rhs,
+            context=self._data,
+            tol=tol,
+            restart=self.restart,
+            deadline=self.deadline,
+        )
+        stats.preconditioner_builds += 1
+        stats.preconditioner_harmonic_builds += report.harmonic_factorizations
+        stats.preconditioner_build_time_s += report.build_time_s
+        stats.gmres_time_s += time.perf_counter() - start - report.build_time_s
+        stats.gmres_backsub_time_s += report.backsub_time_s
+        stats.preconditioner_kind = preconditioner
+        stats.linear_iterations += report.iterations
+        stats.linear_iteration_history.append(report.iterations)
+        stats.linear_tolerance_history.append(tol)
+        stats.preconditioner_degraded |= report.preconditioner_degraded
+        return dx
+
+    def tighten(self) -> None:
+        self.forcing.force_tight = True
+
+    def record_step(self, ratio: float, accepted: bool) -> None:
+        self.forcing.record_step(ratio, accepted)
+
+    def refresh(self) -> "KrylovSolve":
+        return self
+
 
 class MPDESolver:
     """Damped Newton (+ continuation) solver for an :class:`MPDEProblem`.
 
-    All settings come from ``problem.options``.  Linear sub-solves come in
-    two flavours, selected by them:
+    All settings come from ``problem.options``.  Each :meth:`solve` makes
+    one linear solve for its Newton corrections, chosen by ``matrix_free``:
 
-    * the default — sparse LU on the assembled CSC Jacobian, through one
-      :class:`_ChordLU`: on a 2-D grid it is reused across iterations (chord
+    * the default — :class:`DirectLU`, sparse LU on the assembled CSC
+      Jacobian: on a 2-D grid it is reused across iterations (chord
       Newton), on a one-axis grid (:meth:`MPDEProblem.periodic`) it is
       refactored at every iterate (full Newton), and a chord run that
-      stalls, or the ``newton_refresh`` rung, switches to full Newton too;
-    * ``matrix_free=True`` — GMRES on the matrix-free Jacobian-vector-product
-      operator, preconditioned by the slow-axis averaged
-      ``"block_circulant_fast"`` preconditioner, built through
+      fails, or the ``newton_refresh`` rung, switches to full Newton too;
+    * ``matrix_free=True`` — :class:`KrylovSolve`, GMRES on the matrix-free
+      Jacobian-vector-product operator, preconditioned by the slow-axis
+      averaged ``"block_circulant_fast"`` preconditioner, built through
       :meth:`MPDEProblem.build_preconditioner` from fresh Jacobian data for
-      every solve.
+      every solve, at the tolerance the Eisenstat–Walker forcing term picks
+      (:class:`_ForcingTerm`; floor :attr:`GMRES_TOL`, restart
+      :attr:`GMRES_RESTART`).
 
-    Each GMRES solve runs at the tolerance the Eisenstat–Walker forcing term
-    picks (see :class:`_ForcingTerm`), with :attr:`GMRES_TOL` as floor
-    and for every tight step, restarted every :attr:`GMRES_RESTART`
-    iterations.
-
-    Every solve populates the :class:`MPDEStats` wall-time
-    breakdown (``eval_time_s``, ``factorization_time_s``,
-    ``preconditioner_build_time_s``, ``gmres_time_s``) so benchmarks can
-    see where the remaining time goes in any mode.
+    Both offer what the Newton loop calls (``restore_state``, ``evaluate``,
+    ``correction``, ``tighten``, ``record_step``, ``capture_state``,
+    ``refresh``, ``tight``, ``stalled``), so it never asks which one runs.
+    Every solve fills the :class:`MPDEStats` wall-time breakdown
+    (``eval_time_s``, ``factorization_time_s``,
+    ``preconditioner_build_time_s``, ``gmres_time_s``) in either.
     """
 
     #: The ``damping`` rung multiplies the Newton damping by this factor and
@@ -581,180 +799,20 @@ class MPDESolver:
     def __init__(self, problem: MPDEProblem) -> None:
         self.problem = problem
         self.options = problem.options
-        self._krylov = CachedPreconditionedGMRES(self._build_preconditioner)
-        # Full Newton only on one-axis problems.  Best-of-N on a 2-CPU host,
-        # chord Newton wins on the 2-D inputs (1.4 vs 1.9 ms on the 12x64
-        # qpsk_mixer, 156 vs 214 ms on the 32x64 bpsk_mixer) but loses on
-        # the frequency_doubler PSS: 3.7 vs 3.4 ms at 64 backward-Euler
-        # points (10 Newton steps and 5 LUs against 7 and 7), 4.5 vs 4.2 ms
-        # at 128 bdf2 points (14 and 4 against 7 and 7).
-        self._chord = _ChordLU(every_step=problem.grid.n_slow == 1)
         # Resilience state: a no-op deadline until ``solve`` installs the
-        # real one, the recovery ladder's switch of a matrix-free solve to
-        # direct LU, and the last Newton iterate (for failure diagnostics).
+        # real one, the running solve's linear solve, and the last Newton
+        # iterate (for failure diagnostics).
         self._deadline = Deadline(None)
-        self._direct_fallback = False
+        self._linear: DirectLU | KrylovSolve | None = None
         self._last_iterate: np.ndarray | None = None
         # Checkpoint state: the latest iteration-boundary snapshot (attached
         # to deadline / terminal failures), the fingerprint it is recorded
-        # under, the file it is persisted to, and the chord and forcing
-        # states waiting to be restored by ``_newton`` when resuming.
+        # under, the file it is persisted to, and the checkpoint being
+        # resumed, whose linear-solve state ``_newton`` restores.
         self._checkpoint: SolveCheckpoint | None = None
         self._solve_fingerprint = ""
         self._checkpoint_path: str | None = None
-        self._pending_chord_state: dict | None = None
-        self._pending_forcing_state: dict | None = None
-        # GMRES forcing terms of the running Newton run.
-        self._forcing: _ForcingTerm | None = None
-
-    @property
-    def _matrix_free(self) -> bool:
-        """GMRES solves are in effect (matrix-free, not switched to LU)."""
-        return bool(self.options.matrix_free) and not self._direct_fallback
-
-    # -- residual/Jacobian evaluation -------------------------------------------
-    def _evaluate(self, x: np.ndarray, source_grid: np.ndarray | None):
-        """Residual plus whatever the linear solver needs at ``x``.
-
-        Returns ``(residual, operator, data)``.  Matrix-free, ``operator``
-        is the Jacobian ``LinearOperator`` and ``data`` the per-point
-        Jacobian value arrays the preconditioner is built from.  Direct, the
-        sweep is residual-only, ``operator`` is ``None`` and ``data`` is
-        ``x``: the LU fetches the Jacobian data there when it refactors.
-        """
-        if not self._matrix_free:
-            return self.problem.residual(x, source_grid=source_grid), None, x
-        residual, c_data, g_data = self.problem.residual_and_values(x, source_grid=source_grid)
-        return residual, self.problem.jacobian_operator(c_data, g_data), (c_data, g_data)
-
-    # -- linear sub-solves -------------------------------------------------------
-    def _build_preconditioner(self, data):
-        """Build callback for the :class:`CachedPreconditionedGMRES` manager."""
-        return self.problem.build_preconditioner(*data)
-
-    def _factor_jacobian(self, c_data: np.ndarray, g_data: np.ndarray, stats: MPDEStats):
-        """Sparse LU of the Jacobian with per-point data ``(c_data, g_data)``.
-
-        Returns the LU's back-substitution.  The problem's first
-        factorisation computes the COLAMD column order and records it on
-        the Jacobian assembler; every later one factors the Jacobian
-        assembled already in that order (``permc_spec="NATURAL"``, the same
-        LU bit for bit, see :class:`~repro.linalg.sparse.ColumnOrder`).
-        Assembly counts toward ``eval_time_s``, the LU toward
-        ``factorization_time_s``; an exactly singular Jacobian raises
-        ``RuntimeError`` (from ``splu``).
-        """
-        start = time.perf_counter()
-        assembler = self.problem.jacobian_assembler
-        order = assembler.column_order
-        ordered = order.perm_c is not None
-        if ordered:
-            jacobian = assembler.assemble_ordered(c_data, g_data)
-        else:
-            jacobian = self.problem.assemble_jacobian(c_data, g_data)
-        factor_start = time.perf_counter()
-        stats.eval_time_s += factor_start - start
-        try:
-            if ordered:
-                factor = spla.splu(jacobian, permc_spec="NATURAL")
-                return lambda rhs: order.solve(factor, rhs)
-            factor = spla.splu(jacobian)
-            order.record(factor.perm_c)
-            return factor.solve
-        finally:
-            stats.factorization_time_s += time.perf_counter() - factor_start
-
-    def _chord_refactor(self, x: np.ndarray, stats: MPDEStats) -> None:
-        start = time.perf_counter()
-        c_data, g_data = self.problem.jacobian_values(x)
-        stats.eval_time_s += time.perf_counter() - start
-        try:
-            backsolve = self._factor_jacobian(c_data, g_data, stats)
-        except RuntimeError as exc:
-            raise SingularMatrixError(_SINGULAR_LU) from exc
-        stats.jacobian_factorizations += 1
-        self._chord.store(backsolve)
-        self._chord.factored_at = np.array(x, dtype=float, copy=True)
-
-    def _chord_solve(self, rhs: np.ndarray, stats: MPDEStats, x: np.ndarray) -> np.ndarray:
-        """Direct correction at iterate ``x``, refactoring when the LU asks."""
-        chord = self._chord
-
-        def back_substitute() -> np.ndarray:
-            start = time.perf_counter()
-            dx = chord.backsolve(rhs)
-            stats.factorization_time_s += time.perf_counter() - start
-            return dx
-
-        if chord.needs_refresh():
-            self._chord_refactor(x, stats)
-        dx = back_substitute()
-        if not np.all(np.isfinite(dx)) and not chord.just_built:
-            # A stale factorisation can go numerically bad even though a
-            # fresh one would not; rebuild at the current iterate and retry
-            # once before declaring the Jacobian singular.
-            self._chord_refactor(x, stats)
-            dx = back_substitute()
-        if not np.all(np.isfinite(dx)):
-            raise SingularMatrixError(_SINGULAR_LU)
-        return dx
-
-    def _solve_linear(
-        self, operator, rhs: np.ndarray, stats: MPDEStats, data, tol: float | None
-    ) -> np.ndarray:
-        """One Newton correction; ``tol`` is the GMRES tolerance (None for direct)."""
-        stats.linear_solves += 1
-        if not self._matrix_free:
-            return self._chord_solve(rhs, stats, data)
-
-        fault_site("solver.gmres", preconditioner=self.options.preconditioner)
-        if not np.all(np.isfinite(rhs)):
-            # GMRES would grind through its whole iteration budget on a NaN
-            # right-hand side; fail the way the direct path does instead.
-            raise SingularMatrixError(
-                "non-finite MPDE residual; the GMRES linear solve cannot proceed"
-            )
-        start = time.perf_counter()
-        dx, report = self._krylov.solve(
-            operator,
-            rhs,
-            context=data,
-            tol=tol,
-            restart=self.GMRES_RESTART,
-            deadline=self._deadline,
-        )
-        stats.preconditioner_builds += 1
-        stats.preconditioner_harmonic_builds += report.harmonic_factorizations
-        stats.preconditioner_build_time_s += report.build_time_s
-        stats.gmres_time_s += time.perf_counter() - start - report.build_time_s
-        stats.gmres_backsub_time_s += report.backsub_time_s
-        stats.preconditioner_kind = self.options.preconditioner
-        stats.linear_iterations += report.iterations
-        stats.linear_iteration_history.append(report.iterations)
-        stats.linear_tolerance_history.append(tol)
-        stats.preconditioner_degraded |= report.preconditioner_degraded
-        return dx
-
-    # -- timed evaluation wrappers -----------------------------------------------
-    # The wall-time breakdown wants every device sweep accounted to
-    # ``eval_time_s`` regardless of which linear mode runs; wrapping here
-    # (rather than inside MPDEProblem) keeps the problem object free of
-    # stats plumbing.
-    def _timed_evaluate(self, x: np.ndarray, source_grid, stats: MPDEStats):
-        start = time.perf_counter()
-        try:
-            return self._evaluate(x, source_grid)
-        finally:
-            stats.eval_time_s += time.perf_counter() - start
-
-    def _timed_residual(
-        self, x: np.ndarray, source_grid, stats: MPDEStats
-    ) -> np.ndarray:
-        start = time.perf_counter()
-        try:
-            return self.problem.residual(x, source_grid=source_grid)
-        finally:
-            stats.eval_time_s += time.perf_counter() - start
+        self._resume: SolveCheckpoint | None = None
 
     # -- Newton loop -----------------------------------------------------------------
     def _newton(
@@ -763,73 +821,48 @@ class MPDESolver:
         stats: MPDEStats,
         *,
         source_grid: np.ndarray | None = None,
-        max_iterations: int | None = None,
         newton_options: NewtonOptions | None = None,
         polish: bool = False,
+        linear: DirectLU | KrylovSolve | None = None,
     ) -> tuple[np.ndarray, bool]:
         """One Newton run from ``x0``; returns ``(x, converged)``.
 
         ``polish`` finishes an already converged answer: every GMRES solve
         is tight, and the run converges only through the post-step test,
         so it takes at least one step and stops when the update is small.
+        ``linear`` is the run's linear solve (default: the solve's own).
         """
         opts = newton_options if newton_options is not None else self.options.newton
-        max_iter = max_iterations if max_iterations is not None else opts.max_iterations
+        linear = linear if linear is not None else self._linear
         x = np.asarray(x0, dtype=float).copy()
         self._last_iterate = x
-        direct = not self._matrix_free
-        chord = self._chord
+        # Resuming from a checkpoint puts the linear solve back exactly as
+        # the interrupted solve left it, so the resumed trajectory is
+        # bitwise identical to the uninterrupted one.
+        linear.restore_state(self._resume if source_grid is None else None)
+        self._resume = None
 
-        if direct:
-            if source_grid is None and self._pending_chord_state is not None:
-                # Resuming from a checkpoint: rebuild the chord cache exactly
-                # as the interrupted solve left it, so the resumed trajectory
-                # is bitwise identical to the uninterrupted one.
-                chord.restore_state(
-                    self._pending_chord_state,
-                    lambda x_at: self._chord_refactor(x_at, stats),
-                )
-            else:
-                # Every Newton run (the main solve, and each continuation
-                # stage) starts from a fresh factorisation: a factor left
-                # over from a different embedding is a poor chord matrix and
-                # can burn a tight iteration budget before the refresh
-                # policy notices.
-                chord.invalidate()
-                chord.recent_ratios = []
-        self._pending_chord_state = None
-        # Direct solves are exact: they never ask for a tolerance, so their
-        # forcing state stays tight.
-        forcing = self._forcing = _ForcingTerm(self.GMRES_TOL)
-        if source_grid is None and self._pending_forcing_state is not None:
-            forcing.restore_state(self._pending_forcing_state)
-        self._pending_forcing_state = None
-
-        residual, operator, data = self._timed_evaluate(x, source_grid, stats)
+        residual = linear.evaluate(x, source_grid)
         res_norm = float(np.max(np.abs(residual)))
         stats.residual_history.append(res_norm)
         if source_grid is None:
             # Iteration-boundary checkpoint (the continuation stages solve
             # embedded problems whose iterates are not resume points of the
             # real one, so only the un-embedded runs record).
-            self._record_checkpoint(x, stats, res_norm)
+            self._record_checkpoint(x, stats, res_norm, linear)
 
-        for _iteration in range(1, max_iter + 1):
+        for _iteration in range(1, opts.max_iterations + 1):
             self._deadline.check("newton", partial_stats=stats)
             if res_norm <= opts.abstol and not polish:
-                if forcing.tight:
+                if linear.tight:
                     stats.residual_norm = res_norm
                     return x, True
                 # Converged on a loosely solved step: take one tight step.
-                forcing.force_tight = True
-            tol = None
-            if self._matrix_free and polish:
-                # A polish is there for accuracy; see _ForcingTerm.
-                tol = self.GMRES_TOL
-            elif self._matrix_free:
-                tol = forcing.tolerance(float(np.linalg.norm(residual)))
+                linear.tighten()
             fault_site("solver.linear_solve", iteration=_iteration - 1)
-            dx = self._solve_linear(operator, -residual, stats, data, tol)
+            stats.linear_solves += 1
+            # A polish is there for accuracy; see _ForcingTerm.
+            dx = linear.correction(residual, x, polish)
             step_norm = float(np.max(np.abs(dx)))
             if np.isfinite(opts.max_step_norm) and step_norm > opts.max_step_norm:
                 dx *= opts.max_step_norm / step_norm
@@ -838,7 +871,7 @@ class MPDESolver:
             accepted = False
             while damping >= opts.min_damping:
                 x_trial = x + damping * dx
-                residual_trial = self._timed_residual(x_trial, source_grid, stats)
+                residual_trial = _timed_residual(self.problem, x_trial, source_grid, stats)
                 trial_norm = float(np.max(np.abs(residual_trial)))
                 if np.isfinite(trial_norm) and trial_norm < res_norm * (1.0 + 1e-12):
                     accepted = True
@@ -846,13 +879,11 @@ class MPDESolver:
                 damping *= 0.5
             if not accepted:
                 x_trial = x + opts.min_damping * dx
-                residual_trial = self._timed_residual(x_trial, source_grid, stats)
+                residual_trial = _timed_residual(self.problem, x_trial, source_grid, stats)
                 trial_norm = float(np.max(np.abs(residual_trial)))
 
             ratio = trial_norm / res_norm if res_norm > 0.0 else 1.0
-            if direct:
-                chord.record_step(ratio, accepted)
-            forcing.record_step(ratio, accepted)
+            linear.record_step(ratio, accepted)
 
             update_norm = float(np.max(np.abs(x_trial - x)))
             x = x_trial
@@ -861,7 +892,7 @@ class MPDESolver:
             res_norm = trial_norm
             stats.residual_history.append(res_norm)
             if source_grid is None:
-                self._record_checkpoint(x, stats, res_norm)
+                self._record_checkpoint(x, stats, res_norm, linear)
             _LOG.debug(
                 "MPDE newton iter=%d residual=%.3e update=%.3e damping=%.3g",
                 stats.newton_iterations,
@@ -874,59 +905,41 @@ class MPDESolver:
             if (
                 res_norm <= opts.abstol
                 and update_norm <= opts.reltol * x_scale + opts.abstol
-                and forcing.tight
+                and linear.tight
             ):
                 stats.residual_norm = res_norm
                 return x, True
-            if direct and chord.stalled:
+            if linear.stalled:
                 break
 
-            # Re-evaluate at the accepted iterate.  Direct mode needs no
-            # Jacobian data up front, and the line search already evaluated
-            # the residual there.
-            if direct:
-                residual, operator, data = residual_trial, None, x
-            else:
-                residual, operator, data = self._timed_evaluate(x, source_grid, stats)
+            # Re-evaluate at the accepted iterate, where the line search
+            # already evaluated the residual.
+            residual = linear.evaluate(x, source_grid, residual_trial)
             res_norm = float(np.max(np.abs(residual)))
 
         stats.residual_norm = res_norm
-        if res_norm <= opts.abstol and forcing.tight and not polish:
+        if res_norm <= opts.abstol and linear.tight and not polish:
             return x, True
-        if direct and not chord.every_step:
-            # The chord run stalled or spent its budget, partly on
-            # stale-factorisation steps, which is not a fair convergence
-            # verdict: retry the run with a fresh factorisation at every
-            # iterate before reporting failure.
-            _LOG.debug(
-                "chord Newton run stalled (residual %.3e); retrying with per-iterate "
-                "factorisation",
-                res_norm,
-            )
-            return self._full_newton(
-                x0,
-                stats,
-                source_grid=source_grid,
-                max_iterations=max_iterations,
-                newton_options=newton_options,
-                polish=polish,
-            )
-        return x, False
-
-    def _full_newton(self, x0: np.ndarray, stats: MPDEStats, **newton_kwargs):
-        """:meth:`_newton` with the direct LU refactored at every iterate."""
-        chord = self._chord
-        every_step, chord.every_step = chord.every_step, True
-        try:
-            return self._newton(x0, stats, **newton_kwargs)
-        finally:
-            chord.every_step = every_step
+        # A failed run gets one retry with the refreshed linear solve (a
+        # chord run has spent steps on stale factorisations, which is not a
+        # fair convergence verdict).  A solve that refreshes to itself would
+        # only repeat the run.
+        retry = linear.refresh()
+        if retry is None or retry is linear:
+            return x, False
+        _LOG.debug("Newton run failed (residual %.3e); retrying with full Newton", res_norm)
+        return self._newton(
+            x0,
+            stats,
+            source_grid=source_grid,
+            newton_options=newton_options,
+            polish=polish,
+            linear=retry,
+        )
 
     # -- continuation fallback -----------------------------------------------------------
     class _SweepStage:
         """Adapter giving :func:`continuation_sweep` its per-stage protocol."""
-
-        __slots__ = ("x", "converged", "iterations", "residual_norm")
 
         def __init__(self, x, converged, residual_norm):
             self.x = x
@@ -984,7 +997,7 @@ class MPDESolver:
         )
 
     def _record_checkpoint(
-        self, x: np.ndarray, stats: MPDEStats, residual_norm: float
+        self, x: np.ndarray, stats: MPDEStats, residual_norm: float, linear: DirectLU | KrylovSolve
     ) -> None:
         """Snapshot the accepted iterate (iteration-boundary consistency).
 
@@ -998,10 +1011,9 @@ class MPDESolver:
             iterate=np.array(x, copy=True),
             newton_iterations=stats.newton_iterations,
             residual_norm=float(residual_norm),
-            chord_state=self._chord.capture_state(),
-            forcing_state=self._forcing.capture_state(),
             recovery_trace=list(stats.recovery_trace),
             stats=stats.snapshot(),
+            **linear.capture_state(),
         )
         if self._checkpoint_path is not None:
             self._checkpoint.save(self._checkpoint_path)
@@ -1044,10 +1056,10 @@ class MPDESolver:
             by an interrupted solve of *this same problem*.  The checkpoint
             fingerprint is validated (:class:`CheckpointError` on mismatch),
             its iterate becomes the initial guess (unless an explicit ``x0``
-            overrides it) and the chord cache state (chord-Newton mode) or
-            the GMRES forcing state (matrix-free mode) is restored — so a
-            deadline-split solve converges bit-for-bit to the uninterrupted
-            answer.
+            overrides it) and the linear solve's state is restored (the
+            chord cache of :class:`DirectLU`, the GMRES forcing state of
+            :class:`KrylovSolve`) — so a deadline-split solve converges
+            bit-for-bit to the uninterrupted answer.
         """
         stats = MPDEStats(
             n_grid_points=self.problem.n_grid_points,
@@ -1057,22 +1069,21 @@ class MPDESolver:
             raise ConfigurationError(f"deadline_s must be positive, got {deadline_s!r}")
         self._deadline = Deadline(deadline_s)
         self._checkpoint_path = None if checkpoint_path is None else os.fspath(checkpoint_path)
-        self._direct_fallback = False
+        self._linear = (
+            KrylovSolve(self.problem, stats, self._deadline, self.GMRES_TOL, self.GMRES_RESTART)
+            if self.options.matrix_free
+            else DirectLU(self.problem, stats)
+        )
         self._last_iterate = None
         self._solve_fingerprint = self._fingerprint()
         self._checkpoint = None
-        self._pending_chord_state = None
-        self._pending_forcing_state = None
         if resume_from is not None:
             if isinstance(resume_from, (str, os.PathLike)):
                 resume_from = SolveCheckpoint.load(resume_from)
             resume_from.validate(self._solve_fingerprint)
             if x0 is None:
                 x0 = np.array(resume_from.iterate, copy=True)
-            if resume_from.chord_state is not None:
-                self._pending_chord_state = dict(resume_from.chord_state)
-            if resume_from.forcing_state is not None:
-                self._pending_forcing_state = dict(resume_from.forcing_state)
+        self._resume = resume_from
         start = time.perf_counter()
 
         if x0 is None:
@@ -1109,11 +1120,6 @@ class MPDESolver:
             raise
         finally:
             stats.wall_time_seconds = time.perf_counter() - start
-            # Release the chord factorisation now: no later solve reuses it,
-            # and the solver itself is freed only by the cycle collector (the
-            # Krylov manager holds a bound method of it), which would keep its
-            # native LU memory alive well past the solve.
-            self._chord.invalidate()
 
         stats.converged = True
         states = self.problem.reshape_states(x)
@@ -1210,23 +1216,15 @@ class MPDESolver:
     def _rung_newton_refresh(self, kind, x_start, stats):
         if kind not in ("singular", "gmres_stagnation"):
             return f"not applicable to {kind} failures"
-        direct = not self._matrix_free
-        if direct and self._chord.every_step:
+        refreshed = self._linear.refresh()
+        if refreshed is None:
             return "no cached factorisation or preconditioner to refresh"
-        # Direct, the run refactors at every iterate.  A matrix-free solve
-        # has nothing to drop: the run repeats the baseline, which absorbs a
-        # transient fault only.
         return self._ladder_attempt(
             stats,
             "newton_refresh",
             kind,
-            lambda: self._full_newton(x_start, stats),
-            detail=(
-                "chord LU dropped; full Newton refresh"
-                if direct
-                else "re-solved from the start point; the preconditioner is "
-                "rebuilt at every GMRES solve"
-            ),
+            lambda: self._newton(x_start, stats, linear=refreshed),
+            detail=self._linear.REFRESH_DETAIL,
         )
 
     def _rung_damping(self, kind, x_start, stats):
@@ -1264,11 +1262,11 @@ class MPDESolver:
         )
 
     def _rung_preconditioner_downgrade(self, kind, x_start, stats):
-        if not self._matrix_free:
+        if isinstance(self._linear, DirectLU):
             return "direct solver uses no preconditioner"
         # Re-solve with sparse direct LU, as a direct solve would; the later
         # rungs keep the direct solver.
-        self._direct_fallback = True
+        self._linear = DirectLU(self.problem, stats)
         return self._ladder_attempt(
             stats,
             "preconditioner_downgrade",

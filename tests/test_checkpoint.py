@@ -33,6 +33,7 @@ from repro.core import MPDESolver, solve_mpde
 from repro.core.multitone_hb import two_tone_harmonic_balance
 from repro.resilience import SolveCheckpoint, inject_faults, singular_jacobian, solve_fingerprint
 from repro.rf import gilbert_cell_mixer
+from repro.scenarios import build_scenario_smoke, scenario_names, solve_case
 from repro.utils import (
     CheckpointError,
     DeadlineExceededError,
@@ -221,8 +222,8 @@ class TestStatsSnapshot:
         recorded = []
         record = solver_mod.MPDESolver._record_checkpoint
 
-        def spy(self, x, stats, residual_norm):
-            record(self, x, stats, residual_norm)
+        def spy(self, x, stats, residual_norm, linear):
+            record(self, x, stats, residual_norm, linear)
             assert self._checkpoint.stats == dataclasses.asdict(stats)
             recorded.append((self._checkpoint.stats, copy.deepcopy(self._checkpoint.stats)))
 
@@ -410,3 +411,55 @@ class TestTwoToneHBResume:
         counting_deadline.budget = 10**9
         resumed = self._solve(scaled_switching_mixer, resume_from=checkpoint)
         np.testing.assert_array_equal(resumed.mpde.states, reference.mpde.states)
+
+
+class _NewtonCountingDeadline(_CountingDeadline):
+    """A :class:`_CountingDeadline` that counts Newton-stage checks only.
+
+    A matrix-free solve checks its deadline at every GMRES iteration too, so
+    counting every check would split it at the first Newton step or two.
+    """
+
+    def check(self, stage: str, *, partial_stats=None) -> None:
+        if stage == "newton":
+            super().check(stage, partial_stats=partial_stats)
+
+
+def _case_states(result):
+    return result.mpde.states if hasattr(result, "mpde") else result.states
+
+
+# The direct solves of the two 40x32 scenarios take seconds to a minute
+# each, and the test solves each case three times.
+_SLOW_DIRECT = ("multi_lo_receiver", "prbs_balanced_mixer")
+
+
+@pytest.mark.parametrize(
+    "name, matrix_free",
+    [
+        pytest.param(
+            name,
+            matrix_free,
+            id=f"{name}-{'matrix_free' if matrix_free else 'direct'}",
+            marks=[pytest.mark.slow] if name in _SLOW_DIRECT and not matrix_free else [],
+        )
+        for name in scenario_names()
+        for matrix_free in (False, True)
+    ],
+)
+def test_scenario_resume_is_bitwise(name, matrix_free, monkeypatch):
+    """A deadline split halfway through the Newton steps of every scenario's
+    first smoke case resumes onto the uninterrupted solve, bit for bit."""
+    case = build_scenario_smoke(name).cases[0]
+    options = MPDEOptions(matrix_free=matrix_free)
+    monkeypatch.setattr(solver_mod, "Deadline", _NewtonCountingDeadline)
+    reference = solve_case(case, options=options)
+    steps = reference.stats.newton_iterations
+    _NewtonCountingDeadline.budget = steps // 2
+    with pytest.raises(DeadlineExceededError) as info:
+        solve_case(case, options=options, deadline_s=60.0)
+    checkpoint = info.value.checkpoint
+    assert checkpoint.newton_iterations == steps // 2
+    resumed = solve_case(case, options=options, resume_from=checkpoint)
+    np.testing.assert_array_equal(_case_states(resumed), _case_states(reference))
+    assert resumed.stats.newton_iterations == steps - steps // 2

@@ -9,7 +9,7 @@ from repro.analysis.pss_fd import collocation_periodic_steady_state
 from repro.circuits import Circuit
 from repro.circuits.devices import Capacitor, Resistor, VoltageSource
 from repro.core import MPDEProblem, MPDESolver, ShearedTimeScales, solve_mpde
-from repro.core.solver import _ForcingTerm
+from repro.core.solver import DirectLU, _ForcingTerm
 from repro.rf import (
     balanced_lo_doubling_mixer,
     difference_tone_amplitude,
@@ -441,7 +441,9 @@ class TestInexactNewton:
     def test_direct_mode_has_no_tolerance_history(self, mixer):
         assert self._solve(mixer).stats.linear_tolerance_history == []
 
-    def test_stalled_chord_run_hands_off_to_full_newton(self, mixer, polished_reference):
+    def test_stalled_chord_run_hands_off_to_full_newton(
+        self, mixer, polished_reference, monkeypatch
+    ):
         # The chord iterates of this solve fall into a two-cycle at 1.1e-4;
         # the run ends there and a full-Newton retry from the initial guess,
         # one LU per step, converges.
@@ -450,25 +452,23 @@ class TestInexactNewton:
             MPDEProblem(mna, mixer_obj.scales, MPDEOptions(n_fast=16, n_slow=8))
         )
         handoffs = []
-        full_newton = solver._full_newton
+        refresh = DirectLU.refresh
 
-        def spy(x0, stats, **kwargs):
-            before = (stats.linear_solves, stats.jacobian_factorizations)
-            outcome = full_newton(x0, stats, **kwargs)
-            handoffs.append(
-                (
-                    stats.linear_solves - before[0],
-                    stats.jacobian_factorizations - before[1],
-                )
-            )
-            return outcome
+        def spy(linear):
+            full_newton = refresh(linear)
+            if full_newton is not None:
+                stats = linear.stats
+                handoffs.append((stats.linear_solves, stats.jacobian_factorizations))
+            return full_newton
 
-        solver._full_newton = spy
+        monkeypatch.setattr(DirectLU, "refresh", spy)
         result = solver.solve()
         stats = result.stats
         assert stats.converged and stats.recovery_trace == []
         assert len(handoffs) == 1
-        steps, lus = handoffs[0]
+        # The full-Newton retry is the rest of the solve.
+        steps = stats.linear_solves - handoffs[0][0]
+        lus = stats.jacobian_factorizations - handoffs[0][1]
         assert 0 < steps == lus
         # The chord run before the hand-off reused its LUs.
         assert stats.jacobian_factorizations - lus < stats.linear_solves - steps

@@ -5,7 +5,7 @@ this module tests the :mod:`repro.linalg.preconditioners` subsystem the way a
 flow-level verification stage would: algebraic property tests (the slow-FFT
 per-harmonic solve must equal a dense solve of the explicitly assembled
 partially-averaged operator), regression tests for the refresh trend of the
-chord-Newton LU (``_ChordLU``), and end-to-end convergence assertions on the
+chord-Newton LU (``DirectLU``), and end-to-end convergence assertions on the
 paper's balanced mixer — the headline being that the ``block_circulant_fast``
 solve on the spectral (``fourier``) operators stays under its GMRES
 iteration cap and reaches the same solution as the direct path.
@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 from repro.analysis.pss_fd import collocation_periodic_steady_state
 from repro.core.mpde import MPDEProblem
 from repro.core.multitone_hb import two_tone_harmonic_balance
-from repro.core.solver import MPDESolver, _ChordLU, solve_mpde
+from repro.core.solver import DirectLU, MPDESolver, MPDEStats, solve_mpde
 from repro.linalg.preconditioners import (
     BlockCirculantFastPreconditioner,
     BlockCirculantFastStructure,
@@ -621,8 +621,11 @@ class TestBlockCirculantFastProperty:
 
 
 class TestChordRefreshTrend:
-    def test_trend_thresholds(self):
-        chord = _ChordLU()
+    def test_trend_thresholds(self, balanced_mixer):
+        mixer, mna = balanced_mixer
+        chord = DirectLU(
+            MPDEProblem(mna, mixer.scales, _spectral_options(SMALL_GRID)), MPDEStats()
+        )
         assert chord.needs_refresh()  # no factorisation yet
         chord.store(object())
         assert not chord.needs_refresh()  # nothing recorded yet

@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 from repro.analysis import collocation_periodic_steady_state, dc_operating_point
 from repro.circuits import Circuit
 from repro.circuits.devices import Capacitor, PolynomialConductance, Resistor, VoltageSource
-from repro.core import ShearedTimeScales, solve_mpde
+from repro.core import MPDEProblem, MPDESolver, ShearedTimeScales, solve_mpde
 from repro.core.multitone_hb import two_tone_harmonic_balance
 from repro.linalg.krylov import gmres_solve
 from repro.resilience import (
@@ -473,6 +473,30 @@ class TestRecoveryLadderGMRES:
         assert "block_circulant_fast -> direct LU" in detail
         direct = _solve_rc()
         np.testing.assert_allclose(result.states, direct.states, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.no_fault_injection  # arms its own plan for the first solve only
+    def test_downgrade_lasts_one_solve(self, recovery_ladder):
+        """A solver whose matrix-free solve was downgraded to direct LU runs
+        its next solve matrix-free again."""
+        broken = FaultSpec(
+            site="preconditioner.build",
+            action=lambda ctx: (_ for _ in ()).throw(
+                SingularMatrixError("injected preconditioner build failure")
+            ),
+            count=None,
+        )
+        recovery_ladder("preconditioner_downgrade")
+        mna, scales = _linear_rc()
+        options = MPDEOptions(n_fast=8, n_slow=8, matrix_free=True)
+        solver = MPDESolver(MPDEProblem(mna, scales, options))
+        with inject_faults(broken):
+            downgraded = solver.solve()
+        assert downgraded.stats.recovered_by == "preconditioner_downgrade"
+        assert downgraded.stats.jacobian_factorizations > 0
+        again = solver.solve()
+        assert again.stats.recovery_trace == []
+        assert again.stats.jacobian_factorizations == 0
+        assert again.stats.preconditioner_builds > 0
 
 
 class TestBalancedMixerAcceptance:

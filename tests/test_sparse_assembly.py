@@ -40,7 +40,7 @@ from repro.circuits.devices import (
 )
 from repro.core import ShearedTimeScales, solve_mpde
 from repro.core.mpde import MPDEProblem
-from repro.core.solver import MPDESolver, MPDEStats
+from repro.core.solver import DirectLU, MPDESolver, MPDEStats
 from repro.linalg import gmres_solve
 from repro.linalg.sparse import ColumnOrder
 from repro.rf import balanced_lo_doubling_mixer
@@ -286,13 +286,13 @@ class TestColumnOrder:
     )
     def test_ordered_factorisation_solves_bitwise(self, make_problem, rng, splu_specs):
         problem = make_problem()
-        solver = MPDESolver(problem)
+        direct = DirectLU(problem, MPDEStats())
         rhs = rng.normal(size=problem.n_total_unknowns)
         solutions = []
         for scale in (0.3, 0.5, 0.2):
             x = rng.normal(scale=scale, size=problem.n_total_unknowns)
             c_data, g_data = problem.jacobian_values(x)
-            backsolve = solver._factor_jacobian(c_data, g_data, MPDEStats())
+            backsolve = direct.factor(c_data, g_data)
             solutions.append(
                 (backsolve(rhs), spla.splu(problem.assemble_jacobian(c_data, g_data)).solve(rhs))
             )
@@ -324,15 +324,15 @@ class TestColumnOrder:
             ColumnOrder, "layout", lambda self: layouts.append(self) or layout(self)
         )
         problem = _mixer_problem()
-        solver = MPDESolver(problem)
+        direct = DirectLU(problem, MPDEStats())
         c_data, g_data = problem.jacobian_values(
             rng.normal(scale=0.3, size=problem.n_total_unknowns)
         )
         order = problem.jacobian_assembler.column_order
-        solver._factor_jacobian(c_data, g_data, MPDEStats())
+        direct.factor(c_data, g_data)
         assert order.perm_c is not None
         assert layouts == []
-        solver._factor_jacobian(c_data, g_data, MPDEStats())
+        direct.factor(c_data, g_data)
         assert layouts and all(built is order for built in layouts)
 
     def test_one_ordering_per_problem_across_a_chord_solve(self, splu_specs):
