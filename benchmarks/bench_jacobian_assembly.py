@@ -37,7 +37,11 @@ every analysis funnels through, on the paper's balanced mixer at the paper's
    the per-device ``backend="loop"`` reference; the batched engine must be
    >= 2x faster on the full evaluation (the PR-3 acceptance floor).  The two
    backends are timed interleaved so CPU frequency drift cancels out of the
-   ratio.
+   ratio.  The **one-state** section does the same for the ``P = 1`` dense
+   ``mna.evaluate`` that DC, transient and shooting call, on the
+   ``shooting_baseline`` switching mixer: the batched engine must be
+   >= 1.8x faster there; the shooting wall time and Newton iterations per
+   step are recorded beside it.
 6. **Scenario enumeration** (PR 9) — wall time of one smoke solve per
    registered scenario, mirroring the ``tier1-scenarios`` pre-flight.
    Trend tracking only, no floor (the scenario set is expected to grow).
@@ -65,7 +69,8 @@ paper-grid ``block_circulant_fast`` solve <= 150 GMRES iterations,
 ``block_circulant_fast`` cut >= 5x vs unpreconditioned GMRES, one ``splu``
 call per ``block_circulant_fast`` build, one COLAMD-ordered ``splu`` per
 problem, preconditioner applies = GMRES iterations + restart cycles on every
-20 x 15 GMRES solve, batched engine >= 2x, service warm-cache throughput >= 2x cold,
+20 x 15 GMRES solve, batched engine >= 2x, one-state batched evaluate >= 1.8x,
+service warm-cache throughput >= 2x cold,
 stencil-built derivative >= 3x) is violated, for CI use.
 """
 
@@ -119,6 +124,15 @@ ORDERING_GRID = (20, 15)
 #: Least speedup of the stencil-built ``combined_derivative`` over the
 #: loop-and-``kron`` construction it replaced.
 MIN_SETUP_DERIVATIVE_SPEEDUP = 3.0
+#: The one-state section's circuit: the perfbench ``shooting_baseline``
+#: switching mixer and its shooting set-up.
+ONE_STATE_LO_HZ = 2.0e6
+ONE_STATE_DISPARITY = 5
+ONE_STATE_STEPS_PER_LO_CYCLE = 20
+#: Least speedup of the batched engine over the per-device loop on a
+#: one-point dense ``mna.evaluate`` of that circuit (2.13-2.20x measured
+#: when set, 1.53-1.60x before the one-state work).
+MIN_ONE_STATE_SPEEDUP = 1.8
 #: ``(offset, weight)`` taps of the finite-difference rules for the loop
 #: reference: row ``k`` holds ``weight / h`` at column ``(k + offset) % n``.
 _REFERENCE_STENCILS = {
@@ -608,6 +622,67 @@ def bench_preconditioner_applies(mixer, mna) -> dict:
     }
 
 
+def bench_one_state() -> dict:
+    """One-state cost: ``P = 1`` evaluations and shooting steps.
+
+    DC, transient and shooting evaluate the circuit one state at a time, so
+    per-call overhead, not the device arithmetic, sets their cost.  On the
+    ``shooting_baseline`` switching mixer (2 MHz LO, disparity 5, 100
+    trapezoidal steps per period) this records a dense one-point
+    ``mna.evaluate`` with Jacobians on the batched engine against the
+    per-device loop, at every tenth state of the periodic orbit, timed
+    interleaved; and the wall time and Newton iterations per shooting step
+    (best of 5, DC included) on both backends.
+    """
+    from repro.analysis import shooting_periodic_steady_state
+    from repro.utils import EvaluationOptions, ShootingOptions
+
+    mixer = unbalanced_switching_mixer(
+        lo_frequency=ONE_STATE_LO_HZ, difference_frequency=ONE_STATE_LO_HZ / ONE_STATE_DISPARITY
+    )
+    options = ShootingOptions(
+        steps_per_period=ONE_STATE_STEPS_PER_LO_CYCLE * ONE_STATE_DISPARITY,
+        integration_method="trapezoidal",
+    )
+    period = mixer.difference_period
+    mna = mixer.compile()
+    loop_mna = mixer.circuit.compile(EvaluationOptions(evaluation_backend="loop"))
+
+    def shoot(system):
+        return shooting_periodic_steady_state(system, period, options=options)
+
+    result = shoot(mna)
+    states = result.states[::10]
+    t_loop, t_batched = _time_interleaved(
+        [
+            lambda: [mna.evaluate(x, backend="loop") for x in states],
+            lambda: [mna.evaluate(x) for x in states],
+        ]
+    )
+    # Correctness gate: the floor is only meaningful for identical results.
+    for x in states:
+        loop_eval, batched_eval = mna.evaluate(x, backend="loop"), mna.evaluate(x)
+        for name in ("q", "f", "capacitance", "conductance"):
+            if not np.array_equal(getattr(loop_eval, name), getattr(batched_eval, name)):
+                raise RuntimeError(f"one-state batched/loop mismatch in {name}")
+
+    steps = result.stats.total_time_steps
+    t_shoot = _time_call(lambda: shoot(mna), repeats=5, warmup=1)
+    t_shoot_loop = _time_call(lambda: shoot(loop_mna), repeats=5, warmup=1)
+    return {
+        "n_unknowns": mna.n_unknowns,
+        "n_states": len(states),
+        "loop_eval_us": t_loop / len(states) * 1e6,
+        "batched_eval_us": t_batched / len(states) * 1e6,
+        "batched_speedup": t_loop / t_batched,
+        "shooting_steps": steps,
+        "shooting_iterations": result.stats.shooting_iterations,
+        "newton_iterations_per_step": result.stats.newton_iterations / steps,
+        "shooting_step_ms": t_shoot / steps * 1e3,
+        "loop_shooting_step_ms": t_shoot_loop / steps * 1e3,
+    }
+
+
 def bench_scenario_enumeration() -> dict:
     """Wall time of one smoke solve per registered scenario (first case only).
 
@@ -768,6 +843,7 @@ def main(check: bool = False) -> dict:
 
     evaluation = bench_evaluation(problem)
     engine = bench_evaluation_engine(problem)
+    one_state = bench_one_state()
     assembly = bench_assembly(problem)
     solves = bench_mpde_solves(mixer, mna)
     preconditioners = bench_preconditioners(mixer, mna)
@@ -783,6 +859,7 @@ def main(check: bool = False) -> dict:
         "circuit": mna.circuit.name,
         "evaluation": evaluation,
         "evaluation_engine": engine,
+        "one_state": one_state,
         "assembly": assembly,
         "mpde_solves": solves,
         "preconditioners": preconditioners,
@@ -818,6 +895,19 @@ def main(check: bool = False) -> dict:
             engine["loop_residual_only_ms"],
             engine["batched_residual_only_ms"],
             engine["batched_residual_only_speedup"],
+        )
+    )
+    print("== one state (switching mixer, P = 1) ==")
+    print(
+        "  dense evaluate: loop %.1f us   batched %.1f us   speedup %.2fx"
+        % (one_state["loop_eval_us"], one_state["batched_eval_us"], one_state["batched_speedup"])
+    )
+    print(
+        "  shooting: %.3f ms per step (loop backend %.3f ms), %.2f Newton iterations per step"
+        % (
+            one_state["shooting_step_ms"],
+            one_state["loop_shooting_step_ms"],
+            one_state["newton_iterations_per_step"],
         )
     )
     print("== MPDE Jacobian assembly at %dx%d ==" % PAPER_GRID)
@@ -1010,6 +1100,12 @@ def main(check: bool = False) -> dict:
             "batched engine >= 2x vs per-device loop (full evaluate_sparse)",
             f"{engine['batched_speedup']:.2f}x",
             engine["batched_speedup"] >= 2.0,
+        ),
+        (
+            "one-state batched evaluate >= %gx vs per-device loop (P = 1, switching mixer)"
+            % MIN_ONE_STATE_SPEEDUP,
+            f"{one_state['batched_speedup']:.2f}x",
+            one_state["batched_speedup"] >= MIN_ONE_STATE_SPEEDUP,
         ),
         (
             "service warm-cache throughput >= 2x cold",

@@ -21,22 +21,24 @@ seconds of the 2002 testbed.
 Every run writes its measurements to ``BENCH_speedup_vs_shooting.json`` at
 the repository root: per disparity the MPDE and shooting wall times (each
 the best of ``TIMING_REPEATS`` solves, since a single ~0.1 s MPDE solve is
-too noisy to fit a break-even point on) and the shooting Newton iterations, then the linear fit, the break-even disparity,
-the extrapolated speed-up and the host it ran on.  Run it with
+too noisy to fit a break-even point on), the shooting Newton iterations,
+and the shooting cost per time step (seconds and Newton iterations per
+step over all shooting iterations, the DC start included), then the linear
+fit, the break-even disparity, the extrapolated speed-up and the host it
+ran on.  Run it with
 ``PYTHONPATH=src python -m pytest benchmarks/bench_speedup_vs_shooting.py -s``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import platform
 import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
+from bench_jacobian_assembly import host_info
 from paper_targets import (
     ComparisonRow,
     PAPER_BREAK_EVEN_DISPARITY,
@@ -118,6 +120,12 @@ def test_speedup_vs_shooting(benchmark):
                 "shooting_steps": steps,
                 "shooting_iterations": shooting_stats.shooting_iterations,
                 "shooting_newton_iterations": shooting_stats.newton_iterations,
+                # Every shooting iteration integrates one whole period.
+                "shooting_total_steps": shooting_stats.total_time_steps,
+                "shooting_s_per_step": t_shoot / shooting_stats.total_time_steps,
+                "shooting_newton_iterations_per_step": (
+                    shooting_stats.newton_iterations / shooting_stats.total_time_steps
+                ),
             }
         )
         agreement = abs(a_mpde - a_shoot) / max(a_shoot, 1e-15)
@@ -151,13 +159,7 @@ def test_speedup_vs_shooting(benchmark):
         json.dumps(
             {
                 "bench": "speedup_vs_shooting",
-                "host": {
-                    "cpu_count": os.cpu_count(),
-                    "machine": platform.machine(),
-                    "python": platform.python_version(),
-                    "numpy": np.__version__,
-                    "scipy": scipy.__version__,
-                },
+                "host": {**host_info(), "machine": platform.machine()},
                 "lo_frequency_hz": LO_FREQUENCY,
                 "mpde_grid": list(MPDE_GRID),
                 "shooting_steps_per_lo_cycle": SHOOTING_STEPS_PER_LO_CYCLE,

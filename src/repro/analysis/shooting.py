@@ -34,7 +34,7 @@ from ..utils.options import NewtonOptions, ShootingOptions
 from .dc import dc_operating_point
 from .integration import StepContext, make_integration_rule
 from .sweep import StateSweep
-from .transient import solve_implicit_step
+from .transient import _newton_step
 
 __all__ = ["ShootingStats", "ShootingResult", "shooting_periodic_steady_state"]
 
@@ -106,17 +106,24 @@ def _transition_map(
     n = mna.n_unknowns
     h = period / n_steps
     x = np.asarray(x0, dtype=float).copy()
-    t = t0
+
+    # The step times, accumulated step by step, and the excitation at all of
+    # them in one batched evaluation (the stimuli are elementwise in t, so
+    # each row equals a one-time ``mna.source`` call).
+    times = [t0]
+    for _step in range(n_steps):
+        times.append(times[-1] + h)
+    times = np.asarray(times)
+    excitation = mna.source(times)
 
     monodromy = np.eye(n) if want_monodromy else None
-    times = [t]
     states = [x.copy()]
 
     # The monodromy reads C and G at both ends of every step; one sweep per
     # state serves it, the step residuals and the charge history.
     sweeps = StateSweep(mna)
     evaluation = sweeps.at(x, jacobian=want_monodromy)
-    context = StepContext(q_prev=evaluation.q[0], qdot_prev=-(evaluation.f[0] + mna.source(t)))
+    context = StepContext(q_prev=evaluation.q[0], qdot_prev=-(evaluation.f[0] + excitation[0]))
 
     # The very first step always uses backward Euler.  For the trapezoidal
     # rule, the one-step map of a DAE depends on the *algebraic* part of the
@@ -126,21 +133,17 @@ def _transition_map(
     # do, while leaving the overall accuracy second order.
     first_rule = make_integration_rule("backward-euler")
 
-    for _step in range(n_steps):
-        step_rule = first_rule if _step == 0 else rule
-        t_new = t + h
-        b_new = mna.source(t_new)
-        x_new, iterations = solve_implicit_step(
-            mna, x, t_new, h, context, step_rule, newton_options,
-            b_new=b_new, sweeps=sweeps,
-        )
+    for step in range(n_steps):
+        step_rule = first_rule if step == 0 else rule
+        b_new = excitation[step + 1]
+        alpha, r = step_rule.derivative_coefficients(h, context)
+        x_new, iterations = _newton_step(sweeps, x, alpha, r, b_new, newton_options)
         stats.newton_iterations += iterations
         stats.total_time_steps += 1
         eval_old = evaluation
         evaluation = sweeps.at(x_new, jacobian=want_monodromy)
 
         if want_monodromy:
-            alpha, _r = step_rule.derivative_coefficients(h, context)
             # Sensitivity propagation.  For the implicit step
             #   alpha * q(x_{k+1}) + r(x_k) + f(x_{k+1}) + b_{k+1} = 0
             # the chain rule gives
@@ -166,11 +169,9 @@ def _transition_map(
             h_prev=h,
         )
         x = x_new
-        t = t_new
-        times.append(t)
         states.append(x.copy())
 
-    return x, monodromy, np.asarray(times), np.asarray(states)
+    return x, monodromy, times, np.asarray(states)
 
 
 def shooting_periodic_steady_state(

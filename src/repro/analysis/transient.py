@@ -115,6 +115,18 @@ def solve_implicit_step(
         b_new = mna.source(t_new)
     if sweeps is None:
         sweeps = StateSweep(mna)
+    return _newton_step(sweeps, x_guess, alpha, r, b_new, newton_options)
+
+
+def _newton_step(
+    sweeps: StateSweep,
+    x_guess: np.ndarray,
+    alpha: float,
+    r: np.ndarray,
+    b_new: np.ndarray,
+    newton_options: NewtonOptions,
+) -> tuple[np.ndarray, int]:
+    """Full Newton on ``alpha*q(x) + r + f(x) + b_new = 0`` (one implicit step)."""
 
     def residual(x: np.ndarray) -> np.ndarray:
         # Newton asks for the Jacobian at the iterate whose residual it just

@@ -197,12 +197,13 @@ class BatchSpec:
     * ``dynamic_vec`` / ``dynamic_mat`` — likewise for ``stamp_dynamic``.
     * ``static_kernel`` / ``dynamic_kernel`` — elementwise evaluators with
       signature ``kernel(V, params, need_jacobian)`` where ``V[t]`` is the
-      ``(P, n_group)`` value of terminal ``t`` and ``params[j]`` the stacked
-      ``(n_group,)`` parameter ``j``.  They return
+      C-contiguous ``(n_group, P)`` value of terminal ``t`` (``V`` is one
+      ``(T, n_group, P)`` array) and ``params[j]`` the stacked
+      ``(n_group, 1)`` parameter ``j``.  They return
       ``(vec_values, mat_values)`` aligned with the slot declarations
       (``mat_values`` may be ``None`` when ``need_jacobian`` is false);
-      each value may be a scalar, an ``(n_group,)`` array (point-independent
-      stamps) or a full ``(P, n_group)`` array.
+      each value may be a scalar, an ``(n_group, 1)`` array
+      (point-independent stamps) or a full ``(n_group, P)`` array.
 
     Devices in a group share the kernels of the group's first member, so
     :attr:`key` must capture everything *structural*: the device class and
@@ -224,9 +225,10 @@ class BatchSpec:
     static_kernel: Callable | None = field(default=None, compare=False)
     dynamic_kernel: Callable | None = field(default=None, compare=False)
     #: Declare the kernel's Jacobian values independent of ``x`` (linear
-    #: devices).  The engine then captures them once at compile time into a
-    #: per-point-count template buffer and never asks the kernel for them
-    #: again — per evaluation the kernel runs with ``need_jacobian=False``.
+    #: devices).  The engine then captures them once at compile time, writes
+    #: them into each of its Jacobian buffers when it is made and never asks
+    #: the kernel for them again — per evaluation the kernel runs with
+    #: ``need_jacobian=False``.
     static_mat_constant: bool = False
     dynamic_mat_constant: bool = False
 

@@ -96,13 +96,13 @@ def _mosfet_static_kernel(polarity: float):
 
         shape = vds.shape
         n_points = shape[1]
-        current = np.zeros(shape)
-        cur_flat = current.ravel()
+        # One zero-initialised allocation for all outputs.
+        outputs = np.zeros((4 if need_jacobian else 1,) + shape)
+        flat = outputs.reshape(outputs.shape[0], -1)
+        current, cur_flat = outputs[0], flat[0]
         if need_jacobian:
-            d_vg = np.zeros(shape)
-            d_vd = np.zeros(shape)
-            d_vs = np.zeros(shape)
-            d_vg_flat, d_vd_flat, d_vs_flat = d_vg.ravel(), d_vd.ravel(), d_vs.ravel()
+            d_vg, d_vd, d_vs = outputs[1], outputs[2], outputs[3]
+            d_vg_flat, d_vd_flat, d_vs_flat = flat[1], flat[2], flat[3]
 
         beta_col = beta[:, 0]
         lam_col = lam[:, 0]
@@ -122,7 +122,7 @@ def _mosfet_static_kernel(polarity: float):
             vds_flat = vds_sign.ravel()
             for triode_region in (True, False):
                 mask = active & (in_triode if triode_region else ~in_triode)
-                index = np.flatnonzero(mask.ravel())
+                index = mask.ravel().nonzero()[0]
                 if index.size == 0:
                     continue
                 member = index // n_points  # per-element device row

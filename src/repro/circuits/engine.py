@@ -11,9 +11,10 @@ for realistic netlists.  This module removes it with a classic
 gather
     Devices are grouped by class (more precisely by their
     :class:`~repro.circuits.devices.base.BatchSpec` key, which also encodes
-    structural parameter flags).  Each group precomputes per-terminal index
-    arrays; at evaluation time one fancy-index row read of the transposed
-    padded state yields a C-contiguous ``(n_group, P)`` block per terminal.
+    structural parameter flags).  Each group precomputes one terminal-major
+    index array; at evaluation time one row ``take`` of the transposed
+    padded state yields a ``(T, n_group, P)`` block whose terminal slices
+    are C-contiguous ``(n_group, P)`` arrays.
 
 compute
     The group's elementwise kernel — contributed by the device class itself
@@ -25,21 +26,20 @@ compute
     they produce are bit-for-bit equal to the per-device path.
 
 scatter
-    Everything is laid out *transposed* (one contiguous buffer row per
-    contribution target), so writing a kernel slot is a plain row-block
-    assignment.  Accumulation order is the subtle part: duplicate
-    contributions must sum in device insertion order to reproduce the loop
-    path's ``+=`` sequence bit for bit.  :class:`_AccumLayout` achieves that
-    without any per-evaluation ``bincount``: the first contribution to every
-    residual row / Jacobian slot writes *directly* into the final
-    (transposed) output buffer, later duplicates go to private side rows,
-    and a short ``+=`` pass folds them back in raw order.  Jacobian rows
-    follow the compiled stamp patterns (the same contribution order
-    :class:`~repro.circuits.devices.base.PatternValueFiller` sees on the
-    loop path); linear devices declare their Jacobian values
-    ``x``-independent, and those rows are captured once into a per-``P``
-    template the evaluation starts from, so only nonlinear Jacobian values
-    are recomputed per call.
+    Everything is laid out *transposed* (one raw buffer row per
+    contribution), and each kernel slot owns a contiguous block of raw rows,
+    so writing a slot is a plain slice assignment.  Accumulation order is
+    the subtle part: duplicate contributions must sum in device insertion
+    order to reproduce the loop path's ``+=`` sequence bit for bit.
+    :class:`_AccumLayout` achieves that without any per-evaluation
+    ``bincount``: one ``take`` gathers the first contribution to every
+    residual row / Jacobian slot, and the later duplicates are folded in
+    with ``+=`` in precomputed rounds that keep each target's raw order.
+    Jacobian rows follow the compiled stamp patterns (the same contribution
+    order :class:`~repro.circuits.devices.base.PatternValueFiller` sees on
+    the loop path); linear devices declare their Jacobian values
+    ``x``-independent, and those rows are written once into each raw
+    buffer, so only nonlinear Jacobian values are recomputed per call.
 
 Devices without a :meth:`batch_spec` fall back to running their loop stamps
 into the very same buffers, so arbitrary (user-defined) devices keep working
@@ -67,53 +67,73 @@ _NULL_STAMPS = NullStamps()
 
 
 class _AccumLayout:
-    """Primary/secondary buffer layout for order-preserving accumulation.
+    """Raw-buffer layout and order-preserving reduction of one output kind.
 
-    Each raw contribution ``k`` has a target ``targets[k]`` (a residual row,
-    or a deduplicated Jacobian slot).  The *first* contribution to a target
-    writes directly into output row ``targets[k]``; every later duplicate
-    gets a private side row above ``n_out``.  :meth:`finalize` folds the
-    side rows back with ``+=`` in raw order, reproducing the loop path's
-    accumulation order exactly — so no per-evaluation ``bincount`` (and no
-    staging copy of the non-duplicated majority) is ever needed.
+    The parts write their stamp values into a *raw* buffer of ``height``
+    rows: one contiguous block of ``n_group`` rows per kernel slot (members
+    whose slot resolves to ground write a row nobody reads), one row per
+    contribution of a fallback device, and a last row that stays zero.  Raw
+    contribution ``k`` (in the compiled stamp order) lives in raw row
+    ``sources[k]`` and adds to output row ``targets[k]``.
+
+    :meth:`finalize` gathers, for every output row, the raw row of its
+    *first* contribution in one ``take`` (untouched output rows read the
+    zero row), then folds the later duplicates in with ``+=`` in raw order.
+    The folds run in rounds: round ``j`` adds the ``j``-th duplicate of every
+    target that has one, and the targets of one round are distinct, so one
+    fancy ``+=`` per round reproduces the loop path's per-target
+    accumulation order exactly.  Constant rows (``fills``) are written once
+    per buffer: :meth:`finalize` never writes into the raw buffer.
     """
 
-    __slots__ = ("row_map", "secondary_targets", "height", "n_out", "untouched")
+    __slots__ = ("height", "first", "folds", "fills")
 
-    def __init__(self, targets, n_out: int) -> None:
-        targets = np.asarray(targets, dtype=np.int64)
-        self.n_out = int(n_out)
-        self.row_map = np.empty(targets.size, dtype=np.intp)
-        seen: set[int] = set()
-        secondary: list[int] = []
-        height = self.n_out
-        for k, target in enumerate(targets.tolist()):
-            if target in seen:
-                self.row_map[k] = height
-                secondary.append(target)
-                height += 1
-            else:
-                seen.add(target)
-                self.row_map[k] = target
-        self.secondary_targets = np.asarray(secondary, dtype=np.intp)
-        self.height = height
-        self.untouched = np.setdiff1d(np.arange(self.n_out), targets)
+    def __init__(self, sources, targets, n_out: int, height: int) -> None:
+        self.height = int(height)
+        zero_row = self.height - 1
+        first = np.full(int(n_out), zero_row, dtype=np.intp)
+        seen: dict[int, int] = {}
+        rounds: list[tuple[list[int], list[int]]] = []
+        for source, target in zip(np.asarray(sources).tolist(), np.asarray(targets).tolist()):
+            count = seen.get(target, 0)
+            seen[target] = count + 1
+            if count == 0:
+                first[target] = source
+                continue
+            if len(rounds) < count:
+                rounds.append(([], []))
+            rounds[count - 1][0].append(target)
+            rounds[count - 1][1].append(source)
+        self.first = first
+        # A one-duplicate round indexes with plain ints (a row view, no
+        # fancy-index temporaries).
+        self.folds = tuple(
+            (rows[0], raw[0]) if len(rows) == 1
+            else (np.asarray(rows, dtype=np.intp), np.asarray(raw, dtype=np.intp))
+            for rows, raw in rounds
+        )
+        #: (start, stop, value) constant rows, written once per raw buffer
+        self.fills: list = []
 
-    def finalize(self, buffer: np.ndarray) -> np.ndarray:
-        """Fold side rows in raw order; return the contiguous ``(P, n_out)`` result.
+    def new_buffer(self, n_points: int) -> np.ndarray:
+        """A raw buffer with its zero row and constant rows written."""
+        buffer = np.empty((self.height, n_points))
+        buffer[-1] = 0.0
+        for start, stop, value in self.fills:
+            buffer[start:stop] = value
+        return buffer
 
-        The fold is a short Python loop on purpose: duplicates are rare (a
-        handful per circuit), and sequential row ``+=`` both beats
-        ``ufunc.at`` by an order of magnitude here and guarantees the loop
-        path's per-target accumulation order.
+    def finalize(self, raw: np.ndarray) -> np.ndarray:
+        """Reduce a raw buffer to the contiguous ``(P, n_out)`` result.
+
+        The result is a new array (the ``take``), never a view of the reused
+        raw buffer: callers keep results across evaluations (e.g. the
+        integration rules' charge history).
         """
-        for source, target in enumerate(self.secondary_targets.tolist(), start=self.n_out):
-            buffer[target] += buffer[source]
-        # .copy() rather than ascontiguousarray: the result must never alias
-        # the reused scratch buffer (for P = 1 the transposed view is already
-        # flagged contiguous, and callers keep results across evaluations —
-        # e.g. the integration rules' charge history).
-        return buffer[: self.n_out].T.copy()
+        out = raw.take(self.first, axis=0)
+        for rows, sources in self.folds:
+            out[rows] += raw[sources]
+        return np.ascontiguousarray(out.T)
 
 
 class _TransposedScatter:
@@ -217,61 +237,57 @@ class _PatternValueFiller:
         return self._cursor
 
 
-def _assign(buffer: np.ndarray, rows: np.ndarray, sel: np.ndarray | None, value) -> None:
-    """Write one slot's kernel values into their buffer rows.
-
-    ``value`` may be a scalar (member- and point-independent stamps like an
-    inductor's ±1 entries), an ``(n_group, 1)`` array (point-independent) or
-    a full ``(n_group, P)`` array; ``sel`` restricts to the members whose
-    slot survived ground elimination (``None`` when all did).
-    """
-    if rows.size == 0:
-        return
-    if isinstance(value, np.ndarray) and sel is not None:
-        buffer[rows] = value[sel]
-    else:
-        buffer[rows] = value
-
-
 class _GroupPart:
     """One kernel invocation: a device group's static *or* dynamic stamps."""
 
-    __slots__ = ("kernel", "gather", "params", "vec_slots", "mat_slots", "mat_constant")
+    __slots__ = ("kernel", "gather", "n_terminals", "params", "vec_blocks", "mat_blocks",
+                 "mat_constant")
 
-    def __init__(self, kernel, gather, params, vec_slots, mat_slots, mat_constant) -> None:
+    def __init__(self, kernel, gather, params, vec_blocks, mat_blocks, mat_constant) -> None:
         self.kernel = kernel
-        #: per-terminal (n_group,) index arrays into the padded state rows
-        self.gather = [np.ascontiguousarray(rows) for rows in gather]
+        #: (T * n_group,) terminal-major index array into the padded state rows
+        self.gather = np.ascontiguousarray(gather, dtype=np.intp).ravel()
+        self.n_terminals = gather.shape[0]
         self.params = params  # tuple of (n_group, 1) parameter arrays
-        self.vec_slots = vec_slots  # [(rows, sel)] aligned with kernel vec output
-        self.mat_slots = mat_slots  # [(rows, sel)] aligned with kernel mat output
+        self.vec_blocks = vec_blocks  # [(start, stop)] raw rows per kernel vec output
+        self.mat_blocks = mat_blocks  # [(start, stop)] raw rows per kernel mat output
         self.mat_constant = mat_constant
 
+    def terminal_values(self, padded_t: np.ndarray) -> np.ndarray:
+        """``(T, n_group, P)`` terminal values: ``V[t]`` is C-contiguous.
+
+        One row ``take`` for the whole group keeps every ``(n_group, P)``
+        block contiguous, which is what lets the kernel ufuncs hit their
+        SIMD fast paths.
+        """
+        return padded_t.take(self.gather, axis=0).reshape(
+            self.n_terminals, -1, padded_t.shape[1]
+        )
+
     def constant_mat_fills(self, probe_t: np.ndarray):
-        """(rows, sel, value) template fills of an ``x``-independent Jacobian."""
-        V = [probe_t[idx] for idx in self.gather]
-        _vec, mat_values = self.kernel(V, self.params, True)
+        """(start, stop, value) raw-row fills of an ``x``-independent Jacobian."""
+        _vec, mat_values = self.kernel(self.terminal_values(probe_t), self.params, True)
         return [
-            (rows, sel, value)
-            for (rows, sel), value in zip(self.mat_slots, mat_values)
+            (start, stop, value)
+            for (start, stop), value in zip(self.mat_blocks, mat_values)
         ]
 
     def run(self, X, padded_t, vec_buf, mat_buf) -> None:
-        # One fancy row-gather per terminal keeps every (n_group, P) block
-        # C-contiguous, which is what lets the kernel ufuncs hit their SIMD
-        # fast paths.
-        V = [padded_t[idx] for idx in self.gather]
         need_mat = mat_buf is not None and not self.mat_constant
-        vec_values, mat_values = self.kernel(V, self.params, need_mat)
-        for (rows, sel), value in zip(self.vec_slots, vec_values):
-            _assign(vec_buf, rows, sel, value)
+        vec_values, mat_values = self.kernel(
+            self.terminal_values(padded_t), self.params, need_mat
+        )
+        # Each slot owns a contiguous block of n_group raw rows: a plain
+        # slice write, which broadcasts scalar and (n_group, 1) values.
+        for (start, stop), value in zip(self.vec_blocks, vec_values):
+            vec_buf[start:stop] = value
         if need_mat:
-            for (rows, sel), value in zip(self.mat_slots, mat_values):
-                _assign(mat_buf, rows, sel, value)
+            for (start, stop), value in zip(self.mat_blocks, mat_values):
+                mat_buf[start:stop] = value
 
 
 class _FallbackPart:
-    """Loop-stamp execution of one spec-less device into the group buffers."""
+    """Loop-stamp execution of one spec-less device into the raw buffers."""
 
     __slots__ = ("device", "static", "vec_rows", "vec_positions", "mat_rows", "mat_cols", "mat_positions")
 
@@ -366,33 +382,38 @@ def _kept_mat_entries(indices, slots) -> list[tuple[int, int]]:
     ]
 
 
-def _slot_assignments(idx_matrix, slots, offsets, counts, row_map, *, matrix):
-    """Buffer row maps per slot, honouring ground elimination.
+def _slot_blocks(idx_matrix, slots, offsets, counts, sources, base, *, matrix):
+    """Raw row blocks per slot, honouring ground elimination.
 
     ``idx_matrix`` is the group's ``(n_group, T)`` terminal-index array (with
-    ``-1`` for ground), ``offsets``/``counts`` each member's raw-segment
-    start and length, ``row_map`` the raw-index -> buffer-row mapping of the
-    accumulation layout.  Walking the slots in declaration order advances a
-    per-member cursor exactly as the loop stamps advance through the raw
-    sequence, which is what aligns kernel output with the compiled patterns.
+    ``-1`` for ground), ``offsets``/``counts`` each member's segment of the
+    compiled contribution sequence.  Slot ``j`` owns raw rows
+    ``base + j * n_group + member``.  Walking the slots in declaration order
+    advances a per-member cursor exactly as the loop stamps advance through
+    the contribution sequence, which is what aligns kernel output with the
+    compiled patterns: ``sources`` records the raw row of every contribution
+    a kept (non-ground) slot makes.  Returns the ``(start, stop)`` blocks
+    and the next free raw row.
     """
+    n_group = idx_matrix.shape[0]
+    members = np.arange(n_group)
     cursors = offsets.astype(np.int64).copy()
-    assignments = []
+    blocks = []
     for slot in slots:
         if matrix:
             r, c = slot
             keep = (idx_matrix[:, r] >= 0) & (idx_matrix[:, c] >= 0)
         else:
             keep = idx_matrix[:, slot] >= 0
-        raw_positions = cursors[keep]
-        sel = None if bool(keep.all()) else np.flatnonzero(keep)
-        assignments.append((row_map[raw_positions], sel))
+        sources[cursors[keep]] = base + members[keep]
         cursors[keep] += 1
+        blocks.append((base, base + n_group))
+        base += n_group
     if not np.array_equal(cursors, offsets + counts):
         raise DeviceError(
             "batch spec slots do not cover the device's recorded stamp pattern"
         )
-    return assignments
+    return blocks, base
 
 
 class BatchedEvaluationEngine:
@@ -437,16 +458,7 @@ class BatchedEvaluationEngine:
                     "with the system's compiled pattern"
                 )
 
-        self._f_layout = _AccumLayout(
-            [r for rec in records for r in rec[0].rows], n
-        )
-        self._q_layout = _AccumLayout(
-            [r for rec in records for r in rec[2].rows], n
-        )
-        self._g_layout = _AccumLayout(system.static_pattern.slot, system.static_pattern.nnz)
-        self._c_layout = _AccumLayout(system.dynamic_pattern.slot, system.dynamic_pattern.nnz)
-
-        # -- per-device raw offsets ---------------------------------------
+        # -- per-device contribution offsets -------------------------------
         def _offsets(counts):
             counts = np.asarray(counts, dtype=np.int64)
             starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
@@ -472,12 +484,35 @@ class BatchedEvaluationEngine:
             self._validate_spec(devices[i], spec, records[i])
             groups.setdefault(spec.key, []).append(i)
 
+        # -- raw row allocation ---------------------------------------------
+        # Per output kind: the raw row of every compiled contribution, and
+        # the next free raw row.
+        sources = {
+            "f": np.empty(int(f_cnt.sum()), dtype=np.intp),
+            "g": np.empty(int(g_cnt.sum()), dtype=np.intp),
+            "q": np.empty(int(q_cnt.sum()), dtype=np.intp),
+            "c": np.empty(int(c_cnt.sum()), dtype=np.intp),
+        }
+        base = dict.fromkeys(sources, 0)
+
+        def _blocks(kind, idx_matrix, slots, off, cnt, *, matrix):
+            blocks, base[kind] = _slot_blocks(
+                idx_matrix, slots, off, cnt, sources[kind], base[kind], matrix=matrix
+            )
+            return blocks
+
+        def _rows(kind, start, count):
+            rows = np.arange(base[kind], base[kind] + count, dtype=np.intp)
+            sources[kind][start : start + count] = rows
+            base[kind] += count
+            return rows
+
         self._static_parts: list[_GroupPart | _FallbackPart] = []
         self._dynamic_parts: list[_GroupPart | _FallbackPart] = []
         for key, members in groups.items():
             first = specs[members[0]]
             idx_matrix = np.asarray([specs[i].indices for i in members], dtype=np.int64)
-            gather = np.where(idx_matrix < 0, n, idx_matrix).T.copy()  # (T, n_group)
+            gather = np.where(idx_matrix < 0, n, idx_matrix).T  # (T, n_group)
 
             def _stack_params(values_of):
                 return tuple(
@@ -485,21 +520,19 @@ class BatchedEvaluationEngine:
                     for j in range(len(values_of(first)))
                 )
 
+            # A part none of whose Jacobian slots survives ground
+            # elimination needs no per-evaluation Jacobian either.
             if first.static_kernel is not None:
                 self._static_parts.append(
                     _GroupPart(
                         first.static_kernel,
                         gather,
                         _stack_params(lambda s: s.static_params),
-                        _slot_assignments(
-                            idx_matrix, first.static_vec, f_off[members], f_cnt[members],
-                            self._f_layout.row_map, matrix=False,
-                        ),
-                        _slot_assignments(
-                            idx_matrix, first.static_mat, g_off[members], g_cnt[members],
-                            self._g_layout.row_map, matrix=True,
-                        ),
-                        first.static_mat_constant,
+                        _blocks("f", idx_matrix, first.static_vec, f_off[members],
+                                f_cnt[members], matrix=False),
+                        _blocks("g", idx_matrix, first.static_mat, g_off[members],
+                                g_cnt[members], matrix=True),
+                        first.static_mat_constant or not g_cnt[members].any(),
                     )
                 )
             if first.dynamic_kernel is not None:
@@ -508,15 +541,11 @@ class BatchedEvaluationEngine:
                         first.dynamic_kernel,
                         gather,
                         _stack_params(lambda s: s.dynamic_params),
-                        _slot_assignments(
-                            idx_matrix, first.dynamic_vec, q_off[members], q_cnt[members],
-                            self._q_layout.row_map, matrix=False,
-                        ),
-                        _slot_assignments(
-                            idx_matrix, first.dynamic_mat, c_off[members], c_cnt[members],
-                            self._c_layout.row_map, matrix=True,
-                        ),
-                        first.dynamic_mat_constant,
+                        _blocks("q", idx_matrix, first.dynamic_vec, q_off[members],
+                                q_cnt[members], matrix=False),
+                        _blocks("c", idx_matrix, first.dynamic_mat, c_off[members],
+                                c_cnt[members], matrix=True),
+                        first.dynamic_mat_constant or not c_cnt[members].any(),
                     )
                 )
 
@@ -528,10 +557,10 @@ class BatchedEvaluationEngine:
                         device,
                         True,
                         np.asarray(records[i][0].rows, dtype=np.int64),
-                        self._f_layout.row_map[f_off[i] : f_off[i] + f_cnt[i]],
+                        _rows("f", f_off[i], f_cnt[i]),
                         system.static_pattern.raw_rows[g_off[i] : g_off[i] + g_cnt[i]],
                         system.static_pattern.raw_cols[g_off[i] : g_off[i] + g_cnt[i]],
-                        self._g_layout.row_map[g_off[i] : g_off[i] + g_cnt[i]],
+                        _rows("g", g_off[i], g_cnt[i]),
                     )
                 )
             if q_cnt[i] or c_cnt[i]:
@@ -540,45 +569,49 @@ class BatchedEvaluationEngine:
                         device,
                         False,
                         np.asarray(records[i][2].rows, dtype=np.int64),
-                        self._q_layout.row_map[q_off[i] : q_off[i] + q_cnt[i]],
+                        _rows("q", q_off[i], q_cnt[i]),
                         system.dynamic_pattern.raw_rows[c_off[i] : c_off[i] + c_cnt[i]],
                         system.dynamic_pattern.raw_cols[c_off[i] : c_off[i] + c_cnt[i]],
-                        self._c_layout.row_map[c_off[i] : c_off[i] + c_cnt[i]],
+                        _rows("c", c_off[i], c_cnt[i]),
                     )
                 )
 
-        # -- constant-Jacobian templates ----------------------------------
-        # Linear devices' Jacobian values never change; capture them once
-        # (per part, shapes are point-independent) and build, lazily per
-        # point count, template buffers the evaluation copies instead of
-        # recomputing.
+        # One extra raw row per kind stays zero (untouched output rows).
+        self._f_layout = _AccumLayout(
+            sources["f"], [r for rec in records for r in rec[0].rows], n, base["f"] + 1
+        )
+        self._q_layout = _AccumLayout(
+            sources["q"], [r for rec in records for r in rec[2].rows], n, base["q"] + 1
+        )
+        self._g_layout = _AccumLayout(
+            sources["g"], system.static_pattern.slot, system.static_pattern.nnz, base["g"] + 1
+        )
+        self._c_layout = _AccumLayout(
+            sources["c"], system.dynamic_pattern.slot, system.dynamic_pattern.nnz, base["c"] + 1
+        )
+
+        # -- constant Jacobian rows ---------------------------------------
+        # Linear devices' Jacobian values never change: capture them once
+        # (per part, shapes are point-independent); every raw Jacobian
+        # buffer is created with them written, and no evaluation rewrites
+        # them.
         probe_t = np.full((n + 1, 1), 0.1)
         probe_t[n] = 0.0  # virtual ground row
-        self._static_fills = [
-            fill
-            for part in self._static_parts
-            if isinstance(part, _GroupPart) and part.mat_constant
-            for fill in part.constant_mat_fills(probe_t)
-        ]
-        self._dynamic_fills = [
-            fill
-            for part in self._dynamic_parts
-            if isinstance(part, _GroupPart) and part.mat_constant
-            for fill in part.constant_mat_fills(probe_t)
-        ]
-        self._template_cache: dict[tuple[str, int], np.ndarray] = {}
-        self._scratch_cache: dict[tuple[str, int], np.ndarray] = {}
+        for parts, layout in (
+            (self._static_parts, self._g_layout),
+            (self._dynamic_parts, self._c_layout),
+        ):
+            for part in parts:
+                if isinstance(part, _GroupPart) and part.mat_constant:
+                    layout.fills.extend(part.constant_mat_fills(probe_t))
+        self._workspaces: dict[int, dict[str, np.ndarray]] = {}
 
         # A pattern whose every contribution is constant (e.g. the dynamic
         # pattern of a circuit whose charge storage is all linear capacitors)
         # needs no per-evaluation Jacobian work at all: its finalized data
         # array is cached per point count and returned read-only.
         def _all_constant(parts):
-            return all(
-                isinstance(part, _GroupPart)
-                and (part.mat_constant or not any(r.size for r, _ in part.mat_slots))
-                for part in parts
-            )
+            return all(isinstance(part, _GroupPart) and part.mat_constant for part in parts)
 
         self._static_mat_all_constant = _all_constant(self._static_parts)
         self._dynamic_mat_all_constant = _all_constant(self._dynamic_parts)
@@ -614,74 +647,53 @@ class BatchedEvaluationEngine:
                 )
 
     # -- buffer management -------------------------------------------------
-    def _scratch(self, what: str, shape: tuple[int, int]) -> np.ndarray:
-        """A reused scratch buffer of the given shape (contents arbitrary)."""
-        key = (what, shape[1])
-        buffer = self._scratch_cache.get(key)
-        if buffer is None or buffer.shape != shape:
-            buffer = np.empty(shape)
-            if len(self._scratch_cache) > 16:
-                self._scratch_cache.clear()
-            self._scratch_cache[key] = buffer
-        return buffer
+    def _workspace(self, n_points: int) -> dict[str, np.ndarray]:
+        """The reused buffers of one point count.
 
-    def _vec_buffer(self, what: str, layout: _AccumLayout, n_points: int) -> np.ndarray:
-        """A residual accumulation buffer with never-written rows zeroed.
-
-        Touched rows are overwritten by the parts on every evaluation, so
-        only the untouched rows need (one-time) zeroing per scratch buffer.
+        Made with the ``(n + 1, P)`` transposed state (its last row is the
+        ground row, zero) and the raw residual buffers, whose read rows are
+        all rewritten per evaluation; the Jacobian buffers join on first use.
         """
-        key = (what, n_points)
-        buffer = self._scratch_cache.get(key)
-        if buffer is None or buffer.shape[0] != layout.height:
-            buffer = np.empty((layout.height, n_points))
-            buffer[layout.untouched] = 0.0
-            if len(self._scratch_cache) > 16:
-                self._scratch_cache.clear()
-            self._scratch_cache[key] = buffer
+        workspace = self._workspaces.get(n_points)
+        if workspace is None:
+            padded = np.empty((self._system.n_unknowns + 1, n_points))
+            padded[-1] = 0.0
+            workspace = {
+                "padded": padded,
+                "f": self._f_layout.new_buffer(n_points),
+                "q": self._q_layout.new_buffer(n_points),
+            }
+            if len(self._workspaces) > 8:
+                self._workspaces.clear()
+            self._workspaces[n_points] = workspace
+        return workspace
+
+    def _mat_buffer(self, workspace, what: str, layout: _AccumLayout, n_points: int) -> np.ndarray:
+        """A raw Jacobian buffer with its constant rows written (once).
+
+        Every variable row is overwritten by exactly one part per
+        evaluation, and :meth:`_AccumLayout.finalize` never writes into the
+        buffer, so the constant rows stay valid across evaluations.
+        """
+        buffer = workspace.get(what)
+        if buffer is None:
+            buffer = workspace[what] = layout.new_buffer(n_points)
         return buffer
 
-    def _mat_buffer(
-        self, what: str, layout: _AccumLayout, n_points: int, fills
+    def _constant_mat_data(
+        self, workspace, what: str, layout: _AccumLayout, n_points: int
     ) -> np.ndarray:
-        """A Jacobian accumulation buffer with constant rows pre-filled.
-
-        The template (constant rows written, variable rows left arbitrary —
-        every variable row is overwritten by exactly one part per
-        evaluation) is built once per point count; per call its rows are
-        copied into a reused scratch buffer.
-        """
-        key = (what, n_points)
-        template = self._template_cache.get(key)
-        if template is None:
-            template = np.zeros((layout.height, n_points))
-            for rows, sel, value in fills:
-                _assign(template, rows, sel, value)
-            if len(self._template_cache) > 8:
-                self._template_cache.clear()
-            self._template_cache[key] = template
-        buffer = self._scratch(what + "_buf", (layout.height, n_points))
-        np.copyto(buffer, template)
-        return buffer
-
-    def _constant_mat_data(self, what: str, layout: _AccumLayout, n_points: int, fills) -> np.ndarray:
         """Finalized Jacobian data of an all-constant pattern (cached, read-only).
 
         The returned array is shared between evaluations (its values can
         never change); it is marked non-writeable so accidental mutation by
         a caller fails loudly instead of corrupting later evaluations.
         """
-        key = (what + "_const", n_points)
-        data = self._template_cache.get(key)
+        data = workspace.get(what)
         if data is None:
-            buffer = np.zeros((layout.height, n_points))
-            for rows, sel, value in fills:
-                _assign(buffer, rows, sel, value)
-            data = layout.finalize(buffer)
+            data = layout.finalize(layout.new_buffer(n_points))
             data.setflags(write=False)
-            if len(self._template_cache) > 8:
-                self._template_cache.clear()
-            self._template_cache[key] = data
+            workspace[what] = data
         return data
 
     # -- evaluation --------------------------------------------------------
@@ -699,33 +711,25 @@ class BatchedEvaluationEngine:
         stamp patterns (``None`` when not requested — in which case no
         Jacobian buffer of any kind is allocated or written).
         """
-        n_points, n = X.shape
-        padded_t = self._scratch("padded", (n + 1, n_points))
-        padded_t[:n] = X.T
-        padded_t[n] = 0.0  # virtual ground row
+        n_points = X.shape[0]
+        workspace = self._workspace(n_points)
+        padded_t = workspace["padded"]
+        padded_t[:-1] = X.T
+        f_buf = workspace["f"]
+        q_buf = workspace["q"]
 
-        f_buf = self._vec_buffer("f", self._f_layout, n_points)
-        q_buf = self._vec_buffer("q", self._q_layout, n_points)
         g_buf = c_buf = None
         g_data = c_data = None
         if need_static_jacobian:
             if self._static_mat_all_constant:
-                g_data = self._constant_mat_data(
-                    "static", self._g_layout, n_points, self._static_fills
-                )
+                g_data = self._constant_mat_data(workspace, "g", self._g_layout, n_points)
             else:
-                g_buf = self._mat_buffer(
-                    "static", self._g_layout, n_points, self._static_fills
-                )
+                g_buf = self._mat_buffer(workspace, "g", self._g_layout, n_points)
         if need_dynamic_jacobian:
             if self._dynamic_mat_all_constant:
-                c_data = self._constant_mat_data(
-                    "dynamic", self._c_layout, n_points, self._dynamic_fills
-                )
+                c_data = self._constant_mat_data(workspace, "c", self._c_layout, n_points)
             else:
-                c_buf = self._mat_buffer(
-                    "dynamic", self._c_layout, n_points, self._dynamic_fills
-                )
+                c_buf = self._mat_buffer(workspace, "c", self._c_layout, n_points)
 
         for part in self._static_parts:
             part.run(X, padded_t, f_buf, g_buf)

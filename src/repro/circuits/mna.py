@@ -390,13 +390,8 @@ class MNASystem:
                 need_static_jacobian=need_g,
                 need_dynamic_jacobian=need_c,
             )
-            G = C = None
-            if need_g:
-                G = np.zeros((n_points, n, n))
-                G[:, self._static_pattern.rows, self._static_pattern.cols] = g_data
-            if need_c:
-                C = np.zeros((n_points, n, n))
-                C[:, self._dynamic_pattern.rows, self._dynamic_pattern.cols] = c_data
+            G = self._static_pattern.dense_from_data(g_data) if need_g else None
+            C = self._dynamic_pattern.dense_from_data(c_data) if need_c else None
             return MNAEvaluation(q=Q, f=F, capacitance=C, conductance=G)
 
         Q = np.zeros((n_points, n))

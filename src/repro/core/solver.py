@@ -437,8 +437,6 @@ class DirectLU:
     #: but real crawl is left alone: the PRBS mixer's damped chord steps cut
     #: the residual by at least 1.9% over any three.
     STALL_STEPS = 3
-    #: The ``newton_refresh`` rung's trace detail.
-    REFRESH_DETAIL = "chord LU dropped; full Newton refresh"
     #: Direct solves are exact.
     tight = True
 
@@ -644,9 +642,20 @@ class DirectLU:
     def tighten(self) -> None:
         """Nothing to do: every direct correction is tight."""
 
-    def refresh(self) -> "DirectLU | None":
-        """Full Newton for a chord LU (None when it refactors every step already)."""
-        return None if self.every_step else DirectLU(self.problem, self.stats, every_step=True)
+    @property
+    def refresh_detail(self) -> str:
+        """The ``newton_refresh`` rung's trace detail."""
+        if self.every_step:
+            return "re-solved from the start point; the LU is refactored at every Newton step"
+        return "chord LU dropped; full Newton refresh"
+
+    def refresh(self) -> "DirectLU":
+        """Full Newton for a chord LU; one that refactors every step re-runs as it is.
+
+        The re-run absorbs a transient fault, as :meth:`KrylovSolve.refresh`
+        does.
+        """
+        return self if self.every_step else DirectLU(self.problem, self.stats, every_step=True)
 
 
 class KrylovSolve:
@@ -663,7 +672,7 @@ class KrylovSolve:
 
     # Nothing is cached across iterates: the rung re-runs the baseline,
     # which absorbs a transient fault only.
-    REFRESH_DETAIL = (
+    refresh_detail = (
         "re-solved from the start point; the preconditioner is rebuilt at every GMRES solve"
     )
     stalled = False
@@ -1217,14 +1226,12 @@ class MPDESolver:
         if kind not in ("singular", "gmres_stagnation"):
             return f"not applicable to {kind} failures"
         refreshed = self._linear.refresh()
-        if refreshed is None:
-            return "no cached factorisation or preconditioner to refresh"
         return self._ladder_attempt(
             stats,
             "newton_refresh",
             kind,
             lambda: self._newton(x_start, stats, linear=refreshed),
-            detail=self._linear.REFRESH_DETAIL,
+            detail=self._linear.refresh_detail,
         )
 
     def _rung_damping(self, kind, x_start, stats):

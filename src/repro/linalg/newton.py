@@ -15,6 +15,7 @@ The residual and Jacobian are supplied as callables; the Jacobian is a dense
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -70,20 +71,16 @@ def solve_linear_system(jacobian: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         entries (the usual symptom of a structurally singular MNA matrix).
     """
     try:
-        dx = np.linalg.solve(np.asarray(jacobian, dtype=float), rhs)
+        dx = np.linalg.solve(jacobian, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"linear solve failed: {exc}") from exc
-
-    dx = np.asarray(dx, dtype=float).reshape(rhs.shape)
-    if not np.all(np.isfinite(dx)):
+    if not np.isfinite(dx).all():
         raise SingularMatrixError("linear solve produced non-finite values (singular Jacobian?)")
     return dx
 
 
 def _norm(v: np.ndarray) -> float:
-    if v.size == 0:
-        return 0.0
-    return float(np.max(np.abs(v)))
+    return float(np.abs(v).max()) if v.size else 0.0
 
 
 def newton_solve(
@@ -125,7 +122,7 @@ def newton_solve(
     tractable from poor initial guesses.
     """
     opts = options or NewtonOptions()
-    x = np.array(x0, dtype=float).copy()
+    x = np.array(x0, dtype=float)
     if x.ndim != 1:
         x = x.ravel()
 
@@ -149,10 +146,10 @@ def newton_solve(
         fault_site("newton.linear_solve", iteration=iteration - 1)
         dx = solve_linear_system(jac, -fx)
 
-        step_norm = _norm(dx)
-        if np.isfinite(opts.max_step_norm) and step_norm > opts.max_step_norm:
-            dx = dx * (opts.max_step_norm / step_norm)
-            step_norm = opts.max_step_norm
+        if math.isfinite(opts.max_step_norm):
+            step_norm = _norm(dx)
+            if step_norm > opts.max_step_norm:
+                dx = dx * (opts.max_step_norm / step_norm)
 
         # Backtracking line search on the residual norm.
         damping = opts.damping
@@ -162,11 +159,11 @@ def newton_solve(
             x_trial = x + damping * dx
             fx_trial = np.asarray(residual(x_trial), dtype=float)
             trial_norm = _norm(fx_trial)
-            if np.isfinite(trial_norm) and trial_norm < res_norm * (1.0 + 1e-12):
+            if math.isfinite(trial_norm) and trial_norm < res_norm * (1.0 + 1e-12):
                 best_x, best_fx, best_norm = x_trial, fx_trial, trial_norm
                 accepted = True
                 break
-            if np.isfinite(trial_norm) and trial_norm < best_norm:
+            if math.isfinite(trial_norm) and trial_norm < best_norm:
                 best_x, best_fx, best_norm = x_trial, fx_trial, trial_norm
             damping *= 0.5
         if not accepted:
@@ -190,10 +187,8 @@ def newton_solve(
             damping,
         )
 
-        x_scale = _norm(x)
-        residual_ok = res_norm <= opts.abstol
-        update_ok = update_norm <= opts.reltol * x_scale + opts.abstol
-        if residual_ok and update_ok:
+        # The update test reads ||x|| only once the residual test passes.
+        if res_norm <= opts.abstol and update_norm <= opts.reltol * _norm(x) + opts.abstol:
             return NewtonResult(
                 x=x,
                 converged=True,

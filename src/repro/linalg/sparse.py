@@ -77,6 +77,8 @@ class StampPattern:
         keys = self.raw_rows * self.n + self.raw_cols
         unique_keys, slot = np.unique(keys, return_inverse=True)
         self.slot = slot.astype(np.int64)
+        #: row-major flat position ``row * n + col`` of every unique entry
+        self.flat = unique_keys
         self.rows = (unique_keys // self.n).astype(np.int32)
         self.cols = (unique_keys % self.n).astype(np.int32)
         self.indices = self.cols.copy()
@@ -113,6 +115,12 @@ class StampPattern:
             self._dedup_index_cache[n_points] = index
         summed = np.bincount(index, weights=raw_values.ravel(), minlength=n_points * self.nnz)
         return summed.reshape(n_points, self.nnz)
+
+    def dense_from_data(self, data: np.ndarray) -> np.ndarray:
+        """Dense ``(P, n, n)`` matrices of deduplicated data rows ``(P, nnz)``."""
+        dense = np.zeros((data.shape[0], self.n * self.n))
+        dense[:, self.flat] = data
+        return dense.reshape(-1, self.n, self.n)
 
     def csr_from_data(self, data: np.ndarray) -> sp.csr_matrix:
         """CSR matrix for one point's deduplicated data row (shape ``(nnz,)``)."""

@@ -114,14 +114,37 @@ class TestHarmonicBalance:
         third = result.harmonic_amplitude("b", 3)
         assert third == pytest.approx(1e-3 / 4.0, rel=0.02)
 
-    def test_rectifier_thd_is_large(self, diode_rectifier):
-        mna = diode_rectifier.compile()
-        result = harmonic_balance(mna, 1e3, harmonics=15)
+    @pytest.fixture(scope="class")
+    def rectifier_hb(self):
+        """One 15-harmonic HB solve of the half-wave rectifier, shared below.
+
+        The circuit is the ``diode_rectifier`` fixture's.  Class scope solves
+        it before the function-scoped fault profile can arm a plan, so the
+        shared solve is fault-free in every lane.
+        """
+        ckt = Circuit("half-wave rectifier")
+        ckt.add(VoltageSource("vin", "in", ckt.GROUND, SinusoidStimulus(5.0, 1e3)))
+        ckt.add(Diode("d1", "in", "out", DiodeParams(saturation_current=1e-12)))
+        ckt.add(Resistor("rload", "out", ckt.GROUND, 1e3))
+        ckt.add(Capacitor("cload", "out", ckt.GROUND, 10e-6))
+        return harmonic_balance(ckt.compile(), 1e3, harmonics=15)
+
+    @pytest.mark.no_fault_injection
+    def test_rectifier_thd_is_large(self, rectifier_hb):
         # The diode clips half of the waveform: the input node of the diode is
         # still sinusoidal but the output should show visible distortion in
         # its *ripple*; simply assert the analysis converged and the THD
         # machinery produces a finite number.
-        assert np.isfinite(result.total_harmonic_distortion("out"))
+        assert np.isfinite(rectifier_hb.total_harmonic_distortion("out"))
+
+    @pytest.mark.no_fault_injection
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the baseline Newton run and the damping rung fail from the DC "
+        "guess; only the continuation rung recovers this solve (ROADMAP item 6)",
+    )
+    def test_rectifier_hb_converges_without_recovery(self, rectifier_hb):
+        assert rectifier_hb.stats.recovered_by == ""
 
     def test_requires_positive_fundamental(self, rc_lowpass):
         mna = rc_lowpass.compile()

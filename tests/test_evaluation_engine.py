@@ -205,6 +205,82 @@ class TestBatchedMatchesLoop:
         np.testing.assert_array_equal(held.q, q1)
 
 
+def _layout_circuit() -> Circuit:
+    """Duplicate stamps over several fold rounds, and groups with ground.
+
+    Node ``b`` collects stamps from most devices, so its residual row and
+    diagonal Jacobian slot take three or more contributions (two or more
+    duplicate fold rounds).  Each device class has members with and members
+    without a grounded terminal, so within one kernel group some members'
+    slots are eliminated and others' are not.
+    """
+    g = "0"
+    ckt = Circuit("layout")
+    ckt.add(VoltageSource("vs", "a", g, SinusoidStimulus(1.0, 1e6)))
+    ckt.add(VoltageSource("vb", "c", "d", 0.25))
+    for k, (p, n) in enumerate((("a", "b"), ("b", g), ("c", "b"), (g, "c"), ("b", "d"))):
+        ckt.add(Resistor(f"r{k}", p, n, 1e3 * (k + 1)))
+        ckt.add(Capacitor(f"c{k}", n, p, 1e-12 * (k + 1)))
+    params = MOSFETParams(cgs=1e-13, cgd=2e-13, cdb=1e-13, csb=1e-13)
+    ckt.add(NMOS("m1", "b", "a", g, g, params=params))
+    ckt.add(NMOS("m2", "d", "c", "b", "b", params=params))
+    ckt.add(Diode("d1", "b", g, DiodeParams(junction_capacitance=1e-12)))
+    ckt.add(Diode("d2", "c", "d", DiodeParams(junction_capacitance=1e-12)))
+    ckt.add(Inductor("l1", "d", g, 1e-6))
+    ckt.add(Inductor("l2", "a", "b", 2e-6))
+    return ckt
+
+
+class TestScatterLayout:
+    """Batched == loop for every evaluation flavour, through the raw layout."""
+
+    @pytest.fixture(scope="class")
+    def mna(self):
+        return _layout_circuit().compile()
+
+    def test_netlist_exercises_folds_and_ground_elimination(self, mna):
+        # At least three contributions to one Jacobian slot and one residual
+        # row: the fold runs two or more rounds.
+        assert np.bincount(mna.static_pattern.slot).max() >= 3
+        assert np.bincount(mna.dynamic_pattern.slot).max() >= 3
+        assert max(len(owners) for owners in mna.residual_row_owners()) >= 4
+        groups: dict[tuple, list[bool]] = {}
+        for device in mna.devices:
+            spec = device.batch_spec()
+            groups.setdefault(spec.key, []).append(-1 in spec.indices)
+        mixed = [key for key, grounded in groups.items() if any(grounded) and not all(grounded)]
+        assert len(mixed) >= 4
+
+    @pytest.mark.parametrize("n_points", [1, 300])
+    @pytest.mark.parametrize("need_jacobian", [True, False])
+    @pytest.mark.parametrize("which", ["both", "conductance", "capacitance"])
+    def test_dense_matches_loop(self, mna, rng, n_points, need_jacobian, which):
+        X = rng.normal(scale=0.8, size=(n_points, mna.n_unknowns))
+        loop = mna.evaluate(X, need_jacobian=need_jacobian, which=which, backend="loop")
+        batched = mna.evaluate(X, need_jacobian=need_jacobian, which=which)
+        for name in ("q", "f", "capacitance", "conductance"):
+            expected = getattr(loop, name)
+            actual = getattr(batched, name)
+            if expected is None:
+                assert actual is None, name
+            else:
+                np.testing.assert_array_equal(actual, expected, err_msg=name)
+
+    @pytest.mark.parametrize("n_points", [1, 300])
+    @pytest.mark.parametrize("need_jacobian", [True, False])
+    def test_sparse_matches_loop(self, mna, rng, n_points, need_jacobian):
+        X = rng.normal(scale=0.8, size=(n_points, mna.n_unknowns))
+        loop = mna.evaluate_sparse(X, need_jacobian=need_jacobian, backend="loop")
+        batched = mna.evaluate_sparse(X, need_jacobian=need_jacobian)
+        for name in ("q", "f", "c_data", "g_data"):
+            expected = getattr(loop, name)
+            actual = getattr(batched, name)
+            if expected is None:
+                assert actual is None, name
+            else:
+                np.testing.assert_array_equal(actual, expected, err_msg=name)
+
+
 class TestSourcesThroughEngine:
     def test_source_matches_loop(self, rng):
         mna = _all_device_circuit().compile()

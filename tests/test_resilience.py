@@ -538,6 +538,29 @@ class TestCollocationPSSRecovery:
         assert result.stats.recovery_trace[0].outcome == "failed"
         np.testing.assert_allclose(result.states, reference.states, rtol=0.0, atol=1e-9)
 
+    def test_one_shot_fault_is_absorbed_by_newton_refresh(self):
+        """A direct one-axis solve re-runs its baseline on a transient fault.
+
+        It refactors at every iterate, so the rung has nothing to drop; the
+        re-run from the same start absorbs the fault at about the clean
+        Newton count, where the damping rung took 76 steps against 7.
+        """
+        case = build_scenario_smoke("frequency_doubler").cases[0]
+        assert case.analysis == "pss"
+        clean = solve_case(case)
+        with inject_faults(singular_jacobian(count=1)):
+            faulted = solve_case(case)
+        assert faulted.stats.recovered_by == "newton_refresh"
+        assert [(a.rung, a.outcome) for a in faulted.stats.recovery_trace] == [
+            ("baseline", "failed"),
+            ("newton_refresh", "recovered"),
+        ]
+        assert faulted.stats.recovery_trace[-1].detail.startswith(
+            "re-solved from the start point"
+        )
+        assert faulted.stats.newton_iterations <= 2 * clean.stats.newton_iterations
+        np.testing.assert_array_equal(faulted.states, clean.states)
+
     def test_exhausted_newton_budget_recovers_through_the_ladder(self):
         ckt = Circuit("cubic")
         ckt.add(VoltageSource("vin", "a", ckt.GROUND, SinusoidStimulus(1.0, 1e3)))
