@@ -26,7 +26,7 @@ from ..resilience.deadline import Deadline
 from ..resilience.diagnostics import attach_diagnostics, build_failure_diagnostics
 from ..utils.exceptions import ConvergenceError, SingularMatrixError
 from ..utils.logging import get_logger
-from ..utils.options import ContinuationOptions, NewtonOptions
+from ..utils.options import NewtonOptions
 from .sweep import StateSweep
 
 __all__ = ["DCSolution", "dc_operating_point"]
@@ -114,7 +114,6 @@ def _plain_newton(
             converged=False,
             iterations=0,
             residual_norm=float("inf"),
-            update_norm=float("inf"),
         )
 
 
@@ -123,7 +122,6 @@ def _gmin_stepping(
     x0: np.ndarray,
     b0: np.ndarray,
     newton_options: NewtonOptions,
-    continuation_options: ContinuationOptions,
     deadline: Deadline | None = None,
 ):
     """Sweep gmin from _GMIN_START down to _GMIN_FINAL (log-spaced embedding)."""
@@ -140,9 +138,7 @@ def _gmin_stepping(
     def jacobian(x: np.ndarray, lam: float) -> np.ndarray:
         return _dc_jacobian(sweeps, x, gmin_of(lam) * unit_diag)
 
-    return continuation_solve(
-        residual, jacobian, x0, newton_options, continuation_options, deadline=deadline
-    )
+    return continuation_solve(residual, jacobian, x0, newton_options, deadline=deadline)
 
 
 def _source_stepping(
@@ -150,7 +146,6 @@ def _source_stepping(
     x0: np.ndarray,
     b0: np.ndarray,
     newton_options: NewtonOptions,
-    continuation_options: ContinuationOptions,
     deadline: Deadline | None = None,
 ):
     """Ramp the full excitation vector from zero up to its nominal value."""
@@ -163,9 +158,7 @@ def _source_stepping(
         del lam
         return _dc_jacobian(sweeps, x, gmin_diag)
 
-    return continuation_solve(
-        residual, jacobian, x0, newton_options, continuation_options, deadline=deadline
-    )
+    return continuation_solve(residual, jacobian, x0, newton_options, deadline=deadline)
 
 
 def dc_operating_point(
@@ -174,7 +167,6 @@ def dc_operating_point(
     x0: np.ndarray | None = None,
     time: float = 0.0,
     newton_options: NewtonOptions | None = None,
-    continuation_options: ContinuationOptions | None = None,
     deadline_s: float | None = None,
 ) -> DCSolution:
     """Compute the DC operating point of a compiled circuit.
@@ -188,8 +180,10 @@ def dc_operating_point(
     time:
         Time at which the excitation ``b(t)`` is frozen (0 by default, which
         evaluates sinusoidal sources at their ``t = 0`` value).
-    newton_options, continuation_options:
-        Iteration controls.
+    newton_options:
+        Iteration controls of every Newton solve, plain and in the
+        continuation stages (whose schedule is fixed by the constants of
+        :mod:`repro.linalg.continuation`).
     deadline_s:
         Optional cooperative wall-clock budget for the whole analysis
         (all strategies together); checked between strategies and at every
@@ -206,7 +200,6 @@ def dc_operating_point(
         If ``deadline_s`` expires before a strategy succeeds.
     """
     nopts = newton_options or NewtonOptions()
-    copts = continuation_options or ContinuationOptions()
     deadline = Deadline(deadline_s)
     x_start = mna.zero_state() if x0 is None else np.asarray(x0, dtype=float).copy()
     b0 = mna.source(time)
@@ -226,7 +219,7 @@ def dc_operating_point(
     # Continuation embeddings can fail by divergence *or* by hitting a
     # singular embedded Jacobian; both mean "try the next strategy".
     try:
-        cont = _gmin_stepping(sweeps, x_start, b0, nopts, copts, deadline)
+        cont = _gmin_stepping(sweeps, x_start, b0, nopts, deadline)
         residual_norm = float(np.max(np.abs(sweeps.at(cont.x).f[0] + b0)))
         return DCSolution(
             x=cont.x,
@@ -239,7 +232,7 @@ def dc_operating_point(
     deadline.check("dc source stepping")
 
     try:
-        cont = _source_stepping(sweeps, x_start, b0, nopts, copts, deadline)
+        cont = _source_stepping(sweeps, x_start, b0, nopts, deadline)
         residual_norm = float(np.max(np.abs(sweeps.at(cont.x).f[0] + b0)))
         return DCSolution(
             x=cont.x,

@@ -104,7 +104,7 @@ def collocation_periodic_steady_state(
     the DC operating point.
 
     ``options`` (default ``MPDEOptions()``) sets the numerics: the Newton
-    iteration, the initial guess and the linear solver.  Its grid fields are
+    iteration and the linear solver.  Its grid fields are
     not read; the grid is the ``n_samples`` points of ``method``.  With
     ``matrix_free=True`` the Newton systems are solved by GMRES on
     ``v -> D (C_blk v) + G_blk v``, preconditioned by ``preconditioner``

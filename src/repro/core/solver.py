@@ -41,6 +41,7 @@ from ..analysis.dc import dc_operating_point
 from ..circuits.mna import MNASystem
 from ..linalg.continuation import continuation_sweep
 from ..linalg.krylov import CachedPreconditionedGMRES
+from ..linalg.newton import line_search
 from ..resilience.checkpoint import SolveCheckpoint, solve_fingerprint
 from ..resilience.deadline import Deadline
 from ..resilience.diagnostics import attach_diagnostics, build_failure_diagnostics
@@ -56,7 +57,7 @@ from ..utils.exceptions import (
     SingularMatrixError,
 )
 from ..utils.logging import get_logger
-from ..utils.options import ContinuationOptions, MPDEOptions, NewtonOptions
+from ..utils.options import MPDEOptions, NewtonOptions
 from .mpde import MPDEProblem
 from .timescales import ShearedTimeScales, UnshearedTimeScales
 
@@ -792,10 +793,6 @@ class MPDESolver:
     #: progress each).
     DAMPING_FACTOR = 0.25
     DAMPING_EXTRA_ITERATIONS = 40
-    #: Initial-guess modes the ``guess_retry`` rung tries, minus the one in use.
-    GUESS_MODES = ("zero", "dc")
-    #: Source-stepping schedule of the ``continuation`` rung.
-    CONTINUATION = ContinuationOptions()
     #: Relative tolerance of a tight GMRES solve (the forcing-term floor)
     #: and the GMRES restart length of the matrix-free mode.  Restart 80
     #: against 30 (2-CPU host, best of 5 and 7): the same counts on the
@@ -860,6 +857,9 @@ class MPDESolver:
             # real one, so only the un-embedded runs record).
             self._record_checkpoint(x, stats, res_norm, linear)
 
+        def trial_residual(v: np.ndarray) -> np.ndarray:
+            return _timed_residual(self.problem, v, source_grid, stats)
+
         for _iteration in range(1, opts.max_iterations + 1):
             self._deadline.check("newton", partial_stats=stats)
             if res_norm <= opts.abstol and not polish:
@@ -872,30 +872,13 @@ class MPDESolver:
             stats.linear_solves += 1
             # A polish is there for accuracy; see _ForcingTerm.
             dx = linear.correction(residual, x, polish)
-            step_norm = float(np.max(np.abs(dx)))
-            if np.isfinite(opts.max_step_norm) and step_norm > opts.max_step_norm:
-                dx *= opts.max_step_norm / step_norm
-
-            damping = opts.damping
-            accepted = False
-            while damping >= opts.min_damping:
-                x_trial = x + damping * dx
-                residual_trial = _timed_residual(self.problem, x_trial, source_grid, stats)
-                trial_norm = float(np.max(np.abs(residual_trial)))
-                if np.isfinite(trial_norm) and trial_norm < res_norm * (1.0 + 1e-12):
-                    accepted = True
-                    break
-                damping *= 0.5
-            if not accepted:
-                x_trial = x + opts.min_damping * dx
-                residual_trial = _timed_residual(self.problem, x_trial, source_grid, stats)
-                trial_norm = float(np.max(np.abs(residual_trial)))
-
+            x_new, residual_trial, trial_norm, damping, accepted, converged = line_search(
+                trial_residual, x, dx, res_norm, opts
+            )
             ratio = trial_norm / res_norm if res_norm > 0.0 else 1.0
             linear.record_step(ratio, accepted)
 
-            update_norm = float(np.max(np.abs(x_trial - x)))
-            x = x_trial
+            x = x_new
             self._last_iterate = x
             stats.newton_iterations += 1
             res_norm = trial_norm
@@ -903,19 +886,13 @@ class MPDESolver:
             if source_grid is None:
                 self._record_checkpoint(x, stats, res_norm, linear)
             _LOG.debug(
-                "MPDE newton iter=%d residual=%.3e update=%.3e damping=%.3g",
+                "MPDE newton iter=%d residual=%.3e damping=%.3g",
                 stats.newton_iterations,
                 res_norm,
-                update_norm,
                 damping,
             )
 
-            x_scale = float(np.max(np.abs(x))) if x.size else 0.0
-            if (
-                res_norm <= opts.abstol
-                and update_norm <= opts.reltol * x_scale + opts.abstol
-                and linear.tight
-            ):
+            if converged and linear.tight:
                 stats.residual_norm = res_norm
                 return x, True
             if linear.stalled:
@@ -969,21 +946,10 @@ class MPDESolver:
             return MPDESolver._SweepStage(x_sol, converged, stats.residual_norm)
 
         result = continuation_sweep(
-            solve_at,
-            np.asarray(x0, dtype=float).copy(),
-            self.CONTINUATION,
-            deadline=self._deadline,
+            solve_at, np.asarray(x0, dtype=float).copy(), deadline=self._deadline
         )
         stats.continuation_steps += result.steps
         return result.x
-
-    # -- initial guess -----------------------------------------------------------------------
-    def _initial_guess(self, mode: str | None = None) -> np.ndarray:
-        mode = mode if mode is not None else self.options.initial_guess
-        if mode == "zero":
-            return self.problem.initial_guess_zero()
-        x_dc = dc_operating_point(self.problem.mna).x
-        return self.problem.initial_guess_from_state(x_dc)
 
     # -- checkpoint/resume -------------------------------------------------------------------
     def _fingerprint(self) -> str:
@@ -1043,8 +1009,7 @@ class MPDESolver:
         x0:
             Optional flattened initial guess of length ``P * n`` (or a single
             circuit state of length ``n``, which is tiled over the grid).
-            When omitted, the guess selected by ``options.initial_guess`` is
-            used.
+            When omitted, the DC operating point is tiled over the grid.
         deadline_s:
             Cooperative wall-clock budget (seconds) for this call, recovery
             attempts included.  Checked at Newton/GMRES iteration boundaries
@@ -1096,7 +1061,9 @@ class MPDESolver:
         start = time.perf_counter()
 
         if x0 is None:
-            x_start = self._initial_guess()
+            x_start = self.problem.initial_guess_from_state(
+                dc_operating_point(self.problem.mna).x
+            )
         else:
             x0 = np.asarray(x0, dtype=float)
             if x0.size == self.problem.n_circuit_unknowns:
@@ -1292,34 +1259,14 @@ class MPDESolver:
         )
 
     def _rung_guess_retry(self, kind, x_start, stats):
-        failure = None
-        for mode in self.GUESS_MODES:
-            if mode == self.options.initial_guess:
-                continue
-            try:
-                x_retry = self._initial_guess(mode)
-            except AnalysisError as exc:
-                stats.recovery_trace.append(
-                    RecoveryAttempt(
-                        rung="guess_retry",
-                        trigger=kind,
-                        outcome="failed",
-                        detail=f"initial guess {mode!r} failed: {exc}",
-                    )
-                )
-                failure = exc
-                continue
-            x, failure = self._ladder_attempt(
-                stats,
-                "guess_retry",
-                kind,
-                lambda: self._newton(x_retry, stats),
-                detail=f"retry from {mode!r} initial guess",
-            )
-            if failure is None:
-                return x, None
-            kind = classify_failure(failure)
-        return None, failure
+        x_zero = self.problem.initial_guess_zero()
+        return self._ladder_attempt(
+            stats,
+            "guess_retry",
+            kind,
+            lambda: self._newton(x_zero, stats),
+            detail="retry from 'zero' initial guess",
+        )
 
     def _attach_terminal_diagnostics(self, exc, kind: str):
         """Best-effort failure localisation attached to the terminal error."""

@@ -10,8 +10,10 @@ solvers fall back to.
 :func:`continuation_sweep` implements the adaptive-step embedding sweep
 itself: a family of problems ``F(x; lambda) = 0`` is solved for ``lambda``
 moving from 0 to 1, each solve warm-started from the previous solution.  The
-step in ``lambda`` grows after successes (by :data:`STEP_GROWTH`) and shrinks
-after failures (by :data:`STEP_SHRINK`).  It is the *one* continuation
+step in ``lambda`` starts at :data:`INITIAL_STEP`, grows after successes (by
+:data:`STEP_GROWTH`, up to :data:`MAX_STEP`) and shrinks after failures (by
+:data:`STEP_SHRINK`); the sweep fails below :data:`MIN_STEP` or after
+:data:`MAX_STEPS` attempts.  It is the *one* continuation
 driver in the library — the gmin/source-stepping fallbacks of
 :func:`repro.analysis.dc.dc_operating_point`
 (via :func:`continuation_solve`) and the MPDE solver's source-stepping
@@ -33,7 +35,7 @@ import numpy as np
 from ..resilience.deadline import Deadline
 from ..utils.exceptions import ConvergenceError
 from ..utils.logging import get_logger
-from ..utils.options import ContinuationOptions, NewtonOptions
+from ..utils.options import NewtonOptions
 from .newton import newton_solve
 
 __all__ = ["ContinuationResult", "continuation_solve", "continuation_sweep"]
@@ -41,9 +43,15 @@ __all__ = ["ContinuationResult", "continuation_solve", "continuation_sweep"]
 _LOG = get_logger("linalg.continuation")
 
 #: Factor the embedding step grows by after an accepted step (up to
-#: ``ContinuationOptions.max_step``) and shrinks by after a rejected one.
+#: ``MAX_STEP``) and shrinks by after a rejected one.
 STEP_GROWTH = 2.0
 STEP_SHRINK = 0.25
+#: The first embedding step, the largest and the smallest one, and the
+#: budget of embedding-step attempts.
+INITIAL_STEP = 0.25
+MAX_STEP = 0.5
+MIN_STEP = 1e-5
+MAX_STEPS = 200
 
 
 @dataclass
@@ -87,7 +95,6 @@ class SweepStep(Protocol):
 def continuation_sweep(
     solve_at: Callable[[float, np.ndarray], SweepStep],
     x0: np.ndarray,
-    continuation_options: ContinuationOptions | None = None,
     *,
     deadline: Deadline | None = None,
 ) -> ContinuationResult:
@@ -106,8 +113,6 @@ def continuation_sweep(
         unrecoverable errors may propagate).
     x0:
         Initial guess for the first (easy) problem at ``lambda = 0``.
-    continuation_options:
-        Step-control knobs.
     deadline:
         Optional started :class:`~repro.resilience.deadline.Deadline`,
         checked before every embedding step.
@@ -116,13 +121,11 @@ def continuation_sweep(
     ------
     ConvergenceError
         If even the ``lambda = 0`` problem fails ("initial problem"), the
-        sweep cannot reach ``lambda = 1`` within ``max_steps``, or the step
-        size under-runs ``min_step``.
+        sweep cannot reach ``lambda = 1`` within :data:`MAX_STEPS`, or the
+        step size under-runs :data:`MIN_STEP`.
     """
-    copts = continuation_options or ContinuationOptions()
-
     lam = 0.0
-    step = copts.initial_step
+    step = INITIAL_STEP
     x = np.array(x0, dtype=float).copy()
 
     result = ContinuationResult(x=x)
@@ -144,9 +147,9 @@ def continuation_sweep(
         if deadline is not None:
             deadline.check("continuation")
         attempts += 1
-        if attempts > copts.max_steps:
+        if attempts > MAX_STEPS:
             raise ConvergenceError(
-                f"continuation exceeded max_steps={copts.max_steps} before reaching lambda=1"
+                f"continuation exceeded max_steps={MAX_STEPS} before reaching lambda=1"
             )
         lam_trial = min(1.0, lam + step)
         trial = solve_at(lam_trial, x)
@@ -156,7 +159,7 @@ def continuation_sweep(
             x = np.asarray(trial.x, dtype=float)
             result.lambdas.append(lam)
             result.steps += 1
-            step = min(copts.max_step, step * STEP_GROWTH)
+            step = min(MAX_STEP, step * STEP_GROWTH)
             _LOG.debug("continuation accepted lambda=%.4f (step=%.3g)", lam, step)
         else:
             result.rejected_steps += 1
@@ -164,10 +167,10 @@ def continuation_sweep(
             _LOG.debug(
                 "continuation rejected lambda=%.4f, shrinking step to %.3g", lam_trial, step
             )
-            if step < copts.min_step:
+            if step < MIN_STEP:
                 raise ConvergenceError(
                     "continuation step size underflow "
-                    f"(step={step:.3e} < min_step={copts.min_step:.3e}) at lambda={lam:.4f}",
+                    f"(step={step:.3e} < min_step={MIN_STEP:.3e}) at lambda={lam:.4f}",
                     residual_norm=trial.residual_norm,
                 )
 
@@ -180,7 +183,6 @@ def continuation_solve(
     jacobian: Callable[[np.ndarray, float], object],
     x0: np.ndarray,
     newton_options: NewtonOptions | None = None,
-    continuation_options: ContinuationOptions | None = None,
     *,
     deadline: Deadline | None = None,
 ) -> ContinuationResult:
@@ -196,8 +198,8 @@ def continuation_solve(
         gmin-loaded system); at ``lam = 1`` it is the original problem.
     x0:
         Initial guess for the first (easy) problem.
-    newton_options, continuation_options:
-        Iteration controls.
+    newton_options:
+        Iteration controls of every per-lambda Newton solve.
     deadline:
         Optional started :class:`~repro.resilience.deadline.Deadline`,
         checked before every embedding step.
@@ -205,8 +207,8 @@ def continuation_solve(
     Raises
     ------
     ConvergenceError
-        If the sweep cannot reach ``lambda = 1`` within ``max_steps`` or the
-        step size under-runs ``min_step``.
+        If the sweep cannot reach ``lambda = 1`` within :data:`MAX_STEPS` or
+        the step size under-runs :data:`MIN_STEP`.
     """
     nopts = newton_options or NewtonOptions()
 
@@ -219,6 +221,4 @@ def continuation_solve(
             raise_on_failure=False,
         )
 
-    return continuation_sweep(
-        solve_at, x0, continuation_options, deadline=deadline
-    )
+    return continuation_sweep(solve_at, x0, deadline=deadline)

@@ -18,7 +18,6 @@ from .exceptions import (
 )
 from .logging import configure_logging, get_logger, timed
 from .options import (
-    ContinuationOptions,
     EvaluationOptions,
     MPDEOptions,
     NewtonOptions,
@@ -44,7 +43,6 @@ __all__ = [
     "WaveformError",
     "EvaluationOptions",
     "NewtonOptions",
-    "ContinuationOptions",
     "TransientOptions",
     "ShootingOptions",
     "MPDEOptions",

@@ -22,7 +22,6 @@ from .exceptions import ConfigurationError
 __all__ = [
     "EvaluationOptions",
     "NewtonOptions",
-    "ContinuationOptions",
     "TransientOptions",
     "ShootingOptions",
     "MPDEOptions",
@@ -84,33 +83,25 @@ class NewtonOptions:
     max_iterations:
         Iteration budget before a :class:`ConvergenceError` is raised.
     abstol:
-        Absolute tolerance on the residual norm (per equation).
-    reltol:
-        Relative tolerance on the Newton update compared to the iterate.
+        Absolute tolerance on the residual norm (per equation), also the
+        absolute part of the update test (whose relative part is
+        :data:`repro.linalg.newton.RELTOL`).
     damping:
         Initial damping factor applied to the Newton step (1.0 = full step).
     min_damping:
         Smallest damping factor the line search may fall back to.
-    max_step_norm:
-        If finite, Newton updates with a larger infinity norm are scaled
-        back to this value (simple trust-region safeguard, useful for
-        exponential device models).
     """
 
     max_iterations: int = 60
     abstol: float = 1e-9
-    reltol: float = 1e-6
     damping: float = 1.0
     min_damping: float = 1.0 / 1024.0
-    max_step_norm: float = float("inf")
 
     def __post_init__(self) -> None:
         _require_positive("max_iterations", self.max_iterations)
         _require_positive("abstol", self.abstol)
-        _require_positive("reltol", self.reltol)
         _require_positive("damping", self.damping)
         _require_positive("min_damping", self.min_damping)
-        _require_positive("max_step_norm", self.max_step_norm)
         if self.damping > 1.0:
             raise ConfigurationError("damping must be <= 1.0")
         if self.min_damping > self.damping:
@@ -119,30 +110,6 @@ class NewtonOptions:
     def with_(self, **changes: Any) -> "NewtonOptions":
         """Return a copy with ``changes`` applied."""
         return replace(self, **changes)
-
-
-@dataclass(frozen=True)
-class ContinuationOptions:
-    """Controls for source-stepping / gmin-stepping homotopy.
-
-    The continuation driver sweeps an embedding parameter ``lambda`` from 0
-    to 1.0, solving a Newton problem at each value and using the previous
-    solution as the initial guess for the next.  The step grows and shrinks
-    by the fixed factors of :mod:`repro.linalg.continuation`.
-    """
-
-    initial_step: float = 0.25
-    min_step: float = 1e-5
-    max_step: float = 0.5
-    max_steps: int = 200
-
-    def __post_init__(self) -> None:
-        _require_positive("initial_step", self.initial_step)
-        _require_positive("min_step", self.min_step)
-        _require_positive("max_step", self.max_step)
-        if self.min_step > self.max_step:
-            raise ConfigurationError("min_step must be <= max_step")
-        _require_positive("max_steps", self.max_steps)
 
 
 @dataclass(frozen=True)
@@ -253,7 +220,6 @@ class MPDEOptions:
     newton: NewtonOptions = field(default_factory=lambda: NewtonOptions(max_iterations=80))
     matrix_free: bool = False
     preconditioner: str = "block_circulant_fast"
-    initial_guess: str = "dc"
 
     _ALLOWED_FD = ("backward-euler", "bdf2", "central", "fourier")
     _ALLOWED_PRECONDITIONERS = PRECONDITIONER_KINDS
@@ -266,7 +232,6 @@ class MPDEOptions:
         _require_in("fast_method", self.fast_method, self._ALLOWED_FD)
         _require_in("slow_method", self.slow_method, self._ALLOWED_FD)
         _require_in("preconditioner", self.preconditioner, self._ALLOWED_PRECONDITIONERS)
-        _require_in("initial_guess", self.initial_guess, ("dc", "zero"))
 
     def with_grid(self, n_fast: int, n_slow: int) -> "MPDEOptions":
         """Return a copy with a different multi-time grid resolution."""

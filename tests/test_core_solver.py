@@ -19,7 +19,6 @@ from repro.rf import (
 from repro.signals import ModulatedCarrierStimulus, SinusoidStimulus, SumStimulus, TonePair
 from repro.signals.spectrum import fourier_coefficient
 from repro.utils import (
-    ConfigurationError,
     ConvergenceError,
     MPDEError,
     MPDEOptions,
@@ -150,16 +149,14 @@ class TestSolverControls:
         with pytest.raises(MPDEError):
             solve_mpde(mna, mix.scales, MPDEOptions(n_fast=12, n_slow=12), x0=np.zeros(17))
 
-    @pytest.mark.parametrize("guess", ["zero", "dc"])
-    def test_initial_guess_modes(self, scaled_ideal_mixer, guess):
+    @pytest.mark.parametrize("start", ["dc", "zero"])
+    def test_initial_guess_modes(self, scaled_ideal_mixer, start):
+        """The default DC start and a caller's all-zero ``x0`` both converge."""
         mix = scaled_ideal_mixer
-        options = MPDEOptions(n_fast=12, n_slow=12, initial_guess=guess)
-        result = solve_mpde(mix.compile(), mix.scales, options)
+        mna = mix.compile()
+        x0 = mna.zero_state() if start == "zero" else None
+        result = solve_mpde(mna, mix.scales, MPDEOptions(n_fast=12, n_slow=12), x0=x0)
         assert result.stats.converged
-
-    def test_transient_initial_guess_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="initial_guess"):
-            MPDEOptions(initial_guess="transient")
 
     def test_gmres_linear_solver(self, scaled_ideal_mixer):
         mix = scaled_ideal_mixer
@@ -181,7 +178,6 @@ class TestSolverControls:
         options = MPDEOptions(
             n_fast=16,
             n_slow=12,
-            initial_guess="dc",
             newton=NewtonOptions(max_iterations=6),
         )
         recovery_ladder("newton_refresh", "damping", "preconditioner_downgrade")
@@ -197,7 +193,6 @@ class TestSolverControls:
         options = MPDEOptions(
             n_fast=16,
             n_slow=12,
-            initial_guess="dc",
             newton=NewtonOptions(max_iterations=6),
         )
         result = solve_mpde(mix.compile(), mix.scales, options)

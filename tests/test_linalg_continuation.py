@@ -7,14 +7,15 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.linalg import continuation_solve, continuation_sweep
+from repro.linalg import continuation, continuation_solve, continuation_sweep
 from repro.resilience import Deadline
-from repro.utils import (
-    ContinuationOptions,
-    ConvergenceError,
-    DeadlineExceededError,
-    NewtonOptions,
-)
+from repro.utils import ConvergenceError, DeadlineExceededError, NewtonOptions
+
+
+def _schedule(monkeypatch, **constants):
+    """Override the sweep's schedule constants (``MAX_STEPS=5``, ...)."""
+    for name, value in constants.items():
+        monkeypatch.setattr(continuation, name, value)
 
 
 def _embedded_exponential(v, lam):
@@ -66,15 +67,15 @@ class TestContinuationSolve:
         )
         assert result.newton_iterations > 0
 
-    def test_unreachable_problem_raises(self):
+    def test_unreachable_problem_raises(self, monkeypatch):
         """x^2 + lam = 0 has no real solution for lam > 0: continuation must fail."""
+        _schedule(monkeypatch, MAX_STEPS=30)
         with pytest.raises(ConvergenceError):
             continuation_solve(
                 lambda v, lam: np.array([v[0] ** 2 + lam]),
                 lambda v, lam: np.array([[2.0 * v[0] + 1e-6]]),
                 np.array([0.0]),
                 NewtonOptions(max_iterations=15),
-                ContinuationOptions(max_steps=30),
             )
 
     def test_initial_problem_failure_raises(self):
@@ -87,20 +88,17 @@ class TestContinuationSolve:
                 NewtonOptions(max_iterations=10),
             )
 
-    def test_respects_max_steps(self):
+    def test_respects_max_steps(self, monkeypatch):
+        _schedule(monkeypatch, INITIAL_STEP=1e-4, MAX_STEP=1e-4, MAX_STEPS=5)
         with pytest.raises(ConvergenceError):
             continuation_solve(
-                _embedded_exponential,
-                _embedded_exponential_jac,
-                np.array([0.0]),
-                continuation_options=ContinuationOptions(
-                    initial_step=1e-4, max_step=1e-4, max_steps=5
-                ),
+                _embedded_exponential, _embedded_exponential_jac, np.array([0.0])
             )
 
-    def test_step_halving_floor_raises_underflow(self):
+    def test_step_halving_floor_raises_underflow(self, monkeypatch):
         """Every step beyond lambda_start fails: the step size must shrink
-        to the ``min_step`` floor and raise, not loop forever."""
+        to the ``MIN_STEP`` floor and raise, not loop forever."""
+        _schedule(monkeypatch, MIN_STEP=1e-3)
         with pytest.raises(ConvergenceError, match="underflow"):
             continuation_solve(
                 # Root only at lam = 0 (x = 0); no real root for any lam > 0.
@@ -108,7 +106,6 @@ class TestContinuationSolve:
                 lambda v, lam: np.array([[2.0 * v[0] + 1e-6]]),
                 np.array([0.0]),
                 NewtonOptions(max_iterations=15),
-                ContinuationOptions(min_step=1e-3),
             )
 
 
@@ -125,7 +122,7 @@ class _Step:
 class TestContinuationSweep:
     """Edge cases of the shared sweep driver itself."""
 
-    def test_non_monotone_embedding_recovers_mid_sweep(self):
+    def test_non_monotone_embedding_recovers_mid_sweep(self, monkeypatch):
         """Difficulty spiking in the *middle* of the sweep (not at the end)
         must shrink the step through the hard region and regrow after it."""
         calls: list[float] = []
@@ -141,11 +138,8 @@ class TestContinuationSweep:
                 return _Step(x=x_guess, converged=False)
             return _Step(x=np.array([lam]), converged=True)
 
-        result = continuation_sweep(
-            solve_at,
-            np.array([0.0]),
-            ContinuationOptions(initial_step=0.25, min_step=1e-6),
-        )
+        _schedule(monkeypatch, INITIAL_STEP=0.25, MIN_STEP=1e-6)
+        result = continuation_sweep(solve_at, np.array([0.0]))
         assert result.lambdas[-1] == pytest.approx(1.0)
         lams = np.asarray(result.lambdas)
         assert np.all(np.diff(lams) > 0)  # lambda itself stays monotone
@@ -169,7 +163,7 @@ class TestContinuationSweep:
             continuation_sweep(solve_at, np.array([0.0]))
         assert attempts == [0.0]  # no embedding steps were attempted
 
-    def test_deadline_checked_between_steps(self):
+    def test_deadline_checked_between_steps(self, monkeypatch):
         now = [0.0]
 
         def solve_at(lam, x_guess):
@@ -177,11 +171,7 @@ class TestContinuationSweep:
             return _Step(x=np.array([lam]), converged=True)
 
         deadline = Deadline(1.5, clock=lambda: now[0])
+        _schedule(monkeypatch, INITIAL_STEP=0.05, MAX_STEP=0.05)
         with pytest.raises(DeadlineExceededError) as info:
-            continuation_sweep(
-                solve_at,
-                np.array([0.0]),
-                ContinuationOptions(initial_step=0.05, max_step=0.05),
-                deadline=deadline,
-            )
+            continuation_sweep(solve_at, np.array([0.0]), deadline=deadline)
         assert info.value.stage == "continuation"

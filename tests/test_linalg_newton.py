@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.linalg import newton_solve, solve_linear_system
+from repro.linalg.newton import line_search
 from repro.utils import ConvergenceError, NewtonOptions, SingularMatrixError
 
 
@@ -52,23 +53,69 @@ class TestNewtonScalarProblems:
         assert history[-1] < 1e-12
         assert len(history) < 10
 
-    def test_exponential_needs_damping(self):
-        """exp(x) - 1e6 = 0 from x0=0 overflows without step limiting/damping."""
-        result = newton_solve(
-            lambda x: np.exp(x) - 1e6,
-            lambda x: np.array([[np.exp(x[0])]]),
-            np.array([0.0]),
-            NewtonOptions(max_iterations=200, max_step_norm=5.0),
-        )
-        assert result.converged
-        np.testing.assert_allclose(result.x, [np.log(1e6)], rtol=1e-8)
-
     def test_already_converged_initial_guess(self):
         result = newton_solve(
             lambda x: x - 1.0, lambda x: np.eye(1), np.array([1.0])
         )
         assert result.converged
         assert result.iterations == 0
+
+
+class TestLineSearch:
+    """The one backtracking line search shared by both Newton loops."""
+
+    def test_full_step_is_accepted_at_damping_one(self):
+        x_new, f_new, norm, damping, accepted, converged = line_search(
+            lambda x: 3.0 * x - 6.0, np.array([0.0]), np.array([2.0]), 6.0, NewtonOptions()
+        )
+        assert (damping, accepted) == (1.0, True)
+        # The residual is zero, but the update test still sees a step of 2.
+        assert not converged
+        np.testing.assert_array_equal(x_new, [2.0])
+        np.testing.assert_array_equal(f_new, [0.0])
+        assert norm == 0.0
+
+    def test_overflowing_full_step_is_backtracked(self):
+        """From x0 = 10 the first full step of exp(x) - 1e6 overflows."""
+        with np.errstate(over="ignore"):
+            result = newton_solve(
+                lambda x: np.exp(x) - 1e6,
+                lambda x: np.array([[np.exp(x[0])]]),
+                np.array([10.0]),
+            )
+        assert result.converged
+        assert result.iterations == 6
+        np.testing.assert_allclose(result.x, [np.log(1e6)], rtol=1e-12)
+
+    def test_no_decrease_takes_the_min_damping_step(self):
+        """x^2 + 1 grows along dx = 1 from 0: every trial is rejected."""
+        opts = NewtonOptions()
+        x_new, _f, norm, damping, accepted, converged = line_search(
+            lambda x: x**2 + 1.0, np.array([0.0]), np.array([1.0]), 1.0, opts
+        )
+        assert not accepted and not converged
+        assert damping == opts.min_damping
+        np.testing.assert_array_equal(x_new, [opts.min_damping])
+        assert norm == opts.min_damping**2 + 1.0
+
+    def test_nan_trial_is_never_accepted(self):
+        """A NaN residual fails the decrease test, so the search backtracks."""
+
+        def residual(x):
+            return np.array([np.nan]) if x[0] > 1.5 else x - 1.0
+
+        x_new, _f, norm, damping, accepted, _converged = line_search(
+            residual, np.array([0.0]), np.array([2.0]), 1.0, NewtonOptions()
+        )
+        assert accepted and damping == 0.5
+        np.testing.assert_array_equal(x_new, [1.0])
+        assert norm == 0.0
+        # With every trial NaN, the min_damping step is returned unaccepted.
+        _x, _f, norm, _damping, accepted, converged = line_search(
+            lambda x: np.array([np.nan]), np.array([0.0]), np.array([2.0]), 1.0, NewtonOptions()
+        )
+        assert not accepted and not converged
+        assert np.isnan(norm)
 
 
 class TestNewtonVectorProblems:

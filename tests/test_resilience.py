@@ -73,15 +73,15 @@ def _linear_rc():
     return ckt.compile(), scales
 
 
-def _solve_rc(count=None, spec=None, deadline_s=None, **option_overrides):
+def _solve_rc(count=None, spec=None, deadline_s=None, x0=None, **option_overrides):
     mna, scales = _linear_rc()
     options = MPDEOptions(n_fast=8, n_slow=8, **option_overrides)
     if spec is None and count is not None:
         spec = singular_jacobian(count=count)
     if spec is not None:
         with inject_faults(spec):
-            return solve_mpde(mna, scales, options, deadline_s=deadline_s)
-    return solve_mpde(mna, scales, options, deadline_s=deadline_s)
+            return solve_mpde(mna, scales, options, x0=x0, deadline_s=deadline_s)
+    return solve_mpde(mna, scales, options, x0=x0, deadline_s=deadline_s)
 
 
 def _trace(result):
@@ -701,7 +701,7 @@ class TestFailureDiagnostics:
         with pytest.raises(SingularMatrixError) as info:
             _solve_rc(
                 spec=nan_evaluation(count=None),
-                initial_guess="zero",  # keep the DC guess solve out of the blast radius
+                x0=_linear_rc()[0].zero_state(),  # keep the DC guess solve out of the blast radius
             )
         diagnostics = getattr(info.value, "diagnostics", None)
         assert diagnostics is not None
@@ -721,7 +721,7 @@ class TestFailureDiagnostics:
         with pytest.raises(SingularMatrixError) as info:
             _solve_rc(
                 spec=nan_evaluation(count=None),
-                initial_guess="zero",
+                x0=_linear_rc()[0].zero_state(),
                 matrix_free=True,
                 preconditioner="block_circulant_fast",
                 deadline_s=60.0,

@@ -6,7 +6,6 @@ import pytest
 
 from repro.utils import (
     ConfigurationError,
-    ContinuationOptions,
     MPDEOptions,
     NewtonOptions,
     ShootingOptions,
@@ -34,7 +33,6 @@ class TestNewtonOptions:
             {"max_iterations": 0},
             {"abstol": -1.0},
             {"abstol": 0.0},
-            {"reltol": 0.0},
             {"damping": 0.0},
             {"damping": 1.5},
             {"min_damping": 2.0},
@@ -52,24 +50,6 @@ class TestNewtonOptions:
         opts = NewtonOptions()
         with pytest.raises(Exception):
             opts.abstol = 1.0  # type: ignore[misc]
-
-
-class TestContinuationOptions:
-    def test_defaults_are_valid(self):
-        opts = ContinuationOptions()
-        assert 0.0 < opts.min_step <= opts.initial_step <= opts.max_step < 1.0
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"initial_step": 0.0},
-            {"min_step": 1.0, "max_step": 0.1},
-            {"max_steps": 0},
-        ],
-    )
-    def test_invalid_values_raise(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            ContinuationOptions(**kwargs)
 
 
 class TestTransientOptions:
@@ -124,7 +104,6 @@ class TestMPDEOptions:
             {"slow_method": "nope"},
             {"preconditioner": "ilu"},
             {"preconditioner": "block_circulant"},
-            {"initial_guess": "random"},
         ],
     )
     def test_invalid_values_raise(self, kwargs):
@@ -165,9 +144,9 @@ class TestOptionsFromMapping:
             ("checkpoint_path", "solve.npz", MPDEOptions),
             ("gmres_tol", 1e-10, MPDEOptions),
             ("gmres_restart", 40, MPDEOptions),
-            ("lambda_start", 0.1, ContinuationOptions),
-            ("growth", 3.0, ContinuationOptions),
-            ("shrink", 0.5, ContinuationOptions),
+            ("initial_guess", "zero", MPDEOptions),
+            ("max_step_norm", 5.0, NewtonOptions),
+            ("reltol", 1e-6, NewtonOptions),
         ],
     )
     def test_removed_mpde_options_are_unknown(self, key, value, cls):
