@@ -88,6 +88,12 @@ class TestContinuationSolve:
                 NewtonOptions(max_iterations=10),
             )
 
+    def test_default_schedule_is_valid(self):
+        assert 0.0 < continuation.MIN_STEP <= continuation.INITIAL_STEP
+        assert continuation.INITIAL_STEP <= continuation.MAX_STEP < 1.0
+        assert continuation.STEP_SHRINK < 1.0 < continuation.STEP_GROWTH
+        assert continuation.MAX_STEPS > 0
+
     def test_respects_max_steps(self, monkeypatch):
         _schedule(monkeypatch, INITIAL_STEP=1e-4, MAX_STEP=1e-4, MAX_STEPS=5)
         with pytest.raises(ConvergenceError):

@@ -53,6 +53,17 @@ class TestNewtonScalarProblems:
         assert history[-1] < 1e-12
         assert len(history) < 10
 
+    def test_exponential_needs_damping(self):
+        """exp(x) - 1e6 = 0 from x0=5: the full step of ~6.7e3 overflows exp."""
+        with np.errstate(over="ignore"):
+            result = newton_solve(
+                lambda x: np.exp(x) - 1e6,
+                lambda x: np.array([[np.exp(x[0])]]),
+                np.array([5.0]),
+            )
+        assert result.converged
+        np.testing.assert_allclose(result.x, [np.log(1e6)], rtol=1e-8)
+
     def test_already_converged_initial_guess(self):
         result = newton_solve(
             lambda x: x - 1.0, lambda x: np.eye(1), np.array([1.0])

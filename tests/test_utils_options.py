@@ -36,6 +36,7 @@ class TestNewtonOptions:
             {"damping": 0.0},
             {"damping": 1.5},
             {"min_damping": 2.0},
+            {"min_damping": 0.0},
         ],
     )
     def test_invalid_values_raise(self, kwargs):
@@ -104,6 +105,7 @@ class TestMPDEOptions:
             {"slow_method": "nope"},
             {"preconditioner": "ilu"},
             {"preconditioner": "block_circulant"},
+            {"fast_method": "gear2"},
         ],
     )
     def test_invalid_values_raise(self, kwargs):
