@@ -5,11 +5,9 @@ from .dc import DCSolution, dc_operating_point
 from .harmonic_balance import HarmonicBalanceResult, harmonic_balance
 from .integration import (
     BackwardEuler,
-    Gear2,
     IntegrationRule,
     StepContext,
     Trapezoidal,
-    make_integration_rule,
 )
 from .pss_fd import CollocationPSSResult, collocation_periodic_steady_state
 from .shooting import ShootingResult, ShootingStats, shooting_periodic_steady_state
@@ -34,7 +32,5 @@ __all__ = [
     "IntegrationRule",
     "BackwardEuler",
     "Trapezoidal",
-    "Gear2",
     "StepContext",
-    "make_integration_rule",
 ]

@@ -10,7 +10,7 @@ with a linear multistep rule that expresses the derivative of ``q`` at the
 
     dq/dt |_{n+1}  ~=  alpha * q(x_{n+1}) + r_n
 
-where ``alpha`` depends only on the step size(s) and ``r_n`` collects known
+where ``alpha`` depends only on the step size and ``r_n`` collects known
 history (previous charges and, for the trapezoidal rule, the previous
 derivative obtained *exactly* from the DAE itself as
 ``dq/dt|_n = -(f(x_n) + b(t_n))``).  The implicit step then solves
@@ -19,14 +19,13 @@ derivative obtained *exactly* from the DAE itself as
 
 with Newton, whose Jacobian is ``alpha * C(x) + G(x)``.
 
-Three classic rules are provided:
+Two rules are provided, both used by the trapezoidal time stepping of
+transient analysis and shooting:
 
-* **Backward Euler** — first order, L-stable, strongly damping.  The most
-  robust choice for the switching waveforms the paper targets.
+* **Backward Euler** — first order, L-stable, strongly damping.  Shooting
+  takes its first step with it (see :mod:`repro.analysis.shooting`).
 * **Trapezoidal** — second order, A-stable, no numerical damping (but prone
   to ringing on discontinuities).
-* **Gear-2 / BDF2** — second order, L-stable; needs two history points, so
-  the first step falls back to backward Euler.
 """
 
 from __future__ import annotations
@@ -42,8 +41,6 @@ __all__ = [
     "IntegrationRule",
     "BackwardEuler",
     "Trapezoidal",
-    "Gear2",
-    "make_integration_rule",
 ]
 
 
@@ -57,17 +54,10 @@ class StepContext:
         ``q(x_n)`` at the previous accepted point.
     qdot_prev:
         ``dq/dt`` at the previous accepted point (from the DAE identity).
-    q_prev2:
-        ``q(x_{n-1})`` two accepted points back (for BDF2); may be ``None``.
-    h_prev:
-        Size of the previous accepted step (for variable-step BDF2); may be
-        ``None`` on the first step.
     """
 
     q_prev: np.ndarray
     qdot_prev: np.ndarray
-    q_prev2: np.ndarray | None = None
-    h_prev: float | None = None
 
 
 class IntegrationRule:
@@ -79,10 +69,6 @@ class IntegrationRule:
     def derivative_coefficients(self, h: float, context: StepContext) -> tuple[float, np.ndarray]:
         """Return ``(alpha, r)`` such that ``dq/dt|_{n+1} ~= alpha * q_{n+1} + r``."""
         raise NotImplementedError
-
-    def needs_two_history_points(self) -> bool:
-        """Whether the rule requires ``q_prev2`` (BDF2 does)."""
-        return False
 
 
 class BackwardEuler(IntegrationRule):
@@ -114,54 +100,3 @@ class Trapezoidal(IntegrationRule):
         r = -2.0 * context.q_prev / h - context.qdot_prev
         return alpha, r
 
-
-class Gear2(IntegrationRule):
-    """Second-order backward differentiation formula (BDF2).
-
-    Variable-step form: with current step ``h`` and previous step ``h_prev``,
-    ``rho = h / h_prev`` and
-
-        dq/dt|_{n+1} ~= [ (1 + 2 rho)/(1 + rho) q_{n+1}
-                          - (1 + rho) q_n
-                          + rho^2/(1 + rho) q_{n-1} ] / h
-
-    which reduces to the familiar ``(3/2 q_{n+1} - 2 q_n + 1/2 q_{n-1}) / h``
-    for uniform steps.  Falls back to backward Euler when only one history
-    point is available.
-    """
-
-    name = "gear2"
-    order = 2
-
-    def needs_two_history_points(self) -> bool:
-        return True
-
-    def derivative_coefficients(self, h: float, context: StepContext) -> tuple[float, np.ndarray]:
-        if h <= 0:
-            raise AnalysisError(f"step size must be positive, got {h}")
-        if context.q_prev2 is None or context.h_prev is None:
-            return BackwardEuler().derivative_coefficients(h, context)
-        rho = h / context.h_prev
-        a_new = (1.0 + 2.0 * rho) / (1.0 + rho)
-        a_prev = -(1.0 + rho)
-        a_prev2 = rho * rho / (1.0 + rho)
-        alpha = a_new / h
-        r = (a_prev * context.q_prev + a_prev2 * context.q_prev2) / h
-        return alpha, r
-
-
-_RULES = {
-    BackwardEuler.name: BackwardEuler,
-    Trapezoidal.name: Trapezoidal,
-    Gear2.name: Gear2,
-}
-
-
-def make_integration_rule(name: str) -> IntegrationRule:
-    """Instantiate an integration rule by name."""
-    try:
-        return _RULES[name]()
-    except KeyError as exc:
-        raise AnalysisError(
-            f"unknown integration method {name!r}; available: {sorted(_RULES)}"
-        ) from exc

@@ -32,13 +32,20 @@ from ..utils.exceptions import AnalysisError, ConvergenceError
 from ..utils.logging import get_logger
 from ..utils.options import NewtonOptions, ShootingOptions
 from .dc import dc_operating_point
-from .integration import StepContext, make_integration_rule
+from .integration import BackwardEuler, StepContext, Trapezoidal
 from .sweep import StateSweep
 from .transient import _newton_step
 
 __all__ = ["ShootingStats", "ShootingResult", "shooting_periodic_steady_state"]
 
 _LOG = get_logger("analysis.shooting")
+
+#: Shooting Newton iterations before a :class:`ConvergenceError`.
+MAX_SHOOTING_ITERATIONS = 30
+#: Convergence test of the shooting iteration on ``Phi_T(x0) - x0``:
+#: ``||residual||_inf <= ABSTOL + RELTOL * max(1, ||x0||_inf)``.
+ABSTOL = 1e-8
+RELTOL = 1e-6
 
 
 @dataclass
@@ -93,7 +100,6 @@ def _transition_map(
     t0: float,
     period: float,
     n_steps: int,
-    rule,
     newton_options: NewtonOptions,
     *,
     want_monodromy: bool,
@@ -125,13 +131,14 @@ def _transition_map(
     evaluation = sweeps.at(x, jacobian=want_monodromy)
     context = StepContext(q_prev=evaluation.q[0], qdot_prev=-(evaluation.f[0] + excitation[0]))
 
-    # The very first step always uses backward Euler.  For the trapezoidal
-    # rule, the one-step map of a DAE depends on the *algebraic* part of the
-    # previous state (through the stored dq/dt), which makes the full-vector
-    # shooting Jacobian (monodromy - I) singular; a BE first step removes
-    # that dependence, exactly as SPICE-family periodic-steady-state engines
-    # do, while leaving the overall accuracy second order.
-    first_rule = make_integration_rule("backward-euler")
+    # The very first step uses backward Euler, the rest are trapezoidal.  The
+    # trapezoidal one-step map of a DAE depends on the *algebraic* part of
+    # the previous state (through the stored dq/dt), which makes the
+    # full-vector shooting Jacobian (monodromy - I) singular; a BE first step
+    # removes that dependence, exactly as SPICE-family periodic-steady-state
+    # engines do, while leaving the overall accuracy second order.
+    first_rule = BackwardEuler()
+    rule = Trapezoidal()
 
     for step in range(n_steps):
         step_rule = first_rule if step == 0 else rule
@@ -149,25 +156,16 @@ def _transition_map(
             # the chain rule gives
             #   (alpha*C_{k+1} + G_{k+1}) dx_{k+1}/dx_k = -dr/dx_k.
             jac_new = alpha * evaluation.capacitance[0] + evaluation.conductance[0]
-            if step_rule.name == "trapezoidal":
-                # r = -2 q(x_k)/h - qdot_k with qdot_k = -(f(x_k) + b_k)
-                dr_dxk = -(2.0 / h) * eval_old.capacitance[0] + eval_old.conductance[0]
-            elif step_rule.name == "backward-euler":
+            if step == 0:
+                # Backward Euler: r = -q(x_k)/h.
                 dr_dxk = -(1.0 / h) * eval_old.capacitance[0]
             else:
-                raise AnalysisError(
-                    f"monodromy propagation is not implemented for integration rule "
-                    f"{step_rule.name!r}; use 'backward-euler' or 'trapezoidal'"
-                )
+                # r = -2 q(x_k)/h - qdot_k with qdot_k = -(f(x_k) + b_k)
+                dr_dxk = -(2.0 / h) * eval_old.capacitance[0] + eval_old.conductance[0]
             step_sensitivity = np.linalg.solve(jac_new, -dr_dxk)
             monodromy = step_sensitivity @ monodromy
 
-        context = StepContext(
-            q_prev=evaluation.q[0],
-            qdot_prev=-(evaluation.f[0] + b_new),
-            q_prev2=context.q_prev,
-            h_prev=h,
-        )
+        context = StepContext(q_prev=evaluation.q[0], qdot_prev=-(evaluation.f[0] + b_new))
         x = x_new
         states.append(x.copy())
 
@@ -199,7 +197,13 @@ def shooting_periodic_steady_state(
         Initial guess for the periodic initial state; defaults to the DC
         operating point.
     options:
-        :class:`~repro.utils.options.ShootingOptions`.
+        :class:`~repro.utils.options.ShootingOptions` (the steps per
+        period).
+
+    Every step is solved by full Newton under the default
+    :class:`~repro.utils.options.NewtonOptions`; the shooting iteration
+    stops on :data:`ABSTOL` and :data:`RELTOL` or fails after
+    :data:`MAX_SHOOTING_ITERATIONS`.
 
     Raises
     ------
@@ -209,20 +213,19 @@ def shooting_periodic_steady_state(
     opts = options or ShootingOptions()
     if period <= 0:
         raise AnalysisError("period must be positive")
-    rule = make_integration_rule(opts.integration_method)
+    newton_options = NewtonOptions()
     stats = ShootingStats()
 
     x_guess = dc_operating_point(mna).x if x0 is None else np.asarray(x0, dtype=float).copy()
 
-    for iteration in range(1, opts.max_shooting_iterations + 1):
+    for iteration in range(1, MAX_SHOOTING_ITERATIONS + 1):
         x_final, monodromy, times, states = _transition_map(
             mna,
             x_guess,
             t0,
             period,
             opts.steps_per_period,
-            rule,
-            opts.newton,
+            newton_options,
             want_monodromy=True,
             stats=stats,
         )
@@ -232,7 +235,7 @@ def shooting_periodic_steady_state(
         stats.final_residual_norm = res_norm
         x_scale = float(np.max(np.abs(x_guess))) if x_guess.size else 0.0
         _LOG.debug("shooting iter=%d residual=%.3e", iteration, res_norm)
-        if res_norm <= opts.abstol + opts.reltol * max(1.0, x_scale):
+        if res_norm <= ABSTOL + RELTOL * max(1.0, x_scale):
             return ShootingResult(
                 times=times, states=states, period=period, mna=mna, stats=stats
             )
@@ -242,8 +245,8 @@ def shooting_periodic_steady_state(
         x_guess = x_guess + dx
 
     raise ConvergenceError(
-        f"shooting did not converge in {opts.max_shooting_iterations} iterations "
+        f"shooting did not converge in {MAX_SHOOTING_ITERATIONS} iterations "
         f"(residual {stats.final_residual_norm:.3e})",
-        iterations=opts.max_shooting_iterations,
+        iterations=MAX_SHOOTING_ITERATIONS,
         residual_norm=stats.final_residual_norm,
     )

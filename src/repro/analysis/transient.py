@@ -6,8 +6,10 @@ resolve *every* carrier cycle, even when the interesting behaviour lives at a
 difference frequency thousands of times slower.  It is also the workhorse
 behind the shooting method's state-transition map.
 
-Fixed-step and adaptive (local-truncation-error controlled) stepping are
-provided, with backward Euler, trapezoidal or Gear-2 integration.
+Steps are fixed-size trapezoidal, as in the paper's baseline.  A step whose
+Newton solve fails is retried at a quarter of its size; the next step goes
+back to ``dt``.  The step times are known ahead, so the excitation is
+evaluated once over all of them (once more after each cut).
 
 Every implicit step is one full-Newton solve
 (:func:`~repro.linalg.newton.newton_solve`) on the dense step Jacobian
@@ -32,9 +34,9 @@ from ..linalg.newton import newton_solve
 from ..signals.waveform import Waveform
 from ..utils.exceptions import AnalysisError, ConvergenceError
 from ..utils.logging import get_logger
-from ..utils.options import NewtonOptions, TransientOptions
+from ..utils.options import NewtonOptions
 from .dc import dc_operating_point
-from .integration import StepContext, make_integration_rule
+from .integration import StepContext, Trapezoidal
 from .sweep import StateSweep
 
 __all__ = [
@@ -45,6 +47,11 @@ __all__ = [
 ]
 
 _LOG = get_logger("analysis.transient")
+
+#: Smallest step a Newton-failure cut may reach before the run fails.
+MIN_STEP = 1e-15
+#: Newton-failure cuts allowed at one time point before the run fails.
+MAX_REJECTIONS = 20
 
 
 @dataclass
@@ -155,6 +162,23 @@ def _initial_state(mna: MNASystem, x0: np.ndarray | None, use_dc: bool, t_start:
     return mna.zero_state()
 
 
+def _step_plan(t: float, h: float, dt: float, t_stop: float) -> tuple[list[float], np.ndarray]:
+    """Step sizes and times from ``t`` to ``t_stop``: first ``h``, then ``dt``.
+
+    The last step is cut to end at ``t_stop``; ``times[0]`` is ``t``.
+    """
+    end = t_stop - 1e-15 * max(1.0, abs(t_stop))
+    steps = []
+    times = [t]
+    while t < end:
+        h = min(h, t_stop - t)
+        t = t + h
+        steps.append(h)
+        times.append(t)
+        h = dt
+    return steps, np.asarray(times)
+
+
 def run_transient(
     mna: MNASystem,
     t_stop: float,
@@ -163,7 +187,6 @@ def run_transient(
     t_start: float = 0.0,
     x0: np.ndarray | None = None,
     use_dc_initial: bool = True,
-    options: TransientOptions | None = None,
 ) -> TransientResult:
     """Integrate the circuit DAE from ``t_start`` to ``t_stop``.
 
@@ -174,7 +197,7 @@ def run_transient(
     t_stop:
         Final time in seconds.
     dt:
-        Nominal (fixed mode) or initial (adaptive mode) step size.
+        Step size; the last step is shortened to end at ``t_stop``.
     t_start:
         Starting time.
     x0:
@@ -182,145 +205,78 @@ def run_transient(
         used (or zeros if ``use_dc_initial=False``).
     use_dc_initial:
         Whether to compute a DC operating point for the initial condition.
-    options:
-        :class:`~repro.utils.options.TransientOptions`.
 
     Notes
     -----
-    Adaptive stepping estimates the local truncation error by comparing the
-    implicit (corrector) solution with a linear extrapolation of the two
-    previous accepted states and scales the step to keep the estimate below
-    ``ltetol`` (with the usual safety factor and growth limits).  This is
-    deliberately simple — the goal of the
-    transient engine in this reproduction is to be a *correct and
+    Every step is trapezoidal and solved by full Newton under the default
+    :class:`~repro.utils.options.NewtonOptions`.  A step whose Newton solve
+    raises :class:`ConvergenceError` is cut to a quarter, at most
+    :data:`MAX_REJECTIONS` times and not below :data:`MIN_STEP`.  The goal of
+    the transient engine in this reproduction is to be a *correct and
     representative* baseline for the MPDE speed-up comparison, not a
-    state-of-the-art variable-order integrator.
+    state-of-the-art variable-step integrator.
     """
-    opts = options or TransientOptions()
     if t_stop <= t_start:
         raise AnalysisError("t_stop must be greater than t_start")
     if dt <= 0:
         raise AnalysisError("dt must be positive")
+    if dt < MIN_STEP:
+        raise AnalysisError(f"transient step size underflow (dt={dt:.3e}s < MIN_STEP)")
 
-    rule = make_integration_rule(opts.method)
+    rule = Trapezoidal()
+    newton_options = NewtonOptions()
     stats = TransientStepStats()
 
     x = _initial_state(mna, x0, use_dc_initial, t_start)
-    t = t_start
-    h = min(dt, t_stop - t_start)
+    steps, times = _step_plan(t_start, dt, dt, t_stop)
+    excitation = mna.source(times)
 
-    times = [t]
+    out_times = [t_start]
     states = [x.copy()]
 
     sweeps = StateSweep(mna)
     # Newton's first step needs C and G at x as well: fetch them now.
     evaluation = sweeps.at(x, jacobian=True)
-    context = StepContext(q_prev=evaluation.q[0], qdot_prev=-(evaluation.f[0] + mna.source(t)))
-    # Only the *differential* unknowns (those appearing in q, i.e. with a
-    # capacitance column in the compiled stamp pattern) are LTE-controlled —
-    # algebraic unknowns follow the sources discontinuously and would
-    # otherwise force the step to zero at every source corner.
-    dynamic = mna.dynamic_unknowns_mask()
+    context = StepContext(q_prev=evaluation.q[0], qdot_prev=-(evaluation.f[0] + excitation[0]))
 
-    # History for the local-truncation-error predictor (adaptive mode):
-    # linear extrapolation from the previous two accepted points.
-    x_prev_accepted: np.ndarray | None = None
-    h_prev_accepted: float | None = None
-
-    store_counter = 0
-    while t < t_stop - 1e-15 * max(1.0, abs(t_stop)):
-        h = min(h, t_stop - t)
-        if h < opts.min_step:
-            raise AnalysisError(
-                f"transient step size underflow at t={t:.3e}s (h={h:.3e}s < min_step)"
+    k = 0
+    rejections = 0
+    while k < len(steps):
+        h = steps[k]
+        try:
+            x_new, iters = solve_implicit_step(
+                mna, x, times[k + 1], h, context, rule, newton_options,
+                b_new=excitation[k + 1], sweeps=sweeps,
             )
-        t_new = t + h
-        rejections = 0
-        while True:
-            b_new = mna.source(t_new)
-            try:
-                x_new, iters = solve_implicit_step(
-                    mna, x, t_new, h, context, rule, opts.newton,
-                    b_new=b_new, sweeps=sweeps,
-                )
-                stats.newton_iterations += iters
-                stats.linear_solves += iters
-            except ConvergenceError:
-                rejections += 1
-                stats.rejected_steps += 1
-                if rejections > opts.max_rejections:
-                    raise AnalysisError(
-                        f"transient analysis failed at t={t:.3e}s: Newton did not converge "
-                        f"after {opts.max_rejections} step-size reductions"
-                    )
-                h *= 0.25
-                if h < opts.min_step:
-                    raise AnalysisError(
-                        f"transient step size underflow at t={t:.3e}s while recovering from "
-                        "a Newton failure"
-                    )
-                t_new = t + h
-                continue
-
-            if not opts.adaptive:
-                break
-
-            if x_prev_accepted is None or h_prev_accepted is None:
-                # No history yet: accept the first step and start controlling
-                # from the second one.
-                h_after = h
-                break
-
-            # LTE estimate: compare the corrector with a linear (two-point)
-            # extrapolation from the previous accepted states, over the
-            # differential unknowns only.
-            if not np.any(dynamic):
-                h_after = h
-                break
-            predictor = x + (h / h_prev_accepted) * (x - x_prev_accepted)
-            error = float(np.max(np.abs((x_new - predictor)[dynamic])))
-            scale = opts.ltetol * max(1.0, float(np.max(np.abs(x_new[dynamic]))))
-            if error <= scale or h <= opts.min_step * 4:
-                # Accept and propose the next step size.
-                if error > 0:
-                    factor = 0.9 * (scale / error) ** 0.5
-                    h_next = h * min(4.0, max(0.25, factor))
-                else:
-                    h_next = h * 2.0
-                h_after = min(opts.max_step, h_next)
-                break
+        except ConvergenceError:
             rejections += 1
             stats.rejected_steps += 1
-            if rejections > opts.max_rejections:
+            if rejections > MAX_REJECTIONS:
                 raise AnalysisError(
-                    f"transient analysis failed at t={t:.3e}s: local truncation error "
-                    "could not be controlled"
+                    f"transient analysis failed at t={times[k]:.3e}s: Newton did not converge "
+                    f"after {MAX_REJECTIONS} step-size reductions"
                 )
-            h *= 0.5
-            t_new = t + h
-
-        # Accept the step.
+            h *= 0.25
+            if h < MIN_STEP:
+                raise AnalysisError(
+                    f"transient step size underflow at t={times[k]:.3e}s while recovering "
+                    "from a Newton failure"
+                )
+            steps, times = _step_plan(times[k], h, dt, t_stop)
+            excitation = mna.source(times)
+            k = 0
+            continue
+        stats.newton_iterations += iters
+        stats.linear_solves += iters
         stats.accepted_steps += 1
+        rejections = 0
+        k += 1
         evaluation = sweeps.at(x_new)
-        context = StepContext(
-            q_prev=evaluation.q[0],
-            qdot_prev=-(evaluation.f[0] + b_new),
-            q_prev2=context.q_prev,
-            h_prev=h,
-        )
-        x_prev_accepted = x
-        h_prev_accepted = h
+        context = StepContext(q_prev=evaluation.q[0], qdot_prev=-(evaluation.f[0] + excitation[k]))
         x = x_new
-        t = t_new
-        store_counter += 1
-        if store_counter % opts.store_every == 0 or t >= t_stop - 1e-15:
-            times.append(t)
-            states.append(x.copy())
-        if opts.adaptive:
-            h = h_after
-        else:
-            h = dt
+        out_times.append(times[k])
+        states.append(x.copy())
 
     return TransientResult(
-        times=np.asarray(times), states=np.asarray(states), mna=mna, stats=stats
+        times=np.asarray(out_times), states=np.asarray(states), mna=mna, stats=stats
     )

@@ -224,17 +224,6 @@ class MNASystem:
         """Compiled sparsity pattern of the capacitance Jacobian ``C``."""
         return self._dynamic_pattern
 
-    def dynamic_unknowns_mask(self) -> np.ndarray:
-        """Boolean mask of unknowns that appear in ``q`` (structurally dynamic).
-
-        Derived from the compiled capacitance pattern, so it costs nothing at
-        run time; used e.g. by the transient LTE controller to restrict error
-        control to differential unknowns.
-        """
-        mask = np.zeros(self.n_unknowns, dtype=bool)
-        mask[self._dynamic_pattern.cols] = True
-        return mask
-
     def residual_row_owners(self) -> tuple[tuple[str, ...], ...]:
         """Device instance names stamping each residual row (``n`` tuples).
 

@@ -875,6 +875,15 @@ class MPDESolver:
             x_new, residual_trial, trial_norm, damping, accepted, converged = line_search(
                 trial_residual, x, dx, res_norm, opts
             )
+            if residual_trial is None:
+                # Every damping overflowed: fail at the last finite iterate.
+                stats.residual_norm = res_norm
+                raise ConvergenceError(
+                    "MPDE Newton step overflowed at every damping "
+                    f"(residual norm {res_norm:.3e})",
+                    iterations=stats.newton_iterations,
+                    residual_norm=res_norm,
+                )
             ratio = trial_norm / res_norm if res_norm > 0.0 else 1.0
             linear.record_step(ratio, accepted)
 

@@ -99,6 +99,9 @@ def line_search(
     finite and below ``res_norm * (1 + 1e-12)`` is taken.  When no trial
     passes, the ``min_damping`` step is taken anyway: Newton sometimes has
     to pass through a residual increase (e.g. crossing a device corner).
+    Only when that step's residual is not finite is no step taken: the
+    current ``x`` comes back with ``residual_new = None``, ``res_norm`` and
+    damping 0, and the caller reports divergence from it.
 
     Returns ``(x_new, residual_new, norm_new, damping, accepted, converged)``.
     ``accepted`` says whether a trial passed the decrease test; ``converged``
@@ -120,6 +123,8 @@ def line_search(
         x_trial = x + damping * dx
         f_trial = np.asarray(residual(x_trial), dtype=float)
         trial_norm = _norm(f_trial)
+        if not math.isfinite(trial_norm):
+            return x, None, res_norm, 0.0, False, False
         accepted = False
     converged = (
         trial_norm <= options.abstol
@@ -150,8 +155,9 @@ def newton_solve(
         Iteration controls; defaults to :class:`NewtonOptions()`.
     raise_on_failure:
         When True (default) a :class:`ConvergenceError` is raised if the
-        iteration budget is exhausted; when False the last iterate is
-        returned with ``converged=False`` so continuation drivers can react.
+        iteration budget is exhausted or a step overflows at every damping;
+        when False the last (finite) iterate is returned with
+        ``converged=False`` so continuation drivers can react.
 
     Notes
     -----
@@ -179,13 +185,20 @@ def newton_solve(
             x=x, converged=True, iterations=0, residual_norm=res_norm, residual_history=history
         )
 
+    iterations = opts.max_iterations
+    failure = "did not converge"
     for iteration in range(1, opts.max_iterations + 1):
         jac = jacobian(x)
         fault_site("newton.linear_solve", iteration=iteration - 1)
         dx = solve_linear_system(jac, -fx)
-        x, fx, res_norm, damping, _accepted, converged = line_search(
+        x, f_new, res_norm, damping, _accepted, converged = line_search(
             residual, x, dx, res_norm, opts
         )
+        if f_new is None:
+            iterations = iteration
+            failure = "overflowed at every damping"
+            break
+        fx = f_new
         history.append(res_norm)
         _LOG.debug("newton iter=%d residual=%.3e damping=%.3g", iteration, res_norm, damping)
         if converged:
@@ -199,15 +212,15 @@ def newton_solve(
 
     if raise_on_failure:
         raise ConvergenceError(
-            f"Newton-Raphson did not converge in {opts.max_iterations} iterations "
+            f"Newton-Raphson {failure} in {iterations} iterations "
             f"(residual norm {res_norm:.3e})",
-            iterations=opts.max_iterations,
+            iterations=iterations,
             residual_norm=res_norm,
         )
     return NewtonResult(
         x=x,
         converged=False,
-        iterations=opts.max_iterations,
+        iterations=iterations,
         residual_norm=res_norm,
         residual_history=history,
     )

@@ -44,7 +44,7 @@ from ..resilience.checkpoint import solve_fingerprint
 from ..signals.spectrum import fourier_coefficient
 from ..signals.waveform import Waveform
 from ..utils.exceptions import ConfigurationError
-from ..utils.options import MPDEOptions, TransientOptions
+from ..utils.options import MPDEOptions
 
 __all__ = [
     "ScenarioSpec",
@@ -499,12 +499,7 @@ def cross_validate(scenario: BuiltScenario, result=None) -> CrossValidationRepor
         period = case.scales.difference_period
         dt = case.scales.fast_period / plan.points_per_cycle
     t_stop = (plan.settle_periods + 1.0) * period
-    transient = run_transient(
-        case.circuit.compile(),
-        t_stop=t_stop,
-        dt=dt,
-        options=TransientOptions(method="trapezoidal"),
-    )
+    transient = run_transient(case.circuit.compile(), t_stop=t_stop, dt=dt)
     neg = None if case.output_neg in (None, "0") else case.output_neg
     if neg is None:
         reference = transient.waveform(case.output_pos)

@@ -22,7 +22,6 @@ from .options import (
     MPDEOptions,
     NewtonOptions,
     ShootingOptions,
-    TransientOptions,
     options_from_mapping,
 )
 
@@ -43,7 +42,6 @@ __all__ = [
     "WaveformError",
     "EvaluationOptions",
     "NewtonOptions",
-    "TransientOptions",
     "ShootingOptions",
     "MPDEOptions",
     "options_from_mapping",

@@ -22,7 +22,6 @@ from .exceptions import ConfigurationError
 __all__ = [
     "EvaluationOptions",
     "NewtonOptions",
-    "TransientOptions",
     "ShootingOptions",
     "MPDEOptions",
     "EVALUATION_BACKENDS",
@@ -113,60 +112,25 @@ class NewtonOptions:
 
 
 @dataclass(frozen=True)
-class TransientOptions:
-    """Controls for SPICE-style time-stepping (transient) analysis.
-
-    Every implicit step is solved by full Newton under ``newton``, which
-    refactors the dense step Jacobian at every iteration.
-    """
-
-    method: str = "trapezoidal"
-    adaptive: bool = False
-    ltetol: float = 1e-4
-    min_step: float = 1e-15
-    max_step: float = float("inf")
-    max_rejections: int = 20
-    newton: NewtonOptions = field(default_factory=NewtonOptions)
-    store_every: int = 1
-
-    _ALLOWED_METHODS = ("backward-euler", "trapezoidal", "gear2")
-
-    def __post_init__(self) -> None:
-        _require_in("method", self.method, self._ALLOWED_METHODS)
-        _require_positive("ltetol", self.ltetol)
-        _require_positive("min_step", self.min_step)
-        _require_positive("max_step", self.max_step)
-        _require_positive("max_rejections", self.max_rejections)
-        _require_positive("store_every", self.store_every)
-        if self.min_step > self.max_step:
-            raise ConfigurationError("min_step must be <= max_step")
-
-
-@dataclass(frozen=True)
 class ShootingOptions:
     """Controls for single-tone periodic steady state via shooting.
 
-    The inner integration steps are solved like transient steps, by full
-    Newton under ``newton``.
+    Attributes
+    ----------
+    steps_per_period:
+        Fixed time steps per shooting period.
+    integration_method:
+        Accepts one value, ``"trapezoidal"`` (after a backward-Euler first
+        step).  The field stays, with that one value, because callers pass
+        it (``perfbench/workloads.py``, the benchmarks).
     """
 
     steps_per_period: int = 200
-    max_shooting_iterations: int = 30
-    abstol: float = 1e-8
-    reltol: float = 1e-6
     integration_method: str = "trapezoidal"
-    newton: NewtonOptions = field(default_factory=NewtonOptions)
 
     def __post_init__(self) -> None:
         _require_positive("steps_per_period", self.steps_per_period)
-        _require_positive("max_shooting_iterations", self.max_shooting_iterations)
-        _require_positive("abstol", self.abstol)
-        _require_positive("reltol", self.reltol)
-        _require_in(
-            "integration_method",
-            self.integration_method,
-            TransientOptions._ALLOWED_METHODS,
-        )
+        _require_in("integration_method", self.integration_method, ("trapezoidal",))
 
 
 @dataclass(frozen=True)

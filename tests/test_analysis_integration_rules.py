@@ -5,32 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    BackwardEuler,
-    Gear2,
-    StepContext,
-    Trapezoidal,
-    make_integration_rule,
-)
+from repro.analysis import BackwardEuler, StepContext, Trapezoidal
 from repro.utils import AnalysisError
 
 
-class TestFactory:
-    @pytest.mark.parametrize(
-        "name, cls",
-        [("backward-euler", BackwardEuler), ("trapezoidal", Trapezoidal), ("gear2", Gear2)],
-    )
-    def test_make_rule(self, name, cls):
-        assert isinstance(make_integration_rule(name), cls)
-
-    def test_unknown_rule(self):
-        with pytest.raises(AnalysisError):
-            make_integration_rule("runge-kutta")
-
+class TestRules:
     def test_orders(self):
         assert BackwardEuler().order == 1
         assert Trapezoidal().order == 2
-        assert Gear2().order == 2
 
 
 class TestCoefficients:
@@ -46,28 +28,9 @@ class TestCoefficients:
         assert alpha == pytest.approx(20.0)
         np.testing.assert_allclose(r, [-2.0 * 2.0 / 0.1 - 3.0])
 
-    def test_gear2_uniform_step(self):
-        context = StepContext(
-            q_prev=np.array([2.0]),
-            qdot_prev=np.array([0.0]),
-            q_prev2=np.array([1.0]),
-            h_prev=0.1,
-        )
-        alpha, r = Gear2().derivative_coefficients(0.1, context)
-        # Uniform-step BDF2: (1.5 q_new - 2 q_prev + 0.5 q_prev2)/h
-        assert alpha == pytest.approx(15.0)
-        np.testing.assert_allclose(r, [(-2.0 * 2.0 + 0.5 * 1.0) / 0.1])
-
-    def test_gear2_falls_back_to_be_without_history(self):
-        context = StepContext(q_prev=np.array([2.0]), qdot_prev=np.array([0.0]))
-        alpha, r = Gear2().derivative_coefficients(0.1, context)
-        alpha_be, r_be = BackwardEuler().derivative_coefficients(0.1, context)
-        assert alpha == pytest.approx(alpha_be)
-        np.testing.assert_allclose(r, r_be)
-
     def test_invalid_step_size(self):
         context = StepContext(q_prev=np.zeros(1), qdot_prev=np.zeros(1))
-        for rule in (BackwardEuler(), Trapezoidal(), Gear2()):
+        for rule in (BackwardEuler(), Trapezoidal()):
             with pytest.raises(AnalysisError):
                 rule.derivative_coefficients(0.0, context)
 
@@ -76,8 +39,7 @@ class TestScalarODEAccuracy:
     """Integrate dq/dt + x = 0 with q = x (i.e. x' = -x) and check the order."""
 
     @staticmethod
-    def _integrate(rule_name, n_steps):
-        rule = make_integration_rule(rule_name)
+    def _integrate(rule, n_steps):
         h = 1.0 / n_steps
         x = 1.0
         q_prev = np.array([x])
@@ -87,37 +49,25 @@ class TestScalarODEAccuracy:
             alpha, r = rule.derivative_coefficients(h, context)
             # Solve alpha*x_new + r + x_new = 0.
             x_new = -r[0] / (alpha + 1.0)
-            context = StepContext(
-                q_prev=np.array([x_new]),
-                qdot_prev=np.array([-x_new]),
-                q_prev2=context.q_prev,
-                h_prev=h,
-            )
+            context = StepContext(q_prev=np.array([x_new]), qdot_prev=np.array([-x_new]))
             x = x_new
         return x
 
     def test_backward_euler_first_order(self):
         exact = np.exp(-1.0)
-        err_coarse = abs(self._integrate("backward-euler", 50) - exact)
-        err_fine = abs(self._integrate("backward-euler", 100) - exact)
+        err_coarse = abs(self._integrate(BackwardEuler(), 50) - exact)
+        err_fine = abs(self._integrate(BackwardEuler(), 100) - exact)
         assert err_fine / err_coarse == pytest.approx(0.5, rel=0.2)
 
     def test_trapezoidal_second_order(self):
         exact = np.exp(-1.0)
-        err_coarse = abs(self._integrate("trapezoidal", 50) - exact)
-        err_fine = abs(self._integrate("trapezoidal", 100) - exact)
+        err_coarse = abs(self._integrate(Trapezoidal(), 50) - exact)
+        err_fine = abs(self._integrate(Trapezoidal(), 100) - exact)
         assert err_fine / err_coarse == pytest.approx(0.25, rel=0.25)
-
-    def test_gear2_second_order(self):
-        exact = np.exp(-1.0)
-        err_coarse = abs(self._integrate("gear2", 50) - exact)
-        err_fine = abs(self._integrate("gear2", 100) - exact)
-        assert err_fine / err_coarse == pytest.approx(0.25, rel=0.3)
 
     def test_all_rules_are_stable_for_stiff_decay(self):
         """x' = -1000 x with a large step must not blow up (A/L stability)."""
-        for name in ("backward-euler", "trapezoidal", "gear2"):
-            rule = make_integration_rule(name)
+        for rule in (BackwardEuler(), Trapezoidal()):
             h = 0.1
             x = 1.0
             context = StepContext(q_prev=np.array([x]), qdot_prev=np.array([-1000.0 * x]))
@@ -125,10 +75,7 @@ class TestScalarODEAccuracy:
                 alpha, r = rule.derivative_coefficients(h, context)
                 x_new = -r[0] / (alpha + 1000.0)
                 context = StepContext(
-                    q_prev=np.array([x_new]),
-                    qdot_prev=np.array([-1000.0 * x_new]),
-                    q_prev2=context.q_prev,
-                    h_prev=h,
+                    q_prev=np.array([x_new]), qdot_prev=np.array([-1000.0 * x_new])
                 )
                 x = x_new
             assert abs(x) < 1.0

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.analysis import run_transient, shooting_periodic_steady_state
+from repro.analysis import shooting as shooting_module
 from repro.circuits import Circuit
 from repro.circuits.devices import Capacitor, Diode, DiodeParams, Resistor, VoltageSource
 from repro.signals import SinusoidStimulus, compute_spectrum, fourier_coefficient
-from repro.utils import AnalysisError, ConvergenceError, ShootingOptions, TransientOptions
+from repro.utils import AnalysisError, ConvergenceError, ShootingOptions
 
 
 class TestLinearRCShooting:
@@ -63,12 +64,7 @@ class TestRectifierShooting:
             options=ShootingOptions(steps_per_period=300, integration_method="trapezoidal"),
         )
         # Brute force: integrate long enough for the start-up transient to die.
-        transient = run_transient(
-            mna,
-            t_stop=30 / self.freq,
-            dt=1 / self.freq / 300,
-            options=TransientOptions(method="trapezoidal"),
-        )
+        transient = run_transient(mna, t_stop=30 / self.freq, dt=1 / self.freq / 300)
         brute = transient.waveform("out").window(29 / self.freq, 30 / self.freq)
         shooting_mean = result.waveform("out").mean()
         brute_mean = brute.mean()
@@ -83,15 +79,6 @@ class TestRectifierShooting:
         # RC = 10 ms >> period, so the ripple is a small fraction of the mean.
         assert wave.peak_to_peak() < 0.25 * wave.mean()
 
-    def test_backward_euler_integration_also_converges(self, diode_rectifier):
-        mna = diode_rectifier.compile()
-        result = shooting_periodic_steady_state(
-            mna,
-            1.0 / self.freq,
-            options=ShootingOptions(steps_per_period=300, integration_method="backward-euler"),
-        )
-        assert result.stats.final_residual_norm < 1e-6
-
 
 class TestShootingErrors:
     def test_invalid_period(self, rc_lowpass):
@@ -99,23 +86,13 @@ class TestShootingErrors:
         with pytest.raises(AnalysisError):
             shooting_periodic_steady_state(mna, 0.0)
 
-    def test_iteration_budget_exhaustion_raises(self, diode_rectifier):
+    def test_iteration_budget_exhaustion_raises(self, diode_rectifier, monkeypatch):
+        monkeypatch.setattr(shooting_module, "MAX_SHOOTING_ITERATIONS", 1)
+        monkeypatch.setattr(shooting_module, "ABSTOL", 1e-15)
+        monkeypatch.setattr(shooting_module, "RELTOL", 1e-15)
         mna = diode_rectifier.compile()
         with pytest.raises(ConvergenceError):
-            shooting_periodic_steady_state(
-                mna,
-                1e-3,
-                options=ShootingOptions(
-                    steps_per_period=50, max_shooting_iterations=1, abstol=1e-15, reltol=1e-15
-                ),
-            )
-
-    def test_unsupported_monodromy_rule_raises(self, rc_lowpass):
-        mna = rc_lowpass.compile()
-        with pytest.raises(AnalysisError):
-            shooting_periodic_steady_state(
-                mna, 1e-3, options=ShootingOptions(integration_method="gear2")
-            )
+            shooting_periodic_steady_state(mna, 1e-3, options=ShootingOptions(steps_per_period=50))
 
 
 class TestShootingAsDifferencePeriodBaseline:

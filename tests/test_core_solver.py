@@ -9,7 +9,9 @@ from repro.analysis.pss_fd import collocation_periodic_steady_state
 from repro.circuits import Circuit
 from repro.circuits.devices import Capacitor, Resistor, VoltageSource
 from repro.core import MPDEProblem, MPDESolver, ShearedTimeScales, solve_mpde
+from repro.core import solver as solver_module
 from repro.core.solver import DirectLU, _ForcingTerm
+from repro.resilience.taxonomy import classify_failure
 from repro.rf import (
     balanced_lo_doubling_mixer,
     difference_tone_amplitude,
@@ -186,6 +188,21 @@ class TestSolverControls:
         recovery_ladder("newton_refresh", "damping", "preconditioner_downgrade", "continuation")
         result = solve_mpde(mix.compile(), mix.scales, options)
         assert result.stats.recovered_by == "continuation"
+
+    @pytest.mark.no_fault_injection
+    def test_overflow_at_every_damping_fails_at_last_iterate(self, monkeypatch, recovery_ladder):
+        """A step that overflows at every damping ends the run as divergence from the last finite iterate."""
+        real_line_search = solver_module.line_search
+
+        def overflowing(residual, x, dx, res_norm, options):
+            return real_line_search(lambda v: np.full_like(v, np.inf), x, dx, res_norm, options)
+
+        monkeypatch.setattr(solver_module, "line_search", overflowing)
+        recovery_ladder()
+        with pytest.raises(ConvergenceError, match="overflowed") as info:
+            TestLinearTwoToneRC()._solve(n_fast=8, n_slow=8)
+        assert classify_failure(info.value) == "divergence"
+        assert np.isfinite(info.value.residual_norm) and info.value.residual_norm > 0.0
 
     def test_continuation_fallback_recovers(self, scaled_switching_mixer):
         """With a tiny Newton budget the solver falls back to source stepping and still converges."""

@@ -25,7 +25,7 @@ from repro.rf import conversion_metrics, gilbert_cell_mixer
 from repro.rf.receiver import recover_bits
 from repro.signals import ModulatedCarrierStimulus, SinusoidStimulus, SumStimulus, Waveform
 from repro.signals.spectrum import fourier_coefficient
-from repro.utils import AnalysisError, MPDEOptions, TransientOptions
+from repro.utils import AnalysisError, MPDEOptions
 
 
 @pytest.fixture(scope="module")
@@ -117,12 +117,7 @@ class TestEnvelopeDetectorExtension:
         result = solve_mpde(mna, scales, MPDEOptions(n_fast=32, n_slow=30))
         envelope = result.baseband_envelope("out")
         td = scales.difference_period
-        transient = run_transient(
-            mna,
-            t_stop=3 * td,
-            dt=1 / self.f_carrier / 40,
-            options=TransientOptions(method="trapezoidal"),
-        )
+        transient = run_transient(mna, t_stop=3 * td, dt=1 / self.f_carrier / 40)
         steady = transient.waveform("out").window(2 * td, 3 * td)
         a_mpde = 2 * abs(fourier_coefficient(envelope, self.f_offset))
         a_tran = 2 * abs(fourier_coefficient(steady, self.f_offset))

@@ -14,7 +14,7 @@ from repro.analysis import run_transient, shooting_periodic_steady_state
 from repro.core import solve_mpde
 from repro.rf import ideal_multiplier_mixer, unbalanced_switching_mixer
 from repro.signals.spectrum import fourier_coefficient
-from repro.utils import MPDEOptions, ShootingOptions, TransientOptions
+from repro.utils import MPDEOptions, ShootingOptions
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +39,6 @@ class TestMPDEAgainstTransient:
             mna,
             t_stop=2 * td,
             dt=1 / mix.lo_frequency / 60,
-            options=TransientOptions(method="trapezoidal"),
         )
         steady = transient.waveform("out").window(td, 2 * td)
         amp_transient = 2 * abs(fourier_coefficient(steady, fd))
@@ -53,7 +52,6 @@ class TestMPDEAgainstTransient:
             mna,
             t_stop=2 * td,
             dt=1 / mix.lo_frequency / 40,
-            options=TransientOptions(method="trapezoidal"),
         )
         steady = transient.waveform("out").window(td, 2 * td)
         assert envelope.mean() == pytest.approx(steady.mean(), rel=0.01)
@@ -66,7 +64,6 @@ class TestMPDEAgainstTransient:
             mna,
             t_stop=1.2 * td,
             dt=1 / mix.lo_frequency / 60,
-            options=TransientOptions(method="trapezoidal"),
         )
         window = transient.waveform("out").window(td, 1.1 * td)
         diagonal = mpde.bivariate("out").diagonal(window.times)

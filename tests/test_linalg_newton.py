@@ -64,6 +64,17 @@ class TestNewtonScalarProblems:
         assert result.converged
         np.testing.assert_allclose(result.x, [np.log(1e6)], rtol=1e-8)
 
+    def test_overflow_at_every_damping_raises_convergence_error(self):
+        """From x0 = 0 every trial down to min_damping overflows exp: divergence, not a singular solve."""
+        with np.errstate(over="ignore"), pytest.raises(ConvergenceError) as info:
+            newton_solve(
+                lambda x: np.exp(x) - 1e6,
+                lambda x: np.array([[np.exp(x[0])]]),
+                np.array([0.0]),
+            )
+        assert np.isfinite(info.value.residual_norm)
+        assert info.value.residual_norm == 1e6 - 1.0
+
     def test_already_converged_initial_guess(self):
         result = newton_solve(
             lambda x: x - 1.0, lambda x: np.eye(1), np.array([1.0])
@@ -121,12 +132,14 @@ class TestLineSearch:
         assert accepted and damping == 0.5
         np.testing.assert_array_equal(x_new, [1.0])
         assert norm == 0.0
-        # With every trial NaN, the min_damping step is returned unaccepted.
-        _x, _f, norm, _damping, accepted, converged = line_search(
+        # With every trial NaN no step is taken: the current iterate comes
+        # back with its own norm, no residual and damping 0.
+        x_new, f_new, norm, damping, accepted, converged = line_search(
             lambda x: np.array([np.nan]), np.array([0.0]), np.array([2.0]), 1.0, NewtonOptions()
         )
         assert not accepted and not converged
-        assert np.isnan(norm)
+        np.testing.assert_array_equal(x_new, [0.0])
+        assert f_new is None and norm == 1.0 and damping == 0.0
 
 
 class TestNewtonVectorProblems:

@@ -182,16 +182,7 @@ class TestResidualOnlyFastPath:
         assert fast.c_data is None and fast.g_data is None
 
 
-class TestDynamicMaskAndGmin:
-    def test_dynamic_mask_matches_dense_pattern(self, rng):
-        mna = _all_device_circuit().compile()
-        x = rng.normal(size=mna.n_unknowns)
-        dense_mask = np.any(mna.capacitance_matrix(x) != 0.0, axis=0)
-        structural = mna.dynamic_unknowns_mask()
-        # The structural mask may only be wider than the numeric one (a value
-        # can vanish at a particular x), never narrower.
-        assert np.all(dense_mask <= structural)
-
+class TestGmin:
     def test_gmin_matrix_is_sparse_diagonal(self):
         """``gmin_diagonal`` is the diagonal vector: gmin on nodes, 0 on branches."""
         mna = _all_device_circuit().compile()

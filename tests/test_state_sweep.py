@@ -18,7 +18,7 @@ from repro.analysis import dc_operating_point, run_transient, shooting_periodic_
 from repro.analysis.sweep import StateSweep
 from repro.circuits.mna import MNASystem
 from repro.rf import unbalanced_switching_mixer
-from repro.utils import EvaluationOptions, ShootingOptions, TransientOptions
+from repro.utils import EvaluationOptions, ShootingOptions
 
 from test_evaluation_engine import _all_device_circuit
 
@@ -150,24 +150,12 @@ class TestSweepCounts:
             stats.newton_iterations + stats.shooting_iterations + dc_sweeps
         )
 
-    @pytest.mark.parametrize(
-        "options",
-        [
-            TransientOptions(),
-            TransientOptions(method="gear2", adaptive=True),
-        ],
-        ids=["fixed-trapezoidal", "adaptive-gear2"],
-    )
-    def test_transient_sweeps_once_per_newton_iterate(
-        self, switching_mixer, sweep_counter, options
-    ):
+    def test_transient_sweeps_once_per_newton_iterate(self, switching_mixer, sweep_counter):
         mna = switching_mixer.compile()
         dc_sweeps = _dc_sweeps(mna, sweep_counter)
         sweep_counter["calls"] = 0
         period = switching_mixer.difference_period
-        result = run_transient(
-            mna, period, period / (STEPS_PER_LO_CYCLE * DISPARITY), options=options
-        )
+        result = run_transient(mna, period, period / (STEPS_PER_LO_CYCLE * DISPARITY))
         stats = result.stats
         # One sweep per Newton iterate and one for the initial state; a
         # rejected step restarts from the last accepted state, which is one

@@ -9,7 +9,6 @@ from repro.utils import (
     MPDEOptions,
     NewtonOptions,
     ShootingOptions,
-    TransientOptions,
     options_from_mapping,
 )
 
@@ -53,34 +52,16 @@ class TestNewtonOptions:
             opts.abstol = 1.0  # type: ignore[misc]
 
 
-class TestTransientOptions:
-    def test_defaults(self):
-        opts = TransientOptions()
-        assert opts.method == "trapezoidal"
-        assert not opts.adaptive
-
-    @pytest.mark.parametrize("method", ["backward-euler", "trapezoidal", "gear2"])
-    def test_valid_methods(self, method):
-        assert TransientOptions(method=method).method == method
-
-    def test_invalid_method_raises(self):
-        with pytest.raises(ConfigurationError):
-            TransientOptions(method="rk4")
-
-    def test_min_step_must_not_exceed_max_step(self):
-        with pytest.raises(ConfigurationError):
-            TransientOptions(min_step=1.0, max_step=0.5)
-
-
 class TestShootingOptions:
     def test_defaults(self):
         opts = ShootingOptions()
         assert opts.steps_per_period > 0
-        assert opts.integration_method in ("backward-euler", "trapezoidal", "gear2")
+        assert opts.integration_method == "trapezoidal"
 
-    def test_invalid_integration_method(self):
+    @pytest.mark.parametrize("method", ["leapfrog", "backward-euler", "gear2"])
+    def test_invalid_integration_method(self, method):
         with pytest.raises(ConfigurationError):
-            ShootingOptions(integration_method="leapfrog")
+            ShootingOptions(integration_method=method)
 
     def test_invalid_steps(self):
         with pytest.raises(ConfigurationError):
@@ -135,9 +116,9 @@ class TestOptionsFromMapping:
             ("reuse_preconditioner", True, MPDEOptions),
             ("precond_refresh_growth", 1.6, MPDEOptions),
             ("precond_refresh_slack", 8, MPDEOptions),
-            ("chord_newton", True, TransientOptions),
-            ("chord_max_iterations", 12, TransientOptions),
-            ("chord_slow_iterations", 5, TransientOptions),
+            ("max_shooting_iterations", 5, ShootingOptions),
+            ("abstol", 1e-8, ShootingOptions),
+            ("reltol", 1e-6, ShootingOptions),
             ("chord_newton", True, ShootingOptions),
             ("recovery", {"ladder": ()}, MPDEOptions),
             ("continuation", {"max_steps": 10}, MPDEOptions),
@@ -149,6 +130,7 @@ class TestOptionsFromMapping:
             ("initial_guess", "zero", MPDEOptions),
             ("max_step_norm", 5.0, NewtonOptions),
             ("reltol", 1e-6, NewtonOptions),
+            ("newton", {"max_iterations": 10}, ShootingOptions),
         ],
     )
     def test_removed_mpde_options_are_unknown(self, key, value, cls):
